@@ -6,8 +6,12 @@ hitters (sampling) 35, Range 156, Number distinct 117 — "the largest
 vizketch takes only 191 lines".
 
 The reproduction counts the real source lines of each sketch class (code
-lines, excluding blanks/comments/docstrings).  The shape: every vizketch is
-a few dozen to ~200 lines, because the engine handles everything else.
+lines, excluding blanks/comments/docstrings).  The per-sketch count now
+includes the wire definition: each class body carries its ``wire`` field
+table, from which the JSON spec, the JSON payload and the binary summary
+codec are all derived (``repro.core.wire``) — there is no per-sketch code
+anywhere else.  The shape: every vizketch is a few dozen to ~200 lines,
+because the engine handles everything else.
 """
 
 from __future__ import annotations

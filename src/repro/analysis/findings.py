@@ -72,22 +72,6 @@ RULE_CATALOG: dict[str, RuleInfo] = {
             "harness, and cross-root cache agreement.",
         ),
         RuleInfo(
-            "R001",
-            "sketch builder without a JSON encoder inverse",
-            "Every SKETCH_BUILDERS entry must have an inverse in the "
-            "sketch→JSON encoder table, or the root cannot broadcast "
-            "that sketch to worker daemons (it would run only in-"
-            "process and silently diverge from the fleet path).",
-        ),
-        RuleInfo(
-            "R002",
-            "summary codec/parser table mismatch",
-            "SUMMARY_CODECS (binary wire) and SUMMARY_PARSERS (JSON "
-            "wire) must cover the same payload type tags, or a summary "
-            "round-trips on one wire mode and explodes on the other — "
-            "the two-wire byte-identity CI legs rely on parity.",
-        ),
-        RuleInfo(
             "R003",
             "vectorized sketch outside the differential harness",
             "A vectorized kernel must keep its per-row "

@@ -1,13 +1,13 @@
-"""R-rules: registry completeness across modules.
+"""R-rules: enrollment of vectorized kernels in the differential harness.
 
-The engine's wire registries live in ``engine/rpc.py`` (builders,
-encoders, summary codecs/parsers) and the differential-harness surface
-lives in ``sketches/specs.py``.  A new sketch that lands in one table
-but not its inverses works in whatever path its author tested and
-silently fails in the others — these rules make the tables provably
-closed, and :func:`extract_registry_view` exposes the same static
-extraction to a runtime cross-check test so the rules cannot drift from
-the live dictionaries they model.
+The wire codecs of a sketch are derived from the field table declared
+beside it (``core/wire.py``), so JSON/binary parity holds by construction
+and needs no lint.  What a table cannot guarantee is that a *vectorized*
+kernel keeps its per-row ``summarize_reference`` oracle and a spec in
+``sketches/specs.py`` — the differential-harness surface.  R003 checks
+that, and :func:`extract_registry_view` exposes the same static
+extraction to a runtime cross-check test so the rule cannot drift from
+the live specs it models.
 """
 
 from __future__ import annotations
@@ -20,60 +20,11 @@ from repro.analysis.findings import Finding
 from repro.analysis.rules import ProjectRule, register
 from repro.analysis.source import SourceFile
 
-_RPC_SUFFIX = "repro/engine/rpc.py"
 _SPECS_SUFFIX = "repro/sketches/specs.py"
 
 #: Names from the shared binning kernel: using one marks a sketch class
 #: as vectorized even if its author forgot everything else.
 _KERNEL_MARKERS = {"bin_rows", "bincount"}
-
-
-def _dict_literal_keys(tree: ast.Module, name: str) -> tuple[list[str], int]:
-    """String keys of the module-level ``name = {...}`` literal and the
-    assignment's line (0 when absent)."""
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(
-            isinstance(t, ast.Name) and t.id == name for t in targets
-        ):
-            continue
-        if not isinstance(value, ast.Dict):
-            return [], node.lineno
-        keys = [
-            k.value
-            for k in value.keys
-            if isinstance(k, ast.Constant) and isinstance(k.value, str)
-        ]
-        return keys, node.lineno
-    return [], 0
-
-
-def _encoder_type_tags(tree: ast.Module) -> set[str]:
-    """`"type"` values returned by the ``_encode_*`` family."""
-    tags: set[str] = set()
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_encode_")
-        ):
-            continue
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Dict):
-                continue
-            for key, value in zip(sub.keys, sub.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "type"
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    tags.add(value.value)
-    return tags
 
 
 @dataclass
@@ -88,19 +39,11 @@ class _SketchClass:
 
 @dataclass
 class RegistryView:
-    """Everything the R-rules (and the runtime cross-check) extract."""
+    """Everything R003 (and the runtime cross-check) extracts."""
 
-    sketch_builder_keys: list[str] = field(default_factory=list)
-    builders_line: int = 0
-    encoder_type_tags: set[str] = field(default_factory=set)
-    summary_codec_keys: list[str] = field(default_factory=list)
-    codecs_line: int = 0
-    summary_parser_keys: list[str] = field(default_factory=list)
-    parsers_line: int = 0
     spec_names: list[str] = field(default_factory=list)
     spec_referenced_classes: set[str] = field(default_factory=set)
     sketch_classes: dict[str, _SketchClass] = field(default_factory=dict)
-    rpc_file: SourceFile | None = None
     specs_file: SourceFile | None = None
 
 
@@ -159,30 +102,18 @@ def _collect_specs(sf: SourceFile, view: RegistryView) -> None:
 
 
 def extract_registry_view(files: list[SourceFile]) -> RegistryView:
-    """The static truth about every registry, from dict/class literals.
+    """The static truth about the spec registry and the sketch classes.
 
-    ``tests/test_analysis.py`` imports the live modules and asserts they
-    agree with this extraction, so the R-rules cannot rot as the real
-    registries evolve.
+    ``tests/test_analysis.py`` imports the live specs module and asserts
+    it agrees with this extraction, so R003 cannot rot as the real
+    registry evolves.
     """
     view = RegistryView()
     for sf in files:
         if sf.tree is None:
             continue
         path = sf.scope_path
-        if path.endswith(_RPC_SUFFIX):
-            view.rpc_file = sf
-            view.sketch_builder_keys, view.builders_line = _dict_literal_keys(
-                sf.tree, "SKETCH_BUILDERS"
-            )
-            view.encoder_type_tags = _encoder_type_tags(sf.tree)
-            view.summary_codec_keys, view.codecs_line = _dict_literal_keys(
-                sf.tree, "SUMMARY_CODECS"
-            )
-            view.summary_parser_keys, view.parsers_line = _dict_literal_keys(
-                sf.tree, "SUMMARY_PARSERS"
-            )
-        elif path.endswith(_SPECS_SUFFIX):
+        if path.endswith(_SPECS_SUFFIX):
             _collect_specs(sf, view)
         elif "repro/sketches/" in path:
             _collect_sketch_classes(sf, view)
@@ -206,57 +137,6 @@ def _has_oracle(cls: _SketchClass, view: RegistryView) -> bool:
             return True
         stack.extend(current.bases)
     return False
-
-
-@register
-class BuilderEncoderParity(ProjectRule):
-    """R001: every SKETCH_BUILDERS key has a JSON encoder inverse."""
-
-    rule_id = "R001"
-
-    def check_project(self, files: list[SourceFile]) -> Iterator[Finding]:
-        view = extract_registry_view(files)
-        if view.rpc_file is None or not view.sketch_builder_keys:
-            return
-        for key in view.sketch_builder_keys:
-            if key not in view.encoder_type_tags:
-                yield self.finding(
-                    view.rpc_file,
-                    view.builders_line,
-                    f"sketch type {key!r} has a builder but no _encode_* "
-                    "inverse emitting that \"type\" tag: the root cannot "
-                    "broadcast it to worker daemons",
-                )
-
-
-@register
-class SummaryCodecParity(ProjectRule):
-    """R002: SUMMARY_CODECS and SUMMARY_PARSERS cover the same tags."""
-
-    rule_id = "R002"
-
-    def check_project(self, files: list[SourceFile]) -> Iterator[Finding]:
-        view = extract_registry_view(files)
-        if view.rpc_file is None:
-            return
-        codecs = set(view.summary_codec_keys)
-        parsers = set(view.summary_parser_keys)
-        if not codecs or not parsers:
-            return
-        for tag in sorted(parsers - codecs):
-            yield self.finding(
-                view.rpc_file,
-                view.codecs_line,
-                f"summary tag {tag!r} has a JSON parser but no binary "
-                "codec: the binary wire cannot carry it",
-            )
-        for tag in sorted(codecs - parsers):
-            yield self.finding(
-                view.rpc_file,
-                view.parsers_line,
-                f"summary tag {tag!r} has a binary codec but no JSON "
-                "parser: the REPRO_WIRE_JSON=1 leg cannot carry it",
-            )
 
 
 @register

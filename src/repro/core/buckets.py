@@ -21,7 +21,8 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.serialization import Decoder, Encoder
-from repro.errors import SerializationError
+from repro.core.wire import Kind
+from repro.errors import ProtocolError, SerializationError
 
 
 class Buckets(ABC):
@@ -278,3 +279,43 @@ def decode_buckets(dec: Decoder) -> Buckets:
     if tag == _TAG_EXPLICIT:
         return ExplicitStringBuckets([s for s in dec.read_str_list() if s is not None])
     raise SerializationError(f"unknown buckets tag {tag}")
+
+
+def buckets_to_json(buckets: Buckets) -> dict:
+    if isinstance(buckets, DoubleBuckets):
+        return {
+            "type": "double",
+            "min": buckets.min_value,
+            "max": buckets.max_value,
+            "count": buckets.count,
+        }
+    if isinstance(buckets, StringBuckets):
+        return {"type": "string_ranges", "boundaries": list(buckets.boundaries)}
+    if isinstance(buckets, ExplicitStringBuckets):
+        return {"type": "strings", "values": list(buckets.values)}
+    raise ProtocolError(f"cannot encode buckets of type {type(buckets).__name__}")
+
+
+def buckets_from_json(data: dict) -> Buckets:
+    kind = data.get("type")
+    if kind == "double":
+        return DoubleBuckets(
+            float(data["min"]), float(data["max"]), int(data["count"])
+        )
+    if kind == "string_ranges":
+        return StringBuckets([str(b) for b in data["boundaries"]])
+    if kind == "strings":
+        return ExplicitStringBuckets([str(v) for v in data["values"]])
+    raise ProtocolError(f"unknown buckets type {kind!r}")
+
+
+#: The wire kind of a bucket description; each one multiplies the cells
+#: of the summary its sketch allocates.
+BUCKETS = Kind(
+    "buckets",
+    buckets_to_json,
+    buckets_from_json,
+    lambda enc, buckets: buckets.encode(enc),
+    decode_buckets,
+    cells=lambda buckets: buckets.count,
+)

@@ -15,19 +15,28 @@ streaming, caching, fault tolerance — is provided uniformly by the engine
 (paper §5.5), so a sketch author never deals with concurrency.
 
 Summaries must be serializable so the engine can account network bytes and
-ship them between tree nodes.
+ship them between tree nodes.  A summary or sketch class that travels the
+wire declares one :class:`~repro.core.wire.Wire` field table; every codec
+(binary and JSON) is derived from it, and defining the class registers it.
 """
 
 from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Generic, TypeVar
+from typing import TYPE_CHECKING, ClassVar, Generic, TypeVar
 
 import numpy as np
 
 from repro.core.rand import rng_for
-from repro.core.serialization import Encoder
+from repro.core.serialization import Decoder, Encoder
+from repro.core.wire import (
+    Wire,
+    decode_summary,
+    encode_summary,
+    register_sketch,
+    register_summary,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.table.table import Table
@@ -35,18 +44,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 R = TypeVar("R", bound="Summary")
 
 
-class Summary(ABC):
+class Summary:
     """Base class for vizketch summaries.
 
     A summary is small — its size depends on the display resolution, never
     on the dataset size (paper §4.2).  Subclasses are plain value objects
-    with an :meth:`encode` method; the engine uses the encoded size for
-    bandwidth accounting (Figure 5, bottom).
+    declaring a ``wire`` field table, from which :meth:`encode`,
+    :meth:`decode` and the JSON payload are derived; the engine uses the
+    encoded size for bandwidth accounting (Figure 5, bottom).
     """
 
-    @abstractmethod
+    #: The field table; constructor keywords are the field attributes.
+    wire: ClassVar[Wire]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "wire" in cls.__dict__:
+            register_summary(cls)
+
     def encode(self, enc: Encoder) -> None:
         """Append the wire representation of this summary to ``enc``."""
+        encode_summary(self, enc)
+
+    @classmethod
+    def decode(cls, dec: Decoder):
+        """Inverse of :meth:`encode`."""
+        return decode_summary(cls, dec)
 
     def serialized_size(self) -> int:
         """Size of this summary on the wire, in bytes."""
@@ -74,6 +97,15 @@ class Sketch(ABC, Generic[R]):
     #: Whether repeated execution yields identical results.  Deterministic
     #: sketch results may be stored in the computation cache (paper §5.4).
     deterministic: bool = True
+
+    #: The field table of a wire-visible sketch; constructor keywords and
+    #: instance attributes are the field attributes.
+    wire: ClassVar[Wire]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "wire" in cls.__dict__:
+            register_sketch(cls)
 
     @property
     def name(self) -> str:

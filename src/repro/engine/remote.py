@@ -22,13 +22,11 @@ Control messages on this wire are JSON: sketches travel as the same specs
 a browser submits and lineage travels as load/map descriptions — one codec
 for every hop.  Bulk payloads (sketch partials, shard transfers) ride the
 same frames as binary attachments — each summary's own Encoder format and
-raw hvc table bytes — instead of base64-inside-JSON; ``REPRO_WIRE_JSON=1``
-forces the pure-JSON wire as a differential baseline.
+raw hvc table bytes — never as base64 inside the JSON.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import itertools
 import json
@@ -75,11 +73,8 @@ from repro.engine.rpc import (
     source_from_json,
     source_to_json,
     summary_from_bytes,
-    summary_from_json,
     summary_tag,
     summary_to_bytes,
-    summary_to_json,
-    wire_json_forced,
 )
 from repro.errors import (
     EngineError,
@@ -126,9 +121,35 @@ _REFUSED_WHILE_DRAINING = frozenset(
 )
 
 #: Roughly how many shard payload bytes one adoptShards batch carries
-#: (well under MAX_FRAME_BYTES so the envelope always fits, even with
-#: the ~4/3 inflation of the JSON-wire base64 fallback).
+#: (well under MAX_FRAME_BYTES so the envelope always fits).
 _TRANSFER_BATCH_BYTES = 8 * 1024 * 1024
+
+
+def _pack_blobs(blobs: list[bytes]) -> bytes | None:
+    """Bulk payloads (one per JSON entry, in entry order) as one binary
+    attachment; None when there is nothing to attach."""
+    if not blobs:
+        return None
+    enc = Encoder()
+    enc.write_uvarint(len(blobs))
+    for blob in blobs:
+        enc.write_bytes(blob)
+    return enc.to_bytes()
+
+
+def _unpack_blobs(attachment: bytes | None, entries: list, what: str) -> list[bytes]:
+    """Inverse of :func:`_pack_blobs`, checked against the JSON entries
+    the payloads belong to."""
+    blobs: list[bytes] = []
+    if attachment is not None:
+        dec = Decoder(attachment)
+        blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
+    if len(blobs) != len(entries):
+        raise ProtocolError(
+            f"{what} attachment carries {len(blobs)} payloads "
+            f"for {len(entries)} entries"
+        )
+    return blobs
 
 
 class WorkerDrainingError(HillviewError):
@@ -806,7 +827,6 @@ class WorkerServer:
                 token.cancel()
         done = 0
         cache_hit = False
-        json_wire = wire_json_forced()
 
         def on_ledger(ledger: object) -> None:
             # Registered alongside the cancellation token: a claimSlices
@@ -822,22 +842,7 @@ class WorkerServer:
             ):
                 done = emission.shards_done
                 cache_hit = cache_hit or emission.cache_hit
-                if json_wire:
-                    # Differential baseline: the historical pure-JSON
-                    # partial (summary rendered as the UI payload).
-                    yield RpcReply(
-                        request.request_id,
-                        "partial",
-                        progress=0.0,
-                        payload={
-                            "summary": summary_to_json(emission.summary),
-                            "shardsDone": emission.shards_done,
-                            "bytes": emission.bytes,
-                            "cacheHit": emission.cache_hit,
-                        },
-                    )
-                    continue
-                # Hot path: the summary travels as its own Encoder
+                # The summary travels as its own Encoder
                 # format in a binary attachment; the JSON header keeps
                 # only the stream metadata plus the payload type tag.
                 partial = RpcReply(
@@ -887,30 +892,18 @@ class WorkerServer:
         with link.tokens_lock:
             ledger = link.ledgers.get(target)
         parcels = ledger.cede(budget) if ledger is not None and budget else []
-        json_wire = wire_json_forced()
         entries: list[dict] = []
         blobs: list[bytes] = []
         for parcel in parcels:
             shard = parcel.resolve()
-            payload = table_to_bytes(shard)
-            entry = {
-                "globalIndex": parcel.global_index,
-                "shardId": shard.shard_id,
-            }
-            if json_wire:
-                entry["data"] = base64.b64encode(payload).decode("ascii")
-            else:
-                blobs.append(payload)
-            entries.append(entry)
+            blobs.append(table_to_bytes(shard))
+            entries.append(
+                {"globalIndex": parcel.global_index, "shardId": shard.shard_id}
+            )
         reply = RpcReply(
             request.request_id, "complete", payload={"parcels": entries}
         )
-        if blobs:
-            enc = Encoder()
-            enc.write_uvarint(len(blobs))
-            for blob in blobs:
-                enc.write_bytes(blob)
-            reply.attachment = enc.to_bytes()
+        reply.attachment = _pack_blobs(blobs)
         return reply
 
     def _stolen_partial(self, request: RpcRequest) -> RpcReply:
@@ -923,49 +916,26 @@ class WorkerServer:
         args = request.args
         sketch = sketch_from_json(args["sketch"])
         items = args.get("parcels") or []
-        blobs: list[bytes] | None = None
-        if request.attachment is not None:
-            dec = Decoder(request.attachment)
-            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-            if len(blobs) != len(items):
-                raise ProtocolError(
-                    f"stolenPartial attachment carries {len(blobs)} payloads "
-                    f"for {len(items)} parcel entries"
-                )
-        parcels: list[StolenParcel] = []
-        for position, item in enumerate(items):
-            payload = (
-                blobs[position]
-                if blobs is not None
-                else base64.b64decode(str(item["data"]))
+        blobs = _unpack_blobs(request.attachment, items, "stolenPartial")
+        parcels = [
+            StolenParcel(
+                global_index=int(item["globalIndex"]),
+                payload=payload,
+                shard_id=str(item.get("shardId") or "") or None,
             )
-            parcels.append(
-                StolenParcel(
-                    global_index=int(item["globalIndex"]),
-                    payload=payload,
-                    shard_id=str(item.get("shardId") or "") or None,
-                )
-            )
+            for item, payload in zip(items, blobs)
+        ]
         summaries = self.worker.summarize_stolen(sketch, parcels) or []
-        json_wire = wire_json_forced()
-        entries: list[dict] = []
-        out_blobs: list[bytes] = []
-        for global_index, summary in summaries:
-            entry: dict = {"globalIndex": global_index}
-            if json_wire:
-                entry["summary"] = summary_to_json(summary)
-            else:
-                out_blobs.append(summary_to_bytes(summary))
-            entries.append(entry)
         reply = RpcReply(
-            request.request_id, "complete", payload={"summaries": entries}
+            request.request_id,
+            "complete",
+            payload={
+                "summaries": [{"globalIndex": index} for index, _ in summaries]
+            },
         )
-        if out_blobs:
-            enc = Encoder()
-            enc.write_uvarint(len(out_blobs))
-            for blob in out_blobs:
-                enc.write_bytes(blob)
-            reply.attachment = enc.to_bytes()
+        reply.attachment = _pack_blobs(
+            [summary_to_bytes(summary) for _, summary in summaries]
+        )
         return reply
 
     # -- the rebalance protocol (elastic fleets) -------------------------
@@ -1009,7 +979,6 @@ class WorkerServer:
             )
         index, count = placement
         shards = self.worker.store.get(dataset_id)
-        json_wire = wire_json_forced()
         moved = 0
         missing: list[int] = []
         for move in args.get("moves") or []:
@@ -1029,14 +998,8 @@ class WorkerServer:
                     continue
                 shard = shards[local]
                 payload = table_to_bytes(shard)
-                entry = {"globalIndex": g, "shardId": shard.shard_id}
-                if json_wire:
-                    # Differential baseline: hvc bytes as base64 text
-                    # inside the JSON envelope (the historical wire).
-                    entry["data"] = base64.b64encode(payload).decode("ascii")
-                else:
-                    blobs.append(payload)
-                batch.append(entry)
+                blobs.append(payload)
+                batch.append({"globalIndex": g, "shardId": shard.shard_id})
                 batch_bytes += len(payload)
                 if batch_bytes >= _TRANSFER_BATCH_BYTES:
                     moved += self._push_adopts(
@@ -1060,14 +1023,13 @@ class WorkerServer:
         dataset_id: str,
         version: int,
         batch: list[dict],
-        blobs: list[bytes] | None = None,
+        blobs: list[bytes],
     ) -> int:
         """One worker-to-worker push: dial the target daemon, hand it a
         batch of serialized shards, return how many it staged.
 
         ``blobs`` (one raw hvc payload per batch entry, in order) travel
-        as a binary attachment; on the JSON wire the batch entries carry
-        base64 ``data`` instead and ``blobs`` is empty.
+        as a binary attachment.
         """
         host, port = parse_address(target)
         sock = socket.create_connection((host, port), timeout=30.0)
@@ -1098,13 +1060,6 @@ class WorkerServer:
                     )
                 return reply
 
-            attachment = None
-            if blobs:
-                enc = Encoder()
-                enc.write_uvarint(len(blobs))
-                for blob in blobs:
-                    enc.write_bytes(blob)
-                attachment = enc.to_bytes()
             call(0, "hello", {})
             reply = call(
                 1,
@@ -1114,7 +1069,7 @@ class WorkerServer:
                     "targetVersion": version,
                     "shards": batch,
                 },
-                attachment=attachment,
+                attachment=_pack_blobs(blobs),
             )
             return int(reply.payload.get("staged", 0))
         finally:
@@ -1136,22 +1091,9 @@ class WorkerServer:
         dataset_id = str(args["dataset"])
         version = int(args["targetVersion"])
         items = args.get("shards") or []
-        blobs: list[bytes] | None = None
-        if request.attachment is not None:
-            dec = Decoder(request.attachment)
-            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-            if len(blobs) != len(items):
-                raise ProtocolError(
-                    f"adoptShards attachment carries {len(blobs)} payloads "
-                    f"for {len(items)} shard entries"
-                )
+        blobs = _unpack_blobs(request.attachment, items, "adoptShards")
         staged = 0
-        for position, item in enumerate(items):
-            payload = (
-                blobs[position]
-                if blobs is not None
-                else base64.b64decode(str(item["data"]))
-            )
+        for item, payload in zip(items, blobs):
             table = table_from_bytes(
                 payload,
                 shard_id=str(item.get("shardId") or f"shard-{item['globalIndex']}"),
@@ -1451,25 +1393,15 @@ class _RemoteStealLedger:
             return []
         payload = reply.payload if isinstance(reply.payload, dict) else {}
         items = payload.get("parcels") or []
-        blobs: list[bytes] | None = None
-        if reply.attachment is not None:
-            dec = Decoder(reply.attachment)
-            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-        parcels: list[StolenParcel] = []
-        for position, item in enumerate(items):
-            data = (
-                blobs[position]
-                if blobs is not None and position < len(blobs)
-                else base64.b64decode(str(item["data"]))
+        blobs = _unpack_blobs(reply.attachment, items, "claimSlices")
+        return [
+            StolenParcel(
+                global_index=int(item["globalIndex"]),
+                payload=data,
+                shard_id=str(item.get("shardId") or "") or None,
             )
-            parcels.append(
-                StolenParcel(
-                    global_index=int(item["globalIndex"]),
-                    payload=data,
-                    shard_id=str(item.get("shardId") or "") or None,
-                )
-            )
-        return parcels
+            for item, data in zip(items, blobs)
+        ]
 
 
 class RemoteWorkerProxy(WorkerProtocol):
@@ -1633,12 +1565,13 @@ class RemoteWorkerProxy(WorkerProtocol):
             deadline = time.monotonic() + self.request_timeout
             if reply.kind == "partial":
                 payload = reply.payload
-                if reply.attachment is not None:
-                    summary = summary_from_bytes(reply.attachment)
-                else:
-                    summary = summary_from_json(payload["summary"])
+                if reply.attachment is None:
+                    raise ProtocolError(
+                        f"worker {self.name} sent a partial without its "
+                        "binary summary attachment"
+                    )
                 yield WorkerEmission(
-                    summary,
+                    summary_from_bytes(reply.attachment),
                     int(payload["shardsDone"]),
                     int(payload["bytes"]),
                     cache_hit=bool(payload.get("cacheHit", False)),
@@ -1670,49 +1603,30 @@ class RemoteWorkerProxy(WorkerProtocol):
             return []
         from repro.storage.columnar import table_to_bytes
 
-        json_wire = wire_json_forced()
         entries: list[dict] = []
         blobs: list[bytes] = []
         for parcel in parcels:
             payload = parcel.payload
             if payload is None:
                 payload = table_to_bytes(parcel.resolve())
-            entry: dict = {
-                "globalIndex": parcel.global_index,
-                "shardId": parcel.shard_id,
-            }
-            if json_wire:
-                entry["data"] = base64.b64encode(payload).decode("ascii")
-            else:
-                blobs.append(payload)
-            entries.append(entry)
-        attachment = None
-        if blobs:
-            enc = Encoder()
-            enc.write_uvarint(len(blobs))
-            for blob in blobs:
-                enc.write_bytes(blob)
-            attachment = enc.to_bytes()
+            blobs.append(payload)
+            entries.append(
+                {"globalIndex": parcel.global_index, "shardId": parcel.shard_id}
+            )
         reply = self.channel.call(
             "stolenPartial",
             {"sketch": sketch_to_json(sketch), "parcels": entries},
             timeout=self.request_timeout,
-            attachment=attachment,
+            attachment=_pack_blobs(blobs),
         )
         payload_dict = reply.payload if isinstance(reply.payload, dict) else {}
         items = payload_dict.get("summaries") or []
-        in_blobs: list[bytes] | None = None
-        if reply.attachment is not None:
-            dec = Decoder(reply.attachment)
-            in_blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-        results: "list[tuple[int, object]]" = []
-        for position, item in enumerate(items):
-            if in_blobs is not None and position < len(in_blobs):
-                summary = summary_from_bytes(in_blobs[position])
-            else:
-                summary = summary_from_json(item["summary"])
-            results.append((int(item["globalIndex"]), summary))
-        return results
+        return [
+            (int(item["globalIndex"]), summary_from_bytes(blob))
+            for item, blob in zip(
+                items, _unpack_blobs(reply.attachment, items, "stolenPartial")
+            )
+        ]
 
     def export_hot_entries(self, budget_bytes: int) -> list[dict]:
         reply = self.channel.call(

@@ -3,11 +3,14 @@
 Hillview's browser talks to the web server over a streaming RPC (WebSockets
 carrying JSON messages): queries travel down, progressive partial results
 travel up.  This module is that protocol, minus the socket: request/reply
-envelopes, JSON codecs for the value objects queries are built from
-(buckets, predicates, sort orders), a registry that instantiates vizketches
-from their JSON descriptions — the analogue of Java's type-safe query
-deserialization — and converters that render every summary type as a JSON
-payload the UI can draw.
+envelopes, frame envelopes with binary attachments, and the JSON codecs of
+the lineage value objects (table maps, sources, redo-log chains).
+
+The codecs of sketches and summaries are not written here, or anywhere:
+they are derived from the field table each class declares beside itself
+(:mod:`repro.core.wire`), and the codecs of buckets, sort orders and
+predicates live beside those types.  All of them are re-exported below, so
+this module stays the one import for everything that crosses a wire.
 
 The transport-free design is deliberate: :class:`~repro.engine.web.WebServer`
 streams replies as an iterator of envelopes, which tests (and a real socket
@@ -17,61 +20,27 @@ layer) can consume one message at a time.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from datetime import datetime
-from typing import Callable
 
-import numpy as np
+import repro.sketches  # noqa: F401 — defining the sketch classes registers them
 
-from repro.core.buckets import (
-    Buckets,
-    DoubleBuckets,
-    ExplicitStringBuckets,
-    StringBuckets,
-)
+# The codecs below are re-exported: callers import every wire name from here.
+from repro.core.buckets import buckets_from_json, buckets_to_json
 from repro.core.serialization import Decoder, Encoder
-from repro.core.sketch import Sketch
-from repro.errors import HillviewError
-from repro.sketches.bottomk import BottomKDistinctSketch, BottomKSummary
-from repro.sketches.cdf import CdfSketch
-from repro.sketches.find_text import FindResult, FindTextSketch
-from repro.sketches.heatmap import HeatmapSketch, HeatmapSummary
-from repro.sketches.heavy_hitters import (
-    FrequencySummary,
-    MisraGriesSketch,
-    SampleHeavyHittersSketch,
-    canonical_counts,
+from repro.core.wire import (
+    cell_from_json,
+    cell_to_json,
+    sketch_from_json,
+    sketch_to_json,
+    summary_from_bytes,
+    summary_from_json,
+    summary_tag,
+    summary_to_bytes,
+    summary_to_json,
 )
-from repro.sketches.histogram import HistogramSketch, HistogramSummary
-from repro.sketches.hll import HllSummary, HyperLogLogSketch
-from repro.sketches.moments import ColumnStats, MomentsSketch
-from repro.sketches.next_items import NextKList, NextKSketch
-from repro.sketches.pca import CorrelationSketch, CorrelationSummary
-from repro.sketches.quantile import QuantileSummary, SampleQuantileSketch
-from repro.sketches.save import SaveStatus, SaveTableSketch
-from repro.sketches.stacked import StackedHistogramSketch, StackedHistogramSummary
-from repro.sketches.trellis import (
-    TrellisHeatmapSketch,
-    TrellisHistogramSketch,
-    TrellisHistogramSummary,
-    TrellisSummary,
-)
-from repro.table.compute import (
-    AndPredicate,
-    ColumnPredicate,
-    NotPredicate,
-    OrPredicate,
-    Predicate,
-    StringMatchPredicate,
-)
-from repro.table.sort import RecordOrder, RowKey
-
-
-class ProtocolError(HillviewError):
-    """A malformed or unsupported RPC message."""
-
-    code = "protocol"
+from repro.errors import ProtocolError
+from repro.table.compute import predicate_from_json, predicate_to_json
+from repro.table.sort import order_from_json, order_to_json
 
 
 class UnknownHandleError(ProtocolError):
@@ -266,29 +235,6 @@ class RpcReply:
         return reply
 
 
-# ---------------------------------------------------------------------------
-# Cell values: JSON-safe encoding for dates and numpy scalars
-# ---------------------------------------------------------------------------
-def cell_to_json(value: object | None) -> object | None:
-    """One table cell as a JSON-representable value."""
-    if value is None:
-        return None
-    if isinstance(value, datetime):
-        return {"$date": value.isoformat()}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
-def cell_from_json(value: object | None) -> object | None:
-    """Inverse of :func:`cell_to_json`."""
-    if isinstance(value, dict) and "$date" in value:
-        return datetime.fromisoformat(value["$date"])
-    return value
-
-
 #: Reply kinds that terminate one request's reply stream; shared by
 #: every endpoint of both wires.
 TERMINAL_REPLY_KINDS = frozenset({"ack", "complete", "cancelled", "error"})
@@ -355,17 +301,6 @@ WIRE_ERROR_CODES: dict[str, str] = {
 _BINARY_ENVELOPE = 0
 
 
-def wire_json_forced() -> bool:
-    """``REPRO_WIRE_JSON=1`` forces pure-JSON frames on the worker wire.
-
-    The escape hatch exists to *prove* the binary path changes nothing:
-    a differential run under this flag must produce byte-identical
-    summaries (asserted by a dedicated tier-1 CI leg).  Checked at call
-    time so tests can flip it per-case.
-    """
-    return os.environ.get("REPRO_WIRE_JSON") == "1"
-
-
 def encode_envelope(header_json: str, attachment: bytes | None = None) -> bytes:
     """One wire frame from a JSON header and an optional attachment."""
     raw = header_json.encode("utf-8")
@@ -419,940 +354,6 @@ def call_once(
         reply = RpcReply.from_frame(frame)
         if reply.kind in TERMINAL_REPLY_KINDS:
             return reply
-
-
-# ---------------------------------------------------------------------------
-# Value-object codecs: buckets, predicates, sort orders
-# ---------------------------------------------------------------------------
-def buckets_to_json(buckets: Buckets) -> dict:
-    if isinstance(buckets, DoubleBuckets):
-        return {
-            "type": "double",
-            "min": buckets.min_value,
-            "max": buckets.max_value,
-            "count": buckets.count,
-        }
-    if isinstance(buckets, StringBuckets):
-        return {"type": "string_ranges", "boundaries": list(buckets.boundaries)}
-    if isinstance(buckets, ExplicitStringBuckets):
-        return {"type": "strings", "values": list(buckets.values)}
-    raise ProtocolError(f"cannot encode buckets of type {type(buckets).__name__}")
-
-
-def buckets_from_json(data: dict) -> Buckets:
-    kind = data.get("type")
-    if kind == "double":
-        return DoubleBuckets(
-            float(data["min"]), float(data["max"]), int(data["count"])
-        )
-    if kind == "string_ranges":
-        return StringBuckets([str(b) for b in data["boundaries"]])
-    if kind == "strings":
-        return ExplicitStringBuckets([str(v) for v in data["values"]])
-    raise ProtocolError(f"unknown buckets type {kind!r}")
-
-
-def predicate_to_json(predicate: Predicate) -> dict:
-    if isinstance(predicate, ColumnPredicate):
-        value = predicate.value
-        if isinstance(value, (list, tuple, set, frozenset)):
-            value = [cell_to_json(v) for v in value]
-        else:
-            value = cell_to_json(value)
-        return {
-            "type": "column",
-            "column": predicate.column,
-            "op": predicate.op,
-            "value": value,
-        }
-    if isinstance(predicate, StringMatchPredicate):
-        return {
-            "type": "match",
-            "column": predicate.column,
-            "pattern": predicate.pattern,
-            "mode": predicate.mode,
-            "caseSensitive": predicate.case_sensitive,
-        }
-    if isinstance(predicate, AndPredicate):
-        return {"type": "and", "parts": [predicate_to_json(p) for p in predicate.parts]}
-    if isinstance(predicate, OrPredicate):
-        return {"type": "or", "parts": [predicate_to_json(p) for p in predicate.parts]}
-    if isinstance(predicate, NotPredicate):
-        return {"type": "not", "inner": predicate_to_json(predicate.inner)}
-    raise ProtocolError(
-        f"cannot encode predicate of type {type(predicate).__name__}"
-    )
-
-
-def predicate_from_json(data: dict) -> Predicate:
-    kind = data.get("type")
-    if kind == "column":
-        value = data.get("value")
-        if isinstance(value, list):
-            value = [cell_from_json(v) for v in value]
-        else:
-            value = cell_from_json(value)
-        return ColumnPredicate(str(data["column"]), str(data["op"]), value)
-    if kind == "match":
-        return StringMatchPredicate(
-            str(data["column"]),
-            str(data["pattern"]),
-            str(data.get("mode", "substring")),
-            bool(data.get("caseSensitive", True)),
-        )
-    if kind == "and":
-        return AndPredicate(predicate_from_json(p) for p in data["parts"])
-    if kind == "or":
-        return OrPredicate(predicate_from_json(p) for p in data["parts"])
-    if kind == "not":
-        return NotPredicate(predicate_from_json(data["inner"]))
-    raise ProtocolError(f"unknown predicate type {kind!r}")
-
-
-def order_to_json(order: RecordOrder) -> list[dict]:
-    return [
-        {"column": o.column, "ascending": o.ascending} for o in order.orientations
-    ]
-
-
-def order_from_json(data: list) -> RecordOrder:
-    if not isinstance(data, list) or not data:
-        raise ProtocolError("sort order must be a non-empty list")
-    columns = [str(item["column"]) for item in data]
-    flags = [bool(item.get("ascending", True)) for item in data]
-    return RecordOrder.of(*columns, ascending=flags)
-
-
-def _start_key(data: dict, order: RecordOrder) -> RowKey | None:
-    start = data.get("start")
-    if start is None:
-        return None
-    values = tuple(cell_from_json(v) for v in start)
-    return order.key_from_values(values)
-
-
-# ---------------------------------------------------------------------------
-# Sketch registry: JSON spec -> vizketch instance
-# ---------------------------------------------------------------------------
-def _build_histogram(args: dict) -> Sketch:
-    return HistogramSketch(
-        str(args["column"]),
-        buckets_from_json(args["buckets"]),
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _build_cdf(args: dict) -> Sketch:
-    return CdfSketch(
-        str(args["column"]),
-        buckets_from_json(args["buckets"]),
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _build_heatmap(args: dict) -> Sketch:
-    return HeatmapSketch(
-        str(args["xColumn"]),
-        buckets_from_json(args["xBuckets"]),
-        str(args["yColumn"]),
-        buckets_from_json(args["yBuckets"]),
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _build_stacked(args: dict) -> Sketch:
-    return StackedHistogramSketch(
-        str(args["xColumn"]),
-        buckets_from_json(args["xBuckets"]),
-        str(args["yColumn"]),
-        buckets_from_json(args["yBuckets"]),
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _group2(args: dict) -> dict:
-    if "group2Column" not in args:
-        return {"group2_column": None, "group2_buckets": None}
-    return {
-        "group2_column": str(args["group2Column"]),
-        "group2_buckets": buckets_from_json(args["group2Buckets"]),
-    }
-
-
-def _build_trellis_heatmap(args: dict) -> Sketch:
-    return TrellisHeatmapSketch(
-        str(args["groupColumn"]),
-        buckets_from_json(args["groupBuckets"]),
-        str(args["xColumn"]),
-        buckets_from_json(args["xBuckets"]),
-        str(args["yColumn"]),
-        buckets_from_json(args["yBuckets"]),
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-        **_group2(args),
-    )
-
-
-def _build_trellis_histogram(args: dict) -> Sketch:
-    return TrellisHistogramSketch(
-        str(args["groupColumn"]),
-        buckets_from_json(args["groupBuckets"]),
-        str(args["xColumn"]),
-        buckets_from_json(args["xBuckets"]),
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-        **_group2(args),
-    )
-
-
-def _build_moments(args: dict) -> Sketch:
-    return MomentsSketch(str(args["column"]), moments=int(args.get("moments", 2)))
-
-
-def _build_distinct(args: dict) -> Sketch:
-    return HyperLogLogSketch(
-        str(args["column"]),
-        precision=int(args.get("precision", 12)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _build_heavy_hitters(args: dict) -> Sketch:
-    method = str(args.get("method", "streaming"))
-    if method == "streaming":
-        return MisraGriesSketch(str(args["column"]), int(args["k"]))
-    if method == "sampling":
-        return SampleHeavyHittersSketch(
-            str(args["column"]),
-            int(args["k"]),
-            rate=float(args.get("rate", 1.0)),
-            seed=int(args.get("seed", 0)),
-        )
-    raise ProtocolError(f"unknown heavy-hitters method {method!r}")
-
-
-def _build_next_k(args: dict) -> Sketch:
-    order = order_from_json(args["order"])
-    return NextKSketch(
-        order,
-        int(args.get("k", 20)),
-        start_key=_start_key(args, order),
-        inclusive=bool(args.get("inclusive", False)),
-    )
-
-
-def _build_quantile(args: dict) -> Sketch:
-    order = order_from_json(args["order"])
-    return SampleQuantileSketch(
-        order,
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _build_find(args: dict) -> Sketch:
-    order = order_from_json(args["order"])
-    predicate = predicate_from_json(args["match"])
-    if not isinstance(predicate, StringMatchPredicate):
-        raise ProtocolError("find requires a string-match predicate")
-    return FindTextSketch(predicate, order, start_key=_start_key(args, order))
-
-
-def _build_correlation(args: dict) -> Sketch:
-    columns = args["columns"]
-    if not isinstance(columns, list) or len(columns) < 2:
-        raise ProtocolError("correlation needs a list of >= 2 columns")
-    return CorrelationSketch(
-        [str(c) for c in columns],
-        rate=float(args.get("rate", 1.0)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-def _build_save(args: dict) -> Sketch:
-    return SaveTableSketch(
-        str(args["directory"]),
-        format=str(args.get("format", "hvc")),
-    )
-
-
-def _build_bottom_k(args: dict) -> Sketch:
-    return BottomKDistinctSketch(
-        str(args["column"]),
-        k=int(args.get("k", 500)),
-        seed=int(args.get("seed", 0)),
-    )
-
-
-#: Sketch type tag -> builder; the JSON analogue of Java query deserialization.
-SKETCH_BUILDERS: dict[str, Callable[[dict], Sketch]] = {
-    "histogram": _build_histogram,
-    "cdf": _build_cdf,
-    "heatmap": _build_heatmap,
-    "stacked": _build_stacked,
-    "trellisHeatmap": _build_trellis_heatmap,
-    "trellisHistogram": _build_trellis_histogram,
-    "moments": _build_moments,
-    "distinct": _build_distinct,
-    "heavyHitters": _build_heavy_hitters,
-    "nextK": _build_next_k,
-    "quantile": _build_quantile,
-    "find": _build_find,
-    "bottomK": _build_bottom_k,
-    "correlation": _build_correlation,
-    "save": _build_save,
-}
-
-
-def sketch_from_json(spec: dict) -> Sketch:
-    """Instantiate the vizketch described by a JSON spec."""
-    kind = spec.get("type")
-    builder = SKETCH_BUILDERS.get(str(kind))
-    if builder is None:
-        raise ProtocolError(f"unknown sketch type {kind!r}")
-    try:
-        return builder(spec)
-    except KeyError as exc:
-        raise ProtocolError(f"sketch {kind!r} missing argument {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Summary -> JSON payloads
-# ---------------------------------------------------------------------------
-def _histogram_payload(s: HistogramSummary) -> dict:
-    return {
-        "type": "histogram",
-        "counts": s.counts.tolist(),
-        "missing": s.missing,
-        "outOfRange": s.out_of_range,
-        "sampledRows": s.sampled_rows,
-    }
-
-
-def _heatmap_payload(s: HeatmapSummary) -> dict:
-    return {
-        "type": "heatmap",
-        "counts": s.counts.tolist(),
-        "xMissing": s.x_missing,
-        "yMissing": s.y_missing,
-        "outOfRange": s.out_of_range,
-        "sampledRows": s.sampled_rows,
-    }
-
-
-def _stacked_payload(s: StackedHistogramSummary) -> dict:
-    return {
-        "type": "stacked",
-        "barCounts": s.bar_counts.tolist(),
-        "cellCounts": s.cell_counts.tolist(),
-        "yMissing": s.y_missing.tolist(),
-        "missing": s.missing,
-        "outOfRange": s.out_of_range,
-        "sampledRows": s.sampled_rows,
-    }
-
-
-def _trellis_payload(s: TrellisSummary) -> dict:
-    return {
-        "type": "trellisHeatmap",
-        "panes": [_heatmap_payload(p) for p in s.panes],
-        "groupMissing": s.group_missing,
-        "groupOutOfRange": s.group_out_of_range,
-        "sampledRows": s.sampled_rows,
-    }
-
-
-def _trellis_histogram_payload(s: TrellisHistogramSummary) -> dict:
-    return {
-        "type": "trellisHistogram",
-        "panes": [_histogram_payload(p) for p in s.panes],
-        "groupMissing": s.group_missing,
-        "groupOutOfRange": s.group_out_of_range,
-        "sampledRows": s.sampled_rows,
-    }
-
-
-def _stats_payload(s: ColumnStats) -> dict:
-    return {
-        "type": "columnStats",
-        "presentCount": s.present_count,
-        "missingCount": s.missing_count,
-        "min": cell_to_json(s.min_value),
-        "max": cell_to_json(s.max_value),
-        "powerSums": list(s.power_sums),
-    }
-
-
-def _next_k_payload(s: NextKList) -> dict:
-    return {
-        "type": "nextK",
-        "order": order_to_json(s.order),
-        "rows": [[cell_to_json(v) for v in values] for values in s.rows],
-        "counts": list(s.counts),
-        "preceding": s.preceding,
-        "scanned": s.scanned,
-    }
-
-
-def _frequency_payload(s: FrequencySummary) -> dict:
-    # canonical_counts, not .items(): the JSON wire must be as merge-
-    # order-independent as the binary encode path (same PR 7 bug class).
-    return {
-        "type": "frequencies",
-        "counts": [
-            [cell_to_json(value), count]
-            for value, count in canonical_counts(s.counts)
-        ],
-        "errorBound": s.error_bound,
-        "scanned": s.scanned,
-    }
-
-
-def _hll_payload(s: HllSummary) -> dict:
-    # The UI reads "estimate"; "registers" makes the payload lossless so a
-    # root can merge summaries received from worker processes.
-    return {
-        "type": "distinct",
-        "estimate": s.estimate(),
-        "registers": s.registers.tolist(),
-        "missing": s.missing,
-    }
-
-
-def _quantile_payload(s: QuantileSummary) -> dict:
-    return {
-        "type": "quantile",
-        "order": order_to_json(s.order),
-        "samples": [[cell_to_json(v) for v in values] for values in s.samples],
-        "scanned": s.scanned,
-    }
-
-
-def _find_payload(s: FindResult) -> dict:
-    return {
-        "type": "find",
-        "order": order_to_json(s.order),
-        "firstMatch": (
-            None
-            if s.first_match is None
-            else [cell_to_json(v) for v in s.first_match]
-        ),
-        "matchesBefore": s.matches_before,
-        "matchesAfter": s.matches_after,
-    }
-
-
-def _bottom_k_payload(s: BottomKSummary) -> dict:
-    # "values"/"saturated" feed the UI; "k"/"entries"/"missing" make the
-    # payload lossless for root-side merging of worker partials.
-    return {
-        "type": "bottomK",
-        "values": s.values_sorted(),
-        "saturated": s.saturated,
-        "k": s.k,
-        "entries": [[hash_value, value] for hash_value, value in s.entries],
-        "missing": s.missing,
-    }
-
-
-def _correlation_payload(s: CorrelationSummary) -> dict:
-    return {
-        "type": "correlation",
-        "columns": list(s.columns),
-        "count": s.count,
-        "sums": s.sums.tolist(),
-        "products": s.products.tolist(),
-    }
-
-
-def _save_payload(s: SaveStatus) -> dict:
-    return {
-        "type": "saveStatus",
-        "files": list(s.files),
-        "rowsWritten": s.rows_written,
-        "errors": list(s.errors),
-    }
-
-
-_PAYLOADS: list[tuple[type, Callable]] = [
-    (StackedHistogramSummary, _stacked_payload),
-    (TrellisSummary, _trellis_payload),
-    (TrellisHistogramSummary, _trellis_histogram_payload),
-    (HeatmapSummary, _heatmap_payload),
-    (HistogramSummary, _histogram_payload),
-    (ColumnStats, _stats_payload),
-    (NextKList, _next_k_payload),
-    (FrequencySummary, _frequency_payload),
-    (HllSummary, _hll_payload),
-    (QuantileSummary, _quantile_payload),
-    (FindResult, _find_payload),
-    (BottomKSummary, _bottom_k_payload),
-    (CorrelationSummary, _correlation_payload),
-    (SaveStatus, _save_payload),
-]
-
-
-def summary_to_json(summary: object) -> dict:
-    """Render any summary as the JSON payload the UI consumes."""
-    for cls, converter in _PAYLOADS:
-        if isinstance(summary, cls):
-            return converter(summary)
-    raise ProtocolError(
-        f"no JSON payload for summary type {type(summary).__name__}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON -> summary: the inverse converters
-# ---------------------------------------------------------------------------
-# Worker processes ship cumulative partials to the root as the same JSON
-# payloads the UI consumes (one codec, two wires); the root must rebuild
-# real summary objects to keep merging them.  Every converter here is the
-# exact inverse of its _PAYLOADS counterpart: from_json(to_json(s)) encodes
-# bit-identically to s (fuzzed in tests/test_rpc_properties.py).
-
-
-def _counts_array(data: list, dtype=np.int64) -> np.ndarray:
-    return np.asarray(data, dtype=dtype)
-
-
-def _histogram_from_json(d: dict) -> HistogramSummary:
-    return HistogramSummary(
-        counts=_counts_array(d["counts"]),
-        missing=int(d["missing"]),
-        out_of_range=int(d["outOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _heatmap_from_json(d: dict) -> HeatmapSummary:
-    return HeatmapSummary(
-        counts=_counts_array(d["counts"]),
-        x_missing=int(d["xMissing"]),
-        y_missing=int(d["yMissing"]),
-        out_of_range=int(d["outOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _stacked_from_json(d: dict) -> StackedHistogramSummary:
-    return StackedHistogramSummary(
-        bar_counts=_counts_array(d["barCounts"]),
-        cell_counts=_counts_array(d["cellCounts"]),
-        y_missing=_counts_array(d["yMissing"]),
-        missing=int(d["missing"]),
-        out_of_range=int(d["outOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _trellis_from_json(d: dict) -> TrellisSummary:
-    return TrellisSummary(
-        panes=[_heatmap_from_json(p) for p in d["panes"]],
-        group_missing=int(d["groupMissing"]),
-        group_out_of_range=int(d["groupOutOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _trellis_histogram_from_json(d: dict) -> TrellisHistogramSummary:
-    return TrellisHistogramSummary(
-        panes=[_histogram_from_json(p) for p in d["panes"]],
-        group_missing=int(d["groupMissing"]),
-        group_out_of_range=int(d["groupOutOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _stats_from_json(d: dict) -> ColumnStats:
-    return ColumnStats(
-        present_count=int(d["presentCount"]),
-        missing_count=int(d["missingCount"]),
-        min_value=cell_from_json(d["min"]),
-        max_value=cell_from_json(d["max"]),
-        power_sums=[float(s) for s in d["powerSums"]],
-    )
-
-
-def _next_k_from_json(d: dict) -> NextKList:
-    return NextKList(
-        order=order_from_json(d["order"]),
-        rows=[tuple(cell_from_json(v) for v in values) for values in d["rows"]],
-        counts=[int(c) for c in d["counts"]],
-        preceding=int(d["preceding"]),
-        scanned=int(d["scanned"]),
-    )
-
-
-def _frequency_from_json(d: dict) -> FrequencySummary:
-    return FrequencySummary(
-        counts={
-            cell_from_json(value): int(count) for value, count in d["counts"]
-        },
-        error_bound=int(d["errorBound"]),
-        scanned=int(d["scanned"]),
-    )
-
-
-def _hll_from_json(d: dict) -> HllSummary:
-    return HllSummary(
-        registers=_counts_array(d["registers"], dtype=np.uint8),
-        missing=int(d["missing"]),
-    )
-
-
-def _quantile_from_json(d: dict) -> QuantileSummary:
-    return QuantileSummary(
-        order=order_from_json(d["order"]),
-        samples=[
-            tuple(cell_from_json(v) for v in values) for values in d["samples"]
-        ],
-        scanned=int(d["scanned"]),
-    )
-
-
-def _find_from_json(d: dict) -> FindResult:
-    first = d["firstMatch"]
-    return FindResult(
-        order=order_from_json(d["order"]),
-        first_match=(
-            None if first is None else tuple(cell_from_json(v) for v in first)
-        ),
-        matches_before=int(d["matchesBefore"]),
-        matches_after=int(d["matchesAfter"]),
-    )
-
-
-def _bottom_k_from_json(d: dict) -> BottomKSummary:
-    return BottomKSummary(
-        k=int(d["k"]),
-        entries=[(int(h), str(v)) for h, v in d["entries"]],
-        missing=int(d["missing"]),
-    )
-
-
-def _correlation_from_json(d: dict) -> CorrelationSummary:
-    return CorrelationSummary(
-        columns=[str(c) for c in d["columns"]],
-        count=int(d["count"]),
-        sums=_counts_array(d["sums"], dtype=np.float64),
-        products=_counts_array(d["products"], dtype=np.float64),
-    )
-
-
-def _save_from_json(d: dict) -> SaveStatus:
-    return SaveStatus(
-        files=[str(f) for f in d["files"]],
-        rows_written=int(d["rowsWritten"]),
-        errors=[str(e) for e in d["errors"]],
-    )
-
-
-#: Payload "type" tag -> parser; the inverse of :data:`_PAYLOADS`.
-SUMMARY_PARSERS: dict[str, Callable[[dict], object]] = {
-    "histogram": _histogram_from_json,
-    "heatmap": _heatmap_from_json,
-    "stacked": _stacked_from_json,
-    "trellisHeatmap": _trellis_from_json,
-    "trellisHistogram": _trellis_histogram_from_json,
-    "columnStats": _stats_from_json,
-    "nextK": _next_k_from_json,
-    "frequencies": _frequency_from_json,
-    "distinct": _hll_from_json,
-    "quantile": _quantile_from_json,
-    "find": _find_from_json,
-    "bottomK": _bottom_k_from_json,
-    "correlation": _correlation_from_json,
-    "saveStatus": _save_from_json,
-}
-
-
-def summary_from_json(data: dict) -> object:
-    """Rebuild a summary object from its JSON payload."""
-    kind = data.get("type")
-    parser = SUMMARY_PARSERS.get(str(kind))
-    if parser is None:
-        raise ProtocolError(f"unknown summary payload type {kind!r}")
-    try:
-        return parser(data)
-    except KeyError as exc:
-        raise ProtocolError(
-            f"summary payload {kind!r} missing field {exc}"
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Binary summary codec: the hot path of the worker wire
-# ---------------------------------------------------------------------------
-# Sketch partials travel root<->worker as each summary's own Encoder
-# format (the codec every summary already defines for byte accounting),
-# prefixed with the payload type tag so the receiver knows which decoder
-# to run.  The tags are the same strings the JSON wire uses, so traces
-# and logs identify a summary identically in either wire mode.
-
-#: Payload "type" tag -> summary class; the binary twin of
-#: :data:`SUMMARY_PARSERS`.
-SUMMARY_CODECS: dict[str, type] = {
-    "histogram": HistogramSummary,
-    "heatmap": HeatmapSummary,
-    "stacked": StackedHistogramSummary,
-    "trellisHeatmap": TrellisSummary,
-    "trellisHistogram": TrellisHistogramSummary,
-    "columnStats": ColumnStats,
-    "nextK": NextKList,
-    "frequencies": FrequencySummary,
-    "distinct": HllSummary,
-    "quantile": QuantileSummary,
-    "find": FindResult,
-    "bottomK": BottomKSummary,
-    "correlation": CorrelationSummary,
-    "saveStatus": SaveStatus,
-}
-
-#: Exact-type reverse lookup (no isinstance walk: summary types on the
-#: wire are always the concrete classes above).
-_SUMMARY_TAG_BY_TYPE: dict[type, str] = {
-    cls: tag for tag, cls in SUMMARY_CODECS.items()
-}
-
-
-def summary_tag(summary: object) -> str:
-    """The payload type tag of ``summary`` (shared by both wire modes)."""
-    tag = _SUMMARY_TAG_BY_TYPE.get(type(summary))
-    if tag is None:
-        raise ProtocolError(
-            f"no binary codec for summary type {type(summary).__name__}"
-        )
-    return tag
-
-
-def summary_to_bytes(summary: object) -> bytes:
-    """Encode any summary as a tagged binary attachment."""
-    enc = Encoder()
-    enc.write_str(summary_tag(summary))
-    summary.encode(enc)  # type: ignore[attr-defined]
-    return enc.to_bytes()
-
-
-def summary_from_bytes(payload: bytes) -> object:
-    """Inverse of :func:`summary_to_bytes`."""
-    dec = Decoder(payload)
-    tag = dec.read_str()
-    cls = SUMMARY_CODECS.get(tag or "")
-    if cls is None:
-        raise ProtocolError(f"unknown binary summary tag {tag!r}")
-    return cls.decode(dec)
-
-
-# ---------------------------------------------------------------------------
-# Sketch -> JSON spec: the inverse of SKETCH_BUILDERS
-# ---------------------------------------------------------------------------
-def _start_to_json(sketch) -> dict:
-    if sketch.start_key is None:
-        return {}
-    # repro: ignore[D002] — start_key insertion order IS canonical: it mirrors the RecordOrder column order, not merge arrival
-    return {"start": [cell_to_json(v) for v in sketch.start_key.values()]}
-
-
-def _group2_to_json(sketch) -> dict:
-    if sketch.group2_column is None:
-        return {}
-    return {
-        "group2Column": sketch.group2_column,
-        "group2Buckets": buckets_to_json(sketch.group2_buckets),
-    }
-
-
-def _encode_histogram(s: HistogramSketch) -> dict:
-    return {
-        "type": "histogram",
-        "column": s.column,
-        "buckets": buckets_to_json(s.buckets),
-        "rate": s.rate,
-        "seed": s.seed,
-    }
-
-
-def _encode_cdf(s: CdfSketch) -> dict:
-    return {**_encode_histogram(s), "type": "cdf"}
-
-
-def _encode_heatmap(s: HeatmapSketch) -> dict:
-    return {
-        "type": "heatmap",
-        "xColumn": s.x_column,
-        "xBuckets": buckets_to_json(s.x_buckets),
-        "yColumn": s.y_column,
-        "yBuckets": buckets_to_json(s.y_buckets),
-        "rate": s.rate,
-        "seed": s.seed,
-    }
-
-
-def _encode_stacked(s: StackedHistogramSketch) -> dict:
-    return {
-        "type": "stacked",
-        "xColumn": s.x_column,
-        "xBuckets": buckets_to_json(s.x_buckets),
-        "yColumn": s.y_column,
-        "yBuckets": buckets_to_json(s.y_buckets),
-        "rate": s.rate,
-        "seed": s.seed,
-    }
-
-
-def _encode_trellis_heatmap(s: TrellisHeatmapSketch) -> dict:
-    return {
-        "type": "trellisHeatmap",
-        "groupColumn": s.group_column,
-        "groupBuckets": buckets_to_json(s.group_buckets),
-        "xColumn": s.x_column,
-        "xBuckets": buckets_to_json(s.x_buckets),
-        "yColumn": s.y_column,
-        "yBuckets": buckets_to_json(s.y_buckets),
-        "rate": s.rate,
-        "seed": s.seed,
-        **_group2_to_json(s),
-    }
-
-
-def _encode_trellis_histogram(s: TrellisHistogramSketch) -> dict:
-    return {
-        "type": "trellisHistogram",
-        "groupColumn": s.group_column,
-        "groupBuckets": buckets_to_json(s.group_buckets),
-        "xColumn": s.x_column,
-        "xBuckets": buckets_to_json(s.x_buckets),
-        "rate": s.rate,
-        "seed": s.seed,
-        **_group2_to_json(s),
-    }
-
-
-def _encode_moments(s: MomentsSketch) -> dict:
-    return {"type": "moments", "column": s.column, "moments": s.moments}
-
-
-def _encode_distinct(s: HyperLogLogSketch) -> dict:
-    return {
-        "type": "distinct",
-        "column": s.column,
-        "precision": s.precision,
-        "seed": s.seed,
-    }
-
-
-def _encode_misra_gries(s: MisraGriesSketch) -> dict:
-    return {
-        "type": "heavyHitters",
-        "method": "streaming",
-        "column": s.column,
-        "k": s.k,
-    }
-
-
-def _encode_sample_heavy_hitters(s: SampleHeavyHittersSketch) -> dict:
-    return {
-        "type": "heavyHitters",
-        "method": "sampling",
-        "column": s.column,
-        "k": s.k,
-        "rate": s.rate,
-        "seed": s.seed,
-    }
-
-
-def _encode_next_k(s: NextKSketch) -> dict:
-    return {
-        "type": "nextK",
-        "order": order_to_json(s.order),
-        "k": s.k,
-        "inclusive": s.inclusive,
-        **_start_to_json(s),
-    }
-
-
-def _encode_quantile(s: SampleQuantileSketch) -> dict:
-    return {
-        "type": "quantile",
-        "order": order_to_json(s.order),
-        "rate": s.rate,
-        "seed": s.seed,
-    }
-
-
-def _encode_find(s: FindTextSketch) -> dict:
-    return {
-        "type": "find",
-        "order": order_to_json(s.order),
-        "match": predicate_to_json(s.predicate),
-        **_start_to_json(s),
-    }
-
-
-def _encode_bottom_k(s: BottomKDistinctSketch) -> dict:
-    return {"type": "bottomK", "column": s.column, "k": s.k, "seed": s.seed}
-
-
-def _encode_correlation(s: CorrelationSketch) -> dict:
-    return {
-        "type": "correlation",
-        "columns": list(s.columns),
-        "rate": s.rate,
-        "seed": s.seed,
-    }
-
-
-def _encode_save(s: SaveTableSketch) -> dict:
-    return {"type": "save", "directory": s.directory, "format": s.format}
-
-
-#: Sketch class -> JSON spec encoder, checked in order (subclasses first:
-#: CdfSketch extends HistogramSketch).  Extensible: service-level sketch
-#: types (e.g. "slow") append their own entries at import time, mirroring
-#: how they register in SKETCH_BUILDERS.
-SKETCH_ENCODERS: list[tuple[type, Callable[[Sketch], dict]]] = [
-    (CdfSketch, _encode_cdf),
-    (HistogramSketch, _encode_histogram),
-    (HeatmapSketch, _encode_heatmap),
-    (StackedHistogramSketch, _encode_stacked),
-    (TrellisHeatmapSketch, _encode_trellis_heatmap),
-    (TrellisHistogramSketch, _encode_trellis_histogram),
-    (MomentsSketch, _encode_moments),
-    (HyperLogLogSketch, _encode_distinct),
-    (MisraGriesSketch, _encode_misra_gries),
-    (SampleHeavyHittersSketch, _encode_sample_heavy_hitters),
-    (NextKSketch, _encode_next_k),
-    (SampleQuantileSketch, _encode_quantile),
-    (FindTextSketch, _encode_find),
-    (BottomKDistinctSketch, _encode_bottom_k),
-    (CorrelationSketch, _encode_correlation),
-    (SaveTableSketch, _encode_save),
-]
-
-
-def sketch_to_json(sketch: Sketch) -> dict:
-    """Encode a sketch as the JSON spec :func:`sketch_from_json` accepts.
-
-    The root uses this to broadcast queries to worker processes: any sketch
-    the engine can run locally travels the wire as the same spec a browser
-    would submit.
-    """
-    for cls, encoder in SKETCH_ENCODERS:
-        if type(sketch) is cls:
-            return encoder(sketch)
-    # Fall back to subclass matching for sketch types registered by other
-    # modules (exact-type pass first so e.g. Cdf does not match Histogram).
-    for cls, encoder in SKETCH_ENCODERS:
-        if isinstance(sketch, cls):
-            return encoder(sketch)
-    raise ProtocolError(
-        f"cannot encode sketch of type {type(sketch).__name__}"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ class SerializationError(HillviewError):
     """A summary could not be encoded or decoded."""
 
 
+class ProtocolError(HillviewError):
+    """A malformed or unsupported RPC message."""
+
+    code = "protocol"
+
+
 class StorageError(HillviewError):
     """A data repository could not be read or written."""
 

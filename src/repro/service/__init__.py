@@ -6,11 +6,19 @@ session manager holding per-client soft state with idle-TTL eviction
 (:mod:`sessions`), an admission-controlled fair-share query scheduler
 with newest-query-wins cancellation (:mod:`scheduler`), and — for the
 horizontal tier — shard-placement agreement so many roots share one
-worker fleet (:mod:`placement`), pluggable shared session stores so a
+worker fleet (:mod:`repro.engine.placement`, re-exported here), pluggable shared session stores so a
 session resumes on any root (:mod:`session_store`), and a round-robin
 connection director for tests and benchmarks (:mod:`director`).
 """
 
+from repro.engine.placement import (
+    PlacementError,
+    ShardPlacement,
+    StalePlacementError,
+    agree_placement,
+    parse_fleet_spec,
+    plan_moves,
+)
 from repro.service.autoscaler import (
     Autoscaler,
     AutoscalerConfig,
@@ -23,14 +31,6 @@ from repro.service.director import (
     admin_call,
     probe_gateway,
     probe_root,
-)
-from repro.service.placement import (
-    PlacementError,
-    ShardPlacement,
-    StalePlacementError,
-    agree_placement,
-    parse_fleet_spec,
-    plan_moves,
 )
 from repro.service.scheduler import (
     FairShareScheduler,

@@ -19,13 +19,19 @@ from __future__ import annotations
 import time
 
 from repro.core.sketch import Sketch
-from repro.engine.rpc import SKETCH_BUILDERS, SKETCH_ENCODERS, sketch_from_json
+from repro.core.wire import F64, SKETCH, Field, Wire
 
 
 class SlowdownSketch(Sketch):
     """Delegates to ``inner``, adding ``per_shard_seconds`` of work per shard."""
 
     deterministic = False  # keep it out of the computation cache
+
+    wire = Wire(
+        "slow",
+        Field("per_shard_seconds", "perShardSeconds", F64, 0.01),
+        Field("inner", "inner", SKETCH),
+    )
 
     def __init__(self, inner: Sketch, per_shard_seconds: float = 0.01):
         if per_shard_seconds < 0:
@@ -55,25 +61,3 @@ class SlowdownSketch(Sketch):
 
     def with_seed(self, seed: int) -> "SlowdownSketch":
         return SlowdownSketch(self.inner.with_seed(seed), self.per_shard_seconds)
-
-
-def _build_slow(args: dict) -> Sketch:
-    return SlowdownSketch(
-        sketch_from_json(args["inner"]),
-        per_shard_seconds=float(args.get("perShardSeconds", 0.01)),
-    )
-
-
-def _encode_slow(sketch: SlowdownSketch) -> dict:
-    from repro.engine.rpc import sketch_to_json
-
-    return {
-        "type": "slow",
-        "perShardSeconds": sketch.per_shard_seconds,
-        "inner": sketch_to_json(sketch.inner),
-    }
-
-
-SKETCH_BUILDERS.setdefault("slow", _build_slow)
-if not any(cls is SlowdownSketch for cls, _ in SKETCH_ENCODERS):
-    SKETCH_ENCODERS.append((SlowdownSketch, _encode_slow))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.rand import stable_hash64
-from repro.core.serialization import Decoder, Encoder
 from repro.core.sketch import Sketch, Summary
+from repro.core.wire import INT, STR, UVARINT, Derived, Field, Wire, list_of, pair_of
 from repro.errors import ColumnKindError
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
@@ -79,22 +79,16 @@ class BottomKSummary(Summary):
                 unique.append(b)
         return unique
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(self.k)
-        enc.write_uvarint(len(self.entries))
-        for hash_value, value in self.entries:
-            enc.write_uvarint(hash_value)
-            enc.write_str(value)
-        enc.write_uvarint(self.missing)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "BottomKSummary":
-        k = dec.read_uvarint()
-        entries = []
-        for _ in range(dec.read_uvarint()):
-            hash_value = dec.read_uvarint()
-            entries.append((hash_value, dec.read_str() or ""))
-        return cls(k=k, entries=entries, missing=dec.read_uvarint())
+    # "values"/"saturated" feed the UI; "k"/"entries"/"missing" make the
+    # payload lossless for root-side merging of worker partials.
+    wire = Wire(
+        "bottomK",
+        Derived("values", values_sorted, "the sampled values, alphabetically"),
+        Derived("saturated", saturated.fget, "whether the sketch holds k entries"),
+        Field("k", "k", UVARINT),
+        Field("entries", "entries", list_of(pair_of(UVARINT, STR))),
+        Field("missing", "missing", UVARINT),
+    )
 
 
 class BottomKDistinctSketch(Sketch[BottomKSummary]):
@@ -103,6 +97,13 @@ class BottomKDistinctSketch(Sketch[BottomKSummary]):
     Deterministic given its seed (value hashes depend only on content), so
     replay after failure reproduces identical boundaries (§5.8).
     """
+
+    wire = Wire(
+        "bottomK",
+        Field("column", "column", STR),
+        Field("k", "k", INT, 500),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(self, column: str, k: int = 500, seed: int = 0):
         if k < 1:

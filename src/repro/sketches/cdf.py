@@ -26,6 +26,8 @@ class CdfSketch(HistogramSketch):
     CDF-specific post-processing.
     """
 
+    wire = HistogramSketch.wire.tagged("cdf")
+
     def __init__(
         self,
         column: str,

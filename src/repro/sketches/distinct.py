@@ -14,17 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.serialization import (
-    Decoder,
-    Encoder,
-    read_tagged_value,
-    write_tagged_value,
-)
 from repro.core.sketch import Sketch, Summary
+from repro.core.wire import BOOL, CELL, UVARINT, Field, Wire, list_of, via
 from repro.errors import EngineError
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
 from repro.table.table import Table
+
+
+def _sorted_values(values: set) -> list:
+    return sorted(values, key=lambda v: (v is None, v))
 
 
 @dataclass
@@ -41,23 +40,16 @@ class DistinctSetSummary(Summary):
         return len(self.values)
 
     def sorted_values(self) -> list:
-        return sorted(self.values, key=lambda v: (v is None, v))
+        return _sorted_values(self.values)
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(len(self.values))
-        for value in self.sorted_values():
-            write_tagged_value(enc, value)
-        enc.write_uvarint(self.missing)
-        enc.write_bool(self.truncated)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "DistinctSetSummary":
-        values = {read_tagged_value(dec) for _ in range(dec.read_uvarint())}
-        return cls(
-            values=values,
-            missing=dec.read_uvarint(),
-            truncated=dec.read_bool(),
-        )
+    # Untagged: no sketch spec reaches this summary, so the table only
+    # derives encode/decode (the set travels sorted, hence canonical).
+    wire = Wire(
+        None,
+        Field("values", "values", via(list_of(CELL), "cells", _sorted_values, set)),
+        Field("missing", "missing", UVARINT),
+        Field("truncated", "truncated", BOOL),
+    )
 
 
 class ExactDistinctSketch(Sketch[DistinctSetSummary]):

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.serialization import (
-    Decoder,
-    Encoder,
-    read_tagged_value,
-    write_tagged_value,
-)
 from repro.core.sketch import Sketch, Summary
-from repro.table.compute import StringMatchPredicate
-from repro.table.sort import RecordOrder, RowKey
+from repro.core.wire import ROW, UVARINT, Field, Wire, optional
+from repro.table.compute import STRING_MATCH, StringMatchPredicate
+from repro.table.sort import ORDER, START_KEY, RecordOrder, RowKey
 from repro.table.table import Table
 
 
@@ -36,6 +31,14 @@ class FindResult(Summary):
     #: Matches strictly after the start position (including first_match).
     matches_after: int = 0
 
+    wire = Wire(
+        "find",
+        Field("order", "order", ORDER),
+        Field("first_match", "firstMatch", optional(ROW)),
+        Field("matches_before", "matchesBefore", UVARINT),
+        Field("matches_after", "matchesAfter", UVARINT),
+    )
+
     @property
     def total_matches(self) -> int:
         return self.matches_before + self.matches_after
@@ -45,32 +48,16 @@ class FindResult(Summary):
             return None
         return self.order.key_from_values(self.first_match)
 
-    def encode(self, enc: Encoder) -> None:
-        self.order.encode(enc)
-        enc.write_bool(self.first_match is not None)
-        if self.first_match is not None:
-            enc.write_uvarint(len(self.first_match))
-            for value in self.first_match:
-                write_tagged_value(enc, value)
-        enc.write_uvarint(self.matches_before)
-        enc.write_uvarint(self.matches_after)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "FindResult":
-        order = RecordOrder.decode(dec)
-        first = None
-        if dec.read_bool():
-            first = tuple(read_tagged_value(dec) for _ in range(dec.read_uvarint()))
-        return cls(
-            order=order,
-            first_match=first,
-            matches_before=dec.read_uvarint(),
-            matches_after=dec.read_uvarint(),
-        )
-
 
 class FindTextSketch(Sketch[FindResult]):
     """Locate the next row matching a text search (paper §3.3)."""
+
+    wire = Wire(
+        "find",
+        Field("order", "order", ORDER),
+        Field("predicate", "match", STRING_MATCH),
+        Field("start_key", "start", START_KEY, None, context="order"),
+    )
 
     def __init__(
         self,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.buckets import Buckets
-from repro.core.serialization import Decoder, Encoder
+from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
+from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
 from repro.sketches.binning import bin_row_reference, bin_rows
 from repro.table.table import Table
 
@@ -32,6 +32,15 @@ class HeatmapSummary(Summary):
     y_missing: int = 0
     out_of_range: int = 0
     sampled_rows: int = 0
+
+    wire = Wire(
+        "heatmap",
+        Field("counts", "counts", INT64_ARRAY),
+        Field("x_missing", "xMissing", UVARINT),
+        Field("y_missing", "yMissing", UVARINT),
+        Field("out_of_range", "outOfRange", UVARINT),
+        Field("sampled_rows", "sampledRows", UVARINT),
+    )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -62,26 +71,19 @@ class HeatmapSummary(Summary):
             sampled_rows=self.sampled_rows,
         )
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_array(self.counts)
-        enc.write_uvarint(self.x_missing)
-        enc.write_uvarint(self.y_missing)
-        enc.write_uvarint(self.out_of_range)
-        enc.write_uvarint(self.sampled_rows)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "HeatmapSummary":
-        return cls(
-            counts=dec.read_array(),
-            x_missing=dec.read_uvarint(),
-            y_missing=dec.read_uvarint(),
-            out_of_range=dec.read_uvarint(),
-            sampled_rows=dec.read_uvarint(),
-        )
-
 
 class HeatmapSketch(SampledSketch[HeatmapSummary]):
     """Two-dimensional frequency sketch."""
+
+    wire = Wire(
+        "heatmap",
+        Field("x_column", "xColumn", STR),
+        Field("x_buckets", "xBuckets", BUCKETS),
+        Field("y_column", "yColumn", STR),
+        Field("y_buckets", "yBuckets", BUCKETS),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(
         self,

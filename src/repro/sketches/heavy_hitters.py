@@ -20,13 +20,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.serialization import (
-    Decoder,
-    Encoder,
-    read_tagged_value,
-    write_tagged_value,
-)
 from repro.core.sketch import SampledSketch, Sketch, Summary
+from repro.core.wire import (
+    CELL,
+    F64,
+    INT,
+    STR,
+    UVARINT,
+    Field,
+    Wire,
+    list_of,
+    pair_of,
+    via,
+)
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
 from repro.table.table import Table
@@ -58,6 +64,13 @@ def canonical_counts(counts: dict) -> list[tuple[object, int]]:
     )
 
 
+#: A value -> count dict, carried as [value, count] pairs in canonical
+#: order: the wire must not depend on merge (dict insertion) order.
+VALUE_COUNTS = via(
+    list_of(pair_of(CELL, UVARINT)), "[cell, count] pairs", canonical_counts, dict
+)
+
+
 @dataclass
 class FrequencySummary(Summary):
     """Approximate value counts with a global undercount bound."""
@@ -67,6 +80,13 @@ class FrequencySummary(Summary):
     error_bound: int = 0
     #: Rows examined (population rows for streaming; sample size for sampling).
     scanned: int = 0
+
+    wire = Wire(
+        "frequencies",
+        Field("counts", "counts", VALUE_COUNTS),
+        Field("error_bound", "errorBound", UVARINT),
+        Field("scanned", "scanned", UVARINT),
+    )
 
     def hitters(self, threshold_fraction: float) -> list[tuple[object, int]]:
         """Values whose estimated frequency is >= ``threshold_fraction``.
@@ -84,26 +104,6 @@ class FrequencySummary(Summary):
         ]
         found.sort(key=lambda item: (-item[1], str(item[0])))
         return found
-
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(len(self.counts))
-        for value, count in canonical_counts(self.counts):
-            write_tagged_value(enc, value)
-            enc.write_uvarint(count)
-        enc.write_uvarint(self.error_bound)
-        enc.write_uvarint(self.scanned)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "FrequencySummary":
-        counts = {}
-        for _ in range(dec.read_uvarint()):
-            value = read_tagged_value(dec)
-            counts[value] = dec.read_uvarint()
-        return cls(
-            counts=counts,
-            error_bound=dec.read_uvarint(),
-            scanned=dec.read_uvarint(),
-        )
 
 
 def _exact_value_counts(table: Table, column_name: str, rows: np.ndarray) -> dict:
@@ -167,6 +167,13 @@ def _misra_gries_reduce(summary: FrequencySummary, k: int) -> FrequencySummary:
 class MisraGriesSketch(Sketch[FrequencySummary]):
     """Streaming heavy hitters with at most ``k`` counters."""
 
+    wire = Wire(
+        "heavyHitters",
+        Field("column", "column", STR),
+        Field("k", "k", INT),
+        variant=("method", "streaming"),
+    )
+
     def __init__(self, column: str, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -217,6 +224,15 @@ class SampleHeavyHittersSketch(SampledSketch[FrequencySummary]):
     Summaries count a Bernoulli sample exactly; the root thresholds at
     ``3/(4K)`` of the sample via :meth:`FrequencySummary.hitters`.
     """
+
+    wire = Wire(
+        "heavyHitters",
+        Field("column", "column", STR),
+        Field("k", "k", INT),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+        variant=("method", "sampling"),
+    )
 
     def __init__(self, column: str, k: int, rate: float, seed: int = 0):
         super().__init__(rate, seed)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.buckets import Buckets, decode_buckets
-from repro.core.serialization import Decoder, Encoder
+from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
+from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
 from repro.sketches.binning import bin_row_reference, bin_rows, bincount
 from repro.table.table import Table
 
@@ -29,6 +29,14 @@ class HistogramSummary(Summary):
     out_of_range: int = 0
     #: Rows examined by summarize (== population rows when rate is 1.0).
     sampled_rows: int = 0
+
+    wire = Wire(
+        "histogram",
+        Field("counts", "counts", INT64_ARRAY),
+        Field("missing", "missing", UVARINT),
+        Field("out_of_range", "outOfRange", UVARINT),
+        Field("sampled_rows", "sampledRows", UVARINT),
+    )
 
     @property
     def buckets(self) -> int:
@@ -51,21 +59,6 @@ class HistogramSummary(Summary):
             return np.zeros(self.buckets, dtype=np.float64)
         return self.counts / total
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_array(self.counts)
-        enc.write_uvarint(self.missing)
-        enc.write_uvarint(self.out_of_range)
-        enc.write_uvarint(self.sampled_rows)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "HistogramSummary":
-        return cls(
-            counts=dec.read_array(),
-            missing=dec.read_uvarint(),
-            out_of_range=dec.read_uvarint(),
-            sampled_rows=dec.read_uvarint(),
-        )
-
 
 class HistogramSketch(SampledSketch[HistogramSummary]):
     """Histogram over one column (numeric, date, or bucketed strings).
@@ -75,6 +68,14 @@ class HistogramSketch(SampledSketch[HistogramSummary]):
     digit" (Appendix B.1).  A rate below 1.0 is the sampled vizketch with
     the pixel-accuracy guarantee of Theorem 3.
     """
+
+    wire = Wire(
+        "histogram",
+        Field("column", "column", STR),
+        Field("buckets", "buckets", BUCKETS),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(
         self,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.rand import stable_hash64
-from repro.core.serialization import Decoder, Encoder
 from repro.core.sketch import Sketch, Summary
+from repro.core.wire import INT, STR, UINT8_ARRAY, UVARINT, Derived, Field, Wire
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
 from repro.table.table import Table
@@ -80,13 +80,14 @@ class HllSummary(Summary):
             return -two64 * np.log1p(-raw / two64)
         return float(raw)
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_array(self.registers)
-        enc.write_uvarint(self.missing)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "HllSummary":
-        return cls(registers=dec.read_array(), missing=dec.read_uvarint())
+    # The UI reads "estimate"; "registers" makes the payload lossless so a
+    # root can merge summaries received from worker processes.
+    wire = Wire(
+        "distinct",
+        Derived("estimate", estimate, "estimated number of distinct values"),
+        Field("registers", "registers", UINT8_ARRAY),
+        Field("missing", "missing", UVARINT),
+    )
 
 
 class HyperLogLogSketch(Sketch[HllSummary]):
@@ -97,6 +98,13 @@ class HyperLogLogSketch(Sketch[HllSummary]):
     key: the sketch is deterministic *given its seed*, exactly what the redo
     log requires (§5.8).
     """
+
+    wire = Wire(
+        "distinct",
+        Field("column", "column", STR),
+        Field("precision", "precision", INT, 12),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(self, column: str, precision: int = 12, seed: int = 0):
         if not 4 <= precision <= 16:

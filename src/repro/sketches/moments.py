@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.serialization import (
-    Decoder,
-    Encoder,
-    read_tagged_value,
-    write_tagged_value,
-)
 from repro.core.sketch import Sketch, Summary
+from repro.core.wire import CELL, F64_LIST, INT, STR, UVARINT, Field, Wire
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
 from repro.table.table import Table
@@ -40,6 +35,15 @@ class ColumnStats(Summary):
     max_value: object | None = None
     #: power_sums[k-1] == sum of x**k over present rows (numeric columns).
     power_sums: list[float] = field(default_factory=list)
+
+    wire = Wire(
+        "columnStats",
+        Field("present_count", "presentCount", UVARINT),
+        Field("missing_count", "missingCount", UVARINT),
+        Field("min_value", "min", CELL),
+        Field("max_value", "max", CELL),
+        Field("power_sums", "powerSums", F64_LIST),
+    )
 
     @property
     def row_count(self) -> int:
@@ -69,24 +73,6 @@ class ColumnStats(Summary):
             return float("nan")
         return self.power_sums[k - 1] / self.present_count
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(self.present_count)
-        enc.write_uvarint(self.missing_count)
-        write_tagged_value(enc, self.min_value)
-        write_tagged_value(enc, self.max_value)
-        enc.write_uvarint(len(self.power_sums))
-        for s in self.power_sums:
-            enc.write_float(s)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "ColumnStats":
-        present = dec.read_uvarint()
-        missing = dec.read_uvarint()
-        min_value = read_tagged_value(dec)
-        max_value = read_tagged_value(dec)
-        sums = [dec.read_float() for _ in range(dec.read_uvarint())]
-        return cls(present, missing, min_value, max_value, sums)
-
 
 class MomentsSketch(Sketch[ColumnStats]):
     """One-pass range + moments sketch over a single column.
@@ -94,6 +80,12 @@ class MomentsSketch(Sketch[ColumnStats]):
     Deterministic, hence cacheable: the engine's computation cache reuses
     range results across charts on the same column (paper §5.4).
     """
+
+    wire = Wire(
+        "moments",
+        Field("column", "column", STR),
+        Field("moments", "moments", INT, 2),
+    )
 
     def __init__(self, column: str, moments: int = 2):
         if moments < 0:

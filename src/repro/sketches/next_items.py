@@ -16,15 +16,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.serialization import (
-    Decoder,
-    Encoder,
-    read_tagged_value,
-    write_tagged_value,
-)
 from repro.core.sketch import Sketch, Summary
-from repro.table.sort import RecordOrder, RowKey
+from repro.core.wire import (
+    BOOL,
+    INT,
+    ROW,
+    ROWS,
+    UVARINT,
+    Field,
+    Kind,
+    Wire,
+    list_of,
+    pair_of,
+)
+from repro.table.sort import ORDER, START_KEY, RecordOrder, RowKey
 from repro.table.table import Table
+
+
+_COUNTED = list_of(pair_of(UVARINT, ROW))
+
+
+def _read_counted_rows(dec) -> tuple[list, list]:
+    records = _COUNTED.read(dec)
+    return [row for _, row in records], [count for count, _ in records]
+
+
+#: ``(rows, counts)`` together: two parallel lists in JSON, but one list of
+#: (count, row) records in binary.
+COUNTED_ROWS = Kind(
+    "rows, and the repetition count of each",
+    lambda value: (ROWS.to_json(value[0]), list(value[1])),
+    lambda data: (ROWS.from_json(data[0]), [int(c) for c in data[1]]),
+    lambda enc, value: _COUNTED.write(enc, list(zip(value[1], value[0]))),
+    _read_counted_rows,
+)
 
 
 @dataclass
@@ -39,6 +64,14 @@ class NextKList(Summary):
     #: Total member rows examined (preceding + following).
     scanned: int = 0
 
+    wire = Wire(
+        "nextK",
+        Field("order", "order", ORDER),
+        Field(("rows", "counts"), ("rows", "counts"), COUNTED_ROWS),
+        Field("preceding", "preceding", UVARINT),
+        Field("scanned", "scanned", UVARINT),
+    )
+
     def keys(self) -> list[RowKey]:
         return [self.order.key_from_values(values) for values in self.rows]
 
@@ -49,34 +82,6 @@ class NextKList(Summary):
             return 0.0
         return self.preceding / self.scanned
 
-    def encode(self, enc: Encoder) -> None:
-        self.order.encode(enc)
-        enc.write_uvarint(len(self.rows))
-        for values, count in zip(self.rows, self.counts):
-            enc.write_uvarint(count)
-            enc.write_uvarint(len(values))
-            for value in values:
-                write_tagged_value(enc, value)
-        enc.write_uvarint(self.preceding)
-        enc.write_uvarint(self.scanned)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "NextKList":
-        order = RecordOrder.decode(dec)
-        rows: list[tuple] = []
-        counts: list[int] = []
-        for _ in range(dec.read_uvarint()):
-            counts.append(dec.read_uvarint())
-            width = dec.read_uvarint()
-            rows.append(tuple(read_tagged_value(dec) for _ in range(width)))
-        return cls(
-            order=order,
-            rows=rows,
-            counts=counts,
-            preceding=dec.read_uvarint(),
-            scanned=dec.read_uvarint(),
-        )
-
 
 class NextKSketch(Sketch[NextKList]):
     """The K distinct rows following ``start_key`` in ``order``.
@@ -85,6 +90,14 @@ class NextKSketch(Sketch[NextKList]):
     of the result — used when jumping to a found row or a quantile, so the
     target row is the first visible one.
     """
+
+    wire = Wire(
+        "nextK",
+        Field("order", "order", ORDER),
+        Field("k", "k", INT, 20),
+        Field("inclusive", "inclusive", BOOL, False),
+        Field("start_key", "start", START_KEY, None, context="order"),
+    )
 
     def __init__(
         self,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.serialization import Decoder, Encoder
 from repro.core.sketch import SampledSketch, Summary
+from repro.core.wire import F64, F64_ARRAY, INT, STR_LIST, UVARINT, Field, Wire
 from repro.table.table import Table
 
 
@@ -27,6 +27,14 @@ class CorrelationSummary(Summary):
     count: int  # rows with all columns present
     sums: np.ndarray  # float64[M]
     products: np.ndarray  # float64[M, M]: sum of x_i * x_j
+
+    wire = Wire(
+        "correlation",
+        Field("columns", "columns", STR_LIST),
+        Field("count", "count", UVARINT),
+        Field("sums", "sums", F64_ARRAY),
+        Field("products", "products", F64_ARRAY),
+    )
 
     def means(self) -> np.ndarray:
         if self.count == 0:
@@ -70,22 +78,6 @@ class CorrelationSummary(Summary):
         total = float(values.sum())
         return float(values[:k].sum() / total) if total > 0 else 0.0
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_str_list(self.columns)
-        enc.write_uvarint(self.count)
-        enc.write_array(self.sums)
-        enc.write_array(self.products)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "CorrelationSummary":
-        columns = [s or "" for s in dec.read_str_list()]
-        return cls(
-            columns=columns,
-            count=dec.read_uvarint(),
-            sums=dec.read_array(),
-            products=dec.read_array(),
-        )
-
 
 class CorrelationSketch(SampledSketch[CorrelationSummary]):
     """Sufficient statistics for PCA over ``columns``.
@@ -94,6 +86,13 @@ class CorrelationSketch(SampledSketch[CorrelationSummary]):
     case analysis).  ``rate=1.0`` scans; lower rates sample, which is sound
     because correlations are ratios of moments — scale cancels.
     """
+
+    wire = Wire(
+        "correlation",
+        Field("columns", "columns", STR_LIST),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(self, columns: list[str], rate: float = 1.0, seed: int = 0):
         super().__init__(rate, seed)

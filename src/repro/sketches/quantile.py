@@ -14,14 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.serialization import (
-    Decoder,
-    Encoder,
-    read_tagged_value,
-    write_tagged_value,
-)
 from repro.core.sketch import SampledSketch, Summary
-from repro.table.sort import RecordOrder
+from repro.core.wire import F64, INT, ROWS, UVARINT, Field, Wire
+from repro.table.sort import ORDER, RecordOrder
 from repro.table.table import Table
 
 
@@ -33,6 +28,13 @@ class QuantileSummary(Summary):
     samples: list[tuple] = field(default_factory=list)
     scanned: int = 0
 
+    wire = Wire(
+        "quantile",
+        Field("order", "order", ORDER),
+        Field("samples", "samples", ROWS),
+        Field("scanned", "scanned", UVARINT),
+    )
+
     def quantile(self, fraction: float) -> tuple | None:
         """The sampled row whose relative rank is closest to ``fraction``."""
         if not self.samples:
@@ -43,24 +45,6 @@ class QuantileSummary(Summary):
         )
         return self.samples[position]
 
-    def encode(self, enc: Encoder) -> None:
-        self.order.encode(enc)
-        enc.write_uvarint(len(self.samples))
-        for values in self.samples:
-            enc.write_uvarint(len(values))
-            for value in values:
-                write_tagged_value(enc, value)
-        enc.write_uvarint(self.scanned)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "QuantileSummary":
-        order = RecordOrder.decode(dec)
-        samples = []
-        for _ in range(dec.read_uvarint()):
-            width = dec.read_uvarint()
-            samples.append(tuple(read_tagged_value(dec) for _ in range(width)))
-        return cls(order=order, samples=samples, scanned=dec.read_uvarint())
-
 
 class SampleQuantileSketch(SampledSketch[QuantileSummary]):
     """Uniform row-key sample under a sort order.
@@ -69,6 +53,13 @@ class SampleQuantileSketch(SampledSketch[QuantileSummary]):
     exceeds ``2 * max_size`` it is decimated by keeping every other element
     of the *sorted* list, which preserves quantiles while halving the size.
     """
+
+    wire = Wire(
+        "quantile",
+        Field("order", "order", ORDER),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(
         self,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.core.serialization import Decoder, Encoder
 from repro.core.sketch import Sketch, Summary
+from repro.core.wire import STR, STR_LIST, UVARINT, Field, Wire
 from repro.table.table import Table
 
 
@@ -25,22 +25,16 @@ class SaveStatus(Summary):
     rows_written: int = 0
     errors: list[str] = field(default_factory=list)
 
+    wire = Wire(
+        "saveStatus",
+        Field("files", "files", STR_LIST),
+        Field("rows_written", "rowsWritten", UVARINT),
+        Field("errors", "errors", STR_LIST),
+    )
+
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def encode(self, enc: Encoder) -> None:
-        enc.write_str_list(self.files)
-        enc.write_uvarint(self.rows_written)
-        enc.write_str_list(self.errors)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "SaveStatus":
-        return cls(
-            files=[s or "" for s in dec.read_str_list()],
-            rows_written=dec.read_uvarint(),
-            errors=[s or "" for s in dec.read_str_list()],
-        )
 
 
 class SaveTableSketch(Sketch[SaveStatus]):
@@ -51,6 +45,12 @@ class SaveTableSketch(Sketch[SaveStatus]):
     """
 
     deterministic = False
+
+    wire = Wire(
+        "save",
+        Field("directory", "directory", STR),
+        Field("format", "format", STR, "hvc"),
+    )
 
     def __init__(self, directory: str, format: str = "hvc"):
         if format not in ("hvc", "csv"):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.buckets import Buckets
-from repro.core.serialization import Decoder, Encoder
+from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
+from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
 from repro.sketches.binning import bin_row_reference, bin_rows
 from repro.table.table import Table
 
@@ -34,6 +34,16 @@ class StackedHistogramSummary(Summary):
     out_of_range: int = 0  # X out of range
     sampled_rows: int = 0
 
+    wire = Wire(
+        "stacked",
+        Field("bar_counts", "barCounts", INT64_ARRAY),
+        Field("cell_counts", "cellCounts", INT64_ARRAY),
+        Field("y_missing", "yMissing", INT64_ARRAY),
+        Field("missing", "missing", UVARINT),
+        Field("out_of_range", "outOfRange", UVARINT),
+        Field("sampled_rows", "sampledRows", UVARINT),
+    )
+
     @property
     def x_buckets(self) -> int:
         return len(self.bar_counts)
@@ -46,28 +56,19 @@ class StackedHistogramSummary(Summary):
     def total_in_range(self) -> int:
         return int(self.bar_counts.sum())
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_array(self.bar_counts)
-        enc.write_array(self.cell_counts)
-        enc.write_array(self.y_missing)
-        enc.write_uvarint(self.missing)
-        enc.write_uvarint(self.out_of_range)
-        enc.write_uvarint(self.sampled_rows)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "StackedHistogramSummary":
-        return cls(
-            bar_counts=dec.read_array(),
-            cell_counts=dec.read_array(),
-            y_missing=dec.read_array(),
-            missing=dec.read_uvarint(),
-            out_of_range=dec.read_uvarint(),
-            sampled_rows=dec.read_uvarint(),
-        )
-
 
 class StackedHistogramSketch(SampledSketch[StackedHistogramSummary]):
     """Two-column stacked histogram."""
+
+    wire = Wire(
+        "stacked",
+        Field("x_column", "xColumn", STR),
+        Field("x_buckets", "xBuckets", BUCKETS),
+        Field("y_column", "yColumn", STR),
+        Field("y_buckets", "yBuckets", BUCKETS),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+    )
 
     def __init__(
         self,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.buckets import Buckets
-from repro.core.serialization import Decoder, Encoder
+from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
+from repro.core.wire import F64, INT, STR, UVARINT, Field, Wire, summaries_of
 from repro.sketches.binning import bin_row_reference, bin_rows
 from repro.sketches.heatmap import HeatmapSummary
 from repro.sketches.histogram import HistogramSummary
@@ -97,23 +97,13 @@ class TrellisSummary(Summary):
     group_out_of_range: int = 0
     sampled_rows: int = 0
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(len(self.panes))
-        for pane in self.panes:
-            pane.encode(enc)
-        enc.write_uvarint(self.group_missing)
-        enc.write_uvarint(self.group_out_of_range)
-        enc.write_uvarint(self.sampled_rows)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "TrellisSummary":
-        panes = [HeatmapSummary.decode(dec) for _ in range(dec.read_uvarint())]
-        return cls(
-            panes=panes,
-            group_missing=dec.read_uvarint(),
-            group_out_of_range=dec.read_uvarint(),
-            sampled_rows=dec.read_uvarint(),
-        )
+    wire = Wire(
+        "trellisHeatmap",
+        Field("panes", "panes", summaries_of(HeatmapSummary)),
+        Field("group_missing", "groupMissing", UVARINT),
+        Field("group_out_of_range", "groupOutOfRange", UVARINT),
+        Field("sampled_rows", "sampledRows", UVARINT),
+    )
 
 
 @dataclass
@@ -125,27 +115,31 @@ class TrellisHistogramSummary(Summary):
     group_out_of_range: int = 0
     sampled_rows: int = 0
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(len(self.panes))
-        for pane in self.panes:
-            pane.encode(enc)
-        enc.write_uvarint(self.group_missing)
-        enc.write_uvarint(self.group_out_of_range)
-        enc.write_uvarint(self.sampled_rows)
-
-    @classmethod
-    def decode(cls, dec: Decoder) -> "TrellisHistogramSummary":
-        panes = [HistogramSummary.decode(dec) for _ in range(dec.read_uvarint())]
-        return cls(
-            panes=panes,
-            group_missing=dec.read_uvarint(),
-            group_out_of_range=dec.read_uvarint(),
-            sampled_rows=dec.read_uvarint(),
-        )
+    wire = Wire(
+        "trellisHistogram",
+        Field("panes", "panes", summaries_of(HistogramSummary)),
+        Field("group_missing", "groupMissing", UVARINT),
+        Field("group_out_of_range", "groupOutOfRange", UVARINT),
+        Field("sampled_rows", "sampledRows", UVARINT),
+    )
 
 
 class TrellisHeatmapSketch(SampledSketch[TrellisSummary]):
     """A trellis of heat maps: group column(s) W, then (X, Y) per pane."""
+
+    wire = Wire(
+        "trellisHeatmap",
+        Field("group_column", "groupColumn", STR),
+        Field("group_buckets", "groupBuckets", BUCKETS),
+        Field("x_column", "xColumn", STR),
+        Field("x_buckets", "xBuckets", BUCKETS),
+        Field("y_column", "yColumn", STR),
+        Field("y_buckets", "yBuckets", BUCKETS),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+        Field("group2_column", "group2Column", STR, None),
+        Field("group2_buckets", "group2Buckets", BUCKETS, None),
+    )
 
     def __init__(
         self,
@@ -300,6 +294,18 @@ class TrellisHeatmapSketch(SampledSketch[TrellisSummary]):
 
 class TrellisHistogramSketch(SampledSketch[TrellisHistogramSummary]):
     """A trellis of histograms: group column(s) W, then X per pane."""
+
+    wire = Wire(
+        "trellisHistogram",
+        Field("group_column", "groupColumn", STR),
+        Field("group_buckets", "groupBuckets", BUCKETS),
+        Field("x_column", "xColumn", STR),
+        Field("x_buckets", "xBuckets", BUCKETS),
+        Field("rate", "rate", F64, 1.0),
+        Field("seed", "seed", INT, 0),
+        Field("group2_column", "group2Column", STR, None),
+        Field("group2_buckets", "group2Buckets", BUCKETS, None),
+    )
 
     def __init__(
         self,

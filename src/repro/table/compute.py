@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.errors import ColumnKindError, SchemaError
+from repro.core.wire import Kind, cell_from_json, cell_to_json
+from repro.errors import ColumnKindError, ProtocolError, SchemaError
 from repro.table.column import Column, column_from_values
 from repro.table.dictionary import MISSING_CODE
 from repro.table.column import StringColumn
@@ -233,6 +234,74 @@ class NotPredicate(Predicate):
 
     def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
         return ~self.inner.evaluate(table, rows)
+
+
+def predicate_to_json(predicate: Predicate) -> dict:
+    if isinstance(predicate, ColumnPredicate):
+        value = predicate.value
+        if isinstance(value, (list, tuple, set, frozenset)):
+            value = [cell_to_json(v) for v in value]
+        else:
+            value = cell_to_json(value)
+        return {
+            "type": "column",
+            "column": predicate.column,
+            "op": predicate.op,
+            "value": value,
+        }
+    if isinstance(predicate, StringMatchPredicate):
+        return {
+            "type": "match",
+            "column": predicate.column,
+            "pattern": predicate.pattern,
+            "mode": predicate.mode,
+            "caseSensitive": predicate.case_sensitive,
+        }
+    if isinstance(predicate, AndPredicate):
+        return {"type": "and", "parts": [predicate_to_json(p) for p in predicate.parts]}
+    if isinstance(predicate, OrPredicate):
+        return {"type": "or", "parts": [predicate_to_json(p) for p in predicate.parts]}
+    if isinstance(predicate, NotPredicate):
+        return {"type": "not", "inner": predicate_to_json(predicate.inner)}
+    raise ProtocolError(
+        f"cannot encode predicate of type {type(predicate).__name__}"
+    )
+
+
+def predicate_from_json(data: dict) -> Predicate:
+    kind = data.get("type")
+    if kind == "column":
+        value = data.get("value")
+        if isinstance(value, list):
+            value = [cell_from_json(v) for v in value]
+        else:
+            value = cell_from_json(value)
+        return ColumnPredicate(str(data["column"]), str(data["op"]), value)
+    if kind == "match":
+        return StringMatchPredicate(
+            str(data["column"]),
+            str(data["pattern"]),
+            str(data.get("mode", "substring")),
+            bool(data.get("caseSensitive", True)),
+        )
+    if kind == "and":
+        return AndPredicate(predicate_from_json(p) for p in data["parts"])
+    if kind == "or":
+        return OrPredicate(predicate_from_json(p) for p in data["parts"])
+    if kind == "not":
+        return NotPredicate(predicate_from_json(data["inner"]))
+    raise ProtocolError(f"unknown predicate type {kind!r}")
+
+
+def _string_match_from_json(data: dict) -> StringMatchPredicate:
+    predicate = predicate_from_json(data)
+    if not isinstance(predicate, StringMatchPredicate):
+        raise ProtocolError("find requires a string-match predicate")
+    return predicate
+
+
+#: The wire kind of a text-search criterion in a sketch spec.
+STRING_MATCH = Kind("match predicate", predicate_to_json, _string_match_from_json)
 
 
 def derive_column(

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.core.serialization import Decoder, Encoder
-from repro.errors import SchemaError
+from repro.core.wire import ROW, Kind
+from repro.errors import ProtocolError, SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.table.table import Table
@@ -195,3 +196,35 @@ class RecordOrder:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RecordOrder) and self.orientations == other.orientations
+
+
+def order_to_json(order: RecordOrder) -> list[dict]:
+    return [
+        {"column": o.column, "ascending": o.ascending} for o in order.orientations
+    ]
+
+
+def order_from_json(data: list) -> RecordOrder:
+    if not isinstance(data, list) or not data:
+        raise ProtocolError("sort order must be a non-empty list")
+    columns = [str(item["column"]) for item in data]
+    flags = [bool(item.get("ascending", True)) for item in data]
+    return RecordOrder.of(*columns, ascending=flags)
+
+
+#: The wire kind of a sort order.
+ORDER = Kind(
+    "sort order",
+    order_to_json,
+    order_from_json,
+    lambda enc, order: order.encode(enc),
+    RecordOrder.decode,
+)
+
+#: A start position in a sketch spec: the raw cell values of a row key,
+#: rebuilt against the spec's already-parsed order (the field's context).
+START_KEY = Kind(
+    "row",
+    lambda key: ROW.to_json(key.values()),
+    lambda data, order: order.key_from_values(ROW.from_json(data)),
+)

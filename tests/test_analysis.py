@@ -33,14 +33,12 @@ SRC = REPO / "src"
 #: Waivers currently shipped in src/ — burn this down, never up.  Every
 #: new suppression is a reviewed decision, not a reflex; if this number
 #: must rise, the PR review owns the justification.
-SUPPRESSION_CEILING = 33
+SUPPRESSION_CEILING = 32
 
 FIRE_RULES = [
     "D001",
     "D002",
     "D003",
-    "R001",
-    "R002",
     "R003",
     "C001",
     "C002",
@@ -116,9 +114,8 @@ def test_suppression_count_can_only_shrink() -> None:
 
 
 def test_registry_view_matches_live_registries() -> None:
-    """The analyzer's static registry extraction agrees with the live
-    dictionaries, so the R-rules cannot drift from what they model."""
-    import repro.engine.rpc as rpc
+    """The analyzer's static spec extraction agrees with the live specs
+    module, so R003 cannot drift from what it models."""
     import repro.sketches.specs as specs
 
     known = set(RULE_CATALOG)
@@ -126,17 +123,6 @@ def test_registry_view_matches_live_registries() -> None:
         load_source_file(p, known) for p in discover_files([str(SRC)])
     ]
     view = extract_registry_view([sf for sf in files if sf.tree is not None])
-
-    static_builders = set(view.sketch_builder_keys)
-    assert static_builders, "extraction found no SKETCH_BUILDERS literal"
-    live_builders = set(rpc.SKETCH_BUILDERS)
-    assert static_builders <= live_builders
-    # The only sanctioned runtime registration is service.slow's
-    # debugging sketch (import-time setdefault).
-    assert live_builders - static_builders <= {"slow"}
-
-    assert set(view.summary_codec_keys) == set(rpc.SUMMARY_CODECS)
-    assert set(view.summary_parser_keys) == set(rpc.SUMMARY_PARSERS)
 
     live_spec_names = sorted(spec.name for spec in specs.SKETCH_SPECS)
     assert sorted(view.spec_names) == live_spec_names

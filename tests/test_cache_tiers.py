@@ -37,7 +37,8 @@ from repro.engine.cache import (
     caches_disabled,
 )
 from repro.engine.cluster import Cluster, Worker
-from repro.engine.rpc import SKETCH_BUILDERS, sketch_from_json, sketch_to_json
+from repro.core.wire import SKETCH_TYPES
+from repro.engine.rpc import sketch_from_json, sketch_to_json
 from repro.sketches.histogram import HistogramSketch
 from repro.storage.loader import TableSource
 
@@ -358,7 +359,7 @@ ALL_SPECS["save"] = {"type": "save", "directory": "/tmp/unused", "format": "hvc"
 
 class TestCacheKeyHygiene:
     def test_specs_cover_every_registered_builder(self):
-        assert set(ALL_SPECS) >= set(SKETCH_BUILDERS)
+        assert set(ALL_SPECS) >= set(SKETCH_TYPES)
 
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
     def test_non_deterministic_implies_no_cache_key(self, kind):

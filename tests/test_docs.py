@@ -13,11 +13,21 @@ from __future__ import annotations
 
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
+import repro.service.slow  # noqa: F401 — the "slow" wire type
 from repro.core.framing import encode_frame
+from repro.core.sketch import Summary
+from repro.core.wire import (
+    MAX_SUMMARY_CELLS,
+    REQUIRED,
+    SKETCH_TYPES,
+    SUMMARY_TYPES,
+    Derived,
+)
 from repro.engine.rpc import (
     TERMINAL_REPLY_KINDS,
     WIRE_ERROR_CODES,
@@ -124,7 +134,9 @@ class TestWireExamples:
         assert documented == set(TERMINAL_REPLY_KINDS)
 
     def test_documented_methods_are_dispatchable(self):
-        rows = table_first_column(section(PROTOCOL_MD, "## 3. Methods"))
+        # The method table is the one before the §3.1 sketch catalogue.
+        methods = section(PROTOCOL_MD, "## 3. Methods").split("\n### ")[0]
+        rows = table_first_column(methods)
         assert rows, "the method table is empty"
         dispatch = (WebServer._dispatch.__doc__ or "") + _source_of(
             WebServer._dispatch
@@ -140,6 +152,87 @@ def _source_of(fn) -> str:
     import inspect
 
     return inspect.getsource(fn)
+
+
+# ---------------------------------------------------------------------------
+# PROTOCOL.md §3.1: the sketch catalogue is rendered from the field tables
+# ---------------------------------------------------------------------------
+def _summary_tag(sketch_cls: type) -> str | None:
+    """The wire tag of the summary a sketch class is generic over."""
+    for klass in sketch_cls.__mro__:
+        for base in getattr(klass, "__orig_bases__", ()):
+            for arg in typing.get_args(base):
+                if isinstance(arg, type) and issubclass(arg, Summary):
+                    return arg.wire.tag
+    return None
+
+
+def _keys(entry) -> str:
+    keys = entry.key if isinstance(entry.key, tuple) else (entry.key,)
+    return ", ".join(f"`{key}`" for key in keys)
+
+
+def _spec_field(entry) -> str:
+    if entry.default is REQUIRED:
+        default = ""
+    elif entry.default is None:
+        default = " (optional)"
+    else:
+        default = f" = `{json.dumps(entry.default)}`"
+    return f"{_keys(entry)}: {entry.kind.name}{default}"
+
+
+def render_sketch_catalogue() -> str:
+    """The two tables of PROTOCOL.md §3.1, from the live registries."""
+    lines = [
+        "| sketch `type` | summary `type` | fields (`key`: kind = default) |",
+        "|---|---|---|",
+    ]
+    for name, classes in sorted(SKETCH_TYPES.items()):
+        for position, cls in enumerate(classes):
+            label = f"`{name}`"
+            if cls.wire.variant is not None:
+                key, value = cls.wire.variant
+                label += f" with `{key}`: `{json.dumps(value)}`"
+                label += " (the default)" if position == 0 else ""
+            tag = _summary_tag(cls)
+            summary = f"`{tag}`" if tag else "that of `inner`"
+            fields = "; ".join(_spec_field(e) for e in cls.wire.entries)
+            lines.append(f"| {label} | {summary} | {fields} |")
+    lines += [
+        "",
+        "| summary `type` | fields (`key`: kind) | JSON-only derived fields |",
+        "|---|---|---|",
+    ]
+    for tag, cls in sorted(SUMMARY_TYPES.items()):
+        fields = "; ".join(
+            f"{_keys(e)}: {e.kind.name}"
+            for e in cls.wire.entries
+            if not isinstance(e, Derived)
+        )
+        derived = "; ".join(
+            f"`{e.key}`: {e.doc}" for e in cls.wire.entries if isinstance(e, Derived)
+        )
+        lines.append(f"| `{tag}` | {fields} | {derived} |")
+    return "\n".join(lines)
+
+
+class TestSketchCatalogue:
+    def test_catalogue_matches_the_field_tables(self):
+        match = re.search(
+            r"<!-- generated: sketch-catalogue -->\n(.*?)\n<!-- /generated -->",
+            PROTOCOL_MD,
+            re.DOTALL,
+        )
+        assert match, "PROTOCOL.md lost its sketch-catalogue block"
+        assert match.group(1) == render_sketch_catalogue(), (
+            "docs/PROTOCOL.md §3.1 is out of date; paste the output of "
+            "`PYTHONPATH=src:tests python -c \"import test_docs; "
+            "print(test_docs.render_sketch_catalogue())\"` between the markers"
+        )
+
+    def test_documented_cell_bound(self):
+        assert f"**{MAX_SUMMARY_CELLS}**" in section(PROTOCOL_MD, "### 3.1 Sketch specs")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +317,11 @@ class TestConfigMatrix:
             f"docs/CONFIG.md documents flags the code no longer reads: "
             f"{sorted(stale)}"
         )
+
+    def test_flag_count_only_shrinks(self):
+        # A new REPRO_* switch doubles the configurations to test; adding
+        # one means arguing for it here.
+        assert len(table_first_column(CONFIG_MD)) <= 12
 
 
 # ---------------------------------------------------------------------------

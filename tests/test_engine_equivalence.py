@@ -22,7 +22,8 @@ from repro.core.sketch import Sketch, Summary
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster
 from repro.engine.local import LocalDataSet, ParallelDataSet, parallel_dataset
-from repro.engine.rpc import SKETCH_BUILDERS, sketch_from_json
+from repro.core.wire import SKETCH_TYPES
+from repro.engine.rpc import sketch_from_json
 from repro.sketches.heavy_hitters import MisraGriesSketch
 from repro.sketches.histogram import HistogramSketch
 from repro.sketches.moments import MomentsSketch
@@ -87,7 +88,7 @@ class TestEnginesAgree:
 
 
 # ---------------------------------------------------------------------------
-# Process-cluster equivalence: every SKETCH_BUILDERS entry, real subprocesses
+# Process-cluster equivalence: every SKETCH_TYPES entry, real subprocesses
 # ---------------------------------------------------------------------------
 # 2,000 rows keeps every summary under its decimation bounds (the quantile
 # sample never exceeds 2 * max_size), so byte-identity is exact end to end.
@@ -200,7 +201,7 @@ class TestProcessClusterEquivalence:
     def test_specs_cover_every_builder(self):
         import repro.service.slow  # noqa: F401 — registers "slow"
 
-        assert set(SKETCH_SPECS) | {"save"} >= set(SKETCH_BUILDERS)
+        assert set(SKETCH_SPECS) | {"save"} >= set(SKETCH_TYPES)
 
     @pytest.mark.parametrize("kind", sorted(SKETCH_SPECS))
     def test_every_sketch_agrees(

@@ -166,7 +166,7 @@ class TestByteIdenticalSummaries:
     def test_every_sketch_agrees_across_roots(
         self, kind, tier, reference_table
     ):
-        """Every SKETCH_BUILDERS entry returns byte-identical summaries
+        """Every SKETCH_TYPES entry returns byte-identical summaries
         from both roots, equal to the single-process reference.
 
         Across roots the *wire payload text* must match byte for byte

@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buckets import DoubleBuckets, ExplicitStringBuckets, StringBuckets
+from repro.core.wire import SKETCH_TYPES, SUMMARY_TYPES
 from repro.engine.rpc import (
     NO_PAYLOAD,
-    SKETCH_BUILDERS,
-    SUMMARY_PARSERS,
     RpcReply,
     RpcRequest,
     buckets_from_json,
@@ -115,7 +114,9 @@ buckets = st.one_of(
         lambda lo, span, count: DoubleBuckets(lo, lo + span, count),
         st.floats(-1e6, 1e6, allow_nan=False),
         st.floats(0.001, 1e6, allow_nan=False),
-        st.integers(1, 500),
+        # 40**4 cells (a two-group trellis of heat maps) stays under
+        # MAX_SUMMARY_CELLS, which sketch_from_json enforces.
+        st.integers(1, 40),
     ),
     st.builds(
         lambda values: StringBuckets(sorted(values)),
@@ -159,7 +160,7 @@ class TestCodecRoundTrips:
 
 
 # ---------------------------------------------------------------------------
-# Sketch specs: from_json(to_json(x)) == x for every SKETCH_BUILDERS entry
+# Sketch specs: from_json(to_json(x)) == x for every SKETCH_TYPES entry
 # ---------------------------------------------------------------------------
 rates = st.floats(0.01, 1.0, allow_nan=False)
 seeds = st.integers(0, 2**31)
@@ -295,7 +296,7 @@ class TestSketchSpecRoundTrips:
     def test_every_builder_is_fuzzed(self):
         import repro.service.slow  # noqa: F401 — registers "slow"
 
-        assert set(_sketch_strategies()) == set(SKETCH_BUILDERS)
+        assert set(_sketch_strategies()) == set(SKETCH_TYPES)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -313,7 +314,7 @@ class TestSketchSpecRoundTrips:
 
 
 # ---------------------------------------------------------------------------
-# Summary payloads: from_json(to_json(x)) == x for every _PAYLOADS converter
+# Summary payloads: from_json(to_json(x)) == x for every SUMMARY_TYPES entry
 # ---------------------------------------------------------------------------
 counts_1d = st.lists(st.integers(0, 10**9), min_size=1, max_size=8).map(
     lambda v: np.asarray(v, dtype=np.int64)
@@ -570,10 +571,10 @@ def _summary_strategies():
 
 
 class TestSummaryPayloadRoundTrips:
-    """Every _PAYLOADS converter has an exact inverse (worker-wire safety)."""
+    """Every summary payload has an exact inverse (worker-wire safety)."""
 
     def test_every_parser_is_fuzzed(self):
-        assert set(_summary_strategies()) == set(SUMMARY_PARSERS)
+        assert set(_summary_strategies()) == set(SUMMARY_TYPES)
 
     @given(data=st.data())
     @settings(max_examples=250, deadline=None)
@@ -801,11 +802,6 @@ class TestBinaryEnvelopes:
 
 class TestBinarySummaryCodec:
     """summary_to_bytes/summary_from_bytes: the hot-path partial codec."""
-
-    def test_codecs_cover_every_payload_type(self):
-        from repro.engine.rpc import SUMMARY_CODECS
-
-        assert set(SUMMARY_CODECS) == set(SUMMARY_PARSERS)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)

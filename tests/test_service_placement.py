@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.remote import WorkerServer, _RootLink
 from repro.engine.rpc import RpcRequest
-from repro.service.placement import (
+from repro.engine.placement import (
     PlacementError,
     ShardPlacement,
     agree_placement,

@@ -303,12 +303,10 @@ class TestErrorEnvelopes:
     def test_internal_failure_is_contained(self, manager, source, monkeypatch):
         """A crash inside dispatch becomes an 'internal' envelope, not an
         exception through the shared service loop."""
-        from repro.engine import rpc as rpc_mod
-
-        def boom(args):
+        def boom(spec):
             raise RuntimeError("sketch builder exploded")
 
-        monkeypatch.setitem(rpc_mod.SKETCH_BUILDERS, "boom", boom)
+        monkeypatch.setattr("repro.engine.web.sketch_from_json", boom)
         session = manager.get_or_create("kaboom")
         handle = session.web.load(source)
         [reply] = list(
