@@ -10,7 +10,8 @@ benchmark measures exactly how much:
 
 * **p95 first-exact** — time until the first streamed partial with
   ``progress == 1.0`` (the paper's progress bar reaching 100%), with
-  stealing on vs ``REPRO_STEAL=0``, same fleet, same shards;
+  stealing on vs off (``REPRO_STEAL_AFTER=inf``: a gate that never
+  opens), same fleet, same shards;
 * **steal speedup** — off/on ratio of those p95s.  The acceptance
   criterion (and the perf-smoke **hard floor**, ``REPRO_STEAL_SPEEDUP_MIN``,
   default 2x): stealing must at least halve the straggler's long pole.
@@ -87,8 +88,7 @@ def measure_mode(steal: bool) -> tuple[list[float], int]:
     design, but the straggler gate adapts to observed cadence, so each
     run must start from the same cold state.
     """
-    os.environ["REPRO_STEAL"] = "1" if steal else "0"
-    os.environ["REPRO_STEAL_AFTER"] = "0.01"
+    os.environ["REPRO_STEAL_AFTER"] = "0.01" if steal else "inf"
     latencies: list[float] = []
     stolen = 0
     source = FlightsSource(ROWS, partitions=PARTITIONS, seed=13)
@@ -128,7 +128,7 @@ def measure_control_loop(ticks: int = 1_000) -> float:
 def collect() -> dict:
     off_latencies, off_stolen = measure_mode(steal=False)
     on_latencies, on_stolen = measure_mode(steal=True)
-    assert off_stolen == 0, "REPRO_STEAL=0 must disable stealing"
+    assert off_stolen == 0, "REPRO_STEAL_AFTER=inf must disable stealing"
     off_p95 = percentile(off_latencies, 0.95)
     on_p95 = percentile(on_latencies, 0.95)
     return {

@@ -47,7 +47,6 @@ from repro.engine.cluster import (
     Worker,
     WorkerProtocol,
     prewarm_budget_bytes,
-    steal_enabled,
 )
 from repro.engine.remote import (
     ProcessCluster,
@@ -89,5 +88,4 @@ __all__ = [
     "WorkerProtocol",
     "WorkerServer",
     "prewarm_budget_bytes",
-    "steal_enabled",
 ]

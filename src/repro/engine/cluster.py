@@ -1,14 +1,28 @@
 """The multi-server cluster engine (paper §5.2–5.8).
 
 A :class:`Cluster` owns a set of workers — each one server of the paper's
-deployment — behind the :class:`WorkerProtocol` interface.  Two
+deployment — behind the :class:`WorkerProtocol` interface, whose methods
+are the verbs of the root↔worker wire (:mod:`repro.engine.verbs`).  Two
 implementations exist:
 
 * :class:`Worker` (this module): in-process, a soft object store plus a
-  leaf thread pool; the default, used by tests and single-machine serving;
+  leaf thread pool, *and* the owner of its sticky, versioned shard
+  placement — the admission guard around every dataset operation, the
+  staging area for shards a rebalance hands it, the drain-then-commit
+  that re-slices it.  Used directly by tests and single-machine serving,
+  and wrapped by a socket in a worker daemon;
 * :class:`~repro.engine.remote.RemoteWorkerProxy`: a worker living in a
-  separate OS process (or machine), spoken to over uvarint-framed JSON —
-  see :class:`~repro.engine.remote.ProcessCluster`.
+  separate OS process (or machine); every method is a stub derived from
+  the verb table — see :class:`~repro.engine.remote.ProcessCluster`.
+
+Because the placement rules live in the worker, fleet elasticity is
+written once: :meth:`Cluster.grow`/:meth:`Cluster.shrink` drive only
+protocol verbs (inventory → move plan → ``transfer_shards`` →
+``rebalance_commit`` on every member → ``retire`` the removed) and serve
+an in-process fleet and a daemon fleet alike.  The one thing a
+deployment supplies is how a moved shard reaches a member: an object
+reference between in-process workers, an ``adoptShards`` frame between
+daemons.
 
 Sketch execution follows the paper's tree regardless of substrate:
 
@@ -64,6 +78,8 @@ from repro.engine.dataset import IDataSet, TableMap
 from repro.engine.placement import (
     PlacementError,
     StalePlacementError,
+    format_address,
+    global_indices,
     plan_moves,
 )
 from repro.engine.progress import CancellationToken, PartialResult, SketchRun
@@ -103,15 +119,6 @@ STEAL_MIN_PENDING = 2
 STEAL_MAX_BUDGET = 8
 
 
-def steal_enabled() -> bool:
-    """Work stealing is on unless ``REPRO_STEAL=0``.
-
-    Read per fan-out, not at import, so tests (and the byte-identity
-    benchmarks) can flip modes inside one process.
-    """
-    return os.environ.get("REPRO_STEAL", "1") != "0"
-
-
 def steal_after_seconds(aggregation_interval: float) -> float:
     """How long a fan-out must run before claims are considered.
 
@@ -120,7 +127,9 @@ def steal_after_seconds(aggregation_interval: float) -> float:
     claim would only add round-trips — worse, the ceded worker can no
     longer memoize its slice partial (it never folded the whole slice),
     which would defeat the §5.4 warm path for every later query.
-    ``REPRO_STEAL_AFTER`` (seconds) overrides for tests and benchmarks.
+    ``REPRO_STEAL_AFTER`` (seconds) overrides for tests and benchmarks;
+    ``inf`` is a gate that never opens, i.e. stealing off.  Read per
+    fan-out, so one process can run stolen and unstolen back to back.
     """
     raw = os.environ.get("REPRO_STEAL_AFTER")
     if raw:
@@ -168,12 +177,13 @@ class WorkerEmission:
 
 @dataclass
 class StolenParcel:
-    """One shard slice ceded by a straggler to an idle peer.
+    """One shard slice on its way to another worker: ceded by a
+    straggler to an idle peer, or moved to its new owner by a rebalance.
 
     In-process fleets pass the shard as an object reference; over the
     wire it travels as serialized bytes and :meth:`resolve` decodes it
-    lazily on whichever side ends up summarizing (the thief daemon, or
-    the root as a last-resort fallback).
+    lazily on whichever side ends up holding it (the thief or adopting
+    daemon, or the root as a last-resort steal fallback).
     """
 
     global_index: int
@@ -185,13 +195,13 @@ class StolenParcel:
         if self.table is None:
             if self.payload is None:
                 raise EngineError(
-                    f"stolen shard {self.global_index} carries no data"
+                    f"shard parcel {self.global_index} carries no data"
                 )
             from repro.storage.columnar import table_from_bytes
 
             self.table = table_from_bytes(
                 self.payload,
-                shard_id=self.shard_id or f"stolen-{self.global_index}",
+                shard_id=self.shard_id or f"shard-{self.global_index}",
             )
         return self.table
 
@@ -252,34 +262,70 @@ class StealLedger:
 class WorkerProtocol(ABC):
     """One server of the cluster, local or remote (§5.2).
 
+    Every method below except :meth:`close` is one *verb* of the
+    root↔worker wire (:mod:`repro.engine.verbs` declares each exactly
+    once); a root drives in-process :class:`Worker` objects and remote
+    daemons through the same calls.
+
     ``lineage`` arguments carry the dataset's redo-log chain (LoadOp then
     MapOps, in application order) so the worker can rebuild any soft state
-    it lost without calling back into the root (§5.7).
+    it lost without calling back into the root (§5.7).  ``version``, on
+    the dataset operations, is the placement version the caller believes
+    the fleet is at: a worker that moved on rejects the request
+    (:class:`StalePlacementError`); None skips the check.
     """
 
     name: str
     cores: int
 
-    @abstractmethod
-    def configure(
-        self, index: int, count: int, aggregation_interval: float
-    ) -> None:
-        """Assign this worker its shard slice (index of count) and cadence."""
+    @property
+    def member(self) -> object | None:
+        """The token peers use to reach this worker — in membership
+        reports and as the ``target`` of a shard transfer: the worker
+        itself in-process, ``host:port`` for a daemon, None when peers
+        cannot reach it at all (a spawned subprocess)."""
+        return self
 
     @abstractmethod
-    def load_source(self, dataset_id: str, source: DataSource) -> int:
+    def configure(
+        self,
+        index: int,
+        count: int,
+        aggregation_interval: float | None = None,
+        version: int = 0,
+        members: list | None = None,
+    ) -> dict:
+        """Pin this worker's shard slice (index of count) at placement
+        ``version``; None keeps the worker's own aggregation cadence.
+        The first configure sticks — a later one must agree with it."""
+
+    @abstractmethod
+    def placement_info(self) -> dict:
+        """The sticky assignment: slice, version, fleet membership, and
+        the retired/rebalancing flags a re-syncing root needs."""
+
+    @abstractmethod
+    def load_source(
+        self, dataset_id: str, source: DataSource, version: int | None = None
+    ) -> int:
         """Load the source and keep this worker's slice; returns shard count."""
 
     @abstractmethod
-    def ensure(self, dataset_id: str, lineage: list) -> int:
+    def ensure(
+        self, dataset_id: str, lineage: list, version: int | None = None
+    ) -> int:
         """Materialize the dataset (replaying lineage); returns shard count."""
 
     @abstractmethod
-    def shard_rows(self, dataset_id: str, lineage: list) -> int:
+    def shard_rows(
+        self, dataset_id: str, lineage: list, version: int | None = None
+    ) -> int:
         """Total rows across this worker's shards of the dataset."""
 
     @abstractmethod
-    def shard_schema(self, dataset_id: str, lineage: list) -> Schema | None:
+    def shard_schema(
+        self, dataset_id: str, lineage: list, version: int | None = None
+    ) -> Schema | None:
         """The dataset's schema, or None when this worker holds no shards."""
 
     @abstractmethod
@@ -290,6 +336,7 @@ class WorkerProtocol(ABC):
         lineage: list,
         token: CancellationToken | None = None,
         on_ledger=None,
+        version: int | None = None,
     ) -> Iterator[WorkerEmission]:
         """Run the sketch over this worker's shards, yielding cumulative
         partials at the aggregation cadence; the final emission reflects
@@ -303,24 +350,21 @@ class WorkerProtocol(ABC):
         """
 
     @abstractmethod
-    def evict(self, dataset_id: str) -> None:
+    def evict(self, dataset_id: str, version: int | None = None) -> None:
         """Drop this worker's shards of one dataset (soft state)."""
 
     @abstractmethod
     def crash(self) -> None:
         """Lose all soft state, as after a process restart (§5.8)."""
 
+    @abstractmethod
     def summarize_stolen(
         self, sketch: Sketch, parcels: "list[StolenParcel]"
-    ) -> "list[tuple[int, object]] | None":
-        """Summarize shard slices stolen from a straggling peer.
+    ) -> "list[tuple[int, object]]":
+        """Summarize shard slices stolen from a straggling peer; returns
+        ``[(global_index, summary)]`` in parcel order."""
 
-        Returns ``[(global_index, summary)]`` in parcel order, or None
-        when this worker cannot act as a thief (the root then
-        summarizes the parcels itself).
-        """
-        return None
-
+    @abstractmethod
     def export_hot_entries(self, budget_bytes: int) -> list[dict]:
         """Hot memo *recipes* (dataset + sketch + lineage JSON), most-hit
         first, cut off at roughly ``budget_bytes`` of summary payload.
@@ -329,30 +373,13 @@ class WorkerProtocol(ABC):
         so a joiner on a resized fleet recomputes each recipe over its
         *own* slice instead of adopting another slice's bytes.
         """
-        return []
 
+    @abstractmethod
     def import_entries(self, entries: list[dict]) -> int:
         """Eagerly recompute and memoize exported recipes (prewarming);
         returns how many entries were warmed.  Best-effort."""
-        return 0
 
-    def cache_stats(self) -> dict:
-        """This worker's cache counters (shard store + sketch memo)."""
-        return {"name": self.name}
-
-    def metrics_snapshot(self) -> dict:
-        """This worker's live metrics (queue depth, cache hit rates...)."""
-        return {"name": self.name}
-
-    def trace_dump(self, trace_id: str | None = None) -> list[dict]:
-        """Spans recorded on this worker's side of the wire.
-
-        In-process workers share the root's recorder (their spans are
-        already in the root's buffer), so the default is empty; remote
-        proxies fetch the daemon's ring buffer over the wire.
-        """
-        return []
-
+    @abstractmethod
     def inventory(self) -> dict[str, dict]:
         """Resident datasets: ``{id: {"shards": n, "loaded": bool}}``.
 
@@ -362,10 +389,71 @@ class WorkerProtocol(ABC):
         derived datasets are views and replay instead.  The marking
         lives at the worker so a rebalance driven by an *administrative*
         root (whose redo log is empty) can still classify another root's
-        datasets.  Workers that cannot report return ``{}`` and their
-        datasets fall back to redo-log replay on the new slicing.
+        datasets.
         """
-        return {}
+
+    @abstractmethod
+    def transfer_shards(
+        self, dataset_id: str, moves: list[dict], target_version: int
+    ) -> dict:
+        """Hand moved shard slices to their new owners' staging areas.
+        ``moves`` is ``[{"target": member, "globalIndices": [...]}]``;
+        returns ``{"moved": n, "missing": [global indices gone cold]}``."""
+
+    @abstractmethod
+    def adopt_shards(
+        self, dataset_id: str, target_version: int, parcels: "list[StolenParcel]"
+    ) -> int:
+        """Stage shards a peer hands over for the rebalance to
+        ``target_version``; returns how many were staged."""
+
+    @abstractmethod
+    def rebalance_commit(
+        self,
+        version: int,
+        index: int,
+        count: int,
+        members: list | None,
+        totals: dict[str, int],
+        drain_timeout: float = 60.0,
+        aggregation_interval: float | None = None,
+    ) -> dict:
+        """Adopt a new slice assignment: drain in-flight dataset ops,
+        re-key the store (kept + staged shards), bump the version.
+        ``totals`` maps each transferred dataset to its global shard
+        count.  Idempotent for the already-committed version."""
+
+    @abstractmethod
+    def retire(
+        self, version: int, members: list | None, drain_timeout: float = 60.0
+    ) -> dict:
+        """Leave the fleet: drain, drop all soft state, and keep
+        reporting the successor ``members`` to stale roots."""
+
+    @abstractmethod
+    def ping(self) -> bool:
+        """Liveness probe."""
+
+    @abstractmethod
+    def stats(self) -> dict:
+        """Identity and lifetime counters (name, cores, shards scanned)."""
+
+    @abstractmethod
+    def cache_stats(self) -> dict:
+        """This worker's cache counters (shard store + sketch memo)."""
+
+    @abstractmethod
+    def metrics_snapshot(self) -> dict:
+        """This worker's live metrics (queue depth, cache hit rates...)."""
+
+    def trace_dump(self, trace_id: str | None = None) -> list[dict]:
+        """Spans recorded on this worker's side of the wire.
+
+        In-process workers share the root's recorder (their spans are
+        already in the root's buffer), so the default is empty; remote
+        proxies fetch the daemon's ring buffer over the wire.
+        """
+        return []
 
     def sweep_caches(self) -> int:
         """Purge TTL-expired cache entries; returns how many were dropped.
@@ -437,17 +525,264 @@ class Worker(WorkerProtocol):
         #: different shard slice, so it recomputes rather than copies.
         self._recipes: dict[str, dict] = {}
         self._recipes_lock = threading.Lock()
+        self._clock = clock
+        self.aggregation_interval = 0.1
+        #: The sticky, versioned placement (elastic fleets): the slice
+        #: the first ``configure`` pinned, the version it was pinned at,
+        #: the fleet membership this worker was told about, shards
+        #: adopted for a pending rebalance (keyed by target version, with
+        #: arrival times so an aborted rebalance cannot pin them
+        #: forever), and the in-flight dataset-op count a commit drains
+        #: before re-keying the store.  All guarded by ``_ops``.
         self.index = 0
         self.count = 1
-        self.aggregation_interval = 0.1
+        self._placed = False
+        self.version = 0
+        self.members: list | None = None
+        self.retired = False
+        self._staged: dict[int, dict[str, dict[int, Table]]] = {}
+        self._staged_at: dict[int, float] = {}
+        self.staged_ttl_seconds = 900.0
+        self._ops = threading.Condition()
+        self.dataset_ops = 0
+        self._rebalance_pending = False
+        #: How moved shards reach another member — the one thing a
+        #: deployment supplies: in-process members *are* the target
+        #: workers; a daemon dials the member's address instead.
+        self.deliver = lambda target, dataset_id, version, parcels: (
+            target.adopt_shards(dataset_id, version, parcels)
+        )
 
-    # -- configuration --------------------------------------------------
+    # -- the sticky, versioned placement ---------------------------------
     def configure(
-        self, index: int, count: int, aggregation_interval: float
-    ) -> None:
-        self.index = index
-        self.count = count
-        self.aggregation_interval = aggregation_interval
+        self,
+        index: int,
+        count: int,
+        aggregation_interval: float | None = None,
+        version: int = 0,
+        members: list | None = None,
+    ) -> dict:
+        with self._ops:
+            if self.retired:
+                # A stale root re-dialing a worker the fleet shrank away
+                # must not resurrect it by re-pinning the old slice; the
+                # root resyncs to the farewell membership instead.  (To
+                # genuinely re-add it, grow the fleet — or restart it.)
+                raise StalePlacementError(
+                    f"worker {self.name} was retired from the fleet "
+                    f"at version {self.version}; it cannot be "
+                    "re-placed by configure"
+                )
+            if not self._placed:
+                # First configure pins this worker's slice (and the
+                # fleet version the configuring root agreed on); later
+                # roots must agree with it.
+                self._placed = True
+                self.index, self.count, self.version = index, count, version
+                if members:
+                    self.members = list(members)
+            elif version != self.version:
+                raise StalePlacementError(
+                    f"worker {self.name} holds placement version "
+                    f"{self.version} but this root configured for "
+                    f"{version}; re-read the placement and retry"
+                )
+            elif (self.index, self.count) != (index, count):
+                raise PlacementError(
+                    f"worker {self.name} is placed as slice "
+                    f"{self.index}/{self.count} but this root asked for "
+                    f"{index}/{count}; re-slicing a shared fleet would "
+                    "corrupt datasets other roots already loaded"
+                )
+            # None = "keep your cadence": administrative roots (the
+            # fleet CLI) attach without rewriting the tier's tuning.
+            if aggregation_interval is not None:
+                self.aggregation_interval = aggregation_interval
+        return {"index": index, "count": count, "version": version}
+
+    def placement_info(self) -> dict:
+        return {
+            "name": self.name,
+            "index": self.index if self._placed else None,
+            "count": self.count if self._placed else None,
+            "version": self.version,
+            "members": self.members,
+            "retired": self.retired,
+            # True while a commit is draining this worker's in-flight
+            # ops: tells repairing roots "the initiator is still here —
+            # do not finish its rebalance out from under it".
+            "rebalancing": self._rebalance_pending,
+        }
+
+    @contextlib.contextmanager
+    def _dataset_op(self, version: int | None):
+        """Admission guard for store-touching operations.
+
+        Verifies the caller's placement version and registers the op so
+        a rebalance commit can drain in-flight work before re-keying the
+        store — the invariant that every admitted operation runs
+        start-to-finish against exactly one slice assignment (results
+        stay byte-identical across rebalances).
+        """
+        with self._ops:
+            if self._rebalance_pending:
+                raise StalePlacementError(
+                    f"worker {self.name} is committing a rebalance; "
+                    "re-read the placement and retry"
+                )
+            if self.retired:
+                raise StalePlacementError(
+                    f"worker {self.name} was retired from the fleet "
+                    f"at version {self.version}; it serves no shard slice"
+                )
+            if version is not None and int(version) != self.version:
+                raise StalePlacementError(
+                    f"worker {self.name} holds placement version "
+                    f"{self.version} but this root sent "
+                    f"{int(version)}; the fleet was rebalanced — re-read "
+                    "the placement and retry"
+                )
+            self.dataset_ops += 1
+        try:
+            yield
+        finally:
+            with self._ops:
+                self.dataset_ops -= 1
+                self._ops.notify_all()
+
+    @contextlib.contextmanager
+    def _reslicing(self, what: str, version: int, timeout: float):
+        """Holding ``_ops``, take this worker off its slice for a move to
+        ``version``; yields the shards staged for it.
+
+        Versions are monotonic — an older one is a replay of a rebalance
+        this worker already moved past, anything *newer* is accepted
+        (including a skip-ahead from a repair pass healing an interrupted
+        rebalance).  New dataset ops are refused while the in-flight ones
+        drain on the old placement, and staging for any other target
+        dies with it.
+        """
+        if self._placed and version <= self.version:
+            raise PlacementError(
+                f"worker {self.name} is at placement version "
+                f"{self.version}; cannot {what} at version {version}"
+            )
+        self._rebalance_pending = True
+        try:
+            if not self._ops.wait_for(lambda: not self.dataset_ops, timeout):
+                raise PlacementError(
+                    f"{self.dataset_ops} dataset op(s) still in flight "
+                    f"after {timeout:.0f}s; {what} aborted"
+                )
+            staged = self._staged.pop(version, {})
+            self._staged.clear()
+            self._staged_at.clear()
+            yield staged
+            self.version = version
+        finally:
+            self._rebalance_pending = False
+            self._ops.notify_all()
+
+    def transfer_shards(
+        self, dataset_id: str, moves: list[dict], target_version: int
+    ) -> dict:
+        """Shards that went cold since the root's inventory are reported
+        ``missing`` — the new owner's commit will find its slice
+        incomplete, drop it, and redo-log replay rebuilds it on first
+        use (§5.7 fallback)."""
+        if not self._placed:
+            raise PlacementError(
+                f"worker {self.name} is unplaced; nothing to transfer"
+            )
+        index, count = self.index, self.count
+        shards = self.store.get(dataset_id)
+        moved = 0
+        missing: list[int] = []
+        for move in moves:
+            parcels = []
+            for g in move.get("globalIndices") or []:
+                local = (g - index) // count
+                if (
+                    shards is None
+                    or g % count != index
+                    or not 0 <= local < len(shards)
+                ):
+                    missing.append(g)
+                else:
+                    parcels.append(StolenParcel(g, table=shards[local]))
+            if parcels:
+                moved += self.deliver(
+                    move["target"], dataset_id, target_version, parcels
+                )
+        return {"moved": moved, "missing": missing}
+
+    def adopt_shards(
+        self, dataset_id: str, target_version: int, parcels: "list[StolenParcel]"
+    ) -> int:
+        # Opportunistic reclamation: staging from an aborted rebalance
+        # must go even where no periodic sweep runs, and a new transfer
+        # is the natural moment.
+        self._sweep_stale_staging()
+        tables = {parcel.global_index: parcel.resolve() for parcel in parcels}
+        with self._ops:
+            self._staged_at.setdefault(target_version, self._clock())
+            self._staged.setdefault(target_version, {}).setdefault(
+                dataset_id, {}
+            ).update(tables)
+        return len(tables)
+
+    def _sweep_stale_staging(self) -> int:
+        """Drop shards staged for a rebalance that never committed (the
+        initiating root died mid-resize); returns shards dropped."""
+        now = self._clock()
+        dropped = 0
+        with self._ops:
+            for version, stamped in list(self._staged_at.items()):
+                if now - stamped > self.staged_ttl_seconds:
+                    del self._staged_at[version]
+                    for shards in self._staged.pop(version, {}).values():
+                        dropped += len(shards)
+        return dropped
+
+    def rebalance_commit(
+        self,
+        version: int,
+        index: int,
+        count: int,
+        members: list | None,
+        totals: dict[str, int],
+        drain_timeout: float = 60.0,
+        aggregation_interval: float | None = None,
+    ) -> dict:
+        with self._ops:
+            if (
+                self._placed
+                and (version, index, count)
+                == (self.version, self.index, self.count)
+            ):
+                return {"version": version, "idempotent": True}
+            with self._reslicing("commit", version, drain_timeout) as staged:
+                kept = self.rebalance_store(index, count, totals, staged)
+                self.index, self.count, self._placed = index, count, True
+                self.members = members or None
+                self.retired = False
+                if aggregation_interval is not None:
+                    self.aggregation_interval = aggregation_interval
+        return {"version": version, "kept": kept}
+
+    def retire(
+        self, version: int, members: list | None, drain_timeout: float = 60.0
+    ) -> dict:
+        with self._ops:
+            if self.retired and version <= self.version:
+                return {"version": self.version, "idempotent": True}
+            with self._reslicing("retire", version, drain_timeout):
+                self.store.clear()
+                self.memo.clear()
+                self._placed = False
+                self.members = members or None
+                self.retired = True
+        return {"version": version}
 
     # -- soft object store ----------------------------------------------
     def fetch(self, dataset_id: str) -> list[Table]:
@@ -466,7 +801,11 @@ class Worker(WorkerProtocol):
         else:
             self._loaded.discard(dataset_id)
 
-    def evict(self, dataset_id: str) -> None:
+    def evict(self, dataset_id: str, version: int | None = None) -> None:
+        with self._dataset_op(version):
+            self._evict(dataset_id)
+
+    def _evict(self, dataset_id: str) -> None:
         self.store.evict(dataset_id)
         self._loaded.discard(dataset_id)
         # The invalidation invariant: evicting a dataset drops every
@@ -481,6 +820,17 @@ class Worker(WorkerProtocol):
         with self._recipes_lock:
             self._recipes.clear()
         self.crashes += 1
+
+    def ping(self) -> bool:
+        return True
+
+    def stats(self) -> dict:
+        return {
+            "name": self.name,
+            "cores": self.cores,
+            "shardsSummarized": self.shards_summarized,
+            "crashes": self.crashes,
+        }
 
     def cache_stats(self) -> dict:
         return {
@@ -551,7 +901,7 @@ class Worker(WorkerProtocol):
         kept: dict[str, int] = {}
         for dataset_id in self.store.keys():
             if dataset_id not in totals:
-                self.evict(dataset_id)
+                self._evict(dataset_id)
         for dataset_id, total in totals.items():
             by_global: dict[int, Table] = dict(adopted.get(dataset_id, {}))
             resident = self.store.get(dataset_id)
@@ -563,7 +913,7 @@ class Worker(WorkerProtocol):
             expected = list(range(new_index, total, new_count))
             if sorted(by_global) != expected:
                 # Incomplete slice: drop it, lineage replay rebuilds.
-                self.evict(dataset_id)
+                self._evict(dataset_id)
                 continue
             # Transferred datasets are loads by construction (only dense
             # LoadOp materializations qualify for transfer), and must
@@ -576,8 +926,13 @@ class Worker(WorkerProtocol):
 
     def sweep_caches(self) -> int:
         """The paper's "unused for 2 hours → purged" behavior, for real:
-        drop TTL-expired shards and memoized partials."""
-        return self.store.purge_stale() + self.memo.purge_stale()
+        drop TTL-expired shards and memoized partials, and staging an
+        aborted rebalance left behind."""
+        return (
+            self.store.purge_stale()
+            + self.memo.purge_stale()
+            + self._sweep_stale_staging()
+        )
 
     # -- materialization (replay, §5.7) ---------------------------------
     def shards(self, dataset_id: str, lineage: list) -> list[Table]:
@@ -610,26 +965,38 @@ class Worker(WorkerProtocol):
             raise DatasetMissingError(dataset_id, self.name)
         return shards
 
-    def load_source(self, dataset_id: str, source: DataSource) -> int:
+    def load_source(
+        self, dataset_id: str, source: DataSource, version: int | None = None
+    ) -> int:
         # Content-addressed ids make this idempotent: when another root of
         # a shared fleet (or an earlier session) already loaded the same
         # source, the resident shards are byte-identical by construction.
-        resident = self.store.get(dataset_id)
-        if resident is not None:
-            return len(resident)
-        shards = source.load_slice(self.index, self.count)
-        self.put(dataset_id, shards, loaded=True)
-        return len(shards)
+        with self._dataset_op(version):
+            resident = self.store.get(dataset_id)
+            if resident is not None:
+                return len(resident)
+            shards = source.load_slice(self.index, self.count)
+            self.put(dataset_id, shards, loaded=True)
+            return len(shards)
 
-    def ensure(self, dataset_id: str, lineage: list) -> int:
-        return len(self.shards(dataset_id, lineage))
+    def ensure(
+        self, dataset_id: str, lineage: list, version: int | None = None
+    ) -> int:
+        with self._dataset_op(version):
+            return len(self.shards(dataset_id, lineage))
 
-    def shard_rows(self, dataset_id: str, lineage: list) -> int:
-        return sum(s.num_rows for s in self.shards(dataset_id, lineage))
+    def shard_rows(
+        self, dataset_id: str, lineage: list, version: int | None = None
+    ) -> int:
+        with self._dataset_op(version):
+            return sum(s.num_rows for s in self.shards(dataset_id, lineage))
 
-    def shard_schema(self, dataset_id: str, lineage: list) -> Schema | None:
-        shards = self.shards(dataset_id, lineage)
-        return shards[0].schema if shards else None
+    def shard_schema(
+        self, dataset_id: str, lineage: list, version: int | None = None
+    ) -> Schema | None:
+        with self._dataset_op(version):
+            shards = self.shards(dataset_id, lineage)
+            return shards[0].schema if shards else None
 
     # -- sketch execution (leaf pool + aggregation cadence) --------------
     def _memo_key(self, dataset_id: str, cache_key: str) -> str:
@@ -647,6 +1014,15 @@ class Worker(WorkerProtocol):
         lineage: list,
         token: CancellationToken | None = None,
         on_ledger=None,
+        version: int | None = None,
+    ) -> Iterator[WorkerEmission]:
+        with self._dataset_op(version):
+            yield from self._sketch_partials(
+                dataset_id, sketch, lineage, token, on_ledger
+            )
+
+    def _sketch_partials(
+        self, dataset_id, sketch, lineage, token, on_ledger
     ) -> Iterator[WorkerEmission]:
         memo_key = None
         cache_key = sketch.cache_key()
@@ -676,7 +1052,6 @@ class Worker(WorkerProtocol):
             # Cancellation removes queued micropartitions only (§5.3).
             if token is not None and token.cancelled:
                 return None
-            self.shards_summarized += 1
             # Pool threads see no thread-local trace context; restore the
             # spawning thread's so leaf-side log records correlate.
             with use_context(leaf_ctx):
@@ -718,6 +1093,11 @@ class Worker(WorkerProtocol):
                 if summary is not None:
                     accumulated = sketch.merge(accumulated, summary)
                     pending_since_emit += 1
+                    # Counted here, in the folding thread and under the
+                    # lock: a bare ``+= 1`` on the leaf pool's threads
+                    # loses updates.
+                    with self._ops:
+                        self.shards_summarized += 1
                 now = time.monotonic()
                 finished = done == len(shards)
                 if pending_since_emit and (
@@ -781,13 +1161,14 @@ class Worker(WorkerProtocol):
         ctx = current_context()
 
         def leaf(parcel: StolenParcel) -> object:
-            self.shards_summarized += 1
             with use_context(ctx):
                 return sketch.summarize(parcel.resolve())
 
         with concurrent.futures.ThreadPoolExecutor(self.cores) as pool:
             summaries = list(pool.map(leaf, parcels))
-        self.slices_stolen += len(parcels)
+        with self._ops:
+            self.shards_summarized += len(parcels)
+            self.slices_stolen += len(parcels)
         return [
             (parcel.global_index, summary)
             for parcel, summary in zip(parcels, summaries)
@@ -867,6 +1248,13 @@ class Worker(WorkerProtocol):
         return f"<Worker {self.name} cores={self.cores}>"
 
 
+def _membership(workers: "Sequence[WorkerProtocol]") -> list | None:
+    """The fleet's member tokens in slice order; None when any worker
+    is unreachable by its peers (a spawned fleet cannot be resized)."""
+    members = [worker.member for worker in workers]
+    return None if None in members else members
+
+
 @dataclass
 class _Emission:
     """One message on the root's single merge queue.
@@ -926,9 +1314,13 @@ class Cluster:
         self.aggregation_interval = aggregation_interval
         #: Bumped by every grow/shrink; remote proxies stamp it onto each
         #: dataset RPC so workers can reject requests from a root that
-        #: has not yet adopted the current assignment.
+        #: has not yet adopted the current assignment.  A root built over
+        #: an already-placed fleet adopts the fleet's version
+        #: (ProcessCluster settles it with its daemons before this runs).
         if not hasattr(self, "placement_version"):
-            self.placement_version = 0
+            self.placement_version = max(
+                w.placement_info()["version"] for w in self.workers
+            )
         #: The rebalance barrier: a grow/shrink waits for in-flight
         #: sketch streams to drain on the old placement, and blocks new
         #: streams for the (brief) duration of the re-key, so no stream
@@ -938,7 +1330,7 @@ class Cluster:
         self._rebalancing = False
         self.rebalances = 0
         for index, worker in enumerate(self.workers):
-            worker.configure(index, len(self.workers), aggregation_interval)
+            self._configure(index, worker)
         self.redo_log = RedoLog()
         self.computation_cache = ComputationCache()
         #: dataset id -> total row count, behind the same cache interface
@@ -979,6 +1371,20 @@ class Cluster:
             "cluster.rebalances",
             "completed grow/shrink operations",
             callback=lambda: self.rebalances,
+        )
+
+    def _cadence(self) -> float | None:
+        """The aggregation cadence this root imposes on its workers
+        (None leaves each worker's own in place)."""
+        return self.aggregation_interval
+
+    def _configure(self, index: int, worker: WorkerProtocol) -> None:
+        worker.configure(
+            index,
+            len(self.workers),
+            self._cadence(),
+            self.placement_version,
+            _membership(self.workers),
         )
 
     def cached_row_count(self, dataset_id: str) -> int | None:
@@ -1143,8 +1549,9 @@ class Cluster:
             if not added:
                 raise ValueError("grow needs at least one new worker")
         old = list(self.workers)
-        new_indices: "list[int | None]" = list(range(len(old)))
-        self._rebalance(old, new_indices, old + added)
+        self._rebalance(old, list(range(len(old))), old + added)
+        # Prewarm after the commit: the joiners' memo keys embed the new
+        # slice, so recipes recompute over exactly what they now hold.
         self._prewarm_joiners(old, added)
         return len(self.workers)
 
@@ -1219,13 +1626,16 @@ class Cluster:
         self._rebalance(old, new_indices, survivors)
         return len(self.workers)
 
-    def _find_worker(self, selector: "int | str") -> int:
+    def _find_worker(self, selector: "int | str | tuple[str, int]") -> int:
+        """A worker's position by index, name, or member address."""
         if isinstance(selector, int):
             if not 0 <= selector < len(self.workers):
                 raise PlacementError(f"no worker at index {selector}")
             return selector
+        if isinstance(selector, tuple):
+            selector = format_address(selector)
         for index, worker in enumerate(self.workers):
-            if worker.name == selector:
+            if selector in (worker.name, worker.member):
                 return index
         raise PlacementError(f"no worker named {selector!r}")
 
@@ -1284,53 +1694,99 @@ class Cluster:
         new_indices: "list[int | None]",
         new_workers: "list[WorkerProtocol]",
     ) -> None:
-        """The in-process rebalance: move shard references directly.
+        """The one rebalance, for every deployment: plan from worker
+        inventories, have each source hand only its moved shard slices
+        to their new owners (``transfer_shards`` → ``adopt_shards``),
+        then commit the new versioned placement on every member
+        (``rebalance_commit``) and retire the removed ones.
 
-        :class:`~repro.engine.remote.ProcessCluster` overrides this with
-        the wire protocol (``transferShards``/``adoptShards``/
-        ``rebalanceCommit``); the plan computation and the barrier are
-        shared.
-        """
+        Roots that did not initiate it discover the change through
+        ``stale_placement`` rejections and resync; transfers are
+        best-effort — a failed or cold slice is simply dropped at commit
+        and redo-log replay rebuilds it on first use (§5.7)."""
+        members = _membership(new_workers)
+        if members is None:
+            raise PlacementError(
+                "elastic resize needs workers their peers can reach (an "
+                "attached daemon fleet: --worker-address/--join); spawned "
+                "workers have no dialable address to stream shards to"
+            )
         self._begin_rebalance()
         try:
             new_count = len(new_workers)
+            target_version = self.placement_version + 1
             inventories = self._collect_inventories(old)
             totals = self._transferable_datasets(inventories)
-            # Stage every moving shard (references; this is one process)
-            # before mutating any store, then commit worker by worker.
-            staged: "list[dict[str, dict[int, Table]]]" = [
-                {} for _ in range(new_count)
-            ]
-            for dataset_id, total in totals.items():
-                resident: "list[list[int]]" = []
-                for position, worker in enumerate(old):
-                    count = self._inventory_shards(
-                        inventories[position], dataset_id
+            for dataset_id in sorted(totals):
+                resident = [
+                    global_indices(
+                        position,
+                        len(old),
+                        self._inventory_shards(inventory, dataset_id),
                     )
-                    resident.append(
-                        [worker.index + p * worker.count for p in range(count)]
-                    )
+                    for position, inventory in enumerate(inventories)
+                ]
                 moves = plan_moves(resident, new_indices, new_count)
-                for (position, owner), globals_moved in moves.items():
-                    worker = old[position]
-                    assert isinstance(worker, Worker)
-                    shards = worker.store.get(dataset_id) or []
-                    bucket = staged[owner].setdefault(dataset_id, {})
-                    for g in globals_moved:
-                        local = (g - worker.index) // worker.count
-                        if 0 <= local < len(shards):
-                            bucket[g] = shards[local]
+                by_source: dict[int, list[dict]] = {}
+                for (position, owner), globals_moved in sorted(moves.items()):
+                    by_source.setdefault(position, []).append(
+                        {"target": members[owner], "globalIndices": globals_moved}
+                    )
+                for position, move_list in by_source.items():
+                    try:
+                        old[position].transfer_shards(
+                            dataset_id, move_list, target_version
+                        )
+                    except (PlacementError, WorkerUnavailableError, EngineError):
+                        # Commit's completeness check drops the partial
+                        # slice; redo-log replay rebuilds it on demand.
+                        continue
+            # Commit every member even if one fails: a straggler left at
+            # the old version is healed by any root's resync (the
+            # committed members' report carries the full assignment), so
+            # the mixed-version window must be as small as possible.
+            commit_errors: list[str] = []
             for index, worker in enumerate(new_workers):
-                assert isinstance(worker, Worker)
-                worker.rebalance_store(
-                    index, new_count, totals, staged[index]
+                try:
+                    worker.rebalance_commit(
+                        target_version,
+                        index,
+                        new_count,
+                        members,
+                        totals,
+                        aggregation_interval=self._cadence(),
+                    )
+                except (PlacementError, WorkerUnavailableError, EngineError) as exc:
+                    commit_errors.append(f"{worker.name}: {exc}")
+            if len(commit_errors) == new_count:
+                # Nothing committed: the fleet is still uniformly at the
+                # old placement.  Retiring the departing workers now
+                # would strand it (retired members at the new version,
+                # survivors at the old, nobody placed at the target) —
+                # leave everything as it was and let the operator re-run.
+                raise PlacementError(
+                    f"no member accepted the rebalance commit to version "
+                    f"{target_version} ({'; '.join(commit_errors)}); the "
+                    "fleet is unchanged at the old placement — re-run the "
+                    "grow/shrink"
                 )
-                worker.configure(index, new_count, self.aggregation_interval)
             for position, new_index in enumerate(new_indices):
                 if new_index is None:
-                    old[position].crash()  # drop the removed worker's state
+                    try:
+                        old[position].retire(target_version, members)
+                    except (WorkerUnavailableError, EngineError):
+                        pass  # a dead worker is as removed as it gets
+                    old[position].close()
+            if commit_errors:
+                raise PlacementError(
+                    f"rebalance to version {target_version} committed on "
+                    f"{new_count - len(commit_errors)}/{new_count} workers "
+                    f"({'; '.join(commit_errors)}); the stragglers are "
+                    "healed by the next attach or resync (commits are "
+                    "idempotent), or re-run the same grow/shrink"
+                )
             self.workers = list(new_workers)
-            self.placement_version += 1
+            self.placement_version = target_version
             self.rebalances += 1
         finally:
             self._end_rebalance()
@@ -1420,40 +1876,17 @@ class Cluster:
         """Load a data source, distributing partitions over workers."""
         dataset_id = self._load_dataset_id(source)
         self.redo_log.record_load(dataset_id, source)
+        # Every worker loads its own slice, in parallel, from the source's
+        # description: a table cannot cross a process boundary, and
+        # content-addressed ids make a repeat load a no-op on a worker
+        # that still holds its shards.
         with self._stream_guard():
-            self._load_shards(dataset_id, source)
-        return ClusterDataSet(self, dataset_id)
-
-    def _load_shards(self, dataset_id: str, source: DataSource) -> None:
-        if all(isinstance(w, Worker) for w in self.workers):
-            # In-process fast path: load once at the root, hand each
-            # worker its slice (identical to the slice it would compute).
-            # Content-addressed ids make a repeat load of the same source
-            # a no-op when every worker still holds its shards.  The
-            # TTL-aware get() matters: a stale entry must trigger one
-            # shared reload here, not N per-worker replays later.
-            if not all(
-                w.store.get(dataset_id) is not None for w in self.workers  # type: ignore[union-attr]
-            ):
-                shards = source.load()
-                for index, worker in enumerate(self.workers):
-                    worker.put(  # type: ignore[union-attr]
-                        dataset_id,
-                        self._assigned(shards, index),
-                        loaded=True,
-                    )
-        else:
-            # Remote workers load the source themselves, in parallel: a
-            # table cannot cross the process boundary, a description can.
             self._with_placement_retries(
                 lambda: self._for_all_workers(
                     lambda i, w: w.load_source(dataset_id, source)
                 )
             )
-
-    def _assigned(self, shards: list[Table], worker_index: int) -> list[Table]:
-        """Round-robin shard placement; deterministic, so replay agrees."""
-        return shards[worker_index :: len(self.workers)]
+        return ClusterDataSet(self, dataset_id)
 
     def _for_all_workers(self, fn) -> list:
         """Run ``fn(index, worker)`` for every worker in parallel, reviving
@@ -1482,20 +1915,6 @@ class Cluster:
                 attempts += 1
                 if attempts > MAX_WORKER_RETRIES or not self.revive_worker(index):
                     raise
-
-    def materialize(self, worker_index: int, dataset_id: str) -> list[Table]:
-        """The worker's shards, replaying redo-log lineage when evicted.
-
-        Only meaningful for in-process workers — a remote worker's shards
-        live in another process and cannot be handed out as objects.
-        """
-        worker = self.workers[worker_index]
-        if not isinstance(worker, Worker):
-            raise EngineError(
-                f"worker {worker.name} is remote; its shards cannot be "
-                "materialized in the root process"
-            )
-        return worker.shards(dataset_id, self.lineage(dataset_id))
 
     # ------------------------------------------------------------------
     # Fault injection and recovery
@@ -1977,7 +2396,7 @@ class ClusterDataSet(IDataSet):
                 # per-shard summaries through the same queue; the
                 # restart marker bumps the victim's epoch so summaries
                 # stolen from a dead run are discarded, never merged.
-                steal_on = steal_enabled() and len(snapshot) > 1
+                steal_on = len(snapshot) > 1
                 steal_after = steal_after_seconds(
                     cluster.aggregation_interval
                 )

@@ -3,20 +3,26 @@
 Hillview's root node fans queries out to worker *processes* on separate
 servers.  This module is that deployment for the reproduction:
 
-* :class:`WorkerServer` — the worker daemon (``repro worker``): owns a
-  shard store and a leaf thread pool (a plain in-process
-  :class:`~repro.engine.cluster.Worker`) and speaks uvarint-framed JSON
-  request/reply envelopes over TCP, streaming cumulative sketch partials;
+* :class:`WorkerServer` — the worker daemon (``repro worker``): a plain
+  in-process :class:`~repro.engine.cluster.Worker` behind a socket.  It
+  owns only what is about connections (links, per-link cancellation
+  tokens and steal ledgers, the SIGTERM drain, the cache-sweep timer);
+  every request is dispatched from the verb table
+  (:mod:`repro.engine.verbs`) onto the worker, which owns its shard
+  store, its placement and the rules around them;
 * :class:`RemoteWorkerProxy` — the root's view of one worker process;
-  implements :class:`~repro.engine.cluster.WorkerProtocol`, so the generic
+  implements :class:`~repro.engine.cluster.WorkerProtocol` with stubs
+  derived from the same table, so the generic
   :class:`~repro.engine.cluster.Cluster` machinery (broadcast, 0.1 s
-  aggregation cadence, progressive merge, redo-log replay) runs unchanged
-  over a real network;
+  aggregation cadence, progressive merge, redo-log replay, grow/shrink)
+  runs unchanged over a real network;
 * :class:`ProcessCluster` — a cluster whose workers are spawned
-  subprocesses (or pre-started daemons reached by address).  A worker that
-  dies — even SIGKILL mid-sketch — is respawned and its stream re-run;
-  lineage replay rebuilds its soft state and cumulative partials make the
-  retry invisible to the streaming client (§5.7–5.8).
+  subprocesses (or pre-started daemons reached by address): spawn, dial,
+  revive, and the reconciliation with a fleet that *other* roots resize
+  (``_sync_fleet``/``resync_placement``).  A worker that dies — even
+  SIGKILL mid-sketch — is respawned and its stream re-run; lineage
+  replay rebuilds its soft state and cumulative partials make the retry
+  invisible to the streaming client (§5.7–5.8).
 
 Control messages on this wire are JSON: sketches travel as the same specs
 a browser submits and lineage travels as load/map descriptions — one codec
@@ -27,7 +33,7 @@ raw hvc table bytes — never as base64 inside the JSON.
 
 from __future__ import annotations
 
-import contextlib
+import abc
 import itertools
 import json
 import os
@@ -54,12 +60,9 @@ from repro.engine.placement import (
     StalePlacementError,
     agree_placement,
     format_address,
-    global_indices,
     parse_address,
-    plan_moves,
 )
 from repro.engine.progress import CancellationToken
-from repro.core.serialization import Decoder, Encoder
 from repro.engine.rpc import (
     TERMINAL_REPLY_KINDS,
     ProtocolError,
@@ -67,15 +70,12 @@ from repro.engine.rpc import (
     RpcRequest,
     call_once,
     lineage_from_json,
-    lineage_to_json,
     sketch_from_json,
-    sketch_to_json,
-    source_from_json,
-    source_to_json,
     summary_from_bytes,
     summary_tag,
     summary_to_bytes,
 )
+from repro.engine.verbs import VERBS, WIRE_VERBS, Verb
 from repro.errors import (
     EngineError,
     HillviewError,
@@ -91,65 +91,10 @@ from repro.obs.trace import (
     serve_span,
     set_service_name,
 )
-from repro.storage.loader import DataSource
-from repro.table.schema import ColumnDescription, Schema
-
-#: Reply kinds that end one request's reply stream (the shared set —
-#: both wires terminate streams identically).
-_TERMINAL = TERMINAL_REPLY_KINDS
-
-#: Methods that touch the shard store under a placement; each carries the
-#: root's ``placementVersion`` and drains before a rebalance commit.
-_DATASET_METHODS = frozenset(
-    {"load", "ensure", "rows", "schema", "sketch", "evict"}
-)
-
-#: State-creating methods a draining worker (SIGTERM received) refuses;
-#: in-flight partial streams still run to completion.
-_REFUSED_WHILE_DRAINING = frozenset(
-    {
-        "configure",
-        "load",
-        "adoptShards",
-        "transferShards",
-        "rebalanceCommit",
-        # A draining worker finishes what it has; acting as a steal
-        # thief or prewarm target is *new* work it must not take on.
-        "stolenPartial",
-        "importEntries",
-    }
-)
 
 #: Roughly how many shard payload bytes one adoptShards batch carries
 #: (well under MAX_FRAME_BYTES so the envelope always fits).
 _TRANSFER_BATCH_BYTES = 8 * 1024 * 1024
-
-
-def _pack_blobs(blobs: list[bytes]) -> bytes | None:
-    """Bulk payloads (one per JSON entry, in entry order) as one binary
-    attachment; None when there is nothing to attach."""
-    if not blobs:
-        return None
-    enc = Encoder()
-    enc.write_uvarint(len(blobs))
-    for blob in blobs:
-        enc.write_bytes(blob)
-    return enc.to_bytes()
-
-
-def _unpack_blobs(attachment: bytes | None, entries: list, what: str) -> list[bytes]:
-    """Inverse of :func:`_pack_blobs`, checked against the JSON entries
-    the payloads belong to."""
-    blobs: list[bytes] = []
-    if attachment is not None:
-        dec = Decoder(attachment)
-        blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-    if len(blobs) != len(entries):
-        raise ProtocolError(
-            f"{what} attachment carries {len(blobs)} payloads "
-            f"for {len(entries)} entries"
-        )
-    return blobs
 
 
 class WorkerDrainingError(HillviewError):
@@ -186,8 +131,40 @@ class _RootLink:
         self.tokens_lock = threading.Lock()
 
 
+def _push_parcels(
+    target: str, dataset_id: str, version: int, parcels: "list[StolenParcel]"
+) -> int:
+    """A daemon's :attr:`Worker.deliver`: dial the member and hand it the
+    moved shards as ``adoptShards`` frames of roughly
+    :data:`_TRANSFER_BATCH_BYTES` each; returns how many it staged."""
+    from repro.storage.columnar import table_to_bytes
+
+    peer = dial_worker(*parse_address(target), timeout=30.0, request_timeout=120.0)
+    try:
+        staged = 0
+        batch: "list[StolenParcel]" = []
+        batch_bytes = 0
+        for parcel in parcels:
+            shard = parcel.resolve()
+            payload = table_to_bytes(shard)
+            batch.append(
+                StolenParcel(
+                    parcel.global_index, payload=payload, shard_id=shard.shard_id
+                )
+            )
+            batch_bytes += len(payload)
+            if batch_bytes >= _TRANSFER_BATCH_BYTES:
+                staged += peer.adopt_shards(dataset_id, version, batch)
+                batch, batch_bytes = [], 0
+        if batch:
+            staged += peer.adopt_shards(dataset_id, version, batch)
+        return staged
+    finally:
+        peer.close()
+
+
 class WorkerServer:
-    """One worker process: a shard store + leaf pool behind a socket.
+    """One worker process: a :class:`Worker` behind a socket.
 
     Two attachment modes mirror real deployments:
 
@@ -199,17 +176,16 @@ class WorkerServer:
 
     The connection protocol is symmetric request/reply: after a ``hello``
     info exchange the root sends :class:`~repro.engine.rpc.RpcRequest`
-    envelopes (``configure``, ``placement``, ``load``, ``ensure``,
-    ``rows``, ``schema``, ``sketch``, ``cancel``, ``evict``, ``crash``,
-    ``ping``, ``stats``, ``shutdown``) and the worker streams back
-    replies, interleaved by request id.  ``sketch`` yields one
-    ``partial`` per aggregation-cadence tick carrying the cumulative
-    summary as a JSON payload.
+    envelopes — the verbs of :data:`repro.engine.verbs.WIRE_VERBS`,
+    dispatched from that table — and the worker streams back replies,
+    interleaved by request id.  ``sketch`` yields one ``partial`` per
+    aggregation-cadence tick carrying the cumulative summary as a binary
+    attachment.
 
-    The worker's shard-slice assignment is **sticky**: the first
-    ``configure`` pins it, every root can read it back via ``placement``,
-    and a conflicting ``configure`` is rejected (``placement_conflict``)
-    instead of silently re-slicing datasets another root already loaded.
+    Everything about *what the worker holds* — the sticky versioned
+    placement, the admission guard, rebalance staging — lives in the
+    :class:`Worker`; this class keeps only what is about sockets: links,
+    per-link tokens and ledgers, the SIGTERM drain, the sweep timer.
     """
 
     def __init__(
@@ -229,27 +205,11 @@ class WorkerServer:
             cache_entries=cache_entries,
             cache_ttl_seconds=cache_ttl_seconds,
         )
-        self._placement: tuple[int, int] | None = None
-        self._placement_lock = threading.Lock()
-        #: Placement versioning (elastic fleets): the version this
-        #: worker's slice was pinned at, the fleet membership it was told
-        #: about, staged shards adopted for a pending rebalance (keyed by
-        #: target version), and the in-flight dataset-op counter a
-        #: rebalance commit drains before re-keying the store.
-        self._version = 0
-        self._members: list[str] | None = None
-        self._retired = False
-        self._staged: dict[int, dict[str, dict[int, object]]] = {}
-        #: When each staged version arrived: an aborted rebalance must
-        #: not pin a copy of the moved slices forever, so the periodic
-        #: cache sweep drops staging older than this.
-        self._staged_at: dict[int, float] = {}
-        self.staged_stage_ttl_seconds = 900.0
-        self._ops_cv = threading.Condition(self._placement_lock)
-        self._dataset_ops = 0
-        self._rebalance_pending = False
-        self.shards_adopted = 0
-        self.shards_transferred = 0
+        # Between daemons a moved shard travels as an adoptShards frame.
+        self.worker.deliver = _push_parcels
+        #: The two verbs with bodies of their own: a stream, and a claim
+        #: addressed to one of a link's in-flight runs, not to the worker.
+        self._own = {"sketch": self._run_sketch, "claimSlices": self._claim_slices}
         #: Graceful shutdown (SIGTERM): finish in-flight partials, refuse
         #: new state-creating requests, then exit once drained.
         self._draining = threading.Event()
@@ -257,10 +217,13 @@ class WorkerServer:
         self._listener: socket.socket | None = None
         self.requests_served = 0
         self.roots_served = 0
-        #: Requests admitted to the handler pool and not yet finished —
-        #: the daemon's queue depth, reported by ``metricsSnapshot``.
+        #: Requests admitted to the handler pool whose replies are not
+        #: all written yet — the daemon's queue depth, reported by
+        #: ``metricsSnapshot`` and waited out by a drain.  The lock also
+        #: covers ``requests_served``: one serving thread per attached
+        #: root bumps it.
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
+        self._inflight_lock = threading.Condition()
         #: The daemon-side cache sweep (§5.4: "unused for 2 hours →
         #: purged"): a timer thread drops TTL-expired shards and memo
         #: entries so idle daemons actually release memory instead of
@@ -288,22 +251,7 @@ class WorkerServer:
 
     def _sweep_loop(self) -> None:
         while not self._shutdown.wait(self.cache_sweep_interval_seconds):
-            self.cache_entries_purged += self.worker.sweep_caches()
-            self.cache_entries_purged += self._sweep_stale_staging()
-
-    def _sweep_stale_staging(self) -> int:
-        """Drop shards staged for a rebalance that never committed (the
-        initiating root died mid-resize); returns shards dropped."""
-        now = time.monotonic()
-        dropped = 0
-        with self._ops_cv:
-            for version in list(self._staged):
-                stamped = self._staged_at.get(version, now)
-                if now - stamped > self.staged_stage_ttl_seconds:
-                    for shards in self._staged.pop(version).values():
-                        dropped += len(shards)
-                    self._staged_at.pop(version, None)
-        return dropped
+            self.sweep_caches()
 
     # -- graceful shutdown (SIGTERM) -------------------------------------
     def begin_drain(self) -> None:
@@ -313,9 +261,12 @@ class WorkerServer:
         Idempotent; wired to SIGTERM by ``repro worker`` so a fleet
         shrink or a CI teardown never races a mid-stream kill."""
         self._draining.set()
+        self._close_listener()
+
+    def _close_listener(self) -> None:
         listener = self._listener
         if listener is not None:
-            try:
+            try:  # unblocks the accept loop
                 listener.close()
             except OSError:
                 pass
@@ -325,56 +276,15 @@ class WorkerServer:
         return self._draining.is_set()
 
     def wait_drained(self, timeout: float = 30.0) -> bool:
-        """Block until every in-flight dataset op finished (or timeout).
+        """Block until every in-flight request has been answered in full
+        (or timeout).
 
         Returns whether the worker is idle; ``repro worker`` calls this
         after SIGTERM before letting the process exit."""
-        deadline = time.monotonic() + timeout
-        with self._ops_cv:
-            while self._dataset_ops:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._ops_cv.wait(timeout=min(remaining, 0.5))
-        return True
-
-    # -- placement versioning (elastic fleets) ---------------------------
-    @contextlib.contextmanager
-    def _dataset_op(self, args: dict):
-        """Admission guard for store-touching requests.
-
-        Verifies the root's placement version under the placement lock
-        and registers the op so a rebalance commit can drain in-flight
-        work before re-keying the store — the invariant that every
-        admitted request runs start-to-finish against exactly one slice
-        assignment (results stay byte-identical across rebalances).
-        """
-        version = args.get("placementVersion")
-        with self._ops_cv:
-            if self._rebalance_pending:
-                raise StalePlacementError(
-                    f"worker {self.worker.name} is committing a rebalance; "
-                    "re-read the placement and retry"
-                )
-            if self._retired:
-                raise StalePlacementError(
-                    f"worker {self.worker.name} was retired from the fleet "
-                    f"at version {self._version}; it serves no shard slice"
-                )
-            if version is not None and int(version) != self._version:
-                raise StalePlacementError(
-                    f"worker {self.worker.name} holds placement version "
-                    f"{self._version} but this root sent "
-                    f"{int(version)}; the fleet was rebalanced — re-read "
-                    "the placement and retry"
-                )
-            self._dataset_ops += 1
-        try:
-            yield
-        finally:
-            with self._ops_cv:
-                self._dataset_ops -= 1
-                self._ops_cv.notify_all()
+        with self._inflight_lock:
+            return self._inflight_lock.wait_for(
+                lambda: not self._inflight, timeout
+            )
 
     # -- attachment modes ----------------------------------------------
     def run_connect(self, host: str, port: int, timeout: float = 10.0) -> None:
@@ -382,16 +292,8 @@ class WorkerServer:
         self._start_sweeper()
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.settimeout(None)
-        wfile = sock.makefile("wb")
-        write_frame(
-            wfile,
-            RpcRequest(0, "", "hello", self._info()).to_json().encode("utf-8"),
-        )
-        rfile = sock.makefile("rb")
-        frame = read_frame_blocking(rfile, error=FrameError)
-        if frame is None:
-            raise EngineError("root closed the connection during handshake")
-        RpcReply.from_json(frame.decode("utf-8"))  # the root's ack
+        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+        call_once(rfile, wfile, 0, "hello", self._info(), where="the root")
         self._serve(rfile, wfile)
 
     def run_listen(
@@ -399,13 +301,11 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         on_bound=None,
-        once: bool = False,
     ) -> None:
         """Bind and serve roots as they dial in (daemon-fleet mode).
 
         Each root gets its own serving thread, so N service front-ends can
-        share this worker concurrently; ``once=True`` serves a single
-        connection inline and returns (tests).
+        share this worker concurrently.
         """
         self._start_sweeper()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -423,12 +323,9 @@ class WorkerServer:
                     break  # listener closed by a shutdown RPC
                 sock.settimeout(None)
                 self.roots_served += 1
-                if once:
-                    self._serve_socket(sock)
-                    break
                 # repro: ignore[C002] — per-connection server thread; trace context rides each RPC envelope and is restored in _handle
                 threading.Thread(
-                    target=self._serve_socket,
+                    target=self.serve_socket,
                     args=(sock,),
                     name=f"{self.worker.name}-root-{self.roots_served}",
                     daemon=True,
@@ -440,7 +337,10 @@ class WorkerServer:
             except OSError:
                 pass
 
-    def _serve_socket(self, sock: socket.socket) -> None:
+    def serve_socket(self, sock: socket.socket) -> None:
+        """Serve one root over an already-connected socket until it
+        disconnects (the accept loop's per-root thread; tests hand it
+        one end of a ``socketpair``)."""
         rfile = sock.makefile("rb")
         wfile = sock.makefile("wb")
         try:
@@ -451,6 +351,7 @@ class WorkerServer:
             except OSError:
                 pass
 
+    # -- what the daemon adds to its worker's answers ---------------------
     def _info(self) -> dict:
         return {
             "name": self.worker.name,
@@ -458,13 +359,31 @@ class WorkerServer:
             "cores": self.worker.cores,
         }
 
+    def stats(self) -> dict:
+        return {
+            **self._info(),
+            **self.worker.stats(),
+            "requestsServed": self.requests_served,
+        }
+
+    def cache_stats(self) -> dict:
+        return {
+            **self.worker.cache_stats(),
+            "entriesPurged": self.cache_entries_purged,
+        }
+
+    def sweep_caches(self) -> int:
+        """One TTL sweep — the periodic timer's tick, or on demand
+        (operators, tests) through the ``sweepCaches`` verb."""
+        purged = self.worker.sweep_caches()
+        self.cache_entries_purged += purged
+        return purged
+
     def metrics_snapshot(self) -> dict:
         """The daemon's live metrics: queue depth, in-flight dataset
         ops, cache hit rates, placement version, plus this process's
         metrics registry — one payload for ``repro fleet top`` and the
         root's fleet-wide aggregation."""
-        with self._ops_cv:
-            dataset_ops = self._dataset_ops
         with self._inflight_lock:
             inflight = self._inflight
         snapshot = self.worker.metrics_snapshot()
@@ -472,10 +391,10 @@ class WorkerServer:
             {
                 "pid": os.getpid(),
                 "inflight": inflight,
-                "datasetOps": dataset_ops,
+                "datasetOps": self.worker.dataset_ops,
                 "requestsServed": self.requests_served,
                 "rootsServed": self.roots_served,
-                "placementVersion": self._version,
+                "placementVersion": self.worker.version,
                 "draining": self.draining,
                 "entriesPurged": self.cache_entries_purged,
                 "spansBuffered": len(RECORDER),
@@ -483,6 +402,10 @@ class WorkerServer:
             }
         )
         return snapshot
+
+    @staticmethod
+    def trace_dump(trace_id: str | None = None) -> list[dict]:
+        return RECORDER.spans(trace_id)
 
     # -- the request loop ----------------------------------------------
     def _serve(self, rfile, wfile) -> None:
@@ -509,7 +432,8 @@ class WorkerServer:
                             RpcReply(-1, "error", error=str(exc), code="protocol"),
                         )
                         continue
-                    self.requests_served += 1
+                    with self._inflight_lock:
+                        self.requests_served += 1
                     if request.method == "hello":
                         self._reply(
                             link,
@@ -542,12 +466,7 @@ class WorkerServer:
                     elif request.method == "shutdown":
                         self._reply(link, RpcReply(request.request_id, "ack"))
                         self._shutdown.set()
-                        listener = self._listener
-                        if listener is not None:
-                            try:  # unblock the accept loop
-                                listener.close()
-                            except OSError:
-                                pass
+                        self._close_listener()
                         break
                     else:
                         pool.submit(self._handle, request, link)
@@ -593,6 +512,7 @@ class WorkerServer:
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
+                self._inflight_lock.notify_all()
 
     def _safe_error(
         self, link: _RootLink, request, message: str, code: str
@@ -608,210 +528,20 @@ class WorkerServer:
     def _dispatch(
         self, request: RpcRequest, link: _RootLink
     ) -> Iterator[RpcReply]:
-        method = request.method
-        args = request.args
-        worker = self.worker
-        if method in _REFUSED_WHILE_DRAINING and self._draining.is_set():
+        """Serve one request from the verb table."""
+        verb = VERBS.get(request.method)
+        own = self._own.get(request.method)
+        if verb is None or (verb.method is None and own is None):
+            raise ProtocolError(f"unknown worker method {request.method!r}")
+        if verb.refused_draining and self._draining.is_set():
             raise WorkerDrainingError(
-                f"worker {worker.name} is draining for shutdown and "
-                f"refuses {method!r}"
+                f"worker {self.worker.name} is draining for shutdown and "
+                f"refuses {verb.wire!r}"
             )
-        if method == "configure":
-            index = int(args["index"])
-            count = int(args["count"])
-            version = int(args.get("placementVersion", 0) or 0)
-            members = args.get("members")
-            with self._placement_lock:
-                if self._retired:
-                    # A stale root re-dialing a worker the fleet shrank
-                    # away must not resurrect it by re-pinning the old
-                    # slice; the root resyncs to the farewell membership
-                    # instead.  (To genuinely re-add this daemon, use
-                    # `repro fleet grow` — or restart it clean.)
-                    raise StalePlacementError(
-                        f"worker {worker.name} was retired from the fleet "
-                        f"at version {self._version}; it cannot be "
-                        "re-placed by configure"
-                    )
-                if self._placement is None:
-                    # First configure pins this worker's slice (and the
-                    # fleet version the configuring root agreed on);
-                    # later roots must agree with it.
-                    self._placement = (index, count)
-                    self._version = version
-                    self._retired = False
-                    if members:
-                        self._members = [str(m) for m in members]
-                elif version != self._version:
-                    raise StalePlacementError(
-                        f"worker {worker.name} holds placement version "
-                        f"{self._version} but this root configured for "
-                        f"{version}; re-read the placement and retry"
-                    )
-                elif self._placement != (index, count):
-                    held = self._placement
-                    raise PlacementError(
-                        f"worker {worker.name} is placed as slice "
-                        f"{held[0]}/{held[1]} but this root asked for "
-                        f"{index}/{count}; re-slicing a shared fleet would "
-                        "corrupt datasets other roots already loaded"
-                    )
-            interval = args.get("aggregationInterval")
-            worker.configure(
-                index,
-                count,
-                # None = "keep your cadence": administrative roots (the
-                # fleet CLI) attach without rewriting the tier's tuning.
-                float(interval)
-                if interval is not None
-                else worker.aggregation_interval,
-            )
-            yield RpcReply(
-                request.request_id,
-                "ack",
-                payload={"index": index, "count": count, "version": version},
-            )
-        elif method == "placement":
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload=self._placement_payload(),
-            )
-        elif method == "load":
-            with self._dataset_op(args):
-                shards = worker.load_source(
-                    str(args["dataset"]), source_from_json(args["source"])
-                )
-            yield RpcReply(
-                request.request_id, "ack", payload={"shards": shards}
-            )
-        elif method == "ensure":
-            with self._dataset_op(args):
-                shards = worker.ensure(
-                    str(args["dataset"]), lineage_from_json(args["lineage"])
-                )
-            yield RpcReply(
-                request.request_id, "ack", payload={"shards": shards}
-            )
-        elif method == "rows":
-            with self._dataset_op(args):
-                rows = worker.shard_rows(
-                    str(args["dataset"]), lineage_from_json(args["lineage"])
-                )
-            yield RpcReply(
-                request.request_id, "complete", payload={"rows": rows}
-            )
-        elif method == "schema":
-            with self._dataset_op(args):
-                schema = worker.shard_schema(
-                    str(args["dataset"]), lineage_from_json(args["lineage"])
-                )
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload={
-                    "columns": (
-                        None
-                        if schema is None
-                        else [d.to_json() for d in schema]
-                    )
-                },
-            )
-        elif method == "sketch":
-            with self._dataset_op(args):
-                yield from self._run_sketch(request, link)
-        elif method == "evict":
-            with self._dataset_op(args):
-                worker.evict(str(args["dataset"]))
-            yield RpcReply(request.request_id, "ack")
-        elif method == "inventory":
-            with self._placement_lock:
-                payload = {
-                    "datasets": self.worker.inventory(),
-                    **self._placement_payload(),
-                }
-            yield RpcReply(request.request_id, "complete", payload=payload)
-        elif method == "transferShards":
-            yield self._transfer_shards(request)
-        elif method == "adoptShards":
-            yield self._adopt_shards(request)
-        elif method == "claimSlices":
-            yield self._claim_slices(request, link)
-        elif method == "stolenPartial":
-            yield self._stolen_partial(request)
-        elif method == "exportHotEntries":
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload={
-                    "entries": worker.export_hot_entries(
-                        int(args.get("budgetBytes", 0))
-                    )
-                },
-            )
-        elif method == "importEntries":
-            warmed = worker.import_entries(list(args.get("entries") or []))
-            yield RpcReply(
-                request.request_id, "complete", payload={"warmed": warmed}
-            )
-        elif method == "rebalanceCommit":
-            yield self._rebalance_commit(request)
-        elif method == "retire":
-            yield self._retire(request)
-        elif method == "crash":
-            worker.crash()
-            yield RpcReply(request.request_id, "ack")
-        elif method == "ping":
-            yield RpcReply(
-                request.request_id, "ack", payload={"pong": True}
-            )
-        elif method == "stats":
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload={
-                    **self._info(),
-                    "shardsSummarized": worker.shards_summarized,
-                    "crashes": worker.crashes,
-                    "requestsServed": self.requests_served,
-                },
-            )
-        elif method == "cacheStats":
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload={
-                    **worker.cache_stats(),
-                    "entriesPurged": self.cache_entries_purged,
-                },
-            )
-        elif method == "sweepCaches":
-            # An on-demand sweep (operators, tests); the periodic daemon
-            # sweep calls the same worker hook.
-            purged = worker.sweep_caches()
-            self.cache_entries_purged += purged
-            yield RpcReply(
-                request.request_id, "complete", payload={"purged": purged}
-            )
-        elif method == "metricsSnapshot":
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload=self.metrics_snapshot(),
-            )
-        elif method == "traceDump":
-            trace_id = args.get("traceId")
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload={
-                    "spans": RECORDER.spans(
-                        None if trace_id is None else str(trace_id)
-                    )
-                },
-            )
+        if own is not None:
+            yield from own(request, link)
         else:
-            raise ProtocolError(f"unknown worker method {method!r}")
+            yield verb.serve(self if verb.daemon else self.worker, request)
 
     def _run_sketch(
         self, request: RpcRequest, link: _RootLink
@@ -838,7 +568,7 @@ class WorkerServer:
         try:
             for emission in self.worker.sketch_partials(
                 str(args["dataset"]), sketch, lineage, token,
-                on_ledger=on_ledger,
+                on_ledger=on_ledger, version=args.get("placementVersion"),
             ):
                 done = emission.shards_done
                 cache_hit = cache_hit or emission.cache_hit
@@ -872,8 +602,9 @@ class WorkerServer:
                 link.tokens.pop(request.request_id, None)
                 link.ledgers.pop(request.request_id, None)
 
-    # -- work stealing (the claim/stolen wire) ---------------------------
-    def _claim_slices(self, request: RpcRequest, link: _RootLink) -> RpcReply:
+    def _claim_slices(
+        self, request: RpcRequest, link: _RootLink
+    ) -> Iterator[RpcReply]:
         """Cede unstarted trailing shards of one in-flight sketch.
 
         The root (steal coordinator) names the sketch by its request id
@@ -884,346 +615,16 @@ class WorkerServer:
         memo) reads as "nothing to cede", never an error: an empty claim
         is the normal outcome of racing a finishing victim.
         """
-        from repro.storage.columnar import table_to_bytes
-
-        args = request.args
-        target = int(args.get("requestId", -1))
-        budget = max(0, int(args.get("budget", 0)))
+        target = int(request.args.get("requestId", -1))
+        budget = max(0, int(request.args.get("budget", 0)))
         with link.tokens_lock:
             ledger = link.ledgers.get(target)
         parcels = ledger.cede(budget) if ledger is not None and budget else []
-        entries: list[dict] = []
-        blobs: list[bytes] = []
-        for parcel in parcels:
-            shard = parcel.resolve()
-            blobs.append(table_to_bytes(shard))
-            entries.append(
-                {"globalIndex": parcel.global_index, "shardId": shard.shard_id}
-            )
-        reply = RpcReply(
-            request.request_id, "complete", payload={"parcels": entries}
-        )
-        reply.attachment = _pack_blobs(blobs)
-        return reply
-
-    def _stolen_partial(self, request: RpcRequest) -> RpcReply:
-        """Summarize shard slices stolen from a straggling peer.
-
-        The root relays the victim's ceded shards here; per-shard
-        summaries (never pre-merged — the root folds them in global
-        shard order) travel back the same way sketch partials do.
-        """
-        args = request.args
-        sketch = sketch_from_json(args["sketch"])
-        items = args.get("parcels") or []
-        blobs = _unpack_blobs(request.attachment, items, "stolenPartial")
-        parcels = [
-            StolenParcel(
-                global_index=int(item["globalIndex"]),
-                payload=payload,
-                shard_id=str(item.get("shardId") or "") or None,
-            )
-            for item, payload in zip(items, blobs)
-        ]
-        summaries = self.worker.summarize_stolen(sketch, parcels) or []
-        reply = RpcReply(
-            request.request_id,
-            "complete",
-            payload={
-                "summaries": [{"globalIndex": index} for index, _ in summaries]
-            },
-        )
-        reply.attachment = _pack_blobs(
-            [summary_to_bytes(summary) for _, summary in summaries]
-        )
-        return reply
-
-    # -- the rebalance protocol (elastic fleets) -------------------------
-    def _placement_payload(self) -> dict:
-        """The ``placement`` RPC payload; lock-free attribute reads, so
-        handlers already holding the placement lock can call it too."""
-        placement = self._placement
-        return {
-            "name": self.worker.name,
-            "index": None if placement is None else placement[0],
-            "count": None if placement is None else placement[1],
-            "version": self._version,
-            "members": self._members,
-            "retired": self._retired,
-            # True while a commit is draining this worker's in-flight
-            # ops: tells repairing roots "the initiator is still here —
-            # do not finish its rebalance out from under it".
-            "rebalancing": self._rebalance_pending,
-        }
-
-    def _transfer_shards(self, request: RpcRequest) -> RpcReply:
-        """Push this worker's moved shard slices to their new owners.
-
-        The root computed the move plan from inventories; this worker
-        serializes each named shard (in-memory hvc payload) and streams
-        it to the target daemon's ``adoptShards`` staging area.  Shards
-        that went cold since the inventory are reported ``missing`` —
-        the new owner's commit will find its slice incomplete, drop it,
-        and redo-log replay rebuilds it on first use (§5.7 fallback).
-        """
-        from repro.storage.columnar import table_to_bytes
-
-        args = request.args
-        dataset_id = str(args["dataset"])
-        target_version = int(args["targetVersion"])
-        with self._placement_lock:
-            placement = self._placement
-        if placement is None:
-            raise PlacementError(
-                f"worker {self.worker.name} is unplaced; nothing to transfer"
-            )
-        index, count = placement
-        shards = self.worker.store.get(dataset_id)
-        moved = 0
-        missing: list[int] = []
-        for move in args.get("moves") or []:
-            target = str(move["target"])
-            wanted = [int(g) for g in move.get("globalIndices") or []]
-            batch: list[dict] = []
-            blobs: list[bytes] = []
-            batch_bytes = 0
-            for g in wanted:
-                local = (g - index) // count
-                if (
-                    shards is None
-                    or g % count != index
-                    or not 0 <= local < len(shards)
-                ):
-                    missing.append(g)
-                    continue
-                shard = shards[local]
-                payload = table_to_bytes(shard)
-                blobs.append(payload)
-                batch.append({"globalIndex": g, "shardId": shard.shard_id})
-                batch_bytes += len(payload)
-                if batch_bytes >= _TRANSFER_BATCH_BYTES:
-                    moved += self._push_adopts(
-                        target, dataset_id, target_version, batch, blobs
-                    )
-                    batch, blobs, batch_bytes = [], [], 0
-            if batch:
-                moved += self._push_adopts(
-                    target, dataset_id, target_version, batch, blobs
-                )
-        self.shards_transferred += moved
-        return RpcReply(
-            request.request_id,
-            "ack",
-            payload={"moved": moved, "missing": missing},
-        )
-
-    def _push_adopts(
-        self,
-        target: str,
-        dataset_id: str,
-        version: int,
-        batch: list[dict],
-        blobs: list[bytes],
-    ) -> int:
-        """One worker-to-worker push: dial the target daemon, hand it a
-        batch of serialized shards, return how many it staged.
-
-        ``blobs`` (one raw hvc payload per batch entry, in order) travel
-        as a binary attachment.
-        """
-        host, port = parse_address(target)
-        sock = socket.create_connection((host, port), timeout=30.0)
-        sock.settimeout(120.0)
-        try:
-            wfile = sock.makefile("wb")
-            rfile = sock.makefile("rb")
-            where = f"transfer target {target}"
-
-            def call(
-                request_id: int,
-                method: str,
-                args: dict,
-                attachment: bytes | None = None,
-            ) -> RpcReply:
-                reply = call_once(
-                    rfile,
-                    wfile,
-                    request_id,
-                    method,
-                    args,
-                    where=where,
-                    attachment=attachment,
-                )
-                if reply.kind == "error":
-                    raise EngineError(
-                        f"{where}: [{reply.code}] {reply.error}"
-                    )
-                return reply
-
-            call(0, "hello", {})
-            reply = call(
-                1,
-                "adoptShards",
-                {
-                    "dataset": dataset_id,
-                    "targetVersion": version,
-                    "shards": batch,
-                },
-                attachment=_pack_blobs(blobs),
-            )
-            return int(reply.payload.get("staged", 0))
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _adopt_shards(self, request: RpcRequest) -> RpcReply:
-        """Stage shards streamed in by a sibling worker for a pending
-        rebalance; ``rebalanceCommit`` folds them into the store."""
-        from repro.storage.columnar import table_from_bytes
-
-        # Opportunistic reclamation: staging from an aborted rebalance
-        # must go even on daemons running with the periodic sweep
-        # disabled, and a new transfer is the natural moment.
-        self._sweep_stale_staging()
-        args = request.args
-        dataset_id = str(args["dataset"])
-        version = int(args["targetVersion"])
-        items = args.get("shards") or []
-        blobs = _unpack_blobs(request.attachment, items, "adoptShards")
-        staged = 0
-        for item, payload in zip(items, blobs):
-            table = table_from_bytes(
-                payload,
-                shard_id=str(item.get("shardId") or f"shard-{item['globalIndex']}"),
-            )
-            with self._ops_cv:
-                self._staged_at.setdefault(version, time.monotonic())
-                bucket = self._staged.setdefault(version, {}).setdefault(
-                    dataset_id, {}
-                )
-                bucket[int(item["globalIndex"])] = table
-            staged += 1
-        self.shards_adopted += staged
-        return RpcReply(
-            request.request_id, "ack", payload={"staged": staged}
-        )
-
-    def _drain_ops_locked(self, what: str, timeout: float) -> None:
-        """Wait (holding ``_ops_cv``) for in-flight dataset ops to finish
-        — the "in-flight sketches drain on the old placement" half of the
-        rebalance contract."""
-        deadline = time.monotonic() + timeout
-        while self._dataset_ops:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise PlacementError(
-                    f"{self._dataset_ops} dataset op(s) still in flight "
-                    f"after {timeout:.0f}s; {what} aborted"
-                )
-            self._ops_cv.wait(timeout=min(remaining, 0.5))
-
-    def _rebalance_commit(self, request: RpcRequest) -> RpcReply:
-        """Adopt a new slice assignment: drain in-flight ops, re-key the
-        store (kept + staged shards, ascending global order), bump the
-        placement version.  Idempotent for the already-committed version
-        so an interrupted rebalance can simply be re-run."""
-        args = request.args
-        version = int(args["version"])
-        index = int(args["index"])
-        count = int(args["count"])
-        members = [str(m) for m in args.get("members") or []] or None
-        totals = {
-            str(k): int(v) for k, v in (args.get("datasets") or {}).items()
-        }
-        drain_timeout = float(args.get("drainTimeout", 60.0))
-        with self._ops_cv:
-            if (
-                version == self._version
-                and self._placement == (index, count)
-                and not self._retired
-            ):
-                return RpcReply(
-                    request.request_id,
-                    "ack",
-                    payload={"version": version, "idempotent": True},
-                )
-            if self._placement is not None and version <= self._version:
-                # Versions are monotonic; an older commit is a replay of
-                # a rebalance this worker already moved past.  Anything
-                # *newer* is accepted — including a skip-ahead from a
-                # repair pass healing an interrupted rebalance.
-                raise PlacementError(
-                    f"worker {self.worker.name} is at placement version "
-                    f"{self._version}; cannot commit version {version}"
-                )
-            self._rebalance_pending = True
-            try:
-                self._drain_ops_locked("rebalance commit", drain_timeout)
-                staged = self._staged.pop(version, {})
-                self._staged.clear()  # older targets are dead
-                self._staged_at.clear()
-                kept = self.worker.rebalance_store(
-                    index, count, totals, staged  # type: ignore[arg-type]
-                )
-                interval = args.get("aggregationInterval")
-                self.worker.configure(
-                    index,
-                    count,
-                    float(interval)
-                    if interval is not None
-                    else self.worker.aggregation_interval,
-                )
-                self._placement = (index, count)
-                self._version = version
-                self._members = members
-                self._retired = False
-            finally:
-                self._rebalance_pending = False
-                self._ops_cv.notify_all()
-        return RpcReply(
-            request.request_id,
-            "ack",
-            payload={"version": version, "kept": kept},
-        )
-
-    def _retire(self, request: RpcRequest) -> RpcReply:
-        """Leave the fleet (shrink): drain in-flight ops, drop all soft
-        state, and report the successor membership to stale roots."""
-        args = request.args
-        version = int(args["version"])
-        members = [str(m) for m in args.get("members") or []] or None
-        drain_timeout = float(args.get("drainTimeout", 60.0))
-        with self._ops_cv:
-            if self._retired and version <= self._version:
-                return RpcReply(
-                    request.request_id,
-                    "ack",
-                    payload={"version": self._version, "idempotent": True},
-                )
-            if self._placement is not None and version <= self._version:
-                raise PlacementError(
-                    f"worker {self.worker.name} is at placement version "
-                    f"{self._version}; cannot retire at version {version}"
-                )
-            self._rebalance_pending = True
-            try:
-                self._drain_ops_locked("retire", drain_timeout)
-                self._staged.clear()
-                self._staged_at.clear()
-                self.worker.store.clear()
-                self.worker.memo.clear()
-                self._placement = None
-                self._version = version
-                self._members = members
-                self._retired = True
-            finally:
-                self._rebalance_pending = False
-                self._ops_cv.notify_all()
-        return RpcReply(
-            request.request_id, "ack", payload={"version": version}
-        )
+        verb = VERBS["claimSlices"]
+        reply = RpcReply(request.request_id, verb.kind)
+        entries, reply.attachment = verb.reply.pack(parcels)
+        reply.payload = {verb.reply_key: entries}
+        yield reply
 
 
 # ---------------------------------------------------------------------------
@@ -1301,23 +702,34 @@ class _WorkerChannel:
         attachment: bytes | None = None,
     ) -> RpcReply:
         """One request, blocking for its terminal reply."""
-        _, replies = self.submit(method, args, attachment=attachment)
+        request_id, replies = self.submit(method, args, attachment=attachment)
         deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise WorkerUnavailableError(
-                    f"worker {self.name} did not answer {method!r} "
-                    f"within {timeout:.0f}s"
-                )
-            try:
-                reply = replies.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-            if reply.kind == "error":
-                _raise_for_error_reply(self.name, reply)
-            if reply.kind in _TERMINAL:
-                return reply
+        try:
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise WorkerUnavailableError(
+                        f"worker {self.name} did not answer {method!r} "
+                        f"within {timeout:.0f}s"
+                    )
+                try:
+                    reply = replies.get(timeout=min(remaining, 0.5))
+                except queue.Empty:
+                    continue
+                if reply.kind == "error":
+                    _raise_for_error_reply(self.name, reply)
+                if reply.kind in TERMINAL_REPLY_KINDS:
+                    return reply
+        finally:
+            self.forget(request_id)
+
+    def forget(self, request_id: int) -> None:
+        """Unregister a request nobody waits on any more (it timed out,
+        or its stream was abandoned): a reply that still arrives is then
+        dropped by the reader instead of queued for the connection's
+        lifetime.  A no-op once the terminal reply was delivered."""
+        with self._lock:
+            self._pending.pop(request_id, None)
 
     def _reader_loop(self) -> None:
         received = REGISTRY.counter(
@@ -1333,7 +745,7 @@ class _WorkerChannel:
                 reply = RpcReply.from_frame(frame)
                 with self._lock:
                     replies = self._pending.get(reply.request_id)
-                    if replies is not None and reply.kind in _TERMINAL:
+                    if replies is not None and reply.kind in TERMINAL_REPLY_KINDS:
                         del self._pending[reply.request_id]
                 if replies is not None:
                     replies.put(reply)
@@ -1383,29 +795,24 @@ class _RemoteStealLedger:
         self._request_id = request_id
 
     def cede(self, budget: int) -> "list[StolenParcel]":
+        verb = VERBS["claimSlices"]
         try:
             reply = self._proxy.channel.call(
-                "claimSlices",
+                verb.wire,
                 {"requestId": self._request_id, "budget": int(budget)},
                 timeout=self._proxy.request_timeout,
             )
         except (WorkerUnavailableError, EngineError):
             return []
-        payload = reply.payload if isinstance(reply.payload, dict) else {}
-        items = payload.get("parcels") or []
-        blobs = _unpack_blobs(reply.attachment, items, "claimSlices")
-        return [
-            StolenParcel(
-                global_index=int(item["globalIndex"]),
-                payload=data,
-                shard_id=str(item.get("shardId") or "") or None,
-            )
-            for item, data in zip(items, blobs)
-        ]
+        return verb.result(reply)
 
 
 class RemoteWorkerProxy(WorkerProtocol):
-    """The root's handle on one worker process (drop-in for ``Worker``)."""
+    """The root's handle on one worker process (drop-in for ``Worker``).
+
+    Every verb but the streaming ``sketch`` is a stub derived from
+    :data:`~repro.engine.verbs.WIRE_VERBS` (attached below the class).
+    """
 
     def __init__(
         self,
@@ -1422,24 +829,16 @@ class RemoteWorkerProxy(WorkerProtocol):
         self.process = process
         self.address = address
         self.request_timeout = request_timeout
+        #: The slice and placement version this root last pinned on the
+        #: worker; the version is stamped onto every dataset RPC so the
+        #: worker can reject a stale root after a rebalance.
         self.index = 0
         self.count = 1
-        self.aggregation_interval = 0.1
-        #: The placement version this root believes the fleet is at;
-        #: stamped onto every dataset RPC so the worker can reject a
-        #: stale root after a rebalance (elastic fleets).
         self.placement_version = 0
-        #: Fleet membership (host:port, slice order) told to the worker
-        #: on configure so any member can report it back after a resize.
-        self.fleet_members: "list[str] | None" = None
-        #: Administrative roots (the fleet CLI) set this so attaching —
-        #: and rebalancing — never rewrites the serving tier's
-        #: aggregation cadence with their own default.
-        self.preserve_cadence = False
 
-    def _versioned(self, args: dict) -> dict:
-        args["placementVersion"] = self.placement_version
-        return args
+    @property
+    def member(self) -> str | None:
+        return None if self.address is None else format_address(self.address)
 
     @property
     def alive(self) -> bool:
@@ -1453,69 +852,9 @@ class RemoteWorkerProxy(WorkerProtocol):
     def pid(self) -> int | None:
         return self.process.pid if self.process is not None else None
 
-    # -- WorkerProtocol -------------------------------------------------
-    def configure(
-        self, index: int, count: int, aggregation_interval: float
-    ) -> None:
-        self.index = index
-        self.count = count
-        self.aggregation_interval = aggregation_interval
-        self.channel.call(
-            "configure",
-            {
-                "index": index,
-                "count": count,
-                "aggregationInterval": (
-                    None if self.preserve_cadence else aggregation_interval
-                ),
-                "placementVersion": self.placement_version,
-                "members": self.fleet_members,
-            },
-            timeout=self.request_timeout,
-        )
-
-    def load_source(self, dataset_id: str, source: DataSource) -> int:
-        reply = self.channel.call(
-            "load",
-            self._versioned(
-                {"dataset": dataset_id, "source": source_to_json(source)}
-            ),
-            timeout=self.request_timeout,
-        )
-        return int(reply.payload["shards"])
-
-    def ensure(self, dataset_id: str, lineage: list) -> int:
-        reply = self.channel.call(
-            "ensure",
-            self._versioned(
-                {"dataset": dataset_id, "lineage": lineage_to_json(lineage)}
-            ),
-            timeout=self.request_timeout,
-        )
-        return int(reply.payload["shards"])
-
-    def shard_rows(self, dataset_id: str, lineage: list) -> int:
-        reply = self.channel.call(
-            "rows",
-            self._versioned(
-                {"dataset": dataset_id, "lineage": lineage_to_json(lineage)}
-            ),
-            timeout=self.request_timeout,
-        )
-        return int(reply.payload["rows"])
-
-    def shard_schema(self, dataset_id: str, lineage: list) -> Schema | None:
-        reply = self.channel.call(
-            "schema",
-            self._versioned(
-                {"dataset": dataset_id, "lineage": lineage_to_json(lineage)}
-            ),
-            timeout=self.request_timeout,
-        )
-        columns = reply.payload["columns"]
-        if columns is None:
-            return None
-        return Schema(ColumnDescription.from_json(c) for c in columns)
+    def query_placement(self) -> "ShardPlacement | None":
+        """The worker's sticky slice assignment, or None if unplaced."""
+        return ShardPlacement.from_json(self.placement_info())
 
     def sketch_partials(
         self,
@@ -1524,264 +863,63 @@ class RemoteWorkerProxy(WorkerProtocol):
         lineage: list,
         token: CancellationToken | None = None,
         on_ledger=None,
+        version: int | None = None,
     ) -> Iterator[WorkerEmission]:
-        request_id, replies = self.channel.submit(
-            "sketch",
-            self._versioned(
-                {
-                    "dataset": dataset_id,
-                    "sketch": sketch_to_json(sketch),
-                    "lineage": lineage_to_json(lineage),
-                }
-            ),
+        args, _ = VERBS["sketch"].request(
+            (dataset_id, sketch, lineage, version), {}, self.placement_version
         )
-        if on_ledger is not None:
-            # The handle is valid immediately: a claim that reaches the
-            # daemon before the run registers its ledger (or after it
-            # finished) simply cedes nothing.
-            on_ledger(_RemoteStealLedger(self, request_id))
-        cancel_sent = False
-        deadline = time.monotonic() + self.request_timeout
-        while True:
-            if token is not None and token.cancelled and not cancel_sent:
-                cancel_sent = True
-                try:
-                    self.channel.submit("cancel", {"requestId": request_id})
-                except WorkerUnavailableError:
-                    pass  # the dead-channel path below reports it
-            try:
-                reply = replies.get(timeout=0.05)
-            except queue.Empty:
-                if self.channel.dead.is_set():
-                    raise WorkerUnavailableError(
-                        f"worker {self.name} died mid-sketch"
-                    )
-                if time.monotonic() > deadline:
-                    raise WorkerUnavailableError(
-                        f"worker {self.name} stalled mid-sketch "
-                        f"(> {self.request_timeout:.0f}s)"
-                    )
-                continue
-            deadline = time.monotonic() + self.request_timeout
-            if reply.kind == "partial":
-                payload = reply.payload
-                if reply.attachment is None:
-                    raise ProtocolError(
-                        f"worker {self.name} sent a partial without its "
-                        "binary summary attachment"
-                    )
-                yield WorkerEmission(
-                    summary_from_bytes(reply.attachment),
-                    int(payload["shardsDone"]),
-                    int(payload["bytes"]),
-                    cache_hit=bool(payload.get("cacheHit", False)),
-                )
-            elif reply.kind == "complete":
-                return
-            elif reply.kind == "error":
-                _raise_for_error_reply(self.name, reply)
-            else:  # cancelled / ack — treat as stream end
-                return
-
-    def evict(self, dataset_id: str) -> None:
-        self.channel.call(
-            "evict",
-            self._versioned({"dataset": dataset_id}),
-            timeout=self.request_timeout,
-        )
-
-    def summarize_stolen(
-        self, sketch, parcels: "list[StolenParcel]"
-    ) -> "list[tuple[int, object]]":
-        """Relay a victim's ceded shards to this daemon for summarizing.
-
-        The parcels arrived from ``claimSlices`` already serialized, so
-        the root forwards the bytes untouched; per-shard summaries come
-        back individually, exactly like sketch partials travel.
-        """
-        if not parcels:
-            return []
-        from repro.storage.columnar import table_to_bytes
-
-        entries: list[dict] = []
-        blobs: list[bytes] = []
-        for parcel in parcels:
-            payload = parcel.payload
-            if payload is None:
-                payload = table_to_bytes(parcel.resolve())
-            blobs.append(payload)
-            entries.append(
-                {"globalIndex": parcel.global_index, "shardId": parcel.shard_id}
-            )
-        reply = self.channel.call(
-            "stolenPartial",
-            {"sketch": sketch_to_json(sketch), "parcels": entries},
-            timeout=self.request_timeout,
-            attachment=_pack_blobs(blobs),
-        )
-        payload_dict = reply.payload if isinstance(reply.payload, dict) else {}
-        items = payload_dict.get("summaries") or []
-        return [
-            (int(item["globalIndex"]), summary_from_bytes(blob))
-            for item, blob in zip(
-                items, _unpack_blobs(reply.attachment, items, "stolenPartial")
-            )
-        ]
-
-    def export_hot_entries(self, budget_bytes: int) -> list[dict]:
-        reply = self.channel.call(
-            "exportHotEntries",
-            {"budgetBytes": int(budget_bytes)},
-            timeout=self.request_timeout,
-        )
-        payload = reply.payload if isinstance(reply.payload, dict) else {}
-        entries = payload.get("entries")
-        return entries if isinstance(entries, list) else []
-
-    def import_entries(self, entries: list[dict]) -> int:
-        reply = self.channel.call(
-            "importEntries",
-            {"entries": entries},
-            timeout=self.request_timeout,
-        )
-        payload = reply.payload if isinstance(reply.payload, dict) else {}
-        return int(payload.get("warmed", 0))
-
-    def crash(self) -> None:
-        self.channel.call("crash", {}, timeout=self.request_timeout)
-
-    def query_placement(self) -> "ShardPlacement | None":
-        """The worker's sticky slice assignment, or None if unplaced."""
-        return ShardPlacement.from_json(self.query_placement_info())
-
-    def query_placement_info(self) -> dict:
-        """The raw ``placement`` payload: slice, version, membership,
-        retired flag — everything a root needs to resync after a
-        rebalance it did not initiate."""
-        reply = self.channel.call(
-            "placement", {}, timeout=self.request_timeout
-        )
-        return reply.payload if isinstance(reply.payload, dict) else {}
-
-    # -- the rebalance protocol (root side) ------------------------------
-    def inventory(self) -> dict[str, dict]:
-        reply = self.channel.call(
-            "inventory", {}, timeout=self.request_timeout
-        )
-        payload = reply.payload if isinstance(reply.payload, dict) else {}
-        return {
-            str(k): dict(v)
-            for k, v in (payload.get("datasets") or {}).items()
-            if isinstance(v, dict)
-        }
-
-    def transfer_shards(
-        self, dataset_id: str, moves: list[dict], target_version: int
-    ) -> dict:
-        """Ask this worker to push moved shard slices to their new
-        owners; ``moves`` is ``[{"target": "host:port", "globalIndices":
-        [...]}, ...]``.  Returns the worker's ``{moved, missing}``."""
-        reply = self.channel.call(
-            "transferShards",
-            {
-                "dataset": dataset_id,
-                "moves": moves,
-                "targetVersion": target_version,
-            },
-            timeout=self.request_timeout,
-        )
-        return reply.payload if isinstance(reply.payload, dict) else {}
-
-    def rebalance_commit(
-        self,
-        version: int,
-        index: int,
-        count: int,
-        members: "list[str] | None",
-        totals: dict[str, int],
-        drain_timeout: float = 60.0,
-        aggregation_interval: float | None = None,
-    ) -> dict:
-        reply = self.channel.call(
-            "rebalanceCommit",
-            {
-                "version": version,
-                "index": index,
-                "count": count,
-                "members": members,
-                "datasets": totals,
-                "drainTimeout": drain_timeout,
-                "aggregationInterval": aggregation_interval,
-            },
-            timeout=max(self.request_timeout, drain_timeout + 30.0),
-        )
-        self.index = index
-        self.count = count
-        self.placement_version = version
-        return reply.payload if isinstance(reply.payload, dict) else {}
-
-    def retire(
-        self,
-        version: int,
-        members: "list[str] | None",
-        drain_timeout: float = 60.0,
-    ) -> dict:
-        reply = self.channel.call(
-            "retire",
-            {
-                "version": version,
-                "members": members,
-                "drainTimeout": drain_timeout,
-            },
-            timeout=max(self.request_timeout, drain_timeout + 30.0),
-        )
-        return reply.payload if isinstance(reply.payload, dict) else {}
-
-    # -- liveness / lifecycle -------------------------------------------
-    def ping(self, timeout: float = 5.0) -> bool:
+        request_id, replies = self.channel.submit("sketch", args)
         try:
-            reply = self.channel.call("ping", {}, timeout=timeout)
-            return bool(reply.payload.get("pong"))
-        except (WorkerUnavailableError, EngineError):
-            return False
-
-    def stats(self) -> dict:
-        return self.channel.call("stats", {}, timeout=self.request_timeout).payload
-
-    def cache_stats(self) -> dict:
-        """The daemon-side cache counters (store + memo + sweep totals)."""
-        return self.channel.call(
-            "cacheStats", {}, timeout=self.request_timeout
-        ).payload
-
-    def sweep_remote_caches(self) -> int:
-        """Trigger an on-demand TTL sweep on the worker daemon."""
-        reply = self.channel.call(
-            "sweepCaches", {}, timeout=self.request_timeout
-        )
-        return int(reply.payload["purged"])
-
-    def metrics_snapshot(self) -> dict:
-        """The daemon's live metrics (queue depth, hit rates, registry)."""
-        payload = self.channel.call(
-            "metricsSnapshot", {}, timeout=self.request_timeout
-        ).payload
-        return payload if isinstance(payload, dict) else {"name": self.name}
-
-    def trace_dump(self, trace_id: str | None = None) -> list[dict]:
-        """Fetch the daemon's span ring buffer (optionally one trace)."""
-        args: dict = {} if trace_id is None else {"traceId": trace_id}
-        payload = self.channel.call(
-            "traceDump", args, timeout=self.request_timeout
-        ).payload
-        spans = payload.get("spans") if isinstance(payload, dict) else None
-        return spans if isinstance(spans, list) else []
-
-    def kill_process(self, sig: int = signal.SIGKILL) -> None:
-        """Hard-kill the worker process (chaos testing)."""
-        if self.process is None:
-            raise EngineError(f"worker {self.name} was not spawned by us")
-        self.process.send_signal(sig)
+            if on_ledger is not None:
+                # The handle is valid immediately: a claim that reaches
+                # the daemon before the run registers its ledger (or
+                # after it finished) simply cedes nothing.
+                on_ledger(_RemoteStealLedger(self, request_id))
+            cancel_sent = False
+            deadline = time.monotonic() + self.request_timeout
+            while True:
+                if token is not None and token.cancelled and not cancel_sent:
+                    cancel_sent = True
+                    try:
+                        self.channel.submit("cancel", {"requestId": request_id})
+                    except WorkerUnavailableError:
+                        pass  # the dead-channel path below reports it
+                try:
+                    reply = replies.get(timeout=0.05)
+                except queue.Empty:
+                    if self.channel.dead.is_set():
+                        raise WorkerUnavailableError(
+                            f"worker {self.name} died mid-sketch"
+                        )
+                    if time.monotonic() > deadline:
+                        raise WorkerUnavailableError(
+                            f"worker {self.name} stalled mid-sketch "
+                            f"(> {self.request_timeout:.0f}s)"
+                        )
+                    continue
+                deadline = time.monotonic() + self.request_timeout
+                if reply.kind == "partial":
+                    payload = reply.payload
+                    if reply.attachment is None:
+                        raise ProtocolError(
+                            f"worker {self.name} sent a partial without its "
+                            "binary summary attachment"
+                        )
+                    yield WorkerEmission(
+                        summary_from_bytes(reply.attachment),
+                        int(payload["shardsDone"]),
+                        int(payload["bytes"]),
+                        cache_hit=bool(payload.get("cacheHit", False)),
+                    )
+                elif reply.kind == "error":
+                    _raise_for_error_reply(self.name, reply)
+                else:  # complete / cancelled / ack — the stream's end
+                    return
+        finally:
+            # A stream abandoned before its terminal reply (stall
+            # timeout, consumer closed the generator) must not leave its
+            # queue registered for a late reply to feed.
+            self.channel.forget(request_id)
 
     def close(self) -> None:
         # Only a worker we spawned is ours to shut down.  A pre-started
@@ -1810,27 +948,67 @@ class RemoteWorkerProxy(WorkerProtocol):
         return f"<RemoteWorkerProxy {self.name} cores={self.cores} {state}>"
 
 
+def _stub(verb: Verb):
+    """The proxy method for one verb: encode the arguments, one blocking
+    call, decode the reply — all from the verb's row."""
+
+    def stub(self: RemoteWorkerProxy, *values, timeout: float | None = None, **named):
+        args, attachment = verb.request(values, named, self.placement_version)
+        reply = self.channel.call(
+            verb.wire,
+            args,
+            # A commit or retire first drains the worker's in-flight ops.
+            timeout=timeout
+            or max(self.request_timeout, args.get("drainTimeout", 0.0) + 30.0),
+            attachment=attachment,
+        )
+        if verb.pins:
+            self.index, self.count = args["index"], args["count"]
+            self.placement_version = args.get("version", args.get("placementVersion"))
+        return verb.result(reply)
+
+    stub.__name__ = verb.stub or verb.method
+    stub.__doc__ = f"The ``{verb.wire}`` verb (derived from the verb table)."
+    return stub
+
+
+for _verb in WIRE_VERBS:
+    if _verb.method is not None and not _verb.streaming:
+        setattr(RemoteWorkerProxy, _verb.stub or _verb.method, _stub(_verb))
+abc.update_abstractmethods(RemoteWorkerProxy)
+
+
+def dial_worker(
+    host: str, port: int, timeout: float = 10.0, request_timeout: float = 300.0
+) -> RemoteWorkerProxy:
+    """Connect to a listening worker daemon and say ``hello``: the one
+    way anything — a root attaching, a status sweep, a daemon pushing
+    shards to a peer — opens the worker wire.  ``timeout`` bounds the
+    connect and the handshake."""
+    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        ack = call_once(
+            sock.makefile("rb"), sock.makefile("wb"), 0, "hello",
+            where=f"worker {host}:{port}",
+        )
+    except BaseException:
+        sock.close()
+        raise
+    sock.settimeout(None)
+    payload = ack.payload if isinstance(ack.payload, dict) else {}
+    name = str(payload.get("name", f"{host}:{port}"))
+    return RemoteWorkerProxy(
+        name,
+        _WorkerChannel(sock, name),
+        int(payload.get("cores", 1)),
+        address=(host, port),
+        request_timeout=request_timeout,
+    )
+
+
 # ---------------------------------------------------------------------------
 # ProcessCluster
 # ---------------------------------------------------------------------------
-def _worker_command(
-    python: str, connect: tuple[str, int], name: str, cores: int
-) -> list[str]:
-    host, port = connect
-    return [
-        python,
-        "-m",
-        "repro.cli",
-        "worker",
-        "--connect",
-        f"{host}:{port}",
-        "--name",
-        name,
-        "--cores",
-        str(cores),
-    ]
-
-
 def _spawn_env() -> dict:
     """The child's environment, with this package importable."""
     import repro
@@ -1870,8 +1048,6 @@ class ProcessCluster(Cluster):
         startup_timeout: float = 30.0,
         request_timeout: float = 300.0,
         respawn: bool = True,
-        cache_entries: int = 64,
-        cache_ttl_seconds: float = 2 * 3600.0,
         preserve_cadence: bool = False,
     ):
         self._python = python or sys.executable
@@ -1884,7 +1060,6 @@ class ProcessCluster(Cluster):
         self._revive_lock = threading.Lock()
         self._resync_lock = threading.Lock()
         self._listener: socket.socket | None = None
-        self._addresses = list(addresses) if addresses is not None else None
         #: Proxies dropped from the placement by a resize/resync, with
         #: their detach times.  Their connections stay open so in-flight
         #: streams admitted under the old placement can drain, then are
@@ -1893,7 +1068,8 @@ class ProcessCluster(Cluster):
         self._detached: "list[tuple[float, RemoteWorkerProxy]]" = []
         workers: list[RemoteWorkerProxy] = []
         try:
-            if self._addresses is None:
+            if addresses is None:
+                self.placement_version = 0  # freshly spawned workers are unplaced
                 self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 self._listener.bind(("127.0.0.1", 0))
                 self._listener.listen(max(num_workers, 4))
@@ -1915,21 +1091,23 @@ class ProcessCluster(Cluster):
                 for i, cores in enumerate(core_plan):
                     workers.append(self._spawn_worker(i, cores))
             else:
-                for host, port in self._addresses:
+                for host, port in addresses:
                     workers.append(self._dial_worker(host, port))
-                workers = self._agree_placement(workers)
+                # Order the daemons by the fleet's agreed slice assignment
+                # (a fresh fleet gets the canonical address-sorted one, a
+                # placed fleet is adopted verbatim, a resized one has its
+                # reported membership dialed instead) so every root
+                # attaching to them configures each with the same slice.
+                workers, self.placement_version = self._sync_fleet(
+                    workers, time.monotonic() + min(startup_timeout, 10.0)
+                )
         except BaseException:
             for proxy in workers:
                 proxy.close()
             if self._listener is not None:
                 self._listener.close()
             raise
-        super().__init__(
-            aggregation_interval=aggregation_interval,
-            cache_entries=cache_entries,
-            cache_ttl_seconds=cache_ttl_seconds,
-            workers=workers,
-        )
+        super().__init__(aggregation_interval=aggregation_interval, workers=workers)
 
     # -- attachment ------------------------------------------------------
     def _spawn_worker(self, index: int, cores: int) -> RemoteWorkerProxy:
@@ -1937,7 +1115,12 @@ class ProcessCluster(Cluster):
         host, port = self._listener.getsockname()[:2]
         name = f"worker-{index}"
         process = subprocess.Popen(
-            _worker_command(self._python, (host, port), name, cores),
+            [
+                self._python, "-m", "repro.cli", "worker",
+                "--connect", f"{host}:{port}",
+                "--name", name,
+                "--cores", str(cores),
+            ],
             env=self._env,
             stdout=subprocess.DEVNULL,
         )
@@ -1982,47 +1165,13 @@ class ProcessCluster(Cluster):
         sock.settimeout(None)
         name = str(hello.args.get("name", "worker"))
         cores = int(hello.args.get("cores", 1))
-        proxy = RemoteWorkerProxy(
+        return RemoteWorkerProxy(
             name,
             _WorkerChannel(sock, name),
             cores,
             process=process,
             request_timeout=self._request_timeout,
         )
-        proxy.preserve_cadence = self._preserve_cadence
-        return proxy
-
-    def _agree_placement(
-        self, proxies: "list[RemoteWorkerProxy]"
-    ) -> "list[RemoteWorkerProxy]":
-        """Order attached workers by the fleet's agreed slice assignment.
-
-        Workers report their sticky placement; a fresh fleet gets the
-        canonical (address-sorted) assignment, a placed fleet is adopted
-        verbatim.  Every root attaching to the same daemons therefore
-        configures the same worker with the same slice index — the
-        byte-for-byte agreement the multi-root service tier needs (the
-        ``configure`` calls in ``Cluster.__init__`` then match each
-        worker's pinned placement instead of fighting it).
-
-        A *partially* placed fleet is a transient state — another root is
-        pinning workers one by one at this very moment — so that case is
-        re-queried briefly instead of failing the attach.  A fleet that
-        *resized* since the attach list was written reports its current
-        membership, which is adopted (new members dialed, departed ones
-        detached) before agreement — an operator's stale fleet file still
-        attaches to the fleet as it is now.
-        """
-        assert self._addresses is not None
-        deadline = time.monotonic() + min(self._startup_timeout, 10.0)
-        proxies, version = self._sync_fleet(proxies, deadline)
-        self.placement_version = version  # repro: ignore[C001] — attach-time agreement; the cluster is not yet shared with streams or the resync path
-        members = [format_address(p.address) for p in proxies if p.address]
-        self._addresses = [p.address for p in proxies if p.address]  # repro: ignore[C001] — attach-time agreement; the cluster is not yet shared
-        for index, proxy in enumerate(proxies):
-            proxy.placement_version = version
-            proxy.fleet_members = members
-        return proxies
 
     def _detach_proxy(self, proxy: "RemoteWorkerProxy") -> None:
         """Drop a proxy from the placement without killing streams that
@@ -2078,7 +1227,7 @@ class ProcessCluster(Cluster):
             infos: list[dict] = []
             for proxy in proxies:
                 try:
-                    infos.append(proxy.query_placement_info())
+                    infos.append(proxy.placement_info())
                 except (WorkerUnavailableError, EngineError):
                     infos.append({})
             # Membership adoption: the highest version that names
@@ -2206,19 +1355,11 @@ class ProcessCluster(Cluster):
                 if member in index_of:
                     # No shard totals survive the interruption: the
                     # commit evicts the straggler's store and redo-log
-                    # replay rebuilds it on first use (§5.7).  During an
-                    # *attach* this cluster has no cadence yet (base
-                    # __init__ has not run); None keeps the worker's own.
+                    # replay rebuilds it on first use (§5.7).
+                    # (No cadence either: a repair pass is never the
+                    # right writer of tier tuning.)
                     proxy.rebalance_commit(
-                        version,
-                        index_of[member],
-                        len(members),
-                        members,
-                        {},
-                        # None keeps the worker's own cadence: during an
-                        # attach this cluster has none yet, and a repair
-                        # pass is never the right writer of tier tuning.
-                        aggregation_interval=None,
+                        version, index_of[member], len(members), members, {}
                     )
                 else:
                     proxy.retire(version, members)
@@ -2241,7 +1382,7 @@ class ProcessCluster(Cluster):
         retry — waiting for a *further* version would stall it against
         a fleet that is already settled.
         """
-        if self._addresses is None:
+        if self._listener is not None:
             return False  # spawn-mode fleets cannot be resized externally
         with self._resync_lock:
             if (
@@ -2257,221 +1398,49 @@ class ProcessCluster(Cluster):
                 )
             except (PlacementError, EngineError, OSError):
                 return False
-            members = [
-                format_address(p.address) for p in ordered if p.address
-            ]
             for index, proxy in enumerate(ordered):
                 proxy.index = index
                 proxy.count = len(ordered)
                 proxy.placement_version = version
-                proxy.fleet_members = members
-            self._addresses = [p.address for p in ordered if p.address]
             self.workers = list(ordered)
             self.placement_version = version
             return True
+
+    def _cadence(self) -> float | None:
+        return None if self._preserve_cadence else self.aggregation_interval
 
     def grow(self, addresses) -> int:  # type: ignore[override]
         """Add pre-started ``repro worker --listen`` daemons to the fleet,
         streaming only the moved shard slices to them (the rest replay
         from the redo log on first use).  ``addresses`` is a list of
         ``host:port`` strings or ``(host, port)`` tuples."""
-        if self._addresses is None:
-            raise PlacementError(
-                "elastic resize needs an attached daemon fleet "
-                "(--worker-address/--join); spawned workers have no "
-                "dialable address for their peers to stream shards to"
-            )
         parsed = [
             parse_address(a) if isinstance(a, str) else (str(a[0]), int(a[1]))
             for a in addresses
         ]
-        if not parsed:
-            raise ValueError("grow needs at least one new worker address")
-        if len(set(parsed)) != len(parsed):
-            raise PlacementError(
-                "grow was given the same worker address twice; one daemon "
-                "cannot serve two slices"
-            )
-        known = set(self._addresses)
-        for address in parsed:
-            if address in known:
+        for address in parsed:  # before dialing anything
+            if parsed.count(address) > 1 or any(
+                w.address == address for w in self.workers
+            ):
                 raise PlacementError(
-                    f"worker {format_address(address)} is already in the fleet"
+                    f"worker {format_address(address)} is already in the "
+                    "fleet (or was named twice); one daemon serves one slice"
                 )
         added: "list[RemoteWorkerProxy]" = []
         try:
             for host, port in parsed:
                 added.append(self._dial_worker(host, port))
-            old = list(self.workers)
-            self._rebalance(old, list(range(len(old))), old + added)
+            return super().grow(added)
         except BaseException:
             for proxy in added:
                 if proxy not in self.workers:  # a failed grow leaks nothing
                     proxy.close()
             raise
-        # Prewarm after the commit: the joiners' memo keys embed the new
-        # slice, so recipes recompute over exactly what they now hold.
-        self._prewarm_joiners(old, added)
-        return len(self.workers)
-
-    def _find_worker(self, selector) -> int:
-        if isinstance(selector, tuple):
-            selector = format_address((str(selector[0]), int(selector[1])))
-        if isinstance(selector, str) and ":" in selector:
-            wanted = parse_address(selector)
-            for index, worker in enumerate(self.workers):
-                if getattr(worker, "address", None) == wanted:
-                    return index
-            raise PlacementError(f"no worker at address {selector!r}")
-        return super()._find_worker(selector)
-
-    def _rebalance(
-        self,
-        old: "list[WorkerProtocol]",
-        new_indices: "list[int | None]",
-        new_workers: "list[WorkerProtocol]",
-    ) -> None:
-        """The wire rebalance: plan from worker inventories, stream only
-        the moved shard slices daemon-to-daemon (``transferShards`` →
-        ``adoptShards``), then commit the new versioned placement on
-        every member (``rebalanceCommit``) and retire the removed ones.
-
-        Stale roots discover the change through ``stale_placement``
-        rejections and resync; transfers are best-effort — a failed or
-        cold slice is simply dropped at commit and redo-log replay
-        rebuilds it on first use (§5.7)."""
-        if self._addresses is None:
-            raise PlacementError(
-                "elastic resize needs an attached daemon fleet"
-            )
-        self._begin_rebalance()
-        try:
-            proxies: "list[RemoteWorkerProxy]" = []
-            for worker in new_workers:
-                assert isinstance(worker, RemoteWorkerProxy)
-                assert worker.address is not None
-                proxies.append(worker)
-            new_count = len(proxies)
-            target_version = self.placement_version + 1
-            members = [format_address(p.address) for p in proxies]
-            inventories = self._collect_inventories(old)
-            totals = self._transferable_datasets(inventories)
-            for dataset_id in sorted(totals):
-                resident = [
-                    global_indices(
-                        w.index,
-                        w.count,
-                        self._inventory_shards(inventories[i], dataset_id),
-                    )
-                    for i, w in enumerate(old)
-                ]
-                moves = plan_moves(resident, new_indices, new_count)
-                by_source: dict[int, list[dict]] = {}
-                for (position, owner), globals_moved in sorted(moves.items()):
-                    by_source.setdefault(position, []).append(
-                        {
-                            "target": members[owner],
-                            "globalIndices": globals_moved,
-                        }
-                    )
-                for position, move_list in by_source.items():
-                    source = old[position]
-                    assert isinstance(source, RemoteWorkerProxy)
-                    try:
-                        source.transfer_shards(
-                            dataset_id, move_list, target_version
-                        )
-                    except (WorkerUnavailableError, EngineError):
-                        # Commit's completeness check drops the partial
-                        # slice; redo-log replay rebuilds it on demand.
-                        continue
-            # Commit every member even if one fails: a straggler left at
-            # the old version is healed by any root's _sync_fleet (the
-            # committed members' report carries the full assignment), so
-            # the mixed-version window must be as small as possible.
-            commit_errors: list[tuple[str, Exception]] = []
-            commit_cadence = (
-                None if self._preserve_cadence else self.aggregation_interval
-            )
-            for index, proxy in enumerate(proxies):
-                proxy.fleet_members = members
-                try:
-                    proxy.rebalance_commit(
-                        target_version,
-                        index,
-                        new_count,
-                        members,
-                        totals,
-                        aggregation_interval=commit_cadence,
-                    )
-                except (PlacementError, WorkerUnavailableError, EngineError) as exc:
-                    commit_errors.append((proxy.name, exc))
-            if len(commit_errors) == len(proxies):
-                # Nothing committed: the fleet is still uniformly at the
-                # old placement.  Retiring the departing workers now
-                # would strand it (retired members at the new version,
-                # survivors at the old, nobody placed at the target) —
-                # leave everything as it was and let the operator re-run.
-                detail = "; ".join(
-                    f"{name}: {exc}" for name, exc in commit_errors
-                )
-                raise PlacementError(
-                    f"no member accepted the rebalance commit to version "
-                    f"{target_version} ({detail}); the fleet is unchanged "
-                    "at the old placement — re-run the grow/shrink"
-                )
-            for position, new_index in enumerate(new_indices):
-                if new_index is not None:
-                    continue
-                removed = old[position]
-                assert isinstance(removed, RemoteWorkerProxy)
-                try:
-                    removed.retire(target_version, members)
-                except (WorkerUnavailableError, EngineError):
-                    pass  # a dead worker is as removed as it gets
-                removed.close()
-            if commit_errors:
-                detail = "; ".join(
-                    f"{name}: {exc}" for name, exc in commit_errors
-                )
-                raise PlacementError(
-                    f"rebalance to version {target_version} committed on "
-                    f"{len(proxies) - len(commit_errors)}/{len(proxies)} "
-                    f"workers ({detail}); the stragglers are healed by the "
-                    "next attach or resync (commits are idempotent), or "
-                    "re-run the same grow/shrink"
-                )
-            self.workers = list(proxies)  # repro: ignore[C001] — the rebalance stream barrier (_begin_rebalance) excludes streams and resyncs
-            self._addresses = [p.address for p in proxies]  # repro: ignore[C001] — under the rebalance stream barrier
-            self.placement_version = target_version  # repro: ignore[C001] — under the rebalance stream barrier
-            self.rebalances += 1
-        finally:
-            self._end_rebalance()
 
     def _dial_worker(self, host: str, port: int) -> RemoteWorkerProxy:
-        sock = socket.create_connection(
-            (host, port), timeout=self._startup_timeout
+        return dial_worker(
+            host, port, self._startup_timeout, self._request_timeout
         )
-        sock.settimeout(None)
-        wfile = sock.makefile("wb")
-        rfile = sock.makefile("rb")
-        write_frame(wfile, RpcRequest(0, "", "hello", {}).to_json().encode("utf-8"))
-        frame = read_frame_blocking(rfile, error=FrameError)
-        if frame is None:
-            raise EngineError(f"worker at {host}:{port} closed during handshake")
-        ack = RpcReply.from_json(frame.decode("utf-8"))
-        payload = ack.payload if isinstance(ack.payload, dict) else {}
-        name = str(payload.get("name", f"{host}:{port}"))
-        cores = int(payload.get("cores", 1))
-        proxy = RemoteWorkerProxy(
-            name,
-            _WorkerChannel(sock, name),
-            cores,
-            address=(host, port),
-            request_timeout=self._request_timeout,
-        )
-        proxy.preserve_cadence = self._preserve_cadence
-        return proxy
 
     # -- fault recovery (§5.8) ------------------------------------------
     def revive_worker(self, index: int) -> bool:
@@ -2480,10 +1449,11 @@ class ProcessCluster(Cluster):
             return False
         with self._revive_lock:
             proxy = self.workers[index]
-            if not isinstance(proxy, RemoteWorkerProxy):
-                return False
-            if proxy.alive and proxy.ping():
-                return True  # another thread already revived it
+            try:
+                if proxy.alive and proxy.ping(timeout=5.0):
+                    return True  # another thread already revived it
+            except (WorkerUnavailableError, EngineError):
+                pass
             proxy.close()
             try:
                 if proxy.address is not None:
@@ -2494,15 +1464,8 @@ class ProcessCluster(Cluster):
                 return False
             if replacement is None:
                 return False
-            replacement.placement_version = proxy.placement_version
-            replacement.fleet_members = proxy.fleet_members
-            replacement.preserve_cadence = getattr(
-                proxy, "preserve_cadence", False
-            )
             try:
-                replacement.configure(
-                    index, len(self.workers), self.aggregation_interval
-                )
+                self._configure(index, replacement)
             except StalePlacementError:
                 # The fleet moved on (the worker was retired, or our
                 # version is old): close the dial and let the error
@@ -2531,15 +1494,12 @@ class ProcessCluster(Cluster):
     def kill_worker_process(self, index: int, sig: int = signal.SIGKILL) -> None:
         """SIGKILL one worker process (chaos testing; §5.8 fault model)."""
         proxy = self.workers[index]
-        if not isinstance(proxy, RemoteWorkerProxy):
-            raise EngineError("kill_worker_process needs a remote worker")
-        proxy.kill_process(sig)
+        if proxy.process is None:
+            raise EngineError(f"worker {proxy.name} was not spawned by us")
+        proxy.process.send_signal(sig)
 
     def worker_pids(self) -> list[int | None]:
-        return [
-            w.pid if isinstance(w, RemoteWorkerProxy) else None
-            for w in self.workers
-        ]
+        return [worker.pid for worker in self.workers]
 
     # -- lifecycle -------------------------------------------------------
     def sweep_caches(self) -> int:
@@ -2550,8 +1510,7 @@ class ProcessCluster(Cluster):
         return super().sweep_caches()
 
     def close(self) -> None:
-        for worker in self.workers:
-            worker.close()
+        super().close()
         for _, proxy in self._detached:
             proxy.close()
         self._detached = []
@@ -2563,76 +1522,45 @@ class ProcessCluster(Cluster):
 # ---------------------------------------------------------------------------
 # Fleet introspection (``repro fleet status``)
 # ---------------------------------------------------------------------------
-def query_fleet(
-    addresses: "list[tuple[str, int]]", timeout: float = 10.0
+def _sweep_fleet(
+    addresses: "list[tuple[str, int]]", timeout: float, probe
 ) -> list[dict]:
-    """Dial each worker daemon briefly and return its placement payload
-    (plus resident-dataset inventory).  Unreachable daemons yield an
-    ``{"error": ...}`` entry instead of failing the whole sweep — status
-    must work on a half-down fleet."""
+    """Dial each daemon briefly and merge ``probe(proxy)`` into its
+    report.  Unreachable daemons yield an ``{"error": ...}`` entry
+    instead of failing the whole sweep — status must work on a half-down
+    fleet."""
     reports: list[dict] = []
     for host, port in addresses:
         report: dict = {"address": format_address((host, port))}
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.settimeout(timeout)
+            proxy = dial_worker(host, port, timeout, request_timeout=timeout)
             try:
-                wfile = sock.makefile("wb")
-                rfile = sock.makefile("rb")
-                hello = call_once(
-                    rfile, wfile, 0, "hello", where=f"worker {host}:{port}"
-                )
-                if isinstance(hello.payload, dict):
-                    report["name"] = hello.payload.get("name")
-                    report["pid"] = hello.payload.get("pid")
-                info = call_once(
-                    rfile, wfile, 1, "inventory",
-                    where=f"worker {host}:{port}",
-                )
-                if info.kind == "error":
-                    report["error"] = f"[{info.code}] {info.error}"
-                elif isinstance(info.payload, dict):
-                    report.update(info.payload)
+                report.update(probe(proxy))
             finally:
-                sock.close()
-        except (FrameError, EngineError, OSError, ValueError) as exc:
+                proxy.close()
+        except (HillviewError, OSError, ValueError) as exc:
             report["error"] = str(exc)
         reports.append(report)
     return reports
+
+
+def query_fleet(
+    addresses: "list[tuple[str, int]]", timeout: float = 10.0
+) -> list[dict]:
+    """Every daemon's placement report plus resident-dataset inventory
+    (``repro fleet status``)."""
+    return _sweep_fleet(
+        addresses,
+        timeout,
+        lambda proxy: {**proxy.placement_info(), "datasets": proxy.inventory()},
+    )
 
 
 def query_fleet_metrics(
     addresses: "list[tuple[str, int]]", timeout: float = 10.0
 ) -> list[dict]:
-    """Dial each worker daemon for its ``metricsSnapshot`` payload
-    (``repro fleet top``); unreachable daemons degrade to an
-    ``{"error": ...}`` entry, like :func:`query_fleet`."""
-    reports: list[dict] = []
-    for host, port in addresses:
-        report: dict = {"address": format_address((host, port))}
-        try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.settimeout(timeout)
-            try:
-                wfile = sock.makefile("wb")
-                rfile = sock.makefile("rb")
-                call_once(
-                    rfile, wfile, 0, "hello", where=f"worker {host}:{port}"
-                )
-                info = call_once(
-                    rfile, wfile, 1, "metricsSnapshot",
-                    where=f"worker {host}:{port}",
-                )
-                if info.kind == "error":
-                    report["error"] = f"[{info.code}] {info.error}"
-                elif isinstance(info.payload, dict):
-                    report.update(info.payload)
-            finally:
-                sock.close()
-        except (FrameError, EngineError, OSError, ValueError) as exc:
-            report["error"] = str(exc)
-        reports.append(report)
-    return reports
+    """Every daemon's ``metricsSnapshot`` payload (``repro fleet top``)."""
+    return _sweep_fleet(addresses, timeout, RemoteWorkerProxy.metrics_snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -42,16 +42,6 @@ from repro.table.table import Table
 MAGIC = b"HVC1"
 
 
-def mmap_enabled() -> bool:
-    """Memory-mapped shard reads are on unless ``REPRO_MMAP=0``.
-
-    Mapped partitions share the kernel page cache across worker processes
-    and decode numeric columns zero-copy; the heap path stays available as
-    an escape hatch and a differential baseline.
-    """
-    return os.environ.get("REPRO_MMAP", "1") != "0"
-
-
 def _encode_column(enc: Encoder, column: Column, rows: np.ndarray) -> None:
     enc.write_str(column.name)
     enc.write_str(column.kind.value)
@@ -149,17 +139,15 @@ def read_table(
 ) -> Table:
     """Read a table written by :func:`write_table`.
 
-    By default (see :func:`mmap_enabled`) the file is memory-mapped
-    read-only and numeric columns decode as zero-copy views over the map:
-    worker processes reading the same partitions share one set of page
-    frames, and cold reads fault in only the pages a sketch touches.
-    ``use_mmap=False`` (or ``REPRO_MMAP=0``) forces the heap path.
+    The file is memory-mapped read-only and numeric columns decode as
+    zero-copy views over the map: worker processes reading the same
+    partitions share one set of page frames, and cold reads fault in only
+    the pages a sketch touches.  ``use_mmap=False`` reads the file onto
+    the heap instead — the reference the mapped path is tested against.
     """
-    if use_mmap is None:
-        use_mmap = mmap_enabled()
     name = shard_id or os.path.basename(path)
     with open(path, "rb") as f:
-        if not use_mmap:
+        if use_mmap is False:
             return table_from_bytes(f.read(), shard_id=name)
         if os.fstat(f.fileno()).st_size == 0:
             raise StorageError(f"{name}: not an hvc payload (bad magic)")

@@ -269,7 +269,8 @@ class TestWorkerMemoTier:
         dataset.run(sketch)
         key_full = worker._memo_key(dataset.dataset_id, sketch.cache_key())
         assert key_full in worker.memo
-        worker.configure(1, 4, 0.01)
+        # Placement is sticky: only a rebalance commit re-slices a worker.
+        worker.rebalance_commit(1, 1, 4, None, {})
         key_sliced = worker._memo_key(dataset.dataset_id, sketch.cache_key())
         assert key_sliced != key_full
         assert key_sliced not in worker.memo

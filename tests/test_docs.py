@@ -36,6 +36,8 @@ from repro.engine.rpc import (
     encode_envelope,
     split_envelope,
 )
+from repro.engine.cluster import WorkerProtocol
+from repro.engine.verbs import WIRE_VERBS
 from repro.engine.web import WebServer
 from repro.gateway.protocol import (
     FEATURES,
@@ -236,6 +238,98 @@ class TestSketchCatalogue:
 
 
 # ---------------------------------------------------------------------------
+# PROTOCOL.md §7: the worker wire is rendered from the verb table
+# ---------------------------------------------------------------------------
+_FLAGS = {
+    "dataset_op": "dataset op",
+    "refused_draining": "refused while draining",
+    "streaming": "streaming",
+    "blobs": "blobs",
+    "daemon": "daemon",
+    "pins": "pins",
+}
+
+
+def render_worker_verbs() -> str:
+    """The verb table of PROTOCOL.md §7, from the live verb table."""
+    lines = [
+        "| verb | `WorkerProtocol` method | terminal | flags "
+        "| arguments (`key`: kind) | reply payload |",
+        "|---|---|---|---|---|---|",
+    ]
+    for verb in WIRE_VERBS:
+        method = f"`{verb.method}`" if verb.method else "— (connection-level)"
+        flags = ", ".join(
+            label for flag, label in _FLAGS.items() if getattr(verb, flag)
+        )
+        args = "; ".join(
+            f"`{arg.key}`: {arg.kind.name}"
+            + (" (omitted when null)" if arg.omit_none else "")
+            for arg in verb.args
+        )
+        reply = verb.reply.name if verb.reply.name != "json" else "—"
+        if verb.reply_key is not None:
+            reply = f"`{verb.reply_key}`: {reply}"
+        if verb.also is not None:
+            reply += f", plus the fields of `{verb.also}`"
+        lines.append(
+            f"| `{verb.wire}` | {method} | `{verb.kind}` | {flags} "
+            f"| {args} | {reply} |"
+        )
+    return "\n".join(lines)
+
+
+class TestWorkerWire:
+    def test_verb_table_matches_the_live_table(self):
+        match = re.search(
+            r"<!-- generated: worker-verbs -->\n(.*?)\n<!-- /generated -->",
+            PROTOCOL_MD,
+            re.DOTALL,
+        )
+        assert match, "PROTOCOL.md lost its worker-verbs block"
+        assert match.group(1) == render_worker_verbs(), (
+            "docs/PROTOCOL.md §7 is out of date; paste the output of "
+            "`PYTHONPATH=src:tests python -c \"import test_docs; "
+            "print(test_docs.render_worker_verbs())\"` between the markers"
+        )
+
+    def test_rows_are_the_protocol_verbs_each_exactly_once(self):
+        """Table rows == ``WorkerProtocol`` verbs == documented verbs."""
+        wires = [verb.wire for verb in WIRE_VERBS]
+        methods = [verb.method for verb in WIRE_VERBS if verb.method]
+        assert len(set(wires)) == len(wires)
+        assert len(set(methods)) == len(methods)
+        protocol = {
+            name
+            for name, member in vars(WorkerProtocol).items()
+            if callable(member) and not name.startswith("_")
+        }
+        # close() releases the handle; it is not a message to the worker.
+        assert set(methods) == protocol - {"close"}
+        documented = table_first_column(section(PROTOCOL_MD, "## 7. Worker wire"))
+        assert documented == wires
+
+    def test_documented_reply_keys_match_the_golden_transcript(self):
+        """An object reply's documented keys are the keys on the wire."""
+        from test_worker_wire_golden import PINNED
+
+        verbs = {verb.wire: verb for verb in WIRE_VERBS}
+        checked = set()
+        for name, exchange in PINNED.items():
+            verb = verbs.get(name.rsplit(".", 1)[1])
+            replies = exchange.get("replies") or [{"header": "{}"}]
+            payload = json.loads(replies[-1]["header"]).get("payload")
+            if verb is None or payload is None:
+                continue  # an error reply, or a request-only exchange
+            if verb.reply_key is not None:
+                assert verb.reply_key in payload, name
+            elif verb.reply.name.startswith("{"):
+                assert list(payload) == verb.reply.name.strip("{}").split(", "), name
+            checked.add(verb.wire)
+        assert {"stats", "metricsSnapshot", "placement", "inventory"} <= checked
+
+
+# ---------------------------------------------------------------------------
 # Error-code registries: bidirectional cross-checks
 # ---------------------------------------------------------------------------
 class TestErrorCodeTables:
@@ -321,7 +415,7 @@ class TestConfigMatrix:
     def test_flag_count_only_shrinks(self):
         # A new REPRO_* switch doubles the configurations to test; adding
         # one means arguing for it here.
-        assert len(table_first_column(CONFIG_MD)) <= 12
+        assert len(table_first_column(CONFIG_MD)) <= 10
 
 
 # ---------------------------------------------------------------------------

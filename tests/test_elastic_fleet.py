@@ -32,13 +32,19 @@ from repro.engine.placement import (
     expected_slice,
     plan_moves,
 )
-from repro.engine.remote import ProcessCluster, WorkerServer, _spawn_env
+from repro.engine.remote import (
+    ProcessCluster,
+    RemoteWorkerProxy,
+    WorkerServer,
+    _spawn_env,
+)
 from repro.engine.rpc import (
     RpcRequest,
     predicate_from_json,
     sketch_from_json,
     summary_to_json,
 )
+from repro.errors import HillviewError, WorkerUnavailableError
 from repro.service import (
     ConnectionDirector,
     ServiceClient,
@@ -48,6 +54,7 @@ from repro.service import (
     probe_root,
 )
 from repro.table.table import Table
+from test_worker_wire import connect
 
 ROWS = 4_000
 PARTITIONS = 16
@@ -195,9 +202,69 @@ class TestRebalanceStore:
 
 
 # ---------------------------------------------------------------------------
-# In-process elasticity: byte identity across grow/shrink
+# The elasticity contract, once, for both deployments
 # ---------------------------------------------------------------------------
-class TestInProcessElasticity:
+class _InProcess:
+    """Workers are plain objects; a moved shard is an object reference."""
+
+    def make(self, name: str, cores: int = 2):
+        return Worker(name, cores=cores)
+
+    def close(self) -> None:
+        pass
+
+
+class _Wire:
+    """Each worker is a :class:`WorkerServer` serving one end of a
+    ``socketpair`` on a thread, reached through a
+    :class:`RemoteWorkerProxy` on the other: the real wire, no
+    subprocesses.  A moved shard is an ``adoptShards`` frame over a
+    fresh pair — the seam a real daemon fills by dialing the member."""
+
+    def __init__(self):
+        self.servers: dict[str, WorkerServer] = {}
+        self.proxies: list[RemoteWorkerProxy] = []
+
+    def _connect(self, server: WorkerServer) -> RemoteWorkerProxy:
+        proxy = connect(server)
+        self.proxies.append(proxy)
+        return proxy
+
+    def make(self, name: str, cores: int = 2):
+        server = WorkerServer(
+            name=name, cores=cores, cache_sweep_interval_seconds=0
+        )
+        server.worker.deliver = self._deliver
+        proxy = self._connect(server)
+        proxy.address = ("pair", len(self.servers) + 1)
+        self.servers[proxy.member] = server
+        return proxy
+
+    def _deliver(self, target, dataset_id, version, parcels) -> int:
+        return self._connect(self.servers[target]).adopt_shards(
+            dataset_id, version, parcels
+        )
+
+    def drain(self, worker) -> None:
+        self.servers[worker.member].begin_drain()
+
+    def close(self) -> None:
+        for proxy in self.proxies:
+            proxy.close()
+
+
+@pytest.fixture(params=[_InProcess, _Wire], ids=["in-process", "wire"])
+def deployment(request):
+    deployment = request.param()
+    yield deployment
+    deployment.close()
+
+
+class TestElasticityContract:
+    """What a fleet of workers promises a root, whatever the workers are:
+    every test runs against ``Worker`` objects and against
+    ``RemoteWorkerProxy`` ↔ ``WorkerServer`` over a socket pair."""
+
     @pytest.fixture()
     def reference(self):
         table = Table.concat(SOURCE.load())
@@ -205,8 +272,23 @@ class TestInProcessElasticity:
             summary_to_json(LocalDataSet(table).sketch(sketch_from_json(HIST)))
         )
 
-    def test_grow_and_shrink_keep_results_byte_identical(self, reference):
-        cluster = Cluster(num_workers=2, aggregation_interval=0.01)
+    def _cluster(self, deployment, count: int = 2) -> Cluster:
+        return Cluster(
+            workers=[deployment.make(f"worker-{i}") for i in range(count)],
+            aggregation_interval=0.01,
+        )
+
+    def _placed(self, deployment, index: int = 0, count: int = 1):
+        """One worker pinned to a slice and holding it."""
+        worker = deployment.make("solo")
+        worker.configure(index, count, 0.01, 0, ["a:1", "b:2"][:count])
+        worker.load_source("ds", SOURCE)
+        return worker
+
+    def test_grow_and_shrink_keep_results_byte_identical(
+        self, deployment, reference
+    ):
+        cluster = self._cluster(deployment)
         dataset = cluster.load(SOURCE)
         derived = dataset.map(
             FilterMap(
@@ -219,7 +301,8 @@ class TestInProcessElasticity:
         before_derived = run_canonical(derived, HIST)
         assert before == reference
 
-        assert cluster.grow(2) == 4
+        joiners = [deployment.make("worker-2"), deployment.make("worker-3")]
+        assert cluster.grow(joiners) == 4
         assert cluster.placement_version == 1
         assert [w.index for w in cluster.workers] == [0, 1, 2, 3]
         # Shards were re-striped, not duplicated: every worker holds 1/4
@@ -238,8 +321,17 @@ class TestInProcessElasticity:
         assert run_canonical(derived, HIST) == before_derived
         assert dataset.total_rows == ROWS
 
-    def test_rebalance_waits_for_inflight_streams(self):
+    def test_minted_workers_join_an_in_process_fleet(self):
         cluster = Cluster(num_workers=2, aggregation_interval=0.01)
+        dataset = cluster.load(SOURCE)
+        before = run_canonical(dataset, HIST)
+        assert cluster.grow(2) == 4
+        assert [w.name for w in cluster.workers][2:] == ["worker-2", "worker-3"]
+        cluster.computation_cache.clear()
+        assert run_canonical(dataset, HIST) == before
+
+    def test_rebalance_waits_for_inflight_streams(self, deployment):
+        cluster = self._cluster(deployment)
         dataset = cluster.load(SOURCE)
         slow_spec = {"type": "slow", "perShardSeconds": 0.02, "inner": HIST}
         results: list[str] = []
@@ -254,7 +346,9 @@ class TestInProcessElasticity:
         thread = threading.Thread(target=stream)
         thread.start()
         time.sleep(0.05)  # the stream is mid-flight
-        grown = cluster.grow(2)
+        grown = cluster.grow(
+            [deployment.make("worker-2"), deployment.make("worker-3")]
+        )
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert grown == 4
@@ -264,15 +358,84 @@ class TestInProcessElasticity:
         cluster.computation_cache.clear()
         assert results[0] == run_canonical(dataset, slow_spec)
 
-    def test_shrink_to_zero_is_refused(self):
-        cluster = Cluster(num_workers=2)
+    def test_shrink_to_zero_is_refused(self, deployment):
+        cluster = self._cluster(deployment)
         with pytest.raises(PlacementError):
             cluster.shrink([0, 1])
 
-    def test_unknown_worker_selector_is_refused(self):
-        cluster = Cluster(num_workers=2)
+    def test_unknown_worker_selector_is_refused(self, deployment):
+        cluster = self._cluster(deployment)
         with pytest.raises(PlacementError):
             cluster.shrink(["nonesuch"])
+
+    def test_placement_is_sticky(self, deployment):
+        worker = self._placed(deployment, 0, 2)
+        worker.configure(0, 2, 0.01, 0, ["a:1", "b:2"])  # agreeing: fine
+        with pytest.raises(HillviewError, match="re-slicing a shared fleet"):
+            worker.configure(1, 2, 0.01, 0, ["a:1", "b:2"])
+        with pytest.raises(StalePlacementError):
+            worker.configure(0, 2, 0.01, 3, ["a:1", "b:2"])
+        assert worker.placement_info()["index"] == 0
+
+    def test_stale_version_is_rejected_with_retryable_code(self, deployment):
+        worker = self._placed(deployment)
+        assert worker.shard_rows("ds", [], 0) == ROWS
+        with pytest.raises(StalePlacementError) as info:
+            worker.shard_rows("ds", [], 7)
+        assert info.value.retryable and info.value.code == "stale_placement"
+
+    def test_draining_refuses_new_state_but_serves_reads(self):
+        """A drain is a daemon's SIGTERM state — the one clause of the
+        contract an in-process worker, having no process, cannot meet."""
+        deployment = _Wire()
+        worker = self._placed(deployment)
+        deployment.drain(worker)
+        with pytest.raises(WorkerUnavailableError, match="draining"):
+            worker.load_source("other", SOURCE)
+        with pytest.raises(WorkerUnavailableError, match="draining"):
+            worker.rebalance_commit(1, 0, 2, ["a:1", "b:2"], {})
+        assert worker.shard_rows("ds", []) == ROWS
+        emissions = list(worker.sketch_partials("ds", sketch_from_json(HIST), []))
+        assert emissions[-1].shards_done == PARTITIONS
+        deployment.close()
+
+    def test_incomplete_slice_falls_back_to_replay(self, deployment):
+        """A commit whose transfer never arrived must drop the dataset,
+        not half-keep it: lineage replay then rebuilds the new slice."""
+        worker = self._placed(deployment, 0, 2)  # holds the even shards
+        reply = worker.rebalance_commit(
+            1, 1, 2, ["a:1", "b:2"], {"ds": PARTITIONS}
+        )
+        assert reply["kept"] == {}  # slice 1/2 is the odd ones: none came
+        assert worker.inventory() == {}
+        from repro.engine.redo_log import LoadOp
+
+        assert worker.ensure("ds", [LoadOp("ds", SOURCE)], 1) == PARTITIONS // 2
+
+    def test_commit_is_idempotent_and_versions_are_monotonic(self, deployment):
+        worker = self._placed(deployment)
+        first = worker.rebalance_commit(2, 0, 2, ["a:1", "b:2"], {"ds": PARTITIONS})
+        assert first == {"version": 2, "kept": {"ds": PARTITIONS // 2}}
+        again = worker.rebalance_commit(2, 0, 2, ["a:1", "b:2"], {"ds": PARTITIONS})
+        assert again == {"version": 2, "idempotent": True}
+        assert worker.inventory()["ds"]["shards"] == PARTITIONS // 2
+        with pytest.raises(HillviewError, match="cannot commit"):
+            worker.rebalance_commit(1, 1, 2, ["a:1", "b:2"], {})
+
+    def test_retire_leaves_a_farewell(self, deployment):
+        worker = self._placed(deployment)
+        assert worker.retire(1, ["b:2"]) == {"version": 1}
+        assert worker.retire(1, ["b:2"]) == {"version": 1, "idempotent": True}
+        info = worker.placement_info()
+        assert (info["index"], info["retired"]) == (None, True)
+        assert (info["version"], info["members"]) == (1, ["b:2"])
+        assert worker.inventory() == {}
+        # A retired worker serves no slice and cannot be re-pinned by a
+        # stale root; both rejections send the root to the farewell.
+        with pytest.raises(StalePlacementError):
+            worker.shard_rows("ds", [])
+        with pytest.raises(StalePlacementError):
+            worker.configure(0, 1, 0.01, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +677,6 @@ class TestWorkerServerDraining:
         )
         assert replies[-1].kind == "complete"
         assert server.wait_drained(timeout=5.0)
-
-    def test_stale_version_is_rejected_with_retryable_code(self):
-        server = WorkerServer(name="versioned", cores=1)
-        self._dispatch(
-            server,
-            RpcRequest(
-                1, "", "configure",
-                {"index": 0, "count": 1, "placementVersion": 0},
-            ),
-        )
-        with pytest.raises(StalePlacementError):
-            self._dispatch(
-                server,
-                RpcRequest(
-                    2, "", "rows",
-                    {"dataset": "ds", "lineage": [], "placementVersion": 7},
-                ),
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Lifecycle tests for memory-mapped shard storage.
 
-``storage/columnar.py`` maps hvc partitions read-only by default
-(``REPRO_MMAP=0`` forces the heap path).  The map is an optimization, not
-a semantic: every test here pins byte-identity between the two paths —
+``storage/columnar.py`` maps hvc partitions read-only
+(``use_mmap=False`` is the heap read kept as the reference).  The map is
+an optimization, not a semantic: every test here pins byte-identity
+between the two paths —
 through direct reads, through worker crash/replay, and (tier 2) through a
 SIGKILL mid-sketch with real worker processes holding live maps.
 """
@@ -75,14 +76,10 @@ class TestMmapVsHeap:
         [heap] = columnar.read_dataset(str(tmp_path), use_mmap=False)
         assert heap.column("Distance").data.flags.writeable
 
-    def test_env_switch_forces_heap_path(self, tmp_path, monkeypatch):
+    def test_default_read_is_mapped(self, tmp_path):
         _write_flights_dataset(tmp_path, rows=500, parts=1)
-        monkeypatch.setenv("REPRO_MMAP", "0")
-        assert not columnar.mmap_enabled()
         [table] = columnar.read_dataset(str(tmp_path))
-        assert table.column("Distance").data.flags.writeable
-        monkeypatch.delenv("REPRO_MMAP")
-        assert columnar.mmap_enabled()
+        assert not table.column("Distance").data.flags.writeable
 
     def test_load_slice_matches_full_load(self, tmp_path):
         _write_flights_dataset(tmp_path, parts=7)

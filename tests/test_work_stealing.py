@@ -3,7 +3,8 @@
 The tentpole contract under test: an idle worker may claim pending
 shard slices from a straggling peer mid-sketch, and the result bytes
 **must not change** — stolen partials fold in global shard order, so a
-stolen run, an unstolen run (``REPRO_STEAL=0``), and a single-process
+stolen run, an unstolen run (a ``REPRO_STEAL_AFTER=inf`` gate that never
+opens), and a single-process
 reference all produce identical summaries.  Plus prewarming: a worker
 joining via ``grow`` recomputes the donors' hottest memo recipes over
 its own slice, so a fresh root's first query hits its memo.
@@ -29,7 +30,7 @@ from repro.engine.cluster import (
     StealLedger,
     Worker,
     prewarm_budget_bytes,
-    steal_enabled,
+    steal_after_seconds,
 )
 from repro.engine.local import LocalDataSet
 from repro.service.slow import SlowdownSketch
@@ -61,13 +62,14 @@ def skewed_cluster() -> Cluster:
 
 
 class TestStealSwitch:
-    def test_on_by_default_and_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        assert steal_enabled()
-        monkeypatch.setenv("REPRO_STEAL", "0")
-        assert not steal_enabled()
-        monkeypatch.setenv("REPRO_STEAL", "1")
-        assert steal_enabled()
+    def test_gate_defaults_to_the_cadence_and_inf_never_opens(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STEAL_AFTER", raising=False)
+        assert steal_after_seconds(0.5) == 1.0
+        assert steal_after_seconds(0.01) == 0.25
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
+        assert steal_after_seconds(0.5) == 0.05
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "inf")
+        assert steal_after_seconds(0.5) == float("inf")
 
     def test_prewarm_budget_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_PREWARM_BYTES", raising=False)
@@ -124,15 +126,14 @@ class TestInProcessStealing:
     def test_byte_identity_on_vs_off(self, monkeypatch):
         """The acceptance invariant: stealing changes wall-clock, never
         bytes."""
-        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
         slow = SlowdownSketch(hist(), per_shard_seconds=0.03)
 
-        monkeypatch.setenv("REPRO_STEAL", "0")
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "inf")
         off_cluster = skewed_cluster()
         off = off_cluster.load(SOURCE).run(slow).value.to_bytes()
         assert all(w.slices_stolen == 0 for w in off_cluster.workers)
 
-        monkeypatch.setenv("REPRO_STEAL", "1")
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
         on_cluster = skewed_cluster()
         on = on_cluster.load(SOURCE).run(slow).value.to_bytes()
 
@@ -148,7 +149,6 @@ class TestInProcessStealing:
         """The straggler gate: a balanced fleet finishing within the
         grace window must not shed slices (stolen shards would dodge
         their home worker's memo for no latency win)."""
-        monkeypatch.setenv("REPRO_STEAL", "1")
         monkeypatch.delenv("REPRO_STEAL_AFTER", raising=False)
         cluster = Cluster(num_workers=2, cores_per_worker=2,
                           aggregation_interval=0.02)
@@ -255,7 +255,6 @@ class TestWireStealingTier2:
         final bytes still match the single-process reference."""
         from repro.engine.remote import ProcessCluster
 
-        monkeypatch.setenv("REPRO_STEAL", "1")
         monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
         sketch = SlowdownSketch(hist(), per_shard_seconds=0.06)
         cluster = ProcessCluster(
@@ -301,12 +300,11 @@ class TestWireStealingTier2:
         a nonzero stolen count."""
         from repro.engine.remote import ProcessCluster
 
-        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
         sketch = SlowdownSketch(hist(), per_shard_seconds=0.03)
         results: dict[str, bytes] = {}
         stolen = 0
-        for mode in ("0", "1"):
-            monkeypatch.setenv("REPRO_STEAL", mode)
+        for mode, gate in (("0", "inf"), ("1", "0.05")):
+            monkeypatch.setenv("REPRO_STEAL_AFTER", gate)
             cluster = ProcessCluster(
                 num_workers=2,
                 cores_per_worker=(1, 4),

@@ -1,0 +1,130 @@
+"""Root-side bookkeeping of the worker wire: abandoned requests leave no
+reply queue behind, and the served/scanned counters lose no update.
+
+Every test talks to an in-thread :class:`WorkerServer` over a
+``socket.socketpair()`` — the real channel and dispatch, no subprocess.
+"""
+
+from __future__ import annotations
+
+import socket
+import sys
+import threading
+
+import pytest
+
+import repro.service.slow  # noqa: F401 — the "slow" wire type
+from repro.data.flights import FlightsSource
+from repro.engine.cluster import Worker
+from repro.engine.remote import RemoteWorkerProxy, WorkerServer, _WorkerChannel
+from repro.engine.rpc import sketch_from_json
+from repro.errors import WorkerUnavailableError
+from repro.storage.loader import TableSource
+from repro.table.table import Table
+
+HIST = {
+    "type": "histogram",
+    "column": "Distance",
+    "buckets": {"type": "double", "min": 0, "max": 3000, "count": 9},
+}
+
+
+def connect(server: WorkerServer) -> RemoteWorkerProxy:
+    near, far = socket.socketpair()
+    threading.Thread(target=server.serve_socket, args=(far,), daemon=True).start()
+    name = server.worker.name
+    return RemoteWorkerProxy(name, _WorkerChannel(near, name), server.worker.cores)
+
+
+@pytest.fixture()
+def server():
+    return WorkerServer(name="pair", cores=2, cache_sweep_interval_seconds=0)
+
+
+class TestAbandonedRequests:
+    def test_timed_out_call_unregisters_and_late_reply_is_dropped(self, server):
+        release = threading.Event()
+        server.worker.ping = lambda: release.wait(10.0)  # answers late
+        proxy = connect(server)
+        try:
+            with pytest.raises(WorkerUnavailableError, match="did not answer"):
+                proxy.ping(timeout=0.2)
+            assert len(proxy.channel._pending) == 0
+            release.set()  # the late reply is on its way now
+            del server.worker.ping
+            # Frames are read in order: once this answer is back, the
+            # late one has been through the reader — and went nowhere.
+            assert proxy.ping(timeout=10.0) is True
+            assert len(proxy.channel._pending) == 0
+        finally:
+            proxy.close()
+
+    def test_stream_closed_early_unregisters(self, server):
+        proxy = connect(server)
+        try:
+            proxy.configure(0, 1, 0.01)
+            proxy.load_source("ds", FlightsSource(2_000, partitions=8, seed=3))
+            slow = sketch_from_json(
+                {"type": "slow", "perShardSeconds": 0.05, "inner": HIST}
+            )
+            stream = proxy.sketch_partials("ds", slow, [])
+            next(stream)
+            assert len(proxy.channel._pending) == 1
+            stream.close()  # the consumer walks away mid-stream
+            assert len(proxy.channel._pending) == 0
+        finally:
+            proxy.close()
+
+    def test_stalled_stream_unregisters(self, server):
+        release = threading.Event()
+        server._own["sketch"] = lambda request, link: iter(
+            () if release.wait(10.0) else ()
+        )
+        proxy = connect(server)
+        proxy.request_timeout = 0.2
+        try:
+            with pytest.raises(WorkerUnavailableError, match="stalled"):
+                list(proxy.sketch_partials("ds", sketch_from_json(HIST), []))
+            assert len(proxy.channel._pending) == 0
+        finally:
+            release.set()
+            proxy.close()
+
+
+class TestExactCounters:
+    @pytest.fixture(autouse=True)
+    def eager_thread_switches(self):
+        """Make a lost read-modify-write likely instead of rare."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def test_every_shard_scan_is_counted(self):
+        worker = Worker("wide", cores=8)
+        worker.configure(0, 1, 0.01)
+        rows = Table.from_pydict({"Distance": [float(i) for i in range(512)]})
+        assert worker.load_source("ds", TableSource([rows], 512)) == 512
+        sketch = sketch_from_json(HIST)
+        list(worker.sketch_partials("ds", sketch, []))
+        assert worker.shards_summarized == 512
+
+    def test_every_request_of_every_root_is_counted(self, server):
+        roots, calls = 4, 150
+        proxies = [connect(server) for _ in range(roots)]
+
+        def hammer(proxy: RemoteWorkerProxy) -> None:
+            for _ in range(calls):
+                proxy.ping()
+
+        threads = [threading.Thread(target=hammer, args=(p,)) for p in proxies]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert server.requests_served == roots * calls
+        finally:
+            for proxy in proxies:
+                proxy.close()
