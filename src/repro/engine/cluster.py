@@ -92,7 +92,7 @@ from repro.errors import (
     HillviewError,
     WorkerUnavailableError,
 )
-from repro.storage.loader import DataSource
+from repro.storage.loader import DataSource, LoadedOnce
 from repro.table.schema import Schema
 from repro.table.table import Table
 
@@ -1036,12 +1036,7 @@ class Worker(WorkerProtocol):
                         recipe["hits"] += 1
                 summary, shard_count = memoized
                 yield WorkerEmission(
-                    summary,
-                    shard_count,
-                    summary.serialized_size()
-                    if hasattr(summary, "serialized_size")
-                    else 0,
-                    cache_hit=True,
+                    summary, shard_count, summary_size(summary), cache_hit=True
                 )
                 return
         shards = self.shards(dataset_id, lineage)
@@ -1104,11 +1099,7 @@ class Worker(WorkerProtocol):
                     now - last_emit >= interval or finished
                 ):
                     yield WorkerEmission(
-                        accumulated,
-                        done,
-                        accumulated.serialized_size()
-                        if hasattr(accumulated, "serialized_size")
-                        else 0,
+                        accumulated, done, summary_size(accumulated)
                     )
                     pending_since_emit = 0
                     last_emit = now
@@ -1118,13 +1109,7 @@ class Worker(WorkerProtocol):
             # Shards folded since the last cadence emission must still
             # reach the root — its slice fold resumes from this exact
             # prefix partial before appending the stolen summaries.
-            yield WorkerEmission(
-                accumulated,
-                done,
-                accumulated.serialized_size()
-                if hasattr(accumulated, "serialized_size")
-                else 0,
-            )
+            yield WorkerEmission(accumulated, done, summary_size(accumulated))
         if (
             memo_key is not None
             and shards
@@ -1315,12 +1300,10 @@ class Cluster:
         #: Bumped by every grow/shrink; remote proxies stamp it onto each
         #: dataset RPC so workers can reject requests from a root that
         #: has not yet adopted the current assignment.  A root built over
-        #: an already-placed fleet adopts the fleet's version
-        #: (ProcessCluster settles it with its daemons before this runs).
-        if not hasattr(self, "placement_version"):
-            self.placement_version = max(
-                w.placement_info()["version"] for w in self.workers
-            )
+        #: an already-placed fleet adopts the fleet's version.
+        self.placement_version = max(
+            w.placement_info()["version"] for w in self.workers
+        )
         #: The rebalance barrier: a grow/shrink waits for in-flight
         #: sketch streams to drain on the old placement, and blocks new
         #: streams for the (brief) duration of the re-key, so no stream
@@ -1395,39 +1378,37 @@ class Cluster:
 
     def cache_stats(self) -> dict:
         """Every cache tier's counters, for the ``cache_stats`` RPC."""
-        workers = []
-        for worker in self.workers:
-            try:
-                workers.append(worker.cache_stats())
-            except (WorkerUnavailableError, EngineError) as exc:
-                workers.append({"name": worker.name, "error": str(exc)})
         return {
             "disabled": caches_disabled(),
             "root": {
                 "computation": self.computation_cache.stats().to_json(),
                 "rowCounts": self.row_count_cache.stats().to_json(),
             },
-            "workers": workers,
+            "workers": self._worker_reports("cache_stats"),
         }
+
+    def _worker_reports(self, verb: str) -> list[dict]:
+        """Every worker's ``verb`` report; an unreachable worker degrades
+        to an error entry instead of failing the whole answer."""
+        reports = []
+        for worker in self.workers:
+            try:
+                reports.append(getattr(worker, verb)())
+            except (WorkerUnavailableError, EngineError) as exc:
+                reports.append({"name": worker.name, "error": str(exc)})
+        return reports
 
     def metrics_snapshot(self) -> dict:
         """Fleet metrics for the ``metricsSnapshot`` RPC: root-side
         counters plus every worker's live snapshot (remote workers
-        report their daemon's queue depth and registry; unreachable
-        ones degrade to an error entry, like :meth:`cache_stats`)."""
-        workers = []
-        for worker in self.workers:
-            try:
-                workers.append(worker.metrics_snapshot())
-            except (WorkerUnavailableError, EngineError) as exc:
-                workers.append({"name": worker.name, "error": str(exc)})
+        report their daemon's queue depth and registry)."""
         computation = self.computation_cache.stats()
         return {
             "placementVersion": self.placement_version,
             "rebalances": self.rebalances,
             "bytesToRoot": self.total_bytes_to_root,
             "computationHitRate": round(computation.hit_rate, 4),
-            "workers": workers,
+            "workers": self._worker_reports("metrics_snapshot"),
         }
 
     def trace_dump(self, trace_id: str | None = None) -> list[dict]:
@@ -1465,8 +1446,7 @@ class Cluster:
     def _enter_stream(self) -> None:
         """Register an in-flight sketch stream; blocks during a rebalance."""
         with self._stream_gate:
-            while self._rebalancing:
-                self._stream_gate.wait()
+            self._stream_gate.wait_for(lambda: not self._rebalancing)
             self._active_streams += 1
 
     def _exit_stream(self) -> None:
@@ -1494,17 +1474,15 @@ class Cluster:
             if self._rebalancing:
                 raise PlacementError("a rebalance is already in progress")
             self._rebalancing = True
-            deadline = time.monotonic() + drain_timeout
-            while self._active_streams:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._rebalancing = False
-                    self._stream_gate.notify_all()
-                    raise PlacementError(
-                        f"{self._active_streams} sketch stream(s) did not "
-                        f"drain within {drain_timeout:.0f}s; rebalance aborted"
-                    )
-                self._stream_gate.wait(timeout=min(remaining, 0.5))
+            if not self._stream_gate.wait_for(
+                lambda: not self._active_streams, drain_timeout
+            ):
+                self._rebalancing = False
+                self._stream_gate.notify_all()
+                raise PlacementError(
+                    f"{self._active_streams} sketch stream(s) did not "
+                    f"drain within {drain_timeout:.0f}s; rebalance aborted"
+                )
 
     def _end_rebalance(self) -> None:
         with self._stream_gate:
@@ -1527,23 +1505,14 @@ class Cluster:
             # low indices may be gone but the high names survive, and a
             # duplicate name would break shrink-by-name later.
             taken = {w.name for w in self.workers}
-            added: list[WorkerProtocol] = []
-            candidate = len(self.workers)
-            while len(added) < workers:
-                name = f"worker-{candidate}"
-                candidate += 1
-                if name in taken:
-                    continue
-                taken.add(name)
-                added.append(
-                    Worker(
-                        name,
-                        cores=template.cores,
-                        cache_entries=getattr(
-                            getattr(template, "store", None), "max_entries", 64
-                        ),
-                    )
-                )
+            fresh = (
+                name
+                for i in itertools.count(len(self.workers))
+                if (name := f"worker-{i}") not in taken
+            )
+            added: list[WorkerProtocol] = [
+                Worker(next(fresh), cores=template.cores) for _ in range(workers)
+            ]
         else:
             added = list(workers)
             if not added:
@@ -1615,14 +1584,9 @@ class Cluster:
             raise PlacementError("cannot shrink a cluster to zero workers")
         old = list(self.workers)
         survivors = [w for i, w in enumerate(old) if i not in removed]
-        new_indices: "list[int | None]" = []
-        next_index = 0
-        for i in range(len(old)):
-            if i in removed:
-                new_indices.append(None)
-            else:
-                new_indices.append(next_index)
-                next_index += 1
+        new_indices = [
+            None if i in removed else survivors.index(w) for i, w in enumerate(old)
+        ]
         self._rebalance(old, new_indices, survivors)
         return len(self.workers)
 
@@ -1638,11 +1602,6 @@ class Cluster:
             if selector in (worker.name, worker.member):
                 return index
         raise PlacementError(f"no worker named {selector!r}")
-
-    @staticmethod
-    def _inventory_shards(inventory: dict, dataset_id: str) -> int:
-        entry = inventory.get(dataset_id) or {}
-        return int(entry.get("shards", 0))
 
     def _transferable_datasets(
         self, inventories: "list[dict[str, dict]]"
@@ -1660,33 +1619,12 @@ class Cluster:
         re-reading a source, and replay is the §5.7-correct fallback for
         everything else.  Returns ``{dataset_id: total shard count}``.
         """
-        if not inventories:
-            return {}
-        candidates = set(inventories[0])
-        for inventory in inventories[1:]:
-            candidates &= set(inventory)
-        totals: dict[str, int] = {}
-        for dataset_id in candidates:
-            if not all(
-                (inv.get(dataset_id) or {}).get("loaded")
-                for inv in inventories
-            ):
-                continue  # derived or unclassifiable; replay on demand
-            totals[dataset_id] = sum(
-                self._inventory_shards(inv, dataset_id) for inv in inventories
-            )
-        return totals
-
-    def _collect_inventories(
-        self, old: "list[WorkerProtocol]"
-    ) -> "list[dict[str, dict]]":
-        inventories = []
-        for worker in old:
-            try:
-                inventories.append(dict(worker.inventory()))
-            except (WorkerUnavailableError, EngineError):
-                inventories.append({})
-        return inventories
+        everywhere = set.intersection(*(set(inv) for inv in inventories))
+        return {
+            dataset_id: sum(inv[dataset_id]["shards"] for inv in inventories)
+            for dataset_id in everywhere
+            if all(inv[dataset_id]["loaded"] for inv in inventories)
+        }
 
     def _rebalance(
         self,
@@ -1715,16 +1653,17 @@ class Cluster:
         try:
             new_count = len(new_workers)
             target_version = self.placement_version + 1
-            inventories = self._collect_inventories(old)
+            inventories = []
+            for worker in old:
+                try:
+                    inventories.append(worker.inventory())
+                except (WorkerUnavailableError, EngineError):
+                    inventories.append({})  # nothing of its moves; it replays
             totals = self._transferable_datasets(inventories)
             for dataset_id in sorted(totals):
                 resident = [
-                    global_indices(
-                        position,
-                        len(old),
-                        self._inventory_shards(inventory, dataset_id),
-                    )
-                    for position, inventory in enumerate(inventories)
+                    global_indices(position, len(old), inv[dataset_id]["shards"])
+                    for position, inv in enumerate(inventories)
                 ]
                 moves = plan_moves(resident, new_indices, new_count)
                 by_source: dict[int, list[dict]] = {}
@@ -1876,14 +1815,18 @@ class Cluster:
         """Load a data source, distributing partitions over workers."""
         dataset_id = self._load_dataset_id(source)
         self.redo_log.record_load(dataset_id, source)
-        # Every worker loads its own slice, in parallel, from the source's
-        # description: a table cannot cross a process boundary, and
-        # content-addressed ids make a repeat load a no-op on a worker
-        # that still holds its shards.
+        # Workers in this process share one read of the source, each
+        # taking its slice; a table cannot cross a process boundary, so
+        # the others load their slice from the description.  Content-
+        # addressed ids make a repeat load a no-op on a worker that
+        # still holds its shards.
+        shared = LoadedOnce(source)
         with self._stream_guard():
             self._with_placement_retries(
                 lambda: self._for_all_workers(
-                    lambda i, w: w.load_source(dataset_id, source)
+                    lambda i, w: w.load_source(
+                        dataset_id, shared if w.member is w else source
+                    )
                 )
             )
         return ClusterDataSet(self, dataset_id)
@@ -1892,19 +1835,15 @@ class Cluster:
         """Run ``fn(index, worker)`` for every worker in parallel, reviving
         and retrying a worker whose process died (§5.8)."""
         ctx = current_context()
-        with concurrent.futures.ThreadPoolExecutor(len(self.workers)) as pool:
-            return list(
-                pool.map(
-                    # Carry the caller's trace context onto the pool
-                    # threads so worker RPCs parent under it.
-                    lambda i: self._with_revival_in_context(ctx, i, fn),
-                    range(len(self.workers)),
-                )
-            )
 
-    def _with_revival_in_context(self, ctx, index: int, fn):
-        with use_context(ctx):
-            return self._with_revival(index, fn)
+        def call(index: int):
+            # Carry the caller's trace context onto the pool threads so
+            # worker RPCs parent under it.
+            with use_context(ctx):
+                return self._with_revival(index, fn)
+
+        with concurrent.futures.ThreadPoolExecutor(len(self.workers)) as pool:
+            return list(pool.map(call, range(len(self.workers))))
 
     def _with_revival(self, index: int, fn):
         attempts = 0

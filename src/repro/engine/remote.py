@@ -139,7 +139,10 @@ def _push_parcels(
     :data:`_TRANSFER_BATCH_BYTES` each; returns how many it staged."""
     from repro.storage.columnar import table_to_bytes
 
-    peer = dial_worker(*parse_address(target), timeout=30.0, request_timeout=120.0)
+    try:
+        peer = dial_worker(*parse_address(target), timeout=30.0, request_timeout=120.0)
+    except OSError as exc:  # an error reply now, not the root's full timeout
+        raise WorkerUnavailableError(f"cannot reach {target}: {exc}") from exc
     try:
         staged = 0
         batch: "list[StolenParcel]" = []
@@ -331,11 +334,8 @@ class WorkerServer:
                     daemon=True,
                 ).start()
         finally:
+            self._close_listener()
             self._listener = None
-            try:
-                listener.close()
-            except OSError:
-                pass
 
     def serve_socket(self, sock: socket.socket) -> None:
         """Serve one root over an already-connected socket until it
@@ -706,16 +706,13 @@ class _WorkerChannel:
         deadline = time.monotonic() + timeout
         try:
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                try:  # a dying connection answers every pending request
+                    reply = replies.get(timeout=max(0.0, deadline - time.monotonic()))
+                except queue.Empty:
                     raise WorkerUnavailableError(
                         f"worker {self.name} did not answer {method!r} "
                         f"within {timeout:.0f}s"
-                    )
-                try:
-                    reply = replies.get(timeout=min(remaining, 0.5))
-                except queue.Empty:
-                    continue
+                    ) from None
                 if reply.kind == "error":
                     _raise_for_error_reply(self.name, reply)
                 if reply.kind in TERMINAL_REPLY_KINDS:
@@ -1069,7 +1066,6 @@ class ProcessCluster(Cluster):
         workers: list[RemoteWorkerProxy] = []
         try:
             if addresses is None:
-                self.placement_version = 0  # freshly spawned workers are unplaced
                 self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 self._listener.bind(("127.0.0.1", 0))
                 self._listener.listen(max(num_workers, 4))
@@ -1098,7 +1094,7 @@ class ProcessCluster(Cluster):
                 # placed fleet is adopted verbatim, a resized one has its
                 # reported membership dialed instead) so every root
                 # attaching to them configures each with the same slice.
-                workers, self.placement_version = self._sync_fleet(
+                workers, _ = self._sync_fleet(
                     workers, time.monotonic() + min(startup_timeout, 10.0)
                 )
         except BaseException:
@@ -1149,13 +1145,9 @@ class ProcessCluster(Cluster):
         wfile = sock.makefile("wb")
         try:
             frame = read_frame_blocking(rfile, error=FrameError)
-            if frame is None:
-                sock.close()
-                return None
-            hello = RpcRequest.from_json(frame.decode("utf-8"))
+            hello = RpcRequest.from_json((frame or b"").decode("utf-8"))
             if hello.method != "hello":
-                sock.close()
-                return None
+                raise ProtocolError(f"expected hello, got {hello.method!r}")
             write_frame(
                 wfile, RpcReply(hello.request_id, "ack").to_json().encode("utf-8")
             )

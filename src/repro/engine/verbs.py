@@ -100,7 +100,9 @@ DATASETS = Kind(
     "{dataset: {shards, loaded}}",
     _same,
     lambda value: {
-        str(k): dict(v) for k, v in (value or {}).items() if isinstance(v, dict)
+        str(k): {"shards": int(v.get("shards", 0)), "loaded": bool(v.get("loaded"))}
+        for k, v in (value or {}).items()
+        if isinstance(v, dict)
     },
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import glob
 import os
+import threading
 from abc import ABC, abstractmethod
 
 from repro.errors import StorageError
@@ -49,6 +50,25 @@ class DataSource(ABC):
 
     def __repr__(self) -> str:
         return self.spec()
+
+
+class LoadedOnce(DataSource):
+    """``source``, read at most once: workers that share an address space
+    each take their slice of the one read instead of reading it N times."""
+
+    def __init__(self, source: DataSource):
+        self.source = source
+        self._lock = threading.Lock()
+        self._shards: list[Table] | None = None
+
+    def load(self) -> list[Table]:
+        with self._lock:
+            if self._shards is None:
+                self._shards = self.source.load()
+            return self._shards
+
+    def spec(self) -> str:
+        return self.source.spec()
 
 
 class TableSource(DataSource):

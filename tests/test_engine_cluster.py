@@ -45,6 +45,23 @@ class TestExecution:
         assert loaded.total_rows == medium_numeric.num_rows
         assert loaded.schema == medium_numeric.schema
 
+    def test_in_process_workers_share_one_read_of_the_source(
+        self, cluster, medium_numeric
+    ):
+        class Counted(TableSource):
+            reads = 0
+
+            def load(self):
+                Counted.reads += 1
+                return super().load()
+
+        source = Counted([medium_numeric], shards_per_table=12)
+        dataset = cluster.load(source)
+        assert Counted.reads == 1  # not once per worker
+        assert dataset.total_rows == medium_numeric.num_rows
+        cluster.load(source)  # still resident everywhere: no read at all
+        assert Counted.reads == 1
+
     def test_map_then_sketch(self, loaded, medium_numeric):
         filtered = loaded.map(FilterMap(ColumnPredicate("value", "<", 25)))
         stats = filtered.sketch(MomentsSketch("value"))

@@ -91,6 +91,23 @@ class TestAbandonedRequests:
             proxy.close()
 
 
+class TestUnreachableTransferTarget:
+    def test_dead_member_is_an_error_reply_not_a_timeout(self, server):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            dead = "127.0.0.1:%d" % closed.getsockname()[1]
+        proxy = connect(server)
+        try:
+            proxy.configure(0, 1, 0.01)
+            proxy.load_source("ds", FlightsSource(2_000, partitions=4, seed=3))
+            moves = [{"target": dead, "globalIndices": [1, 3]}]
+            # The daemon answers at once; the 5 s budget is never touched.
+            with pytest.raises(WorkerUnavailableError, match="cannot reach"):
+                proxy.transfer_shards("ds", moves, 1, timeout=5.0)
+        finally:
+            proxy.close()
+
+
 class TestExactCounters:
     @pytest.fixture(autouse=True)
     def eager_thread_switches(self):

@@ -61,10 +61,12 @@ HIST = {
 SLOW = {"type": "slow", "perShardSeconds": 0.15, "inner": HIST}
 
 #: Payload fields whose value depends on process-global state (everything
-#: else this process ran before), not on the conversation.
+#: else this process ran before) or on timing (``inflight``: the previous
+#: request's handler may not have left its ``finally`` yet), not on the
+#: conversation.
 _VOLATILE = {
     "pid", "registry", "spansBuffered", "spans", "store", "memo",
-    "storeHitRate", "memoHitRate", "memoBytes",
+    "storeHitRate", "memoHitRate", "memoBytes", "inflight",
 }
 
 
