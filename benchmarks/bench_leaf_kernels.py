@@ -36,8 +36,14 @@ ROWS = 2_000_000
 #: loops at the full count would take minutes); ns/row normalizes.
 REFERENCE_ROWS = 100_000
 #: Kernels measured (SKETCH_SPECS names): one 1-D binning kernel, one
-#: 2-D, one value-counting kernel — the §7.2 hot paths.
-KERNELS = ("histogram.double", "heatmap.int_double", "heavy_hitters.streaming_string")
+#: 2-D, one value-counting kernel — the §7.2 hot paths — and the table
+#: view's page (two-column order, start key mid-table).
+KERNELS = (
+    "histogram.double",
+    "heatmap.int_double",
+    "heavy_hitters.streaming_string",
+    "next_k.after_key",
+)
 COLD_REPS = 5
 PARTITIONS = 8
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.progress import CancellationToken
-from repro.engine.rpc import RpcReply, RpcRequest
+from repro.engine.rpc import TERMINAL_REPLY_KINDS, RpcReply, RpcRequest
 from repro.errors import EngineError
 from repro.obs.logs import log_event, logging_enabled
 from repro.obs.metrics import REGISTRY
@@ -81,6 +81,10 @@ class QueryTask:
         self.token = CancellationToken()
         self.state = QUEUED
         self.superseded = False
+        #: Set once the terminal reply has been handed to the sink: the
+        #: client may already be submitting its next query, while this
+        #: task is still winding down (metrics, logs) in ``_running``.
+        self.answered = False
         self.done = threading.Event()
         # Queue-wait accounting: wall clock for the retroactive span,
         # monotonic for the measured duration.
@@ -197,12 +201,19 @@ class FairShareScheduler:
         return task
 
     def _preempt_older(self, session: "Session", queue: deque[QueryTask]) -> None:
-        """Newest-query-wins: cancel the session's older sketches (§5.3)."""
+        """Newest-query-wins: cancel the session's older sketches (§5.3).
+
+        A sketch that has already answered is not older work to cancel:
+        a closed-loop client's next submit always finds it here.
+        """
         victims = [t for t in queue if t.preemptible and not t.token.cancelled]
         victims += [
             t
             for t in self._running
-            if t.session is session and t.preemptible and not t.token.cancelled
+            if t.session is session
+            and t.preemptible
+            and not t.answered
+            and not t.token.cancelled
         ]
         for victim in victims:
             victim.superseded = True
@@ -340,9 +351,13 @@ class FairShareScheduler:
                 )
         session.touch()
 
-    @staticmethod
-    def _safe_sink(task: QueryTask, reply: RpcReply) -> bool:
+    def _safe_sink(self, task: QueryTask, reply: RpcReply) -> bool:
         """Deliver one reply; a broken sink (dead connection) returns False."""
+        if reply.kind in TERMINAL_REPLY_KINDS:
+            # Before the hand-over, and under the lock _preempt_older
+            # holds: a submit that sees this task unanswered did overlap it.
+            with self._cond:
+                task.answered = True
         try:
             task.sink(reply)
             return True

@@ -86,35 +86,20 @@ class FindTextSketch(Sketch[FindResult]):
         if len(matching) == 0:
             return self.zero()
         sorted_rows = self.order.argsort(table, matching)
-        columns = [table.column(c) for c in self.order.columns]
-
-        def values_of(position: int) -> tuple:
-            row = int(sorted_rows[position])
-            return tuple(column.value(row) for column in columns)
-
         total = len(sorted_rows)
         first = 0
         if self.start_key is not None:
-            # Keys are non-decreasing along the sorted rows, so
-            # ``start_key < key`` is monotone: the matches at or before
-            # the start form a prefix.  Binary search builds O(log n) row
-            # keys instead of one per match.
-            lo, hi = 0, total
-            while lo < hi:
-                mid = (lo + hi) // 2
-                key = self.order.key_from_values(values_of(mid))
-                if self.start_key < key:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            first = lo
+            # The matches at or before the start form a prefix.
+            first = self.order.first_after(table, sorted_rows, self.start_key)
         result = FindResult(
             order=self.order,
             matches_before=first,
             matches_after=total - first,
         )
         if first < total:
-            result.first_match = values_of(first)
+            result.first_match = self.order.row_key(
+                table, int(sorted_rows[first])
+            ).values()
         return result
 
     def summarize_reference(self, table: Table) -> FindResult:

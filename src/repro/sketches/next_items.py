@@ -4,10 +4,12 @@ Given a sort order, a start position R (a row key, or None for the top) and
 a count K, this sketch returns the K distinct rows following R in the sort
 order, each with its repetition count (paper §3.3 aggregates duplicates).
 
-``summarize`` sorts one shard and takes its local next-K groups;
-``merge`` interleaves two sorted lists, combining counts of equal keys and
-truncating to K — the classic mergeable top-K structure.  The summary also
-carries how many rows precede R, which positions the scroll bar.
+``summarize`` selects one shard's local next-K groups — it drops the rows
+before R by their leading sort cell, cuts what follows to the few rows that
+can hold K groups, and sorts only those; ``merge`` interleaves two sorted
+lists, combining counts of equal keys and truncating to K — the classic
+mergeable top-K structure.  The summary also carries how many rows precede
+R, which positions the scroll bar.
 """
 
 from __future__ import annotations
@@ -133,6 +135,84 @@ class NextKSketch(Sketch[NextKList]):
         return NextKList(order=self.order)
 
     def summarize(self, table: Table) -> NextKList:
+        rows = table.members.indices()
+        scanned = len(rows)
+        if scanned == 0:
+            return self.zero()
+        leading = self.order.orientations[0]
+        lead = leading.surrogate(table, rows)
+        preceding = ties = 0
+        if self.start_key is not None:
+            # A row whose leading cell sorts strictly before the start's
+            # precedes the window whatever its other cells hold: counted,
+            # never sorted.  Rows tied with it there are decided below.
+            start = leading.surrogate_of(table, self.start_key.values()[0])
+            kept = np.flatnonzero(lead >= start)
+            preceding = scanned - len(kept)
+            if preceding:
+                rows, lead = rows[kept], lead[kept]
+            ties = int(np.count_nonzero(lead == start))
+        # The tied rows may all precede the window, so the smallest cut
+        # that can hold k groups is the ties plus k rows.
+        take = ties + self.k
+        inside = None
+        if 2 * take < len(rows):
+            # Whole leading-cell runs only: no group straddles the cut,
+            # and every row left outside sorts after every row inside.
+            inside = lead <= np.partition(lead, take - 1)[take - 1]
+        cut = (rows, lead) if inside is None else (rows[inside], lead[inside])
+        firsts, counts, skipped = self._groups(table, *cut, ties)
+        if len(firsts) < self.k and inside is not None:
+            # Duplicates left the cut short: sort all the rest, once.
+            more_firsts, more_counts, _ = self._groups(
+                table, rows[~inside], lead[~inside], ties=0
+            )
+            firsts = np.concatenate((firsts, more_firsts))
+            counts = np.concatenate((counts, more_counts))
+        shown = firsts[: self.k]
+        columns = [table.column(c) for c in self.order.columns]
+        return NextKList(
+            order=self.order,
+            rows=list(zip(*(c.values_at(shown) for c in columns))),
+            counts=counts[: self.k].tolist(),
+            preceding=preceding + skipped,
+            scanned=scanned,
+        )
+
+    def _groups(
+        self, table: Table, rows: np.ndarray, lead: np.ndarray, ties: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """``rows`` sorted and grouped, past the start position.
+
+        ``lead`` is their leading sort key and ``ties`` how many of them
+        equal the start's there.  Returns the first row of each group, the
+        group sizes, and how many tied rows were dropped as at or before
+        the start.
+        """
+        order = self.order
+        keys = np.stack(
+            [lead] + [o.surrogate(table, rows) for o in order.orientations[1:]]
+        )
+        # np.lexsort takes its primary key last; it is stable and ``rows``
+        # is in row order, as in RecordOrder.argsort.
+        by_order = np.lexsort(keys[::-1])
+        rows, keys = rows[by_order], keys[:, by_order]
+        # The tied rows sort first; those at or before the start form a
+        # prefix of them.
+        first = order.first_after(
+            table, rows[:ties], self.start_key, self.inclusive
+        )
+        rows, keys = rows[first:], keys[:, first:]
+        if len(rows) == 0:
+            return rows, rows, first
+        # Equal surrogate vectors imply equal cell values within one
+        # shard, so a group ends where any surrogate changes.
+        change = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+        bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [len(rows)]))
+        return rows[bounds[:-1]], np.diff(bounds), first
+
+    def summarize_reference(self, table: Table) -> NextKList:
+        """Per-group oracle for :meth:`summarize` (differential tests)."""
         rows = table.members.indices()
         if len(rows) == 0:
             return self.zero()

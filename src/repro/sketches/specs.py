@@ -40,6 +40,7 @@ from repro.sketches.find_text import FindTextSketch
 from repro.sketches.heatmap import HeatmapSketch
 from repro.sketches.heavy_hitters import MisraGriesSketch, SampleHeavyHittersSketch
 from repro.sketches.histogram import HistogramSketch
+from repro.sketches.next_items import NextKSketch
 from repro.sketches.quantile import SampleQuantileSketch
 from repro.sketches.stacked import StackedHistogramSketch
 from repro.sketches.trellis import TrellisHeatmapSketch, TrellisHistogramSketch
@@ -69,6 +70,15 @@ _DATE_BUCKETS = DoubleBuckets(
 # Strings below "b" are out of range; the last bucket is unbounded above.
 _STRING_RANGE_BUCKETS = StringBuckets(["b", "f", "k", "p"])
 _STRING_EXPLICIT_BUCKETS = ExplicitStringBuckets(["a", "cat", "dog", "k", "zz"])
+
+
+# The table view's orders.  k stays small so that generated tables of a
+# few dozen rows still take the pre-cut, and its widening, in next_k.*.
+_BY_STRING = RecordOrder.of("s")
+_BY_STRING_INT = RecordOrder.of("s", "i")
+_BY_INT_DESC_DOUBLE = RecordOrder.of("i", "d", ascending=[False, True])
+_BY_DATE_INT = RecordOrder.of("t", "i")
+_BY_DOUBLE_INT = RecordOrder.of("d", "i")
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,83 @@ SKETCH_SPECS: list[SketchSpec] = [
             RecordOrder.of("s", "i"),
             start_key=RecordOrder.of("s", "i").key_from_values(("da", 0)),
         ),
+    ),
+    SketchSpec(
+        "next_k.top",
+        lambda: NextKSketch(_BY_INT_DESC_DOUBLE, k=5),
+    ),
+    SketchSpec(
+        "next_k.after_key",
+        lambda: NextKSketch(
+            _BY_INT_DESC_DOUBLE,
+            k=5,
+            start_key=_BY_INT_DESC_DOUBLE.key_from_values((7, -2.5)),
+        ),
+    ),
+    SketchSpec(
+        "next_k.inclusive",
+        lambda: NextKSketch(
+            _BY_STRING_INT,
+            k=4,
+            start_key=_BY_STRING_INT.key_from_values(("da", 0)),
+            inclusive=True,
+        ),
+    ),
+    SketchSpec(
+        "next_k.desc_missing_start",
+        lambda: NextKSketch(
+            _BY_INT_DESC_DOUBLE,
+            k=3,
+            start_key=_BY_INT_DESC_DOUBLE.key_from_values((None, 0.5)),
+        ),
+    ),
+    SketchSpec(
+        # One low-cardinality column: a slab of k rows holds far fewer
+        # than k groups, so the pre-cut must widen.
+        "next_k.heavy_duplicates",
+        lambda: NextKSketch(
+            _BY_STRING, k=6, start_key=_BY_STRING.key_from_values(("a",))
+        ),
+    ),
+    SketchSpec(
+        "next_k.absent_string",
+        lambda: NextKSketch(
+            _BY_STRING_INT,
+            k=5,
+            start_key=_BY_STRING_INT.key_from_values(("cb?", 3)),
+        ),
+    ),
+    SketchSpec(
+        "next_k.past_the_end",
+        lambda: NextKSketch(
+            _BY_DATE_INT,
+            k=5,
+            start_key=_BY_DATE_INT.key_from_values((DATE_HI, 60)),
+        ),
+    ),
+    SketchSpec(
+        # Infinities are cell values like any other, and sort_surrogate
+        # clamps them to keep -inf for the missing cells.
+        "next_k.infinite_start",
+        lambda: NextKSketch(
+            _BY_DOUBLE_INT,
+            k=4,
+            start_key=_BY_DOUBLE_INT.key_from_values((float("inf"), 2)),
+        ),
+    ),
+    SketchSpec(
+        "next_k.desc_infinite_start",
+        lambda: NextKSketch(
+            _BY_DOUBLE_INT.reversed(),
+            k=4,
+            start_key=_BY_DOUBLE_INT.reversed().key_from_values(
+                (float("inf"), 2)
+            ),
+        ),
+    ),
+    SketchSpec(
+        "next_k.k_exceeds_groups",
+        lambda: NextKSketch(_BY_DATE_INT, k=500),
     ),
     SketchSpec(
         "find_text.desc_missing_key",

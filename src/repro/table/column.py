@@ -15,7 +15,7 @@ encoded.  Every column exposes:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,6 +83,16 @@ class Column(ABC):
     @abstractmethod
     def sort_surrogate(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
         """float64 array ordered like the column's values; missing -> -inf."""
+
+    @abstractmethod
+    def surrogate_of(self, value: object | None) -> float:
+        """Where ``value`` falls among :meth:`sort_surrogate`'s numbers.
+
+        ``value`` need not occur in the column.  Rows whose surrogate is
+        strictly below the result hold values strictly before ``value``,
+        rows strictly above hold values strictly after; rows *at* it are
+        undecided (a float64 cannot tell every value apart).  None -> -inf.
+        """
 
     @abstractmethod
     def take(self, rows: np.ndarray | Sequence[int]) -> "Column":
@@ -161,6 +171,12 @@ class _NumericColumn(Column):
         out = self.numeric_values(rows)
         np.nan_to_num(out, copy=False, nan=-np.inf)
         return out
+
+    def surrogate_of(self, value: object | None) -> float:
+        if value is None:
+            return -np.inf
+        # Clamped as sort_surrogate clamps: -inf is the missing cells' alone.
+        return float(np.nan_to_num(float(value)))
 
     def take(self, rows: np.ndarray | Sequence[int]) -> "Column":
         rows = _as_index_array(rows)
@@ -255,6 +271,15 @@ class DateColumn(_NumericColumn):
     def _pythonize(self, data: np.ndarray) -> list:
         return [millis_to_datetime(millis) for millis in data.tolist()]
 
+    def surrogate_of(self, value: datetime | None) -> float:
+        if value is None:
+            return -np.inf
+        if value.tzinfo is None:
+            value = value.replace(tzinfo=timezone.utc)
+        # The floor, in integer arithmetic: datetime_to_millis goes through
+        # a float and may land a millisecond on the wrong side.
+        return float((value - EPOCH) // timedelta(milliseconds=1))
+
 
 class StringColumn(Column):
     """Dictionary-encoded string column (STRING or CATEGORY kind)."""
@@ -320,6 +345,9 @@ class StringColumn(Column):
         out[present] = ranks[codes[present]]
         out[~present] = -np.inf
         return out
+
+    def surrogate_of(self, value: str | None) -> float:
+        return -np.inf if value is None else self.dictionary.rank_of(value)
 
     def take(self, rows: np.ndarray | Sequence[int]) -> "StringColumn":
         # Re-encode so the new column's dictionary only holds used strings.

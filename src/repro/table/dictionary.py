@@ -8,6 +8,7 @@ per-row string objects.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,8 +23,10 @@ class StringDictionary:
     def __init__(self, values: Iterable[str] = ()):
         self._values: list[str] = []
         self._codes: dict[str, int] = {}
-        # Lazily computed rank of each code in sorted-string order.
+        # Lazily computed rank of each code in sorted-string order, and
+        # its inverse (the codes in sorted-string order).
         self._ranks: np.ndarray | None = None
+        self._sorted_codes: np.ndarray | None = None
         for value in values:
             self.code_for(value)
 
@@ -79,8 +82,26 @@ class StringDictionary:
             order = np.argsort(np.array(self._values, dtype=object), kind="stable")
             ranks = np.empty(len(self._values), dtype=np.int64)
             ranks[order] = np.arange(len(self._values))
+            # Published before the ranks, which readers test for.
+            self._sorted_codes = order
             self._ranks = ranks
         return self._ranks
+
+    def rank_of(self, value: str) -> float:
+        """Where ``value`` falls among :meth:`sorted_ranks`.
+
+        Its rank when the dictionary holds it; otherwise the half-rank
+        between its two neighbours in sorted order, so every held string
+        is strictly on one side of it.
+        """
+        ranks = self.sorted_ranks()
+        code = self._codes.get(value)
+        if code is not None:
+            return float(ranks[code])
+        position = bisect_left(
+            self._sorted_codes, value, key=self._values.__getitem__
+        )
+        return position - 0.5
 
     def memory_bytes(self) -> int:
         """Approximate heap footprint of the dictionary strings."""

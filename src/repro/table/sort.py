@@ -10,6 +10,17 @@ Two representations cooperate:
 
 Missing values sort before present values in ascending order; a descending
 orientation reverses the entire component, missing-ness included.
+
+A key from elsewhere (a page's start position) is placed in a shard without
+walking it: its leading cell maps into the shard's surrogate space
+(:meth:`ColumnSortOrientation.surrogate_of`), which settles every row but
+those tied with it there, and :meth:`RecordOrder.first_after` bisects the
+ties with real :class:`RowKey` comparisons.
+
+A float64 surrogate cannot tell int64 values beyond ±2**53 apart, nor ±inf
+from the largest finite doubles.  Ordered views over such cells are not
+supported: within a shard they group as one value, and a page that starts
+among them may skip rows.
 """
 
 from __future__ import annotations
@@ -37,6 +48,26 @@ class ColumnSortOrientation:
 
     def spec(self) -> str:
         return f"{self.column}:{'asc' if self.ascending else 'desc'}"
+
+    def surrogate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
+        """This column's numeric sort key, aligned with ``rows``.
+
+        Shard-local.  A descending column is negated (missing values, at
+        -inf, thereby move to +inf, i.e. last — consistent with
+        :class:`RowKey`).
+        """
+        surrogate = table.column(self.column).sort_surrogate(rows)
+        return surrogate if self.ascending else -surrogate
+
+    def surrogate_of(self, table: "Table", value: object | None) -> float:
+        """Where a cell ``value`` (None = missing) falls in :meth:`surrogate`.
+
+        The value need not occur in the shard: rows strictly below the
+        result hold cells that sort before it here and rows strictly above
+        hold cells that sort after it; only rows at it need comparing.
+        """
+        surrogate = table.column(self.column).surrogate_of(value)
+        return surrogate if self.ascending else -surrogate
 
 
 def _cmp(a, b) -> int:
@@ -137,16 +168,8 @@ class RecordOrder:
     def surrogate_keys(
         self, table: "Table", rows: np.ndarray
     ) -> list[np.ndarray]:
-        """Per-column numeric keys aligned with ``rows`` (shard-local).
-
-        Descending columns are negated (missing values, at -inf, thereby
-        move to +inf, i.e. last — consistent with :class:`RowKey`).
-        """
-        keys = []
-        for orientation in self.orientations:
-            surrogate = table.column(orientation.column).sort_surrogate(rows)
-            keys.append(surrogate if orientation.ascending else -surrogate)
-        return keys
+        """Per-column numeric keys aligned with ``rows`` (shard-local)."""
+        return [o.surrogate(table, rows) for o in self.orientations]
 
     def argsort(self, table: "Table", rows: np.ndarray | None = None) -> np.ndarray:
         """``rows`` reordered by this order (stable; ties keep row order).
@@ -162,6 +185,30 @@ class RecordOrder:
         # reversed so the first orientation dominates and ties stay stable.
         order = np.lexsort(list(reversed(keys)))
         return rows[order]
+
+    def first_after(
+        self,
+        table: "Table",
+        sorted_rows: np.ndarray,
+        key: RowKey,
+        inclusive: bool = False,
+    ) -> int:
+        """The first position in ``sorted_rows`` whose row sorts after ``key``.
+
+        With ``inclusive``, the first whose row sorts at or after it.
+        ``sorted_rows`` must be in this order, which makes the test
+        monotone: a binary search builds O(log n) row keys instead of one
+        per row.
+        """
+        lo, hi = 0, len(sorted_rows)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probe = self.row_key(table, int(sorted_rows[mid]))
+            if (not probe < key) if inclusive else (key < probe):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def row_key(self, table: "Table", row: int) -> RowKey:
         """The cross-shard comparable key of ``row``."""

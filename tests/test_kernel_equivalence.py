@@ -51,6 +51,7 @@ _doubles = st.one_of(
     st.none(),
     st.just(float("nan")),
     st.floats(-60.0, 60.0, allow_nan=False),
+    st.sampled_from([float("inf"), float("-inf")]),
 )
 _dates = st.one_of(
     st.none(),
@@ -170,5 +171,6 @@ def test_every_vectorized_kernel_is_enrolled() -> None:
         "SampleHeavyHittersSketch",
         "SampleQuantileSketch",
         "FindTextSketch",
+        "NextKSketch",
     }
     assert expected <= covered

@@ -173,6 +173,41 @@ class TestNewestQueryWins:
         finally:
             scheduler.shutdown()
 
+    def test_back_to_back_sketches_are_not_preempted(self, manager, numbers_source):
+        """A closed-loop client sends its next sketch the moment the previous
+        one answers — while that task is still winding down inside the
+        scheduler.  Nothing overlapped, so nothing was superseded."""
+        scheduler = FairShareScheduler(max_concurrent=2)
+        rounds = 200
+        try:
+            session = manager.get_or_create("closed-loop")
+            handle = session.web.load(numbers_source)
+            tasks, terminals = [], []
+
+            def submit(index: int) -> None:
+                def sink(reply) -> None:
+                    if reply.kind in TERMINAL:
+                        terminals.append(reply.kind)
+                        if index < rounds:
+                            submit(index + 1)
+
+                tasks.append(
+                    scheduler.submit(session, sketch_request(index, handle), sink)
+                )
+
+            submit(1)
+            deadline = time.monotonic() + 60
+            while len(terminals) < rounds and time.monotonic() < deadline:
+                time.sleep(0.005)
+            for task in tasks:
+                assert task.done.wait(timeout=10)
+            assert terminals == ["complete"] * rounds
+            assert scheduler.metrics.preempted == 0
+            assert session.metrics.preempted == 0
+            assert scheduler.metrics.completed == rounds
+        finally:
+            scheduler.shutdown()
+
     def test_supersedes_queued_sketch_without_running_it(
         self, manager, numbers_source
     ):

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_kernel_equivalence import canonical_tables
+
 from repro.core.serialization import Decoder, Encoder
+from repro.engine.local import LocalDataSet
 from repro.sketches.find_text import FindResult, FindTextSketch
 from repro.sketches.next_items import NextKList, NextKSketch
 from repro.sketches.quantile import QuantileSummary, SampleQuantileSketch
+from repro.sketches.specs import CANONICAL_SCHEMA
+from repro.table.column import DoubleColumn, IntColumn
 from repro.table.compute import StringMatchPredicate
+from repro.table.schema import ColumnDescription, ContentsKind
 from repro.table.sort import RecordOrder
 from repro.table.table import Table
 
@@ -119,6 +125,122 @@ class TestNextK:
         merged = sketch.merge_all([sketch.summarize(s) for s in table.split(parts)])
         assert whole.rows == merged.rows
         assert whole.counts == merged.counts
+
+
+@st.composite
+def sort_orders(draw) -> RecordOrder:
+    columns = draw(
+        st.lists(st.sampled_from(sorted(CANONICAL_SCHEMA)), min_size=1, unique=True)
+    )
+    flags = draw(st.lists(st.booleans(), min_size=len(columns), max_size=len(columns)))
+    return RecordOrder.of(*columns, ascending=flags)
+
+
+class TestNextKPaging:
+    """Scrolling the table view: each page starts at the previous page's
+    last row (``Spreadsheet.next_page``), backward over the reversed order
+    (``Spreadsheet.prev_page``)."""
+
+    @staticmethod
+    def pages(table, shards, order, k, start=None):
+        """Every page from ``start`` on, each merged from ``shards`` and
+        checked against the unsplit table."""
+        whole = LocalDataSet(table)
+        out = []
+        while True:
+            sketch = NextKSketch(order, k, start)
+            page = sketch.merge_all([sketch.summarize(s) for s in shards])
+            assert page.to_bytes() == whole.sketch(sketch).to_bytes()
+            out.append(page)
+            if len(page.rows) < k:
+                return out
+            start = order.key_from_values(page.rows[-1])
+
+    @given(
+        table=canonical_tables(min_rows=1),
+        shards=st.integers(1, 8),
+        order=sort_orders(),
+        k=st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_paging_visits_every_key_once_in_order(self, table, shards, order, k):
+        groups = exact_groups(table, order)
+        forward = self.pages(table, table.split(shards), order, k)
+        visited = [row for page in forward for row in page.rows]
+        assert visited == [values for values, _ in groups]
+        counts = [count for page in forward for count in page.counts]
+        assert counts == [count for _, count in groups]
+        assert sum(counts) == table.num_rows
+        shown = 0
+        for page in forward:
+            assert page.scanned == table.num_rows
+            assert page.preceding == shown
+            shown += sum(page.counts)
+        # Backward from the last row, the reversed order walks every other
+        # key back to the top.
+        reverse = order.reversed()
+        bottom = reverse.key_from_values(visited[-1])
+        backward = self.pages(table, table.split(shards), reverse, k, bottom)
+        assert [row for page in backward for row in page.rows] == visited[-2::-1]
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_pages_through_infinite_cells(self, ascending):
+        """±inf are cell values (``read_csv`` parses 'inf'); the start key
+        must land where ``sort_surrogate`` put the rows that hold them."""
+        inf = float("inf")
+        table = Table.from_pydict(
+            {"d": [inf, inf, inf, 1.0, 2.0, -inf, None], "i": [1, 2, 3, 0, 0, 5, 6]},
+            shard_id="inf",
+        )
+        order = RecordOrder.of("d", "i", ascending=ascending)
+        pages = self.pages(table, [table], order, 2)
+        visited = [row for page in pages for row in page.rows]
+        assert visited == [values for values, _ in exact_groups(table, order)]
+        assert [page.preceding for page in pages] == [0, 2, 4, 6]
+
+    def test_builds_objects_only_for_the_rows_it_returns(self, monkeypatch):
+        """A page over a large shard costs k groups' cells and the O(log n)
+        keys of one bisect — no per-row, no per-group Python object."""
+        rng = np.random.default_rng(5)
+        n, k = 50_000, 50
+        table = Table(
+            [
+                IntColumn(
+                    ColumnDescription("i", ContentsKind.INTEGER),
+                    rng.integers(-60, 61, n),
+                    rng.random(n) < 0.02,
+                ),
+                DoubleColumn(
+                    ColumnDescription("d", ContentsKind.DOUBLE),
+                    rng.uniform(-60.0, 60.0, n),
+                ),
+            ],
+            shard_id="large",
+        )
+        order = RecordOrder.of("i", "d", ascending=[False, True])
+        first = NextKSketch(order, k).summarize(table)
+        sketch = NextKSketch(order, k, order.key_from_values(first.rows[-1]))
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(IntColumn, "value")
+        counted(DoubleColumn, "value")
+        counted(RecordOrder, "row_key")
+        counted(RecordOrder, "key_from_values")
+        page = sketch.summarize(table)
+        assert len(page.rows) == k and page.preceding == sum(first.counts)
+        assert 0 < len(calls) <= k * len(order.columns) + 64
+        calls.clear()
+        sketch.summarize_reference(table)
+        assert len(calls) > n // 2  # the oracle does pay per group
 
 
 class TestQuantile:
