@@ -190,7 +190,8 @@ class RpcReply:
     profile: dict | None = None
     attachment: bytes | None = None
 
-    def to_json(self) -> str:
+    def envelope(self) -> dict:
+        """The wire fields, in wire order; every framing serializes this."""
         data: dict = {
             "requestId": self.request_id,
             "kind": self.kind,
@@ -206,7 +207,10 @@ class RpcReply:
             data["cache"] = self.cache
         if self.profile is not None:
             data["profile"] = self.profile
-        return json.dumps(data)
+        return data
+
+    def to_json(self) -> str:
+        return json.dumps(self.envelope())
 
     @classmethod
     def from_json(cls, text: str) -> "RpcReply":

@@ -23,11 +23,15 @@ request) streams its grace timer already cancelled.  The client-side
 rule is one line: ignore replies whose seq is not greater than the last
 seen.
 
-**Backpressure** is the transport story of
-:class:`~repro.service.transport._Connection` verbatim: replies cross
-from scheduler threads into the connection's bounded asyncio outbox, and
-when a client stops draining, the blocked sink stalls (then cancels) the
-producing query — slow consumers never balloon the root's memory.
+**Admission, backpressure and teardown** are the TCP wire's, not copies
+of them: sessions are admitted by
+:meth:`~repro.service.transport.ServiceServer.admit`, the listener is a
+:class:`~repro.service.frontdoor.ServerHost`, and every connection
+writes through an :class:`~repro.service.frontdoor.Outbox` — replies
+are encoded to WebSocket frames once, on the scheduler thread that
+produced them, and when a client stops draining, the blocked sink
+stalls (then cancels) the producing query, so slow consumers never
+balloon the root's memory.
 
 The gateway runs on its own event loop (and thread, via
 :meth:`start_background`), so a deployment can serve the TCP wire and
@@ -38,7 +42,7 @@ alone.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
+import itertools
 import json
 import threading
 import time
@@ -49,7 +53,6 @@ from repro.engine.rpc import (
     RpcReply,
     RpcRequest,
 )
-from repro.errors import EngineError
 from repro.gateway import http as gw_http
 from repro.gateway import websocket as ws
 from repro.gateway.connector import ConnectorError, DatasetConnector
@@ -63,9 +66,10 @@ from repro.gateway.protocol import (
 from repro.obs.logs import log_event
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TraceContext, from_traceparent, to_traceparent
+from repro.service.frontdoor import Outbox, ServerHost
 from repro.service.scheduler import QueryTask
 from repro.service.sessions import Session
-from repro.service.transport import ServiceServer
+from repro.service.transport import DrainingError, ServiceServer
 
 #: HTTP status for each connector/gateway error code.
 _STATUS_BY_CODE = {
@@ -86,19 +90,30 @@ def _status_for(code: str | None) -> int:
     return _STATUS_BY_CODE.get(code or "", 500)
 
 
-def _reply_to_message(reply: RpcReply, seq: int | None = None) -> dict:
-    """An :class:`RpcReply` as a typed WebSocket message.
+def _text(message: dict) -> bytes:
+    """A typed JSON message as one WebSocket text frame."""
+    return ws.encode_frame(
+        ws.OP_TEXT, json.dumps(message, sort_keys=True).encode("utf-8")
+    )
+
+
+def _error(code: str, error: str, **extra) -> bytes:
+    return _text({"type": "error", "code": code, "error": error, **extra})
+
+
+def reply_frame(reply: RpcReply, seq: int | None = None) -> bytes:
+    """An :class:`RpcReply` as the bytes the WebSocket wire carries.
 
     The envelope fields (requestId, kind, progress, payload, error, code,
-    cache, profile) are exactly the TCP wire's JSON — same codec, so a
-    sketch payload received over the gateway is identical to one received
-    over a :class:`~repro.service.transport.ServiceClient`.
+    cache, profile) are exactly the TCP wire's — same
+    :meth:`~repro.engine.rpc.RpcReply.envelope`, so a sketch payload
+    received over the gateway is identical to one received over a
+    :class:`~repro.service.transport.ServiceClient`.
     """
-    message = json.loads(reply.to_json())
-    message["type"] = "reply"
+    message = {**reply.envelope(), "type": "reply"}
     if seq is not None:
         message["seq"] = seq
-    return message
+    return _text(message)
 
 
 class _Stream:
@@ -106,9 +121,10 @@ class _Stream:
 
     def __init__(self, request: RpcRequest):
         self.request = request
-        self.seq = 0
-        self.last_partial: dict | None = None
-        self.terminal: dict | None = None
+        self._seqs = itertools.count(1)
+        #: ``(seq, frame)``: a resume re-sends the stored bytes.
+        self.last_partial: tuple[int, bytes] | None = None
+        self.terminal: tuple[int, bytes] | None = None
         self.done = False
         #: Cancelled by the grace timer (connection never resumed in
         #: time) — a resume restarts the stored request instead of
@@ -117,75 +133,29 @@ class _Stream:
         self.task: QueryTask | None = None
         self.started = time.monotonic()
 
-    def record(self, reply: RpcReply) -> dict:
-        """Assign the next seq and fold the reply into replay state."""
-        self.seq += 1
-        message = _reply_to_message(reply, self.seq)
+    def record(self, reply: RpcReply) -> bytes:
+        """Encode the reply under the next seq and fold it into replay
+        state.  Called only by the stream's own scheduler thread."""
+        seq = next(self._seqs)
+        frame = reply_frame(reply, seq)
         if reply.kind == "partial":
             # Partials are cumulative: the latest one subsumes every
             # earlier one, so the ledger holds exactly one.
-            self.last_partial = message
+            self.last_partial = (seq, frame)
         else:
-            self.terminal = message
+            self.terminal = (seq, frame)
             self.done = True
-        return message
+        return frame
 
-    def replay_after(self, last_seq: int) -> list[dict]:
-        messages = []
-        if self.last_partial is not None and self.last_partial["seq"] > last_seq:
-            messages.append(self.last_partial)
-        if self.terminal is not None and self.terminal["seq"] > last_seq:
-            messages.append(self.terminal)
-        return messages
-
-
-class _WsConnection:
-    """One WebSocket connection's write side: bounded outbox + negotiation."""
-
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        outbox: "asyncio.Queue[dict | bytes | None]",
-        sink_timeout: float,
-    ):
-        self.loop = loop
-        self.outbox = outbox
-        self.sink_timeout = sink_timeout
-        self.closed = threading.Event()
-        self.negotiated: Negotiated | None = None
-        self.session: Session | None = None
-
-    def send_threadsafe(self, message: dict) -> None:
-        """Enqueue from a scheduler thread; blocks for backpressure.
-
-        When (unusually) invoked on the gateway loop itself — e.g. the
-        scheduler's admission-rejection path calls the sink synchronously
-        from ``submit`` — fall back to a non-blocking put: blocking the
-        loop on its own queue would deadlock.
-        """
-        if self.closed.is_set():
-            raise ConnectionError("websocket connection closed")
-        try:
-            running: asyncio.AbstractEventLoop | None = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is self.loop:
-            try:
-                self.outbox.put_nowait(message)
-            except asyncio.QueueFull:
-                raise ConnectionError("client stopped draining replies")
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.outbox.put(message), self.loop
-        )
-        try:
-            future.result(timeout=self.sink_timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise ConnectionError("client stopped draining replies")
+    def replay_after(self, last_seq: int) -> list[bytes]:
+        return [
+            kept[1]
+            for kept in (self.last_partial, self.terminal)
+            if kept is not None and kept[0] > last_seq
+        ]
 
 
-class GatewayServer:
+class GatewayServer(ServerHost):
     """HTTP + WebSocket front door over one :class:`ServiceServer`."""
 
     def __init__(
@@ -193,128 +163,42 @@ class GatewayServer:
         service: ServiceServer | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        outbox_frames: int = 64,
-        sink_timeout_seconds: float = 30.0,
         heartbeat_interval_seconds: float = 15.0,
         resume_grace_seconds: float = 60.0,
         handshake_timeout_seconds: float = 10.0,
     ):
         self.service = service if service is not None else ServiceServer()
-        self.host = host
-        self.port = port
-        self.outbox_frames = outbox_frames
-        self.sink_timeout_seconds = sink_timeout_seconds
+        super().__init__(self.service, "gateway-server", host, port)
         self.heartbeat_interval_seconds = heartbeat_interval_seconds
         self.resume_grace_seconds = resume_grace_seconds
         self.handshake_timeout_seconds = handshake_timeout_seconds
         self.connector = DatasetConnector(self.service.sessions)
-        self.address: tuple[str, int] | None = None
         self.http_requests = 0
         self.ws_connections = 0
         self.ws_resumed_streams = 0
         self.ws_restarted_streams = 0
         #: session id -> its resumable streams, keyed by request id.
         self._streams: dict[str, dict[int, _Stream]] = {}
-        #: session id -> the currently attached WS connection (one at a
-        #: time: a resume steals the session from a zombie connection).
-        self._attached: dict[str, _WsConnection] = {}
+        #: session id -> the currently attached WS connection's outbox
+        #: (one at a time: a resume steals the session from a zombie).
+        self._attached: dict[str, Outbox] = {}
         self._grace: dict[str, asyncio.TimerHandle] = {}
         self._ledger_lock = threading.Lock()
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._sweeper: asyncio.Task | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        # Session teardown (close, idle expiry) must also drop the
-        # gateway's ledger for that session; chain onto whatever hook
-        # the service already installed (the scheduler's forget_session).
-        chained = self.service.sessions.on_close
-
-        def on_close(session_id: str) -> None:
-            if chained is not None:
-                chained(session_id)
-            self._forget_session(session_id)
-
-        self.service.sessions.on_close = on_close
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
-        if self.service._sweeper is None:
-            # Standalone gateway (the TCP wire is not serving): the
-            # session/cache sweep has to run somewhere.
-            self._sweeper = asyncio.create_task(self._sweep_loop())
-        log_event("gateway.start", host=self.address[0], port=self.address[1])
-        return self.address
+        address = await super().start()
+        # Session teardown (close, idle expiry) must also drop the
+        # gateway's ledger for that session.
+        self.service.sessions.close_listeners.append(self._forget_session)
+        log_event("gateway.start", host=address[0], port=address[1])
+        return address
 
-    async def _sweep_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.service.sweep_interval_seconds)
-            self.service.sessions.sweep()
-            self.service.sessions.expire()
-            self.service.cluster.sweep_caches()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        finally:
-            await self._shutdown_async()
-
-    def run(self) -> None:
-        """Blocking entry point for ``repro gateway``."""
-        try:
-            asyncio.run(self.serve_forever())
-        except KeyboardInterrupt:
-            pass
-
-    def start_background(self, timeout: float = 10.0) -> tuple[str, int]:
-        started = threading.Event()
-
-        def main() -> None:
-            asyncio.run(self._background_main(started))
-
-        self._thread = threading.Thread(
-            target=main, name="gateway-server", daemon=True
-        )
-        self._thread.start()
-        if not started.wait(timeout):
-            raise EngineError("gateway server failed to start")
-        assert self.address is not None
-        return self.address
-
-    async def _background_main(self, started: threading.Event) -> None:
-        await self.start()
-        self._stop = asyncio.Event()
-        started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self._shutdown_async()
-
-    async def _shutdown_async(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.cancel()
+    async def _shutdown(self) -> None:
+        self.service.sessions.close_listeners.remove(self._forget_session)
         for handle in self._grace.values():
             handle.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    def close(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        await super()._shutdown()
 
     # -- HTTP ------------------------------------------------------------
     async def _handle_connection(
@@ -365,7 +249,7 @@ class GatewayServer:
             return gw_http.error_response(
                 exc.status, exc.code, str(exc), keep_alive=keep
             )
-        except (ConnectorError, NegotiationError, ProtocolError) as exc:
+        except (ConnectorError, NegotiationError, ProtocolError, DrainingError) as exc:
             code = getattr(exc, "code", "bad_request") or "bad_request"
             return gw_http.error_response(
                 _status_for(code), code, str(exc), keep_alive=keep
@@ -499,22 +383,8 @@ class GatewayServer:
     def _http_create_session(self, request: gw_http.HttpRequest) -> bytes:
         body = request.json_body()
         requested = body.get("session")
-        keep = request.keep_alive
-        if self.service.draining and not (
-            requested and self.service.sessions.get(str(requested))
-        ):
-            self.service.hellos_refused += 1
-            return gw_http.error_response(
-                503,
-                "draining",
-                "this root is draining; reconnect through the director "
-                "to another root",
-                keep_alive=keep,
-            )
         before = self.service.sessions.get(str(requested)) if requested else None
-        session = self.service.sessions.get_or_create(
-            str(requested) if requested else None
-        )
+        session = self.service.admit(requested)  # DrainingError is a 503
         # "resumed": the id named an existing session — resident on this
         # root, or rebuilt (with handles) from the shared session store.
         resumed = before is not None or (
@@ -523,7 +393,7 @@ class GatewayServer:
         return gw_http.json_response(
             201,
             {"session": session.session_id, "resumed": resumed},
-            keep_alive=keep,
+            keep_alive=request.keep_alive,
         )
 
     @staticmethod
@@ -591,26 +461,31 @@ class GatewayServer:
         REGISTRY.counter(
             "gateway.ws_connections", "WebSocket connections accepted"
         ).inc()
-        outbox: "asyncio.Queue[dict | bytes | None]" = asyncio.Queue(
-            maxsize=self.outbox_frames
+        outbox = Outbox(
+            writer,
+            REGISTRY.counter(
+                "gateway.ws_bytes_sent", "reply bytes on the WebSocket wire"
+            ),
         )
-        conn = _WsConnection(self._loop, outbox, self.sink_timeout_seconds)
         conn_trace = from_traceparent(request.headers.get("traceparent"))
-        writer_task = asyncio.create_task(self._ws_writer_loop(writer, outbox))
         heartbeat_task: asyncio.Task | None = None
         direct_tasks: list[QueryTask] = []
+        session: Session | None = None
         started = time.perf_counter()
         try:
-            session = await self._ws_handshake(conn, reader)
+            admitted = await self._ws_handshake(outbox, reader)
             REGISTRY.histogram(
                 "gateway.ws_handshake_seconds",
                 "WebSocket handshake latency (accept to welcome)",
             ).observe(time.perf_counter() - started)
-            if session is None:
+            if admitted is None:
                 return
-            if conn.negotiated.enabled("ws_heartbeat"):
-                heartbeat_task = asyncio.create_task(self._heartbeat_loop(conn))
-            await self._ws_message_loop(conn, session, reader, conn_trace, direct_tasks)
+            session, negotiated = admitted
+            if negotiated.enabled("ws_heartbeat"):
+                heartbeat_task = asyncio.create_task(self._heartbeat_loop(outbox))
+            await self._ws_message_loop(
+                outbox, session, negotiated, reader, conn_trace, direct_tasks
+            )
         except (
             ws.WebSocketError,
             ws.ConnectionClosed,
@@ -621,7 +496,6 @@ class GatewayServer:
         ):
             pass
         finally:
-            conn.closed.set()
             if heartbeat_task is not None:
                 heartbeat_task.cancel()
             # Direct (non-resumable) streams die with the connection,
@@ -629,83 +503,37 @@ class GatewayServer:
             # window instead.
             for task in direct_tasks:
                 task.token.cancel()
-            if conn.session is not None:
-                self._detach(conn, conn.session.session_id)
-            # Flush what is already queued (handshake refusals, the last
-            # replies) before tearing the writer down; a full outbox means
-            # the client stopped draining, so dropping it is fine.
-            try:
-                outbox.put_nowait(None)
-            except asyncio.QueueFull:
-                writer_task.cancel()
-            try:
-                await writer_task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
+            if session is not None:
+                self._detach(outbox, session.session_id)
+            await outbox.close()
 
-    async def _ws_writer_loop(
-        self,
-        writer: asyncio.StreamWriter,
-        outbox: "asyncio.Queue[dict | bytes | None]",
-    ) -> None:
-        sent = REGISTRY.counter(
-            "gateway.ws_bytes_sent", "reply bytes on the WebSocket wire"
-        )
-        try:
-            while True:
-                message = await outbox.get()
-                if message is None:
-                    break
-                if isinstance(message, bytes):
-                    frame = message  # pre-encoded control frame
-                else:
-                    frame = ws.encode_frame(
-                        ws.OP_TEXT,
-                        json.dumps(message, sort_keys=True).encode("utf-8"),
-                    )
-                sent.inc(len(frame))
-                writer.write(frame)
-                await writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _heartbeat_loop(self, conn: _WsConnection) -> None:
+    async def _heartbeat_loop(self, outbox: Outbox) -> None:
         n = 0
-        while not conn.closed.is_set():
+        while not outbox.closed.is_set():
             await asyncio.sleep(self.heartbeat_interval_seconds)
             n += 1
             try:
-                conn.outbox.put_nowait({"type": "heartbeat", "n": n})
-            except asyncio.QueueFull:
+                outbox.send(_text({"type": "heartbeat", "n": n}))
+            except ConnectionError:
                 pass  # a full outbox is already applying backpressure
 
     async def _ws_handshake(
-        self, conn: _WsConnection, reader: asyncio.StreamReader
-    ) -> Session | None:
+        self, outbox: Outbox, reader: asyncio.StreamReader
+    ) -> tuple[Session, Negotiated] | None:
         """Server hello -> client hello -> negotiate -> welcome (+ replay).
 
-        Returns the bound session, or ``None`` when the handshake was
-        refused (the refusal message has already been sent).
+        Returns the bound session and the negotiated protocol, or
+        ``None`` when the handshake was refused (the refusal message has
+        already been sent).
         """
-        hello = dict(protocol_payload())
-        hello["type"] = "hello"
-        await conn.outbox.put(hello)
+        await outbox.put(_text({**protocol_payload(), "type": "hello"}))
         try:
             message = await asyncio.wait_for(
                 ws.read_message(reader), timeout=self.handshake_timeout_seconds
             )
         except asyncio.TimeoutError:
-            await conn.outbox.put(
-                {
-                    "type": "error",
-                    "code": "bad_handshake",
-                    "error": "timed out waiting for the client hello",
-                }
+            await outbox.put(
+                _error("bad_handshake", "timed out waiting for the client hello")
             )
             return None
         if message.opcode == ws.OP_CLOSE:
@@ -713,24 +541,18 @@ class GatewayServer:
         try:
             client_hello = json.loads(message.data.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await conn.outbox.put(
-                {
-                    "type": "error",
-                    "code": "bad_handshake",
-                    "error": f"client hello is not valid JSON: {exc}",
-                }
+            await outbox.put(
+                _error("bad_handshake", f"client hello is not valid JSON: {exc}")
             )
             return None
         if (
             not isinstance(client_hello, dict)
             or client_hello.get("type") != "hello"
         ):
-            await conn.outbox.put(
-                {
-                    "type": "error",
-                    "code": "bad_handshake",
-                    "error": "the first message must be a {'type': 'hello'}",
-                }
+            await outbox.put(
+                _error(
+                    "bad_handshake", "the first message must be a {'type': 'hello'}"
+                )
             )
             return None
         try:
@@ -738,76 +560,55 @@ class GatewayServer:
                 client_hello.get("protocolVersion", PROTOCOL_VERSION),
                 client_hello.get("features"),
             )
+            session = self.service.admit(client_hello.get("session"))
         except NegotiationError as exc:
-            await conn.outbox.put(
-                {
-                    "type": "error",
-                    "code": exc.code,
-                    "error": str(exc),
-                    "minSupported": protocol_payload()["minSupported"],
-                }
+            await outbox.put(
+                _error(
+                    exc.code,
+                    str(exc),
+                    minSupported=protocol_payload()["minSupported"],
+                )
             )
             return None
-        requested = client_hello.get("session")
-        if self.service.draining and not (
-            requested and self.service.sessions.get(str(requested))
-        ):
-            self.service.hellos_refused += 1
-            await conn.outbox.put(
-                {
-                    "type": "error",
-                    "code": "draining",
-                    "error": "this root is draining; reconnect through "
-                    "the director to another root",
-                }
-            )
+        except DrainingError as exc:
+            await outbox.put(_error(exc.code, str(exc)))
             return None
-        session = self.service.sessions.get_or_create(
-            str(requested) if requested else None
-        )
-        conn.negotiated = negotiated
-        conn.session = session
-        welcome: dict = {
+        welcome = {
             "type": "welcome",
             "session": session.session_id,
+            **negotiated.to_json(),
         }
-        welcome.update(negotiated.to_json())
-        replay: list[dict] = []
+        replay: list[bytes] = []
         if negotiated.enabled("ws_resume"):
-            resumed = self._attach(conn, session, client_hello.get("resume"))
-            welcome["resumed"] = resumed["resumed"]
-            welcome["restarted"] = resumed["restarted"]
-            welcome["expired"] = resumed["expired"]
-            replay = resumed["replay"]
-        await conn.outbox.put(welcome)
-        for message_out in replay:
-            await conn.outbox.put(message_out)
-        return session
+            resumed, replay = self._attach(
+                outbox, session, client_hello.get("resume")
+            )
+            welcome.update(resumed)
+        await outbox.put(_text(welcome))
+        for frame in replay:
+            await outbox.put(frame)
+        return session, negotiated
 
     # -- resumable stream ledger ----------------------------------------
     def _attach(
-        self, conn: _WsConnection, session: Session, resume: object
-    ) -> dict:
-        """Bind ``conn`` as the session's live connection and compute the
-        replay for the client's ``resume`` map (requestId -> last seq)."""
+        self, outbox: Outbox, session: Session, resume: object
+    ) -> tuple[dict, list[bytes]]:
+        """Bind ``outbox`` as the session's live connection; returns what
+        the welcome says about the client's ``resume`` map (requestId ->
+        last seq) and the frames to replay after it."""
         session_id = session.session_id
         handle = self._grace.pop(session_id, None)
         if handle is not None:
             handle.cancel()
         with self._ledger_lock:
-            self._attached[session_id] = conn
+            self._attached[session_id] = outbox
             streams = dict(self._streams.get(session_id, {}))
         resumed: list[int] = []
         restarted: list[int] = []
         expired: list[int] = []
-        replay: list[dict] = []
+        replay: list[bytes] = []
         if not isinstance(resume, dict):
-            return {
-                "resumed": resumed,
-                "restarted": restarted,
-                "expired": expired,
-                "replay": replay,
-            }
+            resume = {}
         for raw_id, raw_seq in sorted(resume.items(), key=lambda kv: str(kv[0])):
             try:
                 request_id = int(raw_id)
@@ -818,15 +619,15 @@ class GatewayServer:
             if stream is None:
                 expired.append(request_id)
                 replay.append(
-                    {
-                        "type": "reply",
-                        "requestId": request_id,
-                        "kind": "error",
-                        "progress": 1.0,
-                        "error": "this stream is no longer resumable; "
-                        "re-issue the query",
-                        "code": "stream_expired",
-                    }
+                    reply_frame(
+                        RpcReply(
+                            request_id,
+                            "error",
+                            error="this stream is no longer resumable; "
+                            "re-issue the query",
+                            code="stream_expired",
+                        )
+                    )
                 )
                 continue
             if stream.expired:
@@ -843,25 +644,20 @@ class GatewayServer:
         REGISTRY.counter(
             "gateway.ws_streams_resumed", "streams resumed after reconnect"
         ).inc(len(resumed) + len(restarted))
-        return {
-            "resumed": resumed,
-            "restarted": restarted,
-            "expired": expired,
-            "replay": replay,
-        }
+        return {"resumed": resumed, "restarted": restarted, "expired": expired}, replay
 
-    def _detach(self, conn: _WsConnection, session_id: str) -> None:
+    def _detach(self, outbox: Outbox, session_id: str) -> None:
         """The connection is gone: start the resume grace timer."""
         with self._ledger_lock:
-            if self._attached.get(session_id) is conn:
+            if self._attached.get(session_id) is outbox:
                 del self._attached[session_id]
             else:
                 return  # a newer connection already took over
             live = any(
                 not s.done for s in self._streams.get(session_id, {}).values()
             )
-        if live and self._loop is not None:
-            self._grace[session_id] = self._loop.call_later(
+        if live and self.loop is not None:
+            self._grace[session_id] = self.loop.call_later(
                 self.resume_grace_seconds, self._expire_streams, session_id
             )
 
@@ -896,13 +692,17 @@ class GatewayServer:
         stream.terminal = None
 
         def sink(reply: RpcReply) -> None:
+            # Encoding happens here, on the scheduler thread and outside
+            # the ledger lock; the lock orders "recorded" against a
+            # resume's "attached", so a reply reaches the new connection
+            # directly or through its replay (the client drops repeats).
+            frame = stream.record(reply)
             with self._ledger_lock:
-                message = stream.record(reply)
-                conn = self._attached.get(session_id)
-            if conn is not None:
+                outbox = self._attached.get(session_id)
+            if outbox is not None:
                 # May raise ConnectionError (stalled client) — the
                 # scheduler then cancels the query, like the TCP wire.
-                conn.send_threadsafe(message)
+                outbox.send(frame)
 
         stream.task = self.service.scheduler.submit(
             session, stream.request, sink
@@ -926,8 +726,9 @@ class GatewayServer:
     # -- WS message loop --------------------------------------------------
     async def _ws_message_loop(
         self,
-        conn: _WsConnection,
+        outbox: Outbox,
         session: Session,
+        negotiated: Negotiated,
         reader: asyncio.StreamReader,
         conn_trace: TraceContext | None,
         direct_tasks: list[QueryTask],
@@ -935,14 +736,13 @@ class GatewayServer:
         messages = REGISTRY.counter(
             "gateway.ws_messages", "client messages on the WebSocket wire"
         )
-        resumable = conn.negotiated.enabled("ws_resume")
         while True:
             message = await ws.read_message(reader)
             if message.opcode == ws.OP_CLOSE:
-                await conn.outbox.put(ws.close_frame())
+                await outbox.put(ws.close_frame())
                 return
             if message.opcode == ws.OP_PING:
-                await conn.outbox.put(ws.encode_frame(ws.OP_PONG, message.data))
+                await outbox.put(ws.encode_frame(ws.OP_PONG, message.data))
                 continue
             if message.opcode == ws.OP_PONG:
                 continue
@@ -953,50 +753,42 @@ class GatewayServer:
                 if not isinstance(data, dict):
                     raise ValueError("messages must be JSON objects")
             except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-                await conn.outbox.put(
-                    {
-                        "type": "error",
-                        "code": "bad_request",
-                        "error": f"unreadable message: {exc}",
-                    }
-                )
+                await outbox.put(_error("bad_request", f"unreadable message: {exc}"))
                 continue
             kind = data.get("type")
             if kind == "ping":
-                await conn.outbox.put({"type": "pong"})
+                await outbox.put(_text({"type": "pong"}))
             elif kind == "cancel":
                 request_id = int(data.get("requestId", -1))
                 cancelled = session.cancel_request(request_id)
                 # Not a "reply": the stream itself still terminates with
                 # its own cancelled/complete envelope, and a reply-kind
                 # ack here would put two terminals on one requestId.
-                await conn.outbox.put(
-                    {
-                        "type": "cancel_ack",
-                        "requestId": request_id,
-                        "cancelled": cancelled,
-                    }
+                await outbox.put(
+                    _text(
+                        {
+                            "type": "cancel_ack",
+                            "requestId": request_id,
+                            "cancelled": cancelled,
+                        }
+                    )
                 )
             elif kind == "request":
-                self._ws_submit(
-                    conn, session, data, conn_trace, resumable, direct_tasks
+                await self._ws_submit(
+                    outbox, session, negotiated, data, conn_trace, direct_tasks
                 )
             else:
-                await conn.outbox.put(
-                    {
-                        "type": "error",
-                        "code": "bad_request",
-                        "error": f"unknown message type {kind!r}",
-                    }
+                await outbox.put(
+                    _error("bad_request", f"unknown message type {kind!r}")
                 )
 
-    def _ws_submit(
+    async def _ws_submit(
         self,
-        conn: _WsConnection,
+        outbox: Outbox,
         session: Session,
+        negotiated: Negotiated,
         data: dict,
         conn_trace: TraceContext | None,
-        resumable: bool,
         direct_tasks: list[QueryTask],
     ) -> None:
         try:
@@ -1006,31 +798,25 @@ class GatewayServer:
                 method=str(data["method"]),
                 args=dict(data.get("args") or {}),
                 trace=data.get("trace")
-                if conn.negotiated.enabled("trace_context")
+                if negotiated.enabled("trace_context")
                 else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
-            conn.outbox.put_nowait(
-                {
-                    "type": "error",
-                    "code": "bad_request",
-                    "error": f"malformed request message: {exc}",
-                }
+            await outbox.put(
+                _error("bad_request", f"malformed request message: {exc}")
             )
             return
         if request.trace is None and conn_trace is not None:
             # The upgrade request's traceparent covers the connection;
             # each query becomes a child span of it.
             request.trace = conn_trace.child().to_json()
-        if resumable and request.method == "sketch":
+        if negotiated.enabled("ws_resume") and request.method == "sketch":
             stream = self._register_stream(session, request)
             self._submit_resumable(session, stream)
             return
         direct_tasks.append(
             self.service.scheduler.submit(
-                session, request, lambda reply: conn.send_threadsafe(
-                    _reply_to_message(reply)
-                )
+                session, request, lambda reply: outbox.send(reply_frame(reply))
             )
         )
         # Compact the bookkeeping list as the TCP transport does.

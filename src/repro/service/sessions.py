@@ -279,10 +279,12 @@ class SessionManager:
     its lineage restored, its handles rebuilt lazily by §5.7 replay — so
     a client can reconnect to any root of the tier.
 
-    ``on_close`` is invoked (with the session id) whenever a session is
-    closed or expired, however that happens; the service layer hooks the
-    scheduler's ``forget_session`` here so TTL-expired sessions release
-    their scheduler state exactly like explicitly closed ones.
+    Every callable in ``close_listeners`` (seeded with ``on_close``) is
+    invoked with the session id whenever a session is closed or expired,
+    however that happens; the service layer lists the scheduler's
+    ``forget_session`` and the gateway its stream ledger's, so
+    TTL-expired sessions release that state exactly like explicitly
+    closed ones.
     """
 
     def __init__(
@@ -314,7 +316,7 @@ class SessionManager:
         #: sweep loop, so an abandoned tier database stops growing
         #: forever.  ``None`` disables compaction (single-root default).
         self.store_ttl_seconds = store_ttl_seconds
-        self.on_close = on_close
+        self.close_listeners = [on_close] if on_close is not None else []
         self._clock = clock
         self._sessions: dict[str, Session] = {}
         self._dataset_pool: dict[str, IDataSet] = {}
@@ -462,7 +464,7 @@ class SessionManager:
     def _teardown(self, session: Session, expired: bool = False) -> None:
         """Release everything a dropped session holds, everywhere: local
         tasks and handles, the scheduler's per-session state (via
-        ``on_close``), and the shared store's record.
+        ``close_listeners``), and the shared store's record.
 
         On *expiry* the store delete is conditional: a record newer than
         what this root last wrote means another root of the tier has
@@ -482,8 +484,8 @@ class SessionManager:
             expired=expired,
             queries=session.metrics.queries,
         )
-        if self.on_close is not None:
-            self.on_close(session.session_id)
+        for listener in list(self.close_listeners):
+            listener(session.session_id)
         if self.store is None:
             return
         try:
@@ -572,7 +574,7 @@ class SessionManager:
 
     def expire(self) -> list[str]:
         """Drop sessions idle past the expiry TTL entirely; their
-        scheduler state is released through ``on_close``.  An expired
+        scheduler state is released through ``close_listeners``.  An expired
         session cannot be resumed — reconnecting clients start fresh."""
         with self._lock:
             candidates = [

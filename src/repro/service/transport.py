@@ -23,7 +23,6 @@ reply streams by request id into per-query queues.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import functools
 import itertools
 import queue as queue_mod
@@ -44,11 +43,12 @@ from repro.engine.rpc import (
     RpcReply,
     RpcRequest,
 )
-from repro.errors import EngineError, HillviewError
+from repro.errors import HillviewError
 from repro.obs.logs import log_event
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import RECORDER, TraceContext, trace_enabled
 from repro.service import slow  # noqa: F401 — registers the "slow" sketch type
+from repro.service.frontdoor import Outbox, ServerHost
 from repro.service.scheduler import FairShareScheduler
 from repro.service.session_store import SessionStore
 from repro.service.sessions import Session, SessionManager
@@ -79,38 +79,18 @@ def read_frame_blocking(stream: BinaryIO) -> bytes | None:
 # ---------------------------------------------------------------------------
 # Server
 # ---------------------------------------------------------------------------
-class _Connection:
-    """Bridges scheduler threads to one connection's asyncio writer.
+class DrainingError(HillviewError):
+    """This root refuses new sessions; each wire renders the refusal."""
 
-    ``sink`` runs on scheduler worker threads: it enqueues a reply into
-    the connection's bounded outbox and *blocks* until there is room —
-    that block is the backpressure path from a slow client into sketch
-    execution.
-    """
-
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        outbox: "asyncio.Queue[RpcReply | None]",
-        sink_timeout: float,
-    ):
-        self.loop = loop
-        self.outbox = outbox
-        self.sink_timeout = sink_timeout
-        self.closed = threading.Event()
-
-    def sink(self, reply: RpcReply) -> None:
-        if self.closed.is_set():
-            raise ConnectionError("client connection closed")
-        future = asyncio.run_coroutine_threadsafe(self.outbox.put(reply), self.loop)
-        try:
-            future.result(timeout=self.sink_timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise ConnectionError("client stopped draining replies")
+    code = "draining"
 
 
-class ServiceServer:
+def reply_frame(reply: RpcReply) -> bytes:
+    """One reply as the bytes the TCP wire carries."""
+    return encode_frame(reply.to_json().encode("utf-8"))
+
+
+class ServiceServer(ServerHost):
     """The concurrent multi-client service: transport + sessions + scheduler."""
 
     def __init__(
@@ -124,14 +104,11 @@ class ServiceServer:
         expire_ttl_seconds: float | None = None,
         sweep_interval_seconds: float = 1.0,
         default_source: DataSource | None = None,
-        outbox_frames: int = 64,
-        sink_timeout_seconds: float = 30.0,
         session_store: "SessionStore | None" = None,
         session_store_ttl_seconds: float | None = None,
     ):
+        super().__init__(self, "service-server", host, port)
         self.cluster = cluster if cluster is not None else Cluster()
-        self.host = host
-        self.port = port
         self.scheduler = FairShareScheduler(
             max_concurrent=max_concurrent,
             max_queue_per_session=max_queue_per_session,
@@ -149,9 +126,6 @@ class ServiceServer:
             on_close=self.scheduler.forget_session,
         )
         self.sweep_interval_seconds = sweep_interval_seconds
-        self.outbox_frames = outbox_frames
-        self.sink_timeout_seconds = sink_timeout_seconds
-        self.address: tuple[str, int] | None = None
         self.connections_accepted = 0
         #: Maintenance drain (tier operations): a draining root refuses
         #: *new* sessions — existing ones keep working and roam to other
@@ -159,30 +133,49 @@ class ServiceServer:
         #: tier without dropping users.
         self.draining = False
         self.hellos_refused = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
+        #: The listeners of this root that are up (its own TCP wire, any
+        #: gateways); the sweep task runs on the first one's loop.
+        self._listeners: list[ServerHost] = []
+        self._listeners_lock = threading.Lock()
         self._sweeper: asyncio.Task | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
 
     # -- lifecycle -----------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        """Bind and start accepting connections; returns (host, port)."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
-        self._sweeper = asyncio.create_task(self._sweep_loop())
-        return self.address
+    def listener_up(self, listener: ServerHost) -> None:
+        """``listener`` is accepting connections (called on its loop)."""
+        with self._listeners_lock:
+            self._listeners.append(listener)
+        self._sweep_on(listener)
+
+    def listener_down(self, listener: ServerHost) -> None:
+        """``listener`` is stopping (called on its loop).  Sessions and
+        caches are swept for as long as any listener serves, so the
+        sweep moves on when the loop it ran on goes away."""
+        with self._listeners_lock:
+            swept_here = self._listeners[0] is listener
+            self._listeners.remove(listener)
+            if not swept_here:
+                return
+            if self._sweeper is not None:
+                self._sweeper.cancel()
+                self._sweeper = None
+            if self._listeners:
+                heir = self._listeners[0]
+                heir.loop.call_soon_threadsafe(self._sweep_on, heir)
+
+    def _sweep_on(self, listener: ServerHost) -> None:
+        """Start the sweep on ``listener``'s loop (the caller is on it),
+        if that is where it belongs: one task, on the first listener."""
+        with self._listeners_lock:
+            first = self._listeners[0] if self._listeners else None
+            if first is listener and self._sweeper is None:
+                self._sweeper = listener.loop.create_task(self._sweep_loop())
 
     async def _sweep_loop(self) -> None:
         while True:
             await asyncio.sleep(self.sweep_interval_seconds)
             self.sessions.sweep()
             # Expiry releases scheduler state through the manager's
-            # on_close hook; nothing extra to do here.
+            # close listeners; nothing extra to do here.
             self.sessions.expire()
             # The cache sweep makes the paper's "unused for 2 hours →
             # purged" real for in-process workers and the root's own
@@ -190,80 +183,45 @@ class ServiceServer:
             # the sweep cadence is cheap (remote daemons self-sweep).
             self.cluster.sweep_caches()
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled — the CLI entry."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        finally:
-            await self._shutdown_async()
-
-    def run(self) -> None:
-        """Blocking entry point for ``repro serve``."""
-        try:
-            asyncio.run(self.serve_forever())
-        except KeyboardInterrupt:
-            pass
-
-    def start_background(self, timeout: float = 10.0) -> tuple[str, int]:
-        """Run the server in a daemon thread (tests, benchmarks, CLI demos).
-
-        Returns the bound (host, port) once the socket is listening.
-        """
-        started = threading.Event()
-
-        def main() -> None:
-            asyncio.run(self._background_main(started))
-
-        # repro: ignore[C002] — process-lifetime event-loop host thread; per-request context starts at the RPC layer
-        self._thread = threading.Thread(
-            target=main, name="service-server", daemon=True
-        )
-        self._thread.start()
-        if not started.wait(timeout):
-            raise EngineError("service server failed to start")
-        assert self.address is not None
-        return self.address
-
-    async def _background_main(self, started: threading.Event) -> None:
-        await self.start()
-        self._stop = asyncio.Event()
-        started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self._shutdown_async()
-
-    async def _shutdown_async(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
     def close(self) -> None:
         """Stop a background server and the scheduler's worker pool."""
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        super().close()
         self.scheduler.shutdown()
+
+    # -- admission (shared by the TCP wire and the gateway) -------------
+    def admit(self, requested: object = None) -> Session:
+        """The session a connecting client gets: the one it names, or a
+        new one.  A draining root admits only sessions already living on
+        it; everyone else is routed to a healthy root (and resumes via
+        the store)."""
+        session_id = str(requested) if requested else None
+        if self.draining and not (session_id and self.sessions.get(session_id)):
+            self.hellos_refused += 1
+            raise DrainingError(
+                "this root is draining; reconnect through the director "
+                "to another root"
+            )
+        return self.sessions.get_or_create(session_id)
 
     # -- per-connection protocol ---------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections_accepted += 1
-        outbox: "asyncio.Queue[RpcReply | None]" = asyncio.Queue(
-            maxsize=self.outbox_frames
+        outbox = Outbox(
+            writer,
+            REGISTRY.counter(
+                "rpc.client.bytes_sent", "reply bytes on the client→root wire"
+            ),
         )
-        conn = _Connection(self._loop, outbox, self.sink_timeout_seconds)
-        writer_task = asyncio.create_task(self._writer_loop(writer, outbox))
+
+        def sink(reply: RpcReply) -> None:
+            # On a scheduler thread: the reply is encoded once, here.
+            outbox.send(reply_frame(reply))
+
+        async def answer(request_id: int, kind: str, **fields) -> None:
+            await outbox.put(reply_frame(RpcReply(request_id, kind, **fields)))
+
         session: Session | None = None
         tasks = []
         received = REGISTRY.counter(
@@ -279,127 +237,62 @@ class ServiceServer:
                 try:
                     request = RpcRequest.from_json(frame.decode("utf-8"))
                 except (ProtocolError, UnicodeDecodeError) as exc:
-                    await outbox.put(
-                        RpcReply(-1, "error", error=str(exc), code="protocol")
-                    )
+                    await answer(-1, "error", error=str(exc), code="protocol")
                     continue
+                if session is not None:
+                    # Any traffic keeps a bound session alive, pings and
+                    # admin polls included — the keepalive contract.
+                    session.touch()
                 if request.method == "ping":
                     # Transport-level liveness: answered before any
                     # session exists, so health checkers (the director's
-                    # probe) never mint sessions.  A connection that
-                    # *has* a session keeps it alive by pinging — the
-                    # keepalive contract from the session-dispatch days.
-                    if session is not None:
-                        session.touch()
-                    await outbox.put(
-                        RpcReply(
-                            request.request_id, "ack", payload={"pong": True}
-                        )
-                    )
+                    # probe) never mint sessions.
+                    await answer(request.request_id, "ack", payload={"pong": True})
                     continue
                 admin = await self.admin_reply(request)
                 if admin is not None:
-                    # Administrative methods are sessionless (the
+                    # Administrative methods are sessionless too (the
                     # director probes and drains roots without minting
-                    # sessions), but a connection that *has* a session
-                    # keeps it alive by polling them.
-                    if session is not None:
-                        session.touch()
-                    await outbox.put(admin)
+                    # sessions).  A metrics or trace dump can be large:
+                    # encode it off the loop, like it was computed.
+                    await outbox.put(
+                        await self.loop.run_in_executor(None, reply_frame, admin)
+                    )
                     continue
-                if request.method == "hello":
-                    requested = request.args.get("session")
-                    if self.draining and not (
-                        requested and self.sessions.get(str(requested))
-                    ):
-                        # Draining: only sessions already living on this
-                        # root may continue; everyone else is routed to
-                        # a healthy root (and resumes via the store).
-                        self.hellos_refused += 1
-                        await outbox.put(
-                            RpcReply(
-                                request.request_id,
-                                "error",
-                                error="this root is draining; reconnect "
-                                "through the director to another root",
-                                code="draining",
-                            )
+                hello = request.method == "hello"
+                if hello or session is None:  # implicit session on first request
+                    try:
+                        session = self.admit(
+                            request.args.get("session") if hello else None
+                        )
+                    except DrainingError as exc:
+                        await answer(
+                            request.request_id, "error", error=str(exc), code=exc.code
                         )
                         continue
-                    session = self.sessions.get_or_create(
-                        str(requested) if requested else None
-                    )
-                    await outbox.put(
-                        RpcReply(
+                    if hello:
+                        await answer(
                             request.request_id,
                             "ack",
                             payload={"session": session.session_id},
                         )
-                    )
-                    continue
-                if session is None:  # implicit session on first request
-                    if self.draining:
-                        self.hellos_refused += 1
-                        await outbox.put(
-                            RpcReply(
-                                request.request_id,
-                                "error",
-                                error="this root is draining; reconnect "
-                                "through the director to another root",
-                                code="draining",
-                            )
-                        )
                         continue
-                    session = self.sessions.get_or_create(None)
-                session.touch()
                 if request.method == "cancel":
                     target_id = int(request.args.get("requestId", -1))
                     cancelled = session.cancel_request(target_id)
-                    await outbox.put(
-                        RpcReply(
-                            request.request_id,
-                            "ack",
-                            payload={"cancelled": cancelled},
-                        )
+                    await answer(
+                        request.request_id, "ack", payload={"cancelled": cancelled}
                     )
                 else:
-                    tasks.append(self.scheduler.submit(session, request, conn.sink))
+                    tasks.append(self.scheduler.submit(session, request, sink))
                     tasks = [t for t in tasks if not t.done.is_set()]
         except (ProtocolError, ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            conn.closed.set()
             # The client is gone: stop wasting cluster time on its queries.
             for task in tasks:
                 task.token.cancel()
-            writer_task.cancel()
-            try:
-                await writer_task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-
-    async def _writer_loop(
-        self, writer: asyncio.StreamWriter, outbox: "asyncio.Queue[RpcReply | None]"
-    ) -> None:
-        sent = REGISTRY.counter(
-            "rpc.client.bytes_sent", "reply bytes on the client→root wire"
-        )
-        try:
-            while True:
-                reply = await outbox.get()
-                if reply is None:
-                    break
-                payload = reply.to_json().encode("utf-8")
-                sent.inc(len(payload))
-                writer.write(encode_frame(payload))
-                await writer.drain()  # OS-level backpressure
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+            await outbox.close()
 
     # -- administrative methods (shared by the TCP wire and the gateway)
     async def admin_reply(self, request: RpcRequest) -> RpcReply | None:

@@ -27,7 +27,10 @@ from repro.gateway import (
     negotiate,
     protocol_payload,
 )
+from repro.engine.progress import CancellationToken
+from repro.engine.rpc import RpcReply, RpcRequest
 from repro.gateway.client import GatewayError
+from repro.gateway.server import _Stream, reply_frame
 from repro.gateway.websocket import ConnectionClosed, OP_TEXT, encode_frame
 from repro.service import (
     ConnectionDirector,
@@ -35,6 +38,8 @@ from repro.service import (
     ServiceServer,
     probe_gateway,
 )
+from repro.service import encode_frame as tcp_encode_frame
+from repro.service.transport import reply_frame as tcp_reply_frame
 
 from tests.test_engine_equivalence import SKETCH_SPECS
 
@@ -551,6 +556,77 @@ class TestWsStreams:
         assert answer["type"] == "error"
         assert answer["code"] == "bad_request"
         ws.close()
+
+
+# ---------------------------------------------------------------------------
+# The reply frame: encoded once, byte-identical to the three-pass path
+# ---------------------------------------------------------------------------
+def three_pass_frame(reply: RpcReply, seq: int | None) -> bytes:
+    """The WebSocket reply frame as the gateway built it before replies
+    were encoded once: envelope JSON, parsed back, re-serialized sorted."""
+    message = json.loads(reply.to_json())
+    message["type"] = "reply"
+    if seq is not None:
+        message["seq"] = seq
+    return encode_frame(
+        OP_TEXT, json.dumps(message, sort_keys=True).encode("utf-8")
+    )
+
+
+class TestReplyFrameOracle:
+    @pytest.fixture(scope="class")
+    def session(self, service):
+        return service.sessions.get_or_create(None)
+
+    def replies(self, session, args: dict, token=None) -> list[RpcReply]:
+        (loaded,) = session.web.execute(RpcRequest(1, "", "load", {"source": {}}))
+        request = RpcRequest(7, loaded.payload["handle"], "sketch", args)
+        return list(session.web.execute(request, token=token))
+
+    def assert_identical(self, replies: list[RpcReply]) -> None:
+        for seq, reply in enumerate(replies, start=1):
+            assert reply_frame(reply, seq) == three_pass_frame(reply, seq)
+            assert reply_frame(reply) == three_pass_frame(reply, None)
+            # The TCP wire carries the same envelope, in insertion order.
+            assert tcp_reply_frame(reply) == tcp_encode_frame(
+                json.dumps(reply.envelope()).encode("utf-8")
+            )
+
+    @pytest.mark.parametrize("kind", sorted(SKETCH_SPECS))
+    def test_every_summary(self, kind, session):
+        replies = self.replies(session, {"sketch": SKETCH_SPECS[kind]})
+        assert replies[-1].kind == "complete"
+        self.assert_identical(replies)
+
+    def test_profiled_complete(self, session):
+        replies = self.replies(session, {"sketch": HIST, "profile": True})
+        assert replies[-1].profile is not None
+        self.assert_identical(replies)
+
+    def test_error_and_cancelled(self, session):
+        error = list(session.web.execute(RpcRequest(8, "obj-404", "rowCount", {})))
+        assert error[-1].kind == "error"
+        token = CancellationToken()
+        token.cancel()
+        slow = {"type": "slow", "perShardSeconds": 0.01, "inner": HIST}
+        cancelled = self.replies(session, {"sketch": slow}, token=token)
+        assert cancelled[-1].kind == "cancelled"
+        self.assert_identical(error + cancelled)
+
+    def test_resume_replays_the_stored_bytes(self, session):
+        slow = {"type": "slow", "perShardSeconds": 0.01, "inner": HIST}
+        replies = self.replies(session, {"sketch": slow})
+        assert [r.kind for r in replies[-2:]] == ["partial", "complete"]
+        stream = _Stream(RpcRequest(7, "ds", "sketch", {"sketch": slow}))
+        frames = [stream.record(reply) for reply in replies]
+        assert frames == [
+            three_pass_frame(reply, seq) for seq, reply in enumerate(replies, 1)
+        ]
+        last = len(frames)
+        replayed = stream.replay_after(0)
+        assert [id(f) for f in replayed] == [id(frames[-2]), id(frames[-1])]
+        assert stream.replay_after(last - 1) == [frames[-1]]
+        assert stream.replay_after(last) == []
 
 
 # ---------------------------------------------------------------------------
