@@ -236,10 +236,12 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def datetime_to_millis(value: datetime) -> int:
-    """Epoch milliseconds for ``value`` (naive datetimes are taken as UTC)."""
+    """Epoch milliseconds for ``value``, floored (naive datetimes are
+    taken as UTC).  Integer arithmetic: ``value.timestamp() * 1000`` goes
+    through a float and lands a millisecond low for some instants."""
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
-    return int(value.timestamp() * 1000)
+    return (value - EPOCH) // timedelta(milliseconds=1)
 
 
 def millis_to_datetime(millis: int) -> datetime:
@@ -274,11 +276,7 @@ class DateColumn(_NumericColumn):
     def surrogate_of(self, value: datetime | None) -> float:
         if value is None:
             return -np.inf
-        if value.tzinfo is None:
-            value = value.replace(tzinfo=timezone.utc)
-        # The floor, in integer arithmetic: datetime_to_millis goes through
-        # a float and may land a millisecond on the wrong side.
-        return float((value - EPOCH) // timedelta(milliseconds=1))
+        return float(datetime_to_millis(value))
 
 
 class StringColumn(Column):

@@ -1,6 +1,12 @@
-"""Shared fixtures: small deterministic tables, flights data, clusters."""
+"""Shared fixtures: small deterministic tables, flights data, clusters,
+the canonical hvc dataset, and pre-started worker daemons."""
 
 from __future__ import annotations
+
+import contextlib
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,18 +20,94 @@ def pytest_configure(config):
     )
 
 from repro.data.flights import FlightsSource, generate_flights
-from repro.engine.cache import caches_disabled
 from repro.engine.cluster import Cluster
-from repro.storage.loader import TableSource
+from repro.engine.remote import _spawn_env
+from repro.sketches.specs import CANONICAL_SCHEMA, DATE_HI, DATE_LO
+from repro.storage import columnar
+from repro.table.column import (
+    DateColumn,
+    DoubleColumn,
+    IntColumn,
+    StringColumn,
+    datetime_to_millis,
+)
+from repro.table.schema import ColumnDescription
 from repro.table.table import Table
 
-#: Shared guard for tests that assert *cache hits happen*: the CI matrix
-#: leg running with REPRO_DISABLE_CACHES=1 makes every memoization tier
-#: pass-through by design, so only byte-identity assertions remain
-#: meaningful there.  Import from tests.conftest — do not redefine.
-requires_caches = pytest.mark.skipif(
-    caches_disabled(), reason="memoization disabled via REPRO_DISABLE_CACHES"
-)
+#: Instants ``int(value.timestamp() * 1000)`` lands a millisecond low
+#: (2004-02-01T00:00:00.001Z and two more); the earliest dates in
+#: ``canonical_table``, so date-ordered nextK pages show them.
+SHIFTED_MILLIS = (1075593600001, 1075852800008, 1080000000123)
+
+
+def canonical(payload) -> str:
+    """A JSON payload as sorted-key text: what two clients compare."""
+    return json.dumps(payload, sort_keys=True)
+
+
+def canonical_table(rows: int = 800) -> Table:
+    """A seeded table over ``repro.sketches.specs``' canonical schema,
+    built from int64 epoch millis so no date crosses a conversion."""
+    rng = np.random.default_rng(2021)
+    holes = [rng.random(rows) < 0.1 for _ in range(4)]
+    lo, hi = datetime_to_millis(DATE_LO), datetime_to_millis(DATE_HI)
+    dates = rng.integers(lo, hi, rows)
+    dates[[7, 400, 700]] = SHIFTED_MILLIS
+    holes[2][[7, 400, 700]] = False
+    letters = ["".join(rng.choice(list("abcdegkpz"), 2)) for _ in range(rows)]
+    integers = rng.integers(-60, 61, rows)
+    doubles = np.where(holes[1], np.nan, rng.uniform(-60, 60, rows))
+    strings = [None if hole else s for hole, s in zip(holes[3], letters)]
+    desc = {name: ColumnDescription(name, k) for name, k in CANONICAL_SCHEMA.items()}
+    return Table([
+        IntColumn(desc["i"], integers, holes[0]),
+        DoubleColumn(desc["d"], doubles),
+        DateColumn(desc["t"], dates, holes[2]),
+        StringColumn.from_values(desc["s"], strings),
+    ])
+
+
+@pytest.fixture(scope="session")
+def canonical_dataset(tmp_path_factory) -> str:
+    """``canonical_table`` written once as 8 hvc shards; every cluster,
+    daemon and wire client loads the same bytes by this path."""
+    directory = str(tmp_path_factory.mktemp("canonical"))
+    columnar.write_dataset(canonical_table().split(8), directory)
+    return directory
+
+
+def spawn_daemon(name: str):
+    """Start one ``repro worker --listen`` daemon: (process, address)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0",
+         "--name", name, "--cores", "2"],
+        env=_spawn_env(),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    announcement = json.loads(proc.stdout.readline())
+    return proc, ("127.0.0.1", int(announcement["port"]))
+
+
+@contextlib.contextmanager
+def daemon_fleet(prefix: str, count: int):
+    """``count`` daemons named ``prefix-i`` that outlive any root;
+    yields their addresses and terminates them on exit."""
+    procs, addresses = [], []
+    try:
+        for i in range(count):
+            proc, address = spawn_daemon(f"{prefix}-{i}")
+            procs.append(proc)
+            addresses.append(address)
+        yield addresses
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
 
 
 @pytest.fixture
@@ -70,18 +152,3 @@ def flights_cluster(cluster: Cluster):
     """A cluster pre-loaded with 40k flights in 12 partitions."""
     dataset = cluster.load(FlightsSource(40_000, partitions=12, seed=5))
     return cluster, dataset
-
-
-def make_shards(table: Table, parts: int) -> list[Table]:
-    """Split a table into shards (helper used by mergeability tests)."""
-    return table.split(parts)
-
-
-@pytest.fixture
-def table_source():
-    """Factory: wrap tables in a TableSource."""
-
-    def build(table: Table, shards: int = 4) -> TableSource:
-        return TableSource([table], shards_per_table=shards)
-
-    return build

@@ -5,9 +5,9 @@ One cache interface from worker partials to the multi-root tier:
 * :class:`MemoCache` semantics — byte budgets, TTL/LRU, stats, prefix
   invalidation, the ``REPRO_DISABLE_CACHES`` pass-through switch, and the
   locking/TTL regression on ``__contains__``/``__len__``;
-* the worker tier — two roots (two ``Cluster`` objects) over one shared
-  worker set: a deterministic sketch computed for root A is served to
-  root B from the workers' memo caches with zero shard scans;
+* the worker tier — memo keys, cancelled runs (the cross-root warm hit
+  with zero shard scans, for every spec, is the ``warm_memo`` column of
+  ``tests/test_invariant.py``);
 * the invalidation invariant — evicting a dataset drops its dependent
   entries at every tier, and recomputation is byte-identical;
 * cache-key hygiene — non-deterministic sketches are never cacheable and
@@ -34,7 +34,6 @@ from repro.engine.cache import (
     ComputationCache,
     DataCache,
     MemoCache,
-    caches_disabled,
 )
 from repro.engine.cluster import Cluster, Worker
 from repro.core.wire import SKETCH_TYPES
@@ -44,7 +43,7 @@ from repro.storage.loader import TableSource
 
 import repro.service.slow  # noqa: F401 — registers the "slow" sketch type
 
-from tests.conftest import requires_caches
+from tests.test_invariant import SPEC_PER_TYPE
 
 BUCKETS = DoubleBuckets(0, 3000, 10)
 SOURCE = FlightsSource(4_000, partitions=8, seed=3)
@@ -178,7 +177,6 @@ class TestDataCacheRegression:
 
 
 class TestComputationCacheInterface:
-    @requires_caches
     def test_byte_accounting_and_dataset_invalidation(self):
         cache = ComputationCache(max_entries=100)
         cache.put("ds-1", "hist", _Sized(100))
@@ -189,7 +187,6 @@ class TestComputationCacheInterface:
         assert cache.current_bytes == 25
         assert cache.get("ds-2", "hist") is not None
 
-    @requires_caches
     def test_real_eviction_under_byte_budget(self):
         cache = ComputationCache(max_entries=100, max_bytes=120)
         for i in range(5):
@@ -199,7 +196,7 @@ class TestComputationCacheInterface:
 
 
 # ---------------------------------------------------------------------------
-# The worker tier: cross-root warm hits over shared workers
+# The worker tier over shared workers
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def shared_workers():
@@ -216,49 +213,6 @@ def two_roots(shared_workers):
 
 
 class TestWorkerMemoTier:
-    @requires_caches
-    def test_cross_root_warm_hit_zero_shard_scans(self, two_roots, shared_workers):
-        root_a, root_b = two_roots
-        ds_a = root_a.load(SOURCE)
-        ds_b = root_b.load(SOURCE)
-        assert ds_a.dataset_id == ds_b.dataset_id  # content-addressed
-        sketch = HistogramSketch("Distance", BUCKETS)
-        cold = ds_a.run(sketch)
-        scans_after_cold = [w.shards_summarized for w in shared_workers]
-        warm = ds_b.run(sketch)
-        assert [w.shards_summarized for w in shared_workers] == scans_after_cold, (
-            "the cross-root warm run scanned shards"
-        )
-        assert not warm.cache_hit  # root B's own computation cache was cold
-        assert warm.worker_cache_hits == len(shared_workers)
-        assert warm.value.to_bytes() == cold.value.to_bytes()
-
-    @requires_caches
-    def test_same_root_second_run_hits_root_tier(self, two_roots):
-        root_a, _ = two_roots
-        dataset = root_a.load(SOURCE)
-        sketch = HistogramSketch("Distance", BUCKETS)
-        cold = dataset.run(sketch)
-        warm = dataset.run(sketch)
-        assert not cold.cache_hit and warm.cache_hit
-        assert warm.bytes_received == 0
-        assert warm.value.to_bytes() == cold.value.to_bytes()
-
-    def test_non_deterministic_sketch_never_memoized(self, two_roots, shared_workers):
-        root_a, root_b = two_roots
-        ds_a = root_a.load(SOURCE)
-        ds_b = root_b.load(SOURCE)
-        sampled = HistogramSketch("Distance", BUCKETS, rate=0.5, seed=7)
-        first = ds_a.run(sampled)
-        before = [w.shards_summarized for w in shared_workers]
-        second = ds_b.run(sampled)
-        assert [w.shards_summarized for w in shared_workers] != before
-        assert second.worker_cache_hits == 0 and not second.cache_hit
-        # Same seed + same shard ids -> identical anyway (§5.8), which is
-        # exactly why correctness never depends on the cache tiers.
-        assert first.value.to_bytes() == second.value.to_bytes()
-
-    @requires_caches
     def test_memo_keyed_by_shard_slice(self):
         """A worker re-used under a different slice assignment must not
         serve partials computed over its old slice."""
@@ -275,7 +229,6 @@ class TestWorkerMemoTier:
         assert key_sliced != key_full
         assert key_sliced not in worker.memo
 
-    @requires_caches
     def test_cancelled_runs_are_not_memoized(self, two_roots):
         from repro.engine.progress import CancellationToken
 
@@ -288,23 +241,8 @@ class TestWorkerMemoTier:
         for worker in root_a.workers:
             assert len(worker.memo) == 0, "a cancelled run was memoized"
 
-    @requires_caches
-    def test_worker_crash_clears_memo_and_replay_is_identical(
-        self, two_roots, shared_workers
-    ):
-        root_a, root_b = two_roots
-        dataset = root_a.load(SOURCE)
-        sketch = HistogramSketch("Distance", BUCKETS)
-        cold = dataset.run(sketch)
-        root_a.kill_worker(0)
-        assert len(shared_workers[0].memo) == 0
-        root_a.computation_cache.clear()
-        replayed = dataset.run(sketch)
-        assert replayed.value.to_bytes() == cold.value.to_bytes()
-
 
 class TestEvictionInvalidatesEveryTier:
-    @requires_caches
     def test_evict_dataset_drops_all_dependent_entries(
         self, two_roots, shared_workers
     ):
@@ -332,7 +270,6 @@ class TestEvictionInvalidatesEveryTier:
         assert recomputed.worker_cache_hits == 0
         assert recomputed.value.to_bytes() == cold.value.to_bytes()
 
-    @requires_caches
     def test_single_worker_eviction_invalidates_that_worker_only(
         self, two_roots, shared_workers
     ):
@@ -351,10 +288,8 @@ class TestEvictionInvalidatesEveryTier:
 # ---------------------------------------------------------------------------
 # Cache-key hygiene: every registered sketch type
 # ---------------------------------------------------------------------------
-from tests.test_engine_equivalence import SKETCH_SPECS  # noqa: E402
-
 #: One spec per registered wire type, including the side-effecting "save".
-ALL_SPECS = dict(SKETCH_SPECS)
+ALL_SPECS = dict(SPEC_PER_TYPE)
 ALL_SPECS["save"] = {"type": "save", "directory": "/tmp/unused", "format": "hvc"}
 
 
@@ -418,8 +353,7 @@ class TestWorkerSweep:
         dataset = cluster.load(SOURCE)
         dataset.run(HistogramSketch("Distance", BUCKETS))
         assert cluster.sweep_caches() == 0
-        if not caches_disabled():
-            assert len(cluster.computation_cache) == 1
+        assert len(cluster.computation_cache) == 1
 
     def test_worker_server_periodic_sweep_thread(self):
         from repro.engine.remote import WorkerServer
@@ -547,27 +481,10 @@ class TestSessionStoreCompaction:
 
 
 # ---------------------------------------------------------------------------
-# The disable switch end to end (the CI matrix leg's contract)
+# The disable switch (byte-identity under it: the ``uncached`` column of
+# tests/test_invariant.py)
 # ---------------------------------------------------------------------------
 class TestDisableSwitch:
-    def test_disabled_paths_are_byte_identical(self, monkeypatch):
-        sketch = HistogramSketch("Distance", BUCKETS)
-        cluster = Cluster(num_workers=2, cores_per_worker=2)
-        dataset = cluster.load(SOURCE)
-        warm_capable = dataset.run(sketch)
-
-        monkeypatch.setenv("REPRO_DISABLE_CACHES", "1")
-        uncached_first = dataset.run(sketch)
-        uncached_second = dataset.run(sketch)
-        assert not uncached_first.cache_hit
-        assert not uncached_second.cache_hit
-        assert uncached_second.worker_cache_hits == 0
-        assert (
-            uncached_first.value.to_bytes()
-            == uncached_second.value.to_bytes()
-            == warm_capable.value.to_bytes()
-        )
-
     def test_cache_stats_reports_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_CACHES", "1")
         cluster = Cluster(num_workers=1, cores_per_worker=1)

@@ -113,6 +113,31 @@ class TestDateColumn:
         assert col.value(0) == moment
         assert col.numeric_values(np.array([0]))[0] == datetime_to_millis(moment)
 
+    #: 2004-02-01T00:00:00.001Z: ``timestamp() * 1000`` in floating point
+    #: lands one millisecond low here.
+    SHIFTED = 1075593600001
+
+    def test_exact_millis_round_trip(self):
+        assert datetime_to_millis(millis_to_datetime(self.SHIFTED)) == self.SHIFTED
+
+    def test_concat_keeps_the_millisecond(self):
+        from repro.table.table import Table
+
+        col = DateColumn(desc("t", ContentsKind.DATE), np.array([self.SHIFTED]))
+        merged = Table.concat([Table([col]), Table([col])]).column("t").data
+        assert merged.tolist() == [self.SHIFTED] * 2
+
+    def test_next_k_date_row_survives_the_binary_codec(self):
+        from repro.engine.rpc import summary_from_bytes, summary_to_bytes, summary_to_json
+        from repro.sketches.next_items import NextKSketch
+        from repro.table.sort import RecordOrder
+        from repro.table.table import Table
+
+        col = DateColumn(desc("t", ContentsKind.DATE), np.array([self.SHIFTED]))
+        page = NextKSketch(RecordOrder.of("t"), 1).summarize(Table([col]))
+        decoded = summary_from_bytes(summary_to_bytes(page))
+        assert summary_to_json(decoded) == summary_to_json(page)
+
 
 class TestStringColumn:
     def test_dictionary_encoding(self):

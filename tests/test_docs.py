@@ -419,6 +419,26 @@ class TestConfigMatrix:
 
 
 # ---------------------------------------------------------------------------
+# README's correctness table is rendered from the invariant matrix
+# ---------------------------------------------------------------------------
+def test_readme_matrix_is_the_live_matrix():
+    from test_invariant import render_matrix
+
+    readme = (REPO / "README.md").read_text()
+    match = re.search(
+        r"<!-- generated: invariant-matrix -->\n(.*?)\n<!-- /generated -->",
+        readme,
+        re.DOTALL,
+    )
+    assert match, "README.md lost its invariant-matrix block"
+    assert match.group(1) == render_matrix(), (
+        "README.md's correctness table is out of date; paste the output of "
+        "`PYTHONPATH=src:tests python -c \"import test_invariant; "
+        "print(test_invariant.render_matrix())\"` between the markers"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Link integrity: every relative link in README.md and docs/ resolves
 # ---------------------------------------------------------------------------
 def _slugify(heading: str) -> str:

@@ -11,10 +11,7 @@ the shared session store), and the worker daemon's graceful SIGTERM.
 
 from __future__ import annotations
 
-import json
 import signal
-import subprocess
-import sys
 import threading
 import time
 
@@ -32,12 +29,7 @@ from repro.engine.placement import (
     expected_slice,
     plan_moves,
 )
-from repro.engine.remote import (
-    ProcessCluster,
-    RemoteWorkerProxy,
-    WorkerServer,
-    _spawn_env,
-)
+from repro.engine.remote import ProcessCluster, RemoteWorkerProxy, WorkerServer
 from repro.engine.rpc import (
     RpcRequest,
     predicate_from_json,
@@ -56,25 +48,17 @@ from repro.service import (
 from repro.table.table import Table
 from test_worker_wire import connect
 
+from tests.conftest import canonical, daemon_fleet, spawn_daemon
+
 ROWS = 4_000
 PARTITIONS = 16
 SEED = 11
 SOURCE = FlightsSource(ROWS, partitions=PARTITIONS, seed=SEED)
-FLIGHTS_SPEC = {
-    "kind": "flights",
-    "rows": ROWS,
-    "partitions": PARTITIONS,
-    "seed": SEED,
-}
 HIST = {
     "type": "histogram",
     "column": "Distance",
     "buckets": {"type": "double", "min": 0, "max": 3000, "count": 9},
 }
-
-
-def canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
 
 
 def run_canonical(dataset, spec: dict) -> str:
@@ -682,47 +666,12 @@ class TestWorkerServerDraining:
 # ---------------------------------------------------------------------------
 # Tier 2: a real daemon fleet growing and shrinking under load
 # ---------------------------------------------------------------------------
-def spawn_daemon(index: int):
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--listen",
-            "127.0.0.1:0",
-            "--name",
-            f"elastic-{index}",
-            "--cores",
-            "2",
-        ],
-        env=_spawn_env(),
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    announcement = json.loads(proc.stdout.readline())
-    return proc, ("127.0.0.1", int(announcement["port"]))
-
-
 @pytest.mark.tier2
 class TestElasticFleetTier2:
     @pytest.fixture()
     def daemons(self):
-        procs, addresses = [], []
-        try:
-            for i in range(4):
-                proc, address = spawn_daemon(i)
-                procs.append(proc)
-                addresses.append(address)
+        with daemon_fleet("elastic", 4) as addresses:
             yield addresses
-        finally:
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
 
     def test_grow_and_shrink_under_load_byte_identical(self, daemons):
         """The acceptance path: a 2-daemon fleet grows to 4 and shrinks
@@ -880,7 +829,7 @@ class TestElasticFleetTier2:
         """SIGTERM mid-stream: the in-flight sketch finishes, the daemon
         refuses new state and exits 0 — shrink and CI teardown never race
         an abrupt kill."""
-        proc, address = spawn_daemon(99)
+        proc, address = spawn_daemon("elastic-99")
         cluster = ProcessCluster(addresses=[address], aggregation_interval=0.01)
         try:
             dataset = cluster.load(SOURCE)

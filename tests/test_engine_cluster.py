@@ -8,7 +8,6 @@ import pytest
 from repro.core.buckets import DoubleBuckets
 from repro.engine.cache import ComputationCache, DataCache
 
-from tests.conftest import requires_caches
 from repro.engine.cluster import Cluster
 from repro.engine.dataset import DeriveMap, FilterMap
 from repro.engine.faults import FaultInjector
@@ -31,11 +30,6 @@ def loaded(cluster, medium_numeric):
 
 
 class TestExecution:
-    def test_sketch_matches_direct(self, loaded, medium_numeric):
-        summary = loaded.sketch(HistogramSketch("value", BUCKETS))
-        exact = HistogramSketch("value", BUCKETS).summarize(medium_numeric)
-        assert np.array_equal(summary.counts, exact.counts)
-
     def test_progress_and_bytes(self, loaded):
         run = loaded.run(HistogramSketch("value", BUCKETS))
         assert run.bytes_received > 0
@@ -80,21 +74,6 @@ class TestExecution:
 
 
 class TestComputationCache:
-    @requires_caches
-    def test_deterministic_sketch_cached(self, loaded):
-        first = loaded.run(HistogramSketch("value", BUCKETS))
-        second = loaded.run(HistogramSketch("value", BUCKETS))
-        assert not first.cache_hit
-        assert second.cache_hit
-        assert np.array_equal(first.value.counts, second.value.counts)
-        assert second.bytes_received == 0  # served locally at the root
-
-    def test_randomized_sketch_not_cached(self, loaded):
-        sampled = HistogramSketch("value", BUCKETS, rate=0.2, seed=1)
-        loaded.run(sampled)
-        second = loaded.run(sampled)
-        assert not second.cache_hit
-
     def test_cache_keyed_by_dataset(self, loaded):
         loaded.run(HistogramSketch("value", BUCKETS))
         filtered = loaded.map(FilterMap(ColumnPredicate("value", ">", 50)))
@@ -108,20 +87,6 @@ class TestComputationCache:
 
 
 class TestSoftStateReplay:
-    def test_eviction_then_sketch_replays(self, loaded, medium_numeric):
-        cluster = loaded.cluster
-        cluster.evict_dataset(loaded.dataset_id)
-        summary = loaded.sketch(HistogramSketch("value", BUCKETS))
-        exact = HistogramSketch("value", BUCKETS).summarize(medium_numeric)
-        assert np.array_equal(summary.counts, exact.counts)
-
-    def test_worker_crash_recovers_identical_results(self, loaded):
-        before = loaded.sketch(HistogramSketch("value", BUCKETS))
-        loaded.cluster.kill_worker(0)
-        loaded.cluster.computation_cache.clear()
-        after = loaded.sketch(HistogramSketch("value", BUCKETS))
-        assert np.array_equal(before.counts, after.counts)
-
     def test_derived_dataset_replayed_through_lineage(self, loaded):
         filtered = loaded.map(FilterMap(ColumnPredicate("value", ">", 30)))
         derived = filtered.map(
@@ -140,14 +105,6 @@ class TestSoftStateReplay:
         replayed = derived.sketch(MomentsSketch("halved"))
         assert replayed.present_count == expected.present_count
         assert replayed.mean == pytest.approx(expected.mean)
-
-    def test_sampled_sketch_replay_is_deterministic(self, loaded):
-        sketch = HistogramSketch("value", BUCKETS, rate=0.1, seed=77)
-        before = loaded.sketch(sketch)
-        loaded.cluster.kill_worker(1)
-        after = loaded.sketch(sketch)
-        # Same seed + same shard ids -> bit-identical samples (§5.8).
-        assert np.array_equal(before.counts, after.counts)
 
     def test_chaos_preserves_results(self, loaded):
         injector = FaultInjector(loaded.cluster, seed=9)
@@ -234,7 +191,6 @@ class TestCaches:
         assert cache.purge_stale() == 2
         assert len(cache) == 0
 
-    @requires_caches
     def test_computation_cache_stats(self):
         cache = ComputationCache()
         assert cache.get("ds", "k") is None

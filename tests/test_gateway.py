@@ -1,9 +1,9 @@
-"""Gateway tests: negotiation, HTTP surface, connector reads, WS streams.
+"""Gateway tests: negotiation, HTTP surface, connector reads, WS streams,
+and the reply-frame oracle.
 
-The headline assertion is transport equivalence: for every wire-level
-sketch type, the payload delivered over the WebSocket gateway is
-**byte-identical** to the one the TCP :class:`ServiceClient` receives
-from the same cluster — the gateway adds transport, never semantics.
+That a WebSocket client sees exactly what a TCP :class:`ServiceClient`
+sees, for every sketch spec, is the ``ws`` and ``tcp`` columns of
+``tests/test_invariant.py`` — the gateway adds transport, never semantics.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from repro.engine.rpc import RpcReply, RpcRequest
 from repro.gateway.client import GatewayError
 from repro.gateway.server import _Stream, reply_frame
 from repro.gateway.websocket import ConnectionClosed, OP_TEXT, encode_frame
-from repro.service import (
-    ConnectionDirector,
-    ServiceClient,
-    ServiceServer,
-    probe_gateway,
-)
+from repro.service import ConnectionDirector, ServiceServer, probe_gateway
 from repro.service import encode_frame as tcp_encode_frame
 from repro.service.transport import reply_frame as tcp_reply_frame
 
-from tests.test_engine_equivalence import SKETCH_SPECS
+from tests.conftest import canonical
+from tests.test_invariant import SPEC_PER_TYPE
 
 ROWS = 2_000
 SOURCE = FlightsSource(ROWS, partitions=8, seed=5)
@@ -51,10 +47,6 @@ HIST = {
     "column": "Distance",
     "buckets": {"type": "double", "min": 0, "max": 3000, "count": 12},
 }
-
-
-def canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -257,41 +249,6 @@ class TestConnector:
         service.sessions.close("gateway-connector")
         after = api.rows("flights", top=3)
         assert canonical(after) == canonical(before)
-
-
-# ---------------------------------------------------------------------------
-# WebSocket transport equivalence: byte-identical payloads per sketch type
-# ---------------------------------------------------------------------------
-class TestTransportEquivalence:
-    @pytest.fixture(scope="class")
-    def tcp_results(self, service):
-        with ServiceClient(*service.address) as tcp:
-            handle = tcp.load({})
-            yield {
-                kind: tcp.sketch(handle, spec).result().payload
-                for kind, spec in SKETCH_SPECS.items()
-            }
-
-    @pytest.fixture(scope="class")
-    def ws_results(self, gateway):
-        ws = open_ws(gateway)
-        ws.connect()
-        ws.submit(0, "load", args={"source": {}})
-        handle = ws.result(0)["payload"]["handle"]
-        results = {}
-        for index, (kind, spec) in enumerate(sorted(SKETCH_SPECS.items())):
-            # One request per stream: newest-query-wins would supersede
-            # concurrent sketches from the same session.
-            ws.submit(index + 1, "sketch", handle, {"sketch": spec})
-            results[kind] = ws.result(index + 1)["payload"]
-        ws.close()
-        return results
-
-    @pytest.mark.parametrize("kind", sorted(SKETCH_SPECS))
-    def test_ws_payload_is_byte_identical_to_tcp(
-        self, kind, tcp_results, ws_results
-    ):
-        assert canonical(ws_results[kind]) == canonical(tcp_results[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +535,9 @@ class TestReplyFrameOracle:
     def session(self, service):
         return service.sessions.get_or_create(None)
 
-    def replies(self, session, args: dict, token=None) -> list[RpcReply]:
-        (loaded,) = session.web.execute(RpcRequest(1, "", "load", {"source": {}}))
+    def replies(self, session, args: dict, token=None, source=None) -> list[RpcReply]:
+        load = RpcRequest(1, "", "load", {"source": source or {}})
+        (loaded,) = session.web.execute(load)
         request = RpcRequest(7, loaded.payload["handle"], "sketch", args)
         return list(session.web.execute(request, token=token))
 
@@ -592,9 +550,10 @@ class TestReplyFrameOracle:
                 json.dumps(reply.envelope()).encode("utf-8")
             )
 
-    @pytest.mark.parametrize("kind", sorted(SKETCH_SPECS))
-    def test_every_summary(self, kind, session):
-        replies = self.replies(session, {"sketch": SKETCH_SPECS[kind]})
+    @pytest.mark.parametrize("kind", sorted(SPEC_PER_TYPE))
+    def test_every_summary(self, kind, session, canonical_dataset):
+        source = {"kind": "hvc", "directory": canonical_dataset}
+        replies = self.replies(session, {"sketch": SPEC_PER_TYPE[kind]}, source=source)
         assert replies[-1].kind == "complete"
         self.assert_identical(replies)
 

@@ -48,23 +48,3 @@ class TestSigkillMidSketch:
             outcome = chaos.run_with_kill(sketch, kill_workers=(0,))
         assert outcome.respawned
         assert outcome.converged
-
-
-class TestSoftStateLoss:
-    def test_crash_rpc_then_requery_replays_lineage(self):
-        """A soft crash (state wiped, process alive) on every worker: the
-        next query replays lineage on the workers and is still exact."""
-        sketch = HistogramSketch("DepDelay", DoubleBuckets(-30, 120, 10))
-        with ChaosRunner(
-            rows=8_000, partitions=8, num_workers=2, per_shard_seconds=0.0
-        ) as chaos:
-            before = chaos.dataset.sketch(sketch)
-            for index in range(len(chaos.cluster.workers)):
-                chaos.cluster.kill_worker(index)  # crash RPC: store wiped
-            # A different bucketing dodges the root's computation cache, so
-            # the workers genuinely re-summarize replayed shards.
-            after_sketch = HistogramSketch("DepDelay", DoubleBuckets(-30, 120, 20))
-            after = chaos.dataset.sketch(after_sketch)
-            reference = chaos.reference(after_sketch)
-        assert before.to_bytes() == chaos.reference(sketch).to_bytes()
-        assert after.to_bytes() == reference.to_bytes()

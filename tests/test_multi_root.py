@@ -3,23 +3,21 @@
 Two real ``ServiceServer`` front-ends attach to the same pre-started
 ``repro worker --listen`` daemons (the paper's stateless-web-server
 deployment, §5.2–5.3) and must be indistinguishable to clients: identical
-shard placement, byte-identical summaries for every wire-level sketch
-type, and sessions that resume on either root through the shared
-session store with handles rebuilt by lineage replay (§5.7).
+shard placement, identical answers to concurrent sessions, and sessions
+that resume on either root through the shared session store with handles
+rebuilt by lineage replay (§5.7).  Every sketch spec through a second
+root is a column of ``tests/test_invariant.py``.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 import threading
 
 import pytest
 
 from repro.data.flights import FlightsSource
 from repro.engine.local import LocalDataSet
-from repro.engine.remote import ProcessCluster, _spawn_env
+from repro.engine.remote import ProcessCluster
 from repro.engine.rpc import sketch_from_json, summary_to_json
 from repro.service import (
     ConnectionDirector,
@@ -29,8 +27,7 @@ from repro.service import (
 )
 from repro.table.table import Table
 
-from tests.conftest import requires_caches
-from tests.test_engine_equivalence import SKETCH_SPECS
+from tests.conftest import canonical, daemon_fleet
 
 pytestmark = pytest.mark.tier2
 
@@ -52,49 +49,11 @@ HIST = {
 }
 
 
-def canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
-def spawn_daemon(index: int):
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--listen",
-            "127.0.0.1:0",
-            "--name",
-            f"fleet-{index}",
-            "--cores",
-            "2",
-        ],
-        env=_spawn_env(),
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    announcement = json.loads(proc.stdout.readline())
-    return proc, ("127.0.0.1", int(announcement["port"]))
-
-
 @pytest.fixture(scope="module")
 def fleet():
     """Two pre-started worker daemons that outlive any root."""
-    daemons, addresses = [], []
-    try:
-        for i in range(2):
-            proc, address = spawn_daemon(i)
-            daemons.append(proc)
-            addresses.append(address)
+    with daemon_fleet("fleet", 2) as addresses:
         yield addresses
-    finally:
-        for proc in daemons:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
 
 
 @pytest.fixture(scope="module")
@@ -162,41 +121,6 @@ class TestSharedPlacement:
 
 
 class TestByteIdenticalSummaries:
-    @pytest.mark.parametrize("kind", sorted(SKETCH_SPECS))
-    def test_every_sketch_agrees_across_roots(
-        self, kind, tier, reference_table
-    ):
-        """Every SKETCH_TYPES entry returns byte-identical summaries
-        from both roots, equal to the single-process reference.
-
-        Across roots the *wire payload text* must match byte for byte
-        (same placement, same merge order, same JSON).  Against the local
-        reference the comparison is the summary's canonical ``to_bytes``
-        encoding — JSON key order there legitimately reflects merge
-        order (e.g. frequency maps), which a single process lacks.
-        """
-        from repro.engine.rpc import summary_from_json
-
-        spec = SKETCH_SPECS[kind]
-        local_bytes = (
-            LocalDataSet(reference_table)
-            .sketch(sketch_from_json(spec))
-            .to_bytes()
-        )
-        payloads = []
-        for _, _, (host, port) in tier:
-            with ServiceClient(host, port) as client:
-                handle = client.load(FLIGHTS_SPEC)
-                reply = client.sketch(handle, spec).result(timeout=120)
-                assert reply.kind == "complete", reply.error
-                payloads.append(canonical(reply.payload))
-                assert (
-                    summary_from_json(reply.payload).to_bytes() == local_bytes
-                ), f"{kind} differs from the local reference on {host}:{port}"
-        assert payloads[0] == payloads[1], (
-            f"{kind}: the two roots returned different wire payloads"
-        )
-
     def test_concurrent_sessions_across_roots(self, tier, reference_table):
         """Eight sessions spread over both roots, all streaming at once,
         every result byte-identical to the single-root answer."""
@@ -230,7 +154,6 @@ class TestByteIdenticalSummaries:
             assert server.connections_accepted >= 4
 
 
-@requires_caches
 class TestCrossRootWarmCache:
     """The multi-tier memoization acceptance path (§5.4): a sketch first
     run via root A completes via root B with *zero* worker-side shard

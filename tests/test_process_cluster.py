@@ -1,4 +1,4 @@
-"""Process-cluster integration: the RPC surface, maps, sessions, attach mode.
+"""Process-cluster integration: the RPC surface, maps, save, sessions.
 
 Everything here runs against real spawned ``repro worker`` subprocesses —
 the multi-server topology of §5.2 on one machine.
@@ -7,8 +7,6 @@ the multi-server topology of §5.2 on one machine.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -16,7 +14,7 @@ from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
 from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap
 from repro.engine.local import LocalDataSet
-from repro.engine.remote import ProcessCluster, RemoteWorkerProxy, _spawn_env
+from repro.engine.remote import ProcessCluster, RemoteWorkerProxy
 from repro.engine.rpc import RpcRequest
 from repro.sketches.histogram import HistogramSketch
 from repro.table.compute import ColumnPredicate
@@ -25,7 +23,6 @@ from repro.table.table import Table
 pytestmark = pytest.mark.tier2
 
 SOURCE = FlightsSource(4_000, partitions=8, seed=11)
-DISTANCE = DoubleBuckets(0, 3000, 10)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +90,21 @@ class TestRemoteDatasets:
             == LocalDataSet(reference).sketch(sketch).to_bytes()
         )
 
+    def test_save_writes_identical_rows(self, tmp_path, dataset, reference):
+        """save is side-effecting and its file list names shards, so the
+        assertion is on the written *data*: same rows, no errors."""
+        from repro.engine.rpc import sketch_from_json
+        from repro.storage.columnar import write_manifest
+        from repro.storage.loader import ColumnarDatasetSource
+
+        spec = {"type": "save", "directory": str(tmp_path), "format": "hvc"}
+        status = dataset.sketch(sketch_from_json(spec))
+        assert status.errors == []
+        assert status.rows_written == reference.num_rows
+        write_manifest(str(tmp_path), status.files)  # the web layer's job
+        reloaded = ColumnarDatasetSource(str(tmp_path), verify_snapshot=False).load()
+        assert sum(t.num_rows for t in reloaded) == reference.num_rows
+
 
 class TestSessionsOverProcessWorkers:
     def test_session_rebuild_from_lineage_on_remote_workers(
@@ -158,58 +170,3 @@ class TestSessionsOverProcessWorkers:
             HistogramSketch("Distance", DoubleBuckets(0, 3000, 9))
         )
         assert after[-1].payload["counts"] == local.counts.tolist()
-
-
-class TestListenMode:
-    def test_attach_to_prestarted_worker_daemons(self):
-        """`repro worker --listen` daemons + ProcessCluster(addresses=...):
-        the fleet topology where workers outlive any particular root."""
-        import json as json_mod
-
-        env = _spawn_env()
-        daemons = []
-        addresses = []
-        try:
-            for i in range(2):
-                proc = subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.cli",
-                        "worker",
-                        "--listen",
-                        "127.0.0.1:0",
-                        "--name",
-                        f"daemon-{i}",
-                        "--cores",
-                        "2",
-                    ],
-                    env=env,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                )
-                daemons.append(proc)
-                announcement = json_mod.loads(proc.stdout.readline())
-                addresses.append(("127.0.0.1", int(announcement["port"])))
-            cluster = ProcessCluster(
-                addresses=addresses, aggregation_interval=0.01
-            )
-            try:
-                dataset = cluster.load(SOURCE)
-                sketch = HistogramSketch("Distance", DISTANCE)
-                remote = dataset.sketch(sketch)
-                local = LocalDataSet(Table.concat(SOURCE.load())).sketch(sketch)
-                assert remote.to_bytes() == local.to_bytes()
-                assert {w.name for w in cluster.workers} == {
-                    "daemon-0",
-                    "daemon-1",
-                }
-            finally:
-                cluster.close()
-        finally:
-            for proc in daemons:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    proc.kill()

@@ -27,7 +27,6 @@ from repro.core.wire import (
     Field,
     Wire,
 )
-from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster
 from repro.engine.rpc import (
     ProtocolError,
@@ -40,18 +39,18 @@ from repro.engine.rpc import (
     summary_to_json,
 )
 from repro.engine.web import WebServer
-from test_engine_equivalence import SKETCH_SPECS as FLIGHTS_SPECS
+from repro.storage.loader import ColumnarDatasetSource
+
+from tests.test_invariant import SPEC_PER_TYPE, SPECS
 
 _BUCKETS = {"type": "double", "min": 0, "max": 3000, "count": 12}
 
-#: One valid spec per registered (wire type, variant).
+#: One valid spec per registered (wire type, variant): the invariant
+#: matrix's first of each, plus the two types it does not run.
 VALID_SPECS: dict[tuple[str, str | None], dict] = {
-    (name, spec.get("method")): spec for name, spec in FLIGHTS_SPECS.items()
+    (spec["type"], spec.get("method")): spec for spec in reversed(list(SPECS.values()))
 }
-VALID_SPECS["heavyHitters", "sampling"] = {
-    "type": "heavyHitters", "method": "sampling", "column": "Airline", "k": 5,
-    "rate": 0.5, "seed": 1,
-}
+VALID_SPECS["slow", None] = SPEC_PER_TYPE["slow"]
 VALID_SPECS["save", None] = {"type": "save", "directory": "/nonexistent", "format": "csv"}
 
 #: A value of the wrong JSON type, per kind name.
@@ -80,9 +79,9 @@ def _field_cases():
 
 
 @pytest.fixture(scope="module")
-def served():
+def served(canonical_dataset):
     web = WebServer(Cluster(num_workers=2, cores_per_worker=1))
-    return web, web.load(FlightsSource(500, partitions=2, seed=5))
+    return web, web.load(ColumnarDatasetSource(canonical_dataset))
 
 
 def _execute(served, spec):
@@ -121,22 +120,23 @@ class TestMalformedSpecsAreProtocolErrors:
         ids=json.dumps,
     )
     def test_histogram_spec_values(self, served, patch):
-        spec = dict(FLIGHTS_SPECS["histogram"], **patch)
+        spec = dict(VALID_SPECS["histogram", None], **patch)
         reply = _execute(served, spec)
         assert (reply.kind, reply.code) == ("error", "protocol"), reply.error
         assert "'histogram'" in reply.error
 
     @pytest.mark.parametrize("k", [0, -1, "abc", None])
     def test_heavy_hitters_k(self, served, k):
-        reply = _execute(served, dict(FLIGHTS_SPECS["heavyHitters"], k=k))
+        reply = _execute(served, dict(VALID_SPECS["heavyHitters", "streaming"], k=k))
         assert (reply.kind, reply.code) == ("error", "protocol"), reply.error
 
     def test_unknown_variant(self, served):
-        reply = _execute(served, dict(FLIGHTS_SPECS["heavyHitters"], method="guess"))
+        spec = dict(VALID_SPECS["heavyHitters", "streaming"], method="guess")
+        reply = _execute(served, spec)
         assert reply.code == "protocol" and "'guess'" in reply.error
 
     def test_half_a_second_group(self, served):
-        spec = dict(FLIGHTS_SPECS["trellisHistogram"], group2Column="Origin")
+        spec = dict(VALID_SPECS["trellisHistogram", None], group2Column="s")
         assert _execute(served, spec).code == "protocol"
 
     @pytest.mark.parametrize(
@@ -149,7 +149,7 @@ class TestMalformedSpecsAreProtocolErrors:
             summary_from_json(dict(payload, **patch))
 
     def test_valid_specs_still_run(self, served):
-        reply = _execute(served, FLIGHTS_SPECS["histogram"])
+        reply = _execute(served, VALID_SPECS["histogram", None])
         assert reply.kind == "complete" and sum(reply.payload["counts"]) > 0
 
 
@@ -180,16 +180,16 @@ class TestSummarySizeBound:
 
     def test_every_bucket_field_counts(self):
         spec = dict(
-            FLIGHTS_SPECS["trellisHeatmap"],
+            VALID_SPECS["trellisHeatmap", None],
             groupBuckets=dict(_BUCKETS, count=100),
-            group2Column="Origin", group2Buckets=dict(_BUCKETS, count=100),
+            group2Column="s", group2Buckets=dict(_BUCKETS, count=100),
             xBuckets=dict(_BUCKETS, count=100), yBuckets=dict(_BUCKETS, count=100),
         )
         with pytest.raises(ProtocolError, match="100000000 cells"):
             sketch_from_json(spec)
 
     def test_a_single_histogram_is_bounded_too(self):
-        spec = dict(FLIGHTS_SPECS["histogram"], buckets=dict(_BUCKETS, count=10**8))
+        spec = dict(VALID_SPECS["histogram", None], buckets=dict(_BUCKETS, count=10**8))
         with pytest.raises(ProtocolError, match="cells"):
             sketch_from_json(spec)
 
@@ -279,9 +279,9 @@ class TestOneFileSketch:
     def test_runs_through_cluster_and_web_server(self, toy, served):
         _, sketch_cls = toy
         web, handle = served
-        direct = web.dataset(handle).sketch(sketch_cls("DepDelay", weight=2))
-        assert direct.rows == 1000 and 0 < direct.present <= 1000
-        reply = _execute(served, {"type": "toyCount", "column": "DepDelay", "weight": 2})
+        direct = web.dataset(handle).sketch(sketch_cls("d", weight=2))
+        assert direct.rows == 1600 and 0 < direct.present <= 1600
+        reply = _execute(served, {"type": "toyCount", "column": "d", "weight": 2})
         assert reply.kind == "complete"
         assert reply.payload == summary_to_json(direct)
 

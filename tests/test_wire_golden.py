@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.data.flights import FlightsSource
 from repro.engine.local import LocalDataSet
 from repro.engine.rpc import (
     sketch_from_json,
@@ -84,6 +85,92 @@ EXTRA_SPECS: dict[str, dict] = {
 }
 
 
+# 2,000 rows keeps every summary under its decimation bounds (the quantile
+# sample never exceeds 2 * max_size), so byte-identity is exact end to end.
+FLIGHTS_SOURCE = FlightsSource(2_000, partitions=8, seed=5)
+
+_DISTANCE = {"type": "double", "min": 0, "max": 3000, "count": 12}
+_DELAY = {"type": "double", "min": -30, "max": 180, "count": 10}
+_AIRLINES = {"type": "strings", "values": ["AA", "AS", "B6", "DL", "UA", "WN"]}
+_FLIGHTS_ORDER = [
+    {"column": "Distance", "ascending": True},
+    {"column": "Origin", "ascending": True},
+]
+
+#: One spec per wire-level sketch type, exercised on the flights dataset.
+FLIGHTS_SPECS: dict[str, dict] = {
+    "histogram": {"type": "histogram", "column": "Distance", "buckets": _DISTANCE},
+    "cdf": {"type": "cdf", "column": "DepDelay", "buckets": _DELAY},
+    "heatmap": {
+        "type": "heatmap",
+        "xColumn": "Distance",
+        "xBuckets": _DISTANCE,
+        "yColumn": "DepDelay",
+        "yBuckets": _DELAY,
+    },
+    "stacked": {
+        "type": "stacked",
+        "xColumn": "Distance",
+        "xBuckets": _DISTANCE,
+        "yColumn": "Airline",
+        "yBuckets": _AIRLINES,
+    },
+    "trellisHeatmap": {
+        "type": "trellisHeatmap",
+        "groupColumn": "Airline",
+        "groupBuckets": _AIRLINES,
+        "xColumn": "Distance",
+        "xBuckets": _DISTANCE,
+        "yColumn": "DepDelay",
+        "yBuckets": _DELAY,
+    },
+    "trellisHistogram": {
+        "type": "trellisHistogram",
+        "groupColumn": "Airline",
+        "groupBuckets": _AIRLINES,
+        "xColumn": "Distance",
+        "xBuckets": _DISTANCE,
+    },
+    # Integer-valued columns keep float power sums exact, so summaries are
+    # bit-identical regardless of merge order.
+    "moments": {"type": "moments", "column": "CRSDepTime"},
+    "distinct": {"type": "distinct", "column": "Origin", "precision": 10},
+    # Misra-Gries merges exactly only while no counter reduction happens;
+    # k above the column's cardinality (14 airlines) keeps it exact, which
+    # is what cross-substrate byte-identity requires.
+    "heavyHitters": {
+        "type": "heavyHitters",
+        "method": "streaming",
+        "column": "Airline",
+        "k": 20,
+    },
+    "nextK": {"type": "nextK", "order": _FLIGHTS_ORDER, "k": 10},
+    "quantile": {"type": "quantile", "order": _FLIGHTS_ORDER, "rate": 1.0},
+    "find": {
+        "type": "find",
+        "order": _FLIGHTS_ORDER,
+        "match": {
+            "type": "match",
+            "column": "Origin",
+            "pattern": "S",
+            "mode": "substring",
+            "caseSensitive": True,
+        },
+    },
+    "bottomK": {"type": "bottomK", "column": "Origin", "k": 40},
+    "correlation": {
+        "type": "correlation",
+        "columns": ["CRSDepTime", "DepTime", "DayOfWeek"],
+    },
+    "slow": {
+        "type": "slow",
+        "perShardSeconds": 0.0,
+        "inner": {"type": "histogram", "column": "Distance", "buckets": _DISTANCE},
+    },
+    # "save" is side-effecting; exercised separately below.
+}
+
+
 def canonical_shards(rows: int = 400, shards: int = 4) -> list[Table]:
     """A seeded table over the canonical schema, with missing values,
     NaN and out-of-range values, split into shards."""
@@ -126,8 +213,6 @@ def _entry(sketch, summary) -> dict[str, str]:
 
 def compute_entries() -> dict[str, dict[str, str]]:
     import repro.service.slow  # noqa: F401 — the "slow" wire type
-    from test_engine_equivalence import FLIGHTS_SOURCE
-    from test_engine_equivalence import SKETCH_SPECS as FLIGHTS_SPECS
 
     shards = canonical_shards()
     entries: dict[str, dict[str, str]] = {}
