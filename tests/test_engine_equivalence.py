@@ -2,7 +2,8 @@
 
 ``tests/test_invariant.py`` runs every sketch spec through every execution
 mode over one table.  What stays here: random tables at random shard
-counts agree across local, threaded and cluster engines; summaries are
+counts agree across local, threaded and cluster engines; the ``slow``
+wrapper the matrix leaves out agrees over spawned workers; summaries are
 functions of multisets, not row sequences (Appendix A); and the merge
 order is a function of placement, never of which leaf thread finished
 first.
@@ -21,6 +22,7 @@ from repro.core.buckets import DoubleBuckets, ExplicitStringBuckets
 from repro.core.sketch import Sketch, Summary
 from repro.engine.cluster import Cluster
 from repro.engine.local import LocalDataSet, ParallelDataSet, parallel_dataset
+from repro.engine.rpc import sketch_from_json
 from repro.sketches.heavy_hitters import MisraGriesSketch
 from repro.sketches.histogram import HistogramSketch
 from repro.sketches.moments import MomentsSketch
@@ -30,6 +32,8 @@ from repro.sketches.trellis import TrellisHistogramSketch
 from repro.storage.loader import TableSource
 from repro.table.sort import RecordOrder
 from repro.table.table import Table
+
+from tests.test_wire_golden import FLIGHTS_SOURCE, FLIGHTS_SPECS
 
 VALUE_BUCKETS = DoubleBuckets(-50, 50, 10)
 GROUP_BUCKETS = ExplicitStringBuckets(["a", "b", "c"])
@@ -97,6 +101,33 @@ class TestRepartitioningInvariance:
             LocalDataSet(table).sketch(sketch).to_bytes()
             == LocalDataSet(shuffled).sketch(sketch).to_bytes()
         )
+
+
+@pytest.mark.tier2
+class TestProcessClusterEquivalence:
+    """The ``slow`` wrapper, the one spec the matrix leaves out: local,
+    threaded-cluster and process-cluster results are identical."""
+
+    @pytest.mark.parametrize("kind", ["slow"])
+    def test_every_sketch_agrees(self, kind):
+        import repro.service.slow  # noqa: F401 — registers "slow"
+        from repro.engine.remote import ProcessCluster
+
+        spec = FLIGHTS_SPECS[kind]
+        reference = Table.concat(FLIGHTS_SOURCE.load())
+        local = LocalDataSet(reference).sketch(sketch_from_json(spec))
+        threaded = Cluster(num_workers=3, cores_per_worker=2)
+        via_threads = threaded.load(FLIGHTS_SOURCE).sketch(sketch_from_json(spec))
+        processes = ProcessCluster(
+            num_workers=3, cores_per_worker=2, aggregation_interval=0.01
+        )
+        try:
+            process_ds = processes.load(FLIGHTS_SOURCE)
+            via_processes = process_ds.sketch(sketch_from_json(spec))
+        finally:
+            processes.close()
+        assert via_threads.to_bytes() == local.to_bytes()
+        assert via_processes.to_bytes() == local.to_bytes()
 
 
 class _OrderSummary(Summary):

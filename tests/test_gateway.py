@@ -2,8 +2,10 @@
 and the reply-frame oracle.
 
 That a WebSocket client sees exactly what a TCP :class:`ServiceClient`
-sees, for every sketch spec, is the ``ws`` and ``tcp`` columns of
-``tests/test_invariant.py`` — the gateway adds transport, never semantics.
+sees, for every kernel spec, is the ``ws`` and ``tcp`` columns of
+``tests/test_invariant.py`` — the gateway adds transport, never semantics;
+here the two are compared directly for a histogram and its ``slow``
+wrapper.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ from repro.engine.rpc import RpcReply, RpcRequest
 from repro.gateway.client import GatewayError
 from repro.gateway.server import _Stream, reply_frame
 from repro.gateway.websocket import ConnectionClosed, OP_TEXT, encode_frame
-from repro.service import ConnectionDirector, ServiceServer, probe_gateway
+from repro.service import (
+    ConnectionDirector,
+    ServiceClient,
+    ServiceServer,
+    probe_gateway,
+)
 from repro.service import encode_frame as tcp_encode_frame
 from repro.service.transport import reply_frame as tcp_reply_frame
 
 from tests.conftest import canonical
 from tests.test_invariant import SPEC_PER_TYPE
+from tests.test_wire_golden import FLIGHTS_SPECS
 
 ROWS = 2_000
 SOURCE = FlightsSource(ROWS, partitions=8, seed=5)
@@ -249,6 +257,25 @@ class TestConnector:
         service.sessions.close("gateway-connector")
         after = api.rows("flights", top=3)
         assert canonical(after) == canonical(before)
+
+
+# ---------------------------------------------------------------------------
+# WebSocket transport equivalence on the service's default flights source
+# ---------------------------------------------------------------------------
+class TestTransportEquivalence:
+    @pytest.mark.parametrize("kind", ["histogram", "slow"])
+    def test_ws_payload_is_byte_identical_to_tcp(self, kind, service, gateway):
+        spec = FLIGHTS_SPECS[kind]
+        with ServiceClient(*service.address) as tcp:
+            tcp_payload = tcp.sketch(tcp.load({}), spec).result().payload
+        ws = open_ws(gateway)
+        ws.connect()
+        ws.submit(0, "load", args={"source": {}})
+        handle = ws.result(0)["payload"]["handle"]
+        ws.submit(1, "sketch", handle, {"sketch": spec})
+        ws_payload = ws.result(1)["payload"]
+        ws.close()
+        assert canonical(ws_payload) == canonical(tcp_payload)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Two real ``ServiceServer`` front-ends attach to the same pre-started
 deployment, §5.2–5.3) and must be indistinguishable to clients: identical
 shard placement, identical answers to concurrent sessions, and sessions
 that resume on either root through the shared session store with handles
-rebuilt by lineage replay (§5.7).  Every sketch spec through a second
-root is a column of ``tests/test_invariant.py``.
+rebuilt by lineage replay (§5.7).  Every kernel spec through a second
+root is a column of ``tests/test_invariant.py``; here both roots answer
+a histogram and its ``slow`` wrapper through the service tier.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ import pytest
 from repro.data.flights import FlightsSource
 from repro.engine.local import LocalDataSet
 from repro.engine.remote import ProcessCluster
-from repro.engine.rpc import sketch_from_json, summary_to_json
+from repro.engine.rpc import (
+    sketch_from_json,
+    summary_from_json,
+    summary_to_json,
+)
 from repro.service import (
     ConnectionDirector,
     ServiceClient,
@@ -28,6 +33,7 @@ from repro.service import (
 from repro.table.table import Table
 
 from tests.conftest import canonical, daemon_fleet
+from tests.test_wire_golden import FLIGHTS_SPECS
 
 pytestmark = pytest.mark.tier2
 
@@ -121,6 +127,35 @@ class TestSharedPlacement:
 
 
 class TestByteIdenticalSummaries:
+    @pytest.mark.parametrize("kind", ["histogram", "slow"])
+    def test_every_sketch_agrees_across_roots(
+        self, kind, tier, reference_table
+    ):
+        """A plain and a ``slow``-wrapped histogram return the same wire
+        payload text from both roots, and summaries byte-identical to the
+        single-process reference."""
+        import repro.service.slow  # noqa: F401 — registers "slow"
+
+        spec = FLIGHTS_SPECS[kind]
+        local_bytes = (
+            LocalDataSet(reference_table)
+            .sketch(sketch_from_json(spec))
+            .to_bytes()
+        )
+        payloads = []
+        for _, _, (host, port) in tier:
+            with ServiceClient(host, port) as client:
+                handle = client.load(FLIGHTS_SPEC)
+                reply = client.sketch(handle, spec).result(timeout=120)
+                assert reply.kind == "complete", reply.error
+                payloads.append(canonical(reply.payload))
+                assert (
+                    summary_from_json(reply.payload).to_bytes() == local_bytes
+                ), f"{kind} differs from the local reference on {host}:{port}"
+        assert payloads[0] == payloads[1], (
+            f"{kind}: the two roots returned different wire payloads"
+        )
+
     def test_concurrent_sessions_across_roots(self, tier, reference_table):
         """Eight sessions spread over both roots, all streaming at once,
         every result byte-identical to the single-root answer."""

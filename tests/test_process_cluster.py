@@ -20,6 +20,8 @@ from repro.sketches.histogram import HistogramSketch
 from repro.table.compute import ColumnPredicate
 from repro.table.table import Table
 
+from tests.conftest import daemon_fleet
+
 pytestmark = pytest.mark.tier2
 
 SOURCE = FlightsSource(4_000, partitions=8, seed=11)
@@ -170,3 +172,24 @@ class TestSessionsOverProcessWorkers:
             HistogramSketch("Distance", DoubleBuckets(0, 3000, 9))
         )
         assert after[-1].payload["counts"] == local.counts.tolist()
+
+
+class TestListenMode:
+    def test_attach_to_prestarted_worker_daemons(self, reference):
+        """`repro worker --listen` daemons + ProcessCluster(addresses=...):
+        the fleet topology where workers outlive any particular root."""
+        with daemon_fleet("daemon", 2) as addresses:
+            cluster = ProcessCluster(
+                addresses=addresses, aggregation_interval=0.01
+            )
+            try:
+                sketch = HistogramSketch("Distance", DoubleBuckets(0, 3000, 10))
+                remote = cluster.load(SOURCE).sketch(sketch)
+                local = LocalDataSet(reference).sketch(sketch)
+                assert remote.to_bytes() == local.to_bytes()
+                assert {w.name for w in cluster.workers} == {
+                    "daemon-0",
+                    "daemon-1",
+                }
+            finally:
+                cluster.close()

@@ -114,16 +114,32 @@ class TestStealLedger:
 
 
 class TestInProcessStealing:
-    def test_an_inf_gate_never_steals(self, monkeypatch):
-        """The unstolen reference run: a skewed fleet whose gate never
-        opens keeps every slice home."""
+    def test_byte_identity_on_vs_off(self, monkeypatch):
+        """The acceptance invariant: stealing changes wall-clock, never
+        bytes."""
+        slow = SlowdownSketch(hist(), per_shard_seconds=0.03)
+
+        def skewed_cluster() -> Cluster:
+            return Cluster(
+                workers=[Worker("straggler", cores=1), Worker("fast", cores=4)],
+                aggregation_interval=0.02,
+            )
+
         monkeypatch.setenv("REPRO_STEAL_AFTER", "inf")
-        cluster = Cluster(
-            workers=[Worker("straggler", cores=1), Worker("fast", cores=4)],
-            aggregation_interval=0.02,
+        off_cluster = skewed_cluster()
+        off = off_cluster.load(SOURCE).run(slow).value.to_bytes()
+        assert all(w.slices_stolen == 0 for w in off_cluster.workers)
+
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
+        on_cluster = skewed_cluster()
+        on = on_cluster.load(SOURCE).run(slow).value.to_bytes()
+
+        straggler, fast = on_cluster.workers
+        assert fast.slices_stolen > 0, "the idle peer never stole"
+        assert straggler.slices_donated > 0
+        assert on == off == reference_bytes(slow), (
+            "stealing changed the summary bytes"
         )
-        cluster.load(SOURCE).run(SlowdownSketch(hist(), per_shard_seconds=0.03))
-        assert all(w.slices_stolen == 0 for w in cluster.workers)
 
     def test_balanced_fleet_does_not_steal(self, monkeypatch):
         """The straggler gate: a balanced fleet finishing within the
