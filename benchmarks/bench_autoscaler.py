@@ -16,6 +16,10 @@ benchmark measures exactly how much:
   criterion (and the perf-smoke **hard floor**, ``REPRO_STEAL_SPEEDUP_MIN``,
   default 2x): stealing must at least halve the straggler's long pole.
   Sleep-dominated work makes the ratio robust to runner speed;
+* **claims and slices** — steal claims the root dispatched and the
+  shard slices they moved, per mode (report only).  One claim moves up
+  to 8 slices; claims far above slices / 8 mean the root is re-claiming
+  a victim with nothing left to cede;
 * **time-to-drain the hot worker** — wall clock until the straggler's
   backlog is gone in the stolen runs (every pending slice either
   summarized at home or ceded to the idle peer);
@@ -37,6 +41,7 @@ from conftest import add_report
 from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster, Worker
+from repro.obs.metrics import REGISTRY
 from repro.service.autoscaler import Autoscaler, AutoscalerConfig
 from repro.service.slow import SlowdownSketch
 from repro.sketches.histogram import HistogramSketch
@@ -81,8 +86,17 @@ def skewed_cluster() -> Cluster:
     )
 
 
-def measure_mode(steal: bool) -> tuple[list[float], int]:
-    """First-exact latencies over REPS runs, plus total stolen slices.
+def steal_counters() -> tuple[int, int]:
+    """The root's lifetime steal claims and slices moved."""
+    return (
+        REGISTRY.counter("cluster.steal.claims").value,
+        REGISTRY.counter("cluster.steal.slices").value,
+    )
+
+
+def measure_mode(steal: bool) -> tuple[list[float], int, int]:
+    """First-exact latencies over REPS runs, plus total stolen slices
+    and the claims that moved them.
 
     A fresh cluster per run: the slowdown sketch is uncacheable by
     design, but the straggler gate adapts to observed cadence, so each
@@ -91,6 +105,7 @@ def measure_mode(steal: bool) -> tuple[list[float], int]:
     os.environ["REPRO_STEAL_AFTER"] = "0.01" if steal else "inf"
     latencies: list[float] = []
     stolen = 0
+    claims_before, _ = steal_counters()
     source = FlightsSource(ROWS, partitions=PARTITIONS, seed=13)
     for _ in range(REPS):
         cluster = skewed_cluster()
@@ -103,7 +118,7 @@ def measure_mode(steal: bool) -> tuple[list[float], int]:
         assert first_exact is not None, "the stream never completed"
         latencies.append(first_exact)
         stolen += sum(w.slices_stolen for w in cluster.workers)
-    return latencies, stolen
+    return latencies, stolen, steal_counters()[0] - claims_before
 
 
 def measure_control_loop(ticks: int = 1_000) -> float:
@@ -126,8 +141,8 @@ def measure_control_loop(ticks: int = 1_000) -> float:
 
 
 def collect() -> dict:
-    off_latencies, off_stolen = measure_mode(steal=False)
-    on_latencies, on_stolen = measure_mode(steal=True)
+    off_latencies, off_stolen, off_claims = measure_mode(steal=False)
+    on_latencies, on_stolen, on_claims = measure_mode(steal=True)
     assert off_stolen == 0, "REPRO_STEAL_AFTER=inf must disable stealing"
     off_p95 = percentile(off_latencies, 0.95)
     on_p95 = percentile(on_latencies, 0.95)
@@ -138,6 +153,8 @@ def collect() -> dict:
         "on_p95": on_p95,
         "speedup": off_p95 / max(on_p95, 1e-9),
         "stolen_slices": on_stolen,
+        "claims": {"off": off_claims, "on": on_claims},
+        "slices": {"off": off_stolen, "on": on_stolen},
         "drain_hot_worker_p50": percentile(on_latencies, 0.50),
         "control_loop_1k_ticks": measure_control_loop(),
     }
@@ -146,12 +163,14 @@ def collect() -> dict:
 def main() -> None:
     metrics = collect()
     rows = [
-        ("steal off", human_seconds(metrics["off_p50"]),
-         human_seconds(metrics["off_p95"])),
-        ("steal on", human_seconds(metrics["on_p50"]),
-         human_seconds(metrics["on_p95"])),
+        (f"steal {mode}", human_seconds(metrics[f"{mode}_p50"]),
+         human_seconds(metrics[f"{mode}_p95"]), metrics["claims"][mode],
+         metrics["slices"][mode])
+        for mode in ("off", "on")
     ]
-    table = format_table(["mode", "p50 first-exact", "p95 first-exact"], rows)
+    table = format_table(
+        ["mode", "p50 first-exact", "p95 first-exact", "claims", "slices"], rows
+    )
     summary = (
         f"speedup {metrics['speedup']:.2f}x "
         f"(floor {minimum_speedup():.1f}x), "

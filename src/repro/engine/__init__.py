@@ -42,7 +42,6 @@ from repro.engine.cache import (
 from repro.engine.cluster import (
     Cluster,
     ClusterDataSet,
-    StealLedger,
     StolenParcel,
     Worker,
     WorkerProtocol,
@@ -82,7 +81,6 @@ __all__ = [
     "ClusterDataSet",
     "ProcessCluster",
     "RemoteWorkerProxy",
-    "StealLedger",
     "StolenParcel",
     "Worker",
     "WorkerProtocol",

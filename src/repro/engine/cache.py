@@ -18,7 +18,8 @@ reproduction:
   one dataset), and an injectable clock so tests and the simulator control
   time.  Caches created with ``disableable=True`` honor the
   ``REPRO_DISABLE_CACHES=1`` environment switch and become pass-through,
-  which is how CI proves cached and uncached paths byte-identical.
+  which is how the ``uncached`` mode of ``tests/test_invariant.py`` proves
+  cached and uncached paths byte-identical.
 * :class:`DataCache` — the worker's soft object store (shards per dataset).
   It is *not* disableable: it holds the data itself, not a memoized
   derivation of it.
@@ -51,9 +52,8 @@ KEY_SEP = "\x00"
 def caches_disabled() -> bool:
     """Whether the ``REPRO_DISABLE_CACHES`` switch is on.
 
-    Read per call (not at import) so a test — or the CI matrix leg that
-    runs the whole suite uncached — can flip it without re-importing the
-    engine.  Only *memoization* caches honor it; the workers' shard
+    Read per call (not at import) so a test — the invariant suite's
+    ``uncached`` mode, say — can flip it without re-importing the engine.  Only *memoization* caches honor it; the workers' shard
     stores are data, not derived results, and stay on.
     """
     return os.environ.get("REPRO_DISABLE_CACHES", "").strip().lower() in (

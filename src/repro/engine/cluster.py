@@ -206,59 +206,6 @@ class StolenParcel:
         return self.table
 
 
-class StealLedger:
-    """A claim handle onto one in-flight :meth:`Worker.sketch_partials`.
-
-    The leaf pool starts micropartitions in submission order, so the
-    started set is always a *prefix* of the shard list and the
-    cancellable set a contiguous *suffix*.  :meth:`cede` cancels from
-    the tail toward the front — a ``Future.cancel()`` that returns True
-    guarantees the leaf never ran — so the victim's final cumulative
-    partial stays a left fold over an uninterrupted prefix, and the
-    stolen suffix can be folded on top of it in global shard order to
-    reproduce the uninterrupted run byte for byte.
-    """
-
-    def __init__(
-        self,
-        worker: "Worker",
-        futures: "list[concurrent.futures.Future]",
-        shards: "list[Table]",
-    ):
-        self._worker = worker
-        self._futures = futures
-        self._shards = shards
-        # Serializes concurrent claims: cancel() on an already-cancelled
-        # future also returns True, so two unlocked thieves could both
-        # believe they own one position.
-        self._lock = threading.Lock()
-
-    def cede(self, budget: int) -> "list[StolenParcel]":
-        """Cancel up to ``budget`` unstarted trailing shards; returns
-        their parcels in ascending position order (possibly empty)."""
-        taken: list[int] = []
-        with self._lock:
-            for position in range(len(self._futures) - 1, -1, -1):
-                if len(taken) >= budget:
-                    break
-                future = self._futures[position]
-                if future.cancelled():
-                    continue  # ceded to an earlier claim
-                if not future.cancel():
-                    break  # started (or done) — so is everything earlier
-                taken.append(position)
-        taken.reverse()
-        self._worker.slices_donated += len(taken)
-        worker = self._worker
-        return [
-            StolenParcel(
-                global_index=worker.index + position * worker.count,
-                table=self._shards[position],
-            )
-            for position in taken
-        ]
-
-
 class WorkerProtocol(ABC):
     """One server of the cluster, local or remote (§5.2).
 
@@ -335,19 +282,23 @@ class WorkerProtocol(ABC):
         sketch: Sketch,
         lineage: list,
         token: CancellationToken | None = None,
-        on_ledger=None,
+        run: str | None = None,
         version: int | None = None,
     ) -> Iterator[WorkerEmission]:
         """Run the sketch over this worker's shards, yielding cumulative
         partials at the aggregation cadence; the final emission reflects
         every shard the worker summarized itself.
 
-        ``on_ledger``, when given, receives a :class:`StealLedger`-like
-        handle (``cede(budget) -> list[StolenParcel]``) as soon as the
-        run's leaf tasks are queued, letting the root reassign unstarted
-        trailing shards to an idle peer mid-sketch.  Implementations
-        that cannot be stolen from simply never call it.
+        ``run``, when given, is the root's name for this run: while its
+        leaves are queued, :meth:`claim_slices` on that name cedes
+        unstarted trailing shards to an idle peer mid-sketch.
         """
+
+    @abstractmethod
+    def claim_slices(self, run: str, budget: int) -> "list[StolenParcel]":
+        """Cede up to ``budget`` unstarted trailing shards of the named
+        run; their parcels come back in ascending global order.  An
+        unknown or finished run cedes nothing (``[]``)."""
 
     @abstractmethod
     def evict(self, dataset_id: str, version: int | None = None) -> None:
@@ -546,6 +497,9 @@ class Worker(WorkerProtocol):
         self._ops = threading.Condition()
         self.dataset_ops = 0
         self._rebalance_pending = False
+        #: In-flight runs a root named, for :meth:`claim_slices`: run ->
+        #: (leaf futures, shards) in shard order.  Guarded by ``_ops``.
+        self._runs: dict[str, tuple[list, list[Table]]] = {}
         #: How moved shards reach another member — the one thing a
         #: deployment supplies: in-process members *are* the target
         #: workers; a daemon dials the member's address instead.
@@ -1013,16 +967,16 @@ class Worker(WorkerProtocol):
         sketch: Sketch,
         lineage: list,
         token: CancellationToken | None = None,
-        on_ledger=None,
+        run: str | None = None,
         version: int | None = None,
     ) -> Iterator[WorkerEmission]:
         with self._dataset_op(version):
             yield from self._sketch_partials(
-                dataset_id, sketch, lineage, token, on_ledger
+                dataset_id, sketch, lineage, token, run
             )
 
     def _sketch_partials(
-        self, dataset_id, sketch, lineage, token, on_ledger
+        self, dataset_id, sketch, lineage, token, run
     ) -> Iterator[WorkerEmission]:
         memo_key = None
         cache_key = sketch.cache_key()
@@ -1060,49 +1014,55 @@ class Worker(WorkerProtocol):
         ceded = False
         with concurrent.futures.ThreadPoolExecutor(self.cores) as pool:
             futures = [pool.submit(leaf, shard) for shard in shards]
-            if on_ledger is not None and len(shards) > 1:
-                on_ledger(StealLedger(self, futures, shards))
-            # Merge in *shard* order, not completion order: Misra-Gries
-            # (and any non-commutative merge) must produce the same bytes
-            # no matter which leaf thread finishes first — the memo and
-            # the cross-root computation cache both rely on it.
-            for future in futures:
-                try:
-                    summary = future.result()
-                except concurrent.futures.CancelledError:
-                    # This position (and, because cedes take contiguous
-                    # suffixes, every later one) went to an idle peer:
-                    # the cumulative partial so far covers exactly the
-                    # prefix this worker kept.
-                    ceded = True
-                    break
-                except Exception as exc:  # repro: ignore[B001] — not swallowed: re-raised after the pool drains
-                    # A leaf failed (bad column, broken expression...):
-                    # drop this worker's remaining shards and surface
-                    # the failure at the root instead of dying silently.
-                    failure = exc
-                    for pending in futures:
-                        pending.cancel()
-                    break
-                done += 1
-                if summary is not None:
-                    accumulated = sketch.merge(accumulated, summary)
-                    pending_since_emit += 1
-                    # Counted here, in the folding thread and under the
-                    # lock: a bare ``+= 1`` on the leaf pool's threads
-                    # loses updates.
-                    with self._ops:
-                        self.shards_summarized += 1
-                now = time.monotonic()
-                finished = done == len(shards)
-                if pending_since_emit and (
-                    now - last_emit >= interval or finished
-                ):
-                    yield WorkerEmission(
-                        accumulated, done, summary_size(accumulated)
-                    )
-                    pending_since_emit = 0
-                    last_emit = now
+            if run is not None:
+                with self._ops:
+                    self._runs[run] = (futures, shards)
+            try:
+                # Merge in *shard* order, not completion order: Misra-Gries
+                # (and any non-commutative merge) must produce the same
+                # bytes no matter which leaf thread finishes first — the
+                # memo and the cross-root computation cache rely on it.
+                for future in futures:
+                    try:
+                        summary = future.result()
+                    except concurrent.futures.CancelledError:
+                        # This position (and, because claims take
+                        # contiguous suffixes, every later one) went to an
+                        # idle peer: the cumulative partial so far covers
+                        # exactly the prefix this worker kept.
+                        ceded = True
+                        break
+                    except Exception as exc:  # repro: ignore[B001] — not swallowed: re-raised after the pool drains
+                        # A leaf failed (bad column, broken expression...):
+                        # drop this worker's remaining shards and surface
+                        # the failure at the root instead of dying silently.
+                        failure = exc
+                        for pending in futures:
+                            pending.cancel()
+                        break
+                    done += 1
+                    if summary is not None:
+                        accumulated = sketch.merge(accumulated, summary)
+                        pending_since_emit += 1
+                        # Counted here, in the folding thread and under
+                        # the lock: a bare ``+= 1`` on the leaf pool's
+                        # threads loses updates.
+                        with self._ops:
+                            self.shards_summarized += 1
+                    now = time.monotonic()
+                    finished = done == len(shards)
+                    if pending_since_emit and (
+                        now - last_emit >= interval or finished
+                    ):
+                        yield WorkerEmission(
+                            accumulated, done, summary_size(accumulated)
+                        )
+                        pending_since_emit = 0
+                        last_emit = now
+            finally:
+                # Ended or closed: the run is no longer claimable.
+                with self._ops:
+                    self._runs.pop(run, None)
         if failure is not None:
             raise failure
         if ceded and pending_since_emit:
@@ -1129,6 +1089,38 @@ class Worker(WorkerProtocol):
                         "lineage": lineage,
                         "hits": hits,
                     }
+
+    def claim_slices(self, run: str, budget: int) -> "list[StolenParcel]":
+        """Act as the victim of a steal.
+
+        The leaf pool starts micropartitions in submission order, so the
+        started set is always a *prefix* of the shard list and the
+        cancellable set a contiguous *suffix*.  Cancelling from the tail
+        toward the front — a ``Future.cancel()`` that returns True
+        guarantees the leaf never ran — keeps the victim's final
+        cumulative partial a left fold over an uninterrupted prefix, and
+        the stolen suffix folds on top of it in global shard order to
+        reproduce the uninterrupted run byte for byte.
+        """
+        taken: list[int] = []
+        # One lock for every claim: cancel() on an already-cancelled
+        # future also returns True, so two unlocked thieves could both
+        # believe they own one position.
+        with self._ops:
+            futures, shards = self._runs.get(run, ([], []))
+            for position in range(len(futures) - 1, -1, -1):
+                if len(taken) >= budget:
+                    break
+                if futures[position].cancelled():
+                    continue  # ceded to an earlier claim
+                if not futures[position].cancel():
+                    break  # started (or done) — so is everything earlier
+                taken.append(position)
+            self.slices_donated += len(taken)
+            return [
+                StolenParcel(self.index + position * self.count, shards[position])
+                for position in reversed(taken)
+            ]
 
     def summarize_stolen(
         self, sketch: Sketch, parcels: "list[StolenParcel]"
@@ -1245,14 +1237,11 @@ class _Emission:
     """One message on the root's single merge queue.
 
     ``kind`` discriminates: ``partial``/``done`` are the classic worker
-    stream (``summary is None`` still marks completion), ``ledger``
-    hands the root a steal handle for the attempt that just started,
-    ``restart`` announces a revived worker re-running from scratch (its
-    stolen results must be discarded — the fresh run recomputes every
-    shard), and ``stolen`` delivers a thief's per-shard summaries.
-    Routing them all through one queue gives the root a total order per
-    worker: a ledger can never be observed before its run's restart
-    marker.
+    stream (``summary is None`` still marks completion), ``restart``
+    announces a revived worker re-running from scratch (its stolen
+    results must be discarded — the fresh run recomputes every shard),
+    and ``stolen`` delivers a thief's per-shard summaries.  Routing them
+    all through one queue gives the root a total order per worker.
     """
 
     worker_index: int
@@ -1262,7 +1251,6 @@ class _Emission:
     error: BaseException | None = None  # a leaf failure, reported at the root
     cache_hit: bool = False  # served from the worker's memo cache
     kind: str = "partial"
-    ledger: object | None = None  # kind="ledger": the steal handle
     stolen: "list[tuple[int, object]] | None" = None  # kind="stolen"
     epoch: int = 0  # steal epoch the stolen summaries belong to
     thief: int | None = None  # kind="stolen": the slot that did the work
@@ -1980,6 +1968,7 @@ class ClusterDataSet(IDataSet):
         workers: "list[WorkerProtocol]",
         parent: "TraceContext | None" = None,
         stat: dict | None = None,
+        fanout: str = "",
     ) -> None:
         """Drive one worker's partial stream, reviving it if it dies.
 
@@ -1994,22 +1983,15 @@ class ClusterDataSet(IDataSet):
         thread boundary so each attempt records its own span (revival
         retries show up as sibling spans under one fan-out); ``stat`` is
         this worker's slot in the query profile, updated in place.
+        Each attempt's run is named ``fanout/slot/attempt`` — the name a
+        steal claim addresses (attempt = restarts so far, the root's
+        epoch for the slot).
         """
         cluster = self.cluster
         done = 0
         failure: BaseException | None = None
         attempts = 0
         tries = 0
-
-        def post_ledger(ledger: object) -> None:
-            # Rides the same queue as the partials so the root observes
-            # it strictly after this attempt's restart marker (if any).
-            emissions.put(
-                _Emission(
-                    worker_index, None, 0, 0, kind="ledger", ledger=ledger
-                )
-            )
-
         try:
             with use_context(parent):
                 while True:
@@ -2026,7 +2008,7 @@ class ClusterDataSet(IDataSet):
                                 sketch,
                                 lineage,
                                 token,
-                                on_ledger=post_ledger,
+                                run=f"{fanout}/{worker_index}/{attempts}",
                             ):
                                 done = emission.shards_done
                                 emissions.put(
@@ -2086,7 +2068,7 @@ class ClusterDataSet(IDataSet):
         self,
         thief_slot: int,
         victim_slot: int,
-        ledger,
+        run: str,
         epoch: int,
         budget: int,
         sketch: Sketch,
@@ -2094,14 +2076,15 @@ class ClusterDataSet(IDataSet):
         emissions: "queue.Queue[_Emission]",
         parent: "TraceContext | None" = None,
     ) -> None:
-        """One claim: cede unstarted slices from the victim, summarize
-        them on the thief (root fallback if the thief cannot), post the
-        per-shard summaries back onto the merge queue.
+        """One claim: cede unstarted slices of the victim's ``run``,
+        summarize them on the thief (root fallback if the thief cannot),
+        post the per-shard summaries back onto the merge queue.
 
-        Once :meth:`StealLedger.cede` returns parcels, the victim has
-        irrevocably skipped those shards — so every path below must
-        either produce their summaries or report an error that fails
-        the query; quietly dropping parcels would corrupt the merge.
+        Once :meth:`WorkerProtocol.claim_slices` returns parcels, the
+        victim has irrevocably skipped those shards — so every path
+        below must either produce their summaries or report an error
+        that fails the query; quietly dropping parcels would corrupt the
+        merge.
         """
         stolen: "list[tuple[int, object]] | None" = []
         error: BaseException | None = None
@@ -2113,7 +2096,15 @@ class ClusterDataSet(IDataSet):
                     thief=snapshot[thief_slot].name,
                     budget=budget,
                 ):
-                    parcels = ledger.cede(budget)
+                    try:
+                        parcels = snapshot[victim_slot].claim_slices(
+                            run, budget
+                        )
+                    except (WorkerUnavailableError, EngineError):
+                        # Nothing was ceded: an error reply means the
+                        # victim kept its shards, and a dead victim's
+                        # revival recomputes every shard regardless.
+                        parcels = []
                     if parcels:
                         results = None
                         try:
@@ -2294,6 +2285,8 @@ class ClusterDataSet(IDataSet):
             profile["workers"] = worker_stats
             emissions: "queue.Queue[_Emission]" = queue.Queue()
             merge_seconds = 0.0
+            # Unique across roots that share a daemon fleet.
+            fanout = uuid.uuid4().hex[:12]
             fanout_started = time.perf_counter()
             with span(
                 "cluster.fanout",
@@ -2313,6 +2306,7 @@ class ClusterDataSet(IDataSet):
                             snapshot,
                             fan_ctx,
                             worker_stats[i],
+                            fanout,
                         ),
                         daemon=True,
                     )
@@ -2330,21 +2324,25 @@ class ClusterDataSet(IDataSet):
 
                 # -- work stealing (straggler suppression) -------------
                 # A slot whose stream finished is an idle thief; a slot
-                # with a live ledger and enough unstarted shards is a
-                # victim.  Claims run on their own threads and deliver
-                # per-shard summaries through the same queue; the
-                # restart marker bumps the victim's epoch so summaries
-                # stolen from a dead run are discarded, never merged.
+                # with enough unstarted shards is a victim, claimed by
+                # the name of its current run.  Claims run on their own
+                # threads and deliver per-shard summaries through the
+                # same queue; the restart marker bumps the victim's
+                # epoch so summaries stolen from a dead run are
+                # discarded, never merged.  A finished slot is never
+                # claimable again; one whose claim ceded nothing (every
+                # pending shard already started, or its run not
+                # registered yet) is not until its next partial —
+                # re-claiming sooner only spins.
                 steal_on = len(snapshot) > 1
                 steal_after = steal_after_seconds(
                     cluster.aggregation_interval
                 )
-                ledgers: "dict[int, tuple[object, int]]" = {}
                 epochs = dict.fromkeys(workers, 0)
                 stolen_acc: "dict[int, dict[int, object]]" = {
                     i: {} for i in workers
                 }
-                finished_slots: set[int] = set()
+                unclaimable: set[int] = set()
                 claims_in_flight: set[int] = set()
                 idle_thieves: list[int] = []
                 steal_threads: list[threading.Thread] = []
@@ -2379,16 +2377,15 @@ class ClusterDataSet(IDataSet):
                         candidates = [
                             v
                             for v in workers
-                            if v not in finished_slots
+                            if v not in unclaimable
                             and v not in claims_in_flight
-                            and v in ledgers
                             and pending_of(v) >= STEAL_MIN_PENDING
                         ]
                         if not candidates:
                             return
                         victim = max(candidates, key=pending_of)
                         thief = idle_thieves.pop()
-                        ledger, epoch = ledgers[victim]
+                        epoch = epochs[victim]
                         budget = max(
                             1,
                             min(STEAL_MAX_BUDGET, pending_of(victim) // 2),
@@ -2401,7 +2398,7 @@ class ClusterDataSet(IDataSet):
                             args=(
                                 thief,
                                 victim,
-                                ledger,
+                                f"{fanout}/{victim}/{epoch}",
                                 epoch,
                                 budget,
                                 sketch,
@@ -2440,13 +2437,8 @@ class ClusterDataSet(IDataSet):
                 while finished < len(threads) or outstanding:
                     emission = emissions.get()
                     slot = emission.worker_index
-                    if emission.kind == "ledger":
-                        ledgers[slot] = (emission.ledger, epochs[slot])
-                        maybe_steal()
-                        continue
                     if emission.kind == "restart":
                         epochs[slot] += 1
-                        ledgers.pop(slot, None)
                         stolen_acc[slot].clear()
                         done_counts[slot] = 0
                         continue
@@ -2461,7 +2453,9 @@ class ClusterDataSet(IDataSet):
                             # returning a silently incomplete merge.
                             if emission.error is not None and leaf_error is None:
                                 leaf_error = emission.error
-                        elif emission.stolen and emission.epoch == epochs[slot]:
+                        elif not emission.stolen:
+                            unclaimable.add(slot)
+                        elif emission.epoch == epochs[slot]:
                             stolen_acc[slot].update(dict(emission.stolen))
                             slices_counter.inc(len(emission.stolen))
                             worker_stats[slot]["ceded"] = len(stolen_acc[slot])
@@ -2485,7 +2479,7 @@ class ClusterDataSet(IDataSet):
                     stat["shards"] = emission.shards_done
                     if emission.summary is None:
                         finished += 1
-                        finished_slots.add(slot)
+                        unclaimable.add(slot)
                         if emission.error is not None:
                             stat["error"] = str(emission.error)
                             if leaf_error is None:
@@ -2519,7 +2513,11 @@ class ClusterDataSet(IDataSet):
                     )
                     # Cadence partials re-evaluate the straggler gate:
                     # thieves idle since before the gate opened would
-                    # otherwise never fire.
+                    # otherwise never fire.  An emitter whose last claim
+                    # ceded nothing may be claimed once more (its run may
+                    # have registered since): at most one empty claim
+                    # per partial.
+                    unclaimable.discard(slot)
                     maybe_steal()
                 for thread in threads:
                     thread.join()

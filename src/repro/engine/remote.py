@@ -6,7 +6,7 @@ servers.  This module is that deployment for the reproduction:
 * :class:`WorkerServer` — the worker daemon (``repro worker``): a plain
   in-process :class:`~repro.engine.cluster.Worker` behind a socket.  It
   owns only what is about connections (links, per-link cancellation
-  tokens and steal ledgers, the SIGTERM drain, the cache-sweep timer);
+  tokens, the SIGTERM drain, the cache-sweep timer);
   every request is dispatched from the verb table
   (:mod:`repro.engine.verbs`) onto the worker, which owns its shard
   store, its placement and the rules around them;
@@ -69,8 +69,6 @@ from repro.engine.rpc import (
     RpcReply,
     RpcRequest,
     call_once,
-    lineage_from_json,
-    sketch_from_json,
     summary_from_bytes,
     summary_tag,
     summary_to_bytes,
@@ -123,11 +121,6 @@ class _RootLink:
         #: Cancels that arrived before their sketch left the request pool's
         #: queue (the token is only registered when execution starts).
         self.cancelled_early: set[int] = set()
-        #: Steal ledgers of this root's in-flight sketches, by request id:
-        #: a ``claimSlices`` for request N cedes unstarted trailing shards
-        #: of exactly that run.  Per-link, like the tokens — request ids
-        #: are only unique per root connection.
-        self.ledgers: dict[int, object] = {}
         self.tokens_lock = threading.Lock()
 
 
@@ -188,7 +181,7 @@ class WorkerServer:
     Everything about *what the worker holds* — the sticky versioned
     placement, the admission guard, rebalance staging — lives in the
     :class:`Worker`; this class keeps only what is about sockets: links,
-    per-link tokens and ledgers, the SIGTERM drain, the sweep timer.
+    per-link tokens, the SIGTERM drain, the sweep timer.
     """
 
     def __init__(
@@ -210,9 +203,6 @@ class WorkerServer:
         )
         # Between daemons a moved shard travels as an adoptShards frame.
         self.worker.deliver = _push_parcels
-        #: The two verbs with bodies of their own: a stream, and a claim
-        #: addressed to one of a link's in-flight runs, not to the worker.
-        self._own = {"sketch": self._run_sketch, "claimSlices": self._claim_slices}
         #: Graceful shutdown (SIGTERM): finish in-flight partials, refuse
         #: new state-creating requests, then exit once drained.
         self._draining = threading.Event()
@@ -530,25 +520,22 @@ class WorkerServer:
     ) -> Iterator[RpcReply]:
         """Serve one request from the verb table."""
         verb = VERBS.get(request.method)
-        own = self._own.get(request.method)
-        if verb is None or (verb.method is None and own is None):
+        if verb is None or verb.method is None:
             raise ProtocolError(f"unknown worker method {request.method!r}")
         if verb.refused_draining and self._draining.is_set():
             raise WorkerDrainingError(
                 f"worker {self.worker.name} is draining for shutdown and "
                 f"refuses {verb.wire!r}"
             )
-        if own is not None:
-            yield from own(request, link)
+        if verb.streaming:  # the one verb with a body of its own
+            yield from self._run_sketch(request, link)
         else:
             yield verb.serve(self if verb.daemon else self.worker, request)
 
     def _run_sketch(
         self, request: RpcRequest, link: _RootLink
     ) -> Iterator[RpcReply]:
-        args = request.args
-        sketch = sketch_from_json(args["sketch"])
-        lineage = lineage_from_json(args["lineage"])
+        dataset, sketch, lineage, run, version = VERBS["sketch"].arguments(request)
         token = CancellationToken()
         with link.tokens_lock:
             link.tokens[request.request_id] = token
@@ -557,18 +544,9 @@ class WorkerServer:
                 token.cancel()
         done = 0
         cache_hit = False
-
-        def on_ledger(ledger: object) -> None:
-            # Registered alongside the cancellation token: a claimSlices
-            # for this request id (from whichever root runs the fan-out)
-            # cedes unstarted trailing shards of exactly this run.
-            with link.tokens_lock:
-                link.ledgers[request.request_id] = ledger
-
         try:
             for emission in self.worker.sketch_partials(
-                str(args["dataset"]), sketch, lineage, token,
-                on_ledger=on_ledger, version=args.get("placementVersion"),
+                dataset, sketch, lineage, token, run, version
             ):
                 done = emission.shards_done
                 cache_hit = cache_hit or emission.cache_hit
@@ -600,31 +578,6 @@ class WorkerServer:
         finally:
             with link.tokens_lock:
                 link.tokens.pop(request.request_id, None)
-                link.ledgers.pop(request.request_id, None)
-
-    def _claim_slices(
-        self, request: RpcRequest, link: _RootLink
-    ) -> Iterator[RpcReply]:
-        """Cede unstarted trailing shards of one in-flight sketch.
-
-        The root (steal coordinator) names the sketch by its request id
-        on this link; the ledger cancels a contiguous suffix of that
-        run's leaf futures under its own lock, and the ceded shards
-        travel back serialized — ready to be relayed to the thief.  No
-        ledger (the run finished, never started, or was served from the
-        memo) reads as "nothing to cede", never an error: an empty claim
-        is the normal outcome of racing a finishing victim.
-        """
-        target = int(request.args.get("requestId", -1))
-        budget = max(0, int(request.args.get("budget", 0)))
-        with link.tokens_lock:
-            ledger = link.ledgers.get(target)
-        parcels = ledger.cede(budget) if ledger is not None and budget else []
-        verb = VERBS["claimSlices"]
-        reply = RpcReply(request.request_id, verb.kind)
-        entries, reply.attachment = verb.reply.pack(parcels)
-        reply.payload = {verb.reply_key: entries}
-        yield reply
 
 
 # ---------------------------------------------------------------------------
@@ -776,34 +729,6 @@ class _WorkerChannel:
         self._reader.join(timeout=5.0)
 
 
-class _RemoteStealLedger:
-    """The root's claim handle onto one in-flight remote sketch.
-
-    ``cede`` is one synchronous ``claimSlices`` RPC; the daemon cancels
-    unstarted trailing leaves under its own ledger lock and returns the
-    ceded shards serialized.  Every failure reads as "nothing ceded",
-    which is always safe: an error reply means the daemon ceded nothing,
-    and a dead connection kills the victim's whole sketch stream — its
-    revival restart recomputes every shard regardless.
-    """
-
-    def __init__(self, proxy: "RemoteWorkerProxy", request_id: int):
-        self._proxy = proxy
-        self._request_id = request_id
-
-    def cede(self, budget: int) -> "list[StolenParcel]":
-        verb = VERBS["claimSlices"]
-        try:
-            reply = self._proxy.channel.call(
-                verb.wire,
-                {"requestId": self._request_id, "budget": int(budget)},
-                timeout=self._proxy.request_timeout,
-            )
-        except (WorkerUnavailableError, EngineError):
-            return []
-        return verb.result(reply)
-
-
 class RemoteWorkerProxy(WorkerProtocol):
     """The root's handle on one worker process (drop-in for ``Worker``).
 
@@ -859,19 +784,14 @@ class RemoteWorkerProxy(WorkerProtocol):
         sketch,
         lineage: list,
         token: CancellationToken | None = None,
-        on_ledger=None,
+        run: str | None = None,
         version: int | None = None,
     ) -> Iterator[WorkerEmission]:
         args, _ = VERBS["sketch"].request(
-            (dataset_id, sketch, lineage, version), {}, self.placement_version
+            (dataset_id, sketch, lineage, run, version), {}, self.placement_version
         )
         request_id, replies = self.channel.submit("sketch", args)
         try:
-            if on_ledger is not None:
-                # The handle is valid immediately: a claim that reaches
-                # the daemon before the run registers its ledger (or
-                # after it finished) simply cedes nothing.
-                on_ledger(_RemoteStealLedger(self, request_id))
             cancel_sent = False
             deadline = time.monotonic() + self.request_timeout
             while True:

@@ -13,9 +13,8 @@ key order), and a parameter's Python default is what the worker uses
 when the key is absent or null.
 
 Rows without a method are connection-level (``hello``, ``cancel``,
-``shutdown``, ``claimSlices``); together with the streaming ``sketch``
-they are the only verbs with hand-written bodies in
-:mod:`repro.engine.remote`.
+``shutdown``); together with the streaming ``sketch`` they are the only
+verbs with hand-written bodies in :mod:`repro.engine.remote`.
 """
 
 from __future__ import annotations
@@ -268,8 +267,8 @@ class Verb:
         return self.reply.from_json(payload)
 
     # -- the worker's end -------------------------------------------------
-    def serve(self, target, request: RpcRequest) -> RpcReply:
-        """Decode the request, call ``target``'s method, encode the reply."""
+    def arguments(self, request: RpcRequest) -> list:
+        """The method's arguments, decoded from the request."""
         values = []
         for arg, (_, default) in zip(self.args, self.params):
             raw = request.args.get(arg.key)
@@ -281,7 +280,11 @@ class Verb:
                 raise ProtocolError(f"{self.wire} request missing {arg.key!r}")
             else:
                 values.append(default)
-        result = getattr(target, self.method)(*values)
+        return values
+
+    def serve(self, target, request: RpcRequest) -> RpcReply:
+        """Decode the request, call ``target``'s method, encode the reply."""
+        result = getattr(target, self.method)(*self.arguments(request))
         reply = RpcReply(request.request_id, self.kind)
         if isinstance(self.reply, Blobs):
             result, reply.attachment = self.reply.pack(result)
@@ -331,7 +334,8 @@ WIRE_VERBS: tuple[Verb, ...] = (
          dataset_op=True, args=(_DATASET, _LINEAGE)),
     Verb("sketch", "sketch_partials", dataset_op=True, streaming=True,
          reply=_object("shardsDone", "cancelled", "cacheHit"),
-         args=(_DATASET, Arg("sketch", SKETCH), _LINEAGE)),
+         args=(_DATASET, Arg("sketch", SKETCH), _LINEAGE,
+               Arg("run", TEXT, omit_none=True))),
     Verb("evict", "evict", kind="ack", dataset_op=True, args=(_DATASET,)),
     Verb("inventory", "inventory", reply_key="datasets", reply=DATASETS,
          also="placement_info"),
@@ -345,8 +349,8 @@ WIRE_VERBS: tuple[Verb, ...] = (
         reply=COUNT, refused_draining=True,
         args=(_DATASET, Arg("targetVersion", INT), Arg("shards", PARCELS)),
     ),
-    Verb("claimSlices", reply_key="parcels", reply=PARCELS,
-         args=(Arg("requestId", INT), Arg("budget", COUNT))),
+    Verb("claimSlices", "claim_slices", reply_key="parcels", reply=PARCELS,
+         args=(Arg("run", TEXT), Arg("budget", COUNT))),
     Verb(
         "stolenPartial", "summarize_stolen", reply_key="summaries",
         reply=SUMMARIES, refused_draining=True,
@@ -393,7 +397,7 @@ def _bind(verb: Verb) -> Verb:
     params = tuple(
         (name, p.default)
         for name, p in parameters.items()
-        if name not in ("self", "token", "on_ledger")
+        if name not in ("self", "token")
     )
     args = verb.args + ((Arg("placementVersion", INT),) if verb.dataset_op else ())
     assert len(params) == len(args), verb.wire

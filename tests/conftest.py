@@ -1,12 +1,15 @@
 """Shared fixtures: small deterministic tables, flights data, clusters,
-the canonical hvc dataset, and pre-started worker daemons."""
+the canonical hvc dataset, pre-started worker daemons, and the two
+deployments a worker contract runs against."""
 
 from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,8 +23,13 @@ def pytest_configure(config):
     )
 
 from repro.data.flights import FlightsSource, generate_flights
-from repro.engine.cluster import Cluster
-from repro.engine.remote import _spawn_env
+from repro.engine.cluster import Cluster, Worker
+from repro.engine.remote import (
+    RemoteWorkerProxy,
+    WorkerServer,
+    _spawn_env,
+    _WorkerChannel,
+)
 from repro.sketches.specs import CANONICAL_SCHEMA, DATE_HI, DATE_LO
 from repro.storage import columnar
 from repro.table.column import (
@@ -108,6 +116,81 @@ def daemon_fleet(prefix: str, count: int):
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
+
+
+def connect(server: WorkerServer) -> RemoteWorkerProxy:
+    """A proxy to ``server`` over a ``socketpair`` served on a thread."""
+    near, far = socket.socketpair()
+    threading.Thread(target=server.serve_socket, args=(far,), daemon=True).start()
+    name = server.worker.name
+    return RemoteWorkerProxy(name, _WorkerChannel(near, name), server.worker.cores)
+
+
+class InProcessDeployment:
+    """Workers are plain objects; a moved shard is an object reference."""
+
+    def make(self, name: str, cores: int = 2):
+        return Worker(name, cores=cores)
+
+    def worker_of(self, handle) -> Worker:
+        return handle
+
+    def close(self) -> None:
+        pass
+
+
+class WireDeployment:
+    """Each worker is a :class:`WorkerServer` serving one end of a
+    ``socketpair`` on a thread, reached through a
+    :class:`RemoteWorkerProxy` on the other: the real wire, no
+    subprocesses.  A moved shard is an ``adoptShards`` frame over a
+    fresh pair — the seam a real daemon fills by dialing the member."""
+
+    def __init__(self):
+        self.servers: dict[str, WorkerServer] = {}
+        self.proxies: list[RemoteWorkerProxy] = []
+
+    def _connect(self, server: WorkerServer) -> RemoteWorkerProxy:
+        proxy = connect(server)
+        self.proxies.append(proxy)
+        return proxy
+
+    def make(self, name: str, cores: int = 2):
+        server = WorkerServer(
+            name=name, cores=cores, cache_sweep_interval_seconds=0
+        )
+        server.worker.deliver = self._deliver
+        proxy = self._connect(server)
+        proxy.address = ("pair", len(self.servers) + 1)
+        self.servers[proxy.member] = server
+        return proxy
+
+    def worker_of(self, handle) -> Worker:
+        """The daemon-side :class:`Worker` behind a proxy."""
+        return self.servers[handle.member].worker
+
+    def _deliver(self, target, dataset_id, version, parcels) -> int:
+        return self._connect(self.servers[target]).adopt_shards(
+            dataset_id, version, parcels
+        )
+
+    def drain(self, worker) -> None:
+        self.servers[worker.member].begin_drain()
+
+    def close(self) -> None:
+        for proxy in self.proxies:
+            proxy.close()
+
+
+@pytest.fixture(
+    params=[InProcessDeployment, WireDeployment], ids=["in-process", "wire"]
+)
+def deployment(request):
+    """One worker contract, two deployments: ``Worker`` objects, and
+    ``RemoteWorkerProxy`` ↔ ``WorkerServer`` over a socket pair."""
+    deployment = request.param()
+    yield deployment
+    deployment.close()
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from repro.engine.placement import (
     expected_slice,
     plan_moves,
 )
-from repro.engine.remote import ProcessCluster, RemoteWorkerProxy, WorkerServer
+from repro.engine.remote import ProcessCluster, WorkerServer
 from repro.engine.rpc import (
     RpcRequest,
     predicate_from_json,
@@ -46,9 +46,8 @@ from repro.service import (
     probe_root,
 )
 from repro.table.table import Table
-from test_worker_wire import connect
 
-from tests.conftest import canonical, daemon_fleet, spawn_daemon
+from tests.conftest import WireDeployment, canonical, daemon_fleet, spawn_daemon
 
 ROWS = 4_000
 PARTITIONS = 16
@@ -186,64 +185,8 @@ class TestRebalanceStore:
 
 
 # ---------------------------------------------------------------------------
-# The elasticity contract, once, for both deployments
+# The elasticity contract, once, for both deployments (``conftest.deployment``)
 # ---------------------------------------------------------------------------
-class _InProcess:
-    """Workers are plain objects; a moved shard is an object reference."""
-
-    def make(self, name: str, cores: int = 2):
-        return Worker(name, cores=cores)
-
-    def close(self) -> None:
-        pass
-
-
-class _Wire:
-    """Each worker is a :class:`WorkerServer` serving one end of a
-    ``socketpair`` on a thread, reached through a
-    :class:`RemoteWorkerProxy` on the other: the real wire, no
-    subprocesses.  A moved shard is an ``adoptShards`` frame over a
-    fresh pair — the seam a real daemon fills by dialing the member."""
-
-    def __init__(self):
-        self.servers: dict[str, WorkerServer] = {}
-        self.proxies: list[RemoteWorkerProxy] = []
-
-    def _connect(self, server: WorkerServer) -> RemoteWorkerProxy:
-        proxy = connect(server)
-        self.proxies.append(proxy)
-        return proxy
-
-    def make(self, name: str, cores: int = 2):
-        server = WorkerServer(
-            name=name, cores=cores, cache_sweep_interval_seconds=0
-        )
-        server.worker.deliver = self._deliver
-        proxy = self._connect(server)
-        proxy.address = ("pair", len(self.servers) + 1)
-        self.servers[proxy.member] = server
-        return proxy
-
-    def _deliver(self, target, dataset_id, version, parcels) -> int:
-        return self._connect(self.servers[target]).adopt_shards(
-            dataset_id, version, parcels
-        )
-
-    def drain(self, worker) -> None:
-        self.servers[worker.member].begin_drain()
-
-    def close(self) -> None:
-        for proxy in self.proxies:
-            proxy.close()
-
-
-@pytest.fixture(params=[_InProcess, _Wire], ids=["in-process", "wire"])
-def deployment(request):
-    deployment = request.param()
-    yield deployment
-    deployment.close()
-
-
 class TestElasticityContract:
     """What a fleet of workers promises a root, whatever the workers are:
     every test runs against ``Worker`` objects and against
@@ -371,7 +314,7 @@ class TestElasticityContract:
     def test_draining_refuses_new_state_but_serves_reads(self):
         """A drain is a daemon's SIGTERM state — the one clause of the
         contract an in-process worker, having no process, cannot meet."""
-        deployment = _Wire()
+        deployment = WireDeployment()
         worker = self._placed(deployment)
         deployment.drain(worker)
         with pytest.raises(WorkerUnavailableError, match="draining"):

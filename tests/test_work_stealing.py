@@ -9,16 +9,17 @@ reference all produce identical summaries.  Plus prewarming: a worker
 joining via ``grow`` recomputes the donors' hottest memo recipes over
 its own slice, so a fresh root's first query hits its memo.
 
-Tier-1 classes run in-process (every sketch spec under an in-process
-steal is the ``stolen`` column of ``tests/test_invariant.py``); the
-tier-2 class spawns real worker subprocesses, steals over the
-``claimSlices``/``stolenPartial`` wire verbs, and SIGKILLs the thief
-mid-claim.
+Tier-1 classes run in-process or over a socket pair (every sketch spec
+under an in-process steal is the ``stolen`` column of
+``tests/test_invariant.py``); the tier-2 class spawns real worker
+subprocesses, steals over the ``claimSlices``/``stolenPartial`` wire
+verbs, and SIGKILLs the thief mid-claim.
 """
 
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
 
@@ -28,7 +29,6 @@ from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import (
     Cluster,
-    StealLedger,
     Worker,
     prewarm_budget_bytes,
     steal_after_seconds,
@@ -42,14 +42,42 @@ ROWS = 6_000
 PARTITIONS = 12
 SOURCE = FlightsSource(ROWS, partitions=PARTITIONS, seed=13)
 DISTANCE = DoubleBuckets(0, 3000, 10)
+#: Enough shards for claims racing one at a time to collide.
+MANY = FlightsSource(2_000, partitions=400, seed=13)
 
 
 def hist() -> HistogramSketch:
     return HistogramSketch("Distance", DISTANCE)
 
 
-def reference_bytes(sketch) -> bytes:
-    return LocalDataSet(Table.concat(SOURCE.load())).sketch(sketch).to_bytes()
+def reference_bytes(sketch, source=SOURCE) -> bytes:
+    return LocalDataSet(Table.concat(source.load())).sketch(sketch).to_bytes()
+
+
+def slow(per_shard_seconds: float) -> SlowdownSketch:
+    return SlowdownSketch(hist(), per_shard_seconds=per_shard_seconds)
+
+
+def count_claims(victim) -> "tuple[list[int], list]":
+    """Spy on a victim (a ``Worker`` or a proxy): the slices each claim
+    on it ceded, and the partials it emitted."""
+    ceded: list[int] = []
+    partials: list = []
+    claim, stream = victim.claim_slices, victim.sketch_partials
+
+    def claim_slices(run, budget):
+        parcels = claim(run, budget)
+        ceded.append(len(parcels))
+        return parcels
+
+    def sketch_partials(*args, **kwargs):
+        for emission in stream(*args, **kwargs):
+            partials.append(emission)
+            yield emission
+
+    victim.claim_slices = claim_slices
+    victim.sketch_partials = sketch_partials
+    return ceded, partials
 
 
 class TestStealSwitch:
@@ -71,46 +99,120 @@ class TestStealSwitch:
         assert prewarm_budget_bytes() == 123
 
 
-class TestStealLedger:
-    def test_cede_cancels_trailing_unstarted_suffix(self):
+class TestClaimSlices:
+    """The claim contract, for an in-process ``Worker`` and over the
+    wire: a victim placed as slice 1 of 2 holds the odd global shards
+    1, 3, ..., 11 of ``SOURCE``."""
+
+    @staticmethod
+    def _victim(deployment, cores: int = 1, source=SOURCE):
+        worker = deployment.make("victim", cores=cores)
+        worker.configure(1, 2, 0.01, 0, ["a:1", "b:2"])
+        worker.load_source("ds", source)
+        return worker
+
+    @staticmethod
+    def _start(worker, per_shard_seconds: float, run: str = "r"):
+        """Run ``worker``'s sketch as ``run`` on a thread; returns the
+        thread and the list its emissions land in."""
+        emissions: list = []
+        stream = worker.sketch_partials("ds", slow(per_shard_seconds), [], run=run)
+        thread = threading.Thread(target=lambda: emissions.extend(stream))
+        thread.start()
+        return thread, emissions
+
+    @staticmethod
+    def _until(condition, what: str) -> None:
+        deadline = time.monotonic() + 10.0
+        while not condition():
+            assert time.monotonic() < deadline, what
+            time.sleep(0.002)
+
+    def test_cedes_the_trailing_unstarted_suffix(self, deployment):
         """Only a contiguous *trailing* run of unstarted shards may be
         ceded: the victim's own fold then covers a clean prefix, which
         is what keeps the global fold order byte-identical."""
-        import concurrent.futures
+        worker = self._victim(deployment)
+        thread, emissions = self._start(worker, 0.1)
+        claimed: list = []
 
-        gate = threading.Event()
-        started = threading.Event()
+        def claim() -> bool:
+            # One core: shard 0 starts at once, 1..5 wait in the queue;
+            # a claim before the run registers cedes nothing.
+            claimed.extend(worker.claim_slices("r", 3))
+            return bool(claimed)
 
-        def task(i):
-            started.set()
-            gate.wait(5.0)
-            return i
-
-        worker = Worker("victim", cores=1)
-        shards = [Table.from_pydict({"x": [i]}) for i in range(6)]
-        with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            futures = [pool.submit(task, i) for i in range(6)]
-            started.wait(5.0)
-            ledger = StealLedger(worker, futures, shards)
-            parcels = ledger.cede(3)
-            gate.set()
-        # Unconfigured worker: slice 0 of 1, so global index == position.
-        positions = [p.global_index for p in parcels]
-        assert positions == [3, 4, 5], (
-            "cede must take the trailing suffix in ascending order"
+        self._until(claim, "the run never became claimable")
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert [p.global_index for p in claimed] == [7, 9, 11], (
+            "a claim must take the trailing suffix in ascending order"
         )
-        assert worker.slices_donated == 3
+        assert [p.resolve().num_rows for p in claimed] == [
+            shard.num_rows for shard in SOURCE.load_slice(1, 2)[3:]
+        ]
+        assert emissions[-1].shards_done == 3, "the victim folded a ceded shard"
+        assert worker.metrics_snapshot()["slicesDonated"] == 3
 
-    def test_cede_empty_when_everything_started(self):
-        import concurrent.futures
+    def test_nothing_to_cede_is_an_empty_claim(self, deployment):
+        worker = self._victim(deployment, cores=8)
+        backing = deployment.worker_of(worker)
+        assert worker.claim_slices("no-such-run", 4) == []
+        thread, emissions = self._start(worker, 0.3)
+        self._until(lambda: "r" in backing._runs, "the run never registered")
+        time.sleep(0.05)  # eight leaf threads pick up all six shards
+        assert worker.claim_slices("r", 4) == [], "a started shard was ceded"
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert worker.claim_slices("r", 4) == [], "a finished run ceded"
+        assert emissions[-1].shards_done == 6
+        assert worker.metrics_snapshot()["slicesDonated"] == 0
 
-        worker = Worker("victim", cores=1)
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            futures = [pool.submit(lambda: 1) for _ in range(3)]
-            concurrent.futures.wait(futures)
-            ledger = StealLedger(worker, futures, [None] * 3)
-            assert ledger.cede(8) == []
-        assert worker.slices_donated == 0
+    def test_a_closed_stream_leaves_no_registered_run(self, deployment):
+        worker = self._victim(deployment)
+        backing = deployment.worker_of(worker)
+        stream = worker.sketch_partials("ds", slow(0.02), [], run="r")
+        next(stream)
+        assert "r" in backing._runs
+        stream.close()
+        # In-process the close itself unregisters; a daemon drops the
+        # run when its own stream ends.
+        self._until(lambda: "r" not in backing._runs, "the run stayed registered")
+        assert worker.claim_slices("r", 8) == []
+
+    def test_racing_claims_cede_each_shard_once(self, deployment):
+        """Eight thieves claim one shard at a time while the leaf pool
+        runs, over four runs of 200 shards: no shard goes to two claims,
+        and each run's claimed shards plus its folded prefix are every
+        shard exactly once."""
+        worker = self._victim(deployment, source=MANY)
+        backing = deployment.worker_of(worker)
+        donated = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in ("r0", "r1", "r2", "r3"):
+                ceded: list[int] = []
+
+                def thief() -> None:
+                    while parcels := worker.claim_slices(run, 1):
+                        ceded.extend(parcel.global_index for parcel in parcels)
+
+                runner, emissions = self._start(worker, 0.2, run)
+                self._until(lambda: run in backing._runs, "the run never registered")
+                threads = [threading.Thread(target=thief) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads + [runner]:
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+                assert len(ceded) == len(set(ceded)), "a shard was ceded twice"
+                folded = emissions[-1].shards_done
+                assert sorted(ceded) == [1 + 2 * p for p in range(folded, 200)]
+                donated += len(ceded)
+        finally:
+            sys.setswitchinterval(interval)
+        assert worker.metrics_snapshot()["slicesDonated"] == donated
 
 
 class TestInProcessStealing:
@@ -140,6 +242,28 @@ class TestInProcessStealing:
         assert on == off == reference_bytes(slow), (
             "stealing changed the summary bytes"
         )
+
+    def test_a_claim_that_cedes_nothing_waits_for_the_next_partial(
+        self, monkeypatch
+    ):
+        """A 2-core straggler keeps two shards started, which no claim
+        can take.  Re-claiming it the moment a claim returns spun: ~200
+        claims per query here, 99 % of them empty.  An empty claim now
+        leaves the victim unclaimable until its next partial."""
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
+        source = FlightsSource(ROWS, partitions=48, seed=13)
+        straggler = Worker("straggler", cores=2)
+        ceded, partials = count_claims(straggler)
+        cluster = Cluster(
+            workers=[straggler, Worker("fast", cores=8)],
+            aggregation_interval=0.02,
+        )
+        run = cluster.load(source).run(slow(0.03))
+        assert sum(ceded) > 0, "the idle peer never stole"
+        assert ceded.count(0) <= 1 + len(partials), (
+            f"{ceded.count(0)} empty claims against {len(partials)} partials"
+        )
+        assert run.value.to_bytes() == reference_bytes(slow(0.03), source)
 
     def test_balanced_fleet_does_not_steal(self, monkeypatch):
         """The straggler gate: a balanced fleet finishing within the
@@ -287,6 +411,33 @@ class TestWireStealingTier2:
             )
         finally:
             cluster.close()
+
+    def test_remote_multi_core_straggler_is_not_claimed_in_a_loop(
+        self, monkeypatch
+    ):
+        """The empty-claim rule over the wire: a 2-core victim beside an
+        8-core thief (``ProcessCluster``'s default is 2 cores a worker);
+        every claim is a ``claimSlices`` RPC."""
+        from repro.engine.remote import ProcessCluster
+
+        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
+        source = FlightsSource(ROWS, partitions=48, seed=13)
+        sketch = slow(0.05)
+        cluster = ProcessCluster(
+            num_workers=2,
+            cores_per_worker=(2, 8),
+            aggregation_interval=0.02,
+        )
+        try:
+            ceded, partials = count_claims(cluster.workers[0])
+            run = cluster.load(source).run(sketch)
+        finally:
+            cluster.close()
+        assert sum(ceded) > 0, "no slices were stolen over the wire"
+        assert ceded.count(0) <= 1 + len(partials), (
+            f"{ceded.count(0)} empty claims against {len(partials)} partials"
+        )
+        assert run.value.to_bytes() == reference_bytes(sketch, source)
 
     def test_remote_steal_matches_steal_off(self, monkeypatch):
         """Same skewed fleet, no chaos: on vs off, identical bytes and

@@ -16,24 +16,19 @@ import pytest
 import repro.service.slow  # noqa: F401 — the "slow" wire type
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Worker
-from repro.engine.remote import RemoteWorkerProxy, WorkerServer, _WorkerChannel
+from repro.engine.remote import RemoteWorkerProxy, WorkerServer
 from repro.engine.rpc import sketch_from_json
 from repro.errors import WorkerUnavailableError
 from repro.storage.loader import TableSource
 from repro.table.table import Table
+
+from tests.conftest import connect
 
 HIST = {
     "type": "histogram",
     "column": "Distance",
     "buckets": {"type": "double", "min": 0, "max": 3000, "count": 9},
 }
-
-
-def connect(server: WorkerServer) -> RemoteWorkerProxy:
-    near, far = socket.socketpair()
-    threading.Thread(target=server.serve_socket, args=(far,), daemon=True).start()
-    name = server.worker.name
-    return RemoteWorkerProxy(name, _WorkerChannel(near, name), server.worker.cores)
 
 
 @pytest.fixture()
@@ -77,7 +72,7 @@ class TestAbandonedRequests:
 
     def test_stalled_stream_unregisters(self, server):
         release = threading.Event()
-        server._own["sketch"] = lambda request, link: iter(
+        server._run_sketch = lambda request, link: iter(
             () if release.wait(10.0) else ()
         )
         proxy = connect(server)

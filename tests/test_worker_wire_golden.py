@@ -16,7 +16,10 @@ The fixture was generated at the commit *before* the verb-table refactor
 script against that commit's ``src`` — with the five root-side calls
 whose Python spelling changed (``configure`` taking version and members
 explicitly, ``placement_info``, ``adopt_shards``, ``sweep_remote_caches``
-and the steal ledger) spelled the old way.  Regenerate, only when the
+and the steal ledger) spelled the old way; the two exchanges of the
+steal (``a1.19.sketch``, ``a1.20.claimSlices``) were re-recorded when a
+claim came to name its run instead of a request id, and only their
+request headers changed.  Regenerate, only when the
 wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
 import re
 import socket
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -204,15 +207,14 @@ def record_transcript() -> dict[str, dict]:
             # Work stealing: rob the slow run of its two trailing shards
             # and have the idle joiner summarize them.
             slow = sketch_from_json(SLOW)
-            ledgers: "queue.Queue" = queue.Queue()
-            stream = a.sketch_partials(
-                DATASET, slow, lineage, on_ledger=ledgers.put
-            )
+            stream = a.sketch_partials(DATASET, slow, lineage, run="golden-run")
             robbed = threading.Thread(target=lambda: list(stream), daemon=True)
             robbed.start()
-            ledger = ledgers.get(timeout=10.0)
-            robbed.join(0.05)  # the run registers its ledger daemon-side
-            parcels = ledger.cede(2)
+            deadline = time.monotonic() + 10.0
+            while "golden-run" not in server_a.worker._runs:  # registered
+                assert time.monotonic() < deadline, "the robbed run never started"
+                time.sleep(0.005)
+            parcels = a.claim_slices("golden-run", 2)
             b.summarize_stolen(sketch, parcels)
             robbed.join(30.0)
             request_only.add("sketch#3")
