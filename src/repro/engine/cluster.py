@@ -22,7 +22,11 @@ protocol verbs (inventory → move plan → ``transfer_shards`` →
 an in-process fleet and a daemon fleet alike.  The one thing a
 deployment supplies is how a moved shard reaches a member: an object
 reference between in-process workers, an ``adoptShards`` frame between
-daemons.
+daemons.  So is adopting a fleet that *another* root resized:
+:meth:`Cluster._sync_placement` reads every worker's placement, adopts
+the newest and heals what is behind it, for an attaching root and for a
+root a worker rejected as stale; a deployment says only how a member
+token is reached and how a dropped worker is let go of.
 
 Sketch execution follows the paper's tree regardless of substrate:
 
@@ -107,6 +111,15 @@ MAX_WORKER_RETRIES = 3
 #: re-reads the fleet's placement, so this bounds how many back-to-back
 #: rebalances a single query can ride out.
 MAX_PLACEMENT_RETRIES = 8
+
+#: How long an attach or resync waits for the fleet to settle — another
+#: root placing it, or a rebalance committing — before giving up.
+PLACEMENT_SYNC_SECONDS = 15.0
+
+#: How long a worker may stay behind the fleet's newest placement before
+#: a syncing root drives it there itself: the rebalance's own initiator
+#: may still be committing it.
+REPAIR_GRACE_SECONDS = 2.0
 
 #: A straggler must have at least this many unstarted shards before an
 #: idle peer bothers claiming any — below this, letting the victim
@@ -217,9 +230,11 @@ class WorkerProtocol(ABC):
     ``lineage`` arguments carry the dataset's redo-log chain (LoadOp then
     MapOps, in application order) so the worker can rebuild any soft state
     it lost without calling back into the root (§5.7).  ``version``, on
-    the dataset operations, is the placement version the caller believes
-    the fleet is at: a worker that moved on rejects the request
-    (:class:`StalePlacementError`); None skips the check.
+    the dataset operations, is the placement version the root names for
+    the fleet: a worker that moved on rejects the request
+    (:class:`StalePlacementError`).  A :class:`Cluster` always names it;
+    None skips the check, for a worker calling itself (prewarming) and
+    for tests that drive one worker directly.
     """
 
     name: str
@@ -249,7 +264,7 @@ class WorkerProtocol(ABC):
     @abstractmethod
     def placement_info(self) -> dict:
         """The sticky assignment: slice, version, fleet membership, and
-        the retired/rebalancing flags a re-syncing root needs."""
+        the retired flag a re-syncing root needs."""
 
     @abstractmethod
     def load_source(
@@ -562,10 +577,6 @@ class Worker(WorkerProtocol):
             "version": self.version,
             "members": self.members,
             "retired": self.retired,
-            # True while a commit is draining this worker's in-flight
-            # ops: tells repairing roots "the initiator is still here —
-            # do not finish its rebalance out from under it".
-            "rebalancing": self._rebalance_pending,
         }
 
     @contextlib.contextmanager
@@ -636,6 +647,18 @@ class Worker(WorkerProtocol):
         finally:
             self._rebalance_pending = False
             self._ops.notify_all()
+
+    def _await_move(self, timeout: float) -> None:
+        """Holding ``_ops``, wait out a move already draining here: only
+        after it can a commit or retire tell whether it is a replay.  Two
+        commits to one version (a repairing root racing the initiator)
+        must not both re-key the store — the second, with empty totals,
+        would evict every shard the first one kept."""
+        if not self._ops.wait_for(lambda: not self._rebalance_pending, timeout):
+            raise PlacementError(
+                f"worker {self.name} is still committing another "
+                f"rebalance after {timeout:.0f}s"
+            )
 
     def transfer_shards(
         self, dataset_id: str, moves: list[dict], target_version: int
@@ -709,6 +732,7 @@ class Worker(WorkerProtocol):
         aggregation_interval: float | None = None,
     ) -> dict:
         with self._ops:
+            self._await_move(drain_timeout)
             if (
                 self._placed
                 and (version, index, count)
@@ -728,6 +752,7 @@ class Worker(WorkerProtocol):
         self, version: int, members: list | None, drain_timeout: float = 60.0
     ) -> dict:
         with self._ops:
+            self._await_move(drain_timeout)
             if self.retired and version <= self.version:
                 return {"version": self.version, "idempotent": True}
             with self._reslicing("retire", version, drain_timeout):
@@ -1285,12 +1310,13 @@ class Cluster:
         if not self.workers:
             raise ValueError("a cluster needs at least one worker")
         self.aggregation_interval = aggregation_interval
-        #: Bumped by every grow/shrink; remote proxies stamp it onto each
-        #: dataset RPC so workers can reject requests from a root that
-        #: has not yet adopted the current assignment.  A root built over
-        #: an already-placed fleet adopts the fleet's version.
-        self.placement_version = max(
-            w.placement_info()["version"] for w in self.workers
+        self._resync_lock = threading.Lock()
+        #: Bumped by every grow/shrink; the root names it on each dataset
+        #: operation so workers can reject requests from a root that has
+        #: not yet adopted the current assignment.  A root built over an
+        #: already-placed fleet adopts the fleet's workers and version.
+        self.workers, self.placement_version = self._sync_placement(
+            self.workers
         )
         #: The rebalance barrier: a grow/shrink waits for in-flight
         #: sketch streams to drain on the old placement, and blocks new
@@ -1712,36 +1738,181 @@ class Cluster:
                     "healed by the next attach or resync (commits are "
                     "idempotent), or re-run the same grow/shrink"
                 )
-            self.workers = list(new_workers)
-            self.placement_version = target_version
+            with self._resync_lock:  # one writer of the placement at a time
+                self.workers = list(new_workers)
+                self.placement_version = target_version
             self.rebalances += 1
         finally:
             self._end_rebalance()
 
+    # -- the one placement sync, for attach and resync alike -------------
+    def _reach(self, member) -> WorkerProtocol:
+        """A worker for a member token the fleet reports: in-process the
+        token *is* the worker; a daemon fleet dials the address."""
+        return member
+
+    def _release(self, worker: WorkerProtocol) -> None:
+        """Let go of a worker the fleet's placement no longer names."""
+
+    def _sync_placement(
+        self, workers: "list[WorkerProtocol]", min_version: int = 0
+    ) -> "tuple[list[WorkerProtocol], int]":
+        """Read every worker's placement, adopt the newest, and drive
+        whatever is behind it there; returns the workers in slice order
+        and the fleet's version, once that is at least ``min_version``.
+
+        The newest report naming members is the target — a retired
+        worker's farewell counts, and the target outlives the pass that
+        read it (the farewell is gone once its worker is released).  Its
+        members not held yet are reached, the ones it no longer names
+        released.  A worker still behind it after
+        :data:`REPAIR_GRACE_SECONDS` (an interrupted rebalance) is
+        committed to it with no shard totals: its store drops and
+        redo-log replay rebuilds it (§5.7).  An unplaced fleet keeps the
+        given order; a partly placed one is being configured by another
+        root, so it is re-read until the deadline.
+        """
+        deadline = time.monotonic() + PLACEMENT_SYNC_SECONDS
+
+        def another_pass(error: PlacementError) -> None:
+            if time.monotonic() >= deadline:
+                raise error
+            time.sleep(0.1)
+
+        target: "tuple[int, list] | None" = None
+        behind_since: float | None = None
+        while True:
+            reports = []
+            for worker in workers:
+                try:
+                    reports.append(worker.placement_info())
+                except (WorkerUnavailableError, EngineError):
+                    reports.append({})  # unreachable: reports nothing
+            for report in reports:
+                if report.get("members") and (
+                    target is None or report.get("version", 0) > target[0]
+                ):
+                    target = (report.get("version", 0), list(report["members"]))
+            if target is not None:
+                newest, members = target
+                held = {worker.member: worker for worker in workers}
+                if set(held) != set(members):
+                    adopted = [
+                        held[m] if m in held else self._reach(m) for m in members
+                    ]
+                    for worker in workers:
+                        if worker not in adopted:
+                            self._release(worker)
+                    workers = adopted
+                    continue  # re-read the adopted membership
+                behind = [
+                    worker
+                    for worker, report in zip(workers, reports)
+                    if report and report.get("version", 0) < newest
+                ]
+                if behind:
+                    now = time.monotonic()
+                    if behind_since is None:
+                        behind_since = now
+                    if now - behind_since >= REPAIR_GRACE_SECONDS:
+                        for worker in behind:
+                            try:
+                                worker.rebalance_commit(
+                                    newest,
+                                    members.index(worker.member),
+                                    len(members),
+                                    members,
+                                    {},
+                                )
+                            except (
+                                PlacementError,
+                                WorkerUnavailableError,
+                                EngineError,
+                            ):
+                                continue  # the next pass re-evaluates
+                    another_pass(
+                        PlacementError(
+                            f"{len(behind)} worker(s) stayed behind placement "
+                            f"version {newest}; healing an interrupted "
+                            "rebalance needs them reachable"
+                        )
+                    )
+                    continue
+                behind_since = None
+            placed = [report for report in reports if report.get("index") is not None]
+            if placed and len(placed) < len(workers):
+                another_pass(
+                    PlacementError(
+                        f"fleet is partially placed ({len(placed)} of "
+                        f"{len(workers)} workers); another root may be "
+                        "configuring it right now"
+                    )
+                )
+                continue
+            version = 0
+            if placed:  # every worker is: adopt the fleet's slices
+                counts = {report["count"] for report in reports}
+                if counts != {len(workers)}:
+                    raise PlacementError(
+                        f"fleet reports slice count(s) {sorted(counts)} but "
+                        f"this root attached {len(workers)} workers; the "
+                        "worker list does not match the fleet that was placed"
+                    )
+                indices = [report["index"] for report in reports]
+                if sorted(indices) != list(range(len(workers))):
+                    raise PlacementError(
+                        f"fleet reports slice indices {sorted(indices)}; "
+                        f"expected a permutation of 0..{len(workers) - 1}"
+                    )
+                workers = [workers[indices.index(i)] for i in range(len(workers))]
+                version = max(report.get("version", 0) for report in reports)
+            if version < min_version:
+                another_pass(
+                    StalePlacementError(
+                        f"fleet stayed at placement version {version}; "
+                        f"expected at least {min_version}"
+                    )
+                )
+                continue
+            return workers, version
+
     def resync_placement(self, observed_version: int | None = None) -> bool:
-        """Adopt the fleet's current placement after a stale rejection.
+        """Adopt a placement the fleet moved to without this root, after
+        a worker rejected one of its requests as stale.
 
         ``observed_version`` is the placement version the caller was at
         when its request failed: if another thread already adopted a
         newer placement in the meantime, the retry is immediately
         worthwhile — without the witness, the second of two concurrent
-        resyncs would wait for a version the fleet never reaches.
-
-        In-process clusters are always in sync (the placement only
-        changes through this object), so the base implementation
-        reports "nothing to adopt"; :class:`ProcessCluster` re-reads
-        the fleet.
+        resyncs would wait for a version the fleet never reaches.  A
+        fleet its members cannot reach (spawned workers) is only ever
+        resized by this root, so there is nothing to adopt.
         """
-        return False
+        if _membership(self.workers) is None:
+            return False
+        with self._resync_lock:
+            if (
+                observed_version is not None
+                and self.placement_version > observed_version
+            ):
+                return True
+            try:
+                self.workers, self.placement_version = self._sync_placement(
+                    list(self.workers), self.placement_version + 1
+                )
+            except (PlacementError, EngineError, OSError):
+                return False
+            return True
 
     def _with_placement_retries(self, fn):
-        """Run ``fn`` (a whole-fleet operation), re-syncing placement and
-        retrying when the fleet rebalanced underneath it."""
+        """Run ``fn(version)`` (a whole-fleet operation at the placement
+        version this root names), re-syncing placement and retrying when
+        the fleet rebalanced underneath it."""
         attempts = 0
         while True:
             observed = self.placement_version
             try:
-                return fn()
+                return fn(observed)
             except StalePlacementError:
                 attempts += 1
                 if attempts > MAX_PLACEMENT_RETRIES or not self.resync_placement(
@@ -1811,9 +1982,9 @@ class Cluster:
         shared = LoadedOnce(source)
         with self._stream_guard():
             self._with_placement_retries(
-                lambda: self._for_all_workers(
+                lambda version: self._for_all_workers(
                     lambda i, w: w.load_source(
-                        dataset_id, shared if w.member is w else source
+                        dataset_id, shared if w.member is w else source, version
                     )
                 )
             )
@@ -1862,12 +2033,12 @@ class Cluster:
         its own memoized partials inside :meth:`WorkerProtocol.evict`.
         """
         if worker_index is not None:
-            self.workers[worker_index].evict(dataset_id)
+            self.workers[worker_index].evict(dataset_id, self.placement_version)
             return
 
-        def evict_everywhere() -> None:
+        def evict_everywhere(version: int) -> None:
             for worker in self.workers:
-                worker.evict(dataset_id)
+                worker.evict(dataset_id, version)
 
         # Same rebalance discipline as every other whole-fleet op: the
         # stream guard keeps an in-process rebalance from re-planting
@@ -1916,8 +2087,8 @@ class ClusterDataSet(IDataSet):
         with self.cluster._stream_guard():
             total = sum(
                 self.cluster._with_placement_retries(
-                    lambda: self.cluster._for_all_workers(
-                        lambda i, w: w.shard_rows(self.dataset_id, lineage)
+                    lambda version: self.cluster._for_all_workers(
+                        lambda i, w: w.shard_rows(self.dataset_id, lineage, version)
                     )
                 )
             )
@@ -1931,11 +2102,12 @@ class ClusterDataSet(IDataSet):
         with self.cluster._stream_guard():
             return self.cluster._with_placement_retries(self._schema_once)
 
-    def _schema_once(self):
+    def _schema_once(self, version: int):
         lineage = self.cluster.lineage(self.dataset_id)
         for index in range(len(self.cluster.workers)):
             schema = self.cluster._with_revival(
-                index, lambda i, w: w.shard_schema(self.dataset_id, lineage)
+                index,
+                lambda i, w: w.shard_schema(self.dataset_id, lineage, version),
             )
             if schema is not None:
                 return schema
@@ -1949,8 +2121,8 @@ class ClusterDataSet(IDataSet):
         lineage = self.cluster.lineage(new_id)
         with self.cluster._stream_guard():
             self.cluster._with_placement_retries(
-                lambda: self.cluster._for_all_workers(
-                    lambda i, w: w.ensure(new_id, lineage)
+                lambda version: self.cluster._for_all_workers(
+                    lambda i, w: w.ensure(new_id, lineage, version)
                 )
             )
         return ClusterDataSet(self.cluster, new_id)
@@ -1969,6 +2141,7 @@ class ClusterDataSet(IDataSet):
         parent: "TraceContext | None" = None,
         stat: dict | None = None,
         fanout: str = "",
+        version: int | None = None,
     ) -> None:
         """Drive one worker's partial stream, reviving it if it dies.
 
@@ -2009,6 +2182,7 @@ class ClusterDataSet(IDataSet):
                                 lineage,
                                 token,
                                 run=f"{fanout}/{worker_index}/{attempts}",
+                                version=version,
                             ):
                                 done = emission.shards_done
                                 emissions.put(
@@ -2207,7 +2381,7 @@ class ClusterDataSet(IDataSet):
         while True:
             observed = cluster.placement_version
             try:
-                final = yield from self._sketch_attempt(sketch, token)
+                final = yield from self._sketch_attempt(sketch, token, observed)
                 break
             except StalePlacementError:
                 attempts += 1
@@ -2228,10 +2402,12 @@ class ClusterDataSet(IDataSet):
         self,
         sketch: Sketch[R],
         token: CancellationToken | None,
+        version: int,
     ):
-        """One fan-out over the current placement; returns the final
-        merge (via StopIteration value) or raises
-        :class:`StalePlacementError` if the fleet moved mid-flight."""
+        """One fan-out over the current placement, which the root names
+        as ``version`` on every worker call; returns the final merge (via
+        StopIteration value) or raises :class:`StalePlacementError` if
+        the fleet moved mid-flight."""
         cluster = self.cluster
         cluster._enter_stream()
         try:
@@ -2259,7 +2435,7 @@ class ClusterDataSet(IDataSet):
                     # Explicit capture: _for_all_workers runs this on
                     # its own threads, which see no thread-local context.
                     with use_context(ensure_ctx):
-                        return w.ensure(self.dataset_id, lineage)
+                        return w.ensure(self.dataset_id, lineage, version)
 
                 shard_counts = cluster._for_all_workers(ensure_one)
             profile["ensureSeconds"] = round(
@@ -2307,6 +2483,7 @@ class ClusterDataSet(IDataSet):
                             fan_ctx,
                             worker_stats[i],
                             fanout,
+                            version,
                         ),
                         daemon=True,
                     )

@@ -12,34 +12,34 @@ without any error.
 
 The registry is therefore *worker-resident* and sticky:
 
-* each worker daemon remembers the first placement it was configured
-  with and reports it over the ``placement`` RPC;
-* an attaching root asks every worker for its placement and calls
-  :func:`agree_placement` — adopting the fleet's existing assignment
-  when there is one, or minting the canonical assignment (workers sorted
-  by address) when the fleet is fresh, so any two roots compute the same
-  bytes;
+* each worker remembers the first placement it was configured with and
+  reports it — slice, version and fleet membership — over the
+  ``placement`` verb;
 * a worker rejects a conflicting ``configure`` (code
-  ``placement_conflict``) instead of silently re-slicing.
+  ``placement_conflict``) instead of silently re-slicing;
+* a root attaching to the fleet, or re-syncing after a rejection, runs
+  one rule for every deployment
+  (:meth:`~repro.engine.cluster.Cluster._sync_placement`): read every
+  worker's placement, adopt the newest, and drive whatever is behind it
+  there, redo-log replay rebuilding what those workers drop (§5.7).  A
+  fresh fleet keeps the order the root was given, which a daemon fleet
+  sorts by address so any two roots mint the same slices.
 
 :func:`parse_fleet_spec` turns the ``repro serve --join`` argument into
-the address list both of those steps consume.
+the address list a root dials.
 
 Placements are **versioned** so a placed fleet can change size at
 runtime (grow/shrink with shard re-balancing): every rebalance bumps the
-fleet's placement version and re-pins each worker's slice, every
-dataset-touching RPC carries the version its root believes in, and a
-worker rejects a stale-versioned request (:class:`StalePlacementError`,
-retryable) so the root re-reads the fleet's placement — including its
-*membership*, which each worker reports alongside its slice — and
-retries on the new assignment.  In-flight requests admitted under the
-old version drain against the old slicing before a commit re-keys any
-worker's shard store, so results stay byte-identical throughout.
+fleet's placement version and re-pins each worker's slice, the root
+names its version on every dataset operation, and a worker rejects a
+stale one (:class:`StalePlacementError`, retryable) so the root re-syncs
+— adopting the *membership* each worker reports alongside its slice —
+and retries on the new assignment.  In-flight requests admitted under
+the old version drain against the old slicing before a commit re-keys
+any worker's shard store, so results stay byte-identical throughout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.errors import HillviewError
 
@@ -47,9 +47,8 @@ from repro.errors import HillviewError
 class PlacementError(HillviewError):
     """The fleet's reported placements cannot be reconciled.
 
-    ``retryable`` marks the transient case — a fleet *being* placed by
-    another root right now — which an attaching root should re-query
-    rather than treat as fatal.
+    ``retryable`` marks the rejection a root heals itself, by re-syncing
+    the placement and retrying (:class:`StalePlacementError`).
     """
 
     code = "placement_conflict"
@@ -82,124 +81,6 @@ def parse_address(entry: str) -> tuple[str, int]:
         raise PlacementError(
             f"bad member address {entry!r}; expected host:port"
         ) from None
-
-
-@dataclass(frozen=True)
-class ShardPlacement:
-    """One worker's slice assignment: ``index`` of ``count`` (§5.2).
-
-    ``version`` counts fleet rebalances (0 = the initial placement);
-    ``members`` — when the fleet is a set of dialable daemons — lists
-    every member's ``host:port`` ordered by slice index, so a root
-    holding any one live connection can rediscover the whole fleet
-    after a grow or shrink.
-    """
-
-    index: int
-    count: int
-    version: int = 0
-    members: "tuple[str, ...] | None" = None
-
-    def to_json(self) -> dict:
-        data: dict = {
-            "index": self.index,
-            "count": self.count,
-            "version": self.version,
-        }
-        if self.members is not None:
-            data["members"] = list(self.members)
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ShardPlacement | None":
-        if not isinstance(data, dict) or data.get("index") is None:
-            return None
-        members = data.get("members")
-        return cls(
-            int(data["index"]),
-            int(data["count"]),
-            int(data.get("version", 0) or 0),
-            tuple(str(m) for m in members) if members else None,
-        )
-
-
-def canonical_order(addresses: list[tuple[str, int]]) -> list[int]:
-    """The fresh-fleet assignment: positions sorted by (host, port).
-
-    Returns, for each input position, the index that worker should own.
-    Sorting by address (not argument order) is what makes two roots that
-    list the same fleet in different orders mint identical placements.
-    """
-    by_address = sorted(range(len(addresses)), key=lambda i: addresses[i])
-    assignment = [0] * len(addresses)
-    for index, position in enumerate(by_address):
-        assignment[position] = index
-    return assignment
-
-
-def agree_placement(
-    addresses: list[tuple[str, int]],
-    reported: "list[ShardPlacement | None]",
-) -> list[int]:
-    """Reconcile a fleet's reported placements into one slice assignment.
-
-    ``addresses[i]`` and ``reported[i]`` describe the same worker; the
-    result maps each position ``i`` to the shard index that worker must
-    serve.  Three cases:
-
-    * **fresh fleet** (no worker placed): mint the canonical assignment;
-    * **placed fleet** (every worker placed, indices a permutation of
-      ``0..n-1`` with matching count): adopt it verbatim;
-    * anything else — a partially-configured fleet, duplicate indices, a
-      count that disagrees with the fleet size — raises
-      :class:`PlacementError`; guessing here risks silently re-slicing
-      datasets another root already loaded.
-    """
-    if len(addresses) != len(reported):
-        raise PlacementError(
-            f"{len(addresses)} workers but {len(reported)} placements"
-        )
-    count = len(addresses)
-    placed = [p for p in reported if p is not None]
-    if not placed:
-        return canonical_order(addresses)
-    if len(placed) < count:
-        missing = [
-            f"{host}:{port}"
-            for (host, port), p in zip(addresses, reported)
-            if p is None
-        ]
-        error = PlacementError(
-            f"fleet is partially placed: {', '.join(missing)} report no "
-            "placement yet; another root may be configuring the fleet "
-            "right now (retried automatically on attach)"
-        )
-        error.retryable = True
-        raise error
-    versions = {p.version for p in placed}
-    if len(versions) > 1:
-        # A rebalance is committing worker by worker right now; the
-        # fleet will settle on one version momentarily.
-        error = PlacementError(
-            f"fleet reports mixed placement versions {sorted(versions)}; "
-            "a rebalance is in progress (retried automatically on attach)"
-        )
-        error.retryable = True
-        raise error
-    counts = {p.count for p in placed}
-    if counts != {count}:
-        raise PlacementError(
-            f"fleet reports slice count(s) {sorted(counts)} but this root "
-            f"attached {count} workers; the address list does not match "
-            "the fleet that was placed"
-        )
-    indices = [p.index for p in placed]
-    if sorted(indices) != list(range(count)):
-        raise PlacementError(
-            f"fleet reports slice indices {sorted(indices)}; expected a "
-            f"permutation of 0..{count - 1}"
-        )
-    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +177,9 @@ def parse_fleet_spec(spec: str) -> list[tuple[str, int]]:
                 raise PlacementError(
                     f"bad worker announcement {entry!r}: {exc}"
                 )
-        host, _, port = entry.rpartition(":")
         try:
-            addresses.append((host or "127.0.0.1", int(port)))
-        except ValueError:
+            addresses.append(parse_address(entry))
+        except PlacementError:
             raise PlacementError(
                 f"bad fleet entry {entry!r}; expected host:port"
             ) from None

@@ -17,12 +17,14 @@ servers.  This module is that deployment for the reproduction:
   aggregation cadence, progressive merge, redo-log replay, grow/shrink)
   runs unchanged over a real network;
 * :class:`ProcessCluster` — a cluster whose workers are spawned
-  subprocesses (or pre-started daemons reached by address): spawn, dial,
-  revive, and the reconciliation with a fleet that *other* roots resize
-  (``_sync_fleet``/``resync_placement``).  A worker that dies — even
-  SIGKILL mid-sketch — is respawned and its stream re-run; lineage
-  replay rebuilds its soft state and cumulative partials make the retry
-  invisible to the streaming client (§5.7–5.8).
+  subprocesses (or pre-started daemons reached by address): spawn, dial
+  and revive.  Adopting a fleet that *other* roots resize is
+  :class:`~repro.engine.cluster.Cluster`'s one placement sync; this
+  class only says how a member is reached (dial its address) and let go
+  of.  A worker that dies — even SIGKILL mid-sketch — is respawned and
+  its stream re-run; lineage replay rebuilds its soft state and
+  cumulative partials make the retry invisible to the streaming client
+  (§5.7–5.8).
 
 Control messages on this wire are JSON: sketches travel as the same specs
 a browser submits and lineage travels as load/map descriptions — one codec
@@ -56,9 +58,7 @@ from repro.engine.cluster import (
 )
 from repro.engine.placement import (
     PlacementError,
-    ShardPlacement,
     StalePlacementError,
-    agree_placement,
     format_address,
     parse_address,
 )
@@ -751,12 +751,6 @@ class RemoteWorkerProxy(WorkerProtocol):
         self.process = process
         self.address = address
         self.request_timeout = request_timeout
-        #: The slice and placement version this root last pinned on the
-        #: worker; the version is stamped onto every dataset RPC so the
-        #: worker can reject a stale root after a rebalance.
-        self.index = 0
-        self.count = 1
-        self.placement_version = 0
 
     @property
     def member(self) -> str | None:
@@ -774,10 +768,6 @@ class RemoteWorkerProxy(WorkerProtocol):
     def pid(self) -> int | None:
         return self.process.pid if self.process is not None else None
 
-    def query_placement(self) -> "ShardPlacement | None":
-        """The worker's sticky slice assignment, or None if unplaced."""
-        return ShardPlacement.from_json(self.placement_info())
-
     def sketch_partials(
         self,
         dataset_id: str,
@@ -788,7 +778,7 @@ class RemoteWorkerProxy(WorkerProtocol):
         version: int | None = None,
     ) -> Iterator[WorkerEmission]:
         args, _ = VERBS["sketch"].request(
-            (dataset_id, sketch, lineage, run, version), {}, self.placement_version
+            (dataset_id, sketch, lineage, run, version), {}
         )
         request_id, replies = self.channel.submit("sketch", args)
         try:
@@ -870,7 +860,7 @@ def _stub(verb: Verb):
     call, decode the reply — all from the verb's row."""
 
     def stub(self: RemoteWorkerProxy, *values, timeout: float | None = None, **named):
-        args, attachment = verb.request(values, named, self.placement_version)
+        args, attachment = verb.request(values, named)
         reply = self.channel.call(
             verb.wire,
             args,
@@ -879,9 +869,6 @@ def _stub(verb: Verb):
             or max(self.request_timeout, args.get("drainTimeout", 0.0) + 30.0),
             attachment=attachment,
         )
-        if verb.pins:
-            self.index, self.count = args["index"], args["count"]
-            self.placement_version = args.get("version", args.get("placementVersion"))
         return verb.result(reply)
 
     stub.__name__ = verb.stub or verb.method
@@ -975,7 +962,6 @@ class ProcessCluster(Cluster):
         #: serving tier's worker cadence with this cluster's default.
         self._preserve_cadence = preserve_cadence
         self._revive_lock = threading.Lock()
-        self._resync_lock = threading.Lock()
         self._listener: socket.socket | None = None
         #: Proxies dropped from the placement by a resize/resync, with
         #: their detach times.  Their connections stay open so in-flight
@@ -1007,23 +993,19 @@ class ProcessCluster(Cluster):
                 for i, cores in enumerate(core_plan):
                     workers.append(self._spawn_worker(i, cores))
             else:
-                for host, port in addresses:
+                # Sorted, so two roots listing a fresh fleet in different
+                # orders slice it alike; a placed fleet's own order wins.
+                for host, port in sorted(addresses):
                     workers.append(self._dial_worker(host, port))
-                # Order the daemons by the fleet's agreed slice assignment
-                # (a fresh fleet gets the canonical address-sorted one, a
-                # placed fleet is adopted verbatim, a resized one has its
-                # reported membership dialed instead) so every root
-                # attaching to them configures each with the same slice.
-                workers, _ = self._sync_fleet(
-                    workers, time.monotonic() + min(startup_timeout, 10.0)
-                )
+            super().__init__(
+                aggregation_interval=aggregation_interval, workers=workers
+            )
         except BaseException:
             for proxy in workers:
                 proxy.close()
             if self._listener is not None:
                 self._listener.close()
             raise
-        super().__init__(aggregation_interval=aggregation_interval, workers=workers)
 
     # -- attachment ------------------------------------------------------
     def _spawn_worker(self, index: int, cores: int) -> RemoteWorkerProxy:
@@ -1085,7 +1067,10 @@ class ProcessCluster(Cluster):
             request_timeout=self._request_timeout,
         )
 
-    def _detach_proxy(self, proxy: "RemoteWorkerProxy") -> None:
+    def _reach(self, member: str) -> RemoteWorkerProxy:
+        return self._dial_worker(*parse_address(member))
+
+    def _release(self, proxy: "RemoteWorkerProxy") -> None:
         """Drop a proxy from the placement without killing streams that
         are still draining on it; closed after the grace period."""
         self._prune_detached()
@@ -1105,219 +1090,7 @@ class ProcessCluster(Cluster):
                 keep.append((stamped, proxy))
         self._detached = keep
 
-    def _sync_fleet(
-        self,
-        proxies: "list[RemoteWorkerProxy]",
-        deadline: float,
-        min_version: int | None = None,
-    ) -> "tuple[list[RemoteWorkerProxy], int]":
-        """Reconcile ``proxies`` with the fleet's reported placement.
-
-        Adopts membership changes (dialing joined members, detaching
-        departed ones), retries transient states (mid-rebalance mixed
-        versions, partial placement), and — with ``min_version`` — waits
-        until the fleet settles at or above that placement version.
-        Returns the proxies in slice order plus the agreed version.
-
-        A fleet stuck at *mixed* versions (a rebalance interrupted after
-        committing some members) is **repaired**: the committed members'
-        report carries the full target assignment (members ordered by
-        slice), so after a short grace period — in case the initiating
-        root is still mid-commit — the stragglers are driven to the same
-        idempotent commit (or retired, if the target membership excludes
-        them).  Their shard stores drop to redo-log replay, which is the
-        always-correct fallback.
-        """
-        mixed_since: float | None = None
-        #: The newest membership report seen across the whole loop (not
-        #: just this iteration): once a departed worker's farewell
-        #: report has been acted on, that worker is detached and its
-        #: report disappears — forgetting it would let the survivors'
-        #: older membership flip the fleet right back.
-        best_membership: dict | None = None
-        while True:
-            infos: list[dict] = []
-            for proxy in proxies:
-                try:
-                    infos.append(proxy.placement_info())
-                except (WorkerUnavailableError, EngineError):
-                    infos.append({})
-            # Membership adoption: the highest version that names
-            # members wins (a retired worker's farewell report counts —
-            # it names its successors).
-            for info in infos:
-                if not info.get("members"):
-                    continue
-                if best_membership is None or int(
-                    info.get("version") or 0
-                ) > int(best_membership.get("version") or 0):
-                    best_membership = {
-                        "version": int(info.get("version") or 0),
-                        "members": [str(m) for m in info["members"]],
-                    }
-            if best_membership is not None:
-                target = list(best_membership["members"])
-                current = {
-                    format_address(p.address): p
-                    for p in proxies
-                    if p.address is not None
-                }
-                if set(target) != set(current):
-                    adopted: "list[RemoteWorkerProxy]" = []
-                    for member in target:
-                        if member in current:
-                            adopted.append(current.pop(member))
-                        else:
-                            adopted.append(
-                                self._dial_worker(*parse_address(member))
-                            )
-                    for leftover in current.values():
-                        self._detach_proxy(leftover)
-                    proxies = adopted
-                    continue  # re-query the adopted membership
-            # Interrupted-rebalance detection: any *placed* worker behind
-            # the newest membership report is a straggler.  The newest
-            # report may come from a committed survivor (mixed placed
-            # versions) or from a retired worker's farewell (a shrink
-            # that retired the departing workers but lost its survivor
-            # commits) — both carry the full target assignment.
-            stragglers = best_membership is not None and any(
-                info.get("index") is not None
-                and int(info.get("version") or 0)
-                < int(best_membership["version"])
-                for info in infos
-            )
-            if stragglers:
-                # Agreement is meaningless while part of the fleet is on
-                # an older assignment; give the original initiator a
-                # grace period to finish its commits, then heal the
-                # stragglers ourselves and re-query.
-                now = time.monotonic()
-                if mixed_since is None:
-                    mixed_since = now
-                elif now - mixed_since > 2.0:
-                    self._repair_mixed_fleet(proxies, infos, best_membership)
-                if now >= deadline:
-                    raise PlacementError(
-                        "the fleet has workers behind placement version "
-                        f"{best_membership['version']} that could not be "
-                        "healed in time; an interrupted rebalance needs "
-                        "the affected daemons reachable"
-                    )
-                time.sleep(0.1)
-                continue
-            mixed_since = None
-            reported = [ShardPlacement.from_json(info) for info in infos]
-            addresses = [
-                p.address if p.address is not None else ("?", 0)
-                for p in proxies
-            ]
-            try:
-                assignment = agree_placement(addresses, reported)
-            except PlacementError as exc:
-                if exc.retryable and time.monotonic() < deadline:
-                    time.sleep(0.1)
-                    continue
-                raise
-            placed = [p for p in reported if p is not None]
-            version = placed[0].version if placed else 0
-            if min_version is not None and version < min_version:
-                if time.monotonic() < deadline:
-                    time.sleep(0.1)
-                    continue
-                raise StalePlacementError(
-                    f"fleet stayed at placement version {version}; "
-                    f"expected at least {min_version}"
-                )
-            ordered: "list[RemoteWorkerProxy | None]" = [None] * len(proxies)
-            for position, index in enumerate(assignment):
-                ordered[index] = proxies[position]
-            return [p for p in ordered if p is not None], version
-
-    def _repair_mixed_fleet(
-        self,
-        proxies: "list[RemoteWorkerProxy]",
-        infos: list[dict],
-        target: dict,
-    ) -> None:
-        """Finish an interrupted rebalance: drive every straggler to the
-        ``target`` assignment (the newest membership report seen — a
-        committed survivor's, or a retired worker's farewell; members
-        are ordered by slice index).  Best-effort and idempotent —
-        racing the original initiator, or another repairing root, is
-        harmless."""
-        version = int(target.get("version") or 0)
-        members = [str(m) for m in target["members"]]
-        index_of = {member: i for i, member in enumerate(members)}
-        for proxy, info in zip(proxies, infos):
-            if not info or proxy.address is None:
-                continue
-            if info.get("rebalancing"):
-                # The original initiator is draining/committing this
-                # worker right now; finishing its rebalance with empty
-                # totals would discard the shards it transferred.  Let
-                # it finish — the next sync pass re-evaluates.
-                continue
-            if int(info.get("version") or 0) >= version and not (
-                info.get("index") is None and not info.get("retired")
-            ):
-                continue  # already there (placed or properly retired)
-            member = format_address(proxy.address)
-            try:
-                if member in index_of:
-                    # No shard totals survive the interruption: the
-                    # commit evicts the straggler's store and redo-log
-                    # replay rebuilds it on first use (§5.7).
-                    # (No cadence either: a repair pass is never the
-                    # right writer of tier tuning.)
-                    proxy.rebalance_commit(
-                        version, index_of[member], len(members), members, {}
-                    )
-                else:
-                    proxy.retire(version, members)
-            except (PlacementError, WorkerUnavailableError, EngineError):
-                continue  # the next sync pass re-evaluates
-
     # -- elastic fleet operations (§6 deployment, made elastic) ----------
-    def resync_placement(self, observed_version: int | None = None) -> bool:
-        """Adopt a placement the fleet moved to without this root.
-
-        Called after a worker rejects one of our requests as stale: the
-        fleet re-read, new members dialed, departed proxies detached
-        (left open so in-flight old-placement streams can drain), and
-        every remaining request retried under the new version.
-
-        ``observed_version`` is the caller's version at the time its
-        request failed.  Two queries rejected by the same rebalance both
-        resync: the first adopts the new placement; the second must see
-        that the root already moved past what it observed and simply
-        retry — waiting for a *further* version would stall it against
-        a fleet that is already settled.
-        """
-        if self._listener is not None:
-            return False  # spawn-mode fleets cannot be resized externally
-        with self._resync_lock:
-            if (
-                observed_version is not None
-                and self.placement_version > observed_version
-            ):
-                return True  # another thread already adopted a newer one
-            before = self.placement_version
-            deadline = time.monotonic() + min(self._startup_timeout, 15.0)
-            try:
-                ordered, version = self._sync_fleet(
-                    list(self.workers), deadline, min_version=before + 1
-                )
-            except (PlacementError, EngineError, OSError):
-                return False
-            for index, proxy in enumerate(ordered):
-                proxy.index = index
-                proxy.count = len(ordered)
-                proxy.placement_version = version
-            self.workers = list(ordered)
-            self.placement_version = version
-            return True
-
     def _cadence(self) -> float | None:
         return None if self._preserve_cadence else self.aggregation_interval
 

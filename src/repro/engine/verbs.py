@@ -197,13 +197,12 @@ class Arg:
 @dataclass(frozen=True)
 class Verb:
     """One root↔worker verb.  Flags: ``dataset_op`` — runs under the
-    worker's placement guard and carries the root's ``placementVersion``
-    as a last argument; ``refused_draining`` — refused (code
-    ``worker_draining``) once the daemon received SIGTERM; ``streaming``
-    — ``partial`` replies precede the terminal one; ``daemon`` — the
-    daemon answers, adding process-level fields to the worker's own
-    answer; ``pins`` — on success the proxy records the slice and
-    version it sent.  ``reply_key`` wraps the converted result as
+    worker's placement guard and carries the placement version the root
+    names as a last argument (``placementVersion``); ``refused_draining``
+    — refused (code ``worker_draining``) once the daemon received
+    SIGTERM; ``streaming`` — ``partial`` replies precede the terminal
+    one; ``daemon`` — the daemon answers, adding process-level fields to
+    the worker's own answer.  ``reply_key`` wraps the converted result as
     ``{reply_key: ...}`` (``also`` names a second method whose dict
     result joins it); without one the result *is* the payload (no
     payload at all when it is None)."""
@@ -219,7 +218,6 @@ class Verb:
     refused_draining: bool = False
     streaming: bool = False
     daemon: bool = False
-    pins: bool = False
     #: The proxy attribute, where it is not the method's name.
     stub: str | None = None
     #: (name, default) of each method parameter, filled in below.
@@ -232,18 +230,13 @@ class Verb:
         return self.streaming or any(isinstance(kind, Blobs) for kind in kinds)
 
     # -- the root's end ---------------------------------------------------
-    def request(
-        self, values: tuple, named: dict, version: int
-    ) -> tuple[dict, bytes | None]:
-        """The JSON args (and attachment) for one call of the stub;
-        ``version`` is the placement version the proxy believes in."""
+    def request(self, values: tuple, named: dict) -> tuple[dict, bytes | None]:
+        """The JSON args (and attachment) for one call of the stub."""
         values = list(values)
         for name, default in self.params[len(values) :]:
             values.append(named.pop(name, default))
         if named or len(values) > len(self.params):
             raise TypeError(f"{self.method}() got unexpected arguments")
-        if self.dataset_op and values[-1] is None:
-            values[-1] = version
         args: dict = {}
         attachment = None
         for arg, value in zip(self.args, values):
@@ -299,9 +292,7 @@ class Verb:
         return reply
 
 
-_PLACEMENT = _object(
-    "name", "index", "count", "version", "members", "retired", "rebalancing"
-)
+_PLACEMENT = _object("name", "index", "count", "version", "members", "retired")
 _DATASET = Arg("dataset", TEXT)
 _LINEAGE = Arg("lineage", LINEAGE)
 _VERSION = Arg("version", INT)
@@ -315,7 +306,7 @@ WIRE_VERBS: tuple[Verb, ...] = (
          reply=_object("cancelled")),
     Verb("shutdown", kind="ack"),
     Verb(
-        "configure", "configure", kind="ack", refused_draining=True, pins=True,
+        "configure", "configure", kind="ack", refused_draining=True,
         reply=_object("index", "count", "version"),
         args=(Arg("index", INT), Arg("count", INT), _CADENCE,
               Arg("placementVersion", INT), _MEMBERS),
@@ -362,7 +353,7 @@ WIRE_VERBS: tuple[Verb, ...] = (
          refused_draining=True, args=(Arg("entries", LIST),)),
     Verb(
         "rebalanceCommit", "rebalance_commit", kind="ack",
-        refused_draining=True, pins=True, reply=_object("version", "kept"),
+        refused_draining=True, reply=_object("version", "kept"),
         args=(_VERSION, Arg("index", INT), Arg("count", INT), _MEMBERS,
               Arg("datasets", TOTALS), _DRAIN, _CADENCE),
     ),

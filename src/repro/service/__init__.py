@@ -5,17 +5,15 @@ streaming progressive results with backpressure (:mod:`transport`), a
 session manager holding per-client soft state with idle-TTL eviction
 (:mod:`sessions`), an admission-controlled fair-share query scheduler
 with newest-query-wins cancellation (:mod:`scheduler`), and — for the
-horizontal tier — shard-placement agreement so many roots share one
-worker fleet (:mod:`repro.engine.placement`, re-exported here), pluggable shared session stores so a
+horizontal tier — sticky, versioned shard placement so many roots share
+one worker fleet (:mod:`repro.engine.placement`, re-exported here), pluggable shared session stores so a
 session resumes on any root (:mod:`session_store`), and a round-robin
 connection director for tests and benchmarks (:mod:`director`).
 """
 
 from repro.engine.placement import (
     PlacementError,
-    ShardPlacement,
     StalePlacementError,
-    agree_placement,
     parse_fleet_spec,
     plan_moves,
 )
@@ -81,12 +79,10 @@ __all__ = [
     "SessionRecord",
     "SessionStore",
     "SessionStoreError",
-    "ShardPlacement",
     "SlowdownSketch",
     "SqliteSessionStore",
     "StalePlacementError",
     "admin_call",
-    "agree_placement",
     "encode_frame",
     "fleet_pressure",
     "open_session_store",

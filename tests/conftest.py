@@ -24,6 +24,7 @@ def pytest_configure(config):
 
 from repro.data.flights import FlightsSource, generate_flights
 from repro.engine.cluster import Cluster, Worker
+from repro.engine.placement import parse_address
 from repro.engine.remote import (
     RemoteWorkerProxy,
     WorkerServer,
@@ -135,8 +136,27 @@ class InProcessDeployment:
     def worker_of(self, handle) -> Worker:
         return handle
 
+    def rejoin(self, handle):
+        """Another root's handle on the same worker."""
+        return handle
+
+    def root(self, handles) -> Cluster:
+        return Cluster(workers=handles, aggregation_interval=0.01)
+
     def close(self) -> None:
         pass
+
+
+class _PairCluster(Cluster):
+    """A root whose members are ``pair:N`` daemons of a
+    :class:`WireDeployment`: it reaches one over a fresh socket pair."""
+
+    def __init__(self, deployment: "WireDeployment", workers):
+        self._deployment = deployment
+        super().__init__(workers=workers, aggregation_interval=0.01)
+
+    def _reach(self, member: str):
+        return self._deployment.attach(member)
 
 
 class WireDeployment:
@@ -168,6 +188,19 @@ class WireDeployment:
     def worker_of(self, handle) -> Worker:
         """The daemon-side :class:`Worker` behind a proxy."""
         return self.servers[handle.member].worker
+
+    def attach(self, member: str) -> RemoteWorkerProxy:
+        """A new proxy to the ``pair:N`` daemon ``member``."""
+        proxy = self._connect(self.servers[member])
+        proxy.address = parse_address(member)
+        return proxy
+
+    def rejoin(self, handle) -> RemoteWorkerProxy:
+        """Another root's handle on the same worker: its own proxy."""
+        return self.attach(handle.member)
+
+    def root(self, handles) -> Cluster:
+        return _PairCluster(self, handles)
 
     def _deliver(self, target, dataset_id, version, parcels) -> int:
         return self._connect(self.servers[target]).adopt_shards(

@@ -246,7 +246,6 @@ _FLAGS = {
     "streaming": "streaming",
     "blobs": "blobs",
     "daemon": "daemon",
-    "pins": "pins",
 }
 
 

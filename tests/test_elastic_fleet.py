@@ -12,20 +12,20 @@ the shared session store), and the worker daemon's graceful SIGTERM.
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.data.flights import FlightsSource
+from repro.engine import cluster as cluster_module
 from repro.engine.cluster import Cluster, Worker
 from repro.engine.dataset import FilterMap
 from repro.engine.local import LocalDataSet
 from repro.engine.placement import (
     PlacementError,
-    ShardPlacement,
     StalePlacementError,
-    agree_placement,
     expected_slice,
     plan_moves,
 )
@@ -108,29 +108,55 @@ class TestPlanMoves:
 
 
 # ---------------------------------------------------------------------------
-# Versioned placements on the wire
+# Versioned placements, as the one placement sync reads them
 # ---------------------------------------------------------------------------
 class TestVersionedPlacement:
     def test_version_and_members_round_trip(self):
-        placement = ShardPlacement(
-            1, 4, version=3, members=("a:1", "b:2", "c:3", "d:4")
-        )
-        decoded = ShardPlacement.from_json(placement.to_json())
-        assert decoded == placement
+        deployment = WireDeployment()
+        members = ["a:1", "b:2", "c:3", "d:4"]
+        worker = deployment.make("reporter")
+        worker.configure(1, 4, 0.01, 3, members)
+        info = worker.placement_info()
+        assert (info["index"], info["count"]) == (1, 4)
+        assert (info["version"], info["members"]) == (3, members)
+        deployment.close()
 
     def test_version_defaults_to_zero_for_old_reports(self):
-        decoded = ShardPlacement.from_json({"index": 1, "count": 2})
-        assert decoded == ShardPlacement(1, 2, version=0, members=None)
+        """A report without a version (an older daemon's) is version 0."""
 
-    def test_mixed_versions_are_a_retryable_conflict(self):
-        reported = [ShardPlacement(0, 2, version=1), ShardPlacement(1, 2, version=2)]
-        with pytest.raises(PlacementError) as info:
-            agree_placement([("a", 1), ("b", 2)], reported)
-        assert info.value.retryable
+        class Unversioned(Worker):
+            def placement_info(self):
+                info = super().placement_info()
+                del info["version"]
+                return info
+
+        fleet = [Unversioned(f"old-{i}", cores=1) for i in range(2)]
+        Cluster(workers=fleet)
+        again = Cluster(workers=fleet[::-1])
+        assert (again.placement_version, again.workers) == (0, fleet)
+
+    def test_mixed_versions_are_a_retryable_conflict(self, monkeypatch):
+        """A fleet mid-commit is re-read, not refused: inside the grace
+        period the initiator finishes, and the attach adopts its result."""
+        monkeypatch.setattr(cluster_module, "REPAIR_GRACE_SECONDS", 60.0)
+        fleet = [Worker(f"w{i}", cores=1) for i in range(2)]
+        Cluster(workers=fleet)
+        fleet[0].rebalance_commit(1, 0, 2, fleet, {})
+        finisher = threading.Timer(
+            0.2, fleet[1].rebalance_commit, (1, 1, 2, fleet, {})
+        )
+        finisher.start()
+        attached = Cluster(workers=fleet)
+        finisher.join(10)
+        assert (attached.placement_version, attached.workers) == (1, fleet)
 
     def test_agreed_fleet_adopts_verbatim_across_versions(self):
-        reported = [ShardPlacement(1, 2, version=5), ShardPlacement(0, 2, version=5)]
-        assert agree_placement([("a", 1), ("b", 2)], reported) == [1, 0]
+        fleet = [Worker(f"w{i}", cores=1) for i in range(2)]
+        members = fleet[::-1]
+        for index, worker in enumerate(members):
+            worker.rebalance_commit(5, index, 2, members, {})
+        attached = Cluster(workers=fleet)
+        assert (attached.placement_version, attached.workers) == (5, members)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +226,8 @@ class TestElasticityContract:
         )
 
     def _cluster(self, deployment, count: int = 2) -> Cluster:
-        return Cluster(
-            workers=[deployment.make(f"worker-{i}") for i in range(count)],
-            aggregation_interval=0.01,
+        return deployment.root(
+            [deployment.make(f"worker-{i}") for i in range(count)]
         )
 
     def _placed(self, deployment, index: int = 0, count: int = 1):
@@ -231,7 +256,7 @@ class TestElasticityContract:
         joiners = [deployment.make("worker-2"), deployment.make("worker-3")]
         assert cluster.grow(joiners) == 4
         assert cluster.placement_version == 1
-        assert [w.index for w in cluster.workers] == [0, 1, 2, 3]
+        assert [w.placement_info()["index"] for w in cluster.workers] == [0, 1, 2, 3]
         # Shards were re-striped, not duplicated: every worker holds 1/4
         # and still knows the dataset is a (transferable) load.
         for worker in cluster.workers:
@@ -363,6 +388,93 @@ class TestElasticityContract:
             worker.shard_rows("ds", [])
         with pytest.raises(StalePlacementError):
             worker.configure(0, 1, 0.01, 0, None)
+
+    def test_a_second_commit_to_one_version_is_a_replay(self, deployment):
+        """Repairs landing while the initiator's commit drains must not
+        re-key the store a second time: with their empty totals they
+        would evict every shard the first commit kept."""
+        worker = self._placed(deployment)
+        inner = deployment.worker_of(worker)
+        replies: dict[str, dict] = {}
+
+        def commit(name: str, totals: dict) -> None:
+            replies[name] = worker.rebalance_commit(1, 0, 2, ["a:1", "b:2"], totals)
+
+        first = threading.Thread(target=commit, args=("first", {"ds": PARTITIONS}))
+        repairs = [
+            threading.Thread(target=commit, args=(f"repair-{i}", {}))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with inner._dataset_op(None):  # one op in flight: commits drain it
+                first.start()
+                deadline = time.monotonic() + 10.0
+                while not inner._rebalance_pending:
+                    assert time.monotonic() < deadline, "the commit never began"
+                    time.sleep(0.005)
+                for repair in repairs:
+                    repair.start()
+                time.sleep(0.2)  # the repairs arrive mid-drain
+            for thread in [first, *repairs]:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == {
+            "first": {"version": 1, "kept": {"ds": PARTITIONS // 2}},
+            **{f"repair-{i}": {"version": 1, "idempotent": True} for i in range(4)},
+        }
+        assert worker.inventory()["ds"]["shards"] == PARTITIONS // 2
+
+    def test_a_stale_root_adopts_the_resize(self, deployment, reference):
+        """Root B shares root A's workers.  A grows the fleet 2 → 4 and
+        shrinks it back; B learns of each resize from a stale rejection
+        and adopts it, in-process as over the wire."""
+        a = self._cluster(deployment)
+        b = deployment.root([deployment.rejoin(w) for w in a.workers])
+        dataset = b.load(SOURCE)
+        assert run_canonical(dataset, HIST) == reference
+        a.grow([deployment.make("worker-2"), deployment.make("worker-3")])
+        b.computation_cache.clear()
+        assert run_canonical(dataset, HIST) == reference
+        assert (b.placement_version, len(b.workers)) == (1, 4)
+        a.shrink([2, 3])
+        b.computation_cache.clear()
+        assert run_canonical(dataset, HIST) == reference
+        assert (b.placement_version, len(b.workers)) == (2, 2)
+
+    def test_interrupted_rebalance_is_healed_on_attach(
+        self, deployment, reference, monkeypatch
+    ):
+        """A rebalance that died after committing only some members is
+        finished by the next root to attach: the committed member's
+        report carries the whole target assignment."""
+        monkeypatch.setattr(cluster_module, "REPAIR_GRACE_SECONDS", 0.0)
+        cluster = self._cluster(deployment)
+        cluster.load(SOURCE)
+        members = [w.member for w in cluster.workers]
+        cluster.workers[0].rebalance_commit(1, 0, 2, members, {})
+        healed = deployment.root([deployment.rejoin(w) for w in cluster.workers])
+        placements = [w.placement_info() for w in healed.workers]
+        assert healed.placement_version == 1
+        assert [(p["version"], p["index"]) for p in placements] == [(1, 0), (1, 1)]
+        assert run_canonical(healed.load(SOURCE), HIST) == reference
+
+    def test_retired_farewell_heals_uncommitted_survivors(
+        self, deployment, monkeypatch
+    ):
+        """A shrink retired the departing worker, but no survivor
+        committed: only the farewell knows the target, and the next
+        attach must read it and drive the survivors there."""
+        monkeypatch.setattr(cluster_module, "REPAIR_GRACE_SECONDS", 0.0)
+        cluster = self._cluster(deployment, 3)
+        cluster.workers[2].retire(1, [w.member for w in cluster.workers[:2]])
+        healed = deployment.root([deployment.rejoin(w) for w in cluster.workers])
+        placements = [w.placement_info() for w in healed.workers]
+        assert (healed.placement_version, len(healed.workers)) == (1, 2)
+        assert [(p["index"], p["count"]) for p in placements] == [(0, 2), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +807,7 @@ class TestElasticFleetTier2:
             dataset = serving.load(SOURCE)
             reference = run_canonical(dataset, HIST)
             admin.grow(daemons[2:3])  # empty redo log on this root
-            assert [w.index for w in admin.workers] == [0, 1, 2]
+            assert [w.placement_info()["index"] for w in admin.workers] == [0, 1, 2]
             # Every worker (including the new one) reports its re-striped
             # inventory — the shards moved, they were not re-read (an
             # evicted dataset would inventory as absent until next use).
@@ -734,9 +846,9 @@ class TestElasticFleetTier2:
         )
         try:
             assert healed.placement_version == 1
-            placements = [w.query_placement() for w in healed.workers]
-            assert [p.version for p in placements] == [1, 1]
-            assert sorted(p.index for p in placements) == [0, 1]
+            placements = [w.placement_info() for w in healed.workers]
+            assert [p["version"] for p in placements] == [1, 1]
+            assert [p["index"] for p in placements] == [0, 1]
             dataset2 = healed.load(SOURCE)  # replays after the repair evict
             assert run_canonical(dataset2, HIST) == reference
         finally:
@@ -762,9 +874,9 @@ class TestElasticFleetTier2:
         try:
             assert healed.placement_version == 1
             assert len(healed.workers) == 2
-            placements = [w.query_placement() for w in healed.workers]
-            assert sorted(p.index for p in placements) == [0, 1]
-            assert {p.count for p in placements} == {2}
+            placements = [w.placement_info() for w in healed.workers]
+            assert [p["index"] for p in placements] == [0, 1]
+            assert {p["count"] for p in placements} == {2}
         finally:
             healed.close()
 

@@ -102,10 +102,9 @@ class TestSharedPlacement:
         assert names_a == names_b
         assert sorted(names_a) == ["fleet-0", "fleet-1"]
         for index, worker in enumerate(cluster_b.workers):
-            placement = worker.query_placement()
-            assert placement is not None
-            assert placement.index == index
-            assert placement.count == len(cluster_b.workers)
+            placement = worker.placement_info()
+            assert placement["index"] == index
+            assert placement["count"] == len(cluster_b.workers)
 
     def test_partial_fleet_spec_adopts_membership_never_reslices(
         self, fleet, tier

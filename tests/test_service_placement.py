@@ -1,60 +1,110 @@
-"""Shard-placement agreement: the multi-root fleet's slicing contract."""
+"""Shard-placement agreement: the multi-root fleet's slicing contract,
+as cases of the one placement sync every root runs on attach."""
 
 from __future__ import annotations
 
+import contextlib
+import queue
+import random
+import threading
+
 import pytest
 
-from repro.engine.remote import WorkerServer, _RootLink
+from repro.engine import cluster as cluster_module
+from repro.engine.cluster import Cluster, Worker
+from repro.engine.remote import ProcessCluster, WorkerServer, _RootLink
 from repro.engine.rpc import RpcRequest
-from repro.engine.placement import (
-    PlacementError,
-    ShardPlacement,
-    agree_placement,
-    canonical_order,
-    parse_fleet_spec,
-)
+from repro.engine.placement import PlacementError, parse_fleet_spec
 
-A, B, C = ("hosta", 9301), ("hostb", 9301), ("hostc", 9301)
+
+@contextlib.contextmanager
+def listening(count: int):
+    """``count`` fresh worker daemons listening on threads; yields their
+    addresses."""
+    servers, addresses = [], []
+    try:
+        for i in range(count):
+            server = WorkerServer(
+                name=f"listen-{i}", cores=1, cache_sweep_interval_seconds=0
+            )
+            bound: "queue.Queue[tuple[str, int]]" = queue.Queue()
+            threading.Thread(
+                target=server.run_listen, kwargs={"on_bound": bound.put}, daemon=True
+            ).start()
+            servers.append(server)
+            addresses.append(tuple(bound.get(timeout=10)))
+        yield addresses
+    finally:
+        for server in servers:
+            server.begin_drain()
+
+
+def workers(count: int) -> list[Worker]:
+    return [Worker(f"w{i}", cores=1) for i in range(count)]
 
 
 class TestAgreement:
     def test_fresh_fleet_gets_canonical_assignment(self):
-        """Unplaced workers are assigned by sorted address, so two roots
-        listing the fleet in different orders mint identical placements."""
-        forward = agree_placement([A, B, C], [None, None, None])
-        shuffled = agree_placement([C, A, B], [None, None, None])
-        # position -> index; resolve back to address -> index maps.
-        by_address_fwd = {addr: idx for addr, idx in zip([A, B, C], forward)}
-        by_address_shf = {addr: idx for addr, idx in zip([C, A, B], shuffled)}
-        assert by_address_fwd == by_address_shf == {A: 0, B: 1, C: 2}
+        """Unplaced daemons are assigned by sorted address, so two roots
+        listing a fresh fleet in different orders mint identical
+        placements."""
+        for order in (lambda a: a, lambda a: a[::-1]):
+            with listening(3) as addresses:
+                root = ProcessCluster(addresses=order(addresses))
+                try:
+                    assert [w.address for w in root.workers] == sorted(addresses)
+                finally:
+                    root.close()
 
     def test_placed_fleet_is_adopted_verbatim(self):
-        reported = [ShardPlacement(2, 3), ShardPlacement(0, 3), ShardPlacement(1, 3)]
-        assert agree_placement([A, B, C], reported) == [2, 0, 1]
+        a, b, c = workers(3)
+        Cluster(workers=[c, a, b])  # places c, a, b at slices 0, 1, 2
+        assert Cluster(workers=[a, b, c]).workers == [c, a, b]
 
-    def test_partially_placed_fleet_rejected(self):
-        reported = [ShardPlacement(0, 3), None, ShardPlacement(1, 3)]
+    def test_partially_placed_fleet_rejected(self, monkeypatch):
+        """A fleet another root is still configuring is re-read until the
+        deadline: adopted once it is placed, refused if it never is."""
+        monkeypatch.setattr(cluster_module, "PLACEMENT_SYNC_SECONDS", 0.3)
+        fleet = workers(3)
+        fleet[0].configure(0, 3, None, 0, fleet)
         with pytest.raises(PlacementError, match="partially placed"):
-            agree_placement([A, B, C], reported)
+            Cluster(workers=fleet)
+        finisher = threading.Timer(
+            0.1, lambda: [w.configure(i, 3, None, 0, fleet) for i, w in enumerate(fleet)]
+        )
+        finisher.start()
+        assert Cluster(workers=fleet[::-1]).workers == fleet
+        finisher.join(10)
 
     def test_wrong_fleet_size_rejected(self):
         """A fleet placed as 3 slices cannot be attached as 2 workers —
-        that address list describes a different fleet."""
-        reported = [ShardPlacement(0, 3), ShardPlacement(1, 3)]
+        that worker list describes a different fleet."""
+        a, b = workers(2)
+        a.configure(0, 3)
+        b.configure(1, 3)
         with pytest.raises(PlacementError, match="does not match"):
-            agree_placement([A, B], reported)
+            Cluster(workers=[a, b])
 
     def test_duplicate_indices_rejected(self):
-        reported = [ShardPlacement(0, 2), ShardPlacement(0, 2)]
+        a, b = workers(2)
+        a.configure(0, 2)
+        b.configure(0, 2)
         with pytest.raises(PlacementError, match="permutation"):
-            agree_placement([A, B], reported)
+            Cluster(workers=[a, b])
 
     def test_canonical_order_is_a_permutation(self):
-        addresses = [("h", p) for p in (9, 3, 7, 1)]
-        assignment = canonical_order(addresses)
-        assert sorted(assignment) == [0, 1, 2, 3]
-        # Lowest port -> index 0.
-        assert assignment[3] == 0 and assignment[0] == 3
+        """Each daemon of a fresh fleet is placed at its rank by address,
+        whatever order the root was given."""
+        with listening(4) as addresses:
+            shuffled = random.Random(7).sample(addresses, len(addresses))
+            root = ProcessCluster(addresses=shuffled)
+            try:
+                placed = {
+                    w.address: w.placement_info()["index"] for w in root.workers
+                }
+            finally:
+                root.close()
+        assert placed == {a: sorted(addresses).index(a) for a in addresses}
 
 
 class TestFleetSpec:
@@ -141,9 +191,8 @@ class TestStickyWorkerPlacement:
         server = WorkerServer(name="reporter", cores=1)
         [fresh] = self._dispatch(server, RpcRequest(1, "", "placement", {}))
         assert fresh.payload["index"] is None
-        assert ShardPlacement.from_json(fresh.payload) is None
         self._dispatch(
             server, RpcRequest(2, "", "configure", {"index": 3, "count": 4})
         )
         [placed] = self._dispatch(server, RpcRequest(3, "", "placement", {}))
-        assert ShardPlacement.from_json(placed.payload) == ShardPlacement(3, 4)
+        assert (placed.payload["index"], placed.payload["count"]) == (3, 4)

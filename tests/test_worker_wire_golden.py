@@ -19,7 +19,11 @@ explicitly, ``placement_info``, ``adopt_shards``, ``sweep_remote_caches``
 and the steal ledger) spelled the old way; the two exchanges of the
 steal (``a1.19.sketch``, ``a1.20.claimSlices``) were re-recorded when a
 claim came to name its run instead of a request id, and only their
-request headers changed.  Regenerate, only when the
+request headers changed.  The dataset verbs name their placement version
+explicitly (the root names it; the proxy no longer stamps one), with the
+values the proxy used to stamp, so every request replays byte for byte;
+the ``placement`` and ``inventory`` replies were re-recorded when the
+worker's report lost its ``rebalancing`` flag.  Regenerate, only when the
 wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
@@ -186,13 +190,13 @@ def record_transcript() -> dict[str, dict]:
         try:
             a.placement_info()  # unplaced
             a.configure(0, 1, 3600.0, 0, [member_a])
-            a.load_source(DATASET, source)
-            a.ensure(DATASET, lineage)
-            a.shard_rows(DATASET, lineage)
-            a.shard_schema(DATASET, lineage)
+            a.load_source(DATASET, source, 0)
+            a.ensure(DATASET, lineage, 0)
+            a.shard_rows(DATASET, lineage, 0)
+            a.shard_schema(DATASET, lineage, 0)
             sketch = sketch_from_json(HIST)
-            list(a.sketch_partials(DATASET, sketch, lineage))
-            list(a.sketch_partials(DATASET, sketch, lineage))  # memo hit
+            list(a.sketch_partials(DATASET, sketch, lineage, version=0))
+            list(a.sketch_partials(DATASET, sketch, lineage, version=0))  # memo hit
             a.inventory()
             entries = a.export_hot_entries(1 << 20)
             a.import_entries(entries)
@@ -207,7 +211,9 @@ def record_transcript() -> dict[str, dict]:
             # Work stealing: rob the slow run of its two trailing shards
             # and have the idle joiner summarize them.
             slow = sketch_from_json(SLOW)
-            stream = a.sketch_partials(DATASET, slow, lineage, run="golden-run")
+            stream = a.sketch_partials(
+                DATASET, slow, lineage, run="golden-run", version=0
+            )
             robbed = threading.Thread(target=lambda: list(stream), daemon=True)
             robbed.start()
             deadline = time.monotonic() + 10.0
@@ -222,7 +228,7 @@ def record_transcript() -> dict[str, dict]:
             # Cancellation.
             token = CancellationToken()
             token.cancel()
-            list(a.sketch_partials(DATASET, slow, lineage, token))
+            list(a.sketch_partials(DATASET, slow, lineage, token, version=0))
             request_only.add("sketch#4")
 
             # Errors: a stale root, a conflicting slice, an unknown verb.
@@ -246,7 +252,7 @@ def record_transcript() -> dict[str, dict]:
             # Shrink back: b retires with a farewell naming its successor.
             b.retire(2, [member_a])
             b.placement_info()
-            a.evict(DATASET)
+            a.evict(DATASET, 1)
             a.crash()
             b.channel.call("shutdown", {})
         finally:
