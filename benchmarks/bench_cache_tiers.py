@@ -18,16 +18,14 @@ same-root warm.  Results land in ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
-import sys
 import time
 
 from _harness import format_table, human_seconds
 from conftest import add_report
 
-from repro.engine.remote import ProcessCluster, _spawn_env
+from repro.engine.remote import ProcessCluster, spawn_worker
 from repro.service import ServiceClient, ServiceServer
 
 #: Quick mode (REPRO_BENCH_QUICK=1): the nightly CI perf-smoke job wants
@@ -62,26 +60,9 @@ def percentile(values: list[float], q: float) -> float:
 def spawn_fleet(size: int):
     daemons, addresses = [], []
     for i in range(size):
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "worker",
-                "--listen",
-                "127.0.0.1:0",
-                "--name",
-                f"cache-bench-{i}",
-                "--cores",
-                "2",
-            ],
-            env=_spawn_env(),
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        announcement = json.loads(proc.stdout.readline())
+        proc, address = spawn_worker(f"cache-bench-{i}", cores=2)
         daemons.append(proc)
-        addresses.append(("127.0.0.1", int(announcement["port"])))
+        addresses.append(address)
     return daemons, addresses
 
 

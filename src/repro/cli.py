@@ -378,11 +378,6 @@ def serve_main(argv: list[str]) -> int:
         help="run workers as spawned subprocesses instead of threads",
     )
     parser.add_argument(
-        "--worker-address", action="append", metavar="HOST:PORT",
-        help="attach to a pre-started `repro worker --listen` daemon "
-             "(repeatable; overrides --workers/--spawn)",
-    )
-    parser.add_argument(
         "--join", metavar="FLEET",
         help="join a shared worker fleet as one of several roots: "
              "'host:port,host:port' or '@file' with one address per line; "
@@ -445,13 +440,6 @@ def serve_main(argv: list[str]) -> int:
         topology = (
             f"joined a shared fleet of {len(addresses)} worker processes"
         )
-    elif args.worker_address:
-        from repro.engine.remote import ProcessCluster
-        from repro.service import parse_fleet_spec
-
-        addresses = parse_fleet_spec(",".join(args.worker_address))
-        cluster = ProcessCluster(addresses=addresses)
-        topology = f"{len(addresses)} attached worker processes"
     elif args.spawn:
         from repro.engine.remote import ProcessCluster
 

@@ -25,8 +25,9 @@ reference between in-process workers, an ``adoptShards`` frame between
 daemons.  So is adopting a fleet that *another* root resized:
 :meth:`Cluster._sync_placement` reads every worker's placement, adopts
 the newest and heals what is behind it, for an attaching root and for a
-root a worker rejected as stale; a deployment says only how a member
-token is reached and how a dropped worker is let go of.
+root a worker rejected as stale.  A deployment says only how a worker
+is minted (``_mint``), how a member token is reached (``_reach``) and
+how a dropped worker is let go of (``_release``).
 
 Sketch execution follows the paper's tree regardless of substrate:
 
@@ -241,11 +242,10 @@ class WorkerProtocol(ABC):
     cores: int
 
     @property
-    def member(self) -> object | None:
+    def member(self) -> object:
         """The token peers use to reach this worker — in membership
         reports and as the ``target`` of a shard transfer: the worker
-        itself in-process, ``host:port`` for a daemon, None when peers
-        cannot reach it at all (a spawned subprocess)."""
+        itself in-process, ``host:port`` for a daemon."""
         return self
 
     @abstractmethod
@@ -1250,13 +1250,6 @@ class Worker(WorkerProtocol):
         return f"<Worker {self.name} cores={self.cores}>"
 
 
-def _membership(workers: "Sequence[WorkerProtocol]") -> list | None:
-    """The fleet's member tokens in slice order; None when any worker
-    is unreachable by its peers (a spawned fleet cannot be resized)."""
-    members = [worker.member for worker in workers]
-    return None if None in members else members
-
-
 @dataclass
 class _Emission:
     """One message on the root's single merge queue.
@@ -1287,37 +1280,34 @@ class Cluster:
     def __init__(
         self,
         num_workers: int = 4,
-        cores_per_worker: int = 4,
+        cores_per_worker: "int | Sequence[int]" = 4,
         aggregation_interval: float = 0.1,
-        cache_entries: int = 64,
-        cache_ttl_seconds: float = 2 * 3600.0,
-        workers: Sequence[WorkerProtocol] | None = None,
+        workers: "Sequence[WorkerProtocol | str] | None" = None,
     ):
-        if workers is not None:
-            self.workers: list[WorkerProtocol] = list(workers)
-        else:
-            if num_workers < 1:
-                raise ValueError("a cluster needs at least one worker")
-            self.workers = [
-                Worker(
-                    f"worker-{i}",
-                    cores=cores_per_worker,
-                    cache_entries=cache_entries,
-                    cache_ttl_seconds=cache_ttl_seconds,
-                )
-                for i in range(num_workers)
-            ]
-        if not self.workers:
-            raise ValueError("a cluster needs at least one worker")
+        """``workers`` are workers or member tokens to reach; without
+        them, ``num_workers`` are minted (see :meth:`_gather`)."""
         self.aggregation_interval = aggregation_interval
         self._resync_lock = threading.Lock()
-        #: Bumped by every grow/shrink; the root names it on each dataset
-        #: operation so workers can reject requests from a root that has
-        #: not yet adopted the current assignment.  A root built over an
-        #: already-placed fleet adopts the fleet's workers and version.
-        self.workers, self.placement_version = self._sync_placement(
-            self.workers
-        )
+        self.workers: list[WorkerProtocol] = []
+        made: list[WorkerProtocol] = []
+        try:
+            held = self._gather(
+                num_workers if workers is None else workers, cores_per_worker, made
+            )
+            if not held:
+                raise ValueError("a cluster needs at least one worker")
+            #: Bumped by every grow/shrink; the root names it on each
+            #: dataset operation so workers can reject requests from a
+            #: root that has not yet adopted the current assignment.  A
+            #: root built over an already-placed fleet adopts the
+            #: fleet's workers and version.
+            self.workers, self.placement_version = self._sync_placement(held)
+            for index, worker in enumerate(self.workers):
+                self._configure(index, worker)
+        except BaseException:
+            for worker in made:  # a failed constructor leaks nothing
+                worker.close()
+            raise
         #: The rebalance barrier: a grow/shrink waits for in-flight
         #: sketch streams to drain on the old placement, and blocks new
         #: streams for the (brief) duration of the re-key, so no stream
@@ -1326,8 +1316,6 @@ class Cluster:
         self._active_streams = 0
         self._rebalancing = False
         self.rebalances = 0
-        for index, worker in enumerate(self.workers):
-            self._configure(index, worker)
         self.redo_log = RedoLog()
         self.computation_cache = ComputationCache()
         #: dataset id -> total row count, behind the same cache interface
@@ -1381,7 +1369,7 @@ class Cluster:
             len(self.workers),
             self._cadence(),
             self.placement_version,
-            _membership(self.workers),
+            [w.member for w in self.workers],
         )
 
     def cached_row_count(self, dataset_id: str) -> int | None:
@@ -1503,36 +1491,40 @@ class Cluster:
             self._rebalancing = False
             self._stream_gate.notify_all()
 
-    def grow(self, workers: "int | Sequence[WorkerProtocol]") -> int:
+    def grow(
+        self, workers: "int | Sequence[WorkerProtocol | str | tuple[str, int]]"
+    ) -> int:
         """Add workers to a live cluster, re-balancing resident shards.
 
-        ``workers`` is a count of fresh in-process workers to mint, or
-        concrete :class:`WorkerProtocol` instances.  Existing workers
-        keep their slice indices (minimizing shard movement); the new
-        ones take indices ``n..m-1``.  Returns the new worker count.
+        ``workers`` is a count of fresh workers to mint, or workers and
+        member tokens to reach (a daemon's ``host:port``).  Existing
+        workers keep their slice indices (minimizing shard movement);
+        the new ones take indices ``n..m-1``.  Returns the new worker
+        count.
         """
-        if isinstance(workers, int):
-            if workers < 1:
-                raise ValueError("grow needs at least one new worker")
-            template = self.workers[0]
-            # Mint names no current worker holds: after a shrink the
-            # low indices may be gone but the high names survive, and a
-            # duplicate name would break shrink-by-name later.
-            taken = {w.name for w in self.workers}
-            fresh = (
-                name
-                for i in itertools.count(len(self.workers))
-                if (name := f"worker-{i}") not in taken
-            )
-            added: list[WorkerProtocol] = [
-                Worker(next(fresh), cores=template.cores) for _ in range(workers)
-            ]
-        else:
-            added = list(workers)
+        if not isinstance(workers, int):
+            # An address tuple is the ``host:port`` token a daemon reports.
+            workers = [format_address(w) if isinstance(w, tuple) else w for w in workers]
+            tokens = [w.member if isinstance(w, WorkerProtocol) else w for w in workers]
+            members = [worker.member for worker in self.workers]
+            for token in tokens:  # before reaching anything
+                if tokens.count(token) > 1 or token in members:
+                    raise PlacementError(
+                        f"worker {token} is already in the fleet (or was "
+                        "named twice); one worker serves one slice"
+                    )
+        made: list[WorkerProtocol] = []
+        try:
+            added = self._gather(workers, self.workers[0].cores, made)
             if not added:
                 raise ValueError("grow needs at least one new worker")
-        old = list(self.workers)
-        self._rebalance(old, list(range(len(old))), old + added)
+            old = list(self.workers)
+            self._rebalance(old, list(range(len(old))), old + added)
+        except BaseException:
+            for worker in made:
+                if worker not in self.workers:  # a failed grow leaks nothing
+                    worker.close()
+            raise
         # Prewarm after the commit: the joiners' memo keys embed the new
         # slice, so recipes recompute over exactly what they now hold.
         self._prewarm_joiners(old, added)
@@ -1656,13 +1648,7 @@ class Cluster:
         ``stale_placement`` rejections and resync; transfers are
         best-effort — a failed or cold slice is simply dropped at commit
         and redo-log replay rebuilds it on first use (§5.7)."""
-        members = _membership(new_workers)
-        if members is None:
-            raise PlacementError(
-                "elastic resize needs workers their peers can reach (an "
-                "attached daemon fleet: --worker-address/--join); spawned "
-                "workers have no dialable address to stream shards to"
-            )
+        members = [worker.member for worker in new_workers]
         self._begin_rebalance()
         try:
             new_count = len(new_workers)
@@ -1745,7 +1731,49 @@ class Cluster:
         finally:
             self._end_rebalance()
 
-    # -- the one placement sync, for attach and resync alike -------------
+    # -- what a deployment supplies: mint, reach, release -----------------
+    def _mint(self, name: str, cores: int) -> WorkerProtocol:
+        """A fresh worker for this fleet: in-process, a new object."""
+        return Worker(name, cores=cores)
+
+    def _gather(
+        self,
+        workers: "int | Sequence[WorkerProtocol | str]",
+        cores: "int | Sequence[int]",
+        made: list,
+    ) -> "list[WorkerProtocol]":
+        """The workers ``workers`` names; each one minted or reached here
+        is appended to ``made``, the caller's to close on failure.
+
+        A count mints that many, with ``cores`` each — or one core count
+        per worker: chaos and steal tests build deliberately skewed
+        fleets this way (a 1-core straggler next to a 4-core thief).
+        Otherwise workers are kept and member tokens reached."""
+        if not isinstance(workers, int):
+            held = []
+            for worker in workers:
+                if not isinstance(worker, WorkerProtocol):
+                    worker = self._reach(worker)
+                    made.append(worker)
+                held.append(worker)
+            return held
+        if isinstance(cores, int):
+            cores = [cores] * workers
+        elif len(cores) != workers:
+            raise ValueError(f"{len(cores)} core counts for {workers} workers")
+        # Mint names no current worker holds: after a shrink the low
+        # indices may be gone but the high names survive, and a
+        # duplicate name would break shrink-by-name later.
+        taken = {w.name for w in self.workers}
+        fresh = (
+            name
+            for i in itertools.count(len(self.workers))
+            if (name := f"worker-{i}") not in taken
+        )
+        for count in cores:
+            made.append(self._mint(next(fresh), int(count)))
+        return list(made)
+
     def _reach(self, member) -> WorkerProtocol:
         """A worker for a member token the fleet reports: in-process the
         token *is* the worker; a daemon fleet dials the address."""
@@ -1754,6 +1782,7 @@ class Cluster:
     def _release(self, worker: WorkerProtocol) -> None:
         """Let go of a worker the fleet's placement no longer names."""
 
+    # -- the one placement sync, for attach and resync alike -------------
     def _sync_placement(
         self, workers: "list[WorkerProtocol]", min_version: int = 0
     ) -> "tuple[list[WorkerProtocol], int]":
@@ -1884,12 +1913,8 @@ class Cluster:
         when its request failed: if another thread already adopted a
         newer placement in the meantime, the retry is immediately
         worthwhile — without the witness, the second of two concurrent
-        resyncs would wait for a version the fleet never reaches.  A
-        fleet its members cannot reach (spawned workers) is only ever
-        resized by this root, so there is nothing to adopt.
+        resyncs would wait for a version the fleet never reaches.
         """
-        if _membership(self.workers) is None:
-            return False
         with self._resync_lock:
             if (
                 observed_version is not None

@@ -4,8 +4,8 @@ Hillview's web server is stateless: many roots can serve one worker
 cluster, which is what lets the system scale to many simultaneous users.
 For that to be *correct*, every root must agree on the fleet's slicing —
 which worker owns shard slice ``index`` of ``count``.  A root that
-invented its own assignment (say, by the order its ``--worker-address``
-flags happened to be written) would silently reconfigure workers under
+invented its own assignment (say, by the order its ``--join`` list
+happened to be written) would silently reconfigure workers under
 another root's feet: datasets already loaded under the old slicing would
 replay their lineage against a different slice and produce wrong answers
 without any error.
@@ -135,6 +135,19 @@ def plan_moves(
     return moves
 
 
+def parse_announcement(line: str) -> tuple[str, int]:
+    """The address in the JSON line a ``repro worker --listen`` daemon
+    prints once bound (``{"worker": ..., "host": ..., "port": N}``)."""
+    import json
+
+    entry = line.strip()
+    try:
+        announcement = json.loads(entry)
+        return (str(announcement.get("host", "127.0.0.1")), int(announcement["port"]))
+    except (ValueError, KeyError) as exc:
+        raise PlacementError(f"bad worker announcement {entry!r}: {exc}") from None
+
+
 def parse_fleet_spec(spec: str) -> list[tuple[str, int]]:
     """Parse a ``--join`` fleet spec into worker addresses.
 
@@ -162,21 +175,8 @@ def parse_fleet_spec(spec: str) -> list[tuple[str, int]]:
         if not entry or entry.startswith("#"):
             continue
         if entry.startswith("{"):
-            import json
-
-            try:
-                announcement = json.loads(entry)
-                addresses.append(
-                    (
-                        str(announcement.get("host", "127.0.0.1")),
-                        int(announcement["port"]),
-                    )
-                )
-                continue
-            except (ValueError, KeyError) as exc:
-                raise PlacementError(
-                    f"bad worker announcement {entry!r}: {exc}"
-                )
+            addresses.append(parse_announcement(entry))
+            continue
         try:
             addresses.append(parse_address(entry))
         except PlacementError:

@@ -16,15 +16,18 @@ servers.  This module is that deployment for the reproduction:
   :class:`~repro.engine.cluster.Cluster` machinery (broadcast, 0.1 s
   aggregation cadence, progressive merge, redo-log replay, grow/shrink)
   runs unchanged over a real network;
-* :class:`ProcessCluster` — a cluster whose workers are spawned
-  subprocesses (or pre-started daemons reached by address): spawn, dial
-  and revive.  Adopting a fleet that *other* roots resize is
-  :class:`~repro.engine.cluster.Cluster`'s one placement sync; this
-  class only says how a member is reached (dial its address) and let go
-  of.  A worker that dies — even SIGKILL mid-sketch — is respawned and
-  its stream re-run; lineage replay rebuilds its soft state and
-  cumulative partials make the retry invisible to the streaming client
-  (§5.7–5.8).
+* :func:`spawn_worker` — start a ``repro worker --listen`` daemon on
+  this machine, tied to its starter by a stdin pipe, and return its
+  announced address;
+* :class:`ProcessCluster` — a cluster of daemons its root dials: ones it
+  spawned, or pre-started ones reached by address.  Growing, shrinking
+  and adopting a fleet that *other* roots resize are
+  :class:`~repro.engine.cluster.Cluster`'s; this class only says how a
+  worker is minted (spawn a daemon, dial it), how a member is reached
+  (dial its address) and how one is let go of.  A worker that dies —
+  even SIGKILL mid-sketch — is respawned on its old port and its stream
+  re-run; lineage replay rebuilds its soft state and cumulative partials
+  make the retry invisible to the streaming client (§5.7–5.8).
 
 Control messages on this wire are JSON: sketches travel as the same specs
 a browser submits and lineage travels as load/map descriptions — one codec
@@ -40,6 +43,7 @@ import itertools
 import json
 import os
 import queue
+import select
 import signal
 import socket
 import subprocess
@@ -57,10 +61,10 @@ from repro.engine.cluster import (
     WorkerProtocol,
 )
 from repro.engine.placement import (
-    PlacementError,
     StalePlacementError,
     format_address,
     parse_address,
+    parse_announcement,
 )
 from repro.engine.progress import CancellationToken
 from repro.engine.rpc import (
@@ -93,6 +97,14 @@ from repro.obs.trace import (
 #: Roughly how many shard payload bytes one adoptShards batch carries
 #: (well under MAX_FRAME_BYTES so the envelope always fits).
 _TRANSFER_BATCH_BYTES = 8 * 1024 * 1024
+
+#: How long a spawned daemon may take to announce its address, and a
+#: root to connect to a daemon and exchange ``hello``.
+STARTUP_TIMEOUT = 30.0
+
+#: How long a root waits on one worker request (between partials, for
+#: a sketch stream) before declaring the worker unavailable.
+REQUEST_TIMEOUT = 300.0
 
 
 class WorkerDrainingError(HillviewError):
@@ -162,16 +174,14 @@ def _push_parcels(
 class WorkerServer:
     """One worker process: a :class:`Worker` behind a socket.
 
-    Two attachment modes mirror real deployments:
+    ``run_listen`` binds a port and serves roots as they dial in
+    (``--listen``), whoever started the daemon: an init system, an
+    operator, or a root that spawned it (:func:`spawn_worker`).  Several
+    roots may be connected at once, each on its own thread — the
+    multi-root service tier shares one fleet this way.
 
-    * ``run_connect`` — dial the root that spawned us (``--connect``);
-    * ``run_listen`` — bind a port and serve roots as they dial in
-      (``--listen``), e.g. a fleet of daemons started by an init system.
-      Several roots may be connected at once, each on its own thread —
-      the multi-root service tier shares one fleet this way.
-
-    The connection protocol is symmetric request/reply: after a ``hello``
-    info exchange the root sends :class:`~repro.engine.rpc.RpcRequest`
+    The connection protocol is request/reply: after the dialing root's
+    ``hello`` it sends :class:`~repro.engine.rpc.RpcRequest`
     envelopes — the verbs of :data:`repro.engine.verbs.WIRE_VERBS`,
     dispatched from that table — and the worker streams back replies,
     interleaved by request id.  ``sketch`` yields one ``partial`` per
@@ -279,16 +289,7 @@ class WorkerServer:
                 lambda: not self._inflight, timeout
             )
 
-    # -- attachment modes ----------------------------------------------
-    def run_connect(self, host: str, port: int, timeout: float = 10.0) -> None:
-        """Dial the root and serve it until it disconnects (spawn mode)."""
-        self._start_sweeper()
-        sock = socket.create_connection((host, port), timeout=timeout)
-        sock.settimeout(None)
-        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
-        call_once(rfile, wfile, 0, "hello", self._info(), where="the root")
-        self._serve(rfile, wfile)
-
+    # -- attachment ----------------------------------------------------
     def run_listen(
         self,
         host: str = "127.0.0.1",
@@ -741,20 +742,21 @@ class RemoteWorkerProxy(WorkerProtocol):
         name: str,
         channel: _WorkerChannel,
         cores: int,
-        process: "subprocess.Popen | None" = None,
-        address: tuple[str, int] | None = None,
-        request_timeout: float = 300.0,
+        address: tuple[str, int],
+        request_timeout: float = REQUEST_TIMEOUT,
     ):
         self.name = name
         self.channel = channel
         self.cores = cores
-        self.process = process
         self.address = address
+        #: The daemon's process when this root spawned it (ours to
+        #: respawn and shut down); None for a daemon someone else runs.
+        self.process: "subprocess.Popen | None" = None
         self.request_timeout = request_timeout
 
     @property
-    def member(self) -> str | None:
-        return None if self.address is None else format_address(self.address)
+    def member(self) -> str:
+        return format_address(self.address)
 
     @property
     def alive(self) -> bool:
@@ -849,6 +851,8 @@ class RemoteWorkerProxy(WorkerProtocol):
                     self.process.wait(timeout=5.0)
                 except (OSError, subprocess.TimeoutExpired):
                     pass
+            for pipe in (self.process.stdin, self.process.stdout):
+                pipe.close()
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
@@ -883,7 +887,7 @@ abc.update_abstractmethods(RemoteWorkerProxy)
 
 
 def dial_worker(
-    host: str, port: int, timeout: float = 10.0, request_timeout: float = 300.0
+    host: str, port: int, timeout: float = 10.0, request_timeout: float = REQUEST_TIMEOUT
 ) -> RemoteWorkerProxy:
     """Connect to a listening worker daemon and say ``hello``: the one
     way anything — a root attaching, a status sweep, a daemon pushing
@@ -905,13 +909,13 @@ def dial_worker(
         name,
         _WorkerChannel(sock, name),
         int(payload.get("cores", 1)),
-        address=(host, port),
+        (host, port),
         request_timeout=request_timeout,
     )
 
 
 # ---------------------------------------------------------------------------
-# ProcessCluster
+# Spawned daemons and ProcessCluster
 # ---------------------------------------------------------------------------
 def _spawn_env() -> dict:
     """The child's environment, with this package importable."""
@@ -926,20 +930,60 @@ def _spawn_env() -> dict:
     return env
 
 
+def spawn_worker(
+    name: str, cores: int, port: int = 0
+) -> "tuple[subprocess.Popen, tuple[str, int]]":
+    """Start a ``repro worker --listen`` daemon on this machine; returns
+    its process and the address it announced.
+
+    The daemon's stdin is a pipe this process holds, so when this
+    process exits — or is killed — the daemon drains and exits too
+    (``--exit-on-stdin-eof``).  A daemon that dies before announcing
+    fails here at once, naming its exit status."""
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--listen", f"127.0.0.1:{port}",
+            "--name", name,
+            "--cores", str(cores),
+            "--exit-on-stdin-eof",
+        ],
+        env=_spawn_env(),
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    announced, _, _ = select.select([process.stdout], [], [], STARTUP_TIMEOUT)
+    line = process.stdout.readline() if announced else ""
+    if line:
+        return process, parse_announcement(line)
+    with process:  # closes its pipes and reaps it
+        if not announced:
+            process.kill()
+    raise EngineError(
+        f"worker {name} exited with status {process.returncode} before "
+        f"announcing its address (startup timeout {STARTUP_TIMEOUT:.0f}s)"
+    )
+
+
 class ProcessCluster(Cluster):
-    """A cluster whose workers are separate OS processes (§5.2).
+    """A cluster whose workers are ``repro worker --listen`` daemons,
+    each its own OS process (§5.2), and every one dialed by the root.
 
     Two construction modes:
 
-    * ``ProcessCluster(num_workers=4)`` — spawn ``repro worker``
-      subprocesses that dial back into the root; the default zero-config
-      path (``repro serve --spawn``).
+    * ``ProcessCluster(num_workers=4)`` — spawn the daemons on this
+      machine (:func:`spawn_worker`); the zero-config path (``repro
+      serve --spawn``).  They exit with the root.
     * ``ProcessCluster(addresses=[(host, port), ...])`` — attach to
-      pre-started ``repro worker --listen`` daemons, one per server.
+      pre-started daemons, one per server; they outlive any root.
 
-    ``respawn=True`` (default, spawn mode) revives a worker that dies
-    mid-query: the subprocess is relaunched, reconfigured, and the sketch
-    stream re-run; redo-log lineage rebuilds its soft state (§5.8).
+    Both fleets grow, shrink and resync through :class:`Cluster`
+    (``grow(n)`` spawns ``n`` more daemons).  A worker that dies
+    mid-query is revived — a daemon this root spawned is respawned on its
+    old port, so its member token stays the same — re-dialed,
+    reconfigured, and the sketch stream re-run; redo-log lineage
+    rebuilds its soft state (§5.8).
     """
 
     def __init__(
@@ -948,127 +992,41 @@ class ProcessCluster(Cluster):
         cores_per_worker: "int | Sequence[int]" = 2,
         aggregation_interval: float = 0.1,
         addresses: "list[tuple[str, int]] | None" = None,
-        python: str | None = None,
-        startup_timeout: float = 30.0,
-        request_timeout: float = 300.0,
-        respawn: bool = True,
         preserve_cadence: bool = False,
     ):
-        self._python = python or sys.executable
-        self._startup_timeout = startup_timeout
-        self._request_timeout = request_timeout
-        self._respawn = respawn
         #: Administrative attaches (the fleet CLI) must not rewrite the
         #: serving tier's worker cadence with this cluster's default.
         self._preserve_cadence = preserve_cadence
         self._revive_lock = threading.Lock()
-        self._listener: socket.socket | None = None
         #: Proxies dropped from the placement by a resize/resync, with
         #: their detach times.  Their connections stay open so in-flight
         #: streams admitted under the old placement can drain, then are
         #: pruned after a grace period (a long-lived root riding many
         #: resizes must not accumulate dead sockets and reader threads).
         self._detached: "list[tuple[float, RemoteWorkerProxy]]" = []
-        workers: list[RemoteWorkerProxy] = []
+        # Sorted, so two roots listing a fresh fleet in different orders
+        # slice it alike; a placed fleet's own order wins.
+        members = (
+            None if addresses is None else [format_address(a) for a in sorted(addresses)]
+        )
+        super().__init__(
+            num_workers, cores_per_worker, aggregation_interval, workers=members
+        )
+
+    # -- minting, reaching and releasing workers -------------------------
+    def _mint(self, name: str, cores: int, port: int = 0) -> RemoteWorkerProxy:
+        process, address = spawn_worker(name, cores, port)
         try:
-            if addresses is None:
-                self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                self._listener.bind(("127.0.0.1", 0))
-                self._listener.listen(max(num_workers, 4))
-                self._env = _spawn_env()
-                # A sequence gives each spawned worker its own core
-                # count — chaos and steal tests build deliberately
-                # skewed fleets this way (a 1-core straggler next to a
-                # 4-core thief).  Respawn keeps the skew: each proxy
-                # remembers its own ``cores``.
-                if isinstance(cores_per_worker, int):
-                    core_plan = [cores_per_worker] * num_workers
-                else:
-                    core_plan = [int(c) for c in cores_per_worker]
-                    if len(core_plan) != num_workers:
-                        raise ValueError(
-                            f"cores_per_worker has {len(core_plan)} "
-                            f"entries for {num_workers} workers"
-                        )
-                for i, cores in enumerate(core_plan):
-                    workers.append(self._spawn_worker(i, cores))
-            else:
-                # Sorted, so two roots listing a fresh fleet in different
-                # orders slice it alike; a placed fleet's own order wins.
-                for host, port in sorted(addresses):
-                    workers.append(self._dial_worker(host, port))
-            super().__init__(
-                aggregation_interval=aggregation_interval, workers=workers
-            )
+            proxy = self._retry_dial(address)
         except BaseException:
-            for proxy in workers:
-                proxy.close()
-            if self._listener is not None:
-                self._listener.close()
+            with process:  # closes its pipes and reaps it
+                process.kill()
             raise
-
-    # -- attachment ------------------------------------------------------
-    def _spawn_worker(self, index: int, cores: int) -> RemoteWorkerProxy:
-        assert self._listener is not None
-        host, port = self._listener.getsockname()[:2]
-        name = f"worker-{index}"
-        process = subprocess.Popen(
-            [
-                self._python, "-m", "repro.cli", "worker",
-                "--connect", f"{host}:{port}",
-                "--name", name,
-                "--cores", str(cores),
-            ],
-            env=self._env,
-            stdout=subprocess.DEVNULL,
-        )
-        try:
-            self._listener.settimeout(self._startup_timeout)
-            while True:
-                sock, _ = self._listener.accept()
-                proxy = self._handshake(sock, process)
-                if proxy is not None:
-                    return proxy
-        except socket.timeout:
-            process.kill()
-            raise EngineError(
-                f"worker {name} did not attach within "
-                f"{self._startup_timeout:.0f}s"
-            ) from None
-        finally:
-            self._listener.settimeout(None)
-
-    def _handshake(
-        self, sock: socket.socket, process: "subprocess.Popen | None"
-    ) -> RemoteWorkerProxy | None:
-        """Read the worker's hello, ack it, wrap the socket in a channel."""
-        sock.settimeout(self._startup_timeout)
-        rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
-        try:
-            frame = read_frame_blocking(rfile, error=FrameError)
-            hello = RpcRequest.from_json((frame or b"").decode("utf-8"))
-            if hello.method != "hello":
-                raise ProtocolError(f"expected hello, got {hello.method!r}")
-            write_frame(
-                wfile, RpcReply(hello.request_id, "ack").to_json().encode("utf-8")
-            )
-        except (FrameError, ProtocolError, OSError, ValueError):
-            sock.close()
-            return None
-        sock.settimeout(None)
-        name = str(hello.args.get("name", "worker"))
-        cores = int(hello.args.get("cores", 1))
-        return RemoteWorkerProxy(
-            name,
-            _WorkerChannel(sock, name),
-            cores,
-            process=process,
-            request_timeout=self._request_timeout,
-        )
+        proxy.process = process
+        return proxy
 
     def _reach(self, member: str) -> RemoteWorkerProxy:
-        return self._dial_worker(*parse_address(member))
+        return dial_worker(*parse_address(member), STARTUP_TIMEOUT)
 
     def _release(self, proxy: "RemoteWorkerProxy") -> None:
         """Drop a proxy from the placement without killing streams that
@@ -1080,7 +1038,7 @@ class ProcessCluster(Cluster):
         """Close detached proxies whose drain grace has passed.  Any
         stream admitted under the old placement finishes well inside one
         request timeout, after which the connection is just a leak."""
-        grace = max(self._request_timeout, 60.0)
+        grace = max(REQUEST_TIMEOUT, 60.0)
         now = time.monotonic()
         keep: "list[tuple[float, RemoteWorkerProxy]]" = []
         for stamped, proxy in self._detached:
@@ -1090,48 +1048,13 @@ class ProcessCluster(Cluster):
                 keep.append((stamped, proxy))
         self._detached = keep
 
-    # -- elastic fleet operations (§6 deployment, made elastic) ----------
     def _cadence(self) -> float | None:
         return None if self._preserve_cadence else self.aggregation_interval
 
-    def grow(self, addresses) -> int:  # type: ignore[override]
-        """Add pre-started ``repro worker --listen`` daemons to the fleet,
-        streaming only the moved shard slices to them (the rest replay
-        from the redo log on first use).  ``addresses`` is a list of
-        ``host:port`` strings or ``(host, port)`` tuples."""
-        parsed = [
-            parse_address(a) if isinstance(a, str) else (str(a[0]), int(a[1]))
-            for a in addresses
-        ]
-        for address in parsed:  # before dialing anything
-            if parsed.count(address) > 1 or any(
-                w.address == address for w in self.workers
-            ):
-                raise PlacementError(
-                    f"worker {format_address(address)} is already in the "
-                    "fleet (or was named twice); one daemon serves one slice"
-                )
-        added: "list[RemoteWorkerProxy]" = []
-        try:
-            for host, port in parsed:
-                added.append(self._dial_worker(host, port))
-            return super().grow(added)
-        except BaseException:
-            for proxy in added:
-                if proxy not in self.workers:  # a failed grow leaks nothing
-                    proxy.close()
-            raise
-
-    def _dial_worker(self, host: str, port: int) -> RemoteWorkerProxy:
-        return dial_worker(
-            host, port, self._startup_timeout, self._request_timeout
-        )
-
     # -- fault recovery (§5.8) ------------------------------------------
     def revive_worker(self, index: int) -> bool:
-        """Respawn (or re-dial) a dead worker and reconfigure it."""
-        if not self._respawn:
-            return False
+        """Respawn (if this root spawned it) and re-dial a dead worker,
+        then reconfigure it."""
         with self._revive_lock:
             proxy = self.workers[index]
             try:
@@ -1141,13 +1064,12 @@ class ProcessCluster(Cluster):
                 pass
             proxy.close()
             try:
-                if proxy.address is not None:
-                    replacement = self._retry_dial(proxy.address)
-                else:
-                    replacement = self._spawn_worker(index, proxy.cores)
+                replacement = (
+                    self._mint(proxy.name, proxy.cores, proxy.address[1])
+                    if proxy.process is not None
+                    else self._retry_dial(proxy.address)
+                )
             except (EngineError, OSError):
-                return False
-            if replacement is None:
                 return False
             try:
                 self._configure(index, replacement)
@@ -1168,13 +1090,13 @@ class ProcessCluster(Cluster):
 
     def _retry_dial(
         self, address: tuple[str, int], attempts: int = 10, delay: float = 0.3
-    ) -> RemoteWorkerProxy | None:
-        for _ in range(attempts):
+    ) -> RemoteWorkerProxy:
+        for _ in range(attempts - 1):
             try:
-                return self._dial_worker(*address)
+                return dial_worker(*address, STARTUP_TIMEOUT)
             except (OSError, EngineError):
                 time.sleep(delay)
-        return None
+        return dial_worker(*address, STARTUP_TIMEOUT)
 
     def kill_worker_process(self, index: int, sig: int = signal.SIGKILL) -> None:
         """SIGKILL one worker process (chaos testing; §5.8 fault model)."""
@@ -1199,9 +1121,6 @@ class ProcessCluster(Cluster):
         for _, proxy in self._detached:
             proxy.close()
         self._detached = []
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
 
 
 # ---------------------------------------------------------------------------
@@ -1259,16 +1178,16 @@ def worker_main(argv: list[str]) -> int:
         prog="repro.cli worker",
         description="Run one Hillview worker process.",
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        help="dial a root that spawned this worker",
-    )
-    mode.add_argument(
+    parser.add_argument(
         "--listen",
         metavar="HOST:PORT",
-        help="bind and wait for a root to dial in (daemon fleet)",
+        required=True,
+        help="bind and wait for roots to dial in",
+    )
+    parser.add_argument(
+        "--exit-on-stdin-eof", action="store_true",
+        help="drain and exit, as on SIGTERM, when stdin reaches end-of-file "
+             "(a root that spawned this worker holds the pipe)",
     )
     parser.add_argument("--name", help="worker name (defaults to worker-<pid>)")
     parser.add_argument("--cores", type=int, default=4)
@@ -1319,17 +1238,19 @@ def worker_main(argv: list[str]) -> int:
         worker=server.worker.name,
         pid=os.getpid(),
         cores=args.cores,
-        mode="connect" if args.connect else "listen",
     )
+
+    def in_background(target, name: str) -> None:
+        # repro: ignore[C002] — process-lifetime helpers (drain-to-exit, stdin lifeline); no query context applies
+        threading.Thread(target=target, name=name, daemon=True).start()
 
     # Graceful shutdown: SIGTERM (a fleet shrink, an init system stop, a
     # CI teardown) drains instead of killing — in-flight partial streams
     # finish, new state-creating requests are refused, and the process
     # exits once idle (or after the grace period).  The watchdog thread
-    # is what actually ends the process: in --connect mode the main
-    # thread sits in a blocking read that PEP 475 resumes after the
-    # handler, so without it a SIGTERM'd connect-mode worker would serve
-    # forever.
+    # is what actually ends the process: a drain begun off the main
+    # thread (the stdin lifeline) cannot wake the main thread's blocking
+    # accept, so without it the daemon would serve forever.
     def _graceful_shutdown(signum, frame):  # noqa: ARG001 — signal API
         log_event(
             "worker.drain", worker=server.worker.name, signal=int(signum)
@@ -1340,42 +1261,47 @@ def worker_main(argv: list[str]) -> int:
             server.wait_drained(timeout=args.drain_grace)
             os._exit(0)
 
-        # repro: ignore[C002] — SIGTERM drain-to-exit helper; process is dying, no query context applies
-        threading.Thread(target=finish, name="drain-exit", daemon=True).start()
+        in_background(finish, "drain-exit")
 
     try:
         signal.signal(signal.SIGTERM, _graceful_shutdown)
     except ValueError:
         pass  # not the main thread (embedded in tests)
 
+    if args.exit_on_stdin_eof:
+        # The spawning root holds the pipe's other end: it closes when
+        # the root exits or is killed, and this worker goes with it.  The
+        # raw fd, not sys.stdin: a thread blocked inside a buffered read
+        # holds its lock, and interpreter shutdown aborts on that lock.
+        def lifeline() -> None:
+            while os.read(sys.stdin.fileno(), 4096):
+                pass
+            _graceful_shutdown(signal.SIGTERM, None)
+
+        in_background(lifeline, "stdin-lifeline")
+
+    def announce(address: tuple[str, int]) -> None:
+        # The announcement line is a valid @fleet.txt entry: it must
+        # carry a *dialable* host, so a wildcard bind falls back to
+        # loopback (multi-host fleets edit the file or announce a real
+        # interface address).
+        bound = address[0]
+        dialable = (
+            "127.0.0.1" if bound in ("0.0.0.0", "::", "") else bound
+        )
+        print(
+            json.dumps(
+                {
+                    "worker": server.worker.name,
+                    "host": dialable,
+                    "port": address[1],
+                }
+            ),
+            flush=True,
+        )
+
     try:
-        if args.connect:
-            host, _, port = args.connect.rpartition(":")
-            server.run_connect(host or "127.0.0.1", int(port))
-        else:
-            host, _, port = args.listen.rpartition(":")
-
-            def announce(address: tuple[str, int]) -> None:
-                # The announcement line is a valid @fleet.txt entry: it
-                # must carry a *dialable* host, so a wildcard bind falls
-                # back to loopback (multi-host fleets edit the file or
-                # announce a real interface address).
-                bound = address[0]
-                dialable = (
-                    "127.0.0.1" if bound in ("0.0.0.0", "::", "") else bound
-                )
-                print(
-                    json.dumps(
-                        {
-                            "worker": server.worker.name,
-                            "host": dialable,
-                            "port": address[1],
-                        }
-                    ),
-                    flush=True,
-                )
-
-            server.run_listen(host or "127.0.0.1", int(port), on_bound=announce)
+        server.run_listen(*parse_address(args.listen), on_bound=announce)
     except KeyboardInterrupt:
         # Ctrl-C on a foreground `repro serve --spawn` reaches the whole
         # process group; workers exit quietly, like the root does.

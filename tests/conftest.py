@@ -8,7 +8,6 @@ import contextlib
 import json
 import socket
 import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -28,8 +27,8 @@ from repro.engine.placement import parse_address
 from repro.engine.remote import (
     RemoteWorkerProxy,
     WorkerServer,
-    _spawn_env,
     _WorkerChannel,
+    spawn_worker,
 )
 from repro.sketches.specs import CANONICAL_SCHEMA, DATE_HI, DATE_LO
 from repro.storage import columnar
@@ -87,15 +86,7 @@ def canonical_dataset(tmp_path_factory) -> str:
 
 def spawn_daemon(name: str):
     """Start one ``repro worker --listen`` daemon: (process, address)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0",
-         "--name", name, "--cores", "2"],
-        env=_spawn_env(),
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    announcement = json.loads(proc.stdout.readline())
-    return proc, ("127.0.0.1", int(announcement["port"]))
+    return spawn_worker(name, cores=2)
 
 
 @contextlib.contextmanager
@@ -113,18 +104,22 @@ def daemon_fleet(prefix: str, count: int):
         for proc in procs:
             proc.terminate()
         for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+            with proc:  # closes its pipes and reaps it
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
 
 
-def connect(server: WorkerServer) -> RemoteWorkerProxy:
-    """A proxy to ``server`` over a ``socketpair`` served on a thread."""
+def connect(server: WorkerServer, address=("pair", 0)) -> RemoteWorkerProxy:
+    """A proxy to ``server`` over a ``socketpair`` served on a thread;
+    ``address`` is the member token it answers to."""
     near, far = socket.socketpair()
     threading.Thread(target=server.serve_socket, args=(far,), daemon=True).start()
     name = server.worker.name
-    return RemoteWorkerProxy(name, _WorkerChannel(near, name), server.worker.cores)
+    return RemoteWorkerProxy(
+        name, _WorkerChannel(near, name), server.worker.cores, address
+    )
 
 
 class InProcessDeployment:
@@ -170,8 +165,8 @@ class WireDeployment:
         self.servers: dict[str, WorkerServer] = {}
         self.proxies: list[RemoteWorkerProxy] = []
 
-    def _connect(self, server: WorkerServer) -> RemoteWorkerProxy:
-        proxy = connect(server)
+    def _connect(self, server: WorkerServer, member: str) -> RemoteWorkerProxy:
+        proxy = connect(server, parse_address(member))
         self.proxies.append(proxy)
         return proxy
 
@@ -180,10 +175,9 @@ class WireDeployment:
             name=name, cores=cores, cache_sweep_interval_seconds=0
         )
         server.worker.deliver = self._deliver
-        proxy = self._connect(server)
-        proxy.address = ("pair", len(self.servers) + 1)
-        self.servers[proxy.member] = server
-        return proxy
+        member = f"pair:{len(self.servers) + 1}"
+        self.servers[member] = server
+        return self._connect(server, member)
 
     def worker_of(self, handle) -> Worker:
         """The daemon-side :class:`Worker` behind a proxy."""
@@ -191,9 +185,7 @@ class WireDeployment:
 
     def attach(self, member: str) -> RemoteWorkerProxy:
         """A new proxy to the ``pair:N`` daemon ``member``."""
-        proxy = self._connect(self.servers[member])
-        proxy.address = parse_address(member)
-        return proxy
+        return self._connect(self.servers[member], member)
 
     def rejoin(self, handle) -> RemoteWorkerProxy:
         """Another root's handle on the same worker: its own proxy."""
@@ -203,9 +195,7 @@ class WireDeployment:
         return _PairCluster(self, handles)
 
     def _deliver(self, target, dataset_id, version, parcels) -> int:
-        return self._connect(self.servers[target]).adopt_shards(
-            dataset_id, version, parcels
-        )
+        return self.attach(target).adopt_shards(dataset_id, version, parcels)
 
     def drain(self, worker) -> None:
         self.servers[worker.member].begin_drain()

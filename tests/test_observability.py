@@ -517,27 +517,15 @@ class TestWorkerWireTracing:
 
     def test_fleet_metrics_reach_a_live_daemon(self):
         import subprocess
-        import sys
 
         from repro.engine.remote import (
             ProcessCluster,
-            _spawn_env,
             query_fleet_metrics,
+            spawn_worker,
         )
 
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "worker",
-                "--listen", "127.0.0.1:0",
-                "--name", "obs-daemon", "--cores", "2",
-            ],
-            env=_spawn_env(),
-            stdout=subprocess.PIPE,
-            text=True,
-        )
+        proc, address = spawn_worker("obs-daemon", cores=2)
         try:
-            announcement = json.loads(proc.stdout.readline())
-            address = ("127.0.0.1", int(announcement["port"]))
             cluster = ProcessCluster(
                 addresses=[address], aggregation_interval=0.01
             )

@@ -6,16 +6,22 @@ the multi-server topology of §5.2 on one machine.
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
 from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap
+from repro.engine import remote
 from repro.engine.local import LocalDataSet
 from repro.engine.remote import ProcessCluster, RemoteWorkerProxy
 from repro.engine.rpc import RpcRequest
+from repro.errors import EngineError
 from repro.sketches.histogram import HistogramSketch
 from repro.table.compute import ColumnPredicate
 from repro.table.table import Table
@@ -193,3 +199,86 @@ class TestListenMode:
                 }
             finally:
                 cluster.close()
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # a zombie nobody has reaped yet is gone too
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestSpawnedWorkers:
+    """A spawned worker is a ``--listen`` daemon its root started and
+    dialed: it fails fast, joins resizes, and dies with its root."""
+
+    def test_a_worker_that_dies_before_announcing_fails_fast(self, monkeypatch):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        monkeypatch.setattr(remote, "_spawn_env", lambda: env)  # no repro
+        start = time.monotonic()
+        with pytest.raises(EngineError, match="exited with status 1"):
+            ProcessCluster(num_workers=1)
+        assert time.monotonic() - start < 5.0
+
+    def test_spawned_fleets_grow_revive_and_shrink(self):
+        source = FlightsSource(4_000, partitions=16, seed=11)
+        sketch = HistogramSketch("Distance", DoubleBuckets(0, 3000, 9))
+        local = LocalDataSet(Table.concat(source.load())).sketch(sketch).to_bytes()
+        cluster = ProcessCluster(
+            num_workers=2, cores_per_worker=1, aggregation_interval=0.01
+        )
+
+        def fresh_run() -> bytes:
+            cluster.computation_cache.clear()
+            return dataset.sketch(sketch).to_bytes()
+
+        try:
+            dataset = cluster.load(source)
+            assert cluster.grow(1) == 3
+            assert cluster.placement_version == 1
+            assert fresh_run() == local
+
+            member, pid = cluster.workers[2].member, cluster.worker_pids()[2]
+            cluster.kill_worker_process(2)
+            assert fresh_run() == local
+            assert cluster.workers[2].member == member  # respawned on its port
+            assert cluster.worker_pids()[2] not in (None, pid)
+
+            assert cluster.shrink([2]) == 2
+            assert cluster.placement_version == 2
+            assert fresh_run() == local
+        finally:
+            cluster.close()
+
+    def test_spawned_workers_exit_with_their_root(self):
+        import repro
+
+        script = (
+            "import json\n"
+            "from repro.engine.remote import ProcessCluster\n"
+            "cluster = ProcessCluster(num_workers=2, cores_per_worker=1)\n"
+            "print(json.dumps(cluster.worker_pids()), flush=True)\n"
+            "input()\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        with subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        ) as root:
+            try:
+                pids = json.loads(root.stdout.readline())
+            finally:
+                root.kill()  # no chance to close anything
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids)), "a worker outlived its root"
