@@ -40,6 +40,11 @@ Sketch execution follows the paper's tree regardless of substrate:
   paper);
 * the root merges the latest partial from every worker and streams
   progressively better results to the client, counting received bytes.
+  What the root decides while it does so — merge order, progress, the
+  work-stealing policy and the query profile — is a clock-free state
+  machine, :class:`~repro.engine.fanout.FanOut`; this module's
+  ``ClusterDataSet._sketch_attempt`` only drives it (the ensure
+  broadcast, the stream and claim threads, one event queue, the clock).
 
 A worker that dies mid-sketch is revived (see ``Cluster.revive_worker``)
 and its stream re-run from scratch; because every partial is *cumulative*,
@@ -80,6 +85,7 @@ from repro.engine.cache import (
     summary_size,
 )
 from repro.engine.dataset import IDataSet, TableMap
+from repro.engine.fanout import Claim, FanOut
 from repro.engine.placement import (
     PlacementError,
     StalePlacementError,
@@ -90,7 +96,7 @@ from repro.engine.placement import (
 from repro.engine.progress import CancellationToken, PartialResult, SketchRun
 from repro.engine.redo_log import LoadOp, MapOp, RedoLog
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import TraceContext, current_context, span, use_context
+from repro.obs.trace import current_context, span, use_context
 from repro.errors import (
     DatasetMissingError,
     EngineError,
@@ -121,17 +127,6 @@ PLACEMENT_SYNC_SECONDS = 15.0
 #: a syncing root drives it there itself: the rebalance's own initiator
 #: may still be committing it.
 REPAIR_GRACE_SECONDS = 2.0
-
-#: A straggler must have at least this many unstarted shards before an
-#: idle peer bothers claiming any — below this, letting the victim
-#: finish beats the claim round-trip.
-STEAL_MIN_PENDING = 2
-
-#: Upper bound on shards moved by one claim.  Thieves loop (another
-#: claim fires as each one returns), so a small cap keeps claims cheap
-#: and lets several idle peers share one straggler's backlog.
-STEAL_MAX_BUDGET = 8
-
 
 def steal_after_seconds(aggregation_interval: float) -> float:
     """How long a fan-out must run before claims are considered.
@@ -1250,30 +1245,6 @@ class Worker(WorkerProtocol):
         return f"<Worker {self.name} cores={self.cores}>"
 
 
-@dataclass
-class _Emission:
-    """One message on the root's single merge queue.
-
-    ``kind`` discriminates: ``partial``/``done`` are the classic worker
-    stream (``summary is None`` still marks completion), ``restart``
-    announces a revived worker re-running from scratch (its stolen
-    results must be discarded — the fresh run recomputes every shard),
-    and ``stolen`` delivers a thief's per-shard summaries.  Routing them
-    all through one queue gives the root a total order per worker.
-    """
-
-    worker_index: int
-    summary: object | None  # None marks worker completion
-    shards_done: int
-    bytes: int
-    error: BaseException | None = None  # a leaf failure, reported at the root
-    cache_hit: bool = False  # served from the worker's memo cache
-    kind: str = "partial"
-    stolen: "list[tuple[int, object]] | None" = None  # kind="stolen"
-    epoch: int = 0  # steal epoch the stolen summaries belong to
-    thief: int | None = None  # kind="stolen": the slot that did the work
-
-
 class Cluster:
     """A set of workers, the root's redo log, and the computation cache."""
 
@@ -2157,16 +2128,14 @@ class ClusterDataSet(IDataSet):
     # ------------------------------------------------------------------
     def _worker_stream(
         self,
-        worker_index: int,
+        slot: int,
         sketch: Sketch[R],
         lineage: list,
         token: CancellationToken | None,
-        emissions: "queue.Queue[_Emission]",
         workers: "list[WorkerProtocol]",
-        parent: "TraceContext | None" = None,
-        stat: dict | None = None,
-        fanout: str = "",
-        version: int | None = None,
+        version: int | None,
+        fan: FanOut,
+        post,
     ) -> None:
         """Drive one worker's partial stream, reviving it if it dies.
 
@@ -2177,107 +2146,77 @@ class ClusterDataSet(IDataSet):
         rebalanced under a concurrent stream), revival is abandoned and
         the whole fan-out restarts on the new placement.
 
-        ``parent`` is the fan-out's trace context, carried across the
-        thread boundary so each attempt records its own span (revival
-        retries show up as sibling spans under one fan-out); ``stat`` is
-        this worker's slot in the query profile, updated in place.
-        Each attempt's run is named ``fanout/slot/attempt`` — the name a
-        steal claim addresses (attempt = restarts so far, the root's
-        epoch for the slot).
+        Every event goes to the driver as ``post((fan.<event>, *args))``:
+        a partial per emission, ``restarted`` per revival, and exactly
+        one ``ended``.  Each attempt records its own span (revival
+        retries show up as sibling spans under one fan-out) and its run
+        is named ``fanout/slot/attempt`` — the name a steal claim
+        addresses (attempt = restarts so far, the root's epoch for the
+        slot).
         """
         cluster = self.cluster
-        done = 0
         failure: BaseException | None = None
         attempts = 0
         tries = 0
         try:
-            with use_context(parent):
-                while True:
-                    tries += 1
-                    worker = workers[worker_index]
-                    try:
-                        with span(
-                            "worker.stream",
-                            worker=worker.name,
-                            attempt=tries,
+            while True:
+                tries += 1
+                worker = workers[slot]
+                try:
+                    with span("worker.stream", worker=worker.name, attempt=tries):
+                        for emission in worker.sketch_partials(
+                            self.dataset_id,
+                            sketch,
+                            lineage,
+                            token,
+                            run=fan.run_name(slot, attempts),
+                            version=version,
                         ):
-                            for emission in worker.sketch_partials(
-                                self.dataset_id,
-                                sketch,
-                                lineage,
-                                token,
-                                run=f"{fanout}/{worker_index}/{attempts}",
-                                version=version,
-                            ):
-                                done = emission.shards_done
-                                emissions.put(
-                                    _Emission(
-                                        worker_index,
-                                        emission.summary,
-                                        emission.shards_done,
-                                        emission.bytes,
-                                        cache_hit=emission.cache_hit,
-                                    )
-                                )
-                    except WorkerUnavailableError as exc:
-                        attempts += 1
-                        cancelled = token is not None and token.cancelled
-                        in_sync = (
-                            worker_index < len(cluster.workers)
-                            and cluster.workers[worker_index]
-                            is workers[worker_index]
+                            post((fan.partial, slot, emission, fan.clock()))
+                except WorkerUnavailableError as exc:
+                    attempts += 1
+                    cancelled = token is not None and token.cancelled
+                    in_sync = (
+                        slot < len(cluster.workers)
+                        and cluster.workers[slot] is workers[slot]
+                    )
+                    if (
+                        not cancelled
+                        and attempts <= MAX_WORKER_RETRIES
+                        and in_sync
+                        and cluster.revive_worker(slot)
+                    ):
+                        workers[slot] = cluster.workers[slot]
+                        post((fan.restarted, slot))
+                        continue  # re-run against the revived worker
+                    if not in_sync:
+                        failure = StalePlacementError(
+                            f"worker {worker.name} left the placement "
+                            "while streaming; re-running on the new fleet"
                         )
-                        if (
-                            not cancelled
-                            and attempts <= MAX_WORKER_RETRIES
-                            and in_sync
-                            and cluster.revive_worker(worker_index)
-                        ):
-                            workers[worker_index] = cluster.workers[worker_index]
-                            done = 0
-                            # The fresh run recomputes *every* shard, so
-                            # summaries stolen from the dead run must be
-                            # dropped at the root or they double-count.
-                            emissions.put(
-                                _Emission(
-                                    worker_index, None, 0, 0, kind="restart"
-                                )
-                            )
-                            continue  # re-run against the revived worker
-                        if not in_sync:
-                            failure = StalePlacementError(
-                                f"worker {worker.name} left the placement "
-                                "while streaming; re-running on the new fleet"
-                            )
-                        else:
-                            failure = exc
-                    except Exception as exc:  # repro: ignore[B001] — surfaced at the root
+                    else:
                         failure = exc
-                    break
+                except Exception as exc:  # repro: ignore[B001] — surfaced at the root
+                    failure = exc
+                break
         except BaseException as exc:  # repro: ignore[B001] — sentinel must still post
             failure = failure if failure is not None else exc
         finally:
-            if stat is not None:
-                stat["attempts"] = tries
-            # The done sentinel is unconditional: without it the root's
-            # merge loop would wait on this worker forever.
-            emissions.put(_Emission(worker_index, None, done, 0, error=failure))
+            # Unconditional: without it the driver would wait on this
+            # worker forever.
+            post((fan.ended, slot, failure, tries, fan.clock()))
 
     def _steal_claim(
         self,
-        thief_slot: int,
-        victim_slot: int,
-        run: str,
-        epoch: int,
-        budget: int,
+        claim: Claim,
         sketch: Sketch,
         snapshot: "list[WorkerProtocol]",
-        emissions: "queue.Queue[_Emission]",
-        parent: "TraceContext | None" = None,
+        fan: FanOut,
+        post,
     ) -> None:
-        """One claim: cede unstarted slices of the victim's ``run``,
+        """One claim: cede unstarted slices of the victim's run,
         summarize them on the thief (root fallback if the thief cannot),
-        post the per-shard summaries back onto the merge queue.
+        and post the per-shard summaries as ``fan.claimed``.
 
         Once :meth:`WorkerProtocol.claim_slices` returns parcels, the
         victim has irrevocably skipped those shards — so every path
@@ -2285,99 +2224,52 @@ class ClusterDataSet(IDataSet):
         that fails the query; quietly dropping parcels would corrupt the
         merge.
         """
+        victim, thief = snapshot[claim.victim], snapshot[claim.thief]
         stolen: "list[tuple[int, object]] | None" = []
         error: BaseException | None = None
         try:
-            with use_context(parent):
-                with span(
-                    "cluster.steal",
-                    victim=snapshot[victim_slot].name,
-                    thief=snapshot[thief_slot].name,
-                    budget=budget,
-                ):
+            with span(
+                "cluster.steal",
+                victim=victim.name,
+                thief=thief.name,
+                budget=claim.budget,
+            ):
+                try:
+                    parcels = victim.claim_slices(claim.run, claim.budget)
+                except (WorkerUnavailableError, EngineError):
+                    # Nothing was ceded: an error reply means the victim
+                    # kept its shards, and a dead victim's revival
+                    # recomputes every shard regardless.
+                    parcels = []
+                if parcels:
                     try:
-                        parcels = snapshot[victim_slot].claim_slices(
-                            run, budget
-                        )
+                        results = thief.summarize_stolen(sketch, parcels)
                     except (WorkerUnavailableError, EngineError):
-                        # Nothing was ceded: an error reply means the
-                        # victim kept its shards, and a dead victim's
-                        # revival recomputes every shard regardless.
-                        parcels = []
-                    if parcels:
                         results = None
-                        try:
-                            results = snapshot[thief_slot].summarize_stolen(
-                                sketch, parcels
-                            )
-                        except (WorkerUnavailableError, EngineError):
-                            results = None
-                        if results is None:
-                            # The thief died (or cannot help) after the
-                            # cede: the root summarizes the parcels
-                            # itself — it holds the sketch and the
-                            # shard bytes, so no slice goes missing.
-                            REGISTRY.counter(
-                                "cluster.steal.fallbacks",
-                                "ceded slices summarized by the root after "
-                                "a thief failure",
-                            ).inc(len(parcels))
-                            results = [
-                                (
-                                    parcel.global_index,
-                                    sketch.summarize(parcel.resolve()),
-                                )
-                                for parcel in parcels
-                            ]
-                        stolen = results
+                    if results is None:
+                        # The thief died (or cannot help) after the
+                        # cede: the root summarizes the parcels itself —
+                        # it holds the sketch and the shard bytes, so no
+                        # slice goes missing.
+                        REGISTRY.counter(
+                            "cluster.steal.fallbacks",
+                            "ceded slices summarized by the root after "
+                            "a thief failure",
+                        ).inc(len(parcels))
+                        results = [
+                            (parcel.global_index, sketch.summarize(parcel.resolve()))
+                            for parcel in parcels
+                        ]
+                    stolen = results
         except BaseException as exc:
             stolen = None
             error = exc
-            # The finally below posts the error emission *before* this
-            # re-raise unwinds; the query fails loudly at the root and
-            # the thread's traceback marks the unexpected path.
+            # The finally below posts the failure *before* this re-raise
+            # unwinds; the query fails loudly at the root and the
+            # thread's traceback marks the unexpected path.
             raise
         finally:
-            emissions.put(
-                _Emission(
-                    victim_slot,
-                    None,
-                    0,
-                    0,
-                    error=error,
-                    kind="stolen",
-                    stolen=stolen,
-                    epoch=epoch,
-                    thief=thief_slot,
-                )
-            )
-
-    @staticmethod
-    def _verify_steal_coverage(
-        stolen_acc: "dict[int, dict[int, object]]",
-        done_counts: "dict[int, int]",
-        slot_totals: "list[int]",
-        count: int,
-        worker_stats: "list[dict]",
-    ) -> None:
-        """The stolen set must be exactly the victim's unfolded suffix.
-
-        The shards the victim folded plus the stolen global indices
-        must tile ``range(slot_totals[v])`` — anything else means a
-        slice was double-summarized or silently dropped, and a loud
-        failure beats byte-divergent results.
-        """
-        for victim, extras in stolen_acc.items():
-            if not extras or worker_stats[victim].get("error"):
-                continue
-            positions = {(g - victim) // count for g in extras}
-            expected = set(range(done_counts[victim], slot_totals[victim]))
-            if positions != expected:
-                raise EngineError(
-                    f"work stealing left slot {victim} with shard coverage "
-                    f"{sorted(positions)} over prefix {done_counts[victim]} "
-                    f"of {slot_totals[victim]} shards"
-                )
+            post((fan.claimed, claim.victim, stolen, error))
 
     def sketch_stream(
         self,
@@ -2432,329 +2324,74 @@ class ClusterDataSet(IDataSet):
         """One fan-out over the current placement, which the root names
         as ``version`` on every worker call; returns the final merge (via
         StopIteration value) or raises :class:`StalePlacementError` if
-        the fleet moved mid-flight."""
+        the fleet moved mid-flight.
+
+        The root's decisions live in a :class:`FanOut`; this driver owns
+        the ensure broadcast, the threads, one event queue and the clock.
+        Threads never touch the ``FanOut``: each posts the call the
+        driver then makes on it, and the driver carries out the actions
+        that call returns.
+        """
         cluster = self.cluster
+        clock = time.perf_counter
         cluster._enter_stream()
         try:
-            # The profile is collected unconditionally — a handful of
-            # perf_counter reads per emission — so `profile: true`
-            # replies work with tracing off; it is attached (and updated
-            # in place) on every yielded partial and finalized before
-            # the stream's StopIteration, i.e. before any drain loop
-            # over this generator returns.
-            attempt_started = time.perf_counter()
-            profile: dict = {}
-            bytes_counter = REGISTRY.counter(
-                "cluster.bytes_to_root",
-                "serialized summary bytes received by the root",
-            )
-
             # Phase 1 (request broadcast + data materialization): every
             # worker resolves its shards, replaying the redo log if its
             # state was lost.
             lineage = cluster.lineage(self.dataset_id)
-            ensure_started = time.perf_counter()
-            with span("cluster.ensure", dataset=self.dataset_id) as ensure_ctx:
-
-                def ensure_one(i, w):
-                    # Explicit capture: _for_all_workers runs this on
-                    # its own threads, which see no thread-local context.
-                    with use_context(ensure_ctx):
-                        return w.ensure(self.dataset_id, lineage, version)
-
-                shard_counts = cluster._for_all_workers(ensure_one)
-            profile["ensureSeconds"] = round(
-                time.perf_counter() - ensure_started, 6
-            )
-            total_shards = sum(shard_counts) or 1
-
+            started = clock()
+            with span("cluster.ensure", dataset=self.dataset_id):
+                shard_counts = cluster._for_all_workers(
+                    lambda i, w: w.ensure(self.dataset_id, lineage, version)
+                )
             # Phase 2: leaves summarize; aggregation nodes emit partials.
             snapshot = list(cluster.workers)
-            workers = range(len(snapshot))
-            slot_totals = list(shard_counts)
-            worker_stats: list[dict] = [
-                {
-                    "name": w.name,
-                    "shards": 0,
-                    "bytes": 0,
-                    "emissions": 0,
-                    "cacheHit": False,
-                    "attempts": 0,
-                }
-                for w in snapshot
-            ]
-            profile["workers"] = worker_stats
-            emissions: "queue.Queue[_Emission]" = queue.Queue()
-            merge_seconds = 0.0
-            # Unique across roots that share a daemon fleet.
-            fanout = uuid.uuid4().hex[:12]
-            fanout_started = time.perf_counter()
+            fan = FanOut(
+                sketch,
+                [w.name for w in snapshot],
+                shard_counts,
+                clock=clock,
+                steal_after=steal_after_seconds(cluster.aggregation_interval),
+                token=token,
+                # Unique across roots that share a daemon fleet.
+                fanout=uuid.uuid4().hex[:12],
+                profile={"ensureSeconds": round(clock() - started, 6)},
+                engine_started=started,
+            )
+            events: queue.Queue = queue.Queue()
+            threads: list[threading.Thread] = []
             with span(
                 "cluster.fanout",
                 dataset=self.dataset_id,
                 sketch=sketch.name,
                 workers=len(snapshot),
             ) as fan_ctx:
-                threads = [
-                    threading.Thread(
-                        target=self._worker_stream,
-                        args=(
-                            i,
-                            sketch,
-                            lineage,
-                            token,
-                            emissions,
-                            snapshot,
-                            fan_ctx,
-                            worker_stats[i],
-                            fanout,
-                            version,
-                        ),
-                        daemon=True,
-                    )
-                    for i in workers
-                ]
-                for thread in threads:
-                    thread.start()
 
-                latest: dict[int, R] = {}
-                done_counts = dict.fromkeys(workers, 0)
-                hit_workers: set[int] = set()
-                finished = 0
-                final: R | None = None
-                leaf_error: BaseException | None = None
+                def start(target, *args) -> None:
+                    def run() -> None:
+                        with use_context(fan_ctx):
+                            target(*args)
 
-                # -- work stealing (straggler suppression) -------------
-                # A slot whose stream finished is an idle thief; a slot
-                # with enough unstarted shards is a victim, claimed by
-                # the name of its current run.  Claims run on their own
-                # threads and deliver per-shard summaries through the
-                # same queue; the restart marker bumps the victim's
-                # epoch so summaries stolen from a dead run are
-                # discarded, never merged.  A finished slot is never
-                # claimable again; one whose claim ceded nothing (every
-                # pending shard already started, or its run not
-                # registered yet) is not until its next partial —
-                # re-claiming sooner only spins.
-                steal_on = len(snapshot) > 1
-                steal_after = steal_after_seconds(
-                    cluster.aggregation_interval
-                )
-                epochs = dict.fromkeys(workers, 0)
-                stolen_acc: "dict[int, dict[int, object]]" = {
-                    i: {} for i in workers
-                }
-                unclaimable: set[int] = set()
-                claims_in_flight: set[int] = set()
-                idle_thieves: list[int] = []
-                steal_threads: list[threading.Thread] = []
-                outstanding = 0
-                claims_counter = REGISTRY.counter(
-                    "cluster.steal.claims",
-                    "work-steal claims dispatched by roots",
-                )
-                slices_counter = REGISTRY.counter(
-                    "cluster.steal.slices",
-                    "shard slices reassigned to idle workers mid-sketch",
-                )
+                    threads.append(threading.Thread(target=run, daemon=True))
+                    threads[-1].start()
 
-                def pending_of(victim: int) -> int:
-                    return (
-                        slot_totals[victim]
-                        - done_counts[victim]
-                        - len(stolen_acc[victim])
-                    )
-
-                def maybe_steal() -> None:
-                    nonlocal outstanding
-                    if not steal_on or (token is not None and token.cancelled):
-                        return
-                    if time.perf_counter() - fanout_started < steal_after:
-                        # Not a straggler yet: claims this early cost
-                        # more than they save and break the victim's
-                        # slice memoization.  The next emission (cadence
-                        # partial or completion) re-evaluates.
-                        return
-                    while idle_thieves:
-                        candidates = [
-                            v
-                            for v in workers
-                            if v not in unclaimable
-                            and v not in claims_in_flight
-                            and pending_of(v) >= STEAL_MIN_PENDING
-                        ]
-                        if not candidates:
-                            return
-                        victim = max(candidates, key=pending_of)
-                        thief = idle_thieves.pop()
-                        epoch = epochs[victim]
-                        budget = max(
-                            1,
-                            min(STEAL_MAX_BUDGET, pending_of(victim) // 2),
-                        )
-                        claims_in_flight.add(victim)
-                        outstanding += 1
-                        claims_counter.inc()
-                        thread = threading.Thread(
-                            target=self._steal_claim,
-                            args=(
-                                thief,
-                                victim,
-                                f"{fanout}/{victim}/{epoch}",
-                                epoch,
-                                budget,
-                                sketch,
-                                snapshot,
-                                emissions,
-                                fan_ctx,
-                            ),
-                            daemon=True,
-                        )
-                        steal_threads.append(thread)
-                        thread.start()
-
-                def merged_now() -> R:
-                    # Worker-index order, not arrival order, and stolen
-                    # summaries appended to their victim's prefix fold
-                    # in global shard order: the final bytes must not
-                    # depend on which worker emitted (or stole) first.
-                    slots = set(latest) | {
-                        v for v, extras in stolen_acc.items() if extras
-                    }
-                    values = []
-                    for i in sorted(slots):
-                        value = latest.get(i, sketch.zero())
-                        extras = stolen_acc[i]
-                        for g in sorted(extras):
-                            value = sketch.merge(value, extras[g])
-                        values.append(value)
-                    return sketch.merge_all(values)
-
-                def progress() -> float:
-                    covered = sum(done_counts.values()) + sum(
-                        len(extras) for extras in stolen_acc.values()
-                    )
-                    return covered / total_shards
-
-                while finished < len(threads) or outstanding:
-                    emission = emissions.get()
-                    slot = emission.worker_index
-                    if emission.kind == "restart":
-                        epochs[slot] += 1
-                        stolen_acc[slot].clear()
-                        done_counts[slot] = 0
-                        continue
-                    if emission.kind == "stolen":
-                        outstanding -= 1
-                        claims_in_flight.discard(slot)
-                        if emission.thief is not None:
-                            idle_thieves.append(emission.thief)
-                        if emission.stolen is None:
-                            # Ceded parcels exist but nobody could
-                            # summarize them: surface instead of
-                            # returning a silently incomplete merge.
-                            if emission.error is not None and leaf_error is None:
-                                leaf_error = emission.error
-                        elif not emission.stolen:
-                            unclaimable.add(slot)
-                        elif emission.epoch == epochs[slot]:
-                            stolen_acc[slot].update(dict(emission.stolen))
-                            slices_counter.inc(len(emission.stolen))
-                            worker_stats[slot]["ceded"] = len(stolen_acc[slot])
-                            merge_started = time.perf_counter()
-                            merged = merged_now()
-                            merge_seconds += (
-                                time.perf_counter() - merge_started
-                            )
-                            final = merged
-                            yield PartialResult(
-                                progress(),
-                                merged,
-                                received_bytes=0,
-                                worker_cache_hits=len(hit_workers),
-                                profile=profile,
-                            )
-                        maybe_steal()
-                        continue
-                    stat = worker_stats[slot]
-                    done_counts[slot] = emission.shards_done
-                    stat["shards"] = emission.shards_done
-                    if emission.summary is None:
-                        finished += 1
-                        unclaimable.add(slot)
-                        if emission.error is not None:
-                            stat["error"] = str(emission.error)
-                            if leaf_error is None:
-                                leaf_error = emission.error
-                        else:
-                            idle_thieves.append(slot)
-                            maybe_steal()
-                        continue
-                    offset = time.perf_counter() - fanout_started
-                    stat.setdefault("firstEmitSeconds", round(offset, 6))
-                    stat["lastEmitSeconds"] = round(offset, 6)
-                    stat["bytes"] += emission.bytes
-                    stat["emissions"] += 1
-                    if emission.cache_hit:
-                        stat["cacheHit"] = True
-                        hit_workers.add(emission.worker_index)
-                    latest[emission.worker_index] = emission.summary  # type: ignore[assignment]
-                    with cluster._lock:
-                        cluster.total_bytes_to_root += emission.bytes
-                    bytes_counter.inc(emission.bytes)
-                    merge_started = time.perf_counter()
-                    merged = merged_now()
-                    merge_seconds += time.perf_counter() - merge_started
-                    final = merged
-                    yield PartialResult(
-                        progress(),
-                        merged,
-                        received_bytes=emission.bytes,
-                        worker_cache_hits=len(hit_workers),
-                        profile=profile,
-                    )
-                    # Cadence partials re-evaluate the straggler gate:
-                    # thieves idle since before the gate opened would
-                    # otherwise never fire.  An emitter whose last claim
-                    # ceded nothing may be claimed once more (its run may
-                    # have registered since): at most one empty claim
-                    # per partial.
-                    unclaimable.discard(slot)
-                    maybe_steal()
+                for slot in range(len(snapshot)):
+                    start(self._worker_stream, slot, sketch, lineage, token,
+                          snapshot, version, fan, events.put)
+                while not fan.finished:
+                    event, *args = events.get()
+                    for action in event(*args):
+                        if isinstance(action, Claim):
+                            start(self._steal_claim, action, sketch, snapshot,
+                                  fan, events.put)
+                            continue
+                        with cluster._lock:
+                            cluster.total_bytes_to_root += action.received_bytes
+                        yield action
                 for thread in threads:
                     thread.join()
-                for thread in steal_threads:
-                    thread.join()
-                if leaf_error is None:
-                    self._verify_steal_coverage(
-                        stolen_acc,
-                        done_counts,
-                        slot_totals,
-                        len(snapshot),
-                        worker_stats,
-                    )
-            last_emits = [
-                s["lastEmitSeconds"]
-                for s in worker_stats
-                if s.get("lastEmitSeconds") is not None
-            ]
-            profile["mergeSeconds"] = round(merge_seconds, 6)
-            profile["stragglerSeconds"] = (
-                round(max(last_emits), 6) if last_emits else 0.0
-            )
-            profile["fanoutSeconds"] = round(
-                time.perf_counter() - fanout_started, 6
-            )
-            profile["engineSeconds"] = round(
-                time.perf_counter() - attempt_started, 6
-            )
-            profile["totalShards"] = total_shards
-            profile["stolenSlices"] = sum(
-                len(extras) for extras in stolen_acc.values()
-            )
-            if leaf_error is not None:
-                raise leaf_error
-            return final
+                return fan.result()
         finally:
             cluster._exit_stream()
 

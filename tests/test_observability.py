@@ -49,6 +49,8 @@ from repro.service import ServiceClient, ServiceServer
 from repro.sketches.histogram import HistogramSketch
 from repro.storage.loader import TableSource
 
+from tests.conftest import WireDeployment
+
 BUCKETS = DoubleBuckets(0, 100, 10)
 
 
@@ -323,6 +325,29 @@ class TestTraceSurvivesFaults:
         assert len(fanouts) == 2  # the restarted fan-out, same trace
 
 
+class TestFanOutTracing:
+    def test_worker_ensures_parent_under_the_ensure_broadcast(self):
+        # The ensure phase runs on _for_all_workers' pool threads, which
+        # carry the caller's context: inside span("cluster.ensure"),
+        # that span.
+        deployment = WireDeployment()
+        try:
+            cluster = deployment.root(
+                [deployment.make(f"worker-{i}") for i in range(2)]
+            )
+            loaded = cluster.load(FlightsSource(2_000, partitions=4, seed=5))
+            ctx = TraceContext.new_root()
+            with use_context(ctx):
+                loaded.sketch(HistogramSketch("Distance", DoubleBuckets(0, 6000, 12)))
+            spans = RECORDER.spans(ctx.trace_id)
+            (ensure,) = [s for s in spans if s["name"] == "cluster.ensure"]
+            worker_ensures = [s for s in spans if s["name"] == "worker.ensure"]
+            assert len(worker_ensures) == 2
+            assert {s["parentId"] for s in worker_ensures} == {ensure["spanId"]}
+        finally:
+            deployment.close()
+
+
 # ---------------------------------------------------------------------------
 # Service-level: the client->root wire, profiles, and the obs RPCs
 # ---------------------------------------------------------------------------
@@ -450,6 +475,9 @@ class TestServiceTracing:
         for stat in profile["workers"]:
             assert stat["attempts"] >= 1
             assert stat["shards"] >= 1
+            # Where the root read the worker's terminal: never before its
+            # last partial.
+            assert stat["endSeconds"] >= stat["lastEmitSeconds"]
 
     def test_metrics_snapshot_reports_fleet_state(self, obs_client):
         handle = obs_client.load()
