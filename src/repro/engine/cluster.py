@@ -176,12 +176,14 @@ class WorkerEmission:
 
     ``cache_hit`` marks a partial served whole from the worker's memo
     cache — no shard was scanned to produce it (§5.4 at the worker tier).
+    ``final`` marks the stream's last one (on the wire, its terminal).
     """
 
     summary: object
     shards_done: int
     bytes: int
     cache_hit: bool = False
+    final: bool = False
 
 
 @dataclass
@@ -1010,7 +1012,8 @@ class Worker(WorkerProtocol):
                         recipe["hits"] += 1
                 summary, shard_count = memoized
                 yield WorkerEmission(
-                    summary, shard_count, summary_size(summary), cache_hit=True
+                    summary, shard_count, summary_size(summary),
+                    cache_hit=True, final=True,
                 )
                 return
         shards = self.shards(dataset_id, lineage)
@@ -1028,10 +1031,9 @@ class Worker(WorkerProtocol):
 
         accumulated = sketch.zero()
         done = 0
-        pending_since_emit = 0
+        unsent = 0
         last_emit = time.monotonic()
         failure: BaseException | None = None
-        ceded = False
         with concurrent.futures.ThreadPoolExecutor(self.cores) as pool:
             futures = [pool.submit(leaf, shard) for shard in shards]
             if run is not None:
@@ -1050,7 +1052,6 @@ class Worker(WorkerProtocol):
                         # contiguous suffixes, every later one) went to an
                         # idle peer: the cumulative partial so far covers
                         # exactly the prefix this worker kept.
-                        ceded = True
                         break
                     except Exception as exc:  # repro: ignore[B001] — not swallowed: re-raised after the pool drains
                         # A leaf failed (bad column, broken expression...):
@@ -1063,21 +1064,19 @@ class Worker(WorkerProtocol):
                     done += 1
                     if summary is not None:
                         accumulated = sketch.merge(accumulated, summary)
-                        pending_since_emit += 1
+                        unsent += 1
                         # Counted here, in the folding thread and under
                         # the lock: a bare ``+= 1`` on the leaf pool's
                         # threads loses updates.
                         with self._ops:
                             self.shards_summarized += 1
                     now = time.monotonic()
-                    finished = done == len(shards)
-                    if pending_since_emit and (
-                        now - last_emit >= interval or finished
-                    ):
+                    # The last shard rides the final emission below.
+                    if unsent and done < len(shards) and now - last_emit >= interval:
                         yield WorkerEmission(
                             accumulated, done, summary_size(accumulated)
                         )
-                        pending_since_emit = 0
+                        unsent = 0
                         last_emit = now
             finally:
                 # Ended or closed: the run is no longer claimable.
@@ -1085,11 +1084,6 @@ class Worker(WorkerProtocol):
                     self._runs.pop(run, None)
         if failure is not None:
             raise failure
-        if ceded and pending_since_emit:
-            # Shards folded since the last cadence emission must still
-            # reach the root — its slice fold resumes from this exact
-            # prefix partial before appending the stolen summaries.
-            yield WorkerEmission(accumulated, done, summary_size(accumulated))
         if (
             memo_key is not None
             and shards
@@ -1109,6 +1103,13 @@ class Worker(WorkerProtocol):
                         "lineage": lineage,
                         "hits": hits,
                     }
+        if done:
+            # Finished, ceded or cancelled, the run ends with one final
+            # emission, after the memo insert: a repeat the root sends
+            # once it has read this must hit the memo.
+            yield WorkerEmission(
+                accumulated, done, summary_size(accumulated), final=True
+            )
 
     def claim_slices(self, run: str, budget: int) -> "list[StolenParcel]":
         """Act as the victim of a steal.

@@ -74,7 +74,6 @@ from repro.engine.rpc import (
     RpcRequest,
     call_once,
     summary_from_bytes,
-    summary_tag,
     summary_to_bytes,
 )
 from repro.engine.verbs import VERBS, WIRE_VERBS, Verb
@@ -184,9 +183,9 @@ class WorkerServer:
     ``hello`` it sends :class:`~repro.engine.rpc.RpcRequest`
     envelopes — the verbs of :data:`repro.engine.verbs.WIRE_VERBS`,
     dispatched from that table — and the worker streams back replies,
-    interleaved by request id.  ``sketch`` yields one ``partial`` per
-    aggregation-cadence tick carrying the cumulative summary as a binary
-    attachment.
+    interleaved by request id.  ``sketch`` streams cumulative summaries
+    as binary attachments: a ``partial`` per aggregation-cadence tick,
+    the last summary on the terminal ``complete``.
 
     Everything about *what the worker holds* — the sticky versioned
     placement, the admission guard, rebalance staging — lives in the
@@ -543,39 +542,28 @@ class WorkerServer:
             if request.request_id in link.cancelled_early:
                 link.cancelled_early.discard(request.request_id)
                 token.cancel()
-        done = 0
-        cache_hit = False
         try:
+            final = False
             for emission in self.worker.sketch_partials(
                 dataset, sketch, lineage, token, run, version
             ):
-                done = emission.shards_done
-                cache_hit = cache_hit or emission.cache_hit
-                # The summary travels as its own Encoder
-                # format in a binary attachment; the JSON header keeps
-                # only the stream metadata plus the payload type tag.
-                partial = RpcReply(
+                # The summary travels as its own Encoder format in the
+                # attachment; the final one on the terminal reply.
+                final = emission.final
+                reply = RpcReply(
                     request.request_id,
-                    "partial",
-                    progress=0.0,
+                    "complete" if final else "partial",
+                    progress=1.0 if final else 0.0,
                     payload={
-                        "summaryType": summary_tag(emission.summary),
                         "shardsDone": emission.shards_done,
                         "bytes": emission.bytes,
                         "cacheHit": emission.cache_hit,
                     },
                 )
-                partial.attachment = summary_to_bytes(emission.summary)
-                yield partial
-            yield RpcReply(
-                request.request_id,
-                "complete",
-                payload={
-                    "shardsDone": done,
-                    "cancelled": token.cancelled,
-                    "cacheHit": cache_hit,
-                },
-            )
+                reply.attachment = summary_to_bytes(emission.summary)
+                yield reply
+            if not final:  # nothing was folded: a bare terminal
+                yield RpcReply(request.request_id, "complete")
         finally:
             with link.tokens_lock:
                 link.tokens.pop(request.request_id, None)
@@ -584,6 +572,21 @@ class WorkerServer:
 # ---------------------------------------------------------------------------
 # Root side: channel + proxy
 # ---------------------------------------------------------------------------
+def _emission(name: str, reply: RpcReply) -> WorkerEmission:
+    """A ``sketch`` reply's emission, checked: another process wrote it."""
+    fields = reply.payload if isinstance(reply.payload, dict) else {}
+    shards_done, size = fields.get("shardsDone"), fields.get("bytes")
+    if reply.attachment is None or {type(shards_done), type(size)} != {int}:
+        raise ProtocolError(
+            f"worker {name} sent a malformed sketch {reply.kind} (it needs a "
+            f"summary attachment, integer shardsDone and bytes): {reply.payload!r}"
+        )
+    return WorkerEmission(
+        summary_from_bytes(reply.attachment), shards_done, size,
+        cache_hit=bool(fields.get("cacheHit")), final=reply.kind != "partial",
+    )
+
+
 def _raise_for_error_reply(name: str, reply: RpcReply) -> None:
     """Map a worker's error envelope to the root-side exception class."""
     if reply.code in ("connection", "worker_unavailable", "worker_draining"):
@@ -807,22 +810,11 @@ class RemoteWorkerProxy(WorkerProtocol):
                         )
                     continue
                 deadline = time.monotonic() + self.request_timeout
-                if reply.kind == "partial":
-                    payload = reply.payload
-                    if reply.attachment is None:
-                        raise ProtocolError(
-                            f"worker {self.name} sent a partial without its "
-                            "binary summary attachment"
-                        )
-                    yield WorkerEmission(
-                        summary_from_bytes(reply.attachment),
-                        int(payload["shardsDone"]),
-                        int(payload["bytes"]),
-                        cache_hit=bool(payload.get("cacheHit", False)),
-                    )
-                elif reply.kind == "error":
+                if reply.kind == "error":
                     _raise_for_error_reply(self.name, reply)
-                else:  # complete / cancelled / ack — the stream's end
+                if reply.kind == "partial" or reply.attachment is not None:
+                    yield _emission(self.name, reply)
+                if reply.kind != "partial":  # the terminal: the stream's end
                     return
         finally:
             # A stream abandoned before its terminal reply (stall

@@ -201,7 +201,8 @@ class Verb:
     names as a last argument (``placementVersion``); ``refused_draining``
     — refused (code ``worker_draining``) once the daemon received
     SIGTERM; ``streaming`` — ``partial`` replies precede the terminal
-    one; ``daemon`` — the daemon answers, adding process-level fields to
+    one, each summary rides an attachment, the last on the terminal;
+    ``daemon`` — the daemon answers, adding process-level fields to
     the worker's own answer.  ``reply_key`` wraps the converted result as
     ``{reply_key: ...}`` (``also`` names a second method whose dict
     result joins it); without one the result *is* the payload (no
@@ -324,7 +325,7 @@ WIRE_VERBS: tuple[Verb, ...] = (
     Verb("schema", "shard_schema", reply_key="columns", reply=SCHEMA,
          dataset_op=True, args=(_DATASET, _LINEAGE)),
     Verb("sketch", "sketch_partials", dataset_op=True, streaming=True,
-         reply=_object("shardsDone", "cancelled", "cacheHit"),
+         reply=_object("shardsDone", "bytes", "cacheHit"),
          args=(_DATASET, Arg("sketch", SKETCH), _LINEAGE,
                Arg("run", TEXT, omit_none=True))),
     Verb("evict", "evict", kind="ack", dataset_op=True, args=(_DATASET,)),

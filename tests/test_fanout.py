@@ -164,6 +164,34 @@ POLICY = {
             (("claimed", 1, []), []),
         ],
     ),
+    "a multi-core straggler costs one empty claim per partial": (
+        (1, 8),
+        0.0,
+        [
+            (("partial", 1, 6), []),
+            (("ended", 0), [(0, 1, "f/1/0", 1)]),
+            (("claimed", 1, []), []),  # both pending shards already started
+            (("partial", 1, 7), []),  # one pending: let it finish
+            (("ended", 1), []),
+        ],
+    ),
+    "a balanced fleet that finishes inside the gate never claims": (
+        (4, 4),
+        0.25,
+        [
+            (("at", 0.05), []),
+            (("partial", 0, 2), []),
+            (("partial", 1, 1), []),
+            (("at", 0.1), []),
+            (("partial", 0, 4), []),
+            (("ended", 0), []),  # an idle thief, three shards pending
+            (("at", 0.2), []),
+            (("partial", 1, 3), []),
+            (("at", 0.24), []),
+            (("partial", 1, 4), []),
+            (("ended", 1), []),
+        ],
+    ),
     "a finished slot is never a victim": (
         (1, 8),
         0.0,

@@ -781,7 +781,7 @@ class TestBinaryEnvelopes:
         )
 
         first = RpcReply(1, "ack", payload={"hello": True})
-        second = RpcReply(2, "partial", payload={"summaryType": "histogram"})
+        second = RpcReply(2, "partial", payload={"shardsDone": 6, "bytes": 55})
         second.attachment = b"\x00\x01binary bytes, not JSON\xff"
         third = RpcReply(3, "complete", payload=None)
         buffer = io.BytesIO()

@@ -152,6 +152,10 @@ class TestClaimSlices:
             shard.num_rows for shard in SOURCE.load_slice(1, 2)[3:]
         ]
         assert emissions[-1].shards_done == 3, "the victim folded a ceded shard"
+        finals = [e.final for e in emissions]
+        assert finals == [False] * (len(finals) - 1) + [True], (
+            "a ceded run ends with exactly one final emission"
+        )
         assert worker.metrics_snapshot()["slicesDonated"] == 3
 
     def test_nothing_to_cede_is_an_empty_claim(self, deployment):
@@ -166,6 +170,10 @@ class TestClaimSlices:
         assert not thread.is_alive()
         assert worker.claim_slices("r", 4) == [], "a finished run ceded"
         assert emissions[-1].shards_done == 6
+        finals = [e.final for e in emissions]
+        assert finals == [False] * (len(finals) - 1) + [True], (
+            "a finished run ends with exactly one final emission"
+        )
         assert worker.metrics_snapshot()["slicesDonated"] == 0
 
     def test_a_closed_stream_leaves_no_registered_run(self, deployment):
@@ -243,38 +251,6 @@ class TestInProcessStealing:
             "stealing changed the summary bytes"
         )
 
-    def test_a_claim_that_cedes_nothing_waits_for_the_next_partial(
-        self, monkeypatch
-    ):
-        """A 2-core straggler keeps two shards started, which no claim
-        can take.  Re-claiming it the moment a claim returns spun: ~200
-        claims per query here, 99 % of them empty.  An empty claim now
-        leaves the victim unclaimable until its next partial."""
-        monkeypatch.setenv("REPRO_STEAL_AFTER", "0.05")
-        source = FlightsSource(ROWS, partitions=48, seed=13)
-        straggler = Worker("straggler", cores=2)
-        ceded, partials = count_claims(straggler)
-        cluster = Cluster(
-            workers=[straggler, Worker("fast", cores=8)],
-            aggregation_interval=0.02,
-        )
-        run = cluster.load(source).run(slow(0.03))
-        assert sum(ceded) > 0, "the idle peer never stole"
-        assert ceded.count(0) <= 1 + len(partials), (
-            f"{ceded.count(0)} empty claims against {len(partials)} partials"
-        )
-        assert run.value.to_bytes() == reference_bytes(slow(0.03), source)
-
-    def test_balanced_fleet_does_not_steal(self, monkeypatch):
-        """The straggler gate: a balanced fleet finishing within the
-        grace window must not shed slices (stolen shards would dodge
-        their home worker's memo for no latency win)."""
-        monkeypatch.delenv("REPRO_STEAL_AFTER", raising=False)
-        cluster = Cluster(num_workers=2, cores_per_worker=2,
-                          aggregation_interval=0.02)
-        cluster.load(SOURCE).run(hist())
-        assert all(w.slices_stolen == 0 for w in cluster.workers)
-
 
 class TestPrewarming:
     def test_grow_prewarms_and_fresh_root_first_query_hits(self, monkeypatch):
@@ -323,14 +299,17 @@ class TestPrewarming:
         hot = hist()
         cold = HistogramSketch("Distance", DoubleBuckets(0, 3000, 5))
         lineage = cluster.lineage(ds.dataset_id)
-        for _ in range(4):
+        for repeat in range(4):
             # Drive the worker directly: the root computation cache
             # would otherwise absorb the repeats before the memo sees
             # them.
             worker_runs = list(
                 worker.sketch_partials(ds.dataset_id, hot, lineage)
             )
-            assert worker_runs
+            assert worker_runs and worker_runs[-1].final
+            if repeat:  # a memo hit is one final emission
+                (hit,) = worker_runs
+                assert hit.cache_hit and hit.shards_done == PARTITIONS
         list(worker.sketch_partials(ds.dataset_id, cold, lineage))
 
         everything = worker.export_hot_entries(1 << 30)

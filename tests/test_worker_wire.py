@@ -1,24 +1,42 @@
 """Root-side bookkeeping of the worker wire: abandoned requests leave no
-reply queue behind, and the served/scanned counters lose no update.
+reply queue behind, the served/scanned counters lose no update, a
+worker's stream ends with its last summary, and a malformed summary
+reply is a protocol error.
 
-Every test talks to an in-thread :class:`WorkerServer` over a
+Most tests talk to an in-thread :class:`WorkerServer` over a
 ``socket.socketpair()`` — the real channel and dispatch, no subprocess.
+``TestStreamEnd`` dials in-thread daemons over loopback TCP instead: an
+AF_UNIX pair has no Nagle algorithm, so only TCP shows a stream whose
+end waits on a small frame written right behind another.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
+import statistics
 import sys
 import threading
 
 import pytest
 
 import repro.service.slow  # noqa: F401 — the "slow" wire type
+from repro.core.framing import read_frame_blocking, write_frame
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Worker
-from repro.engine.remote import RemoteWorkerProxy, WorkerServer
-from repro.engine.rpc import sketch_from_json
-from repro.errors import WorkerUnavailableError
+from repro.engine.remote import (
+    ProcessCluster,
+    RemoteWorkerProxy,
+    WorkerServer,
+    _WorkerChannel,
+)
+from repro.engine.rpc import (
+    RpcReply,
+    RpcRequest,
+    sketch_from_json,
+    summary_to_bytes,
+)
+from repro.errors import ProtocolError, WorkerUnavailableError
 from repro.storage.loader import TableSource
 from repro.table.table import Table
 
@@ -140,3 +158,114 @@ class TestExactCounters:
         finally:
             for proxy in proxies:
                 proxy.close()
+
+
+def histogram(count: int):
+    return sketch_from_json(
+        {**HIST, "buckets": {**HIST["buckets"], "count": count}}
+    )
+
+
+class TestStreamEnd:
+    def test_the_terminal_carries_the_last_summary_over_tcp(self):
+        """Per query, the slowest worker's end (the root's read of its
+        terminal) lags its last emission by under 10 ms.  A last summary
+        sent as a ``partial`` and then a separate small ``complete``
+        stalled ~40 ms here: Nagle held the second frame for the
+        delayed ACK of the first."""
+        servers, addresses = [], []
+        try:
+            for i in range(2):
+                server = WorkerServer(
+                    name=f"tcp-{i}", cores=2, cache_sweep_interval_seconds=0
+                )
+                bound: queue.Queue = queue.Queue()
+                threading.Thread(
+                    target=server.run_listen,
+                    kwargs={"port": 0, "on_bound": bound.put},
+                    daemon=True,
+                ).start()
+                servers.append(server)
+                addresses.append(tuple(bound.get(timeout=10)))
+            cluster = ProcessCluster(addresses=addresses)
+            try:
+                dataset = cluster.load(FlightsSource(4_000, partitions=8, seed=3))
+                tails = []
+                for count in range(5, 15):  # distinct bucketings: no cache
+                    *_, last = dataset.sketch_stream(histogram(count))
+                    workers = last.profile["workers"]
+                    assert len(workers) == 2 and not last.cache_hit
+                    tails.append(
+                        max(w["endSeconds"] - w["lastEmitSeconds"] for w in workers)
+                    )
+            finally:
+                cluster.close()
+        finally:
+            for server in servers:
+                server.begin_drain()
+        assert statistics.median(tails) < 0.010, tails
+
+
+class TestMalformedSummaryReply:
+    """A worker is another process: a summary reply whose header does
+    not say how many shards and bytes it covers fails the stream as a
+    protocol error naming the worker, not as ``internal``."""
+
+    @staticmethod
+    def _stream(reply: RpcReply):
+        """A proxy whose ``worker`` answers its first request with
+        ``reply`` (request id filled in) over a socket pair."""
+        near, far = socket.socketpair()
+
+        def answer() -> None:
+            with far, far.makefile("rb") as rfile, far.makefile("wb") as wfile:
+                request = RpcRequest.from_frame(read_frame_blocking(rfile))
+                reply.request_id = request.request_id
+                write_frame(wfile, reply.to_frame())
+                read_frame_blocking(rfile)  # until the proxy hangs up
+
+        threading.Thread(target=answer, daemon=True).start()
+        proxy = RemoteWorkerProxy("liar", _WorkerChannel(near, "liar"), 1, ("liar", 0))
+        return proxy, proxy.sketch_partials("ds", histogram(9), [])
+
+    @pytest.mark.parametrize("kind", ["partial", "complete"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"shardsDone": "6", "bytes": 55, "cacheHit": False},
+            {"shardsDone": 6, "bytes": 5.5, "cacheHit": False},
+            {"shardsDone": 6, "cacheHit": False},
+            {"shardsDone": True, "bytes": 55},
+            [6, 55],
+        ],
+    )
+    def test_a_bad_header_is_a_protocol_error(self, kind, payload):
+        reply = RpcReply(0, kind, payload=payload)
+        reply.attachment = summary_to_bytes(histogram(9).zero())
+        proxy, stream = self._stream(reply)
+        try:
+            with pytest.raises(ProtocolError, match="worker liar"):
+                next(stream)
+        finally:
+            proxy.close()
+
+    def test_a_complete_with_a_summary_but_no_payload(self):
+        reply = RpcReply(0, "complete")
+        reply.attachment = summary_to_bytes(histogram(9).zero())
+        proxy, stream = self._stream(reply)
+        try:
+            with pytest.raises(ProtocolError, match="worker liar"):
+                next(stream)
+        finally:
+            proxy.close()
+
+    def test_a_well_formed_terminal_is_the_final_emission(self):
+        reply = RpcReply(0, "complete", payload={"shardsDone": 6, "bytes": 55})
+        reply.attachment = summary_to_bytes(histogram(9).zero())
+        proxy, stream = self._stream(reply)
+        try:
+            (emission,) = list(stream)
+            assert (emission.shards_done, emission.bytes) == (6, 55)
+            assert emission.final and not emission.cache_hit
+        finally:
+            proxy.close()

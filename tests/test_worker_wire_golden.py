@@ -23,8 +23,10 @@ request headers changed.  The dataset verbs name their placement version
 explicitly (the root names it; the proxy no longer stamps one), with the
 values the proxy used to stamp, so every request replays byte for byte;
 the ``placement`` and ``inventory`` replies were re-recorded when the
-worker's report lost its ``rebalancing`` flag.  Regenerate, only when the
-wire is *meant* to change, with::
+worker's report lost its ``rebalancing`` flag; the replies of
+``a1.7.sketch`` and ``a1.8.sketch`` were re-recorded when a worker's last
+summary came to ride the terminal ``complete`` (two frames became one).
+Regenerate, only when the wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
 """
