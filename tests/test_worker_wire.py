@@ -12,7 +12,6 @@ end waits on a small frame written right behind another.
 
 from __future__ import annotations
 
-import queue
 import socket
 import statistics
 import sys
@@ -41,6 +40,7 @@ from repro.storage.loader import TableSource
 from repro.table.table import Table
 
 from tests.conftest import connect
+from tests.test_service_placement import listening
 
 HIST = {
     "type": "histogram",
@@ -173,20 +173,7 @@ class TestStreamEnd:
         sent as a ``partial`` and then a separate small ``complete``
         stalled ~40 ms here: Nagle held the second frame for the
         delayed ACK of the first."""
-        servers, addresses = [], []
-        try:
-            for i in range(2):
-                server = WorkerServer(
-                    name=f"tcp-{i}", cores=2, cache_sweep_interval_seconds=0
-                )
-                bound: queue.Queue = queue.Queue()
-                threading.Thread(
-                    target=server.run_listen,
-                    kwargs={"port": 0, "on_bound": bound.put},
-                    daemon=True,
-                ).start()
-                servers.append(server)
-                addresses.append(tuple(bound.get(timeout=10)))
+        with listening(2) as addresses:
             cluster = ProcessCluster(addresses=addresses)
             try:
                 dataset = cluster.load(FlightsSource(4_000, partitions=8, seed=3))
@@ -200,9 +187,6 @@ class TestStreamEnd:
                     )
             finally:
                 cluster.close()
-        finally:
-            for server in servers:
-                server.begin_drain()
         assert statistics.median(tails) < 0.010, tails
 
 
