@@ -12,6 +12,13 @@ The vectorized path is measured at the full row count; the reference path
 on a deterministic slice (it is two to three orders of magnitude slower),
 with both normalized to ns/row so the speedup is scale-free.
 
+A third pass times each kernel on one memory-mapped shard read through
+each selection kind its membership can take — every row (a slice of the
+mapped column), a scattered ~98 % (a bitmap compress), a scattered ~50 %
+(an index gather) and a scattered ~5 % (a sparse index set) — in ns per
+selected row, plus ``Table.filter`` on that shard (a ~50 % range on
+``d``) in ns per row.
+
 Run directly for a report::
 
     PYTHONPATH=src python benchmarks/bench_leaf_kernels.py
@@ -46,6 +53,9 @@ KERNELS = (
 )
 COLD_REPS = 5
 PARTITIONS = 8
+#: Member density of each selection kind timed on the mapped shard.
+SELECTION_DENSITIES = {"full": 1.0, "compress": 0.98, "dense": 0.5, "sparse": 0.05}
+SELECTION_REPS = 5
 
 
 def canonical_table_at_scale(rows: int, seed: int = 29):
@@ -120,6 +130,46 @@ def measure_kernels(table) -> dict[str, dict[str, float]]:
     return out
 
 
+def _best_seconds(fn, reps: int = SELECTION_REPS) -> float:
+    fn()  # warm: page in what the call touches
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure_selections(table) -> dict[str, float]:
+    """ns per selected row of each kernel on one mmapped shard, per
+    selection kind, and ``Table.filter`` ns/row on that shard."""
+    from repro.sketches.specs import spec_by_name
+    from repro.storage import columnar
+    from repro.table.compute import ColumnPredicate
+
+    directory = tempfile.mkdtemp(prefix="bench-leaf-selections-")
+    out: dict[str, float] = {}
+    try:
+        path = os.path.join(directory, "shard.hvc")
+        columnar.write_table(table.split(PARTITIONS)[0], path)
+        shard = columnar.read_table(path, use_mmap=True)
+        rng = np.random.default_rng(7)
+        for kind, density in SELECTION_DENSITIES.items():
+            view = shard
+            if density < 1.0:
+                view = shard.filter_mask(rng.random(shard.num_rows) < density)
+            for name in KERNELS:
+                sketch = spec_by_name(name).sketch()
+                seconds = _best_seconds(lambda: sketch.summarize(view))
+                out[f"{name}.{kind}"] = seconds / view.num_rows * 1e9
+        zoom = ColumnPredicate("d", "between", (-30.0, 30.0))
+        seconds = _best_seconds(lambda: shard.filter(zoom))
+        out["table_filter"] = seconds / shard.num_rows * 1e9
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    return out
+
+
 def measure_cold_first_partial(table) -> list[float]:
     """Time-to-first-partial through a fresh cluster per repetition:
     mmap dataset read -> vectorized kernels -> first streamed partial."""
@@ -162,6 +212,13 @@ def collect() -> dict[str, float]:
         # fails metrics that grow, so a shrinking speedup trips it — and
         # a growing speedup (an improvement) never does.
         metrics[f"leaf_kernels.{slug}.over_reference"] = 1.0 / measured["speedup"]
+    for name, ns_per_row in measure_selections(table).items():
+        if name == "table_filter":
+            metrics["leaf_kernels.table_filter.ns_per_row"] = ns_per_row
+            continue
+        kernel, kind = name.rsplit(".", 1)
+        slug = kernel.replace(".", "_")
+        metrics[f"leaf_kernels.{slug}.{kind}_ns_per_row"] = ns_per_row
     cold = measure_cold_first_partial(table)
     metrics["leaf_kernels.cold_first_partial.p50"] = percentile(cold, 0.50)
     return metrics
@@ -186,6 +243,13 @@ def main() -> int:
             f"vs {measured['reference_ns_per_row']:10.1f} ns/row "
             f"reference  ({speedup:7.1f}x){flag}"
         )
+    selections = measure_selections(table)
+    print("  one mmapped shard, ns per selected row:  "
+          + "  ".join(f"{kind:>7s}" for kind in SELECTION_DENSITIES))
+    for name in KERNELS:
+        cells = "  ".join(f"{selections[f'{name}.{kind}']:7.1f}" for kind in SELECTION_DENSITIES)
+        print(f"    {name:36s} {cells}")
+    print(f"    {'Table.filter (d within +-30)':36s} {selections['table_filter']:7.1f}")
     cold = measure_cold_first_partial(table)
     print(
         f"  cold first partial (mmap dataset, fresh cluster): "

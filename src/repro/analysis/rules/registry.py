@@ -24,7 +24,7 @@ _SPECS_SUFFIX = "repro/sketches/specs.py"
 
 #: Names from the shared binning kernel: using one marks a sketch class
 #: as vectorized even if its author forgot everything else.
-_KERNEL_MARKERS = {"bin_rows", "bincount"}
+_KERNEL_MARKERS = {"bin_rows", "bincount", "count_cells"}
 
 
 @dataclass

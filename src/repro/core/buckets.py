@@ -100,14 +100,19 @@ class DoubleBuckets(Buckets):
 
     def index_numeric(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
-        raw = np.floor((values - self.min_value) / self._width)
-        with np.errstate(invalid="ignore"):
-            inside = (values >= self.min_value) & (values <= self.max_value)
-        idx = np.where(inside, raw, -1.0)
+        idx = values - self.min_value
+        idx /= self._width
+        np.floor(idx, out=idx)
         # Values exactly at max_value land past the last bucket; pull back.
-        idx = np.minimum(idx, self._count - 1)
-        out = idx.astype(np.int64)
-        out[~inside] = -1
+        np.minimum(idx, self._count - 1, out=idx)
+        with np.errstate(invalid="ignore"):
+            # NaN fails both tests.  Outside rows are overwritten below,
+            # so their (possibly non-finite) casts never show.
+            inside = values >= self.min_value
+            inside &= values <= self.max_value
+            out = idx.astype(np.int64)
+        # Scattering to the (few) outside rows beats a masked store.
+        out[np.flatnonzero(np.logical_not(inside, out=inside))] = -1
         return out
 
     def index_of(self, value: float) -> int:

@@ -39,6 +39,7 @@ from repro.core.wire import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.table.membership import Selection
     from repro.table.table import Table
 
 R = TypeVar("R", bound="Summary")
@@ -183,12 +184,20 @@ class SampledSketch(Sketch[R]):
         clone.seed = int(seed)
         return clone
 
-    def sampled_rows(self, table: "Table") -> np.ndarray:
-        """Row indices of this shard's Bernoulli sample at ``self.rate``.
+    def sampled_rows(self, table: "Table") -> "Selection":
+        """This shard's Bernoulli sample at ``self.rate``, as a selection.
 
         A rate of 1.0 short-circuits to a full scan (no RNG consumed), so a
-        sketch configured to scan is bit-identical to its streaming variant.
+        sketch configured to scan is bit-identical to its streaming variant;
+        the scan reads through the membership's own selection.  A lower
+        rate returns the sorted row indices of the sample.
         """
+        if self.rate >= 1.0:
+            return table.members.selection()
+        return self.sampled_indices(table)
+
+    def sampled_indices(self, table: "Table") -> np.ndarray:
+        """The rows of :meth:`sampled_rows` as sorted indices."""
         if self.rate >= 1.0:
             return table.members.indices()
         rng = rng_for(self.seed, "shard-sample", table.shard_id)

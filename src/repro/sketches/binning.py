@@ -18,30 +18,31 @@ from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.table.membership import Selection
     from repro.table.table import Table
 
 
 @dataclass
 class BinnedRows:
-    """Bucket indexes for a set of rows plus the two residual counts."""
+    """Bucket indexes for a set of rows plus the missing count."""
 
-    indexes: np.ndarray  # int64, -1 = out of range, only for non-missing rows
+    indexes: np.ndarray  # int64, -1 = missing or out of range
     missing: int  # rows whose cell is missing
-    out_of_range: int  # non-missing rows falling outside the buckets
 
     @property
-    def in_range(self) -> np.ndarray:
-        """The bucket indexes of rows that landed inside the buckets."""
-        return self.indexes[self.indexes >= 0]
+    def out_of_range(self) -> int:
+        """Non-missing rows falling outside the buckets."""
+        return int(np.count_nonzero(self.indexes < 0)) - self.missing
 
 
 def bin_rows(
-    table: "Table", column_name: str, buckets: Buckets, rows: np.ndarray
+    table: "Table", column_name: str, buckets: Buckets, rows: "Selection"
 ) -> BinnedRows:
-    """Bucket index of ``column_name`` for each of ``rows``.
+    """Bucket index of ``column_name`` for each row ``rows`` selects.
 
-    The returned ``indexes`` array is aligned with ``rows`` and contains -1
-    for both missing and out-of-range rows; the counts separate the two.
+    The returned ``indexes`` array is aligned with the selected rows and
+    contains -1 for both missing and out-of-range rows; ``missing`` and
+    ``out_of_range`` separate the two.
     """
     column = table.column(column_name)
     if column.kind.is_string:
@@ -49,18 +50,12 @@ def bin_rows(
             raise TypeError("string-kinded column with non-string storage")
         code_bucket = buckets.index_strings(list(column.dictionary.values))
         codes = column.codes_at(rows)
-        indexes = np.full(len(rows), -1, dtype=np.int64)
-        present = codes != MISSING_CODE
-        indexes[present] = code_bucket[codes[present]]
-        missing = int((~present).sum())
-        out_of_range = int((indexes[present] < 0).sum())
-        return BinnedRows(indexes, missing, out_of_range)
+        # MISSING_CODE (-1) wraps to the final slot, which holds -1.
+        indexes = np.append(code_bucket, -1)[codes]
+        return BinnedRows(indexes, int(np.count_nonzero(codes == MISSING_CODE)))
     values = column.numeric_values(rows)
-    nan = np.isnan(values)
     indexes = buckets.index_numeric(values)
-    missing = int(nan.sum())
-    out_of_range = int((indexes < 0).sum()) - missing
-    return BinnedRows(indexes, missing, out_of_range)
+    return BinnedRows(indexes, int(np.count_nonzero(np.isnan(values))))
 
 
 def bin_row_reference(
@@ -82,7 +77,19 @@ def bin_row_reference(
     return buckets.index_of(value)
 
 
-def bincount(indexes: np.ndarray, buckets: int) -> np.ndarray:
-    """Counts per bucket for ``indexes`` (ignoring -1 entries)."""
-    valid = indexes[indexes >= 0]
-    return np.bincount(valid, minlength=buckets).astype(np.int64)
+def count_cells(indexes: "list[np.ndarray]", counts: "list[int]") -> np.ndarray:
+    """Joint bucket counts of aligned index arrays, one axis per array.
+
+    Each axis gets a leading sentinel slot for its -1 entries, so
+    ``out[i + 1, j + 1]`` counts the rows in bucket ``i`` of the first
+    array and ``j`` of the second, and ``out[0, j + 1]`` the rows unusable
+    on the first axis: one ``np.bincount`` over all rows, nothing compacted.
+    """
+    shape = tuple(count + 1 for count in counts)
+    flat = indexes[0] + 1
+    for index, size in zip(indexes[1:], shape[1:]):
+        flat *= size
+        flat += index
+        flat += 1
+    cells = np.bincount(flat, minlength=int(np.prod(shape)))
+    return cells.astype(np.int64, copy=False).reshape(shape)

@@ -132,8 +132,7 @@ class BottomKDistinctSketch(Sketch[BottomKSummary]):
                 f"bottom-k distinct sampling needs a string column, got "
                 f"{self.column!r} of kind {column.kind.value}"
             )
-        rows = table.members.indices()
-        codes = column.codes_at(rows)
+        codes = column.codes_at(table.members.selection())
         present = codes[codes != MISSING_CODE]
         missing = len(codes) - len(present)
         used = np.unique(present)

@@ -80,7 +80,7 @@ class ExactDistinctSketch(Sketch[DistinctSetSummary]):
         return summary
 
     def summarize(self, table: Table) -> DistinctSetSummary:
-        rows = table.members.indices()
+        rows = table.members.selection()
         column = table.column(self.column)
         if isinstance(column, StringColumn):
             codes = column.codes_at(rows)

@@ -81,8 +81,9 @@ class FindTextSketch(Sketch[FindResult]):
         return FindResult(order=self.order)
 
     def summarize(self, table: Table) -> FindResult:
-        rows = table.members.indices()
-        matching = rows[self.predicate.evaluate(table, rows)]
+        members = table.members
+        keep = self.predicate.evaluate(table, members.selection())
+        matching = members.rows_at(keep.nonzero()[0])
         if len(matching) == 0:
             return self.zero()
         sorted_rows = self.order.argsort(table, matching)

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
 from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
-from repro.sketches.binning import bin_row_reference, bin_rows
+from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.table.table import Table
 
 
@@ -120,26 +120,26 @@ class HeatmapSketch(SampledSketch[HeatmapSummary]):
 
     def summarize(self, table: Table) -> HeatmapSummary:
         rows = self.sampled_rows(table)
-        bx, by = self.x_buckets.count, self.y_buckets.count
         x_binned = bin_rows(table, self.x_column, self.x_buckets, rows)
         y_binned = bin_rows(table, self.y_column, self.y_buckets, rows)
-        both = (x_binned.indexes >= 0) & (y_binned.indexes >= 0)
-        flat = x_binned.indexes[both] * by + y_binned.indexes[both]
-        counts = (
-            np.bincount(flat, minlength=bx * by).astype(np.int64).reshape(bx, by)
+        cells = count_cells(
+            [x_binned.indexes, y_binned.indexes],
+            [self.x_buckets.count, self.y_buckets.count],
         )
-        out_of_range = int((~both).sum()) - max(x_binned.missing, 0)
+        counts = cells[1:, 1:]
+        scanned = len(x_binned.indexes)
+        out_of_range = scanned - int(counts.sum()) - x_binned.missing
         return HeatmapSummary(
             counts=counts,
             x_missing=x_binned.missing,
             y_missing=y_binned.missing,
             out_of_range=max(out_of_range, 0),
-            sampled_rows=len(rows),
+            sampled_rows=scanned,
         )
 
     def summarize_reference(self, table: Table) -> HeatmapSummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         counts = np.zeros((self.x_buckets.count, self.y_buckets.count), dtype=np.int64)
         x_missing = y_missing = not_both = 0
         for row in rows:

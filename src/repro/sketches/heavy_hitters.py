@@ -35,6 +35,7 @@ from repro.core.wire import (
 )
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
+from repro.table.membership import Selection
 from repro.table.table import Table
 
 
@@ -106,19 +107,18 @@ class FrequencySummary(Summary):
         return found
 
 
-def _exact_value_counts(table: Table, column_name: str, rows: np.ndarray) -> dict:
-    """Exact value -> count over ``rows`` (missing values excluded)."""
+def _exact_value_counts(table: Table, column_name: str, rows: Selection) -> tuple:
+    """Exact value -> count over the selected rows (missing values
+    excluded), and how many rows ``rows`` selects."""
     column = table.column(column_name)
     if isinstance(column, StringColumn):
         codes = column.codes_at(rows)
-        codes = codes[codes != MISSING_CODE]
-        unique, counts = np.unique(codes, return_counts=True)
+        unique, counts = np.unique(codes[codes != MISSING_CODE], return_counts=True)
         values = column.dictionary.values
-        return {values[int(c)]: int(n) for c, n in zip(unique, counts)}
+        return {values[int(c)]: int(n) for c, n in zip(unique, counts)}, len(codes)
     values = column.numeric_values(rows)
-    values = values[~np.isnan(values)]
-    unique, counts = np.unique(values, return_counts=True)
-    return {float(v): int(n) for v, n in zip(unique, counts)}
+    unique, counts = np.unique(values[~np.isnan(values)], return_counts=True)
+    return {float(v): int(n) for v, n in zip(unique, counts)}, len(values)
 
 
 def _exact_value_counts_reference(
@@ -191,9 +191,8 @@ class MisraGriesSketch(Sketch[FrequencySummary]):
         return FrequencySummary()
 
     def summarize(self, table: Table) -> FrequencySummary:
-        rows = table.members.indices()
-        counts = _exact_value_counts(table, self.column, rows)
-        summary = FrequencySummary(counts=counts, scanned=len(rows))
+        counts, scanned = _exact_value_counts(table, self.column, table.members.selection())
+        summary = FrequencySummary(counts=counts, scanned=scanned)
         return _misra_gries_reduce(summary, self.k)
 
     def summarize_reference(self, table: Table) -> FrequencySummary:
@@ -254,13 +253,12 @@ class SampleHeavyHittersSketch(SampledSketch[FrequencySummary]):
         return FrequencySummary()
 
     def summarize(self, table: Table) -> FrequencySummary:
-        rows = self.sampled_rows(table)
-        counts = _exact_value_counts(table, self.column, rows)
-        return FrequencySummary(counts=counts, scanned=len(rows))
+        counts, scanned = _exact_value_counts(table, self.column, self.sampled_rows(table))
+        return FrequencySummary(counts=counts, scanned=scanned)
 
     def summarize_reference(self, table: Table) -> FrequencySummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         counts = _exact_value_counts_reference(table, self.column, rows)
         return FrequencySummary(counts=counts, scanned=len(rows))
 

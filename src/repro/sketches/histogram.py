@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
 from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
-from repro.sketches.binning import bin_row_reference, bin_rows, bincount
+from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.table.table import Table
 
 
@@ -104,18 +104,18 @@ class HistogramSketch(SampledSketch[HistogramSummary]):
         return HistogramSummary(counts=np.zeros(self.buckets.count, dtype=np.int64))
 
     def summarize(self, table: Table) -> HistogramSummary:
-        rows = self.sampled_rows(table)
-        binned = bin_rows(table, self.column, self.buckets, rows)
+        binned = bin_rows(table, self.column, self.buckets, self.sampled_rows(table))
+        cells = count_cells([binned.indexes], [self.buckets.count])
         return HistogramSummary(
-            counts=bincount(binned.indexes, self.buckets.count),
+            counts=cells[1:],
             missing=binned.missing,
-            out_of_range=binned.out_of_range,
-            sampled_rows=len(rows),
+            out_of_range=int(cells[0]) - binned.missing,
+            sampled_rows=len(binned.indexes),
         )
 
     def summarize_reference(self, table: Table) -> HistogramSummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         counts = np.zeros(self.buckets.count, dtype=np.int64)
         missing = out_of_range = 0
         for row in rows:

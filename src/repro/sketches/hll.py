@@ -128,7 +128,7 @@ class HyperLogLogSketch(Sketch[HllSummary]):
 
     def _value_hashes(self, table: Table) -> tuple[np.ndarray, int]:
         """64-bit hashes of present cell values, plus the missing count."""
-        rows = table.members.indices()
+        rows = table.members.selection()
         column = table.column(self.column)
         if isinstance(column, StringColumn):
             codes = column.codes_at(rows)

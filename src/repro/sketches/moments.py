@@ -22,6 +22,7 @@ from repro.core.sketch import Sketch, Summary
 from repro.core.wire import CELL, F64_LIST, INT, STR, UVARINT, Field, Wire
 from repro.table.column import StringColumn
 from repro.table.dictionary import MISSING_CODE
+from repro.table.membership import Selection
 from repro.table.table import Table
 
 
@@ -104,7 +105,7 @@ class MomentsSketch(Sketch[ColumnStats]):
         from repro.table.schema import ContentsKind
 
         column = table.column(self.column)
-        rows = table.members.indices()
+        rows = table.members.selection()
         if column.kind.is_string:
             return self._summarize_string(column, rows)
         values = column.numeric_values(rows)
@@ -128,7 +129,7 @@ class MomentsSketch(Sketch[ColumnStats]):
             stats.power_sums = [0.0] * self.moments
         return stats
 
-    def _summarize_string(self, column, rows: np.ndarray) -> ColumnStats:
+    def _summarize_string(self, column, rows: Selection) -> ColumnStats:
         if not isinstance(column, StringColumn):  # pragma: no cover - invariant
             raise TypeError("string-kinded column with non-string storage")
         codes = column.codes_at(rows)

@@ -135,12 +135,14 @@ class NextKSketch(Sketch[NextKList]):
         return NextKList(order=self.order)
 
     def summarize(self, table: Table) -> NextKList:
-        rows = table.members.indices()
-        scanned = len(rows)
+        members = table.members
+        scanned = members.size
         if scanned == 0:
             return self.zero()
         leading = self.order.orientations[0]
-        lead = leading.surrogate(table, rows)
+        lead = leading.surrogate(table, members.selection())
+        # Member positions: only the rows that reach a sort are named.
+        positions = np.arange(scanned)
         preceding = ties = 0
         if self.start_key is not None:
             # A row whose leading cell sorts strictly before the start's
@@ -150,22 +152,22 @@ class NextKSketch(Sketch[NextKList]):
             kept = np.flatnonzero(lead >= start)
             preceding = scanned - len(kept)
             if preceding:
-                rows, lead = rows[kept], lead[kept]
+                positions, lead = kept, lead[kept]
             ties = int(np.count_nonzero(lead == start))
         # The tied rows may all precede the window, so the smallest cut
         # that can hold k groups is the ties plus k rows.
         take = ties + self.k
         inside = None
-        if 2 * take < len(rows):
+        if 2 * take < len(lead):
             # Whole leading-cell runs only: no group straddles the cut,
             # and every row left outside sorts after every row inside.
             inside = lead <= np.partition(lead, take - 1)[take - 1]
-        cut = (rows, lead) if inside is None else (rows[inside], lead[inside])
-        firsts, counts, skipped = self._groups(table, *cut, ties)
+        cut = (positions, lead) if inside is None else (positions[inside], lead[inside])
+        firsts, counts, skipped = self._groups(table, members.rows_at(cut[0]), cut[1], ties)
         if len(firsts) < self.k and inside is not None:
             # Duplicates left the cut short: sort all the rest, once.
             more_firsts, more_counts, _ = self._groups(
-                table, rows[~inside], lead[~inside], ties=0
+                table, members.rows_at(positions[~inside]), lead[~inside], ties=0
             )
             firsts = np.concatenate((firsts, more_firsts))
             counts = np.concatenate((counts, more_counts))

@@ -82,7 +82,7 @@ class SampleQuantileSketch(SampledSketch[QuantileSummary]):
         return QuantileSummary(order=self.order)
 
     def summarize(self, table: Table) -> QuantileSummary:
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         sorted_rows = self.order.argsort(table, rows)
         columns = [table.column(c) for c in self.order.columns]
         # One batched values_at pass per column, then a transpose into
@@ -97,7 +97,7 @@ class SampleQuantileSketch(SampledSketch[QuantileSummary]):
 
     def summarize_reference(self, table: Table) -> QuantileSummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         sorted_rows = self.order.argsort(table, rows)
         columns = [table.column(c) for c in self.order.columns]
         samples = [

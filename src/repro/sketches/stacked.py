@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
 from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
-from repro.sketches.binning import bin_row_reference, bin_rows
+from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.table.table import Table
 
 
@@ -108,31 +108,24 @@ class StackedHistogramSketch(SampledSketch[StackedHistogramSummary]):
 
     def summarize(self, table: Table) -> StackedHistogramSummary:
         rows = self.sampled_rows(table)
-        bx, by = self.x_buckets.count, self.y_buckets.count
         x_binned = bin_rows(table, self.x_column, self.x_buckets, rows)
         y_binned = bin_rows(table, self.y_column, self.y_buckets, rows)
-        x_ok = x_binned.indexes >= 0
-        bar_counts = np.bincount(
-            x_binned.indexes[x_ok], minlength=bx
-        ).astype(np.int64)
-        both = x_ok & (y_binned.indexes >= 0)
-        flat = x_binned.indexes[both] * by + y_binned.indexes[both]
-        cell_counts = (
-            np.bincount(flat, minlength=bx * by).astype(np.int64).reshape(bx, by)
+        cells = count_cells(
+            [x_binned.indexes, y_binned.indexes],
+            [self.x_buckets.count, self.y_buckets.count],
         )
-        y_missing = bar_counts - cell_counts.sum(axis=1)
         return StackedHistogramSummary(
-            bar_counts=bar_counts,
-            cell_counts=cell_counts,
-            y_missing=y_missing,
+            bar_counts=cells[1:].sum(axis=1),
+            cell_counts=cells[1:, 1:],
+            y_missing=cells[1:, 0],
             missing=x_binned.missing,
-            out_of_range=x_binned.out_of_range,
-            sampled_rows=len(rows),
+            out_of_range=int(cells[0].sum()) - x_binned.missing,
+            sampled_rows=len(x_binned.indexes),
         )
 
     def summarize_reference(self, table: Table) -> StackedHistogramSummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         bx, by = self.x_buckets.count, self.y_buckets.count
         bar_counts = np.zeros(bx, dtype=np.int64)
         cell_counts = np.zeros((bx, by), dtype=np.int64)

@@ -19,73 +19,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.buckets import BUCKETS, Buckets
-from repro.core.sketch import SampledSketch, Summary
+from repro.core.sketch import R, SampledSketch, Summary
 from repro.core.wire import F64, INT, STR, UVARINT, Field, Wire, summaries_of
-from repro.sketches.binning import bin_row_reference, bin_rows
+from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.sketches.heatmap import HeatmapSummary
 from repro.sketches.histogram import HistogramSummary
+from repro.table.membership import Selection
 from repro.table.table import Table
 
 
 def _bin_groups(
-    table: Table,
-    rows: np.ndarray,
-    group_column: str,
-    group_buckets: Buckets,
-    group2_column: str | None,
-    group2_buckets: Buckets | None,
+    sketch: _TrellisSketch, table: Table, rows: Selection
 ) -> tuple[np.ndarray, int, int]:
-    """Flat pane index per row (−1 for unusable rows).
+    """Flat pane index per row ``rows`` selects (−1 for unusable rows).
 
     With a second group column, the flat index is
     ``g1 * group2_buckets.count + g2`` — the pane grid in row-major order.
     Returns ``(indexes, missing, out_of_range)`` where a row counts as
     missing/out-of-range if *any* of its group values is.
     """
-    g1 = bin_rows(table, group_column, group_buckets, rows)
-    if group2_column is None:
+    g1 = bin_rows(table, sketch.group_column, sketch.group_buckets, rows)
+    if sketch.group2_column is None:
         return g1.indexes, g1.missing, g1.out_of_range
-    assert group2_buckets is not None
-    g2 = bin_rows(table, group2_column, group2_buckets, rows)
+    g2 = bin_rows(table, sketch.group2_column, sketch.group2_buckets, rows)
     ok = (g1.indexes >= 0) & (g2.indexes >= 0)
-    flat = np.where(ok, g1.indexes * group2_buckets.count + g2.indexes, -1)
+    flat = np.where(ok, g1.indexes * sketch.group2_buckets.count + g2.indexes, -1)
     # A row is missing if either group cell is (counted once, so the
     # residuals stay exactly mergeable across partitions); the remaining
     # unusable rows are out of range.
-    missing_mask = (
-        table.column(group_column).missing_mask()[rows]
-        | table.column(group2_column).missing_mask()[rows]
-    )
+    g1_missing = table.column(sketch.group_column).missing_mask(rows)
+    missing_mask = g1_missing | table.column(sketch.group2_column).missing_mask(rows)
     missing = int(np.count_nonzero(missing_mask))
     out_of_range = int(np.count_nonzero(~ok & ~missing_mask))
     return flat, missing, out_of_range
 
 
 def _pane_of_row_reference(
-    table: Table,
-    row: int,
-    group_column: str,
-    group_buckets: Buckets,
-    group2_column: str | None,
-    group2_buckets: Buckets | None,
+    sketch: _TrellisSketch, table: Table, row: int
 ) -> tuple[int, str]:
     """Per-row oracle twin of :func:`_bin_groups` (differential tests).
 
     Returns ``(flat_index, state)`` with state one of ``"ok"``,
     ``"missing"``, ``"out_of_range"``; the flat index is -1 unless ok.
     """
-    g1 = bin_row_reference(table, group_column, row, group_buckets)
-    if group2_column is None:
+    g1 = bin_row_reference(table, sketch.group_column, row, sketch.group_buckets)
+    if sketch.group2_column is None:
         if g1 is None:
             return -1, "missing"
         return (g1, "ok") if g1 >= 0 else (-1, "out_of_range")
-    assert group2_buckets is not None
-    g2 = bin_row_reference(table, group2_column, row, group2_buckets)
+    g2 = bin_row_reference(table, sketch.group2_column, row, sketch.group2_buckets)
     if g1 is None or g2 is None:
         return -1, "missing"
     if g1 < 0 or g2 < 0:
         return -1, "out_of_range"
-    return g1 * group2_buckets.count + g2, "ok"
+    return g1 * sketch.group2_buckets.count + g2, "ok"
 
 
 @dataclass
@@ -124,7 +111,46 @@ class TrellisHistogramSummary(Summary):
     )
 
 
-class TrellisHeatmapSketch(SampledSketch[TrellisSummary]):
+class _TrellisSketch(SampledSketch[R]):
+    """The group column(s) of a trellis: a pane per bucket (row-major pairs)."""
+
+    def __init__(
+        self,
+        rate: float,
+        seed: int,
+        group_column: str,
+        group_buckets: Buckets,
+        group2_column: str | None,
+        group2_buckets: Buckets | None,
+    ):
+        super().__init__(rate, seed)
+        if (group2_column is None) != (group2_buckets is None):
+            raise ValueError("group2_column and group2_buckets go together")
+        self.group_column = group_column
+        self.group_buckets = group_buckets
+        self.group2_column = group2_column
+        self.group2_buckets = group2_buckets
+        self.deterministic = rate >= 1.0
+
+    @property
+    def pane_count(self) -> int:
+        count = self.group_buckets.count
+        if self.group2_buckets is not None:
+            count *= self.group2_buckets.count
+        return count
+
+    def _groups_name(self) -> str:
+        second = "" if self.group2_column is None else f"x{self.group2_column}"
+        return self.group_column + second
+
+    def _groups_key(self) -> str:
+        key = f"{self.group_column!r},{self.group_buckets.spec()}"
+        if self.group2_column is None:
+            return key
+        return f"{key},{self.group2_column!r},{self.group2_buckets.spec()}"
+
+
+class TrellisHeatmapSketch(_TrellisSketch[TrellisSummary]):
     """A trellis of heat maps: group column(s) W, then (X, Y) per pane."""
 
     wire = Wire(
@@ -154,43 +180,23 @@ class TrellisHeatmapSketch(SampledSketch[TrellisSummary]):
         group2_column: str | None = None,
         group2_buckets: Buckets | None = None,
     ):
-        super().__init__(rate, seed)
-        if (group2_column is None) != (group2_buckets is None):
-            raise ValueError("group2_column and group2_buckets go together")
-        self.group_column = group_column
-        self.group_buckets = group_buckets
-        self.group2_column = group2_column
-        self.group2_buckets = group2_buckets
+        super().__init__(
+            rate, seed, group_column, group_buckets, group2_column, group2_buckets
+        )
         self.x_column = x_column
         self.x_buckets = x_buckets
         self.y_column = y_column
         self.y_buckets = y_buckets
-        self.deterministic = rate >= 1.0
-
-    @property
-    def pane_count(self) -> int:
-        count = self.group_buckets.count
-        if self.group2_buckets is not None:
-            count *= self.group2_buckets.count
-        return count
 
     @property
     def name(self) -> str:
-        groups = self.group_column
-        if self.group2_column is not None:
-            groups += f"x{self.group2_column}"
-        return f"Trellis({groups};{self.x_column},{self.y_column})"
+        return f"Trellis({self._groups_name()};{self.x_column},{self.y_column})"
 
     def cache_key(self) -> str | None:
         if not self.deterministic:
             return None
-        group2 = (
-            ""
-            if self.group2_column is None
-            else f",{self.group2_column!r},{self.group2_buckets.spec()}"
-        )
         return (
-            f"Trellis({self.group_column!r},{self.group_buckets.spec()}{group2},"
+            f"Trellis({self._groups_key()},"
             f"{self.x_column!r},{self.x_buckets.spec()},"
             f"{self.y_column!r},{self.y_buckets.spec()})"
         )
@@ -206,51 +212,34 @@ class TrellisHeatmapSketch(SampledSketch[TrellisSummary]):
 
     def summarize(self, table: Table) -> TrellisSummary:
         rows = self.sampled_rows(table)
-        groups = self.pane_count
-        bx, by = self.x_buckets.count, self.y_buckets.count
-        g_flat, g_missing, g_oor = _bin_groups(
-            table, rows,
-            self.group_column, self.group_buckets,
-            self.group2_column, self.group2_buckets,
-        )
+        g_flat, g_missing, g_oor = _bin_groups(self, table, rows)
         x_binned = bin_rows(table, self.x_column, self.x_buckets, rows)
         y_binned = bin_rows(table, self.y_column, self.y_buckets, rows)
-        all_in = (g_flat >= 0) & (x_binned.indexes >= 0) & (y_binned.indexes >= 0)
         # A single bincount covers every pane at once.
-        flat = (
-            g_flat[all_in] * (bx * by)
-            + x_binned.indexes[all_in] * by
-            + y_binned.indexes[all_in]
-        )
-        cube = (
-            np.bincount(flat, minlength=groups * bx * by)
-            .astype(np.int64)
-            .reshape(groups, bx, by)
-        )
+        cube = count_cells(
+            [g_flat, x_binned.indexes, y_binned.indexes],
+            [self.pane_count, self.x_buckets.count, self.y_buckets.count],
+        )[1:, 1:, 1:]
         panes = [
             HeatmapSummary(counts=cube[g], sampled_rows=int(cube[g].sum()))
-            for g in range(groups)
+            for g in range(self.pane_count)
         ]
         return TrellisSummary(
             panes=panes,
             group_missing=g_missing,
             group_out_of_range=g_oor,
-            sampled_rows=len(rows),
+            sampled_rows=len(g_flat),
         )
 
     def summarize_reference(self, table: Table) -> TrellisSummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         groups = self.pane_count
         bx, by = self.x_buckets.count, self.y_buckets.count
         cube = np.zeros((groups, bx, by), dtype=np.int64)
         g_missing = g_oor = 0
         for row in rows:
-            flat, state = _pane_of_row_reference(
-                table, int(row),
-                self.group_column, self.group_buckets,
-                self.group2_column, self.group2_buckets,
-            )
+            flat, state = _pane_of_row_reference(self, table, int(row))
             if state == "missing":
                 g_missing += 1
                 continue
@@ -292,7 +281,7 @@ class TrellisHeatmapSketch(SampledSketch[TrellisSummary]):
         )
 
 
-class TrellisHistogramSketch(SampledSketch[TrellisHistogramSummary]):
+class TrellisHistogramSketch(_TrellisSketch[TrellisHistogramSummary]):
     """A trellis of histograms: group column(s) W, then X per pane."""
 
     wire = Wire(
@@ -318,42 +307,21 @@ class TrellisHistogramSketch(SampledSketch[TrellisHistogramSummary]):
         group2_column: str | None = None,
         group2_buckets: Buckets | None = None,
     ):
-        super().__init__(rate, seed)
-        if (group2_column is None) != (group2_buckets is None):
-            raise ValueError("group2_column and group2_buckets go together")
-        self.group_column = group_column
-        self.group_buckets = group_buckets
-        self.group2_column = group2_column
-        self.group2_buckets = group2_buckets
+        super().__init__(
+            rate, seed, group_column, group_buckets, group2_column, group2_buckets
+        )
         self.x_column = x_column
         self.x_buckets = x_buckets
-        self.deterministic = rate >= 1.0
-
-    @property
-    def pane_count(self) -> int:
-        count = self.group_buckets.count
-        if self.group2_buckets is not None:
-            count *= self.group2_buckets.count
-        return count
 
     @property
     def name(self) -> str:
-        groups = self.group_column
-        if self.group2_column is not None:
-            groups += f"x{self.group2_column}"
-        return f"TrellisHistogram({groups};{self.x_column})"
+        return f"TrellisHistogram({self._groups_name()};{self.x_column})"
 
     def cache_key(self) -> str | None:
         if not self.deterministic:
             return None
-        group2 = (
-            ""
-            if self.group2_column is None
-            else f",{self.group2_column!r},{self.group2_buckets.spec()}"
-        )
         return (
-            f"TrellisHistogram({self.group_column!r},"
-            f"{self.group_buckets.spec()}{group2},"
+            f"TrellisHistogram({self._groups_key()},"
             f"{self.x_column!r},{self.x_buckets.spec()})"
         )
 
@@ -368,55 +336,39 @@ class TrellisHistogramSketch(SampledSketch[TrellisHistogramSummary]):
 
     def summarize(self, table: Table) -> TrellisHistogramSummary:
         rows = self.sampled_rows(table)
-        groups = self.pane_count
-        b = self.x_buckets.count
-        g_flat, g_missing, g_oor = _bin_groups(
-            table, rows,
-            self.group_column, self.group_buckets,
-            self.group2_column, self.group2_buckets,
-        )
+        g_flat, g_missing, g_oor = _bin_groups(self, table, rows)
         x_binned = bin_rows(table, self.x_column, self.x_buckets, rows)
-        both = (g_flat >= 0) & (x_binned.indexes >= 0)
-        flat = g_flat[both] * b + x_binned.indexes[both]
-        grid = (
-            np.bincount(flat, minlength=groups * b)
-            .astype(np.int64)
-            .reshape(groups, b)
+        cells = count_cells(
+            [g_flat, x_binned.indexes], [self.pane_count, self.x_buckets.count]
         )
-        # X residuals attributed per pane: rows whose group is known but X
-        # is missing or out of range.  One bincount over the unusable-X
-        # rows replaces a per-pane mask scan.
-        x_unusable = (g_flat >= 0) & (x_binned.indexes < 0)
-        residuals = np.bincount(g_flat[x_unusable], minlength=groups)
+        # X residuals attributed per pane land in the X sentinel column:
+        # rows whose group is known but X is missing or out of range.
+        grid, residuals = cells[1:, 1:], cells[1:, 0]
         panes = [
             HistogramSummary(
                 counts=grid[g],
                 missing=int(residuals[g]),
                 sampled_rows=int(grid[g].sum()) + int(residuals[g]),
             )
-            for g in range(groups)
+            for g in range(self.pane_count)
         ]
         return TrellisHistogramSummary(
             panes=panes,
             group_missing=g_missing,
             group_out_of_range=g_oor,
-            sampled_rows=len(rows),
+            sampled_rows=len(g_flat),
         )
 
     def summarize_reference(self, table: Table) -> TrellisHistogramSummary:
         """Per-row oracle for :meth:`summarize` (differential tests)."""
-        rows = self.sampled_rows(table)
+        rows = self.sampled_indices(table)
         groups = self.pane_count
         b = self.x_buckets.count
         grid = np.zeros((groups, b), dtype=np.int64)
         residuals = np.zeros(groups, dtype=np.int64)
         g_missing = g_oor = 0
         for row in rows:
-            flat, state = _pane_of_row_reference(
-                table, int(row),
-                self.group_column, self.group_buckets,
-                self.group2_column, self.group2_buckets,
-            )
+            flat, state = _pane_of_row_reference(self, table, int(row))
             if state == "missing":
                 g_missing += 1
                 continue

@@ -4,12 +4,16 @@ Columns use numpy arrays of base types to keep memory pressure low, exactly
 as Hillview uses Java base-type arrays (paper §6).  Strings are dictionary
 encoded.  Every column exposes:
 
-* ``numeric_values(rows)`` — float64 view used by numeric sketches (dates
+* ``numeric_values(rows)`` — float64 values used by numeric sketches (dates
   convert to epoch milliseconds, as the paper converts dates to reals §4.3);
 * ``string_values(rows)`` — Python strings for text sketches;
 * ``sort_surrogate(rows)`` — a float64 array whose ordering matches the
   column's sort order *within one shard* (strings map to dictionary ranks),
   with missing values at negative infinity so they sort first.
+
+``rows`` is a :data:`~repro.table.membership.Selection` and results align
+with the rows it selects.  A slice reads storage with no copy, so results
+are read-only.
 """
 
 from __future__ import annotations
@@ -22,11 +26,24 @@ import numpy as np
 
 from repro.errors import ColumnKindError, SchemaError
 from repro.table.dictionary import MISSING_CODE, StringDictionary
+from repro.table.membership import Selection
 from repro.table.schema import ColumnDescription, ContentsKind
 
 
-def _as_index_array(rows: np.ndarray | Sequence[int]) -> np.ndarray:
+def _selector(rows: Selection | Sequence[int]) -> Selection:
+    """``rows`` as a numpy indexer: selections pass, sequences become int64."""
+    if isinstance(rows, (slice, np.ndarray)):
+        return rows
     return np.asarray(rows, dtype=np.int64)
+
+
+def _read(stored: np.ndarray, rows: Selection | Sequence[int]) -> np.ndarray:
+    """``stored`` at ``rows``; a slice's view of the storage is read-only."""
+    rows = _selector(rows)
+    out = stored[rows]
+    if isinstance(rows, slice):
+        out.flags.writeable = False
+    return out
 
 
 class Column(ABC):
@@ -50,8 +67,8 @@ class Column(ABC):
         return self._size
 
     @abstractmethod
-    def missing_mask(self) -> np.ndarray:
-        """Boolean array marking missing rows (shape ``(size,)``)."""
+    def missing_mask(self, rows: Selection = slice(None)) -> np.ndarray:
+        """Boolean array marking which of ``rows`` are missing."""
 
     def is_missing(self, row: int) -> bool:
         return bool(self.missing_mask()[row])
@@ -60,19 +77,19 @@ class Column(ABC):
     def value(self, row: int) -> object | None:
         """The Python value at ``row`` (None when missing)."""
 
-    def numeric_values(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
+    def numeric_values(self, rows: Selection | Sequence[int]) -> np.ndarray:
         """float64 values at ``rows`` with NaN for missing entries."""
         raise ColumnKindError(
             f"column {self.name!r} of kind {self.kind.value} is not numeric"
         )
 
-    def string_values(self, rows: np.ndarray | Sequence[int]) -> list[str | None]:
+    def string_values(self, rows: Selection | Sequence[int]) -> list[str | None]:
         """String values at ``rows`` with None for missing entries."""
         raise ColumnKindError(
             f"column {self.name!r} of kind {self.kind.value} is not string-valued"
         )
 
-    def values_at(self, rows: np.ndarray | Sequence[int]) -> list:
+    def values_at(self, rows: Selection | Sequence[int]) -> list:
         """Python values at ``rows`` (None for missing), as one batch.
 
         Equivalent to ``[self.value(int(r)) for r in rows]``; subclasses
@@ -81,7 +98,7 @@ class Column(ABC):
         return [self.value(int(row)) for row in rows]
 
     @abstractmethod
-    def sort_surrogate(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
+    def sort_surrogate(self, rows: Selection | Sequence[int]) -> np.ndarray:
         """float64 array ordered like the column's values; missing -> -inf."""
 
     @abstractmethod
@@ -95,7 +112,7 @@ class Column(ABC):
         """
 
     @abstractmethod
-    def take(self, rows: np.ndarray | Sequence[int]) -> "Column":
+    def take(self, rows: Selection | Sequence[int]) -> "Column":
         """A new column containing only ``rows`` (materializes a copy)."""
 
     @abstractmethod
@@ -139,19 +156,19 @@ class _NumericColumn(Column):
                 missing = None
         self._missing = missing
 
-    def missing_mask(self) -> np.ndarray:
+    def missing_mask(self, rows: Selection = slice(None)) -> np.ndarray:
         if self._missing is None:
-            return np.zeros(self._size, dtype=bool)
-        return self._missing
+            return np.zeros(self._size, dtype=bool)[rows]
+        return _read(self._missing, rows)
 
     @property
     def data(self) -> np.ndarray:
         """The raw storage array (do not mutate)."""
         return self._data
 
-    def numeric_values(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
-        rows = _as_index_array(rows)
-        out = self._data[rows].astype(np.float64, copy=True)
+    def numeric_values(self, rows: Selection | Sequence[int]) -> np.ndarray:
+        rows = _selector(rows)
+        out = self._data[rows].astype(np.float64)
         if self._missing is not None:
             out[self._missing[rows]] = np.nan
         return out
@@ -159,18 +176,18 @@ class _NumericColumn(Column):
     def _pythonize(self, data: np.ndarray) -> list:
         return data.tolist()
 
-    def values_at(self, rows: np.ndarray | Sequence[int]) -> list:
-        rows = _as_index_array(rows)
+    def values_at(self, rows: Selection | Sequence[int]) -> list:
+        rows = _selector(rows)
         out = self._pythonize(self._data[rows])
         if self._missing is not None:
             for i in np.flatnonzero(self._missing[rows]):
                 out[i] = None
         return out
 
-    def sort_surrogate(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
-        out = self.numeric_values(rows)
-        np.nan_to_num(out, copy=False, nan=-np.inf)
-        return out
+    def sort_surrogate(self, rows: Selection | Sequence[int]) -> np.ndarray:
+        values = self.numeric_values(rows)
+        # A fresh array is clamped in place; a view of storage is copied.
+        return np.nan_to_num(values, copy=not values.flags.writeable, nan=-np.inf)
 
     def surrogate_of(self, value: object | None) -> float:
         if value is None:
@@ -178,8 +195,8 @@ class _NumericColumn(Column):
         # Clamped as sort_surrogate clamps: -inf is the missing cells' alone.
         return float(np.nan_to_num(float(value)))
 
-    def take(self, rows: np.ndarray | Sequence[int]) -> "Column":
-        rows = _as_index_array(rows)
+    def take(self, rows: Selection | Sequence[int]) -> "Column":
+        rows = _selector(rows)
         missing = None if self._missing is None else self._missing[rows]
         return type(self)(self.description, self._data[rows].copy(), missing)
 
@@ -222,9 +239,15 @@ class DoubleColumn(_NumericColumn):
             raise SchemaError(f"DoubleColumn needs DOUBLE kind, got {description.kind}")
         data = np.asarray(data, dtype=np.float64)
         nan_mask = np.isnan(data)
-        if nan_mask.any():
-            missing = nan_mask if missing is None else (missing | nan_mask)
-        super().__init__(description, data, missing)
+        if missing is not None and len(missing) == len(data):
+            missing = nan_mask | missing
+            if (missing != nan_mask).any():
+                # Missing rows hold NaN, so numeric_values reads storage as is.
+                data = np.where(missing, np.nan, data)
+        super().__init__(description, data, nan_mask if missing is None else missing)
+
+    def numeric_values(self, rows: Selection | Sequence[int]) -> np.ndarray:
+        return _read(self._data, rows)
 
     def value(self, row: int) -> float | None:
         if self._missing is not None and self._missing[row]:
@@ -305,8 +328,8 @@ class StringColumn(Column):
         codes = dictionary.encode_values(values)
         return cls(description, codes, dictionary)
 
-    def missing_mask(self) -> np.ndarray:
-        return self.codes == MISSING_CODE
+    def missing_mask(self, rows: Selection = slice(None)) -> np.ndarray:
+        return self.codes[rows] == MISSING_CODE
 
     def is_missing(self, row: int) -> bool:
         return self.codes[row] == MISSING_CODE
@@ -317,37 +340,31 @@ class StringColumn(Column):
             return None
         return self.dictionary.value(int(code))
 
-    def string_values(self, rows: np.ndarray | Sequence[int]) -> list[str | None]:
-        rows = _as_index_array(rows)
+    def string_values(self, rows: Selection | Sequence[int]) -> list[str | None]:
         values = self.dictionary.values
         # One fancy-indexed take instead of a per-row loop.  MISSING_CODE
         # is -1, which wraps to the final lookup slot holding None.
         lookup = np.empty(len(values) + 1, dtype=object)
         lookup[: len(values)] = values
         lookup[len(values)] = None
-        return lookup[self.codes[rows]].tolist()
+        return lookup[self.codes_at(rows)].tolist()
 
-    def values_at(self, rows: np.ndarray | Sequence[int]) -> list:
+    def values_at(self, rows: Selection | Sequence[int]) -> list:
         return self.string_values(rows)
 
-    def codes_at(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
+    def codes_at(self, rows: Selection | Sequence[int]) -> np.ndarray:
         """Dictionary codes at ``rows`` (:data:`MISSING_CODE` for missing)."""
-        return self.codes[_as_index_array(rows)]
+        return _read(self.codes, rows)
 
-    def sort_surrogate(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
-        rows = _as_index_array(rows)
-        ranks = self.dictionary.sorted_ranks()
-        codes = self.codes[rows]
-        out = np.empty(len(codes), dtype=np.float64)
-        present = codes != MISSING_CODE
-        out[present] = ranks[codes[present]]
-        out[~present] = -np.inf
-        return out
+    def sort_surrogate(self, rows: Selection | Sequence[int]) -> np.ndarray:
+        # MISSING_CODE (-1) wraps to the final slot, which holds -inf.
+        lookup = np.append(self.dictionary.sorted_ranks().astype(np.float64), -np.inf)
+        return lookup[self.codes_at(rows)]
 
     def surrogate_of(self, value: str | None) -> float:
         return -np.inf if value is None else self.dictionary.rank_of(value)
 
-    def take(self, rows: np.ndarray | Sequence[int]) -> "StringColumn":
+    def take(self, rows: Selection | Sequence[int]) -> "StringColumn":
         # Re-encode so the new column's dictionary only holds used strings.
         return StringColumn.from_values(self.description, self.string_values(rows))
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
+from datetime import datetime
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from repro.core.wire import Kind, cell_from_json, cell_to_json
 from repro.errors import ColumnKindError, ProtocolError, SchemaError
-from repro.table.column import Column, column_from_values
-from repro.table.dictionary import MISSING_CODE
-from repro.table.column import StringColumn
+from repro.table.column import Column, StringColumn, column_from_values, datetime_to_millis
+from repro.table.membership import Selection
 from repro.table.schema import ContentsKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,8 +34,8 @@ class Predicate(ABC):
     """A boolean condition over rows, evaluated vectorized per shard."""
 
     @abstractmethod
-    def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
-        """Boolean array aligned with ``rows``."""
+    def evaluate(self, table: "Table", rows: Selection) -> np.ndarray:
+        """Boolean array aligned with the rows ``rows`` selects."""
 
     @abstractmethod
     def spec(self) -> str:
@@ -82,28 +82,32 @@ class ColumnPredicate(Predicate):
     def spec(self) -> str:
         return f"ColumnPredicate({self.column!r},{self.op!r},{self.value!r})"
 
-    def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
+    def evaluate(self, table: "Table", rows: Selection) -> np.ndarray:
         column = table.column(self.column)
         if self.op == "is_missing":
-            return column.missing_mask()[rows]
+            return column.missing_mask(rows)
         if column.kind.is_string:
             return self._evaluate_string(column, rows)
         return self._evaluate_numeric(column, rows)
 
-    def _evaluate_numeric(self, column: Column, rows: np.ndarray) -> np.ndarray:
+    def _evaluate_numeric(self, column: Column, rows: Selection) -> np.ndarray:
         values = column.numeric_values(rows)
         with np.errstate(invalid="ignore"):
             if self.op == "between":
                 lo, hi = self.value  # type: ignore[misc]
-                result = (values >= float(lo)) & (values <= float(hi))
+                result = values >= _number(lo)
+                result &= values <= _number(hi)
             elif self.op == "in":
-                result = np.isin(values, np.asarray(list(self.value), dtype=np.float64))  # type: ignore[arg-type]
+                wanted = [_number(v) for v in self.value]  # type: ignore[union-attr]
+                result = np.isin(values, np.asarray(wanted, dtype=np.float64))
             else:
-                result = _NUMERIC_OPS[self.op](values, float(self.value))  # type: ignore[arg-type]
-        result &= ~np.isnan(values)
+                result = _NUMERIC_OPS[self.op](values, _number(self.value))
+        if self.op in ("!=", "in"):
+            # Every other comparison is already False at NaN (missing).
+            result &= ~np.isnan(values)
         return result
 
-    def _evaluate_string(self, column: Column, rows: np.ndarray) -> np.ndarray:
+    def _evaluate_string(self, column: Column, rows: Selection) -> np.ndarray:
         if not isinstance(column, StringColumn):
             raise ColumnKindError(f"column {self.column!r} is not a string column")
         # Evaluate once per dictionary entry, then map through codes.
@@ -115,20 +119,24 @@ class ColumnPredicate(Predicate):
             wanted = set(self.value)  # type: ignore[arg-type]
             ok = np.array([v in wanted for v in dictionary], dtype=bool)
         else:
-            op = _NUMERIC_OPS[self.op]
-            target = str(self.value)
-            if self.op in ("==", "!="):
-                ok = np.array(
-                    [(v == target) if self.op == "==" else (v != target) for v in dictionary],
-                    dtype=bool,
-                )
-            else:
-                ok = np.array([bool(op(v, target)) for v in dictionary], dtype=bool)
-        codes = column.codes_at(rows)
-        result = np.zeros(len(rows), dtype=bool)
-        present = codes != MISSING_CODE
-        result[present] = ok[codes[present]]
-        return result
+            op, target = _NUMERIC_OPS[self.op], str(self.value)
+            ok = np.array([bool(op(v, target)) for v in dictionary], dtype=bool)
+        return _through_codes(column, ok, rows)
+
+
+def _number(value: object) -> float:
+    """A comparison constant on the numeric axis: a date is its epoch
+    milliseconds, with any sub-millisecond part as a fraction so that
+    comparing against whole-millisecond cells stays exact."""
+    if isinstance(value, datetime):
+        return datetime_to_millis(value) + value.microsecond % 1000 / 1000
+    return float(value)  # type: ignore[arg-type]
+
+
+def _through_codes(column: StringColumn, ok: np.ndarray, rows: Selection) -> np.ndarray:
+    """``ok[code]`` for each selected row; missing cells are False."""
+    # MISSING_CODE (-1) wraps to the final slot, which is False.
+    return np.append(ok, False)[column.codes_at(rows)]
 
 
 class StringMatchPredicate(Predicate):
@@ -175,7 +183,7 @@ class StringMatchPredicate(Predicate):
             return lambda s: s == pattern
         return lambda s: pattern in s
 
-    def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
+    def evaluate(self, table: "Table", rows: Selection) -> np.ndarray:
         column = table.column(self.column)
         if not isinstance(column, StringColumn):
             raise ColumnKindError(
@@ -183,11 +191,7 @@ class StringMatchPredicate(Predicate):
             )
         match = self.matcher()
         ok = np.array([match(v) for v in column.dictionary.values], dtype=bool)
-        codes = column.codes_at(rows)
-        result = np.zeros(len(rows), dtype=bool)
-        present = codes != MISSING_CODE
-        result[present] = ok[codes[present]]
-        return result
+        return _through_codes(column, ok, rows)
 
 
 class AndPredicate(Predicate):
@@ -199,7 +203,7 @@ class AndPredicate(Predicate):
     def spec(self) -> str:
         return "And(" + ",".join(p.spec() for p in self.parts) + ")"
 
-    def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
+    def evaluate(self, table: "Table", rows: Selection) -> np.ndarray:
         result = self.parts[0].evaluate(table, rows)
         for part in self.parts[1:]:
             # Short-circuit: only evaluate remaining parts where still true.
@@ -218,7 +222,7 @@ class OrPredicate(Predicate):
     def spec(self) -> str:
         return "Or(" + ",".join(p.spec() for p in self.parts) + ")"
 
-    def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
+    def evaluate(self, table: "Table", rows: Selection) -> np.ndarray:
         result = self.parts[0].evaluate(table, rows)
         for part in self.parts[1:]:
             result = result | part.evaluate(table, rows)
@@ -232,7 +236,7 @@ class NotPredicate(Predicate):
     def spec(self) -> str:
         return f"Not({self.inner.spec()})"
 
-    def evaluate(self, table: "Table", rows: np.ndarray) -> np.ndarray:
+    def evaluate(self, table: "Table", rows: Selection) -> np.ndarray:
         return ~self.inner.evaluate(table, rows)
 
 

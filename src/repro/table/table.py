@@ -124,9 +124,6 @@ class Table:
         except KeyError:
             raise MissingColumnError(name, self.column_names) from None
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     def memory_bytes(self) -> int:
         return sum(column.memory_bytes() for column in self._columns.values())
 
@@ -153,19 +150,13 @@ class Table:
     # ------------------------------------------------------------------
     def filter(self, predicate: Predicate) -> "Table":
         """Rows satisfying ``predicate``; shares column storage (§5.6)."""
-        rows = self.members.indices()
-        keep = predicate.evaluate(self, rows)
-        members = membership_from_indices(rows[keep], self.universe_size)
-        return Table(
-            list(self._columns.values()), members, shard_id=self.shard_id
-        )
+        return self.filter_mask(predicate.evaluate(self, self.members.selection()))
 
     def filter_mask(self, member_mask: np.ndarray) -> "Table":
         """Keep the member rows whose aligned mask entry is True."""
-        rows = self.members.indices()
-        if len(member_mask) != len(rows):
+        if len(member_mask) != self.num_rows:
             raise SchemaError("mask must align with member rows")
-        members = membership_from_indices(rows[member_mask], self.universe_size)
+        members = self.members.subset(member_mask)
         return Table(list(self._columns.values()), members, shard_id=self.shard_id)
 
     def with_column(self, column: Column) -> "Table":
@@ -195,9 +186,6 @@ class Table:
             self.members,
             shard_id=self.shard_id,
         )
-
-    def with_shard_id(self, shard_id: str) -> "Table":
-        return Table(list(self._columns.values()), self.members, shard_id=shard_id)
 
     # ------------------------------------------------------------------
     # Sharding (micropartitions, paper §5.3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.table.compute import (
     NotPredicate,
     OrPredicate,
     StringMatchPredicate,
+    predicate_from_json,
 )
 from repro.table.table import Table
 
@@ -160,3 +163,69 @@ class TestComposition:
             filtered, filtered.members.indices()
         )
         assert result.tolist() == [True, True, False]
+
+
+class TestDatePredicates:
+    """Comparisons on a DATE column take datetimes, in and off the wire."""
+
+    DAY = timedelta(days=1)
+    START = datetime(2020, 3, 1, 12, 30, tzinfo=timezone.utc)
+
+    @pytest.fixture
+    def dates(self):
+        values = [self.START + i * self.DAY for i in range(6)] + [None]
+        values[4] = values[1]  # a repeat, so == keeps more than one row
+        return Table.from_pydict({"t": values})
+
+    def oracle(self, table, test):
+        column = table.column("t")
+        out = []
+        for row in rows(table):
+            value = column.value(int(row))
+            out.append(value is not None and test(value))
+        return out
+
+    @pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+    @pytest.mark.parametrize("offset", [timedelta(0), timedelta(microseconds=500)])
+    def test_comparisons_match_the_per_row_oracle(self, dates, op, offset):
+        value = self.START + 2 * self.DAY + offset
+        compare = {
+            "==": lambda v: v == value, "!=": lambda v: v != value,
+            "<": lambda v: v < value, "<=": lambda v: v <= value,
+            ">": lambda v: v > value, ">=": lambda v: v >= value,
+        }[op]
+        got = ColumnPredicate("t", op, value).evaluate(dates, rows(dates))
+        assert got.tolist() == self.oracle(dates, compare)
+
+    def test_between_and_in(self, dates):
+        lo, hi = self.START + self.DAY, self.START + 3 * self.DAY
+        between = ColumnPredicate("t", "between", (lo, hi))
+        assert between.evaluate(dates, rows(dates)).tolist() == self.oracle(
+            dates, lambda v: lo <= v <= hi
+        )
+        wanted = [self.START, self.START + 4 * self.DAY]
+        contained = ColumnPredicate("t", "in", wanted)
+        assert contained.evaluate(dates, rows(dates)).tolist() == self.oracle(
+            dates, lambda v: v in wanted
+        )
+
+    def test_naive_datetimes_are_utc(self, dates):
+        naive = (self.START + self.DAY).replace(tzinfo=None)
+        got = ColumnPredicate("t", "==", naive).evaluate(dates, rows(dates))
+        assert got.tolist() == self.oracle(dates, lambda v: v == self.START + self.DAY)
+
+    def test_wire_date_through_a_local_dataset(self, dates):
+        from repro.engine.dataset import FilterMap
+        from repro.engine.local import LocalDataSet
+
+        predicate = predicate_from_json(
+            {
+                "type": "column",
+                "column": "t",
+                "op": "==",
+                "value": {"$date": (self.START + self.DAY).isoformat()},
+            }
+        )
+        filtered = LocalDataSet(dates).map(FilterMap(predicate))
+        assert filtered.total_rows == 2
+        assert filtered.table.members.indices().tolist() == [1, 4]
