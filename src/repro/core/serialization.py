@@ -16,6 +16,7 @@ interchange standard.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Iterable
 
@@ -33,6 +34,8 @@ _DTYPE_TAGS: dict[str, int] = {
     "uint8": 3,
     "bool": 4,
     "float32": 5,
+    "uint16": 6,
+    "uint32": 7,
 }
 _TAG_DTYPES = {tag: np.dtype(name) for name, tag in _DTYPE_TAGS.items()}
 
@@ -168,16 +171,33 @@ class Decoder:
     def read_bytes(self) -> bytes:
         return bytes(self._take(self.read_uvarint()))
 
-    def read_array(self) -> np.ndarray:
+    def read_array(self, dtype: np.dtype | None = None) -> np.ndarray:
+        """An array written by :meth:`Encoder.write_array`; ``dtype``
+        converts it (always to a fresh array)."""
         tag = self.read_uvarint()
         if tag not in _TAG_DTYPES:
             raise SerializationError(f"unknown array dtype tag {tag}")
-        dtype = _TAG_DTYPES[tag]
+        stored = _TAG_DTYPES[tag]
         ndim = self.read_uvarint()
+        if ndim > self.remaining:
+            raise SerializationError(f"array of {ndim} dimensions is truncated")
         shape = tuple(self.read_uvarint() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self._take(count * dtype.itemsize)
-        view = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(shape)
+        # math.prod is exact: a hostile shape must not wrap around to a
+        # plausible size, as it would in int64 arithmetic.
+        size = math.prod(shape) * stored.itemsize
+        if size > self.remaining:
+            raise SerializationError(
+                f"array of shape {shape} needs {size} bytes; "
+                f"{self.remaining} remain"
+            )
+        try:
+            view = np.frombuffer(
+                self._take(size), dtype=stored.newbyteorder("<")
+            ).reshape(shape)
+        except ValueError as exc:  # an empty array of impossible shape
+            raise SerializationError(f"bad array shape {shape}: {exc}") from exc
+        if dtype is not None:
+            return view.astype(dtype)
         # Zero-copy arrays stay views into the source buffer (read-only;
         # columns never mutate storage), pinning an mmap's pages instead
         # of duplicating them on the heap.

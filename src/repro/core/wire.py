@@ -7,15 +7,16 @@ a :class:`Kind` and (for sketch specs) a default::
 
     wire = Wire(
         "histogram",
-        Field("counts", "counts", INT64_ARRAY),
+        Field("counts", "counts", COUNTS),
         Field("missing", "missing", UVARINT),
         ...
     )
 
 From that table this module *derives* every codec the system speaks: the
 binary ``Summary.encode``/``decode`` pair, ``summary_to_json`` /
-``summary_from_json`` / ``summary_to_bytes`` / ``summary_from_bytes``, and
-``sketch_from_json`` / ``sketch_to_json``.  A kind knows its four
+``summary_from_json`` / ``summary_to_bytes`` / ``summary_from_bytes``,
+``sketch_from_json`` / ``sketch_to_json``, and the JSON text the reply
+encoders send (``summary_json`` + ``dumps``).  A kind knows its four
 conversions (to/from JSON, write/read binary), so the JSON and binary
 forms of a field cannot drift apart, and a new sketch is a one-file
 change: classes register themselves, by exact type, when they are defined.
@@ -24,8 +25,10 @@ The codec plan of a class is compiled once, at class definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from datetime import datetime
+from functools import cache
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -69,6 +72,113 @@ def cell_from_json(value: object | None) -> object | None:
 
 
 # ---------------------------------------------------------------------------
+# JSON text: pre-rendered values spliced into json.dumps output
+# ---------------------------------------------------------------------------
+class JsonText(str):
+    """A value already rendered as JSON text; :func:`dumps` splices it in."""
+
+
+_ENCODERS = {
+    False: json.JSONEncoder(),  # what json.dumps(obj) uses
+    True: json.JSONEncoder(sort_keys=True),
+}
+
+
+def dumps(fields: dict, sort_keys: bool = False) -> str:
+    """``json.dumps(fields, sort_keys=sort_keys)``, byte for byte, except
+    that a :class:`JsonText` value of ``fields`` goes in verbatim.
+
+    Only the top-level values are inspected: a nested object carrying
+    pre-rendered text is itself a :class:`JsonText`.
+    """
+    encode = _ENCODERS[sort_keys].encode
+    if JsonText not in map(type, fields.values()):
+        return encode(fields)
+    parts: list[str] = []
+    plain: dict = {}
+    for key in sorted(fields) if sort_keys else fields:
+        value = fields[key]
+        if type(value) is JsonText:
+            if plain:
+                parts.append(encode(plain)[1:-1])
+                plain = {}
+            parts.append(f"{encode(key)}: {value}")
+        else:
+            plain[key] = value
+    if plain:
+        parts.append(encode(plain)[1:-1])
+    return "{" + ", ".join(parts) + "}"
+
+
+def _dumps_list(items: list, sort_keys: bool) -> list | JsonText:
+    """``items`` for :func:`dumps`: itself, or JSON text if any item is."""
+    if JsonText not in map(type, items):
+        return items
+    encode = _ENCODERS[sort_keys].encode
+    return JsonText(
+        "[" + ", ".join(i if type(i) is JsonText else encode(i) for i in items) + "]"
+    )
+
+
+#: An integer array renders from a table of its cells' text when it has
+#: _TEXT_CELLS_MIN cells (below that, a list of ints is cheaper) and
+#: every one lies in [0, _TEXT_CELLS).
+_TEXT_CELLS = 4096
+_TEXT_CELLS_MIN = 128
+
+
+@cache
+def _text_table(width: int, outer: int) -> tuple[np.ndarray, int]:
+    """The pieces of an array's JSON text with ``outer`` axes around its
+    rows, NUL-padded to ``width`` bytes: ``"v, "`` then ``"v]"`` for each
+    cell value ``v`` below the returned bound (all of ``width - 2``
+    digits), then the separator before a row that opens ``k`` more axes,
+    for each ``k``, then the close of the whole array."""
+    top = min(_TEXT_CELLS, 10 ** (width - 2))
+    texts = [f"{v}, " for v in range(top)] + [f"{v}]" for v in range(top)]
+    texts += ["]" * k + ", " + "[" * (k + 1) for k in range(outer)]
+    texts.append("]" * outer)
+    table = np.array(texts, dtype=f"S{width}")
+    table.flags.writeable = False  # shared by every caller
+    return table, top
+
+
+def int_array_json(array: np.ndarray) -> list | int | JsonText:
+    """An integer array for :func:`dumps`: ``json.dumps(array.tolist())``
+    rendered straight from the array, or ``array.tolist()`` itself when
+    that is cheaper or a cell falls outside the text table.
+
+    Each cell indexes its text in a table — ``"v, "``, or ``"v]"`` at the
+    end of a row, which is followed by the separator that closes and
+    opens the axes around the next row — so one ``take`` writes the whole
+    text, NUL-padded, and one ``translate`` deletes the padding.
+    """
+    if array.ndim == 0 or array.size < _TEXT_CELLS_MIN:
+        return array.tolist()
+    top = array.max()
+    if top >= _TEXT_CELLS or array.min() < 0:
+        return array.tolist()
+    outer = array.ndim - 1
+    table, ends = _text_table(max(len(str(top)) + 2, 2 * outer + 1), outer)
+    per_row = array.shape[-1]
+    flat = array.reshape(-1, per_row)
+    index = np.empty((len(flat), per_row + 1), dtype=np.intp)
+    index[:, :per_row] = flat
+    index[:, per_row - 1] += ends
+    # The row after row r opens one more axis per inner block it starts.
+    after = np.arange(1, len(flat))
+    separators = np.full(len(flat), 2 * ends, dtype=np.intp)
+    block = 1
+    for size in array.shape[-2:0:-1]:
+        block *= size
+        separators[:-1] += after % block == 0
+    separators[-1] = 2 * ends + outer
+    index[:, per_row] = separators
+    text = table.take(index).tobytes().translate(None, b"\0")
+    return JsonText("[" * (outer + 1) + text.decode("ascii"))
+
+
+# ---------------------------------------------------------------------------
 # Kinds: one field type, four conversions
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -78,7 +188,10 @@ class Kind:
     Spec-only kinds (predicates, nested sketch specs) have no binary form
     and leave ``write``/``read`` unset.  ``cells`` — set on bucket kinds —
     is how many summary cells a parsed value contributes, the factor the
-    :data:`MAX_SUMMARY_CELLS` bound multiplies.
+    :data:`MAX_SUMMARY_CELLS` bound multiplies.  ``to_text`` — set on
+    the kinds that carry grids — is ``to_json`` for an encoder: given the
+    value and whether keys are sorted, the JSON value or, when faster to
+    build, its :class:`JsonText`.
     """
 
     name: str
@@ -87,6 +200,7 @@ class Kind:
     write: Callable[[Encoder, Any], None] | None = None
     read: Callable[[Decoder], Any] | None = None
     cells: Callable[[Any], int] | None = None
+    to_text: Callable[[Any, bool], Any] | None = None
 
 
 def _same(value):
@@ -120,6 +234,10 @@ STR = Kind(
 CELL = Kind("cell", cell_to_json, cell_from_json, write_tagged_value, read_tagged_value)
 
 
+def _int_array_text(array: np.ndarray, sort_keys: bool) -> list | int | JsonText:
+    return int_array_json(array)
+
+
 def array_of(dtype: str) -> Kind:
     """A numpy array of ``dtype`` (any shape): nested lists in JSON."""
     return Kind(
@@ -128,12 +246,41 @@ def array_of(dtype: str) -> Kind:
         lambda data: np.asarray(data, dtype=dtype),
         Encoder.write_array,
         Decoder.read_array,
+        to_text=_int_array_text if np.dtype(dtype).kind in "iu" else None,
     )
 
 
-INT64_ARRAY = array_of("int64")
 F64_ARRAY = array_of("float64")
 UINT8_ARRAY = array_of("uint8")
+
+#: The unsigned widths a count grid travels at, narrowest first, each
+#: with the largest cell it holds.
+_COUNT_WIDTHS = tuple((np.dtype(t), np.iinfo(t).max) for t in ("u1", "u2", "u4"))
+
+
+def _write_counts(enc: Encoder, counts: np.ndarray) -> None:
+    counts = np.asarray(counts, dtype=np.int64)
+    width = np.dtype(np.int64)
+    if counts.size == 0:
+        width = _COUNT_WIDTHS[0][0]
+    elif counts.min() >= 0:
+        top = counts.max()
+        width = next((t for t, most in _COUNT_WIDTHS if top <= most), width)
+    enc.write_array(counts.astype(width, copy=False))
+
+
+#: A grid of counts (histogram bars, heat-map cells): int64 in memory
+#: and in JSON; in binary, the narrowest of uint8/16/32 that holds every
+#: cell (int64 if one is negative or beyond 2**32 - 1), widened back to
+#: int64 on read.  The array's dtype tag is the width byte.
+COUNTS = Kind(
+    "count grid",
+    np.ndarray.tolist,
+    lambda data: np.asarray(data, dtype=np.int64),
+    _write_counts,
+    lambda dec: dec.read_array(np.dtype(np.int64)),
+    to_text=_int_array_text,
+)
 
 
 def list_of(item: Kind, name: str | None = None) -> Kind:
@@ -305,7 +452,7 @@ class _Plan:
     cls: type
     tag: str | None
     head: dict  # {"type": tag} plus the variant field
-    json_out: tuple  # (key, get, to_json, omit_none)
+    json_out: tuple  # (key, get, to_json, omit_none, to_text)
     json_in: tuple  # (attr, key, from_json, default, context)
     binary_out: tuple  # (get, write)
     binary_in: tuple  # (attr, read)
@@ -319,11 +466,13 @@ def _compile(cls: type, wire: Wire) -> _Plan:
     json_out, json_in, binary_out, binary_in, cell_fields = [], [], [], [], []
     for entry in wire.entries:
         if isinstance(entry, Derived):
-            json_out.append((entry.key, entry.value, _same, False))
+            json_out.append((entry.key, entry.value, _same, False, None))
             continue
         attr, kind = entry.attr, entry.kind
         get = attrgetter(*attr) if isinstance(attr, tuple) else attrgetter(attr)
-        json_out.append((entry.key, get, kind.to_json, entry.default is None))
+        json_out.append(
+            (entry.key, get, kind.to_json, entry.default is None, kind.to_text)
+        )
         json_in.append((attr, entry.key, kind.from_json, entry.default, entry.context))
         if kind.write is not None:
             binary_out.append((get, kind.write))
@@ -384,16 +533,20 @@ _MALFORMED = (
 )
 
 
-def _to_json(plan: _Plan, obj: object) -> dict:
+def _to_json(plan: _Plan, obj: object, sort_keys: bool | None = None) -> dict:
+    """The JSON object of ``obj``; with ``sort_keys`` given, prepared for
+    :func:`dumps` under that key order (grids as :class:`JsonText`)."""
     out = dict(plan.head)
-    for key, get, convert, omit_none in plan.json_out:
+    for key, get, convert, omit_none, text in plan.json_out:
         value = get(obj)
         if omit_none and value is None:
             continue
         if type(key) is tuple:
             out.update(zip(key, convert(value)))
-        else:
+        elif text is None or sort_keys is None:
             out[key] = convert(value)
+        else:
+            out[key] = text(value, sort_keys)
     return out
 
 
@@ -437,12 +590,27 @@ def _summary_plan(summary: object, form: str) -> _Plan:
 
 def summary_tag(summary: object) -> str:
     """The wire tag of ``summary`` (shared by the JSON and binary forms)."""
-    return _summary_plan(summary, "binary codec").tag
+    return _summary_plan(summary, "wire form").tag
 
 
 def summary_to_json(summary: object) -> dict:
     """Render any summary as the JSON payload the UI consumes."""
     return _to_json(_summary_plan(summary, "JSON payload"), summary)
+
+
+def summary_json(summary: object, sort_keys: bool = False) -> dict | JsonText:
+    """:func:`summary_to_json` for an encoder: ``dumps`` of the result is
+    ``json.dumps(summary_to_json(summary), sort_keys=sort_keys)``.
+
+    A payload whose grids render faster as text comes back as
+    :class:`JsonText` (each grid straight from its array); any other as
+    its plain dict, so the reply around it is one ``json.dumps``.  Only
+    the fields the summary's table declares are visited.
+    """
+    fields = _to_json(_summary_plan(summary, "JSON payload"), summary, sort_keys)
+    if JsonText in map(type, fields.values()):
+        return JsonText(dumps(fields, sort_keys))
+    return fields
 
 
 def _summary_from_json(plan: _Plan, data: dict) -> object:
@@ -477,10 +645,36 @@ def decode_summary(cls: type, dec: Decoder) -> object:
 
 def summary_to_bytes(summary: object) -> bytes:
     """Encode any summary as a tagged binary attachment."""
+    return summary_attachment(summary)[0]
+
+
+def summary_attachment(summary: object) -> tuple[bytes, int]:
+    """:func:`summary_to_bytes`, and the size of its body (the summary's
+    wire size, the tag excluded) from the same encode."""
     enc = Encoder()
     enc.write_str(summary_tag(summary))
+    tag_size = enc.size
     encode_summary(summary, enc)
-    return enc.to_bytes()
+    return enc.to_bytes(), enc.size - tag_size
+
+
+def summary_nbytes(value: object) -> int:
+    """Approximate memory held by a summary: its arrays' ``nbytes`` in
+    full, 8 bytes per other scalar or list slot, strings by length.
+
+    Caches budget summaries by this, not by wire size: a count grid
+    travels at as little as one byte a cell but is held at eight.
+    """
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(8 + summary_nbytes(item) for item in value)
+    if isinstance(value, str):
+        return len(value)
+    plan = _PLANS.get(type(value))
+    if plan is None:
+        return 8
+    return sum(summary_nbytes(get(value)) for get, _ in plan.binary_out)
 
 
 def summary_from_bytes(payload: bytes) -> object:
@@ -497,7 +691,7 @@ def summaries_of(cls: type) -> Kind:
     """A list of nested ``cls`` summaries (trellis panes): full payloads
     in JSON, untagged bodies in binary."""
     plan = _PLANS[cls]
-    return list_of(
+    panes = list_of(
         Kind(
             f"{plan.tag} payload",
             summary_to_json,
@@ -506,6 +700,11 @@ def summaries_of(cls: type) -> Kind:
             lambda dec: decode_summary(cls, dec),
         )
     )
+
+    def to_text(summaries: list, sort_keys: bool) -> list | JsonText:
+        return _dumps_list([summary_json(s, sort_keys) for s in summaries], sort_keys)
+
+    return replace(panes, to_text=to_text)
 
 
 def sketch_to_json(sketch: object) -> dict:

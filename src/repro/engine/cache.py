@@ -41,6 +41,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Generic, TypeVar
 
+from repro.core.sketch import Summary
+from repro.core.wire import summary_nbytes
+
 V = TypeVar("V")
 
 #: Separator between the dataset id and the rest of a cache key.  Every
@@ -362,10 +365,15 @@ class DataCache(MemoCache[V]):
 def summary_size(value: object) -> int:
     """Accounted byte size of a cached sketch result.
 
-    Summaries carry :meth:`~repro.core.sketch.Summary.serialized_size`
-    (their wire size); anything else is accounted at zero, bounded by the
-    cache's entry budget instead.
+    A summary is accounted at the memory it holds
+    (:func:`~repro.core.wire.summary_nbytes`), not at its wire size: a
+    count grid travels at as little as a byte a cell but is cached at
+    eight, and sizing it encodes nothing.  Any other value is accounted
+    at its own ``serialized_size()`` if it has one, else at zero, bounded
+    by the cache's entry budget instead.
     """
+    if isinstance(value, Summary):
+        return summary_nbytes(value)
     size = getattr(value, "serialized_size", None)
     if callable(size):
         try:

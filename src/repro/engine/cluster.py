@@ -177,13 +177,23 @@ class WorkerEmission:
     ``cache_hit`` marks a partial served whole from the worker's memo
     cache — no shard was scanned to produce it (§5.4 at the worker tier).
     ``final`` marks the stream's last one (on the wire, its terminal).
+    ``encoded_size`` is the summary's wire size when the encode that
+    sent it measured it (a remote worker's reply says it); otherwise
+    :attr:`bytes` encodes once, on first read.
     """
 
     summary: object
     shards_done: int
-    bytes: int
+    encoded_size: int | None = None
     cache_hit: bool = False
     final: bool = False
+
+    @property
+    def bytes(self) -> int:
+        """The summary's size on the wire (Figure 5's bytes to the root)."""
+        if self.encoded_size is None:
+            self.encoded_size = self.summary.serialized_size()
+        return self.encoded_size
 
 
 @dataclass
@@ -1012,8 +1022,7 @@ class Worker(WorkerProtocol):
                         recipe["hits"] += 1
                 summary, shard_count = memoized
                 yield WorkerEmission(
-                    summary, shard_count, summary_size(summary),
-                    cache_hit=True, final=True,
+                    summary, shard_count, cache_hit=True, final=True
                 )
                 return
         shards = self.shards(dataset_id, lineage)
@@ -1073,9 +1082,7 @@ class Worker(WorkerProtocol):
                     now = time.monotonic()
                     # The last shard rides the final emission below.
                     if unsent and done < len(shards) and now - last_emit >= interval:
-                        yield WorkerEmission(
-                            accumulated, done, summary_size(accumulated)
-                        )
+                        yield WorkerEmission(accumulated, done)
                         unsent = 0
                         last_emit = now
             finally:
@@ -1107,9 +1114,7 @@ class Worker(WorkerProtocol):
             # Finished, ceded or cancelled, the run ends with one final
             # emission, after the memo insert: a repeat the root sends
             # once it has read this must hit the memo.
-            yield WorkerEmission(
-                accumulated, done, summary_size(accumulated), final=True
-            )
+            yield WorkerEmission(accumulated, done, final=True)
 
     def claim_slices(self, run: str, budget: int) -> "list[StolenParcel]":
         """Act as the victim of a steal.

@@ -73,8 +73,8 @@ from repro.engine.rpc import (
     RpcReply,
     RpcRequest,
     call_once,
+    summary_attachment,
     summary_from_bytes,
-    summary_to_bytes,
 )
 from repro.engine.verbs import VERBS, WIRE_VERBS, Verb
 from repro.errors import (
@@ -550,17 +550,18 @@ class WorkerServer:
                 # The summary travels as its own Encoder format in the
                 # attachment; the final one on the terminal reply.
                 final = emission.final
+                attachment, size = summary_attachment(emission.summary)
                 reply = RpcReply(
                     request.request_id,
                     "complete" if final else "partial",
                     progress=1.0 if final else 0.0,
                     payload={
                         "shardsDone": emission.shards_done,
-                        "bytes": emission.bytes,
+                        "bytes": size,
                         "cacheHit": emission.cache_hit,
                     },
                 )
-                reply.attachment = summary_to_bytes(emission.summary)
+                reply.attachment = attachment
                 yield reply
             if not final:  # nothing was folded: a bare terminal
                 yield RpcReply(request.request_id, "complete")

@@ -30,10 +30,13 @@ from repro.core.serialization import Decoder, Encoder
 from repro.core.wire import (
     cell_from_json,
     cell_to_json,
+    dumps,
     sketch_from_json,
     sketch_to_json,
+    summary_attachment,
     summary_from_bytes,
     summary_from_json,
+    summary_json,
     summary_tag,
     summary_to_bytes,
     summary_to_json,
@@ -178,6 +181,10 @@ class RpcReply:
 
     ``attachment`` is an optional binary blob riding the same frame
     (see :func:`encode_envelope`); it never appears in the JSON header.
+
+    ``summary``, set on a sketch reply, is the summary whose JSON form
+    the payload is: :meth:`to_json` renders it straight to text, and
+    ``payload`` becomes its ``summary_to_json`` dict on first read.
     """
 
     request_id: int
@@ -189,16 +196,40 @@ class RpcReply:
     cache: dict | None = None
     profile: dict | None = None
     attachment: bytes | None = None
+    summary: object | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def carrying(cls, request_id: int, kind: str, summary, **fields) -> "RpcReply":
+        """A sketch reply whose payload is ``summary`` (null for None).
+
+        The summary is rendered when the reply is sent; checking its type
+        here keeps an unencodable one an error reply of the request.
+        """
+        if summary is None:
+            return cls(request_id, kind, payload=None, **fields)
+        summary_tag(summary)
+        return cls(request_id, kind, summary=summary, **fields)
+
+    def _get_payload(self) -> object | None:
+        if self._payload is NO_PAYLOAD and self.summary is not None:
+            self._payload = summary_to_json(self.summary)
+        return self._payload
+
+    def _set_payload(self, value: object | None) -> None:
+        self._payload = value
 
     def envelope(self) -> dict:
-        """The wire fields, in wire order; every framing serializes this."""
+        """The wire fields, in wire order."""
+        return self._fields(self.payload)
+
+    def _fields(self, payload: object | None) -> dict:
         data: dict = {
             "requestId": self.request_id,
             "kind": self.kind,
             "progress": round(self.progress, 6),
         }
-        if self.payload is not NO_PAYLOAD:
-            data["payload"] = self.payload
+        if payload is not NO_PAYLOAD:
+            data["payload"] = payload
         if self.error is not None:
             data["error"] = self.error
         if self.code is not None:
@@ -209,8 +240,17 @@ class RpcReply:
             data["profile"] = self.profile
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(self.envelope())
+    def to_json(self, sort_keys: bool = False, **extra) -> str:
+        """``json.dumps({**envelope(), **extra}, sort_keys=sort_keys)``,
+        byte for byte; every framing of either wire serializes this.  A
+        summary payload is rendered from the summary itself, its grids
+        straight from their arrays (:func:`~repro.core.wire.summary_json`).
+        """
+        if self.summary is None:
+            payload = self.payload
+        else:
+            payload = summary_json(self.summary, sort_keys)
+        return dumps({**self._fields(payload), **extra}, sort_keys)
 
     @classmethod
     def from_json(cls, text: str) -> "RpcReply":
@@ -238,6 +278,10 @@ class RpcReply:
         reply.attachment = attachment
         return reply
 
+
+# ``payload`` is a property over ``summary``, installed after the
+# dataclass is built so the generated __init__ keeps the field's default.
+RpcReply.payload = property(RpcReply._get_payload, RpcReply._set_payload)
 
 #: Reply kinds that terminate one request's reply stream; shared by
 #: every endpoint of both wires.

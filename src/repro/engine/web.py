@@ -39,7 +39,6 @@ from repro.engine.rpc import (
     UnknownHandleError,
     predicate_from_json,
     sketch_from_json,
-    summary_to_json,
 )
 from repro.errors import HillviewError
 from repro.obs.metrics import REGISTRY
@@ -347,7 +346,7 @@ class WebServer:
             raise ProtocolError(f"unknown method {method!r}")
 
     @staticmethod
-    def _finalize(sketch, payload: object | None) -> None:
+    def _finalize(sketch, summary: object | None) -> None:
         """Root-side completion work for side-effecting sketches.
 
         A clean ``hvc`` save gets its snapshot manifest written once every
@@ -359,11 +358,11 @@ class WebServer:
         if (
             isinstance(sketch, SaveTableSketch)
             and sketch.format == "hvc"
-            and isinstance(payload, dict)
-            and not payload.get("errors")
-            and payload.get("files")
+            and summary is not None
+            and not summary.errors
+            and summary.files
         ):
-            write_manifest(sketch.directory, payload["files"])
+            write_manifest(sketch.directory, summary.files)
 
     def _run_sketch(
         self, request: RpcRequest, token: CancellationToken | None = None
@@ -376,7 +375,7 @@ class WebServer:
         if token is None:
             token = CancellationToken()
         self._tokens[request.request_id] = token
-        last_payload: object | None = None
+        last_summary: object | None = None
         # Cache telemetry for the terminal envelope (§5.4): a root-tier
         # hit, and/or how many workers served memoized partials.  It
         # rides the envelope so payload bytes stay identical across
@@ -408,7 +407,7 @@ class WebServer:
                 for partial in dataset.sketch_stream(sketch, token):
                     if first_partial_seconds is None:
                         first_partial_seconds = time.perf_counter() - started
-                    last_payload = summary_to_json(partial.value)
+                    last_summary = partial.value
                     cache_info["hit"] = cache_info["hit"] or partial.cache_hit
                     cache_info["workerHits"] = max(
                         cache_info["workerHits"], partial.worker_cache_hits
@@ -417,11 +416,11 @@ class WebServer:
                         engine_profile = partial.profile
                     if partial.progress >= 1.0:
                         continue  # the final summary becomes the complete reply
-                    yield RpcReply(
+                    yield RpcReply.carrying(
                         request.request_id,
                         "partial",
+                        last_summary,
                         progress=partial.progress,
-                        payload=last_payload,
                     )
             REGISTRY.histogram(
                 "web.first_partial_seconds",
@@ -439,21 +438,21 @@ class WebServer:
                 else None
             )
             if token.cancelled:
-                yield RpcReply(
+                yield RpcReply.carrying(
                     request.request_id,
                     "cancelled",
+                    last_summary,
                     progress=1.0,
-                    payload=last_payload,
                     cache=cache_info,
                     profile=profile,
                 )
             else:
-                self._finalize(sketch, last_payload)
-                yield RpcReply(
+                self._finalize(sketch, last_summary)
+                yield RpcReply.carrying(
                     request.request_id,
                     "complete",
+                    last_summary,
                     progress=1.0,
-                    payload=last_payload,
                     cache=cache_info,
                     profile=profile,
                 )

@@ -106,14 +106,13 @@ def reply_frame(reply: RpcReply, seq: int | None = None) -> bytes:
 
     The envelope fields (requestId, kind, progress, payload, error, code,
     cache, profile) are exactly the TCP wire's — same
-    :meth:`~repro.engine.rpc.RpcReply.envelope`, so a sketch payload
-    received over the gateway is identical to one received over a
-    :class:`~repro.service.transport.ServiceClient`.
+    :meth:`~repro.engine.rpc.RpcReply.to_json`, keys sorted, so a sketch
+    payload received over the gateway is identical to one received over
+    a :class:`~repro.service.transport.ServiceClient`.
     """
-    message = {**reply.envelope(), "type": "reply"}
-    if seq is not None:
-        message["seq"] = seq
-    return _text(message)
+    extra = {"type": "reply"} if seq is None else {"type": "reply", "seq": seq}
+    text = reply.to_json(sort_keys=True, **extra)
+    return ws.encode_frame(ws.OP_TEXT, text.encode("utf-8"))
 
 
 class _Stream:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
-from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
+from repro.core.wire import COUNTS, F64, INT, STR, UVARINT, Field, Wire
 from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.table.table import Table
 
@@ -35,7 +35,7 @@ class HeatmapSummary(Summary):
 
     wire = Wire(
         "heatmap",
-        Field("counts", "counts", INT64_ARRAY),
+        Field("counts", "counts", COUNTS),
         Field("x_missing", "xMissing", UVARINT),
         Field("y_missing", "yMissing", UVARINT),
         Field("out_of_range", "outOfRange", UVARINT),

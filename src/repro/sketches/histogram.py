@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
-from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
+from repro.core.wire import COUNTS, F64, INT, STR, UVARINT, Field, Wire
 from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.table.table import Table
 
@@ -32,7 +32,7 @@ class HistogramSummary(Summary):
 
     wire = Wire(
         "histogram",
-        Field("counts", "counts", INT64_ARRAY),
+        Field("counts", "counts", COUNTS),
         Field("missing", "missing", UVARINT),
         Field("out_of_range", "outOfRange", UVARINT),
         Field("sampled_rows", "sampledRows", UVARINT),

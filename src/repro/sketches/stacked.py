@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.buckets import BUCKETS, Buckets
 from repro.core.sketch import SampledSketch, Summary
-from repro.core.wire import F64, INT, INT64_ARRAY, STR, UVARINT, Field, Wire
+from repro.core.wire import COUNTS, F64, INT, STR, UVARINT, Field, Wire
 from repro.sketches.binning import bin_row_reference, bin_rows, count_cells
 from repro.table.table import Table
 
@@ -36,9 +36,9 @@ class StackedHistogramSummary(Summary):
 
     wire = Wire(
         "stacked",
-        Field("bar_counts", "barCounts", INT64_ARRAY),
-        Field("cell_counts", "cellCounts", INT64_ARRAY),
-        Field("y_missing", "yMissing", INT64_ARRAY),
+        Field("bar_counts", "barCounts", COUNTS),
+        Field("cell_counts", "cellCounts", COUNTS),
+        Field("y_missing", "yMissing", COUNTS),
         Field("missing", "missing", UVARINT),
         Field("out_of_range", "outOfRange", UVARINT),
         Field("sampled_rows", "sampledRows", UVARINT),

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buckets import DoubleBuckets
+from repro.core.serialization import Encoder
 from repro.data.flights import FlightsSource
 from repro.engine.cache import (
     KEY_SEP,
@@ -38,6 +39,7 @@ from repro.engine.cache import (
 from repro.engine.cluster import Cluster, Worker
 from repro.core.wire import SKETCH_TYPES
 from repro.engine.rpc import sketch_from_json, sketch_to_json
+from repro.sketches.heatmap import HeatmapSketch
 from repro.sketches.histogram import HistogramSketch
 from repro.storage.loader import TableSource
 
@@ -228,6 +230,48 @@ class TestWorkerMemoTier:
         key_sliced = worker._memo_key(dataset.dataset_id, sketch.cache_key())
         assert key_sliced != key_full
         assert key_sliced not in worker.memo
+
+    def test_memo_budget_holds_wide_heat_maps_by_their_memory(self):
+        """A 400x300 heat map travels at a byte a cell but is cached at
+        eight: the memo budget must count what it holds."""
+        budget = 2_500_000
+        worker = Worker("w", cores=2, memo_bytes=budget)
+        dataset = Cluster(workers=[worker], aggregation_interval=0.01).load(SOURCE)
+        for top in (1000, 2000, 3000, 4000):
+            dataset.run(
+                HeatmapSketch(
+                    "Distance", DoubleBuckets(0, top, 400),
+                    "DepDelay", DoubleBuckets(-30, 180, 300),
+                )
+            )
+        held = [worker.memo.peek(key) for key in worker.memo.keys()]
+        grids = sum(summary.counts.nbytes for summary, _ in held)
+        assert 0 < len(held) < 4
+        assert grids <= worker.memo.current_bytes <= budget
+
+    def test_a_run_encodes_its_summary_once(self, monkeypatch):
+        """Neither the worker, its memo nor the root's computation cache
+        encodes a summary to size it: one encode per emission, where the
+        root reads the emission's wire size."""
+        worker = Worker("w", cores=2)
+        root = Cluster(workers=[worker], aggregation_interval=60.0)
+        dataset = root.load(SOURCE)
+        writes = []
+        write_array = Encoder.write_array
+
+        def counted(enc, array):
+            writes.append(array.shape)
+            write_array(enc, array)
+
+        monkeypatch.setattr(Encoder, "write_array", counted)
+        sketch = HeatmapSketch(
+            "Distance", DoubleBuckets(0, 3000, 40),
+            "DepDelay", DoubleBuckets(-30, 180, 30),
+        )
+        run = dataset.run(sketch)
+        assert run.partials == 1
+        assert len(worker.memo) == 1 and len(root.computation_cache) == 1
+        assert writes == [(40, 30)]
 
     def test_cancelled_runs_are_not_memoized(self, two_roots):
         from repro.engine.progress import CancellationToken

@@ -92,7 +92,8 @@ class TestScalars:
 
 class TestArrays:
     @pytest.mark.parametrize(
-        "dtype", ["float64", "int64", "int32", "uint8", "bool", "float32"]
+        "dtype",
+        ["float64", "int64", "int32", "uint8", "bool", "float32", "uint16", "uint32"],
     )
     def test_supported_dtypes_roundtrip(self, dtype):
         arr = np.arange(10).astype(dtype)
@@ -183,6 +184,50 @@ class TestDecoderErrors:
         enc = Encoder()
         enc.write_str("abcdef")
         assert size == enc.size == len(enc.to_bytes())
+
+    @staticmethod
+    def _array_header(tag: int, shape: tuple[int, ...]) -> Encoder:
+        enc = Encoder()
+        enc.write_uvarint(tag)
+        enc.write_uvarint(len(shape))
+        for dim in shape:
+            enc.write_uvarint(dim)
+        return enc
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2**62, 4),  # wraps to 0 cells in int64 arithmetic
+            (2**32, 2**32),  # wraps to 0 as well
+            (0, 2**64),  # no cells, an impossible axis
+            (1 << 20,),  # plausible, but more than the bytes that follow
+        ],
+        ids=["wrapped", "wrapped-square", "impossible-empty", "oversized"],
+    )
+    def test_hostile_array_shapes_raise(self, shape):
+        enc = self._array_header(1, shape)
+        enc.write_bytes(b"x" * 64)
+        with pytest.raises(SerializationError):
+            Decoder(enc.to_bytes()).read_array()
+
+    def test_truncated_array_raises(self):
+        enc = Encoder()
+        enc.write_array(np.arange(12, dtype=np.int64).reshape(3, 4))
+        for cut in (1, 3, 10, len(enc.to_bytes()) - 1):
+            with pytest.raises(SerializationError):
+                Decoder(enc.to_bytes()[:cut]).read_array()
+
+    def test_truncated_array_rank_raises(self):
+        enc = self._array_header(1, ())
+        raw = enc.to_bytes()[:1] + b"\xff\xff\x03"  # rank 65535, no axes
+        with pytest.raises(SerializationError):
+            Decoder(raw).read_array()
+
+    def test_unknown_array_dtype_tag_raises(self):
+        enc = self._array_header(99, (2,))
+        enc.write_bytes(b"\x00" * 16)
+        with pytest.raises(SerializationError, match="dtype tag 99"):
+            Decoder(enc.to_bytes()).read_array()
 
     def test_remaining_tracks_position(self):
         enc = Encoder()

@@ -11,6 +11,10 @@ SHA-256 of
 * ``json.dumps(summary_to_json(summary))`` — the browser payload, and
 * ``json.dumps(sketch_to_json(sketch))`` — the broadcast spec.
 
+The ``summaryBytes`` of every count-grid summary (histogram, CDF, heat
+map, stacked, trellis) were re-recorded when grids came to travel at the
+narrowest width that holds them; no JSON hash moved.
+
 Any codec change that moves a byte on either wire fails here, naming the
 entry.  Regenerate (only when the wire is *meant* to change) with::
 

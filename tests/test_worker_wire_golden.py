@@ -26,6 +26,12 @@ the ``placement`` and ``inventory`` replies were re-recorded when the
 worker's report lost its ``rebalancing`` flag; the replies of
 ``a1.7.sketch`` and ``a1.8.sketch`` were re-recorded when a worker's last
 summary came to ride the terminal ``complete`` (two frames became one).
+When count grids came to travel at the narrowest width that holds them,
+the attachments (and ``bytes``) of ``a1.7.sketch``, ``a1.8.sketch`` and
+``b1.1.stolenPartial`` were re-recorded; so was the ``bytes`` of the one
+hot entry in the ``a1.10.exportHotEntries`` reply and the
+``a1.11.importEntries`` request that sends it back, now the memory the
+memo holds for it rather than its wire size.
 Regenerate, only when the wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
