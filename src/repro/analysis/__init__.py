@@ -16,7 +16,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.findings import RULE_CATALOG, Finding, RuleInfo
 from repro.analysis.rules.registry import RegistryView, extract_registry_view
-from repro.analysis.source import SourceFile, load_source_file
+from repro.analysis.source import SourceFile, read_source_file
 
 __all__ = [
     "AnalysisReport",
@@ -29,5 +29,5 @@ __all__ = [
     "analyze_paths",
     "discover_files",
     "extract_registry_view",
-    "load_source_file",
+    "read_source_file",
 ]

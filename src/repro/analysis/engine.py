@@ -21,7 +21,7 @@ from repro.analysis.output import (
     render_text,
 )
 from repro.analysis.rules import iter_file_rules, iter_project_rules
-from repro.analysis.source import SourceFile, load_source_file
+from repro.analysis.source import SourceFile, read_source_file
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
@@ -72,7 +72,7 @@ def analyze_paths(paths: list[str]) -> AnalysisReport:
         if os.path.isfile(p)
     }
     for path in discover_files(paths):
-        sf = load_source_file(path, known_rules)
+        sf = read_source_file(path, known_rules)
         if sf.is_fixture and path not in explicit_files:
             continue  # fixtures are scanned only when named explicitly
         report.files.append(sf)

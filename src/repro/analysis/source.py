@@ -158,7 +158,7 @@ def enclosing_class(node: ast.AST) -> ast.ClassDef | None:
     return None
 
 
-def load_source_file(path: str, known_rules: set[str]) -> SourceFile:
+def read_source_file(path: str, known_rules: set[str]) -> SourceFile:
     """Read + parse one file; syntax errors become a finding later, not
     a crash (the analyzer must survive anything a PR can contain)."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:

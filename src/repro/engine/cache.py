@@ -108,8 +108,8 @@ class MemoCache(Generic[V]):
     """An LRU cache with a TTL, a byte budget, and statistics.
 
     The single implementation behind every cache tier: the worker shard
-    store, the worker partial-sketch memo, the root computation cache and
-    the root row-count cache are all instances with different budgets.
+    store, the worker partial-sketch memo and the root computation cache
+    are all instances with different budgets.
 
     ``clock`` is injectable so tests (and the simulator) can control time.
     ``sizer`` maps a value to its accounted size in bytes; entries are

@@ -101,6 +101,7 @@ from repro.errors import (
     DatasetMissingError,
     EngineError,
     HillviewError,
+    WorkerDrainingError,
     WorkerUnavailableError,
 )
 from repro.storage.loader import DataSource, LoadedOnce
@@ -196,6 +197,18 @@ class WorkerEmission:
         return self.encoded_size
 
 
+@dataclass(frozen=True)
+class Extent:
+    """What one worker holds of a dataset, as ``ensure`` answers it: the
+    shard count, their rows, and their schema (None with no shards).
+    The root keeps the fleet's sum as the dataset's size and shape
+    (§5.2), so reading either never calls a worker."""
+
+    shards: int
+    rows: int
+    schema: Schema | None
+
+
 @dataclass
 class StolenParcel:
     """One shard slice on its way to another worker: ceded by a
@@ -274,28 +287,11 @@ class WorkerProtocol(ABC):
         the retired flag a re-syncing root needs."""
 
     @abstractmethod
-    def load_source(
-        self, dataset_id: str, source: DataSource, version: int | None = None
-    ) -> int:
-        """Load the source and keep this worker's slice; returns shard count."""
-
-    @abstractmethod
     def ensure(
         self, dataset_id: str, lineage: list, version: int | None = None
-    ) -> int:
-        """Materialize the dataset (replaying lineage); returns shard count."""
-
-    @abstractmethod
-    def shard_rows(
-        self, dataset_id: str, lineage: list, version: int | None = None
-    ) -> int:
-        """Total rows across this worker's shards of the dataset."""
-
-    @abstractmethod
-    def shard_schema(
-        self, dataset_id: str, lineage: list, version: int | None = None
-    ) -> Schema | None:
-        """The dataset's schema, or None when this worker holds no shards."""
+    ) -> Extent:
+        """Materialize the dataset, replaying lineage where this worker
+        lost it (a one-step lineage is a load); returns what it holds."""
 
     @abstractmethod
     def sketch_partials(
@@ -528,6 +524,9 @@ class Worker(WorkerProtocol):
         self.deliver = lambda target, dataset_id, version, parcels: (
             target.adopt_shards(dataset_id, version, parcels)
         )
+        #: Set once this worker may read no more data sources: a daemon
+        #: draining for shutdown still serves the shards it holds.
+        self.draining = threading.Event()
 
     # -- the sticky, versioned placement ---------------------------------
     def configure(
@@ -938,6 +937,11 @@ class Worker(WorkerProtocol):
                     shards = self.fetch(op.dataset_id)
                     continue
                 except DatasetMissingError:
+                    if self.draining.is_set():
+                        raise WorkerDrainingError(
+                            f"worker {self.name} is draining for shutdown "
+                            f"and reads no source (dataset {op.dataset_id!r})"
+                        ) from None
                     shards = op.source.load_slice(self.index, self.count)
             elif isinstance(op, MapOp):
                 assert shards is not None
@@ -951,38 +955,19 @@ class Worker(WorkerProtocol):
             raise DatasetMissingError(dataset_id, self.name)
         return shards
 
-    def load_source(
-        self, dataset_id: str, source: DataSource, version: int | None = None
-    ) -> int:
-        # Content-addressed ids make this idempotent: when another root of
-        # a shared fleet (or an earlier session) already loaded the same
-        # source, the resident shards are byte-identical by construction.
-        with self._dataset_op(version):
-            resident = self.store.get(dataset_id)
-            if resident is not None:
-                return len(resident)
-            shards = source.load_slice(self.index, self.count)
-            self.put(dataset_id, shards, loaded=True)
-            return len(shards)
-
     def ensure(
         self, dataset_id: str, lineage: list, version: int | None = None
-    ) -> int:
-        with self._dataset_op(version):
-            return len(self.shards(dataset_id, lineage))
-
-    def shard_rows(
-        self, dataset_id: str, lineage: list, version: int | None = None
-    ) -> int:
-        with self._dataset_op(version):
-            return sum(s.num_rows for s in self.shards(dataset_id, lineage))
-
-    def shard_schema(
-        self, dataset_id: str, lineage: list, version: int | None = None
-    ) -> Schema | None:
+    ) -> Extent:
+        # Content-addressed ids make a load idempotent: when another root
+        # of a shared fleet (or an earlier session) already loaded the
+        # same source, the resident shards are byte-identical.
         with self._dataset_op(version):
             shards = self.shards(dataset_id, lineage)
-            return shards[0].schema if shards else None
+        return Extent(
+            len(shards),
+            sum(shard.num_rows for shard in shards),
+            shards[0].schema if shards else None,
+        )
 
     # -- sketch execution (leaf pool + aggregation cadence) --------------
     def _memo_key(self, dataset_id: str, cache_key: str) -> str:
@@ -1295,20 +1280,6 @@ class Cluster:
         self.rebalances = 0
         self.redo_log = RedoLog()
         self.computation_cache = ComputationCache()
-        #: dataset id -> total row count, behind the same cache interface
-        #: as every other memo tier (stats-bearing, evictable, honors the
-        #: disable switch).  Datasets are immutable once created, so a
-        #: counted total stays valid across crash and redo-log replay;
-        #: repeated rowCount queries skip the shard walk.  An explicit
-        #: dataset eviction still invalidates the entry — the invariant
-        #: "evicting a dataset drops its cache entries at every tier" is
-        #: worth more than the saved recount.
-        self.row_count_cache: MemoCache[int] = MemoCache(
-            max_entries=65536,
-            sizer=lambda _: 32,
-            name="row-counts",
-            disableable=True,
-        )
         self.total_bytes_to_root = 0
         self._ids = itertools.count()
         #: Distinguishes this root's counter-minted ids from another
@@ -1349,19 +1320,12 @@ class Cluster:
             [w.member for w in self.workers],
         )
 
-    def cached_row_count(self, dataset_id: str) -> int | None:
-        return self.row_count_cache.get(dataset_id)
-
-    def cache_row_count(self, dataset_id: str, rows: int) -> None:
-        self.row_count_cache.put(dataset_id, rows)
-
     def cache_stats(self) -> dict:
         """Every cache tier's counters, for the ``cache_stats`` RPC."""
         return {
             "disabled": caches_disabled(),
             "root": {
                 "computation": self.computation_cache.stats().to_json(),
-                "rowCounts": self.row_count_cache.stats().to_json(),
             },
             "workers": self._worker_reports("cache_stats"),
         }
@@ -1408,10 +1372,7 @@ class Cluster:
     def sweep_caches(self) -> int:
         """Purge TTL-expired entries at every local tier; remote workers
         run their own daemon-side sweep.  Returns entries dropped."""
-        purged = (
-            self.computation_cache.purge_stale()
-            + self.row_count_cache.purge_stale()
-        )
+        purged = self.computation_cache.purge_stale()
         for worker in self.workers:
             try:
                 purged += worker.sweep_caches()
@@ -1435,7 +1396,7 @@ class Cluster:
 
     @contextlib.contextmanager
     def _stream_guard(self):
-        """Gate for every whole-fleet operation (load, map, row counts,
+        """Gate for every whole-fleet operation (load, map, eviction,
         sketch fan-outs): counted so a rebalance can drain them, blocked
         while one is re-keying the fleet.  Must never nest on one thread
         — the rebalance waits for the count to reach zero."""
@@ -1978,19 +1939,24 @@ class Cluster:
         self.redo_log.record_load(dataset_id, source)
         # Workers in this process share one read of the source, each
         # taking its slice; a table cannot cross a process boundary, so
-        # the others load their slice from the description.  Content-
-        # addressed ids make a repeat load a no-op on a worker that
-        # still holds its shards.
+        # the others load their slice from the description.
         shared = LoadedOnce(source)
+        return self._materialize(
+            dataset_id,
+            lambda w: [LoadOp(dataset_id, shared if w.member is w else source)],
+        )
+
+    def _materialize(self, dataset_id: str, lineage_for) -> "ClusterDataSet":
+        """Broadcast ``ensure`` (``lineage_for(worker)`` is the chain each
+        worker replays) and build the dataset from the extents the
+        workers answer."""
         with self._stream_guard():
-            self._with_placement_retries(
+            extents = self._with_placement_retries(
                 lambda version: self._for_all_workers(
-                    lambda i, w: w.load_source(
-                        dataset_id, shared if w.member is w else source, version
-                    )
+                    lambda i, w: w.ensure(dataset_id, lineage_for(w), version)
                 )
             )
-        return ClusterDataSet(self, dataset_id)
+        return ClusterDataSet(self, dataset_id, extents)
 
     def _for_all_workers(self, fn) -> list:
         """Run ``fn(index, worker)`` for every worker in parallel, reviving
@@ -2031,8 +1997,8 @@ class Cluster:
         """Evict a dataset's shards (memory pressure / TTL expiry).
 
         A full eviction also invalidates every dependent cache entry at
-        the root tier (computation cache, row count); each worker drops
-        its own memoized partials inside :meth:`WorkerProtocol.evict`.
+        the root tier (the computation cache); each worker drops its own
+        memoized partials inside :meth:`WorkerProtocol.evict`.
         """
         if worker_index is not None:
             self.workers[worker_index].evict(dataset_id, self.placement_version)
@@ -2050,7 +2016,6 @@ class Cluster:
         with self._stream_guard():
             self._with_placement_retries(evict_everywhere)
         self.computation_cache.invalidate_dataset(dataset_id)
-        self.row_count_cache.evict(dataset_id)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -2074,46 +2039,27 @@ class Cluster:
 
 
 class ClusterDataSet(IDataSet):
-    """A dataset resident (softly) on a cluster's workers."""
+    """A dataset resident (softly) on a cluster's workers.  Datasets are
+    immutable, so the size and schema the workers answered when they
+    materialized it stay true across eviction, crash and replay."""
 
-    def __init__(self, cluster: Cluster, dataset_id: str):
+    def __init__(self, cluster: Cluster, dataset_id: str, extents: list[Extent]):
         self.cluster = cluster
         self.dataset_id = dataset_id
+        self._rows = sum(extent.rows for extent in extents)
+        self._schema = next(
+            (e.schema for e in extents if e.schema is not None), None
+        )
 
     @property
     def total_rows(self) -> int:
-        cached = self.cluster.cached_row_count(self.dataset_id)
-        if cached is not None:
-            return cached
-        lineage = self.cluster.lineage(self.dataset_id)
-        with self.cluster._stream_guard():
-            total = sum(
-                self.cluster._with_placement_retries(
-                    lambda version: self.cluster._for_all_workers(
-                        lambda i, w: w.shard_rows(self.dataset_id, lineage, version)
-                    )
-                )
-            )
-        self.cluster.cache_row_count(self.dataset_id, total)
-        return total
+        return self._rows
 
     @property
-    def schema(self):
-        # Lazily walk workers in order: the schema needs only one shard,
-        # so materializing every worker (replay included) would be waste.
-        with self.cluster._stream_guard():
-            return self.cluster._with_placement_retries(self._schema_once)
-
-    def _schema_once(self, version: int):
-        lineage = self.cluster.lineage(self.dataset_id)
-        for index in range(len(self.cluster.workers)):
-            schema = self.cluster._with_revival(
-                index,
-                lambda i, w: w.shard_schema(self.dataset_id, lineage, version),
-            )
-            if schema is not None:
-                return schema
-        raise EngineError(f"dataset {self.dataset_id!r} has no shards")
+    def schema(self) -> Schema:
+        if self._schema is None:
+            raise EngineError(f"dataset {self.dataset_id!r} has no shards")
+        return self._schema
 
     def map(self, table_map: TableMap) -> "ClusterDataSet":
         new_id = self.cluster._map_dataset_id(self.dataset_id, table_map)
@@ -2121,13 +2067,7 @@ class ClusterDataSet(IDataSet):
         # The new dataset's lineage ends with the map op just recorded, so
         # "ensure" both applies the map and registers the result (§5.7).
         lineage = self.cluster.lineage(new_id)
-        with self.cluster._stream_guard():
-            self.cluster._with_placement_retries(
-                lambda version: self.cluster._for_all_workers(
-                    lambda i, w: w.ensure(new_id, lineage, version)
-                )
-            )
-        return ClusterDataSet(self.cluster, new_id)
+        return self.cluster._materialize(new_id, lambda w: lineage)
 
     # ------------------------------------------------------------------
     # Sketch execution
@@ -2348,7 +2288,7 @@ class ClusterDataSet(IDataSet):
             lineage = cluster.lineage(self.dataset_id)
             started = clock()
             with span("cluster.ensure", dataset=self.dataset_id):
-                shard_counts = cluster._for_all_workers(
+                extents = cluster._for_all_workers(
                     lambda i, w: w.ensure(self.dataset_id, lineage, version)
                 )
             # Phase 2: leaves summarize; aggregation nodes emit partials.
@@ -2356,7 +2296,7 @@ class ClusterDataSet(IDataSet):
             fan = FanOut(
                 sketch,
                 [w.name for w in snapshot],
-                shard_counts,
+                [extent.shards for extent in extents],
                 clock=clock,
                 steal_after=steal_after_seconds(cluster.aggregation_interval),
                 token=token,

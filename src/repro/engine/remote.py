@@ -81,6 +81,7 @@ from repro.errors import (
     EngineError,
     HillviewError,
     SerializationError,
+    WorkerDrainingError,
     WorkerUnavailableError,
 )
 from repro.obs.logs import configure_logging, log_event
@@ -104,12 +105,6 @@ STARTUP_TIMEOUT = 30.0
 #: How long a root waits on one worker request (between partials, for
 #: a sketch stream) before declaring the worker unavailable.
 REQUEST_TIMEOUT = 300.0
-
-
-class WorkerDrainingError(HillviewError):
-    """The worker received SIGTERM and refuses new state-creating work."""
-
-    code = "worker_draining"
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +207,6 @@ class WorkerServer:
         )
         # Between daemons a moved shard travels as an adoptShards frame.
         self.worker.deliver = _push_parcels
-        #: Graceful shutdown (SIGTERM): finish in-flight partials, refuse
-        #: new state-creating requests, then exit once drained.
-        self._draining = threading.Event()
         self._shutdown = threading.Event()
         self._listener: socket.socket | None = None
         self.requests_served = 0
@@ -258,11 +250,12 @@ class WorkerServer:
     # -- graceful shutdown (SIGTERM) -------------------------------------
     def begin_drain(self) -> None:
         """Start a graceful shutdown: stop accepting roots, refuse new
-        state-creating requests, let in-flight partial streams finish.
+        state-creating requests (an ``ensure`` that would read a source
+        among them), let in-flight partial streams finish.
 
         Idempotent; wired to SIGTERM by ``repro worker`` so a fleet
         shrink or a CI teardown never races a mid-stream kill."""
-        self._draining.set()
+        self.worker.draining.set()
         self._close_listener()
 
     def _close_listener(self) -> None:
@@ -275,7 +268,7 @@ class WorkerServer:
 
     @property
     def draining(self) -> bool:
-        return self._draining.is_set()
+        return self.worker.draining.is_set()
 
     def wait_drained(self, timeout: float = 30.0) -> bool:
         """Block until every in-flight request has been answered in full
@@ -522,7 +515,7 @@ class WorkerServer:
         verb = VERBS.get(request.method)
         if verb is None or verb.method is None:
             raise ProtocolError(f"unknown worker method {request.method!r}")
-        if verb.refused_draining and self._draining.is_set():
+        if verb.refused_draining and self.worker.draining.is_set():
             raise WorkerDrainingError(
                 f"worker {self.worker.name} is draining for shutdown and "
                 f"refuses {verb.wire!r}"

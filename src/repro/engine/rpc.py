@@ -489,7 +489,8 @@ def source_to_json(source) -> dict:
 
 
 def source_from_json(data: dict):
-    """Inverse of :func:`source_to_json`."""
+    """Inverse of :func:`source_to_json`.  Missing fields take the
+    defaults a client spec may rely on (``source_to_json`` writes all)."""
     from repro.data.flights import FlightsSource
     from repro.storage.loader import (
         ColumnarDatasetSource,
@@ -502,8 +503,8 @@ def source_from_json(data: dict):
     kind = data.get("kind")
     if kind == "flights":
         return FlightsSource(
-            int(data["rows"]),
-            partitions=int(data.get("partitions", 8)),
+            int(data.get("rows", 100_000)),
+            partitions=int(data.get("partitions", 16)),
             seed=int(data.get("seed", 0)),
             extra_columns=int(data.get("extraColumns", 0)),
         )

@@ -67,22 +67,22 @@ class SimPhase:
     summary_bytes: int = 256
 
     def leaf_cost_s(
-        self, model: CostModel, shard_rows: int, total_rows: int
+        self, model: CostModel, rows_per_shard: int, total_rows: int
     ) -> float:
         if self.kind == "scan":
-            return model.task_setup_s + model.scan_cost_s(shard_rows, self.columns)
+            return model.task_setup_s + model.scan_cost_s(rows_per_shard, self.columns)
         if self.kind == "sample":
-            share = shard_rows / max(total_rows, 1)
-            sampled = min(self.total_samples * share, shard_rows)
+            share = rows_per_shard / max(total_rows, 1)
+            sampled = min(self.total_samples * share, rows_per_shard)
             # Above ~80% sampling a scan is cheaper; the engine switches to
             # streaming, exactly like the spreadsheet's SCAN_RATE_THRESHOLD.
-            if sampled >= 0.8 * shard_rows:
+            if sampled >= 0.8 * rows_per_shard:
                 return model.task_setup_s + model.scan_cost_s(
-                    shard_rows, self.columns
+                    rows_per_shard, self.columns
                 )
             return model.task_setup_s + model.sample_cost_s(int(sampled))
         if self.kind == "sort":
-            return model.task_setup_s + model.sort_cost_s(shard_rows, self.columns)
+            return model.task_setup_s + model.sort_cost_s(rows_per_shard, self.columns)
         raise ValueError(f"unknown phase kind {self.kind!r}")
 
 
@@ -135,7 +135,7 @@ def simulate_phase(
 ) -> SimResult:
     """Simulate one execution tree over the cluster."""
     shard_counts = cluster.shards_per_server()
-    shard_rows = cluster.rows_per_shard()
+    rows_per_shard = cluster.rows_per_shard()
     total_rows = cluster.total_rows
 
     bytes_to_root = 0
@@ -152,11 +152,11 @@ def simulate_phase(
             # each micropartition in turn; computation on a shard starts as
             # soon as that shard is loaded (loads overlap compute, §5.4) —
             # this is why first partials stay early even on cold data.
-            per_shard_load = model.disk_load_s(shard_rows, cold_columns)
+            per_shard_load = model.disk_load_s(rows_per_shard, cold_columns)
             releases = [per_shard_load * (i + 1) for i in range(count)]
         else:
             releases = [0.0] * count
-        base = phase.leaf_cost_s(model, shard_rows, total_rows)
+        base = phase.leaf_cost_s(model, rows_per_shard, total_rows)
         jitter = 1.0 + model.jitter_fraction * (rng.random(count) * 2.0 - 1.0)
         costs = (base * jitter).tolist()
         leaf_tasks += len(costs)

@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.core.serialization import Decoder, Encoder
 from repro.core.wire import Kind
-from repro.engine.cluster import StolenParcel, WorkerProtocol
+from repro.engine.cluster import Extent, StolenParcel, WorkerProtocol
 from repro.engine.rpc import (
     NO_PAYLOAD,
     ProtocolError,
@@ -36,8 +36,6 @@ from repro.engine.rpc import (
     lineage_to_json,
     sketch_from_json,
     sketch_to_json,
-    source_from_json,
-    source_to_json,
     summary_from_bytes,
     summary_to_bytes,
 )
@@ -83,16 +81,25 @@ TOTALS = Kind(
     lambda value: {str(k): int(v) for k, v in (value or {}).items()},
 )
 LIST = Kind("list", _same, lambda value: value if isinstance(value, list) else [])
-SOURCE = Kind("source", source_to_json, source_from_json)
 LINEAGE = Kind("lineage", lineage_to_json, lineage_from_json)
 SKETCH = Kind("sketch spec", sketch_to_json, sketch_from_json)
-SCHEMA = Kind(
-    "[column] or null",
-    lambda schema: None if schema is None else [d.to_json() for d in schema],
-    lambda columns: (
+EXTENT = Kind(
+    "{shards, rows, schema}",
+    lambda extent: {
+        "shards": extent.shards,
+        "rows": extent.rows,
+        "schema": (
+            None
+            if extent.schema is None
+            else [column.to_json() for column in extent.schema]
+        ),
+    },
+    lambda value: Extent(
+        int(value["shards"]),
+        int(value["rows"]),
         None
-        if columns is None
-        else Schema(ColumnDescription.from_json(c) for c in columns)
+        if value.get("schema") is None
+        else Schema(ColumnDescription.from_json(c) for c in value["schema"]),
     ),
 )
 DATASETS = Kind(
@@ -313,17 +320,8 @@ WIRE_VERBS: tuple[Verb, ...] = (
               Arg("placementVersion", INT), _MEMBERS),
     ),
     Verb("placement", "placement_info", reply=_PLACEMENT),
-    Verb(
-        "load", "load_source", kind="ack", reply_key="shards", reply=INT,
-        dataset_op=True, refused_draining=True,
-        args=(_DATASET, Arg("source", SOURCE)),
-    ),
-    Verb("ensure", "ensure", kind="ack", reply_key="shards", reply=INT,
-         dataset_op=True, args=(_DATASET, _LINEAGE)),
-    Verb("rows", "shard_rows", reply_key="rows", reply=INT,
-         dataset_op=True, args=(_DATASET, _LINEAGE)),
-    Verb("schema", "shard_schema", reply_key="columns", reply=SCHEMA,
-         dataset_op=True, args=(_DATASET, _LINEAGE)),
+    Verb("ensure", "ensure", kind="ack", reply=EXTENT, dataset_op=True,
+         args=(_DATASET, _LINEAGE)),
     Verb("sketch", "sketch_partials", dataset_op=True, streaming=True,
          reply=_object("shardsDone", "bytes", "cacheHit"),
          args=(_DATASET, Arg("sketch", SKETCH), _LINEAGE,

@@ -90,5 +90,11 @@ class WorkerUnavailableError(EngineError):
     code = "worker_unavailable"
 
 
+class WorkerDrainingError(HillviewError):
+    """The worker received SIGTERM and refuses new state-creating work."""
+
+    code = "worker_draining"
+
+
 class QueryError(HillviewError):
     """A baseline database query was malformed."""

@@ -41,26 +41,17 @@ def source_from_json(
     """Resolve a wire-level source spec into a :class:`DataSource`.
 
     ``{}`` or ``{"kind": "default"}`` selects the server's configured
-    default dataset; ``{"kind": "flights", ...}`` generates synthetic
-    flights; ``{"kind": "path", ...}`` opens a file by extension.  Every
-    engine-level source kind (``csv``, ``jsonl``, ``syslog``, ``sql``,
-    ``hvc``) also works, via the same codec the root uses to describe
-    sources to worker processes — what a client loads is exactly what a
-    worker can replay (§5.7).
+    default dataset; ``{"kind": "path", ...}`` opens a file by
+    extension.  Every other kind (``flights``, ``csv``, ``jsonl``,
+    ``syslog``, ``sql``, ``hvc``) goes through the codec the root uses to
+    describe sources to worker processes — what a client loads is
+    exactly what a worker can replay (§5.7).
     """
     kind = spec.get("kind", "default")
     if kind == "default":
         if default is None:
             raise ProtocolError("this server has no default dataset")
         return default
-    if kind == "flights":
-        from repro.data.flights import FlightsSource
-
-        return FlightsSource(
-            int(spec.get("rows", 100_000)),
-            partitions=int(spec.get("partitions", 16)),
-            seed=int(spec.get("seed", 0)),
-        )
     if kind == "path":
         from repro.cli import source_for_path
 

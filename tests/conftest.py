@@ -4,6 +4,7 @@ deployments a worker contract runs against."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import socket
@@ -30,6 +31,7 @@ from repro.engine.remote import (
     _WorkerChannel,
     spawn_worker,
 )
+from repro.engine.verbs import WIRE_VERBS
 from repro.sketches.specs import CANONICAL_SCHEMA, DATE_HI, DATE_LO
 from repro.storage import columnar
 from repro.table.column import (
@@ -120,6 +122,25 @@ def connect(server: WorkerServer, address=("pair", 0)) -> RemoteWorkerProxy:
     return RemoteWorkerProxy(
         name, _WorkerChannel(near, name), server.worker.cores, address
     )
+
+
+def count_verb_calls(worker) -> collections.Counter:
+    """Count the verbs ``worker`` — a ``Worker`` or a proxy — is asked
+    to serve, by wrapping each protocol method on the instance."""
+    calls: collections.Counter = collections.Counter()
+
+    def counted(name: str, method):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    for verb in WIRE_VERBS:
+        if verb.method is not None:
+            method = getattr(worker, verb.method)
+            setattr(worker, verb.method, counted(verb.wire, method))
+    return calls
 
 
 class InProcessDeployment:

@@ -23,7 +23,7 @@ from repro.analysis import (
     analyze_paths,
     discover_files,
     extract_registry_view,
-    load_source_file,
+    read_source_file,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -103,7 +103,7 @@ def test_suppression_count_can_only_shrink() -> None:
     known = set(RULE_CATALOG)
     total = 0
     for path in discover_files([str(SRC)]):
-        sf = load_source_file(path, known)
+        sf = read_source_file(path, known)
         if not sf.is_fixture:
             total += len(sf.suppressions)
     assert total <= SUPPRESSION_CEILING, (
@@ -120,7 +120,7 @@ def test_registry_view_matches_live_registries() -> None:
 
     known = set(RULE_CATALOG)
     files = [
-        load_source_file(p, known) for p in discover_files([str(SRC)])
+        read_source_file(p, known) for p in discover_files([str(SRC)])
     ]
     view = extract_registry_view([sf for sf in files if sf.tree is not None])
 

@@ -29,6 +29,7 @@ from repro.engine.placement import (
     expected_slice,
     plan_moves,
 )
+from repro.engine.redo_log import LoadOp
 from repro.engine.remote import ProcessCluster, WorkerServer
 from repro.engine.rpc import (
     RpcRequest,
@@ -234,7 +235,7 @@ class TestElasticityContract:
         """One worker pinned to a slice and holding it."""
         worker = deployment.make("solo")
         worker.configure(index, count, 0.01, 0, ["a:1", "b:2"][:count])
-        worker.load_source("ds", SOURCE)
+        worker.ensure("ds", [LoadOp("ds", SOURCE)])
         return worker
 
     def test_grow_and_shrink_keep_results_byte_identical(
@@ -331,9 +332,9 @@ class TestElasticityContract:
 
     def test_stale_version_is_rejected_with_retryable_code(self, deployment):
         worker = self._placed(deployment)
-        assert worker.shard_rows("ds", [], 0) == ROWS
+        assert worker.ensure("ds", [], 0).rows == ROWS
         with pytest.raises(StalePlacementError) as info:
-            worker.shard_rows("ds", [], 7)
+            worker.ensure("ds", [], 7)
         assert info.value.retryable and info.value.code == "stale_placement"
 
     def test_draining_refuses_new_state_but_serves_reads(self):
@@ -343,10 +344,10 @@ class TestElasticityContract:
         worker = self._placed(deployment)
         deployment.drain(worker)
         with pytest.raises(WorkerUnavailableError, match="draining"):
-            worker.load_source("other", SOURCE)
+            worker.ensure("other", [LoadOp("other", SOURCE)])
         with pytest.raises(WorkerUnavailableError, match="draining"):
             worker.rebalance_commit(1, 0, 2, ["a:1", "b:2"], {})
-        assert worker.shard_rows("ds", []) == ROWS
+        assert worker.ensure("ds", [LoadOp("ds", SOURCE)]).rows == ROWS
         emissions = list(worker.sketch_partials("ds", sketch_from_json(HIST), []))
         assert emissions[-1].shards_done == PARTITIONS
         deployment.close()
@@ -360,9 +361,8 @@ class TestElasticityContract:
         )
         assert reply["kept"] == {}  # slice 1/2 is the odd ones: none came
         assert worker.inventory() == {}
-        from repro.engine.redo_log import LoadOp
-
-        assert worker.ensure("ds", [LoadOp("ds", SOURCE)], 1) == PARTITIONS // 2
+        extent = worker.ensure("ds", [LoadOp("ds", SOURCE)], 1)
+        assert extent.shards == PARTITIONS // 2
 
     def test_commit_is_idempotent_and_versions_are_monotonic(self, deployment):
         worker = self._placed(deployment)
@@ -385,7 +385,7 @@ class TestElasticityContract:
         # A retired worker serves no slice and cannot be re-pinned by a
         # stale root; both rejections send the root to the farewell.
         with pytest.raises(StalePlacementError):
-            worker.shard_rows("ds", [])
+            worker.ensure("ds", [])
         with pytest.raises(StalePlacementError):
             worker.configure(0, 1, 0.01, 0, None)
 
@@ -673,20 +673,18 @@ class TestWorkerServerDraining:
         self._dispatch(
             server, RpcRequest(1, "", "configure", {"index": 0, "count": 1})
         )
-        self._dispatch(
-            server,
-            RpcRequest(
-                2,
+        flights = {"kind": "flights", "rows": 500, "partitions": 4, "seed": 1}
+
+        def ensure(request_id: int, dataset: str) -> RpcRequest:
+            lineage = [{"op": "load", "dataset": dataset, "source": flights}]
+            return RpcRequest(
+                request_id,
                 "",
-                "load",
-                {
-                    "dataset": "ds",
-                    "source": {"kind": "flights", "rows": 500, "partitions": 4,
-                               "seed": 1},
-                    "placementVersion": 0,
-                },
-            ),
-        )
+                "ensure",
+                {"dataset": dataset, "lineage": lineage, "placementVersion": 0},
+            )
+
+        self._dispatch(server, ensure(2, "ds"))
         server.begin_drain()
         assert server.draining
         with pytest.raises(WorkerDrainingError):
@@ -694,11 +692,9 @@ class TestWorkerServerDraining:
                 server,
                 RpcRequest(3, "", "configure", {"index": 0, "count": 1}),
             )
+        # An ensure that would have to read the source is refused.
         with pytest.raises(WorkerDrainingError):
-            self._dispatch(
-                server,
-                RpcRequest(4, "", "load", {"dataset": "x", "source": {}}),
-            )
+            self._dispatch(server, ensure(4, "x"))
         # In-flight work still completes: reads and sketches are served.
         replies = self._dispatch(
             server,
@@ -715,6 +711,9 @@ class TestWorkerServerDraining:
             ),
         )
         assert replies[-1].kind == "complete"
+        # So is an ensure over shards the worker holds.
+        [held] = self._dispatch(server, ensure(6, "ds"))
+        assert held.kind == "ack" and held.payload["rows"] == 500
         assert server.wait_drained(timeout=5.0)
 
 

@@ -20,6 +20,8 @@ from repro.storage.loader import TableSource
 from repro.table.compute import ColumnPredicate
 from repro.table.schema import ContentsKind
 
+from tests.conftest import count_verb_calls
+
 BUCKETS = DoubleBuckets(0, 100, 20)
 
 
@@ -55,6 +57,28 @@ class TestExecution:
         assert dataset.total_rows == medium_numeric.num_rows
         cluster.load(source)  # still resident everywhere: no read at all
         assert Counted.reads == 1
+
+    def test_rows_and_schema_are_read_off_the_dataset(
+        self, cluster, medium_numeric
+    ):
+        """Load and map each ask every worker once (``ensure``); after
+        that, size and schema are the dataset's own — no worker call,
+        even once every worker has lost its shards."""
+        calls = [count_verb_calls(worker) for worker in cluster.workers]
+        dataset = cluster.load(TableSource([medium_numeric], shards_per_table=12))
+        derived = dataset.map(FilterMap(ColumnPredicate("value", "<", 25)))
+        assert all(count == {"ensure": 2} for count in calls)
+        for index in range(len(cluster.workers)):
+            cluster.kill_worker(index)
+        for count in calls:
+            count.clear()
+        below = int((medium_numeric.column("value").data < 25).sum())
+        for _ in range(3):
+            assert dataset.total_rows == medium_numeric.num_rows
+            assert dataset.schema == medium_numeric.schema
+            assert derived.total_rows == below
+            assert derived.schema == medium_numeric.schema
+        assert not any(calls)
 
     def test_map_then_sketch(self, loaded, medium_numeric):
         filtered = loaded.map(FilterMap(ColumnPredicate("value", "<", 25)))

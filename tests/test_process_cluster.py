@@ -26,7 +26,7 @@ from repro.sketches.histogram import HistogramSketch
 from repro.table.compute import ColumnPredicate
 from repro.table.table import Table
 
-from tests.conftest import daemon_fleet
+from tests.conftest import count_verb_calls, daemon_fleet
 
 pytestmark = pytest.mark.tier2
 
@@ -69,6 +69,30 @@ class TestRemoteDatasets:
         assert [d.name for d in dataset.schema] == [
             d.name for d in reference.schema
         ]
+
+    def test_rows_and_schema_are_read_off_the_dataset(self, reference):
+        """Load and map each send every proxy one ``ensure``; after that,
+        size and schema cost no round trip — even with every worker
+        process killed."""
+        cluster = ProcessCluster(
+            num_workers=2, cores_per_worker=1, aggregation_interval=0.01
+        )
+        try:
+            calls = [count_verb_calls(proxy) for proxy in cluster.workers]
+            dataset = cluster.load(SOURCE)
+            derived = dataset.map(FilterMap(ColumnPredicate("Distance", ">", 500.0)))
+            assert all(count == {"ensure": 2} for count in calls)
+            for index in range(len(cluster.workers)):
+                cluster.kill_worker_process(index)
+            far = int((reference.column("Distance").data > 500.0).sum())
+            for _ in range(3):
+                assert dataset.total_rows == reference.num_rows
+                assert dataset.schema == reference.schema
+                assert derived.total_rows == far
+                assert derived.schema == reference.schema
+            assert all(count == {"ensure": 2} for count in calls)
+        finally:
+            cluster.close()
 
     def test_maps_run_on_the_workers(self, dataset, reference):
         """filter -> derive-expression -> project, all over the wire, then

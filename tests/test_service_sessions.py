@@ -254,16 +254,10 @@ class TestSharedDatasets:
         assert a.web.dataset(ha).dataset_id == b.web.dataset(hb).dataset_id
 
     def test_row_count_cached_on_cluster(self, manager, source):
-        from repro.engine.cache import caches_disabled
-
         session = manager.get_or_create("counter")
         handle = session.web.load(source)
         dataset = session.web.dataset(handle)
         assert row_count(session, handle) == 4_000
-        if not caches_disabled():
-            assert (
-                manager.cluster.cached_row_count(dataset.dataset_id) == 4_000
-            )
         # Even after every worker loses the shards, the count is served
         # without a shard walk.
         for index in range(len(manager.cluster.workers)):
@@ -286,6 +280,19 @@ class TestSourceSpecs:
         )
         assert resolved.total_rows == 1234
         assert resolved.partitions == 4
+
+    def test_flights_spec_takes_every_field_and_the_client_defaults(self):
+        """A client's flights spec is read by the worker codec: extra
+        columns survive, and an absent size is 100 000 rows in 16
+        partitions."""
+        resolved = source_from_json(
+            {"kind": "flights", "rows": 1000, "extraColumns": 3}
+        )
+        assert resolved.extra_columns == 3
+        assert len(resolved.load()[0].schema) == 31
+        assert (resolved.total_rows, resolved.partitions) == (1000, 16)
+        bare = source_from_json({"kind": "flights"})
+        assert (bare.total_rows, bare.partitions, bare.seed) == (100_000, 16, 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ProtocolError, match="unknown source kind"):

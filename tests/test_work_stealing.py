@@ -34,6 +34,7 @@ from repro.engine.cluster import (
     steal_after_seconds,
 )
 from repro.engine.local import LocalDataSet
+from repro.engine.redo_log import LoadOp
 from repro.service.slow import SlowdownSketch
 from repro.sketches.histogram import HistogramSketch
 from repro.table.table import Table
@@ -108,7 +109,7 @@ class TestClaimSlices:
     def _victim(deployment, cores: int = 1, source=SOURCE):
         worker = deployment.make("victim", cores=cores)
         worker.configure(1, 2, 0.01, 0, ["a:1", "b:2"])
-        worker.load_source("ds", source)
+        worker.ensure("ds", [LoadOp("ds", source)])
         return worker
 
     @staticmethod

@@ -23,6 +23,7 @@ import repro.service.slow  # noqa: F401 — the "slow" wire type
 from repro.core.framing import read_frame_blocking, write_frame
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Worker
+from repro.engine.redo_log import LoadOp
 from repro.engine.remote import (
     ProcessCluster,
     RemoteWorkerProxy,
@@ -76,7 +77,8 @@ class TestAbandonedRequests:
         proxy = connect(server)
         try:
             proxy.configure(0, 1, 0.01)
-            proxy.load_source("ds", FlightsSource(2_000, partitions=8, seed=3))
+            source = FlightsSource(2_000, partitions=8, seed=3)
+            proxy.ensure("ds", [LoadOp("ds", source)])
             slow = sketch_from_json(
                 {"type": "slow", "perShardSeconds": 0.05, "inner": HIST}
             )
@@ -112,7 +114,8 @@ class TestUnreachableTransferTarget:
         proxy = connect(server)
         try:
             proxy.configure(0, 1, 0.01)
-            proxy.load_source("ds", FlightsSource(2_000, partitions=4, seed=3))
+            source = FlightsSource(2_000, partitions=4, seed=3)
+            proxy.ensure("ds", [LoadOp("ds", source)])
             moves = [{"target": dead, "globalIndices": [1, 3]}]
             # The daemon answers at once; the 5 s budget is never touched.
             with pytest.raises(WorkerUnavailableError, match="cannot reach"):
@@ -134,7 +137,8 @@ class TestExactCounters:
         worker = Worker("wide", cores=8)
         worker.configure(0, 1, 0.01)
         rows = Table.from_pydict({"Distance": [float(i) for i in range(512)]})
-        assert worker.load_source("ds", TableSource([rows], 512)) == 512
+        lineage = [LoadOp("ds", TableSource([rows], 512))]
+        assert worker.ensure("ds", lineage).shards == 512
         sketch = sketch_from_json(HIST)
         list(worker.sketch_partials("ds", sketch, []))
         assert worker.shards_summarized == 512

@@ -32,6 +32,13 @@ the attachments (and ``bytes``) of ``a1.7.sketch``, ``a1.8.sketch`` and
 hot entry in the ``a1.10.exportHotEntries`` reply and the
 ``a1.11.importEntries`` request that sends it back, now the memory the
 memo holds for it rather than its wire size.
+When ``ensure`` became the one verb that materializes a dataset, the
+``load``, ``rows`` and ``schema`` exchanges became ``ensure`` exchanges
+at the same request ids — ``a1.3.ensure`` (a load: it reads the
+source), ``a1.5.ensure`` (no version named), ``a1.6.ensure`` (an empty
+lineage over resident shards) and the stale root's ``a1.23.ensure`` —
+and the reply of ``a1.4.ensure`` was re-recorded: it carries the rows
+and schema beside the shard count.
 Regenerate, only when the wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
@@ -198,10 +205,10 @@ def record_transcript() -> dict[str, dict]:
         try:
             a.placement_info()  # unplaced
             a.configure(0, 1, 3600.0, 0, [member_a])
-            a.load_source(DATASET, source, 0)
-            a.ensure(DATASET, lineage, 0)
-            a.shard_rows(DATASET, lineage, 0)
-            a.shard_schema(DATASET, lineage, 0)
+            a.ensure(DATASET, lineage, 0)  # a load: reads the source
+            a.ensure(DATASET, lineage, 0)  # resident
+            a.ensure(DATASET, lineage)  # no version named
+            a.ensure(DATASET, [], 0)  # resident: no lineage needed
             sketch = sketch_from_json(HIST)
             list(a.sketch_partials(DATASET, sketch, lineage, version=0))
             list(a.sketch_partials(DATASET, sketch, lineage, version=0))  # memo hit
@@ -241,7 +248,7 @@ def record_transcript() -> dict[str, dict]:
 
             # Errors: a stale root, a conflicting slice, an unknown verb.
             for call in (
-                lambda: a.shard_rows(DATASET, lineage, 7),
+                lambda: a.ensure(DATASET, lineage, 7),
                 lambda: a.configure(1, 2, 3600.0, 0, [member_a]),
                 lambda: a.channel.call("frobnicate", {}),
             ):
