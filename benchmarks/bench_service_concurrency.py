@@ -106,7 +106,7 @@ def test_time_to_first_partial_under_concurrency():
     )
     address = server.start_background()
     try:
-        # Warm the shared dataset pool so measurements exclude generation.
+        # Load the dataset once so measurements exclude generation.
         with ServiceClient(*address) as warmup:
             warmup.row_count(warmup.load())
         measurements = [measure(address, n) for n in CONCURRENCY_LEVELS]

@@ -4,8 +4,8 @@
 Everything a worker holds is disposable.  This demo derives a filtered
 table, then repeatedly crashes workers and evicts datasets while asserting
 that every query keeps returning *identical* results — the root's redo log
-replays lineage (reload from the source, re-apply maps, re-seed randomized
-sketches) whenever soft state is missing.
+replays lineage (reload from the source, re-apply maps) whenever soft state
+is missing, and a randomized sketch carries its own seed.
 
 Run:  python examples/fault_tolerance_demo.py
 """
@@ -55,7 +55,7 @@ def main() -> None:
         )
         print(
             f"          exact identical: {same_exact}   "
-            f"sampled identical (same logged seed): {same_sampled}"
+            f"sampled identical (same seed): {same_sampled}"
         )
         assert same_exact and same_sampled
 

@@ -406,10 +406,6 @@ def serve_main(argv: list[str]) -> int:
         help="query scheduler concurrency (fair-share across sessions)",
     )
     parser.add_argument(
-        "--idle-ttl", type=float, default=900.0,
-        help="seconds before an idle session's handles are evicted",
-    )
-    parser.add_argument(
         "--log-json", action="store_true",
         help="emit one-line JSON log records (stamped with trace/session "
              "ids) instead of staying quiet",
@@ -458,7 +454,6 @@ def serve_main(argv: list[str]) -> int:
         host=args.host,
         port=args.port,
         max_concurrent=args.max_concurrent,
-        idle_ttl_seconds=args.idle_ttl,
         default_source=_serve_source(args),
         session_store=open_session_store(args.session_store),
         session_store_ttl_seconds=args.session_store_ttl,
@@ -514,10 +509,6 @@ def gateway_main(argv: list[str], out: TextIO | None = None) -> int:
         help="query scheduler concurrency (fair-share across sessions)",
     )
     parser.add_argument(
-        "--idle-ttl", type=float, default=900.0,
-        help="seconds before an idle session's handles are evicted",
-    )
-    parser.add_argument(
         "--heartbeat", type=float, default=15.0, metavar="SECONDS",
         help="WebSocket heartbeat interval",
     )
@@ -556,7 +547,6 @@ def gateway_main(argv: list[str], out: TextIO | None = None) -> int:
         host=args.service_host,
         port=args.service_port,
         max_concurrent=args.max_concurrent,
-        idle_ttl_seconds=args.idle_ttl,
         default_source=_serve_source(args),
     )
     gateway = GatewayServer(

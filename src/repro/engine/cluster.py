@@ -1902,7 +1902,7 @@ class Cluster:
         same id, so workers of a shared fleet hold one copy of the shards
         and the redo logs of independent roots agree byte-for-byte.  The
         hash covers the source's stable ``spec()`` — the same string the
-        redo log and the session dataset pool already key on.
+        redo log's load entries describe.
         """
         try:
             spec = source.spec()
@@ -2223,9 +2223,6 @@ class ClusterDataSet(IDataSet):
         token: CancellationToken | None = None,
     ) -> Iterator[PartialResult[R]]:
         cluster = self.cluster
-        cluster.redo_log.record_sketch(
-            self.dataset_id, sketch.name, getattr(sketch, "seed", None)
-        )
         cache_key = sketch.cache_key()
         if cache_key is not None:
             cached = cluster.computation_cache.get(self.dataset_id, cache_key)

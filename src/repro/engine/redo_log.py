@@ -2,10 +2,11 @@
 
 The redo log is the **only persistent structure in Hillview**: it records
 the operation that created every dataset — the initial *load* from the
-storage layer and each *map* derived from a parent — plus the seeds of
-randomized operations.  Worker state is soft; when a leaf reports a missing
-object, the root replays the lineage recorded here, recursing until it
-bottoms out at a load from disk.
+storage layer and each *map* derived from a parent.  Sketches are not
+recorded: a randomized sketch's seed travels in the sketch spec that every
+fan-out and retry sends.  Worker state is soft; when a leaf reports a
+missing object, the root replays the lineage recorded here, recursing until
+it bottoms out at a load from disk.
 """
 
 from __future__ import annotations
@@ -44,24 +45,11 @@ class MapOp:
         return f"map {self.dataset_id} <- {self.parent_id} via {self.table_map.spec()}"
 
 
-@dataclass(frozen=True)
-class SketchOp:
-    """A sketch execution (recorded with its seed for auditability)."""
-
-    dataset_id: str
-    sketch_name: str
-    seed: int | None
-
-    def describe(self) -> str:
-        seed = f" seed={self.seed}" if self.seed is not None else ""
-        return f"sketch {self.sketch_name} on {self.dataset_id}{seed}"
-
-
 @dataclass
 class RedoLog:
-    """Append-only operation log with lineage lookup."""
+    """Append-only operation log with lineage lookup; ``_by_dataset``
+    keeps ops in the order they were recorded."""
 
-    entries: list = field(default_factory=list)
     _by_dataset: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -80,7 +68,6 @@ class RedoLog:
                         f"{existing.describe()!r}"
                     )
                 return existing
-            self.entries.append(op)
             self._by_dataset[dataset_id] = op
         return op
 
@@ -99,16 +86,7 @@ class RedoLog:
                 return existing
             if parent_id not in self._by_dataset:
                 raise EngineError(f"unknown parent dataset {parent_id!r}")
-            self.entries.append(op)
             self._by_dataset[dataset_id] = op
-        return op
-
-    def record_sketch(
-        self, dataset_id: str, sketch_name: str, seed: int | None
-    ) -> SketchOp:
-        op = SketchOp(dataset_id, sketch_name, seed)
-        with self._lock:
-            self.entries.append(op)
         return op
 
     def creation_op(self, dataset_id: str) -> LoadOp | MapOp:
@@ -141,7 +119,7 @@ class RedoLog:
 
     def describe(self) -> list[str]:
         with self._lock:
-            return [op.describe() for op in self.entries]
+            return [op.describe() for op in self._by_dataset.values()]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._by_dataset)

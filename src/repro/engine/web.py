@@ -4,9 +4,9 @@ Hillview's web server sits between the browser and the workers: it holds
 *remote object handles* for the datasets a session derived (the initial
 load, filters, projections), launches execution trees for vizketch
 queries, streams progressively merged partials back to the client, and
-honors cancellation.  All of its state is soft (§5.7): any handle can be
-evicted and is lazily rebuilt from its lineage — a chain of map operations
-ending in a reloadable :class:`~repro.storage.loader.DataSource` ("the
+honors cancellation.  All of its state is soft (§5.7): each handle holds
+its dataset or the redo-log chain that rebuilds it — a load from a
+:class:`~repro.storage.loader.DataSource` followed by map operations ("the
 recursion ends when data is read from disk").
 
 :class:`WebServer` is transport-free: :meth:`execute` accepts a JSON
@@ -21,22 +21,19 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
-from repro.engine.cluster import Cluster
-from repro.engine.dataset import (
-    ExpressionMap,
-    FilterMap,
-    IDataSet,
-    ProjectMap,
-    TableMap,
-)
+from repro.engine.cluster import Cluster, ClusterDataSet
+from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap, TableMap
 from repro.engine.progress import CancellationToken
+from repro.engine.redo_log import LoadOp
 from repro.engine.rpc import (
     ProtocolError,
     RpcReply,
     RpcRequest,
     UnknownHandleError,
+    lineage_from_json,
+    lineage_to_json,
     predicate_from_json,
     sketch_from_json,
 )
@@ -51,10 +48,7 @@ class WebServer:
 
     ``session_id`` names the session this facade serves; each facade mints
     handles in its own namespace, so sessions on a shared cluster can
-    never collide.  ``dataset_pool``, when provided by the session
-    manager, shares root datasets across sessions that load the same
-    source spec (many users browsing one dataset reuse the cluster-side
-    shards).  ``source_resolver`` turns a JSON source spec into a
+    never collide.  ``source_resolver`` turns a JSON source spec into a
     :class:`DataSource` and enables the wire-level ``load`` method.
     """
 
@@ -62,180 +56,134 @@ class WebServer:
         self,
         cluster: Cluster | None = None,
         session_id: str = "local",
-        dataset_pool: "dict[str, IDataSet] | None" = None,
         source_resolver: "Callable[[dict], DataSource] | None" = None,
     ):
         self.cluster = cluster if cluster is not None else Cluster()
         self.session_id = session_id
-        self.dataset_pool = dataset_pool
         self.source_resolver = source_resolver
-        self._handles: dict[str, IDataSet] = {}
-        #: handle -> how to rebuild it: a DataSource for loads, or
-        #: (parent handle, TableMap) for derived datasets (§5.7).
-        self._lineage: dict[str, Union[DataSource, tuple[str, TableMap]]] = {}
+        #: handle -> its materialized dataset, or the redo-log chain
+        #: (``[LoadOp, MapOp, ...]``) that rebuilds it (§5.7).
+        self._handles: dict[str, ClusterDataSet | list] = {}
         self._tokens: dict[int, CancellationToken] = {}
         self._counter = 0
         self._lock = threading.Lock()
         #: Invoked after every handle mint (load or derive); the session
-        #: layer hooks this to persist the session's recipe book into a
+        #: layer hooks this to persist the session's handles into a
         #: shared store, so another root can resume the session (§5.2).
         self.on_lineage_change: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # Remote object handles (soft state)
     # ------------------------------------------------------------------
-    def _new_handle(self) -> str:
+    def _mint(self, build: Callable[[], ClusterDataSet]) -> str:
         with self._lock:
             self._counter += 1
-            return f"obj-{self._counter}"
+            handle = f"obj-{self._counter}"
+        dataset = build()
+        with self._lock:
+            self._handles[handle] = dataset
+        if self.on_lineage_change is not None:
+            self.on_lineage_change()
+        return handle
 
     def load(self, source: DataSource) -> str:
         """Load a data source; returns the session's root handle.
 
-        When a ``dataset_pool`` is shared across sessions, identical source
-        specs bind to the already-loaded cluster dataset instead of loading
-        the shards a second time.
+        Dataset ids are content-addressed, so a spec another session
+        already loaded names the same cluster dataset, and the workers
+        answer its ``ensure`` from their stores.
         """
-        handle = self._new_handle()
-        dataset: IDataSet | None = None
-        spec = source.spec()
-        if self.dataset_pool is not None:
-            dataset = self.dataset_pool.get(spec)
-        if dataset is None:
-            dataset = self.cluster.load(source)
-            if self.dataset_pool is not None:
-                self.dataset_pool[spec] = dataset
-        self._handles[handle] = dataset
-        with self._lock:
-            self._lineage[handle] = source
-        self._lineage_changed()
-        return handle
+        return self._mint(lambda: self.cluster.load(source))
 
-    def _lineage_changed(self) -> None:
-        if self.on_lineage_change is not None:
-            self.on_lineage_change()
+    def _derive(self, parent: str, table_map: TableMap) -> str:
+        return self._mint(lambda: self.dataset(parent).map(table_map))
 
     def evict(self, handle: str) -> None:
-        """Drop a handle's dataset (soft state); it rebuilds on next use."""
-        self._handles.pop(handle, None)
-
-    def evict_all(self) -> int:
-        """Drop every handle's dataset (idle-TTL sweep); lineage survives,
-        so any handle rebuilds on next use (§5.7).  Returns the count."""
-        count = len(self._handles)
-        self._handles.clear()
-        return count
+        """Drop a handle's materialized dataset (soft state); it rebuilds
+        from the redo log on next use (§5.7)."""
+        entry = self._handles.get(handle)
+        if isinstance(entry, ClusterDataSet):
+            chain = self.cluster.lineage(entry.dataset_id)
+            with self._lock:
+                self._handles[handle] = chain
 
     @property
     def handles(self) -> list[str]:
         """Every handle this session has minted (resident or evicted)."""
         with self._lock:
-            return list(self._lineage)
+            return list(self._handles)
 
-    def dataset(self, handle: str) -> IDataSet:
-        """The dataset behind ``handle``, lazily rebuilt if evicted (§5.7)."""
-        existing = self._handles.get(handle)
-        if existing is not None:
-            return existing
-        recipe = self._lineage.get(handle)
-        if recipe is None:
+    def dataset(self, handle: str) -> ClusterDataSet:
+        """The dataset behind ``handle``; an evicted or restored handle is
+        rebuilt by repeating the calls that first minted it (§5.7)."""
+        entry = self._handles.get(handle)
+        if entry is None:
             raise UnknownHandleError(f"unknown remote object {handle!r}")
-        if isinstance(recipe, tuple):
-            parent_handle, table_map = recipe
-            rebuilt = self.dataset(parent_handle).map(table_map)
-        else:
-            # A root handle rebuilds through the shared pool when there is
-            # one, so an idle-TTL sweep reattaches to the still-loaded
-            # cluster dataset instead of re-reading the source and
-            # duplicating every worker's shards.
-            rebuilt = None
-            if self.dataset_pool is not None:
-                rebuilt = self.dataset_pool.get(recipe.spec())
-            if rebuilt is None:
-                rebuilt = self.cluster.load(recipe)
-                if self.dataset_pool is not None:
-                    self.dataset_pool[recipe.spec()] = rebuilt
-        self._handles[handle] = rebuilt
-        return rebuilt
-
-    def _derive(self, parent: str, table_map: TableMap) -> str:
-        handle = self._new_handle()
-        self._handles[handle] = self.dataset(parent).map(table_map)
+        if isinstance(entry, ClusterDataSet):
+            return entry
+        dataset = self.cluster.load(entry[0].source)
+        for op in entry[1:]:
+            dataset = dataset.map(op.table_map)
         with self._lock:
-            self._lineage[handle] = (parent, table_map)
-        self._lineage_changed()
-        return handle
+            self._handles[handle] = dataset
+        return dataset
 
     # ------------------------------------------------------------------
     # Lineage export/restore: session migration between roots (§5.2)
     # ------------------------------------------------------------------
     def export_lineage(self) -> list[dict]:
-        """The session's recipe book as JSON records, in mint order.
+        """The session's handles as ``{"handle", "lineage"}`` records in
+        mint order, each chain in the worker wire's lineage encoding.
 
-        Handles whose recipe cannot cross a process boundary (an
+        A handle whose chain cannot cross a process boundary (an
         in-memory :class:`~repro.storage.loader.TableSource`, a map
-        carrying a Python callable) are skipped along with their
-        descendants — exactly the §5.7 constraint that durable lineage
-        must bottom out at a reloadable source.
+        carrying a Python callable) is skipped — exactly the §5.7
+        constraint that durable lineage must bottom out at a reloadable
+        source.
         """
-        from repro.engine.rpc import source_to_json, table_map_to_json
-
-        records: list[dict] = []
-        exported: set[str] = set()
         # Snapshot under the mint lock: concurrent queries of the same
         # session may be minting handles while persistence runs.
         with self._lock:
-            lineage = list(self._lineage.items())
-        for handle, recipe in lineage:
+            entries = list(self._handles.items())
+        records: list[dict] = []
+        for handle, entry in entries:
+            if isinstance(entry, ClusterDataSet):
+                entry = self.cluster.lineage(entry.dataset_id)
             try:
-                if isinstance(recipe, tuple):
-                    parent, table_map = recipe
-                    if parent not in exported:
-                        continue  # the parent itself was not exportable
-                    record = {
-                        "handle": handle,
-                        "parent": parent,
-                        "map": table_map_to_json(table_map),
-                    }
-                else:
-                    record = {"handle": handle, "source": source_to_json(recipe)}
+                records.append({"handle": handle, "lineage": lineage_to_json(entry)})
             except ProtocolError:
                 continue
-            records.append(record)
-            exported.add(handle)
         return records
 
-    def restore_lineage(self, records: list[dict], counter: int = 0) -> int:
-        """Rebuild the recipe book from :meth:`export_lineage` output.
+    def restore_lineage(self, records: list, counter: int = 0) -> int:
+        """Store the chains of :meth:`export_lineage` records; each handle
+        is materialized on first use (§5.7).
 
-        Nothing is materialized here: handles rebuild lazily through
-        :meth:`dataset` on first use, the same way an idle-swept session
-        comes back.  ``counter`` restores the handle counter high-water
-        mark so newly minted handles cannot collide with restored ones.
-        Returns the number of handles restored.
+        Each record decodes on its own, and one that does not is skipped.
+        The handle counter's high-water mark comes from ``counter`` and
+        from every record's handle name, decoded or not, so a newly
+        minted handle never collides with one minted before.  Returns the
+        number of handles restored.
         """
-        from repro.engine.rpc import source_from_json, table_map_from_json
-
         restored = 0
+        numbers = [counter]
         for record in records:
-            handle = str(record["handle"])
-            if "map" in record:
-                recipe: Union[DataSource, tuple[str, TableMap]] = (
-                    str(record["parent"]),
-                    table_map_from_json(record["map"]),
-                )
-            else:
-                recipe = source_from_json(record["source"])
+            handle = record.get("handle") if isinstance(record, dict) else None
+            if not isinstance(handle, str):
+                continue
+            if handle.startswith("obj-") and handle[4:].isdigit():
+                numbers.append(int(handle[4:]))
+            try:
+                chain = lineage_from_json(record["lineage"])
+            except (HillviewError, KeyError, TypeError, ValueError, AttributeError):
+                continue
+            if not chain or not isinstance(chain[0], LoadOp):
+                continue
             with self._lock:
-                self._lineage[handle] = recipe
+                self._handles[handle] = chain
             restored += 1
         with self._lock:
-            numbered = [
-                int(h.split("-", 1)[1])
-                for h in self._lineage
-                if h.startswith("obj-") and h.split("-", 1)[1].isdigit()
-            ]
-            self._counter = max([counter, self._counter, *numbered, 0])
+            self._counter = max(self._counter, *numbers)
         return restored
 
     # ------------------------------------------------------------------

@@ -17,8 +17,8 @@ same vizketch machinery the interactive UI uses —
 Everything here is *blocking* by design: the gateway's asyncio loop calls
 it through ``run_in_executor``, and tests can drive it directly.  Queries
 execute on the connector's own service session (resolved per call, so
-idle-TTL sweeps and session expiry are survived transparently via the
-session manager's store-resume path), through the transport-free
+session expiry is survived transparently via the session manager's
+store-resume path), through the transport-free
 :meth:`~repro.engine.web.WebServer.execute` facade — REST reads are
 synchronous request/response and must not preempt each other the way
 interactive sketches do under newest-query-wins.

@@ -2,7 +2,7 @@
 
 Turns the in-process engine into a real service: an asyncio TCP transport
 streaming progressive results with backpressure (:mod:`transport`), a
-session manager holding per-client soft state with idle-TTL eviction
+session manager holding per-client soft state with idle expiry
 (:mod:`sessions`), an admission-controlled fair-share query scheduler
 with newest-query-wins cancellation (:mod:`scheduler`), and — for the
 horizontal tier — sticky, versioned shard placement so many roots share

@@ -3,13 +3,14 @@
 Hillview's web server is stateless — everything a session holds is soft
 and rebuildable from lineage.  That makes a multi-root service tier
 almost free: the only thing a second root needs to resume someone else's
-session is the *recipe book* — which handles the session minted and how
-each one is derived (a source spec for roots, a parent handle plus a
-declarative table map for the rest).  This module stores exactly that:
+session is which handles the session minted and the redo-log chain of
+each — a load from a source spec followed by declarative table maps.
+This module stores exactly that:
 
 * :class:`SessionRecord` — one session's durable description: id,
-  timestamps, handle counter high-water mark, and the lineage records the
-  :class:`~repro.engine.web.WebServer` facade exports;
+  timestamps, handle counter high-water mark, and the ``{handle,
+  lineage}`` records the :class:`~repro.engine.web.WebServer` facade
+  exports, each chain encoded with the worker wire's lineage codec;
 * :class:`InMemorySessionStore` — the single-root default (and the
   fixture for tests): a dict behind a lock;
 * :class:`SqliteSessionStore` — a file-backed store several roots point
@@ -17,9 +18,11 @@ declarative table map for the rest).  This module stores exactly that:
   makes concurrent roots safe.
 
 No dataset bytes are ever stored.  Resuming replays nothing eagerly:
-the restored facade holds lineage only, and the first request on each
+the restored facade holds chains only, and the first request on each
 handle rebuilds it through the normal §5.7 path — exactly how an
-idle-swept session already comes back on its original root.
+evicted handle comes back on its original root.  A record that does not
+decode (another format, an unknown source kind) is skipped: the store
+holds soft state.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ class SessionRecord:
     created_at: float
     last_active: float
     counter: int = 0
-    #: Lineage records in mint order; each is either
-    #: ``{"handle": h, "source": <source json>}`` (a root load) or
-    #: ``{"handle": h, "parent": p, "map": <table-map json>}``.
+    #: Handle records in mint order, each
+    #: ``{"handle": h, "lineage": <lineage json>}`` — the handle's
+    #: redo-log chain in the worker wire's lineage encoding.
     handles: list = field(default_factory=list)
-    #: The session's metric counters at persist time, so telemetry
-    #: survives TTL eviction and cross-root resume — a session that
+    #: The session's metric counters at persist time, so a session that
     #: roams to another root carries its query/cache-hit history along.
     metrics: dict = field(default_factory=dict)
 
@@ -83,7 +85,7 @@ class SessionRecord:
 
 
 class SessionStore(ABC):
-    """Where session recipes live; shared by every root of one tier."""
+    """Where session records live; shared by every root of one tier."""
 
     @abstractmethod
     def put(self, record: SessionRecord) -> None:

@@ -2,17 +2,16 @@
 
 Each connected client gets a :class:`Session`: a session-scoped
 :class:`~repro.engine.web.WebServer` facade (its own remote-handle
-namespace and lineage), per-session metrics, and the set of in-flight
-scheduler tasks (so an explicit ``cancel`` RPC can find its target even
-before the web layer registered a token).
+namespace), per-session metrics, and the set of in-flight scheduler tasks
+(so an explicit ``cancel`` RPC can find its target even before the web
+layer registered a token).
 
-All session state is *soft*, exactly like the rest of the system: the
-:class:`SessionManager` sweeps sessions that have been idle past the TTL
-and evicts their handles; the lineage stays, so the next request on an
-evicted handle transparently rebuilds it by replaying maps down to the
-data source (§5.7).  Root datasets are shared across sessions through a
-spec-keyed pool — a thousand users browsing the flights dataset hold a
-thousand handle namespaces over one set of cluster shards.
+All session state is *soft*, exactly like the rest of the system: a
+handle holds its dataset or the redo-log chain that rebuilds it (§5.7),
+and the :class:`SessionManager` drops sessions idle past the expiry TTL.
+Dataset ids are content-addressed, so a thousand users browsing the
+flights dataset hold a thousand handle namespaces over one set of cluster
+shards.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.cluster import Cluster
-from repro.engine.dataset import IDataSet
 from repro.engine.rpc import ProtocolError, RpcReply
 from repro.engine.web import WebServer
 from repro.obs.logs import log_event
@@ -75,7 +73,6 @@ class SessionMetrics:
     cancelled: int = 0
     preempted: int = 0
     errors: int = 0
-    handle_evictions: int = 0
     #: Sketches answered whole from the root's computation cache (§5.4).
     cache_hits: int = 0
     #: Worker partials served from worker-side memo caches, summed over
@@ -92,7 +89,6 @@ class SessionMetrics:
             "cancelled": self.cancelled,
             "preempted": self.preempted,
             "errors": self.errors,
-            "handleEvictions": self.handle_evictions,
             "cacheHits": self.cache_hits,
             "workerCacheHits": self.worker_cache_hits,
         }
@@ -129,7 +125,6 @@ _METRIC_KEYS = [
     ("cancelled", "cancelled"),
     ("preempted", "preempted"),
     ("errors", "errors"),
-    ("handle_evictions", "handleEvictions"),
     ("cache_hits", "cacheHits"),
     ("worker_cache_hits", "workerCacheHits"),
 ]
@@ -142,16 +137,12 @@ class Session:
         self,
         session_id: str,
         cluster: Cluster,
-        dataset_pool: dict[str, IDataSet],
         source_resolver: Callable[[dict], DataSource],
         clock: Callable[[], float] = time.monotonic,
     ):
         self.session_id = session_id
         self.web = WebServer(
-            cluster,
-            session_id=session_id,
-            dataset_pool=dataset_pool,
-            source_resolver=source_resolver,
+            cluster, session_id=session_id, source_resolver=source_resolver
         )
         self.metrics = SessionMetrics()
         self._clock = clock
@@ -240,12 +231,6 @@ class Session:
             metrics=self.metrics.to_json(),
         )
 
-    def evict_handles(self) -> int:
-        """Drop every resident dataset handle; lineage rebuilds them (§5.7)."""
-        count = self.web.evict_all()
-        self.metrics.handle_evictions += count
-        return count
-
     def to_json(self) -> dict:
         return {
             "session": self.session_id,
@@ -262,12 +247,12 @@ class Session:
 
 
 class SessionManager:
-    """Creates, resolves, sweeps, and closes sessions over one cluster.
+    """Creates, resolves, expires, and closes sessions over one cluster.
 
     ``store``, when given, is the shared session store of a multi-root
-    tier: every handle mint persists the session's recipe book, and a
+    tier: every handle mint persists the session's redo-log chains, and a
     session id unknown locally but present in the store is *resumed* —
-    its lineage restored, its handles rebuilt lazily by §5.7 replay — so
+    its chains restored, its handles rebuilt lazily by §5.7 replay — so
     a client can reconnect to any root of the tier.
 
     Every callable in ``close_listeners`` (seeded with ``on_close``) is
@@ -281,8 +266,7 @@ class SessionManager:
     def __init__(
         self,
         cluster: Cluster | None = None,
-        idle_ttl_seconds: float = 900.0,
-        expire_ttl_seconds: float | None = None,
+        expire_ttl_seconds: float = 3600.0,
         default_source: DataSource | None = None,
         clock: Callable[[], float] = time.monotonic,
         store: SessionStore | None = None,
@@ -290,16 +274,10 @@ class SessionManager:
         on_close: Callable[[str], None] | None = None,
     ):
         self.cluster = cluster if cluster is not None else Cluster()
-        self.idle_ttl_seconds = idle_ttl_seconds
         #: Idle time after which the session object itself is dropped (the
-        #: client can no longer resume by id).  Defaults to 4x the handle
-        #: eviction TTL.  Without this, a long-lived server accumulates one
-        #: Session per connection forever.
-        self.expire_ttl_seconds = (
-            expire_ttl_seconds
-            if expire_ttl_seconds is not None
-            else idle_ttl_seconds * 4
-        )
+        #: client can no longer resume by id).  Without this, a long-lived
+        #: server accumulates one Session per connection forever.
+        self.expire_ttl_seconds = expire_ttl_seconds
         self.default_source = default_source
         self.store = store
         #: Tier-wide compaction: records whose wall-clock ``last_active``
@@ -310,12 +288,10 @@ class SessionManager:
         self.close_listeners = [on_close] if on_close is not None else []
         self._clock = clock
         self._sessions: dict[str, Session] = {}
-        self._dataset_pool: dict[str, IDataSet] = {}
         self._counter = itertools.count(1)
         self._lock = threading.Lock()
         self.sessions_created = 0
         self.sessions_resumed = 0
-        self.sessions_swept = 0
         self.sessions_expired = 0
         self.store_errors = 0
         self.store_records_purged = 0
@@ -341,11 +317,7 @@ class SessionManager:
         if session_id in self._sessions:
             raise ProtocolError(f"session {session_id!r} already exists")
         session = Session(
-            session_id,
-            self.cluster,
-            self._dataset_pool,
-            self._resolve_source,
-            clock=self._clock,
+            session_id, self.cluster, self._resolve_source, clock=self._clock
         )
         session.web.on_lineage_change = lambda: self._persist(session)
         self._sessions[session_id] = session
@@ -354,7 +326,7 @@ class SessionManager:
         return session
 
     def _persist(self, session: Session) -> None:
-        """Write one session's recipe book to the shared store.
+        """Write one session's handles to the shared store.
 
         A store outage must degrade to single-root behavior (the session
         keeps working where it is), never fail the query that minted the
@@ -377,7 +349,7 @@ class SessionManager:
         return session
 
     def persist_all(self) -> int:
-        """Write every live session's recipe book to the shared store
+        """Write every live session's handles to the shared store
         *now* (maintenance drain: reconnecting clients must resume on
         sibling roots with fresh state).  Returns how many records were
         written; without a store there is nothing to do."""
@@ -428,9 +400,11 @@ class SessionManager:
                 return existing
             session = self._create_locked(session_id)
             if record is not None:
-                # Another root minted these handles; restore the
-                # recipes only — datasets rebuild lazily (§5.7).
-                session.web.restore_lineage(record.handles, record.counter)
+                # Another root minted these handles; restore their
+                # chains only — datasets rebuild lazily (§5.7).
+                restored = session.web.restore_lineage(
+                    record.handles, record.counter
+                )
                 session.created_wall = record.created_at
                 # Counters roam with the session: a client that
                 # reconnects through another root keeps its history.
@@ -439,8 +413,11 @@ class SessionManager:
                 log_event(
                     "session.resume",
                     session=session_id,
-                    handles=len(record.handles),
+                    handles=restored,
                 )
+        if record is not None:
+            # Each handle record that did not decode was skipped.
+            self.store_errors += len(record.handles) - restored
         self._persist(session)
         return session
 
@@ -464,7 +441,6 @@ class SessionManager:
         explicit close is an instruction, not a timeout, and deletes
         unconditionally."""
         session.cancel_all()
-        session.evict_handles()
         # However a session ends, its counters fold into the server's
         # lifetime totals — the work it did stays visible to stats and
         # metricsSnapshot after the session object is gone.
@@ -491,46 +467,24 @@ class SessionManager:
         except Exception:  # repro: ignore[B001] — store outage
             self.store_errors += 1
 
-    # -- idle sweep ----------------------------------------------------
-    def sweep(self) -> int:
-        """Evict handles of sessions idle past the TTL; returns the number
-        of handles evicted.  Sessions survive the sweep — only their
-        resident datasets go, and lineage rebuilds them on the next
-        request, piggybacking on the soft-state story of §5.7."""
-        with self._lock:
-            idle = [
-                s
-                for s in self._sessions.values()
-                if s.idle_seconds() > self.idle_ttl_seconds and not s.active
-            ]
-            live = (
-                [
+    # -- store sweep ---------------------------------------------------
+    def sweep(self) -> None:
+        """Refresh the store record of every session active since its last
+        write, then compact the store: sibling roots read the stamp to
+        decide whether an expiring session is abandoned or merely being
+        served elsewhere."""
+        if self.store is not None:
+            with self._lock:
+                live = [
                     s
                     for s in self._sessions.values()
                     if s.last_active > s._persisted_activity
                     and time.time() - s._persisted_wall
                     > self.store_refresh_seconds
                 ]
-                if self.store is not None
-                else []
-            )
-        # Refresh the store record of sessions that have been active since
-        # the last write: sibling roots read the stamp to decide whether an
-        # expiring session is abandoned or merely being served elsewhere.
-        for session in live:
-            self._persist(session)
-        evicted = 0
-        for session in idle:
-            # Re-check at eviction time: a query admitted after the
-            # snapshot must not run against handles being torn down.
-            if session.active or session.idle_seconds() <= self.idle_ttl_seconds:
-                continue
-            count = session.evict_handles()
-            if count:
-                self.sessions_swept += 1
-            evicted += count
+            for session in live:
+                self._persist(session)
         self.purge_store()
-        return evicted
 
     def purge_store(self) -> int:
         """Compact the shared session store: drop records idle past the
@@ -602,12 +556,9 @@ class SessionManager:
         return {
             "sessionsCreated": self.sessions_created,
             "sessionsResumed": self.sessions_resumed,
-            "sessionsSwept": self.sessions_swept,
             "sessionsExpired": self.sessions_expired,
             "storeErrors": self.store_errors,
             "storeRecordsPurged": self.store_records_purged,
-            "idleTtlSeconds": self.idle_ttl_seconds,
-            "sharedDatasets": len(self._dataset_pool),
             "lifetime": self.lifetime.to_json(),
             "sessions": [s.to_json() for s in self.sessions],
         }

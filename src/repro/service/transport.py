@@ -100,8 +100,7 @@ class ServiceServer(ServerHost):
         port: int = 0,
         max_concurrent: int = 4,
         max_queue_per_session: int = 32,
-        idle_ttl_seconds: float = 900.0,
-        expire_ttl_seconds: float | None = None,
+        expire_ttl_seconds: float = 3600.0,
         sweep_interval_seconds: float = 1.0,
         default_source: DataSource | None = None,
         session_store: "SessionStore | None" = None,
@@ -115,12 +114,11 @@ class ServiceServer(ServerHost):
         )
         self.sessions = SessionManager(
             self.cluster,
-            idle_ttl_seconds=idle_ttl_seconds,
             expire_ttl_seconds=expire_ttl_seconds,
             default_source=default_source,
             store=session_store,
             store_ttl_seconds=session_store_ttl_seconds,
-            # However a session ends — explicit close, idle-TTL expiry —
+            # However a session ends — explicit close, idle expiry —
             # the scheduler must drop its queue and round-robin slot, or
             # a long-lived root leaks per-session scheduler state.
             on_close=self.scheduler.forget_session,

@@ -487,8 +487,8 @@ class TestSessionStoreCompaction:
             store=store,
             store_ttl_seconds=3600.0,
         )
-        assert manager.sweep() == 0  # no handles to evict...
-        assert store.list_ids() == []  # ...but the store was compacted
+        manager.sweep()
+        assert store.list_ids() == []  # the store was compacted
         assert manager.store_records_purged == 1
 
     def test_manager_purge_is_throttled(self):

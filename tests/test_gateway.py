@@ -62,7 +62,6 @@ def service():
     server = ServiceServer(
         Cluster(num_workers=2, cores_per_worker=2, aggregation_interval=0.02),
         default_source=SOURCE,
-        idle_ttl_seconds=900.0,
     )
     server.start_background()
     yield server

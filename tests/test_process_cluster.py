@@ -142,12 +142,12 @@ class TestSessionsOverProcessWorkers:
     def test_session_rebuild_from_lineage_on_remote_workers(
         self, cluster, reference
     ):
-        """An idle-swept session's handle chain rebuilds even though the
+        """An evicted session's handle chain rebuilds even though the
         missing shard state lives in worker processes (§5.7): the rebuild
         walks the lineage and every hop goes over the worker wire."""
         from repro.service import SessionManager
 
-        manager = SessionManager(cluster, idle_ttl_seconds=900.0)
+        manager = SessionManager(cluster)
         session = manager.get_or_create("remote-user")
         root = session.web.load(SOURCE)
         [ack] = list(
@@ -182,7 +182,8 @@ class TestSessionsOverProcessWorkers:
 
         # Lose every layer of soft state: the session's handles AND the
         # workers' shard stores (crash RPC to each worker process).
-        assert session.evict_handles() >= 2
+        session.web.evict(root)
+        session.web.evict(derived)
         for index in range(len(cluster.workers)):
             cluster.kill_worker(index)
 

@@ -53,7 +53,7 @@ def service_cluster() -> Cluster:
 
 @pytest.fixture
 def manager(service_cluster) -> SessionManager:
-    return SessionManager(service_cluster, idle_ttl_seconds=900.0)
+    return SessionManager(service_cluster)
 
 
 def hist_spec(slow: float | None = None) -> dict:
@@ -487,7 +487,6 @@ class TestSchedulerStateLifecycle:
         scheduler = FairShareScheduler(max_concurrent=1)
         manager = SessionManager(
             service_cluster,
-            idle_ttl_seconds=10.0,
             expire_ttl_seconds=20.0,
             clock=clock.now,
             on_close=scheduler.forget_session,

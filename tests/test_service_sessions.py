@@ -1,4 +1,5 @@
-"""Session manager tests: soft state, idle-TTL sweep, shared datasets."""
+"""Session manager tests: soft state, eviction and rebuild, expiry,
+shared datasets."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.engine.rpc import ProtocolError, RpcRequest
 from repro.service import SessionManager, source_from_json
 from repro.storage.loader import TableSource
 from repro.table.table import Table
+from tests.conftest import count_verb_calls
 
 
 class FakeClock:
@@ -41,7 +43,6 @@ def clock() -> FakeClock:
 def manager(clock) -> SessionManager:
     return SessionManager(
         Cluster(num_workers=2, cores_per_worker=2),
-        idle_ttl_seconds=60.0,
         expire_ttl_seconds=240.0,
         clock=clock.now,
     )
@@ -84,41 +85,36 @@ class TestLifecycle:
         assert manager.close("gone") is False
 
 
+def evict(session, handle: str) -> None:
+    [reply] = list(session.web.execute(RpcRequest(1, handle, "evict")))
+    assert reply.kind == "ack" and reply.payload == {"evicted": True}
+
+
 class TestIdleSweep:
-    def test_idle_session_handles_evicted_then_rebuilt(
-        self, manager, clock, source
-    ):
+    def test_idle_session_handles_evicted_then_rebuilt(self, manager, source):
         session = manager.get_or_create("sleepy")
         handle = session.web.load(source)
         assert row_count(session, handle) == 4_000
-        clock.advance(61.0)
-        assert manager.sweep() >= 1
-        # The handle's dataset is gone but its lineage is not...
-        assert session.web._handles == {}
+        evict(session, handle)
+        # The handle's dataset is gone but its redo-log chain is not...
+        assert isinstance(session.web._handles[handle], list)
         assert handle in session.web.handles
-        assert session.metrics.handle_evictions >= 1
         # ...so the next request transparently replays it (§5.7).
         assert row_count(session, handle) == 4_000
 
-    def test_recent_activity_defers_the_sweep(self, manager, clock, source):
-        session = manager.get_or_create("busy")
-        session.web.load(source)
-        clock.advance(59.0)
-        session.touch()
-        assert manager.sweep() == 0
-        assert session.web._handles != {}
-
     def test_swept_root_handle_reattaches_to_pooled_dataset(
-        self, manager, clock, source
+        self, manager, source
     ):
-        """Rebuilding an evicted root handle must reuse the shared cluster
-        dataset, not re-read the source into a duplicate set of shards."""
+        """Rebuilding an evicted root handle must land on the same
+        content-addressed cluster dataset, and each worker answers its one
+        ``ensure`` from its store instead of re-reading the source."""
         session = manager.get_or_create("pooled")
         handle = session.web.load(source)
         original_id = session.web.dataset(handle).dataset_id
-        clock.advance(61.0)
-        assert manager.sweep() >= 1
+        evict(session, handle)
+        calls = [count_verb_calls(w) for w in manager.cluster.workers]
         assert session.web.dataset(handle).dataset_id == original_id
+        assert [c["ensure"] for c in calls] == [1, 1]
 
     def test_expired_sessions_are_dropped_entirely(self, manager, clock, source):
         session = manager.get_or_create("forgotten")
@@ -134,9 +130,7 @@ class TestIdleSweep:
         fresh = manager.get_or_create("forgotten")
         assert fresh.web.handles == []
 
-    def test_derived_handles_survive_sweep_via_lineage(
-        self, manager, clock, source
-    ):
+    def test_derived_handles_survive_sweep_via_lineage(self, manager, source):
         session = manager.get_or_create("deriver")
         root = session.web.load(source)
         [ack] = list(
@@ -155,13 +149,13 @@ class TestIdleSweep:
         )
         derived = ack.payload["handle"]
         before = row_count(session, derived)
-        clock.advance(120.0)
-        assert manager.sweep() >= 2  # root and derived both evicted
+        evict(session, root)
+        evict(session, derived)
         assert row_count(session, derived) == before
 
 
 class TestLifecycleRaces:
-    """Regression tests for the get-or-create and sweep/expire races."""
+    """Regression tests for the get-or-create and expire races."""
 
     def test_racing_resumes_of_one_id_are_atomic(self, manager):
         """Two connections resuming the same id used to race get() and
@@ -206,7 +200,7 @@ class TestLifecycleRaces:
 
     @staticmethod
     def _flip_active(session) -> dict:
-        """Make ``session.active`` read False once (the sweep snapshot),
+        """Make ``session.active`` read False once (the expiry snapshot),
         then True forever — simulating a query admitted between the
         snapshot and the teardown."""
         reads = {"count": 0}
@@ -232,17 +226,6 @@ class TestLifecycleRaces:
         assert reads["count"] >= 2, "activity was not re-checked at teardown"
         assert manager.get("lively") is session
         assert session.web._handles != {}, "active session was torn down"
-
-    def test_sweep_skips_session_that_became_active(
-        self, manager, clock, source
-    ):
-        session = manager.get_or_create("reprieved")
-        session.web.load(source)
-        reads = self._flip_active(session)
-        clock.advance(61.0)
-        assert manager.sweep() == 0
-        assert reads["count"] >= 2, "activity was not re-checked at eviction"
-        assert session.web._handles != {}, "active session's handles evicted"
 
 
 class TestSharedDatasets:

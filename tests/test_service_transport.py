@@ -40,7 +40,6 @@ def server():
         Cluster(num_workers=2, cores_per_worker=2, aggregation_interval=0.02),
         default_source=FlightsSource(ROWS, partitions=16, seed=3),
         max_concurrent=4,
-        idle_ttl_seconds=900.0,
     )
     server.start_background()
     yield server
@@ -147,10 +146,12 @@ class TestSessions:
         with ServiceClient(*server.address) as a, ServiceClient(
             *server.address
         ) as b:
-            a.load()
-            b.load()
-            stats = a.stats()
-            assert stats["sessions"]["sharedDatasets"] >= 1
+            ha = a.load()
+            hb = b.load()
+            sessions = server.sessions
+            da = sessions.get(a.session_id).web.dataset(ha)
+            db = sessions.get(b.session_id).web.dataset(hb)
+            assert da.dataset_id == db.dataset_id
 
 
 class TestConcurrentSessions:

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster
-from repro.engine.rpc import RpcRequest
+from repro.engine.redo_log import LoadOp
+from repro.engine.rpc import RpcRequest, lineage_to_json
 from repro.service import (
     InMemorySessionStore,
     SessionManager,
     SessionRecord,
     SqliteSessionStore,
 )
+from repro.storage.loader import TableSource
+from repro.table.table import Table
+from tests.conftest import count_verb_calls
 
 #: Serializable-by-description, so its recipe can cross roots (§5.7).
 SOURCE = FlightsSource(2_000, partitions=8, seed=7)
@@ -23,6 +28,15 @@ HIST = {
     "type": "histogram",
     "column": "Distance",
     "buckets": {"type": "double", "min": 0, "max": 3000, "count": 9},
+}
+
+FAR = {
+    "predicate": {
+        "type": "column",
+        "column": "Distance",
+        "op": ">",
+        "value": 500.0,
+    }
 }
 
 
@@ -59,7 +73,9 @@ class TestStores:
             created_at=123.0,
             last_active=456.0,
             counter=7,
-            handles=[{"handle": "obj-1", "source": {"kind": "flights", "rows": 5}}],
+            handles=[
+                {"handle": "obj-1", "lineage": lineage_to_json([LoadOp("ds-1", SOURCE)])}
+            ],
         )
         store.put(record)
         back = store.get("alpha")
@@ -114,20 +130,7 @@ class TestResumeOnAnotherRoot:
         root_a = manager_over_fresh_cluster(store)
         session_a = root_a.get_or_create("laptop")
         root_handle = session_a.web.load(SOURCE)
-        derived = execute(
-            session_a,
-            1,
-            root_handle,
-            "filter",
-            {
-                "predicate": {
-                    "type": "column",
-                    "column": "Distance",
-                    "op": ">",
-                    "value": 500.0,
-                }
-            },
-        ).payload["handle"]
+        derived = execute(session_a, 1, root_handle, "filter", FAR).payload["handle"]
         reference = execute(
             session_a, 2, derived, "sketch", {"sketch": HIST}
         ).payload
@@ -171,7 +174,6 @@ class TestResumeOnAnotherRoot:
         clock = FakeClock()
         root = SessionManager(
             Cluster(num_workers=1, cores_per_worker=1),
-            idle_ttl_seconds=10.0,
             expire_ttl_seconds=20.0,
             clock=clock.now,
             store=store,
@@ -202,14 +204,12 @@ class TestResumeOnAnotherRoot:
         clock_a, clock_b = FakeClock(), FakeClock()
         root_a = SessionManager(
             Cluster(num_workers=1, cores_per_worker=1),
-            idle_ttl_seconds=10.0,
             expire_ttl_seconds=20.0,
             clock=clock_a.now,
             store=store,
         )
         root_b = SessionManager(
             Cluster(num_workers=1, cores_per_worker=1),
-            idle_ttl_seconds=10.0,
             expire_ttl_seconds=20.0,
             clock=clock_b.now,
             store=store,
@@ -232,9 +232,6 @@ class TestResumeOnAnotherRoot:
     def test_unserializable_handles_are_skipped_not_fatal(self, store):
         """An in-memory TableSource cannot cross roots; its handle (and
         descendants) are simply absent from the stored recipe book."""
-        from repro.storage.loader import TableSource
-        from repro.table.table import Table
-
         root_a = manager_over_fresh_cluster(store)
         session_a = root_a.get_or_create("mixed")
         local_only = session_a.web.load(
@@ -246,3 +243,81 @@ class TestResumeOnAnotherRoot:
         session_b = root_b.get_or_create("mixed")
         assert portable in session_b.web.handles
         assert local_only not in session_b.web.handles
+
+    def test_one_recipe_book_across_roots(self, store):
+        """A record holds each handle's redo-log chain: root B rebuilds
+        every handle root A minted by repeating the calls that minted it
+        — one ``ensure`` per chain op on each worker — and answers with
+        root A's bytes.  A handle over in-memory tables is left out."""
+        root_a = manager_over_fresh_cluster(store)
+        session_a = root_a.get_or_create("book")
+        local_only = session_a.web.load(
+            TableSource([Table.from_pydict({"x": [1.0, 2.0]})])
+        )
+        loaded = session_a.web.load(SOURCE)
+        filtered = execute(session_a, 1, loaded, "filter", FAR).payload["handle"]
+        derived = execute(
+            session_a,
+            2,
+            filtered,
+            "derive",
+            {"name": "Half", "expression": "Distance / 2"},
+        ).payload["handle"]
+        minted = [loaded, filtered, derived]
+
+        def answers(session, handle):
+            rows = execute(session, 3, handle, "rowCount").payload
+            hist = execute(session, 4, handle, "sketch", {"sketch": HIST}).payload
+            return rows, json.dumps(hist, sort_keys=True)
+
+        reference = {h: answers(session_a, h) for h in minted}
+        record = store.get("book")
+        assert [r["handle"] for r in record.handles] == minted
+        assert all(set(r) == {"handle", "lineage"} for r in record.handles)
+
+        root_b = manager_over_fresh_cluster(store)
+        calls = [count_verb_calls(w) for w in root_b.cluster.workers]
+        session_b = root_b.get_or_create("book")
+        assert local_only not in session_b.web.handles
+        assert set(minted) <= set(session_b.web.handles)
+        first = execute(session_b, 5, derived, "rowCount").payload
+        assert [c["ensure"] for c in calls] == [3, 3]  # load, filter, derive
+        assert first == reference[derived][0]
+        for handle in minted:
+            assert answers(session_b, handle) == reference[handle]
+
+
+class TestUndecodableRecords:
+    def test_bad_handle_record_is_skipped_and_counters_survive(self):
+        """One handle record that does not decode must not fail the
+        resume: the other handles restore, the handle counter keeps its
+        high-water mark, and the next persist keeps the counters."""
+        store = InMemorySessionStore()
+        good = lineage_to_json([LoadOp("ds-1", SOURCE)])
+        bad = json.loads(json.dumps(good))
+        bad[0]["source"] = {"kind": "nosuchkind"}
+        store.put(
+            SessionRecord(
+                "mixed",
+                1.0,
+                time.time(),
+                counter=2,
+                handles=[
+                    {"handle": "obj-1", "lineage": good},
+                    {"handle": "obj-2", "lineage": bad},
+                ],
+                metrics={"queries": 5},
+            )
+        )
+        root = manager_over_fresh_cluster(store)
+        session = root.get_or_create("mixed")
+        assert root.sessions_resumed == 1
+        assert root.store_errors == 1
+        assert execute(session, 1, "obj-1", "rowCount").payload == {"rows": 2_000}
+        [reply] = list(session.web.execute(RpcRequest(2, "obj-2", "rowCount")))
+        assert reply.code == "unknown_handle"
+        assert session.web.load(SOURCE) == "obj-3"
+        persisted = store.get("mixed")
+        assert [r["handle"] for r in persisted.handles] == ["obj-1", "obj-3"]
+        assert persisted.metrics["queries"] == 5
+        assert root.get_or_create("mixed") is session
