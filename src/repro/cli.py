@@ -1094,6 +1094,8 @@ def fleet_main(argv: list[str], out: TextIO | None = None) -> int:
                 f"stolen {snap.get('slicesStolen', 0)}/"
                 f"{snap.get('slicesDonated', 0)}  "
                 f"warmed {snap.get('entriesWarmed', 0)}  "
+                f"cpu {snap.get('cpuSeconds', 0.0):.1f}s  "
+                f"faults {snap.get('minorFaults', 0)}  "
                 f"v{snap.get('placementVersion', 0)}  "
                 f"spans {snap.get('spansBuffered', 0)}{flags}",
                 file=stream,

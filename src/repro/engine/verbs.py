@@ -370,9 +370,10 @@ WIRE_VERBS: tuple[Verb, ...] = (
     Verb("metricsSnapshot", "metrics_snapshot", daemon=True, reply=_object(
         "name", "cores", "shardsSummarized", "crashes", "datasets",
         "storeHitRate", "memoHitRate", "memoBytes", "slicesStolen",
-        "slicesDonated", "entriesWarmed", "pid", "inflight", "datasetOps",
-        "requestsServed", "rootsServed", "placementVersion", "draining",
-        "entriesPurged", "spansBuffered", "registry")),
+        "slicesDonated", "entriesWarmed", "pid", "cpuSeconds", "minorFaults",
+        "inflight", "datasetOps", "requestsServed", "rootsServed",
+        "placementVersion", "draining", "entriesPurged", "spansBuffered",
+        "registry")),
     Verb("traceDump", "trace_dump", reply_key="spans", reply=LIST, daemon=True,
          args=(Arg("traceId", TEXT, omit_none=True),)),
 )

@@ -5,12 +5,14 @@ HyperLogLog sketch.  The summary is ``m = 2^p`` one-byte registers; merge
 takes the element-wise maximum.  The standard estimator with the small- and
 large-range corrections gives ~1.04/sqrt(m) relative error.
 
-Value hashing is vectorized: numeric values hash their 64-bit bit patterns;
-string columns hash each *dictionary* entry once and map codes.
+Value hashing is vectorized: numeric values hash their 64-bit bit patterns
+(``-0.0`` folded into ``0.0``, the one pair of equal values with different
+bits); string columns hash each *dictionary* entry once and map codes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,28 +35,51 @@ def _alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
 
 
-def _high_bit(x: np.ndarray) -> np.ndarray:
-    """Position of the highest set bit of each (nonzero) uint64."""
-    x = x.copy()
-    result = np.zeros(x.shape, dtype=np.uint64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = np.uint64(shift)
-        mask = x >= (np.uint64(1) << step)
-        result[mask] += step
-        x[mask] >>= step
-    return result
+def _rank(hashes: np.ndarray, precision: int) -> np.ndarray:
+    """One-based position of the first set bit after the ``precision``
+    index bits of each uint64 hash (``65 - precision`` when none is set).
+
+    The low ``64 - p`` bits of a hash with ``e`` as their float64 exponent
+    rank ``65 - p - e``; zero has exponent 0.  A float64 holds 53 bits
+    exactly, so below p = 11 the word is split into 32-bit halves.
+    """
+    low = hashes & np.uint64((1 << (64 - precision)) - 1)
+    if precision >= 11:
+        exponent = np.frexp(low.astype(np.float64))[1]
+    else:
+        high = np.frexp((low >> np.uint64(32)).astype(np.float64))[1]
+        exponent = np.where(
+            high > 0,
+            high + 32,
+            np.frexp((low & np.uint64(0xFFFFFFFF)).astype(np.float64))[1],
+        )
+    return (65 - precision - exponent).astype(np.uint8)
+
+
+def _mix_key(seed: int) -> int:
+    return stable_hash64("hll-mix", seed) | 1
 
 
 def _mix64(x: np.ndarray, seed: int) -> np.ndarray:
-    """splitmix64 finalizer over uint64 values."""
-    x = x.astype(np.uint64, copy=True)
-    x += np.uint64(stable_hash64("hll-mix", seed) | 1)
+    """splitmix64 finalizer over uint64 values, in place."""
+    x += np.uint64(_mix_key(seed))
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return x
+
+
+def _splitmix64_reference(x: int, key: int) -> int:
+    """:func:`_mix64` on one Python int."""
+    mask = (1 << 64) - 1
+    x = (x + key) & mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
 
 
 @dataclass
@@ -146,23 +171,47 @@ class HyperLogLogSketch(Sketch[HllSummary]):
         values = column.numeric_values(rows)
         present_mask = ~np.isnan(values)
         missing = int((~present_mask).sum())
-        bits = values[present_mask].view(np.uint64)
-        return _mix64(bits, self.seed), missing
+        present = values[present_mask]  # a fresh array, mixed in place
+        present += 0.0  # -0.0 + 0.0 is 0.0: equal values hash alike
+        return _mix64(present.view(np.uint64), self.seed), missing
 
     def summarize(self, table: Table) -> HllSummary:
         hashes, missing = self._value_hashes(table)
         summary = self.zero()
         if len(hashes):
-            p = np.uint64(self.precision)
-            indexes = (hashes >> (np.uint64(64) - p)).astype(np.int64)
-            w = hashes << p  # remaining 64-p bits, left aligned
-            rho = np.where(
-                w == 0,
-                np.uint64(64 - self.precision + 1),
-                np.uint64(63) - _high_bit(w) + np.uint64(1),
-            ).astype(np.uint8)
-            np.maximum.at(summary.registers, indexes, rho)
+            indexes = (hashes >> np.uint64(64 - self.precision)).astype(np.intp)
+            np.maximum.at(
+                summary.registers, indexes, _rank(hashes, self.precision)
+            )
         summary.missing = missing
+        return summary
+
+    def summarize_reference(self, table: Table) -> HllSummary:
+        """Per-row oracle for :meth:`summarize` (differential tests):
+        splitmix64 on Python ints, rank from ``int.bit_length``."""
+        column = table.column(self.column)
+        key = _mix_key(self.seed)
+        shift = 64 - self.precision
+        summary = self.zero()
+        for row in table.members.indices():
+            if isinstance(column, StringColumn):
+                value = column.value(int(row))
+                if value is None:
+                    summary.missing += 1
+                    continue
+                word = stable_hash64("hll-str", self.seed, value)
+            else:
+                scalar = float(
+                    column.numeric_values(np.array([row], dtype=np.int64))[0]
+                )
+                if scalar != scalar:  # NaN: missing
+                    summary.missing += 1
+                    continue
+                bits = struct.unpack("<Q", struct.pack("<d", scalar + 0.0))[0]
+                word = _splitmix64_reference(bits, key)
+            index = word >> shift
+            rank = shift + 1 - (word & ((1 << shift) - 1)).bit_length()
+            summary.registers[index] = max(int(summary.registers[index]), rank)
         return summary
 
     def merge(self, left: HllSummary, right: HllSummary) -> HllSummary:

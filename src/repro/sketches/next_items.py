@@ -31,11 +31,21 @@ from repro.core.wire import (
     list_of,
     pair_of,
 )
+from repro.table.column import Column
+from repro.table.schema import ContentsKind
 from repro.table.sort import ORDER, START_KEY, RecordOrder, RowKey
 from repro.table.table import Table
 
 
 _COUNTED = list_of(pair_of(UVARINT, ROW))
+
+
+def _canonical(column: Column, values: list) -> list:
+    """Equal cells read alike (``-0.0`` reads ``0.0``), so the row that
+    stands for a group does not depend on which of its rows came first."""
+    if column.kind is not ContentsKind.DOUBLE:
+        return values
+    return [None if v is None else v + 0.0 for v in values]
 
 
 def _read_counted_rows(dec) -> tuple[list, list]:
@@ -175,7 +185,7 @@ class NextKSketch(Sketch[NextKList]):
         columns = [table.column(c) for c in self.order.columns]
         return NextKList(
             order=self.order,
-            rows=list(zip(*(c.values_at(shown) for c in columns))),
+            rows=list(zip(*(_canonical(c, c.values_at(shown)) for c in columns))),
             counts=counts[: self.k].tolist(),
             preceding=preceding + skipped,
             scanned=scanned,
@@ -231,7 +241,7 @@ class NextKSketch(Sketch[NextKList]):
         columns = [table.column(c) for c in self.order.columns]
         for start, end in zip(starts, ends):
             row = int(sorted_rows[start])
-            values = tuple(column.value(row) for column in columns)
+            values = tuple(_canonical(c, [c.value(row)])[0] for c in columns)
             key = self.order.key_from_values(values)
             if self._precedes(key):
                 preceding += int(end - start)

@@ -40,6 +40,7 @@ from repro.sketches.find_text import FindTextSketch
 from repro.sketches.heatmap import HeatmapSketch
 from repro.sketches.heavy_hitters import MisraGriesSketch, SampleHeavyHittersSketch
 from repro.sketches.histogram import HistogramSketch
+from repro.sketches.hll import HyperLogLogSketch
 from repro.sketches.next_items import NextKSketch
 from repro.sketches.quantile import SampleQuantileSketch
 from repro.sketches.stacked import StackedHistogramSketch
@@ -179,6 +180,14 @@ SKETCH_SPECS: list[SketchSpec] = [
     SketchSpec(
         "heavy_hitters.sampled",
         lambda: SampleHeavyHittersSketch("s", k=4, rate=0.5, seed=11),
+    ),
+    SketchSpec("distinct.int", lambda: HyperLogLogSketch("i", precision=12)),
+    SketchSpec("distinct.double", lambda: HyperLogLogSketch("d", precision=12)),
+    SketchSpec("distinct.string", lambda: HyperLogLogSketch("s", precision=12)),
+    SketchSpec(
+        # Below p = 11 the rank reads the word as two 32-bit halves.
+        "distinct.split_rank",
+        lambda: HyperLogLogSketch("d", precision=6, seed=5),
     ),
     SketchSpec(
         "quantile.asc",

@@ -51,6 +51,7 @@ _ints = st.one_of(st.none(), st.integers(-60, 60))
 _doubles = st.one_of(
     st.none(),
     st.just(float("nan")),
+    st.just(-0.0),
     st.floats(-60.0, 60.0, allow_nan=False),
     st.sampled_from([float("inf"), float("-inf")]),
 )
@@ -302,5 +303,6 @@ def test_every_vectorized_kernel_is_enrolled() -> None:
         "SampleQuantileSketch",
         "FindTextSketch",
         "NextKSketch",
+        "HyperLogLogSketch",
     }
     assert expected <= covered

@@ -6,12 +6,14 @@ the multi-server topology of §5.2 on one machine.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.buckets import DoubleBuckets
@@ -23,6 +25,8 @@ from repro.engine.remote import ProcessCluster, RemoteWorkerProxy
 from repro.engine.rpc import RpcRequest
 from repro.errors import EngineError
 from repro.sketches.histogram import HistogramSketch
+from repro.storage.columnar import write_dataset
+from repro.storage.loader import ColumnarDatasetSource
 from repro.table.compute import ColumnPredicate
 from repro.table.table import Table
 
@@ -307,3 +311,34 @@ class TestSpawnedWorkers:
         while any(map(_running, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_running, pids)), "a worker outlived its root"
+
+
+class TestWorkerHeap:
+    """A worker daemon keeps its freed leaf temporaries: an uncached
+    histogram over 62.5k-row shards reuses the heap instead of faulting
+    in fresh zero pages (~1,000 per sketch without the policy)."""
+
+    @pytest.mark.skipif(
+        not hasattr(ctypes.CDLL(None), "mallopt"), reason="no mallopt"
+    )
+    def test_uncached_histograms_fault_few_pages(self, tmp_path):
+        values = np.random.default_rng(3).normal(size=250_000)
+        write_dataset(Table.from_pydict({"d": values}).split(4), str(tmp_path))
+        cluster = ProcessCluster(
+            num_workers=1, cores_per_worker=1, aggregation_interval=0.01
+        )
+
+        def histograms(counts) -> None:
+            for count in counts:  # a new bucket count misses every cache
+                dataset.sketch(HistogramSketch("d", DoubleBuckets(-4, 4, count)))
+
+        try:
+            dataset = cluster.load(ColumnarDatasetSource(str(tmp_path)))
+            histograms(range(10, 13))
+            worker = cluster.workers[0]
+            before = worker.metrics_snapshot()["minorFaults"]
+            histograms(range(20, 25))
+            faults = worker.metrics_snapshot()["minorFaults"] - before
+        finally:
+            cluster.close()
+        assert faults / 5 < 100

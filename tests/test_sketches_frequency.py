@@ -15,7 +15,7 @@ from repro.sketches.heavy_hitters import (
     MisraGriesSketch,
     SampleHeavyHittersSketch,
 )
-from repro.sketches.hll import HllSummary, HyperLogLogSketch
+from repro.sketches.hll import HllSummary, HyperLogLogSketch, _rank
 from repro.table.table import Table
 
 
@@ -184,6 +184,45 @@ class TestHyperLogLog:
         table = Table.from_pydict({"v": [1.0, None, 2.0]})
         summary = HyperLogLogSketch("v").summarize(table)
         assert summary.missing == 1
+
+    def test_negative_zero_is_zero(self):
+        # -0.0 == 0.0, so they are one distinct value, as the exact sketch says.
+        table = Table.from_pydict({"d": [0.0, -0.0] * 50})
+        assert ExactDistinctSketch("d").summarize(table).values == {0.0}
+        summary = HyperLogLogSketch("d").summarize(table)
+        zeros = HyperLogLogSketch("d").summarize(
+            Table.from_pydict({"d": [0.0] * 100})
+        )
+        assert np.array_equal(summary.registers, zeros.registers)
+        assert round(summary.estimate()) == 1
+
+    @pytest.mark.parametrize("precision", range(4, 17))
+    def test_rank_matches_the_six_pass_loop(self, precision):
+        """The exact-exponent rank against the shift-compare-select loop
+        it replaced, on edge words and random ones."""
+
+        def high_bit(x):
+            x = x.copy()
+            result = np.zeros(x.shape, dtype=np.uint64)
+            for shift in (32, 16, 8, 4, 2, 1):
+                step = np.uint64(shift)
+                mask = x >= (np.uint64(1) << step)
+                result[mask] += step
+                x[mask] >>= step
+            return result
+
+        edges = [0] + [1 << k for k in range(64)] + [(2 << k) - 1 for k in range(64)]
+        random = np.random.default_rng(precision).integers(
+            0, 2**64, size=200_000, dtype=np.uint64, endpoint=False
+        )
+        words = np.concatenate([np.array(edges, dtype=np.uint64), random])
+        left_aligned = words << np.uint64(precision)
+        looped = np.where(
+            left_aligned == 0,
+            np.uint64(65 - precision),
+            np.uint64(64) - high_bit(left_aligned),
+        ).astype(np.uint8)
+        np.testing.assert_array_equal(_rank(words, precision), looped)
 
     def test_empty_estimate_zero(self):
         summary = HyperLogLogSketch("v", precision=8).zero()

@@ -111,6 +111,21 @@ class TestNextK:
         assert back.counts == result.counts
         assert back.order == order
 
+    def test_negative_zero_groups_with_zero(self):
+        # -0.0 == 0.0: one group, whichever shard or merge order it met.
+        table = Table.from_pydict({"v": [-0.0, 0.0, 1.0, 0.0, -0.0]})
+        sketch = NextKSketch(RecordOrder.of("v"), 2)
+        shards = [sketch.summarize(s) for s in table.split(5)]
+        for summary in (
+            sketch.summarize(table),
+            sketch.merge_all(shards),
+            sketch.merge_all(shards[::-1]),
+            sketch.summarize_reference(table),
+        ):
+            assert summary.to_bytes() == sketch.merge_all(shards).to_bytes()
+            assert summary.counts == [4, 1]
+            assert str(summary.rows[0][0]) == "0.0"
+
     @given(
         st.lists(st.integers(0, 20), min_size=1, max_size=60),
         st.integers(1, 8),

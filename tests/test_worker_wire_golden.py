@@ -9,7 +9,8 @@ included) plus the SHA-256 of the binary attachment.  Frames are taken
 off the sockets by a recording relay, so neither end can drift without a
 line here changing.  Process ids, ports and the scratch directory are
 normalised; so are the few payload fields that depend on process-global
-state (the metrics registry, the span ring buffer, cache statistics).
+state (the metrics registry, the span ring buffer, cache statistics,
+CPU time and page faults).
 
 The fixture was generated at the commit *before* the verb-table refactor
 (the parent of the commit adding this file) by running this file as a
@@ -39,6 +40,8 @@ source), ``a1.5.ensure`` (no version named), ``a1.6.ensure`` (an empty
 lineage over resident shards) and the stale root's ``a1.23.ensure`` —
 and the reply of ``a1.4.ensure`` was re-recorded: it carries the rows
 and schema beside the shard count.
+The reply of ``a1.15.metricsSnapshot`` was re-recorded when the daemon's
+snapshot gained its process's ``cpuSeconds`` and ``minorFaults``.
 Regenerate, only when the wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
@@ -89,6 +92,7 @@ SLOW = {"type": "slow", "perShardSeconds": 0.15, "inner": HIST}
 _VOLATILE = {
     "pid", "registry", "spansBuffered", "spans", "store", "memo",
     "storeHitRate", "memoHitRate", "memoBytes", "inflight",
+    "cpuSeconds", "minorFaults",
 }
 
 
