@@ -578,6 +578,42 @@ def gateway_main(argv: list[str], out: TextIO | None = None) -> int:
     return 0
 
 
+def _tier_line(label: str, cache: dict) -> str:
+    """One cache tier's counters (a ``CacheStats.to_json`` object)."""
+    return (
+        f"{label}: {cache['entries']} entries, {cache['bytes']:,}B, "
+        f"{cache['hits']} hits / {cache['misses']} misses, "
+        f"{cache['evictions']} evictions"
+    )
+
+
+def _worker_line(snap: dict) -> str:
+    """One worker's ``metricsSnapshot`` as a status line — what both
+    ``repro fleet top`` and ``repro client metrics`` print.  The fields
+    only a daemon reports (queue, CPU, faults...) appear when present."""
+    label = "  ".join(str(snap[key]) for key in ("address", "name") if key in snap)
+    if "error" in snap:
+        return f"{label}: DOWN ({snap['error']})"
+    line = label
+    if "inflight" in snap:
+        line += f"  queue {snap['inflight']}  served {snap['requestsServed']}"
+    line += (
+        f"  shards {snap['shardsSummarized']}"
+        f"  memo {snap['memo']['hitRate']:.0%}"
+        f"  store {snap['store']['hitRate']:.0%}"
+        f"  stolen {snap['slicesStolen']}/{snap['slicesDonated']}"
+        f"  warmed {snap['entriesWarmed']}"
+    )
+    if "cpuSeconds" in snap:
+        line += (
+            f"  cpu {snap['cpuSeconds']:.1f}s  faults {snap['minorFaults']}"
+            f"  v{snap['placementVersion']}  spans {snap['spansBuffered']}"
+        )
+        if snap["draining"]:
+            line += " DRAINING"
+    return line
+
+
 class RemoteSession:
     """`repro client`: a thin command loop over a :class:`ServiceClient`.
 
@@ -699,34 +735,6 @@ class RemoteSession:
                 f"{scheduler['preempted']} preempted, "
                 f"{scheduler['rejected']} rejected"
             )
-        elif name == "cachestats":
-            stats = self.client.cache_stats()
-            cluster = stats["cluster"]
-            if cluster.get("disabled"):
-                self.print("  caches DISABLED (REPRO_DISABLE_CACHES)")
-            for tier, counters in cluster["root"].items():
-                self.print(
-                    f"  root/{tier}: {counters['entries']} entries, "
-                    f"{counters['bytes']:,}B, {counters['hits']} hits / "
-                    f"{counters['misses']} misses, "
-                    f"{counters['evictions']} evictions"
-                )
-            for worker in cluster["workers"]:
-                if "error" in worker:
-                    self.print(f"  {worker.get('name', '?')}: {worker['error']}")
-                    continue
-                memo = worker["memo"]
-                store = worker["store"]
-                self.print(
-                    f"  {worker['name']}: memo {memo['entries']} entries "
-                    f"({memo['hits']} hits), store {store['entries']} "
-                    f"datasets, {worker['shardsSummarized']} shards scanned"
-                )
-            mine = stats["sessions"].get(self.client.session_id, {})
-            self.print(
-                f"  this session: {mine.get('cacheHits', 0)} root hits, "
-                f"{mine.get('workerCacheHits', 0)} worker partial hits"
-            )
         elif name == "trace":
             # `trace hist Distance 0 3000`: run the query with a fresh
             # trace context, then fetch the merged root+worker span
@@ -786,40 +794,40 @@ class RemoteSession:
             self.print(f"wrote {path} (open in Perfetto / chrome://tracing)")
         elif name == "metrics":
             snap = self.client.metrics_snapshot()
-            scheduler = snap.get("scheduler", {})
+            scheduler = snap["scheduler"]
             self.print(
-                f"  scheduler: {scheduler.get('running', 0)} running, "
-                f"{scheduler.get('admitted', 0)} admitted, "
-                f"{scheduler.get('completed', 0)} completed"
+                f"  scheduler: {scheduler['admitted']} admitted, "
+                f"{scheduler['completed']} completed, "
+                f"{scheduler['peakRunning']} peak running"
             )
-            cluster = snap.get("cluster", {})
+            cluster = snap["cluster"]
+            computation = cluster["computation"]
+            if computation["disabled"]:
+                self.print("  caches DISABLED (REPRO_DISABLE_CACHES)")
             self.print(
-                f"  cluster: placement v{cluster.get('placementVersion', 0)}, "
-                f"{cluster.get('rebalances', 0)} rebalances, "
-                f"{cluster.get('bytesToRoot', 0):,}B to root, "
-                f"computation hit rate "
-                f"{cluster.get('computationHitRate', 0.0):.0%}"
+                f"  cluster: placement v{cluster['placementVersion']}, "
+                f"{cluster['rebalances']} rebalances, "
+                f"{cluster['bytesToRoot']:,}B to root"
             )
-            for worker in cluster.get("workers", []):
-                if "error" in worker:
-                    self.print(
-                        f"  {worker.get('name', '?')}: {worker['error']}"
-                    )
-                    continue
-                queue = (
-                    f"queue {worker['inflight']}  " if "inflight" in worker
-                    else ""
-                )
-                self.print(
-                    f"  {worker.get('name', '?')}: {queue}"
-                    f"{worker.get('shardsSummarized', 0)} shards scanned, "
-                    f"memo {worker.get('memoHitRate', 0.0):.0%}, "
-                    f"store {worker.get('storeHitRate', 0.0):.0%}"
-                )
+            self.print(f"  {_tier_line('root/computation', computation)}")
+            for worker in cluster["workers"]:
+                self.print(f"  {_worker_line(worker)}")
+                if "error" not in worker:
+                    for tier in ("store", "memo"):
+                        self.print(f"    {_tier_line(tier, worker[tier])}")
+            mine = next(
+                (s["metrics"] for s in snap["sessions"]["sessions"]
+                 if s["session"] == self.client.session_id),
+                {},
+            )
+            self.print(
+                f"  this session: {mine.get('cacheHits', 0)} root hits, "
+                f"{mine.get('workerCacheHits', 0)} worker partial hits"
+            )
         elif name == "help":
             self.print("  load [path] | cols | rows | hist <col> <min> <max>"
                        " [buckets] | distinct <col> | filter <col> <op> <v>"
-                       " | trace <query> | metrics | stats | cachestats"
+                       " | trace <query> | metrics | stats"
                        " | quit")
         else:
             self.print(f"unknown command {name!r}; try 'help'")
@@ -1077,29 +1085,7 @@ def fleet_main(argv: list[str], out: TextIO | None = None) -> int:
             )
         print(f"fleet of {len(addresses)} worker daemon(s):", file=stream)
         for snap in query_fleet_metrics(addresses):
-            if "error" in snap:
-                print(
-                    f"  {snap.get('address', '?')}: DOWN ({snap['error']})",
-                    file=stream,
-                )
-                continue
-            flags = " DRAINING" if snap.get("draining") else ""
-            print(
-                f"  {snap['address']}  {snap.get('name', '?')}  "
-                f"queue {snap.get('inflight', 0)}  "
-                f"served {snap.get('requestsServed', 0)}  "
-                f"shards {snap.get('shardsSummarized', 0)}  "
-                f"memo {snap.get('memoHitRate', 0.0):.0%}  "
-                f"store {snap.get('storeHitRate', 0.0):.0%}  "
-                f"stolen {snap.get('slicesStolen', 0)}/"
-                f"{snap.get('slicesDonated', 0)}  "
-                f"warmed {snap.get('entriesWarmed', 0)}  "
-                f"cpu {snap.get('cpuSeconds', 0.0):.1f}s  "
-                f"faults {snap.get('minorFaults', 0)}  "
-                f"v{snap.get('placementVersion', 0)}  "
-                f"spans {snap.get('spansBuffered', 0)}{flags}",
-                file=stream,
-            )
+            print(f"  {_worker_line(snap)}", file=stream)
         return 0
     if args.action == "autoscale":
         return _fleet_autoscale(args, addresses, stream)

@@ -69,7 +69,7 @@ def caches_disabled() -> bool:
 
 @dataclass
 class CacheStats:
-    """One cache's counters, snapshotted for the ``cache_stats`` RPC."""
+    """One cache's counters, snapshotted for the ``metricsSnapshot`` RPC."""
 
     name: str
     entries: int
@@ -388,8 +388,8 @@ class ComputationCache:
 
     Results are small by construction (§4.2), so the default capacity is
     generous; the byte budget is real nonetheless (eviction is LRU).
-    Statistics feed the cache ablation benchmark and the ``cache_stats``
-    RPC.  Honors ``REPRO_DISABLE_CACHES``.
+    Statistics feed the cache ablation benchmark and the root's
+    ``metricsSnapshot`` RPC.  Honors ``REPRO_DISABLE_CACHES``.
     """
 
     def __init__(

@@ -81,7 +81,6 @@ from repro.engine.cache import (
     ComputationCache,
     DataCache,
     MemoCache,
-    caches_disabled,
     summary_size,
 )
 from repro.engine.dataset import IDataSet, TableMap
@@ -404,16 +403,9 @@ class WorkerProtocol(ABC):
         """Liveness probe."""
 
     @abstractmethod
-    def stats(self) -> dict:
-        """Identity and lifetime counters (name, cores, shards scanned)."""
-
-    @abstractmethod
-    def cache_stats(self) -> dict:
-        """This worker's cache counters (shard store + sketch memo)."""
-
-    @abstractmethod
     def metrics_snapshot(self) -> dict:
-        """This worker's live metrics (queue depth, cache hit rates...)."""
+        """This worker's one report: identity, lifetime counters and both
+        caches' counters (a daemon adds its queue depth and registry)."""
 
     def trace_dump(self, trace_id: str | None = None) -> list[dict]:
         """Spans recorded on this worker's side of the wire.
@@ -809,34 +801,14 @@ class Worker(WorkerProtocol):
     def ping(self) -> bool:
         return True
 
-    def stats(self) -> dict:
+    def metrics_snapshot(self) -> dict:
         return {
             "name": self.name,
             "cores": self.cores,
             "shardsSummarized": self.shards_summarized,
             "crashes": self.crashes,
-        }
-
-    def cache_stats(self) -> dict:
-        return {
-            "name": self.name,
             "store": self.store.stats().to_json(),
             "memo": self.memo.stats().to_json(),
-            "shardsSummarized": self.shards_summarized,
-        }
-
-    def metrics_snapshot(self) -> dict:
-        store = self.store.stats()
-        memo = self.memo.stats()
-        return {
-            "name": self.name,
-            "cores": self.cores,
-            "shardsSummarized": self.shards_summarized,
-            "crashes": self.crashes,
-            "datasets": store.entries,
-            "storeHitRate": round(store.hit_rate, 4),
-            "memoHitRate": round(memo.hit_rate, 4),
-            "memoBytes": memo.bytes,
             "slicesStolen": self.slices_stolen,
             "slicesDonated": self.slices_donated,
             "entriesWarmed": self.entries_warmed,
@@ -1320,38 +1292,24 @@ class Cluster:
             [w.member for w in self.workers],
         )
 
-    def cache_stats(self) -> dict:
-        """Every cache tier's counters, for the ``cache_stats`` RPC."""
-        return {
-            "disabled": caches_disabled(),
-            "root": {
-                "computation": self.computation_cache.stats().to_json(),
-            },
-            "workers": self._worker_reports("cache_stats"),
-        }
-
-    def _worker_reports(self, verb: str) -> list[dict]:
-        """Every worker's ``verb`` report; an unreachable worker degrades
-        to an error entry instead of failing the whole answer."""
-        reports = []
-        for worker in self.workers:
-            try:
-                reports.append(getattr(worker, verb)())
-            except (WorkerUnavailableError, EngineError) as exc:
-                reports.append({"name": worker.name, "error": str(exc)})
-        return reports
-
     def metrics_snapshot(self) -> dict:
         """Fleet metrics for the ``metricsSnapshot`` RPC: root-side
-        counters plus every worker's live snapshot (remote workers
-        report their daemon's queue depth and registry)."""
-        computation = self.computation_cache.stats()
+        counters, the root's computation cache, and every worker's live
+        snapshot (remote workers report their daemon's queue depth and
+        registry).  An unreachable worker degrades to an error entry
+        instead of failing the whole answer."""
+        workers = []
+        for worker in self.workers:
+            try:
+                workers.append(worker.metrics_snapshot())
+            except (WorkerUnavailableError, EngineError) as exc:
+                workers.append({"name": worker.name, "error": str(exc)})
         return {
             "placementVersion": self.placement_version,
             "rebalances": self.rebalances,
             "bytesToRoot": self.total_bytes_to_root,
-            "computationHitRate": round(computation.hit_rate, 4),
-            "workers": self._worker_reports("metrics_snapshot"),
+            "computation": self.computation_cache.stats().to_json(),
+            "workers": workers,
         }
 
     def trace_dump(self, trace_id: str | None = None) -> list[dict]:

@@ -344,19 +344,6 @@ class WorkerServer:
             "cores": self.worker.cores,
         }
 
-    def stats(self) -> dict:
-        return {
-            **self._info(),
-            **self.worker.stats(),
-            "requestsServed": self.requests_served,
-        }
-
-    def cache_stats(self) -> dict:
-        return {
-            **self.worker.cache_stats(),
-            "entriesPurged": self.cache_entries_purged,
-        }
-
     def sweep_caches(self) -> int:
         """One TTL sweep — the periodic timer's tick, or on demand
         (operators, tests) through the ``sweepCaches`` verb."""
@@ -365,11 +352,12 @@ class WorkerServer:
         return purged
 
     def metrics_snapshot(self) -> dict:
-        """The daemon's live metrics: queue depth, in-flight dataset
-        ops, cache hit rates, placement version, this process's CPU
-        seconds (user + system) and minor page faults, plus its
-        metrics registry — one payload for ``repro fleet top`` and the
-        root's fleet-wide aggregation."""
+        """The daemon's one report: its worker's snapshot (both caches
+        whole) plus queue depth, in-flight dataset ops, placement
+        version, this process's CPU seconds (user + system) and minor
+        page faults, and its metrics registry — one payload for
+        ``repro fleet top``, the autoscaler and the root's fleet-wide
+        aggregation."""
         with self._inflight_lock:
             inflight = self._inflight
         usage = resource.getrusage(resource.RUSAGE_SELF)

@@ -361,17 +361,12 @@ WIRE_VERBS: tuple[Verb, ...] = (
     Verb("crash", "crash", kind="ack"),
     Verb("ping", "ping", kind="ack", reply_key="pong",
          reply=Kind("bool", _same, bool)),
-    Verb("stats", "stats", daemon=True, reply=_object(
-        "name", "pid", "cores", "shardsSummarized", "crashes", "requestsServed")),
-    Verb("cacheStats", "cache_stats", daemon=True, reply=_object(
-        "name", "store", "memo", "shardsSummarized", "entriesPurged")),
     Verb("sweepCaches", "sweep_caches", reply_key="purged", reply=INT,
          daemon=True, stub="sweep_remote_caches"),
     Verb("metricsSnapshot", "metrics_snapshot", daemon=True, reply=_object(
-        "name", "cores", "shardsSummarized", "crashes", "datasets",
-        "storeHitRate", "memoHitRate", "memoBytes", "slicesStolen",
-        "slicesDonated", "entriesWarmed", "pid", "cpuSeconds", "minorFaults",
-        "inflight", "datasetOps", "requestsServed", "rootsServed",
+        "name", "cores", "shardsSummarized", "crashes", "store", "memo",
+        "slicesStolen", "slicesDonated", "entriesWarmed", "pid", "cpuSeconds",
+        "minorFaults", "inflight", "datasetOps", "requestsServed", "rootsServed",
         "placementVersion", "draining", "entriesPurged", "spansBuffered",
         "registry")),
     Verb("traceDump", "trace_dump", reply_key="spans", reply=LIST, daemon=True,

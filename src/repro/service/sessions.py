@@ -80,18 +80,7 @@ class SessionMetrics:
     worker_cache_hits: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "queries": self.queries,
-            "sketches": self.sketches,
-            "repliesSent": self.replies_sent,
-            "partialsSent": self.partials_sent,
-            "completed": self.completed,
-            "cancelled": self.cancelled,
-            "preempted": self.preempted,
-            "errors": self.errors,
-            "cacheHits": self.cache_hits,
-            "workerCacheHits": self.worker_cache_hits,
-        }
+        return {key: getattr(self, attr) for attr, key in _METRIC_KEYS}
 
     @classmethod
     def from_json(cls, data: object) -> "SessionMetrics":

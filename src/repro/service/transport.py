@@ -318,9 +318,6 @@ class ServiceServer(ServerHost):
             return RpcReply(
                 request.request_id, "complete", payload=self.stats()
             )
-        if method == "cacheStats":
-            payload = await loop.run_in_executor(None, self.cache_stats)
-            return RpcReply(request.request_id, "complete", payload=payload)
         if method == "metricsSnapshot":
             fmt = request.args.get("format")
             payload = await loop.run_in_executor(
@@ -359,6 +356,7 @@ class ServiceServer(ServerHost):
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
+        """This root's own counters; never dials a worker."""
         return {
             "type": "serviceStats",
             "draining": self.draining,
@@ -371,25 +369,11 @@ class ServiceServer(ServerHost):
             },
         }
 
-    def cache_stats(self) -> dict:
-        """Every cache tier visible from this root, plus per-session
-        hit telemetry — the ``cacheStats`` RPC payload."""
-        return {
-            "type": "cacheStats",
-            "cluster": self.cluster.cache_stats(),
-            "sessions": {
-                session.session_id: {
-                    "cacheHits": session.metrics.cache_hits,
-                    "workerCacheHits": session.metrics.worker_cache_hits,
-                }
-                for session in self.sessions.sessions
-            },
-        }
-
     def metrics_snapshot(self, fmt: str | None = None) -> dict:
-        """The unified metrics plane: this root's registry, scheduler
-        and session state, and every worker daemon's live snapshot —
-        the ``metricsSnapshot`` RPC payload.  ``fmt="prometheus"``
+        """The unified metrics plane — the ``metricsSnapshot`` RPC
+        payload: :meth:`stats` with its cluster entry widened to the
+        fleet (the root's computation cache and every worker's live
+        snapshot), plus this root's registry.  ``fmt="prometheus"``
         returns ``{"text": ...}`` in Prometheus exposition format
         instead (root-local metrics only; scrape daemons directly for
         worker-level series)."""
@@ -400,11 +384,8 @@ class ServiceServer(ServerHost):
                 "text": REGISTRY.render_prometheus(),
             }
         return {
+            **self.stats(),
             "type": "metricsSnapshot",
-            "draining": self.draining,
-            "connectionsAccepted": self.connections_accepted,
-            "scheduler": self.scheduler.metrics.to_json(),
-            "sessions": self.sessions.to_json(),
             "cluster": self.cluster.metrics_snapshot(),
             "registry": REGISTRY.snapshot(),
         }
@@ -594,9 +575,6 @@ class ServiceClient:
 
     def stats(self) -> dict:
         return self.call("stats").payload
-
-    def cache_stats(self) -> dict:
-        return self.call("cacheStats").payload
 
     def metrics_snapshot(self, fmt: str | None = None) -> dict:
         args = {"format": fmt} if fmt else {}

@@ -109,7 +109,9 @@ class FrequencySummary(Summary):
 
 def _exact_value_counts(table: Table, column_name: str, rows: Selection) -> tuple:
     """Exact value -> count over the selected rows (missing values
-    excluded), and how many rows ``rows`` selects."""
+    excluded), and how many rows ``rows`` selects.  ``-0.0`` counts as
+    ``0.0``: equal keys read alike, whichever shard or merge order met
+    them first."""
     column = table.column(column_name)
     if isinstance(column, StringColumn):
         codes = column.codes_at(rows)
@@ -118,7 +120,7 @@ def _exact_value_counts(table: Table, column_name: str, rows: Selection) -> tupl
         return {values[int(c)]: int(n) for c, n in zip(unique, counts)}, len(codes)
     values = column.numeric_values(rows)
     unique, counts = np.unique(values[~np.isnan(values)], return_counts=True)
-    return {float(v): int(n) for v, n in zip(unique, counts)}, len(values)
+    return {float(v): int(n) for v, n in zip(unique + 0.0, counts)}, len(values)
 
 
 def _exact_value_counts_reference(
@@ -139,7 +141,7 @@ def _exact_value_counts_reference(
             scalar = float(
                 column.numeric_values(np.array([row], dtype=np.int64))[0]
             )
-            value = None if np.isnan(scalar) else scalar
+            value = None if np.isnan(scalar) else scalar + 0.0
         if value is None:
             continue
         counts[value] = counts.get(value, 0) + 1

@@ -178,6 +178,12 @@ SKETCH_SPECS: list[SketchSpec] = [
         lambda: MisraGriesSketch("i", k=4),
     ),
     SketchSpec(
+        # k above every canonical table's row count: no counter is ever
+        # reduced away, so a -0.0/0.0 counter always reaches the merge.
+        "heavy_hitters.streaming_double",
+        lambda: MisraGriesSketch("d", k=1024),
+    ),
+    SketchSpec(
         "heavy_hitters.sampled",
         lambda: SampleHeavyHittersSketch("s", k=4, rate=0.5, seed=11),
     ),

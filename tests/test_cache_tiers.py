@@ -434,8 +434,8 @@ class TestWorkerSweep:
             dataset = cluster.load(SOURCE)
             dataset.run(HistogramSketch("Distance", BUCKETS))
             proxy = cluster.workers[0]
-            stats = proxy.cache_stats()
-            assert stats["store"]["entries"] >= 1
+            snapshot = proxy.metrics_snapshot()
+            assert snapshot["store"]["entries"] >= 1
             assert proxy.sweep_remote_caches() == 0  # nothing stale yet
         finally:
             cluster.close()
@@ -530,6 +530,5 @@ class TestDisableSwitch:
     def test_cache_stats_reports_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_CACHES", "1")
         cluster = Cluster(num_workers=1, cores_per_worker=1)
-        stats = cluster.cache_stats()
-        assert stats["disabled"] is True
-        assert stats["root"]["computation"]["disabled"] is True
+        snapshot = cluster.metrics_snapshot()
+        assert snapshot["computation"]["disabled"] is True

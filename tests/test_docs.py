@@ -325,7 +325,7 @@ class TestWorkerWire:
             elif verb.reply.name.startswith("{"):
                 assert list(payload) == verb.reply.name.strip("{}").split(", "), name
             checked.add(verb.wire)
-        assert {"stats", "metricsSnapshot", "placement", "inventory"} <= checked
+        assert {"metricsSnapshot", "placement", "inventory"} <= checked
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``storage/columnar.py`` maps hvc partitions read-only
 (``use_mmap=False`` is the heap read kept as the reference).  The map is
 an optimization, not a semantic: the tests here pin table bytes across
-the two paths, zero-copy views, slice loads, and (tier 2) SIGKILLs with
-real worker processes holding live maps.  Summaries over mapped, heap
+the two paths, zero-copy views, slice loads, that an eviction unmaps its
+shard files (in process, and in each tier-2 daemon), and (tier 2)
+SIGKILLs with real worker processes holding live maps.  Summaries over mapped, heap
 and replayed shards are the ``heap``, ``crashed`` and ``evicted`` columns
 of ``tests/test_invariant.py``.
 """
@@ -33,6 +34,12 @@ def _write_flights_dataset(directory: str, rows: int = 6_000, parts: int = 6):
     table = generate_flights(rows, seed=21)
     columnar.write_dataset(table.split(parts), str(directory))
     return table
+
+
+def _mapped_files(pid: int | str, directory: str) -> int:
+    """How many of ``pid``'s memory mappings are files under ``directory``."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return sum(1 for line in maps if str(directory) in line)
 
 
 def _dir_digests(directory: str) -> dict[str, str]:
@@ -83,6 +90,18 @@ class TestMmapVsHeap:
                 columnar.table_to_bytes(t) for t in expected
             ]
 
+    def test_evict_releases_the_maps(self, tmp_path):
+        """Evicting a dataset drops every mapping of its shard files."""
+        from repro.engine.cluster import Cluster
+
+        _write_flights_dataset(tmp_path)
+        cluster = Cluster(num_workers=2)
+        dataset = cluster.load(ColumnarDatasetSource(str(tmp_path)))
+        dataset.sketch(HistogramSketch("Distance", DISTANCE))
+        assert _mapped_files("self", tmp_path) == 6
+        cluster.evict_dataset(dataset.dataset_id)
+        assert _mapped_files("self", tmp_path) == 0
+
     def test_maps_outlive_the_file_descriptor(self, tmp_path):
         """read_table closes the fd immediately; arrays must stay valid."""
         _write_flights_dataset(tmp_path, rows=2_000, parts=1)
@@ -120,6 +139,19 @@ class TestProcessLifecycle:
                 LocalDataSet(reference_table).sketch(requery).to_bytes()
             )
             assert dataset.sketch(sketch).to_bytes() == before
+        finally:
+            cluster.close()
+
+    def test_evict_releases_each_daemons_maps(self, tmp_path):
+        _write_flights_dataset(tmp_path)
+        cluster = self._process_cluster()
+        try:
+            dataset = cluster.load(ColumnarDatasetSource(str(tmp_path)))
+            dataset.sketch(HistogramSketch("Distance", DISTANCE))
+            pids = cluster.worker_pids()
+            assert [_mapped_files(pid, tmp_path) for pid in pids] == [3, 3]
+            cluster.evict_dataset(dataset.dataset_id)
+            assert [_mapped_files(pid, tmp_path) for pid in pids] == [0, 0]
         finally:
             cluster.close()
 

@@ -188,6 +188,14 @@ class TestByteIdenticalSummaries:
             assert server.connections_accepted >= 4
 
 
+def session_metrics(client: ServiceClient) -> dict:
+    """The calling session's counters, as the root's metricsSnapshot
+    reports them."""
+    sessions = client.metrics_snapshot()["sessions"]["sessions"]
+    (mine,) = [s for s in sessions if s["session"] == client.session_id]
+    return mine["metrics"]
+
+
 class TestCrossRootWarmCache:
     """The multi-tier memoization acceptance path (§5.4): a sketch first
     run via root A completes via root B with *zero* worker-side shard
@@ -202,8 +210,7 @@ class TestCrossRootWarmCache:
     }
 
     def worker_scans(self, client: ServiceClient) -> list[int]:
-        stats = client.cache_stats()
-        workers = stats["cluster"]["workers"]
+        workers = client.metrics_snapshot()["cluster"]["workers"]
         assert all("error" not in w for w in workers), workers
         return [w["shardsSummarized"] for w in workers]
 
@@ -230,10 +237,9 @@ class TestCrossRootWarmCache:
             assert warm.cache["workerHits"] == len(scans_after)
             assert not warm.cache["hit"]  # root B's own root tier was cold
             assert canonical(warm.payload) == canonical(cold.payload)
-            # The per-session telemetry shows up in the cacheStats RPC.
-            session_stats = client_b.cache_stats()["sessions"]
+            # The per-session telemetry shows up in the metricsSnapshot RPC.
             assert (
-                session_stats[client_b.session_id]["workerCacheHits"]
+                session_metrics(client_b)["workerCacheHits"]
                 == len(scans_after)
             )
 
@@ -252,8 +258,7 @@ class TestCrossRootWarmCache:
             assert again.kind == "complete", again.error
             assert again.cache is not None and again.cache["hit"]
             assert canonical(again.payload) == canonical(first.payload)
-            session_stats = client.cache_stats()["sessions"]
-            assert session_stats[client.session_id]["cacheHits"] >= 1
+            assert session_metrics(client)["cacheHits"] >= 1
 
 
 class TestSessionMobility:

@@ -25,9 +25,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import RemoteSession, _worker_line
 from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
-from repro.engine.cluster import Cluster
+from repro.engine.cluster import Cluster, Worker
 from repro.engine.rpc import NO_PAYLOAD, RpcReply, RpcRequest
 from repro.engine.placement import StalePlacementError
 from repro.errors import WorkerUnavailableError
@@ -489,8 +490,8 @@ class TestServiceTracing:
         assert len(workers) == 2
         for worker in workers:
             assert "shardsSummarized" in worker
-            assert 0.0 <= worker["storeHitRate"] <= 1.0
-            assert 0.0 <= worker["memoHitRate"] <= 1.0
+            assert 0.0 <= worker["store"]["hitRate"] <= 1.0
+            assert 0.0 <= worker["memo"]["hitRate"] <= 1.0
         registry = snap["registry"]
         assert registry["web.first_partial_seconds"]["count"] >= 1
         assert "scheduler.queued" in registry
@@ -499,6 +500,82 @@ class TestServiceTracing:
         text = obs_client.metrics_snapshot(fmt="prometheus")["text"]
         assert "# TYPE" in text
         assert "scheduler_queued" in text
+
+
+class TestOneReportPerProcess:
+    """``metricsSnapshot`` is the fleet's one report: every number the
+    retired ``cacheStats`` RPC carried is readable from it."""
+
+    #: ``CacheStats.to_json`` — one cache tier's counters.
+    CACHE_KEYS = [
+        "name", "entries", "bytes", "hits", "misses", "hitRate",
+        "evictions", "invalidations", "maxEntries", "maxBytes", "disabled",
+    ]
+
+    def test_every_cache_stats_field_is_in_the_snapshot(self):
+        deployment = WireDeployment()
+        cluster = deployment.root(
+            [deployment.make(f"worker-{i}") for i in range(2)]
+        )
+        server = ServiceServer(
+            cluster, default_source=FlightsSource(4_000, partitions=4, seed=5)
+        )
+        server.start_background()
+        try:
+            with ServiceClient(*server.address) as client:
+                handle = client.load()
+                # Cold, then a root hit, then (root tier cleared) one
+                # memo hit per worker.
+                for _ in range(2):
+                    drain(client.submit("sketch", handle, {"sketch": HIST_SPEC}))
+                cluster.computation_cache.clear()
+                drain(client.submit("sketch", handle, {"sketch": HIST_SPEC}))
+                snap = client.metrics_snapshot()
+                session_id = client.session_id
+                out = io.StringIO()
+                RemoteSession(client, out).execute("metrics")
+        finally:
+            server.close()
+            deployment.close()
+
+        fleet = snap["cluster"]
+        # cacheStats.cluster.disabled and .root.computation
+        computation = fleet["computation"]
+        assert list(computation) == self.CACHE_KEYS
+        assert computation["disabled"] is False
+        assert computation["hits"] == 1 and computation["misses"] == 2
+        # cacheStats.cluster.workers[]
+        assert [w["name"] for w in fleet["workers"]] == ["worker-0", "worker-1"]
+        for worker in fleet["workers"]:
+            assert list(worker["store"]) == self.CACHE_KEYS
+            assert list(worker["memo"]) == self.CACHE_KEYS
+            assert worker["store"]["entries"] == 1
+            assert worker["memo"]["hits"] == 1
+            assert worker["shardsSummarized"] == 2  # the cold run only
+            assert worker["entriesPurged"] == 0
+        # cacheStats.sessions[id]
+        (mine,) = [
+            s["metrics"] for s in snap["sessions"]["sessions"]
+            if s["session"] == session_id
+        ]
+        assert mine["cacheHits"] == 1
+        assert mine["workerCacheHits"] == 2
+
+        # `repro client metrics` draws the same numbers.
+        text = out.getvalue()
+        assert "root/computation: 1 entries" in text
+        assert "1 hits / 2 misses" in text
+        assert "  worker-0  queue " in text and "  cpu " in text
+        assert text.count("    memo: 1 entries") == 2
+        assert "this session: 1 root hits, 2 worker partial hits" in text
+
+    def test_worker_line_without_daemon_fields(self):
+        line = _worker_line(Worker("worker-0").metrics_snapshot())
+        assert line.startswith("worker-0  shards 0  memo 0%  store 0%")
+        assert "queue" not in line and "cpu" not in line
+        assert _worker_line({"address": "h:1", "error": "refused"}) == (
+            "h:1: DOWN (refused)"
+        )
 
 
 # ---------------------------------------------------------------------------

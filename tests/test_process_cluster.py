@@ -65,8 +65,7 @@ class TestRemoteDatasets:
         assert all(pid is not None and pid != os.getpid() for pid in pids)
         for proxy in cluster.workers:
             assert isinstance(proxy, RemoteWorkerProxy)
-            stats = proxy.stats()
-            assert stats["pid"] == proxy.pid
+            assert proxy.metrics_snapshot()["pid"] == proxy.pid
 
     def test_rows_and_schema(self, dataset, reference):
         assert dataset.total_rows == reference.num_rows

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.serialization import Decoder, Encoder
 from repro.data.synth import categorical_table, zipf_strings
+from repro.engine.rpc import summary_to_bytes
 from repro.errors import ColumnKindError, EngineError
 from repro.sketches.bottomk import BottomKDistinctSketch, BottomKSummary
 from repro.sketches.distinct import DistinctSetSummary, ExactDistinctSketch
@@ -70,6 +71,17 @@ class TestMisraGries:
         summary = MisraGriesSketch("v", 10).summarize(table)
         assert summary.counts[1.0] == 3
         assert summary.scanned == 6
+
+    def test_signed_zero_key_does_not_depend_on_merge_order(self):
+        # -0.0 == 0.0 is one key; which sign it kept used to follow
+        # whichever summary the merge saw first.
+        sketch = MisraGriesSketch("d", 4)
+        a = sketch.summarize(Table.from_pydict({"d": [-0.0, 1.0]}))
+        b = sketch.summarize(Table.from_pydict({"d": [0.0, 1.0]}))
+        ab, ba = sketch.merge(a, b), sketch.merge(b, a)
+        assert summary_to_bytes(ab) == summary_to_bytes(ba)
+        assert ab.counts == {0.0: 2, 1.0: 2}
+        assert all(np.copysign(1.0, value) == 1.0 for value in ab.counts)
 
     def test_serialization(self):
         table = categorical_table(1_000, distinct=20, seed=5)

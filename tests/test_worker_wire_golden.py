@@ -42,6 +42,12 @@ and the reply of ``a1.4.ensure`` was re-recorded: it carries the rows
 and schema beside the shard count.
 The reply of ``a1.15.metricsSnapshot`` was re-recorded when the daemon's
 snapshot gained its process's ``cpuSeconds`` and ``minorFaults``.
+When ``metricsSnapshot`` became each daemon's one report, the ``stats``
+and ``cacheStats`` exchanges became ``a1.12.placement`` and
+``a1.13.inventory`` at the same request ids, and the reply of
+``a1.15.metricsSnapshot`` was re-recorded: it carries the shard store
+and the memo whole (``store``, ``memo``) in place of ``datasets`` and
+the derived hit rates and memo bytes.
 Regenerate, only when the wire is *meant* to change, with::
 
     PYTHONPATH=src python tests/test_worker_wire_golden.py
@@ -91,8 +97,7 @@ SLOW = {"type": "slow", "perShardSeconds": 0.15, "inner": HIST}
 #: conversation.
 _VOLATILE = {
     "pid", "registry", "spansBuffered", "spans", "store", "memo",
-    "storeHitRate", "memoHitRate", "memoBytes", "inflight",
-    "cpuSeconds", "minorFaults",
+    "inflight", "cpuSeconds", "minorFaults",
 }
 
 
@@ -219,8 +224,8 @@ def record_transcript() -> dict[str, dict]:
             a.inventory()
             entries = a.export_hot_entries(1 << 20)
             a.import_entries(entries)
-            a.stats()
-            a.cache_stats()
+            a.placement_info()
+            a.inventory()
             a.sweep_remote_caches()
             a.metrics_snapshot()
             a.trace_dump()
