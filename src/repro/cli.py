@@ -58,40 +58,13 @@ import shlex
 import sys
 from typing import Callable, Iterable, TextIO
 
+from repro.core.buckets import BUCKETS, DoubleBuckets
 from repro.engine.cluster import Cluster
 from repro.errors import HillviewError
 from repro.spreadsheet import Spreadsheet
-from repro.storage.loader import (
-    ColumnarDatasetSource,
-    CsvSource,
-    DataSource,
-    JsonlSource,
-    SqlSource,
-    SyslogSource,
-    TableSource,
-)
-from repro.table.compute import ColumnPredicate
+from repro.storage.loader import DataSource, TableSource, source_for_path
+from repro.table.compute import PREDICATES, ColumnPredicate
 from repro.table.sort import RecordOrder
-
-
-def source_for_path(
-    path: str, sql_table: str | None = None, partitions: int = 8
-) -> DataSource:
-    """Pick a data source from a file path's extension (§2, no ingestion)."""
-    lower = path.lower()
-    if sql_table is not None or lower.endswith((".db", ".sqlite", ".sqlite3")):
-        if sql_table is None:
-            raise HillviewError(
-                "SQL databases need --sql-table to select the table"
-            )
-        return SqlSource(path, sql_table, partitions=partitions)
-    if lower.endswith(".csv"):
-        return CsvSource(path)
-    if lower.endswith((".jsonl", ".ndjson", ".json")):
-        return JsonlSource(path)
-    if lower.endswith((".log", ".syslog")):
-        return SyslogSource(path)
-    return ColumnarDatasetSource(path)
 
 
 class Session:
@@ -638,16 +611,10 @@ class RemoteSession:
     def _hist_spec(args: list[str]) -> dict:
         if len(args) < 3:
             raise HillviewError("usage: hist <col> <min> <max> [buckets]")
-        buckets = int(args[3]) if len(args) > 3 else 10
+        count = int(args[3]) if len(args) > 3 else 10
+        buckets = DoubleBuckets(float(args[1]), float(args[2]), count)
         return {
-            "type": "histogram",
-            "column": args[0],
-            "buckets": {
-                "type": "double",
-                "min": float(args[1]),
-                "max": float(args[2]),
-                "count": buckets,
-            },
+            "type": "histogram", "column": args[0], "buckets": BUCKETS.to_json(buckets)
         }
 
     def execute(self, line: str) -> bool:
@@ -711,14 +678,8 @@ class RemoteSession:
                 raw = float(args[2])
             except ValueError:
                 pass
-            reply = self.client.call(
-                "filter",
-                self._require_handle(),
-                {"predicate": {
-                    "type": "column", "column": args[0], "op": args[1],
-                    "value": raw,
-                }},
-            )
+            spec = PREDICATES.to_json(ColumnPredicate(args[0], args[1], raw))
+            reply = self.client.call("filter", self._require_handle(), {"predicate": spec})
             self.handle = reply.payload["handle"]
             self.print(f"filtered: {self.client.row_count(self.handle):,} "
                        f"rows remain (handle {self.handle})")

@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
+from dataclasses import replace
 
 import numpy as np
 
-from repro.core.serialization import Decoder, Encoder
-from repro.core.wire import Kind
-from repro.errors import ProtocolError, SerializationError
+from repro.core.wire import F64, STR_LIST, UVARINT, Field, TaggedUnion, Wire
+
+#: Every bucket description, by its ``type``; its binary form is tagged
+#: by the uvarint ``code`` each class declares.
+BUCKET_TYPES = TaggedUnion("buckets", binary=True)
 
 
-class Buckets(ABC):
+class Buckets(BUCKET_TYPES.Member, ABC):
     """A finite, ordered set of buckets over a column's value domain."""
 
     @property
@@ -36,10 +39,6 @@ class Buckets(ABC):
     @abstractmethod
     def label(self, index: int) -> str:
         """Human-readable label for bucket ``index`` (used by renderers)."""
-
-    @abstractmethod
-    def encode(self, enc: Encoder) -> None:
-        """Append this description to ``enc`` (type tag included)."""
 
     @abstractmethod
     def spec(self) -> str:
@@ -61,6 +60,14 @@ class DoubleBuckets(Buckets):
     last bucket) so that a range produced by the preparation phase covers
     every row it counted.
     """
+
+    wire = Wire(
+        "double",
+        Field("min_value", "min", F64),
+        Field("max_value", "max", F64),
+        Field("count", "count", UVARINT),
+        code=0,
+    )
 
     def __init__(self, min_value: float, max_value: float, count: int):
         if count < 1:
@@ -127,12 +134,6 @@ class DoubleBuckets(Buckets):
     def spec(self) -> str:
         return f"DoubleBuckets({self.min_value!r},{self.max_value!r},{self._count})"
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(_TAG_DOUBLE)
-        enc.write_float(self.min_value)
-        enc.write_float(self.max_value)
-        enc.write_uvarint(self._count)
-
     def __repr__(self) -> str:
         return self.spec()
 
@@ -151,6 +152,8 @@ class StringBuckets(Buckets):
     bucket is unbounded above, as in Hillview.  Strings below the first
     boundary are out of range (-1).
     """
+
+    wire = Wire("string_ranges", Field("boundaries", "boundaries", STR_LIST), code=1)
 
     def __init__(self, boundaries: list[str]):
         if not boundaries:
@@ -199,10 +202,6 @@ class StringBuckets(Buckets):
     def spec(self) -> str:
         return f"StringBuckets({self.boundaries!r})"
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(_TAG_STRING)
-        enc.write_str_list(self.boundaries)
-
     def __repr__(self) -> str:
         return f"StringBuckets({len(self.boundaries)} ranges)"
 
@@ -215,6 +214,8 @@ class StringBuckets(Buckets):
 
 class ExplicitStringBuckets(Buckets):
     """One bucket per distinct string value (<= 50 distinct values, B.1)."""
+
+    wire = Wire("strings", Field("values", "values", STR_LIST), code=2)
 
     def __init__(self, values: list[str]):
         if not values:
@@ -252,10 +253,6 @@ class ExplicitStringBuckets(Buckets):
     def spec(self) -> str:
         return f"ExplicitStringBuckets({self.values!r})"
 
-    def encode(self, enc: Encoder) -> None:
-        enc.write_uvarint(_TAG_EXPLICIT)
-        enc.write_str_list(self.values)
-
     def __repr__(self) -> str:
         return f"ExplicitStringBuckets({len(self.values)} values)"
 
@@ -266,61 +263,6 @@ class ExplicitStringBuckets(Buckets):
         return hash(tuple(self.values))
 
 
-_TAG_DOUBLE = 0
-_TAG_STRING = 1
-_TAG_EXPLICIT = 2
-
-
-def decode_buckets(dec: Decoder) -> Buckets:
-    """Inverse of ``Buckets.encode``."""
-    tag = dec.read_uvarint()
-    if tag == _TAG_DOUBLE:
-        lo = dec.read_float()
-        hi = dec.read_float()
-        count = dec.read_uvarint()
-        return DoubleBuckets(lo, hi, count)
-    if tag == _TAG_STRING:
-        return StringBuckets([s for s in dec.read_str_list() if s is not None])
-    if tag == _TAG_EXPLICIT:
-        return ExplicitStringBuckets([s for s in dec.read_str_list() if s is not None])
-    raise SerializationError(f"unknown buckets tag {tag}")
-
-
-def buckets_to_json(buckets: Buckets) -> dict:
-    if isinstance(buckets, DoubleBuckets):
-        return {
-            "type": "double",
-            "min": buckets.min_value,
-            "max": buckets.max_value,
-            "count": buckets.count,
-        }
-    if isinstance(buckets, StringBuckets):
-        return {"type": "string_ranges", "boundaries": list(buckets.boundaries)}
-    if isinstance(buckets, ExplicitStringBuckets):
-        return {"type": "strings", "values": list(buckets.values)}
-    raise ProtocolError(f"cannot encode buckets of type {type(buckets).__name__}")
-
-
-def buckets_from_json(data: dict) -> Buckets:
-    kind = data.get("type")
-    if kind == "double":
-        return DoubleBuckets(
-            float(data["min"]), float(data["max"]), int(data["count"])
-        )
-    if kind == "string_ranges":
-        return StringBuckets([str(b) for b in data["boundaries"]])
-    if kind == "strings":
-        return ExplicitStringBuckets([str(v) for v in data["values"]])
-    raise ProtocolError(f"unknown buckets type {kind!r}")
-
-
 #: The wire kind of a bucket description; each one multiplies the cells
 #: of the summary its sketch allocates.
-BUCKETS = Kind(
-    "buckets",
-    buckets_to_json,
-    buckets_from_json,
-    lambda enc, buckets: buckets.encode(enc),
-    decode_buckets,
-    cells=lambda buckets: buckets.count,
-)
+BUCKETS = replace(BUCKET_TYPES.kind, cells=lambda buckets: buckets.count)

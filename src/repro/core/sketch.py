@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Generic, TypeVar
+from typing import TYPE_CHECKING, Generic, TypeVar
 
 import numpy as np
 
 from repro.core.rand import rng_for
 from repro.core.serialization import Decoder, Encoder
 from repro.core.wire import (
-    Wire,
     decode_summary,
     encode_summary,
     register_sketch,
     register_summary,
+    registering,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 R = TypeVar("R", bound="Summary")
 
 
-class Summary:
+class Summary(registering(register_summary)):
     """Base class for vizketch summaries.
 
     A summary is small — its size depends on the display resolution, never
@@ -54,14 +54,6 @@ class Summary:
     :meth:`decode` and the JSON payload are derived; the engine uses the
     encoded size for bandwidth accounting (Figure 5, bottom).
     """
-
-    #: The field table; constructor keywords are the field attributes.
-    wire: ClassVar[Wire]
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "wire" in cls.__dict__:
-            register_summary(cls)
 
     def encode(self, enc: Encoder) -> None:
         """Append the wire representation of this summary to ``enc``."""
@@ -84,7 +76,7 @@ class Summary:
         return enc.to_bytes()
 
 
-class Sketch(ABC, Generic[R]):
+class Sketch(registering(register_sketch), ABC, Generic[R]):
     """A mergeable summarization method (vizketch without the rendering).
 
     Subclasses implement :meth:`summarize`, :meth:`zero` and :meth:`merge`.
@@ -98,15 +90,6 @@ class Sketch(ABC, Generic[R]):
     #: Whether repeated execution yields identical results.  Deterministic
     #: sketch results may be stored in the computation cache (paper §5.4).
     deterministic: bool = True
-
-    #: The field table of a wire-visible sketch; constructor keywords and
-    #: instance attributes are the field attributes.
-    wire: ClassVar[Wire]
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "wire" in cls.__dict__:
-            register_sketch(cls)
 
     @property
     def name(self) -> str:

@@ -1,9 +1,11 @@
-"""One sketch, one definition: wire codecs derived from field tables.
+"""One value, one definition: wire codecs derived from field tables.
 
 Every wire-visible :class:`~repro.core.sketch.Summary` and
-:class:`~repro.core.sketch.Sketch` class declares one :class:`Wire` table
-beside itself — its wire tag, then per field the attribute, the JSON key,
-a :class:`Kind` and (for sketch specs) a default::
+:class:`~repro.core.sketch.Sketch` class — and every value a lineage or
+a sketch spec carries: data sources, table maps, lineage ops, predicates
+and buckets — declares one :class:`Wire` table beside itself: its wire
+tag, then per field the attribute, the JSON key, a :class:`Kind` and
+(for specs) a default::
 
     wire = Wire(
         "histogram",
@@ -16,11 +18,17 @@ From that table this module *derives* every codec the system speaks: the
 binary ``Summary.encode``/``decode`` pair, ``summary_to_json`` /
 ``summary_from_json`` / ``summary_to_bytes`` / ``summary_from_bytes``,
 ``sketch_from_json`` / ``sketch_to_json``, and the JSON text the reply
-encoders send (``summary_json`` + ``dumps``).  A kind knows its four
-conversions (to/from JSON, write/read binary), so the JSON and binary
-forms of a field cannot drift apart, and a new sketch is a one-file
-change: classes register themselves, by exact type, when they are defined.
-The codec plan of a class is compiled once, at class definition.
+encoders send (``summary_json`` + ``dumps``).  The lineage and spec
+values are members of a :class:`TaggedUnion` per family (``SOURCES``,
+``TABLE_MAPS``, ``LINEAGE_OPS``, ``PREDICATES``, ``BUCKET_TYPES``, each
+defined beside its base class); the union's ``to_json``/``from_json``
+(and, for buckets, ``write``/``read``) are the family's codecs, and its
+``kind`` nests it in another table.  A kind knows its four conversions
+(to/from JSON, write/read binary), so the JSON and binary forms of a
+field cannot drift apart, and a new sketch, source or predicate is a
+one-file change: classes register themselves, by exact type, when they
+are defined.  The codec plan of a class is compiled once, at class
+definition.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from functools import cache
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -40,7 +48,7 @@ from repro.core.serialization import (
     read_tagged_value,
     write_tagged_value,
 )
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SerializationError
 
 #: Upper bound on the cells of one summary, checked when a sketch spec is
 #: parsed: summary size follows display resolution, never the client's
@@ -388,14 +396,17 @@ ROWS = list_of(ROW, "list of rows")
 # ---------------------------------------------------------------------------
 #: Default of a field the JSON form must carry.
 REQUIRED: Any = object()
+#: Default of a field a spec may omit (it then reads as None) but that
+#: the JSON form always carries, ``null`` included.
+NULL: Any = object()
 
 
 @dataclass(frozen=True)
 class Field:
     """One wire field: ``attr`` of the object (and constructor keyword),
-    its JSON ``key``, its :class:`Kind`, and the ``default`` a sketch spec
-    may omit it for.  A field whose default is None is left out of the
-    JSON form while it is None.
+    its JSON ``key``, its :class:`Kind`, and the ``default`` a spec may
+    omit it for.  A field whose default is None is left out of the JSON
+    form while it is None; one whose default is :data:`NULL` is not.
 
     ``attr`` and ``key`` may be equal-length tuples when one binary
     layout interleaves several attributes (the kind then converts tuples).
@@ -423,11 +434,13 @@ class Derived:
 class Wire:
     """The field table of one wire-visible class.
 
-    ``tag`` is the JSON ``"type"`` (and the binary summary tag); None
-    derives ``encode``/``decode`` without registering a wire type.
-    ``variant`` — ``(key, value)`` — lets several sketch classes share one
-    tag, told apart by that constant JSON field; the first class
-    registered under the tag is the one a spec without the key selects.
+    ``tag`` is the JSON ``"type"`` (a :class:`TaggedUnion` member's tag
+    key) and the binary summary tag; None derives ``encode``/``decode``
+    without registering a wire type.  ``variant`` — ``(key, value)`` —
+    lets several sketch classes share one tag, told apart by that
+    constant JSON field; the first class registered under the tag is the
+    one a spec without the key selects.  ``code`` is the uvarint that
+    tags a member of a binary :class:`TaggedUnion` (buckets).
     """
 
     def __init__(
@@ -435,10 +448,12 @@ class Wire:
         tag: str | None,
         *entries: Field | Derived,
         variant: tuple[str, str] | None = None,
+        code: int | None = None,
     ):
         self.tag = tag
         self.entries = entries
         self.variant = variant
+        self.code = code
 
     def tagged(self, tag: str) -> "Wire":
         """The same fields under another tag (a subclass's wire type)."""
@@ -451,7 +466,7 @@ class _Plan:
 
     cls: type
     tag: str | None
-    head: dict  # {"type": tag} plus the variant field
+    head: dict  # {tag key: tag} plus the variant field
     json_out: tuple  # (key, get, to_json, omit_none, to_text)
     json_in: tuple  # (attr, key, from_json, default, context)
     binary_out: tuple  # (get, write)
@@ -459,8 +474,8 @@ class _Plan:
     cell_fields: tuple  # (attr, cells)
 
 
-def _compile(cls: type, wire: Wire) -> _Plan:
-    head = {"type": wire.tag}
+def _compile(cls: type, wire: Wire, key: str = "type") -> _Plan:
+    head = {key: wire.tag}
     if wire.variant is not None:
         head[wire.variant[0]] = wire.variant[1]
     json_out, json_in, binary_out, binary_in, cell_fields = [], [], [], [], []
@@ -473,7 +488,8 @@ def _compile(cls: type, wire: Wire) -> _Plan:
         json_out.append(
             (entry.key, get, kind.to_json, entry.default is None, kind.to_text)
         )
-        json_in.append((attr, entry.key, kind.from_json, entry.default, entry.context))
+        default = None if entry.default is NULL else entry.default
+        json_in.append((attr, entry.key, kind.from_json, default, entry.context))
         if kind.write is not None:
             binary_out.append((get, kind.write))
             binary_in.append((attr, kind.read))
@@ -494,6 +510,21 @@ def _compile(cls: type, wire: Wire) -> _Plan:
 # ---------------------------------------------------------------------------
 # Registries: filled at class-definition time, keyed by exact type
 # ---------------------------------------------------------------------------
+def registering(register: Callable[[type], Any]) -> type:
+    """A base class that hands each subclass declaring a ``wire`` table
+    to ``register`` when the subclass is defined."""
+
+    class Registering:
+        wire: ClassVar[Wire]
+
+        def __init_subclass__(cls, **kwargs) -> None:
+            super().__init_subclass__(**kwargs)
+            if "wire" in cls.__dict__:
+                register(cls)
+
+    return Registering
+
+
 #: Summary wire tag -> summary class.
 SUMMARY_TYPES: dict[str, type] = {}
 #: Sketch wire type -> its classes (several only when they declare a
@@ -627,13 +658,15 @@ def summary_from_json(data: dict) -> object:
 
 
 def encode_summary(summary: object, enc: Encoder) -> None:
-    """The derived body of :meth:`Summary.encode` (no tag)."""
+    """The derived body of :meth:`Summary.encode` (no tag), and of any
+    other object with a binary form."""
     for get, write in _PLANS[type(summary)].binary_out:
         write(enc, get(summary))
 
 
 def decode_summary(cls: type, dec: Decoder) -> object:
-    """The derived body of :meth:`Summary.decode` (no tag)."""
+    """The derived body of :meth:`Summary.decode` (no tag), and of any
+    other class with a binary form."""
     kwargs: dict = {}
     for attr, read in _PLANS[cls].binary_in:
         if type(attr) is tuple:
@@ -754,3 +787,77 @@ def sketch_from_json(spec: dict) -> Any:
 
 #: A nested sketch spec (a wrapper sketch's ``inner``).
 SKETCH = Kind("sketch spec", sketch_to_json, sketch_from_json)
+
+
+# ---------------------------------------------------------------------------
+# Tagged unions: the value objects lineage and sketch specs carry
+# ---------------------------------------------------------------------------
+class TaggedUnion:
+    """One family of wire values told apart by a tag: data sources (tag
+    key ``kind``), lineage ops (``op``), table maps, predicates and
+    buckets (``type``).
+
+    The family's base class derives from :attr:`Member`, so each class
+    that declares ``wire = Wire(tag, ...)`` registers when it is defined;
+    its JSON form is ``{key: tag}``, then its fields in table order.  The
+    members of a ``binary`` union also declare a ``code``: their binary
+    form is that uvarint, then the fields.  :attr:`kind` is the union as
+    a field kind, so unions nest (a filter map carries a predicate).
+    ``refusal`` ends the error for a value with no wire table.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        key: str = "type",
+        binary: bool = False,
+        refusal: str = "has no wire form",
+    ):
+        self.name, self.key, self.refusal = name, key, refusal
+        #: Tag -> member class, in registration order.
+        self.classes: dict[str, type] = {}
+        self.codes: dict[int, type] = {}
+        write, read = (self.write, self.read) if binary else (None, None)
+        self.kind = Kind(name, self.to_json, self.from_json, write, read)
+        self.Member = registering(self.register)
+
+    def register(self, cls: type) -> None:
+        """Compile ``cls.wire`` and register ``cls`` under its tag."""
+        wire = cls.wire
+        _PLANS[cls] = _compile(cls, wire, self.key)
+        if self.classes.setdefault(wire.tag, cls) is not cls:
+            raise ValueError(f"{self.name} {wire.tag!r} is already registered")
+        if self.kind.write is not None and (
+            wire.code is None or self.codes.setdefault(wire.code, cls) is not cls
+        ):
+            raise ValueError(f"{self.name} {wire.tag!r} needs a code of its own")
+
+    def _plan(self, value: object) -> _Plan:
+        plan = _PLANS.get(type(value))
+        if plan is None or self.classes.get(plan.tag) is not plan.cls:
+            raise ProtocolError(f"{self.name} {type(value).__name__} {self.refusal}")
+        return plan
+
+    def to_json(self, value: object) -> dict:
+        return _to_json(self._plan(value), value)
+
+    def from_json(self, data: dict) -> Any:
+        if not isinstance(data, dict):
+            raise ProtocolError(f"{self.name} must be a JSON object")
+        tag = data.get(self.key)
+        cls = self.classes.get(str(tag))
+        if cls is None:
+            raise ProtocolError(f"unknown {self.name} {self.key} {tag!r}")
+        return cls(**_from_json(_PLANS[cls], data, self.name, "field"))
+
+    def write(self, enc: Encoder, value: object) -> None:
+        self._plan(value)
+        enc.write_uvarint(type(value).wire.code)
+        encode_summary(value, enc)
+
+    def read(self, dec: Decoder) -> Any:
+        code = dec.read_uvarint()
+        cls = self.codes.get(code)
+        if cls is None:
+            raise SerializationError(f"unknown {self.name} tag {code}")
+        return decode_summary(cls, dec)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.rand import rng_for, stable_hash64
-from repro.storage.loader import DataSource
+from repro.storage.loader import FlightsSource
 from repro.table.column import (
     DateColumn,
     DoubleColumn,
@@ -440,68 +440,4 @@ def flights_partitions(
     horizontal sharding (§2) and lets the engine replay a single worker's
     shards after a failure without touching the others.
     """
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    base = total_rows // partitions
-    remainder = total_rows % partitions
-    tables = []
-    for i in range(partitions):
-        rows = base + (1 if i < remainder else 0)
-        if rows == 0:
-            continue
-        tables.append(
-            generate_flights(
-                rows,
-                seed=seed,
-                extra_columns=extra_columns,
-                shard_id=f"flights-{i:04d}",
-            )
-        )
-    return tables
-
-
-class FlightsSource(DataSource):
-    """A reloadable flights data source for the cluster engine."""
-
-    def __init__(
-        self,
-        total_rows: int,
-        partitions: int = 8,
-        seed: int = 0,
-        extra_columns: int = 0,
-    ):
-        self.total_rows = total_rows
-        self.partitions = partitions
-        self.seed = seed
-        self.extra_columns = extra_columns
-
-    def load(self) -> list[Table]:
-        return flights_partitions(
-            self.total_rows, self.partitions, self.seed, self.extra_columns
-        )
-
-    def _load_slice(self, index: int, count: int) -> list[Table]:
-        """Generate only this worker's partitions (each is independently
-        reproducible, so a worker process loads 1/N of the data)."""
-        base = self.total_rows // self.partitions
-        remainder = self.total_rows % self.partitions
-        sized = [
-            (i, base + (1 if i < remainder else 0))
-            for i in range(self.partitions)
-        ]
-        populated = [(i, rows) for i, rows in sized if rows > 0]
-        return [
-            generate_flights(
-                rows,
-                seed=self.seed,
-                extra_columns=self.extra_columns,
-                shard_id=f"flights-{i:04d}",
-            )
-            for i, rows in populated[index::count]
-        ]
-
-    def spec(self) -> str:
-        return (
-            f"FlightsSource(rows={self.total_rows},parts={self.partitions},"
-            f"seed={self.seed},extra={self.extra_columns})"
-        )
+    return FlightsSource(total_rows, partitions, seed, extra_columns).load()

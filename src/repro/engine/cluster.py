@@ -83,7 +83,7 @@ from repro.engine.cache import (
     MemoCache,
     summary_size,
 )
-from repro.engine.dataset import IDataSet, TableMap
+from repro.engine.dataset import TABLE_MAPS, IDataSet, TableMap
 from repro.engine.fanout import Claim, FanOut
 from repro.engine.placement import (
     PlacementError,
@@ -93,13 +93,14 @@ from repro.engine.placement import (
     plan_moves,
 )
 from repro.engine.progress import CancellationToken, PartialResult, SketchRun
-from repro.engine.redo_log import LoadOp, MapOp, RedoLog
+from repro.engine.redo_log import LINEAGE, LoadOp, MapOp, RedoLog
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import current_context, span, use_context
 from repro.errors import (
     DatasetMissingError,
     EngineError,
     HillviewError,
+    ProtocolError,
     WorkerDrainingError,
     WorkerUnavailableError,
 )
@@ -445,12 +446,14 @@ class Worker(WorkerProtocol):
             raise ValueError("a worker needs at least one core")
         self.name = name
         self.cores = cores
-        # The data cache: dataset id -> this worker's micropartitions.
+        # The data cache: dataset id -> this worker's micropartitions,
+        # accounted at their shards' footprint (no byte budget yet).
         self.store: DataCache[list[Table]] = DataCache(
             max_entries=cache_entries,
             ttl_seconds=cache_ttl_seconds,
             clock=clock,
             name=f"{name}-store",
+            sizer=lambda shards: sum(shard.memory_bytes() for shard in shards),
         )
         #: The worker tier of the computation cache (§5.4): cumulative
         #: *partial* sketch results keyed by (content-addressed dataset id,
@@ -1144,7 +1147,7 @@ class Worker(WorkerProtocol):
         budget bounds the recompute a joiner signs up for in terms of
         the result bytes it ends up caching.
         """
-        from repro.engine.rpc import lineage_to_json, sketch_to_json
+        from repro.engine.rpc import sketch_to_json
 
         with self._recipes_lock:
             recipes = dict(self._recipes)
@@ -1170,7 +1173,7 @@ class Worker(WorkerProtocol):
                 {
                     "dataset": recipe["dataset"],
                     "sketch": sketch_to_json(recipe["sketch"]),
-                    "lineage": lineage_to_json(recipe["lineage"]),
+                    "lineage": LINEAGE.to_json(recipe["lineage"]),
                     "hits": hits,
                     "bytes": size,
                 }
@@ -1185,13 +1188,13 @@ class Worker(WorkerProtocol):
         replayed here (source gone, sketch type unknown) is skipped, not
         fatal: prewarming is an optimization, never a correctness step.
         """
-        from repro.engine.rpc import lineage_from_json, sketch_from_json
+        from repro.engine.rpc import sketch_from_json
 
         warmed = 0
         for entry in entries:
             try:
                 sketch = sketch_from_json(entry["sketch"])
-                lineage = lineage_from_json(entry["lineage"])
+                lineage = LINEAGE.from_json(entry["lineage"])
                 dataset_id = str(entry["dataset"])
                 for _ in self.sketch_partials(dataset_id, sketch, lineage):
                     pass
@@ -1877,12 +1880,8 @@ class Cluster:
         different lambdas can share a ``spec()`` string, and colliding
         their ids would silently serve one map's shards for the other.
         """
-        from repro.engine.rpc import ProtocolError, table_map_to_json
-
         try:
-            import json as json_mod
-
-            encoded = json_mod.dumps(table_map_to_json(table_map), sort_keys=True)
+            encoded = json.dumps(TABLE_MAPS.to_json(table_map), sort_keys=True)
         except ProtocolError:
             return self._new_dataset_id("ds")
         return self._content_id(f"map|{parent_id}|{encoded}")

@@ -19,15 +19,28 @@ from abc import ABC, abstractmethod
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.core.sketch import Sketch
+from repro.core.wire import STR, STR_LIST, Field, TaggedUnion, Wire
 from repro.engine.progress import CancellationToken, PartialResult, SketchRun, drain
-from repro.table.compute import Predicate
+from repro.errors import SchemaError
+from repro.table.compute import PREDICATE, Predicate
 from repro.table.schema import ContentsKind, Schema
 from repro.table.table import Table
 
 R = TypeVar("R")
 
 
-class TableMap(ABC):
+#: Every declarative table map, by its ``type``: the maps a worker can
+#: replay from a description (a :class:`DeriveMap` carries a callable).
+TABLE_MAPS = TaggedUnion(
+    "table map",
+    refusal=(
+        "carries a Python callable and cannot cross a process boundary; "
+        "use an expression map instead"
+    ),
+)
+
+
+class TableMap(TABLE_MAPS.Member, ABC):
     """A deterministic table-to-table transformation applied at leaves."""
 
     @abstractmethod
@@ -44,6 +57,8 @@ class TableMap(ABC):
 
 class FilterMap(TableMap):
     """Keep the rows satisfying a predicate (§5.6 selection)."""
+
+    wire = Wire("filter", Field("predicate", "predicate", PREDICATE))
 
     def __init__(self, predicate: Predicate):
         self.predicate = predicate
@@ -87,6 +102,12 @@ class ExpressionMap(TableMap):
     replay, so a recovered worker derives the same column.
     """
 
+    wire = Wire(
+        "expression",
+        Field("name", "name", STR),
+        Field("expression", "expression", STR),
+    )
+
     def __init__(self, name: str, expression: str):
         from repro.table.udf import ColumnExpression
 
@@ -112,8 +133,12 @@ class ExpressionMap(TableMap):
 class ProjectMap(TableMap):
     """Keep only the named columns (§3.3: select columns to show)."""
 
+    wire = Wire("project", Field("columns", "columns", STR_LIST))
+
     def __init__(self, columns: Sequence[str]):
         self.columns = list(columns)
+        if not self.columns:
+            raise SchemaError("a projection needs at least one column")
 
     def apply(self, table: Table) -> Table:
         return table.select_columns(self.columns)

@@ -13,33 +13,49 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.core.wire import STR, Field, TaggedUnion, Wire, list_of
+from repro.engine.dataset import TABLE_MAPS, TableMap
 from repro.errors import EngineError
+from repro.storage.loader import SOURCES, DataSource
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.dataset import TableMap
-    from repro.storage.loader import DataSource
+#: The ops of a redo-log chain, by their ``op``.
+LINEAGE_OPS = TaggedUnion("lineage", key="op")
+#: A lineage chain as it crosses the worker wire: ``[load, map, ...]``.
+LINEAGE = list_of(LINEAGE_OPS.kind, "lineage")
 
 
 @dataclass(frozen=True)
-class LoadOp:
+class LoadOp(LINEAGE_OPS.Member):
     """Dataset created by loading a data source."""
 
+    wire = Wire(
+        "load",
+        Field("dataset_id", "dataset", STR),
+        Field("source", "source", SOURCES.kind),
+    )
+
     dataset_id: str
-    source: "DataSource"
+    source: DataSource
 
     def describe(self) -> str:
         return f"load {self.dataset_id} <- {self.source.spec()}"
 
 
 @dataclass(frozen=True)
-class MapOp:
+class MapOp(LINEAGE_OPS.Member):
     """Dataset derived from a parent by a table map."""
+
+    wire = Wire(
+        "map",
+        Field("dataset_id", "dataset", STR),
+        Field("parent_id", "parent", STR),
+        Field("table_map", "map", TABLE_MAPS.kind),
+    )
 
     dataset_id: str
     parent_id: str
-    table_map: "TableMap"
+    table_map: TableMap
 
     def describe(self) -> str:
         return f"map {self.dataset_id} <- {self.parent_id} via {self.table_map.spec()}"
@@ -53,40 +69,33 @@ class RedoLog:
     _by_dataset: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def record_load(self, dataset_id: str, source: "DataSource") -> LoadOp:
-        op = LoadOp(dataset_id, source)
+    def record_load(self, dataset_id: str, source: DataSource) -> LoadOp:
+        return self._record(LoadOp(dataset_id, source))
+
+    def record_map(
+        self, dataset_id: str, parent_id: str, table_map: TableMap
+    ) -> MapOp:
+        return self._record(MapOp(dataset_id, parent_id, table_map), parent_id)
+
+    def _record(
+        self, op: LoadOp | MapOp, parent_id: str | None = None
+    ) -> LoadOp | MapOp:
         with self._lock:
-            existing = self._by_dataset.get(dataset_id)
+            existing = self._by_dataset.get(op.dataset_id)
             if existing is not None:
                 # Dataset ids are content-addressed: re-recording the same
-                # load (another session, another root over a shared fleet)
+                # op (another session, another root over a shared fleet)
                 # is a no-op, while the same id naming *different* content
                 # is corruption and must never pass silently.
                 if existing.describe() != op.describe():
                     raise EngineError(
-                        f"dataset {dataset_id!r} already recorded as "
+                        f"dataset {op.dataset_id!r} already recorded as "
                         f"{existing.describe()!r}"
                     )
                 return existing
-            self._by_dataset[dataset_id] = op
-        return op
-
-    def record_map(
-        self, dataset_id: str, parent_id: str, table_map: "TableMap"
-    ) -> MapOp:
-        op = MapOp(dataset_id, parent_id, table_map)
-        with self._lock:
-            existing = self._by_dataset.get(dataset_id)
-            if existing is not None:
-                if existing.describe() != op.describe():
-                    raise EngineError(
-                        f"dataset {dataset_id!r} already recorded as "
-                        f"{existing.describe()!r}"
-                    )
-                return existing
-            if parent_id not in self._by_dataset:
+            if parent_id is not None and parent_id not in self._by_dataset:
                 raise EngineError(f"unknown parent dataset {parent_id!r}")
-            self._by_dataset[dataset_id] = op
+            self._by_dataset[op.dataset_id] = op
         return op
 
     def creation_op(self, dataset_id: str) -> LoadOp | MapOp:

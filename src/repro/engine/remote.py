@@ -465,8 +465,11 @@ class WorkerServer:
         # under the root's submission — regardless of this daemon's own
         # REPRO_TRACE setting (tracing one query traces the whole fleet).
         ctx = TraceContext.from_json(request.trace)
-        with self._inflight_lock:
-            self._inflight += 1
+        # The metrics probe reports the in-flight count; it is not work.
+        counted = request.method != "metricsSnapshot"
+        if counted:
+            with self._inflight_lock:
+                self._inflight += 1
         try:
             with serve_span(
                 ctx, f"worker.{request.method}", worker=self.worker.name
@@ -487,9 +490,10 @@ class WorkerServer:
                 "internal",
             )
         finally:
-            with self._inflight_lock:
-                self._inflight -= 1
-                self._inflight_lock.notify_all()
+            if counted:
+                with self._inflight_lock:
+                    self._inflight -= 1
+                    self._inflight_lock.notify_all()
 
     def _safe_error(
         self, link: _RootLink, request, message: str, code: str

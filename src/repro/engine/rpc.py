@@ -3,14 +3,15 @@
 Hillview's browser talks to the web server over a streaming RPC (WebSockets
 carrying JSON messages): queries travel down, progressive partial results
 travel up.  This module is that protocol, minus the socket: request/reply
-envelopes, frame envelopes with binary attachments, and the JSON codecs of
-the lineage value objects (table maps, sources, redo-log chains).
+envelopes and frame envelopes with binary attachments.
 
-The codecs of sketches and summaries are not written here, or anywhere:
-they are derived from the field table each class declares beside itself
-(:mod:`repro.core.wire`), and the codecs of buckets, sort orders and
-predicates live beside those types.  All of them are re-exported below, so
-this module stays the one import for everything that crosses a wire.
+The codecs of the values that cross a wire are not written here, or
+anywhere: sketches, summaries, data sources, table maps, lineage ops,
+predicates and buckets each declare a field table beside their class,
+and :mod:`repro.core.wire` derives every codec from it (sort orders keep
+theirs beside :class:`~repro.table.sort.RecordOrder`).  All of them are
+re-exported below, so this module stays the one import for everything
+that crosses a wire.
 
 The transport-free design is deliberate: :class:`~repro.engine.web.WebServer`
 streams replies as an iterator of envelopes, which tests (and a real socket
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import repro.sketches  # noqa: F401 — defining the sketch classes registers them
 
 # The codecs below are re-exported: callers import every wire name from here.
-from repro.core.buckets import buckets_from_json, buckets_to_json
+from repro.core.buckets import BUCKET_TYPES
 from repro.core.serialization import Decoder, Encoder
 from repro.core.wire import (
     cell_from_json,
@@ -41,9 +42,18 @@ from repro.core.wire import (
     summary_to_bytes,
     summary_to_json,
 )
+from repro.engine.dataset import TABLE_MAPS
+from repro.engine.redo_log import LINEAGE
 from repro.errors import ProtocolError
-from repro.table.compute import predicate_from_json, predicate_to_json
+from repro.storage.loader import SOURCES
+from repro.table.compute import PREDICATES
 from repro.table.sort import order_from_json, order_to_json
+
+buckets_to_json, buckets_from_json = BUCKET_TYPES.to_json, BUCKET_TYPES.from_json
+predicate_to_json, predicate_from_json = PREDICATES.to_json, PREDICATES.from_json
+table_map_to_json, table_map_from_json = TABLE_MAPS.to_json, TABLE_MAPS.from_json
+source_to_json, source_from_json = SOURCES.to_json, SOURCES.from_json
+lineage_to_json, lineage_from_json = LINEAGE.to_json, LINEAGE.from_json
 
 
 class UnknownHandleError(ProtocolError):
@@ -402,176 +412,3 @@ def call_once(
         reply = RpcReply.from_frame(frame)
         if reply.kind in TERMINAL_REPLY_KINDS:
             return reply
-
-
-# ---------------------------------------------------------------------------
-# Table maps and data sources: the lineage codecs (§5.7 over a real wire)
-# ---------------------------------------------------------------------------
-def table_map_to_json(table_map) -> dict:
-    """Encode a declarative table map for replay on a remote worker."""
-    from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap
-
-    if isinstance(table_map, FilterMap):
-        return {"type": "filter", "predicate": predicate_to_json(table_map.predicate)}
-    if isinstance(table_map, ProjectMap):
-        return {"type": "project", "columns": list(table_map.columns)}
-    if isinstance(table_map, ExpressionMap):
-        return {
-            "type": "expression",
-            "name": table_map.name,
-            "expression": table_map.expression,
-        }
-    raise ProtocolError(
-        f"table map {type(table_map).__name__} carries a Python callable and "
-        "cannot cross a process boundary; use an expression map instead"
-    )
-
-
-def table_map_from_json(data: dict):
-    """Inverse of :func:`table_map_to_json`."""
-    from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap
-
-    kind = data.get("type")
-    if kind == "filter":
-        return FilterMap(predicate_from_json(data["predicate"]))
-    if kind == "project":
-        return ProjectMap([str(c) for c in data["columns"]])
-    if kind == "expression":
-        return ExpressionMap(str(data["name"]), str(data["expression"]))
-    raise ProtocolError(f"unknown table map type {kind!r}")
-
-
-def source_to_json(source) -> dict:
-    """Encode a data source so a worker process can (re)load it itself.
-
-    Only *reloadable-by-description* sources can cross a process boundary;
-    an in-memory :class:`~repro.storage.loader.TableSource` cannot, which is
-    exactly the paper's constraint that lineage must bottom out at a load
-    from the storage layer (§5.7).
-    """
-    from repro.data.flights import FlightsSource
-    from repro.storage.loader import (
-        ColumnarDatasetSource,
-        CsvSource,
-        JsonlSource,
-        SqlSource,
-        SyslogSource,
-    )
-
-    if isinstance(source, FlightsSource):
-        return {
-            "kind": "flights",
-            "rows": source.total_rows,
-            "partitions": source.partitions,
-            "seed": source.seed,
-            "extraColumns": source.extra_columns,
-        }
-    if isinstance(source, CsvSource):
-        return {"kind": "csv", "pattern": source.pattern}
-    if isinstance(source, JsonlSource):
-        return {"kind": "jsonl", "pattern": source.pattern}
-    if isinstance(source, SyslogSource):
-        return {"kind": "syslog", "pattern": source.pattern}
-    if isinstance(source, SqlSource):
-        return {
-            "kind": "sql",
-            "path": source.db_path,
-            "table": source.table,
-            "partitions": source.partitions,
-        }
-    if isinstance(source, ColumnarDatasetSource):
-        return {"kind": "hvc", "directory": source.directory}
-    raise ProtocolError(
-        f"data source {type(source).__name__} is not reloadable by "
-        "description and cannot cross a process boundary (§5.7: lineage "
-        "must end at a load from the storage layer)"
-    )
-
-
-def source_from_json(data: dict):
-    """Inverse of :func:`source_to_json`.  Missing fields take the
-    defaults a client spec may rely on (``source_to_json`` writes all)."""
-    from repro.data.flights import FlightsSource
-    from repro.storage.loader import (
-        ColumnarDatasetSource,
-        CsvSource,
-        JsonlSource,
-        SqlSource,
-        SyslogSource,
-    )
-
-    kind = data.get("kind")
-    if kind == "flights":
-        return FlightsSource(
-            int(data.get("rows", 100_000)),
-            partitions=int(data.get("partitions", 16)),
-            seed=int(data.get("seed", 0)),
-            extra_columns=int(data.get("extraColumns", 0)),
-        )
-    if kind == "csv":
-        return CsvSource(str(data["pattern"]))
-    if kind == "jsonl":
-        return JsonlSource(str(data["pattern"]))
-    if kind == "syslog":
-        return SyslogSource(str(data["pattern"]))
-    if kind == "sql":
-        return SqlSource(
-            str(data["path"]),
-            str(data["table"]),
-            partitions=int(data.get("partitions", 1)),
-        )
-    if kind == "hvc":
-        return ColumnarDatasetSource(str(data["directory"]))
-    raise ProtocolError(f"unknown source kind {kind!r}")
-
-
-def lineage_to_json(chain: list) -> list[dict]:
-    """Encode a redo-log lineage chain (LoadOp, MapOp...) for a worker."""
-    from repro.engine.redo_log import LoadOp, MapOp
-
-    encoded = []
-    for op in chain:
-        if isinstance(op, LoadOp):
-            encoded.append(
-                {
-                    "op": "load",
-                    "dataset": op.dataset_id,
-                    "source": source_to_json(op.source),
-                }
-            )
-        elif isinstance(op, MapOp):
-            encoded.append(
-                {
-                    "op": "map",
-                    "dataset": op.dataset_id,
-                    "parent": op.parent_id,
-                    "map": table_map_to_json(op.table_map),
-                }
-            )
-        else:
-            raise ProtocolError(f"cannot encode lineage op {op!r}")
-    return encoded
-
-
-def lineage_from_json(data: list) -> list:
-    """Inverse of :func:`lineage_to_json`: LoadOp/MapOp values for replay."""
-    from repro.engine.redo_log import LoadOp, MapOp
-
-    chain = []
-    for item in data:
-        op = item.get("op")
-        if op == "load":
-            chain.append(
-                LoadOp(str(item["dataset"]), source_from_json(item["source"]))
-            )
-        elif op == "map":
-            chain.append(
-                MapOp(
-                    str(item["dataset"]),
-                    str(item["parent"]),
-                    table_map_from_json(item["map"]),
-                )
-            )
-        else:
-            raise ProtocolError(f"unknown lineage op {op!r}")
-    return chain

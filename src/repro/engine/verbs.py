@@ -27,13 +27,12 @@ from typing import Callable
 from repro.core.serialization import Decoder, Encoder
 from repro.core.wire import Kind
 from repro.engine.cluster import Extent, StolenParcel, WorkerProtocol
+from repro.engine.redo_log import LINEAGE
 from repro.engine.rpc import (
     NO_PAYLOAD,
     ProtocolError,
     RpcReply,
     RpcRequest,
-    lineage_from_json,
-    lineage_to_json,
     sketch_from_json,
     sketch_to_json,
     summary_from_bytes,
@@ -81,7 +80,6 @@ TOTALS = Kind(
     lambda value: {str(k): int(v) for k, v in (value or {}).items()},
 )
 LIST = Kind("list", _same, lambda value: value if isinstance(value, list) else [])
-LINEAGE = Kind("lineage", lineage_to_json, lineage_from_json)
 SKETCH = Kind("sketch spec", sketch_to_json, sketch_from_json)
 EXTENT = Kind(
     "{shards, rows, schema}",

@@ -24,7 +24,7 @@ import time
 from typing import Callable, Iterator
 
 from repro.engine.cluster import Cluster, ClusterDataSet
-from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap, TableMap
+from repro.engine.dataset import TABLE_MAPS, TableMap
 from repro.engine.progress import CancellationToken
 from repro.engine.redo_log import LoadOp
 from repro.engine.rpc import (
@@ -34,7 +34,6 @@ from repro.engine.rpc import (
     UnknownHandleError,
     lineage_from_json,
     lineage_to_json,
-    predicate_from_json,
     sketch_from_json,
 )
 from repro.errors import HillviewError
@@ -252,24 +251,12 @@ class WebServer:
             source = self.source_resolver(spec if isinstance(spec, dict) else {})
             handle = self.load(source)
             yield RpcReply(request.request_id, "ack", payload={"handle": handle})
-        elif method == "filter":
-            predicate = predicate_from_json(request.args.get("predicate", {}))
-            handle = self._derive(request.target, FilterMap(predicate))
-            yield RpcReply(request.request_id, "ack", payload={"handle": handle})
-        elif method == "project":
-            columns = request.args.get("columns")
-            if not isinstance(columns, list) or not columns:
-                raise ProtocolError("project needs a non-empty column list")
-            handle = self._derive(
-                request.target, ProjectMap([str(c) for c in columns])
-            )
-            yield RpcReply(request.request_id, "ack", payload={"handle": handle})
-        elif method == "derive":
-            name = request.args.get("name")
-            expression = request.args.get("expression")
-            if not isinstance(name, str) or not isinstance(expression, str):
-                raise ProtocolError("derive needs 'name' and 'expression'")
-            handle = self._derive(request.target, ExpressionMap(name, expression))
+        elif method == "filter" or method == "project" or method == "derive":
+            # The arguments are the map's description, less its type (a
+            # derived column is an expression map).
+            kind = "expression" if method == "derive" else method
+            spec = {**request.args, "type": kind}
+            handle = self._derive(request.target, TABLE_MAPS.from_json(spec))
             yield RpcReply(request.request_id, "ack", payload={"handle": handle})
         elif method == "schema":
             schema = self.dataset(request.target).schema

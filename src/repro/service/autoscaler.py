@@ -21,10 +21,8 @@ The loop is deliberately split in two:
   for actions) and a standby *pool* of worker daemons to grow from.
 
 **The control law.**  Each worker's *pressure* is its queued work
-normalized by its cores: ``(inflight - 1 + datasetOps) / cores`` (the
-``- 1`` discounts the metrics probe itself, which is in flight while
-the daemon answers it).  The fleet pressure is the mean over reachable
-workers.  Scaling requires *all three* of:
+normalized by its cores: ``(inflight + datasetOps) / cores``.  The
+fleet pressure is the mean over reachable workers.  Scaling requires *all three* of:
 
 1. pressure beyond a watermark (``high_watermark`` to grow,
    ``low_watermark`` to shrink) — the gap between them is the
@@ -128,12 +126,10 @@ class Decision:
 def worker_pressure(report: dict) -> float:
     """Queued work per core on one worker, from its metrics snapshot.
 
-    ``inflight`` counts the metrics probe that produced this very
-    snapshot, so one request is discounted; ``datasetOps`` adds
-    load/map/rebalance operations that hold the daemon busy without a
-    per-request queue entry.
+    ``datasetOps`` adds load/map/rebalance operations that hold the
+    daemon busy without a per-request queue entry.
     """
-    inflight = max(0, int(report.get("inflight", 0)) - 1)
+    inflight = max(0, int(report.get("inflight", 0)))
     ops = max(0, int(report.get("datasetOps", 0)))
     cores = max(1, int(report.get("cores", 1)))
     return (inflight + ops) / cores

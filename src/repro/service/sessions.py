@@ -27,7 +27,7 @@ from repro.engine.rpc import ProtocolError, RpcReply
 from repro.engine.web import WebServer
 from repro.obs.logs import log_event
 from repro.service.session_store import SessionRecord, SessionStore
-from repro.storage.loader import DataSource
+from repro.storage.loader import SOURCES, DataSource, source_for_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.scheduler import QueryTask
@@ -51,14 +51,8 @@ def source_from_json(
             raise ProtocolError("this server has no default dataset")
         return default
     if kind == "path":
-        from repro.cli import source_for_path
-
-        return source_for_path(
-            str(spec["path"]), sql_table=spec.get("sqlTable")
-        )
-    from repro.engine.rpc import source_from_json as engine_source_from_json
-
-    return engine_source_from_json(spec)
+        return source_for_path(str(spec["path"]), sql_table=spec.get("sqlTable"))
+    return SOURCES.from_json(spec)
 
 
 @dataclass

@@ -65,6 +65,8 @@ class FindTextSketch(Sketch[FindResult]):
         order: RecordOrder,
         start_key: RowKey | None = None,
     ):
+        if not isinstance(predicate, StringMatchPredicate):
+            raise TypeError("find requires a string-match predicate")
         self.predicate = predicate
         self.order = order
         self.start_key = start_key

@@ -13,13 +13,27 @@ import glob
 import os
 import threading
 from abc import ABC, abstractmethod
+from typing import Callable, ClassVar
 
-from repro.errors import StorageError
+from repro.core.wire import INT, STR, Field, TaggedUnion, Wire
+from repro.errors import HillviewError, StorageError
 from repro.storage import columnar, csv_io, jsonl_io, logs_io, sql_io
 from repro.table.table import Table
 
+#: Every source a worker can (re)load from its description, by its
+#: ``kind``.  An in-memory :class:`TableSource` has none: lineage must
+#: bottom out at a load from the storage layer (§5.7).
+SOURCES = TaggedUnion(
+    "source",
+    key="kind",
+    refusal=(
+        "is not reloadable by description and cannot cross a process "
+        "boundary (§5.7: lineage must end at a load from the storage layer)"
+    ),
+)
 
-class DataSource(ABC):
+
+class DataSource(SOURCES.Member, ABC):
     """A reloadable, immutable, horizontally partitioned data origin."""
 
     @abstractmethod
@@ -103,85 +117,54 @@ class TableSource(DataSource):
         return f"TableSource(id={self._id},tables={len(self.tables)},rows={rows})"
 
 
-class CsvSource(DataSource):
+class FileSource(DataSource):
+    """One partition per file matching ``pattern``, read by ``reader``."""
+
+    #: What the files hold, for the error when none match.
+    what: ClassVar[str]
+    reader: ClassVar[Callable[..., Table]]
+
+    def __init__(self, pattern: str):
+        self.pattern = pattern
+
+    def load(self) -> list[Table]:
+        return self._load_slice(0, 1)
+
+    def _load_slice(self, index: int, count: int) -> list[Table]:
+        paths = sorted(glob.glob(self.pattern))
+        if not paths:
+            raise StorageError(f"no {self.what} files match {self.pattern!r}")
+        return [
+            self.reader(path, shard_id=os.path.basename(path))
+            for path in paths[index::count]
+        ]
+
+    def spec(self) -> str:
+        return f"{type(self).__name__}({self.pattern!r})"
+
+
+class CsvSource(FileSource):
     """One partition per CSV file matching ``pattern``."""
 
-    def __init__(self, pattern: str):
-        self.pattern = pattern
-
-    def _paths(self) -> list[str]:
-        paths = sorted(glob.glob(self.pattern))
-        if not paths:
-            raise StorageError(f"no CSV files match {self.pattern!r}")
-        return paths
-
-    def load(self) -> list[Table]:
-        return [csv_io.read_csv(path, shard_id=os.path.basename(path)) for path in self._paths()]
-
-    def _load_slice(self, index: int, count: int) -> list[Table]:
-        return [
-            csv_io.read_csv(path, shard_id=os.path.basename(path))
-            for path in self._paths()[index::count]
-        ]
-
-    def spec(self) -> str:
-        return f"CsvSource({self.pattern!r})"
+    wire = Wire("csv", Field("pattern", "pattern", STR))
+    what = "CSV"
+    reader = staticmethod(csv_io.read_csv)
 
 
-class JsonlSource(DataSource):
+class JsonlSource(FileSource):
     """One partition per JSON-lines file matching ``pattern``."""
 
-    def __init__(self, pattern: str):
-        self.pattern = pattern
-
-    def _paths(self) -> list[str]:
-        paths = sorted(glob.glob(self.pattern))
-        if not paths:
-            raise StorageError(f"no JSON-lines files match {self.pattern!r}")
-        return paths
-
-    def load(self) -> list[Table]:
-        return [
-            jsonl_io.read_jsonl(path, shard_id=os.path.basename(path))
-            for path in self._paths()
-        ]
-
-    def _load_slice(self, index: int, count: int) -> list[Table]:
-        return [
-            jsonl_io.read_jsonl(path, shard_id=os.path.basename(path))
-            for path in self._paths()[index::count]
-        ]
-
-    def spec(self) -> str:
-        return f"JsonlSource({self.pattern!r})"
+    wire = Wire("jsonl", Field("pattern", "pattern", STR))
+    what = "JSON-lines"
+    reader = staticmethod(jsonl_io.read_jsonl)
 
 
-class SyslogSource(DataSource):
+class SyslogSource(FileSource):
     """One partition per log file matching ``pattern``."""
 
-    def __init__(self, pattern: str):
-        self.pattern = pattern
-
-    def _paths(self) -> list[str]:
-        paths = sorted(glob.glob(self.pattern))
-        if not paths:
-            raise StorageError(f"no log files match {self.pattern!r}")
-        return paths
-
-    def load(self) -> list[Table]:
-        return [
-            logs_io.read_syslog(path, shard_id=os.path.basename(path))
-            for path in self._paths()
-        ]
-
-    def _load_slice(self, index: int, count: int) -> list[Table]:
-        return [
-            logs_io.read_syslog(path, shard_id=os.path.basename(path))
-            for path in self._paths()[index::count]
-        ]
-
-    def spec(self) -> str:
-        return f"SyslogSource({self.pattern!r})"
+    wire = Wire("syslog", Field("pattern", "pattern", STR))
+    what = "log"
+    reader = staticmethod(logs_io.read_syslog)
 
 
 class SqlSource(DataSource):
@@ -192,6 +175,13 @@ class SqlSource(DataSource):
     while Hillview is running.  ``partitions`` splits the table into rowid
     ranges so the engine can assign them across workers.
     """
+
+    wire = Wire(
+        "sql",
+        Field("db_path", "path", STR),
+        Field("table", "table", STR),
+        Field("partitions", "partitions", INT, 1),
+    )
 
     def __init__(
         self,
@@ -227,6 +217,8 @@ class SqlSource(DataSource):
 class ColumnarDatasetSource(DataSource):
     """A partitioned ``hvc`` dataset directory with snapshot verification."""
 
+    wire = Wire("hvc", Field("directory", "directory", STR))
+
     def __init__(self, directory: str, verify_snapshot: bool = True):
         self.directory = directory
         self.verify_snapshot = verify_snapshot
@@ -248,3 +240,82 @@ class ColumnarDatasetSource(DataSource):
 
     def spec(self) -> str:
         return f"ColumnarDatasetSource({self.directory!r})"
+
+
+class FlightsSource(DataSource):
+    """Synthetic flights (:mod:`repro.data.flights`), generated on load."""
+
+    # A spec's defaults, which clients rely on; the constructor's
+    # ``partitions`` default (8) is the in-process one.
+    wire = Wire(
+        "flights",
+        Field("total_rows", "rows", INT, 100_000),
+        Field("partitions", "partitions", INT, 16),
+        Field("seed", "seed", INT, 0),
+        Field("extra_columns", "extraColumns", INT, 0),
+    )
+
+    def __init__(
+        self,
+        total_rows: int,
+        partitions: int = 8,
+        seed: int = 0,
+        extra_columns: int = 0,
+    ):
+        self.total_rows = total_rows
+        self.partitions = partitions
+        self.seed = seed
+        self.extra_columns = extra_columns
+
+    def load(self) -> list[Table]:
+        return self._load_slice(0, 1)
+
+    def _load_slice(self, index: int, count: int) -> list[Table]:
+        """Generate only this worker's partitions (each is independently
+        reproducible, so a worker process loads 1/N of the data)."""
+        from repro.data.flights import generate_flights
+
+        if self.partitions < 1:
+            raise ValueError("partitions must be >= 1")
+        base = self.total_rows // self.partitions
+        remainder = self.total_rows % self.partitions
+        sized = [
+            (i, base + (1 if i < remainder else 0))
+            for i in range(self.partitions)
+        ]
+        populated = [(i, rows) for i, rows in sized if rows > 0]
+        return [
+            generate_flights(
+                rows,
+                seed=self.seed,
+                extra_columns=self.extra_columns,
+                shard_id=f"flights-{i:04d}",
+            )
+            for i, rows in populated[index::count]
+        ]
+
+    def spec(self) -> str:
+        return (
+            f"FlightsSource(rows={self.total_rows},parts={self.partitions},"
+            f"seed={self.seed},extra={self.extra_columns})"
+        )
+
+
+def source_for_path(
+    path: str, sql_table: str | None = None, partitions: int = 8
+) -> DataSource:
+    """Pick a data source from a file path's extension (§2, no ingestion)."""
+    lower = path.lower()
+    if sql_table is not None or lower.endswith((".db", ".sqlite", ".sqlite3")):
+        if sql_table is None:
+            raise HillviewError(
+                "SQL databases need --sql-table to select the table"
+            )
+        return SqlSource(path, sql_table, partitions=partitions)
+    if lower.endswith(".csv"):
+        return CsvSource(path)
+    if lower.endswith((".jsonl", ".ndjson", ".json")):
+        return JsonlSource(path)
+    if lower.endswith((".log", ".syslog")):
+        return SyslogSource(path)
+    return ColumnarDatasetSource(path)

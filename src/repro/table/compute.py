@@ -15,13 +15,25 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from datetime import datetime
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.core.wire import Kind, cell_from_json, cell_to_json
-from repro.errors import ColumnKindError, ProtocolError, SchemaError
+from repro.core.wire import (
+    BOOL,
+    NULL,
+    STR,
+    Field,
+    Kind,
+    TaggedUnion,
+    Wire,
+    cell_from_json,
+    cell_to_json,
+    list_of,
+)
+from repro.errors import ColumnKindError, SchemaError
 from repro.table.column import Column, StringColumn, column_from_values, datetime_to_millis
 from repro.table.membership import Selection
 from repro.table.schema import ContentsKind
@@ -30,7 +42,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.table.table import Table
 
 
-class Predicate(ABC):
+#: Every predicate, by its ``type``.
+PREDICATES = TaggedUnion("predicate")
+PREDICATE = PREDICATES.kind
+
+
+def _cells_to_json(value: object) -> object:
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [cell_to_json(v) for v in value]
+    return cell_to_json(value)
+
+
+def _cells_from_json(data: object) -> object:
+    if isinstance(data, list):
+        return [cell_from_json(v) for v in data]
+    return cell_from_json(data)
+
+
+#: A comparison constant: a cell, or a list of cells (``between``, ``in``).
+CELLS = Kind("cell or list of cells", _cells_to_json, _cells_from_json)
+
+
+class Predicate(PREDICATES.Member, ABC):
     """A boolean condition over rows, evaluated vectorized per shard."""
 
     @abstractmethod
@@ -71,6 +104,13 @@ class ColumnPredicate(Predicate):
     Missing cells never satisfy a comparison (SQL-like semantics), except
     for the ``is_missing`` operator.
     """
+
+    wire = Wire(
+        "column",
+        Field("column", "column", STR),
+        Field("op", "op", STR),
+        Field("value", "value", CELLS, NULL),
+    )
 
     def __init__(self, column: str, op: str, value: object = None):
         if op not in (*_NUMERIC_OPS, "between", "in", "is_missing"):
@@ -146,6 +186,13 @@ class StringMatchPredicate(Predicate):
     """
 
     MODES = ("exact", "substring", "regex")
+    wire = Wire(
+        "match",
+        Field("column", "column", STR),
+        Field("pattern", "pattern", STR),
+        Field("mode", "mode", STR, "substring"),
+        Field("case_sensitive", "caseSensitive", BOOL, True),
+    )
 
     def __init__(
         self,
@@ -195,6 +242,8 @@ class StringMatchPredicate(Predicate):
 
 
 class AndPredicate(Predicate):
+    wire = Wire("and", Field("parts", "parts", list_of(PREDICATE)))
+
     def __init__(self, parts: Iterable[Predicate]):
         self.parts = list(parts)
         if not self.parts:
@@ -214,6 +263,8 @@ class AndPredicate(Predicate):
 
 
 class OrPredicate(Predicate):
+    wire = Wire("or", Field("parts", "parts", list_of(PREDICATE)))
+
     def __init__(self, parts: Iterable[Predicate]):
         self.parts = list(parts)
         if not self.parts:
@@ -230,6 +281,8 @@ class OrPredicate(Predicate):
 
 
 class NotPredicate(Predicate):
+    wire = Wire("not", Field("inner", "inner", PREDICATE))
+
     def __init__(self, inner: Predicate):
         self.inner = inner
 
@@ -240,72 +293,8 @@ class NotPredicate(Predicate):
         return ~self.inner.evaluate(table, rows)
 
 
-def predicate_to_json(predicate: Predicate) -> dict:
-    if isinstance(predicate, ColumnPredicate):
-        value = predicate.value
-        if isinstance(value, (list, tuple, set, frozenset)):
-            value = [cell_to_json(v) for v in value]
-        else:
-            value = cell_to_json(value)
-        return {
-            "type": "column",
-            "column": predicate.column,
-            "op": predicate.op,
-            "value": value,
-        }
-    if isinstance(predicate, StringMatchPredicate):
-        return {
-            "type": "match",
-            "column": predicate.column,
-            "pattern": predicate.pattern,
-            "mode": predicate.mode,
-            "caseSensitive": predicate.case_sensitive,
-        }
-    if isinstance(predicate, AndPredicate):
-        return {"type": "and", "parts": [predicate_to_json(p) for p in predicate.parts]}
-    if isinstance(predicate, OrPredicate):
-        return {"type": "or", "parts": [predicate_to_json(p) for p in predicate.parts]}
-    if isinstance(predicate, NotPredicate):
-        return {"type": "not", "inner": predicate_to_json(predicate.inner)}
-    raise ProtocolError(
-        f"cannot encode predicate of type {type(predicate).__name__}"
-    )
-
-
-def predicate_from_json(data: dict) -> Predicate:
-    kind = data.get("type")
-    if kind == "column":
-        value = data.get("value")
-        if isinstance(value, list):
-            value = [cell_from_json(v) for v in value]
-        else:
-            value = cell_from_json(value)
-        return ColumnPredicate(str(data["column"]), str(data["op"]), value)
-    if kind == "match":
-        return StringMatchPredicate(
-            str(data["column"]),
-            str(data["pattern"]),
-            str(data.get("mode", "substring")),
-            bool(data.get("caseSensitive", True)),
-        )
-    if kind == "and":
-        return AndPredicate(predicate_from_json(p) for p in data["parts"])
-    if kind == "or":
-        return OrPredicate(predicate_from_json(p) for p in data["parts"])
-    if kind == "not":
-        return NotPredicate(predicate_from_json(data["inner"]))
-    raise ProtocolError(f"unknown predicate type {kind!r}")
-
-
-def _string_match_from_json(data: dict) -> StringMatchPredicate:
-    predicate = predicate_from_json(data)
-    if not isinstance(predicate, StringMatchPredicate):
-        raise ProtocolError("find requires a string-match predicate")
-    return predicate
-
-
 #: The wire kind of a text-search criterion in a sketch spec.
-STRING_MATCH = Kind("match predicate", predicate_to_json, _string_match_from_json)
+STRING_MATCH = replace(PREDICATE, name="match predicate")
 
 
 def derive_column(

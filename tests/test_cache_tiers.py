@@ -178,6 +178,26 @@ class TestDataCacheRegression:
         assert result == [True]
 
 
+class TestWorkerStoreIsSized:
+    def test_store_bytes_follow_the_resident_shards(self):
+        """A worker's shard store accounts each entry at its shards'
+        ``memory_bytes`` (it used to read 0 bytes however much it held)."""
+        cluster = Cluster(num_workers=2, cores_per_worker=1)
+        try:
+            dataset = cluster.load(FlightsSource(4000, partitions=4))
+            for worker in cluster.workers:
+                shards = worker.fetch(dataset.dataset_id)
+                held = sum(shard.memory_bytes() for shard in shards)
+                assert held > 0
+                snapshot = worker.metrics_snapshot()["store"]
+                assert (snapshot["entries"], snapshot["bytes"]) == (1, held)
+                assert worker.store.stats().bytes == held
+                worker.evict(dataset.dataset_id)
+                assert worker.store.stats().bytes == 0
+        finally:
+            cluster.close()
+
+
 class TestComputationCacheInterface:
     def test_byte_accounting_and_dataset_invalidation(self):
         cache = ComputationCache(max_entries=100)

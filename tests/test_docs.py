@@ -23,6 +23,7 @@ from repro.core.framing import encode_frame
 from repro.core.sketch import Summary
 from repro.core.wire import (
     MAX_SUMMARY_CELLS,
+    NULL,
     REQUIRED,
     SKETCH_TYPES,
     SUMMARY_TYPES,
@@ -177,6 +178,8 @@ def _keys(entry) -> str:
 def _spec_field(entry) -> str:
     if entry.default is REQUIRED:
         default = ""
+    elif entry.default is NULL:
+        default = " = `null`"
     elif entry.default is None:
         default = " (optional)"
     else:
@@ -217,6 +220,44 @@ def render_sketch_catalogue() -> str:
         )
         lines.append(f"| `{tag}` | {fields} | {derived} |")
     return "\n".join(lines)
+
+
+def render_value_catalogue() -> str:
+    """PROTOCOL.md §3.2's table of lineage and spec values, from the live
+    unions: sources, table maps, lineage ops, predicates, buckets."""
+    from repro.core.buckets import BUCKET_TYPES
+    from repro.engine.dataset import TABLE_MAPS
+    from repro.engine.redo_log import LINEAGE_OPS
+    from repro.storage.loader import SOURCES
+    from repro.table.compute import PREDICATES
+
+    lines = [
+        "| value | tag | class | fields (`key`: kind = default) |",
+        "|---|---|---|---|",
+    ]
+    for union in (SOURCES, TABLE_MAPS, LINEAGE_OPS, PREDICATES, BUCKET_TYPES):
+        for tag, cls in union.classes.items():
+            label = f"`{union.key}`: `{json.dumps(tag)}`"
+            if cls.wire.code is not None:
+                label += f" (binary `{cls.wire.code}`)"
+            fields = "; ".join(_spec_field(e) for e in cls.wire.entries)
+            lines.append(f"| {union.name} | {label} | `{cls.__name__}` | {fields} |")
+    return "\n".join(lines)
+
+
+class TestValueCatalogue:
+    def test_catalogue_matches_the_unions(self):
+        match = re.search(
+            r"<!-- generated: value-catalogue -->\n(.*?)\n<!-- /generated -->",
+            PROTOCOL_MD,
+            re.DOTALL,
+        )
+        assert match, "PROTOCOL.md lost its value-catalogue block"
+        assert match.group(1) == render_value_catalogue(), (
+            "docs/PROTOCOL.md §3.2 is out of date; paste the output of "
+            "`PYTHONPATH=src:tests python -c \"import test_docs; "
+            "print(test_docs.render_value_catalogue())\"` between the markers"
+        )
 
 
 class TestSketchCatalogue:

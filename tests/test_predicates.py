@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from repro.engine.rpc import predicate_from_json
 from repro.errors import ColumnKindError, SchemaError
 from repro.table.compute import (
     AndPredicate,
@@ -14,7 +15,6 @@ from repro.table.compute import (
     NotPredicate,
     OrPredicate,
     StringMatchPredicate,
-    predicate_from_json,
 )
 from repro.table.table import Table
 

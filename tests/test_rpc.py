@@ -151,6 +151,25 @@ class TestValueCodecs:
         back = predicate_from_json(predicate_to_json(predicate))
         assert back.spec() == predicate.spec()
 
+    def test_a_flights_load_decodes_in_a_bare_process(self):
+        """A worker decodes ``{"kind": "flights"}`` with nothing imported
+        beyond the lineage codec: the source registers with the others."""
+        import subprocess
+        import sys
+
+        code = (
+            "from repro.engine.redo_log import LINEAGE\n"
+            "[op] = LINEAGE.from_json("
+            "[{'op': 'load', 'dataset': 'd', 'source': {'kind': 'flights'}}])\n"
+            "print(op.describe())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == (
+            "load d <- FlightsSource(rows=100000,parts=16,seed=0,extra=0)"
+        )
+
     def test_order_round_trip(self):
         order = RecordOrder.of("a", "b", ascending=[True, False])
         back = order_from_json(order_to_json(order))
@@ -593,3 +612,292 @@ class TestMalformedRequests:
         web, handle = server
         [reply] = run(web, handle, "derive", {"name": "x"})
         assert reply.kind == "error"
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes: the lineage and bucket wire forms, frozen as literals
+# ---------------------------------------------------------------------------
+# Each entry is (value, JSON, JSON with sorted keys, and what the bytes
+# feed: a content-addressed dataset id, or the bucket binary form as
+# hex).  Dataset ids hash a source's ``spec()`` and a map's sorted JSON,
+# so a codec that changes a byte here renames every dataset a fleet holds.
+# Recorded once; never re-record to make a change pass.
+def _pinned_values():
+    from repro.data.flights import FlightsSource
+    from repro.engine.dataset import ExpressionMap, FilterMap, ProjectMap
+    from repro.storage.loader import (
+        ColumnarDatasetSource,
+        CsvSource,
+        JsonlSource,
+        SqlSource,
+        SyslogSource,
+    )
+
+    compare = ColumnPredicate("DepDelay", ">", 15)
+    predicates = {
+        "compare": compare,
+        "is_missing": ColumnPredicate("ArrDelay", "is_missing"),
+        "in": ColumnPredicate("Origin", "in", ["SFO", "LAX"]),
+        "date": ColumnPredicate("FlightDate", ">=", datetime(2017, 3, 1, 12, 30)),
+        "between": ColumnPredicate("Distance", "between", [100, 2500.5]),
+        "match": StringMatchPredicate("Dest", "S.O", "regex", False),
+        "nested": NotPredicate(
+            AndPredicate(
+                [
+                    ColumnPredicate("x", "<", 1.5),
+                    OrPredicate(
+                        [ColumnPredicate("y", "==", "a"), StringMatchPredicate("s", "b")]
+                    ),
+                ]
+            )
+        ),
+    }
+    return {
+        "source": {
+            "flights": FlightsSource(5000, partitions=4, seed=7, extra_columns=2),
+            "csv": CsvSource("data/*.csv"),
+            "jsonl": JsonlSource("data/*.jsonl"),
+            "syslog": SyslogSource("logs/*.log"),
+            "sql": SqlSource("pinned.db", "events", partitions=3),
+            "hvc": ColumnarDatasetSource("data/flights.hvc"),
+        },
+        "predicate": predicates,
+        "map": {
+            "filter": FilterMap(compare),
+            "project": ProjectMap(["Origin", "Dest"]),
+            "expression": ExpressionMap("gain", "DepDelay - ArrDelay"),
+        },
+        "buckets": {
+            "double": DoubleBuckets(-2.5, 10.0, 8),
+            "string_ranges": StringBuckets(["a", "f", "m"]),
+            "strings": ExplicitStringBuckets(["x", "y", "z"]),
+        },
+    }
+
+
+PINNED = {
+    ("source", "flights"): (
+        '{"kind": "flights", "rows": 5000, "partitions": 4, "seed": 7, "extraColumns": 2}',
+        '{"extraColumns": 2, "kind": "flights", "partitions": 4, "rows": 5000, "seed": 7}',
+        "ds-c31cd326405f",
+    ),
+    ("source", "csv"): (
+        '{"kind": "csv", "pattern": "data/*.csv"}',
+        '{"kind": "csv", "pattern": "data/*.csv"}',
+        "ds-25b8bc6701c3",
+    ),
+    ("source", "jsonl"): (
+        '{"kind": "jsonl", "pattern": "data/*.jsonl"}',
+        '{"kind": "jsonl", "pattern": "data/*.jsonl"}',
+        "ds-295046eced00",
+    ),
+    ("source", "syslog"): (
+        '{"kind": "syslog", "pattern": "logs/*.log"}',
+        '{"kind": "syslog", "pattern": "logs/*.log"}',
+        "ds-e68b34109811",
+    ),
+    ("source", "sql"): (
+        '{"kind": "sql", "path": "pinned.db", "table": "events", "partitions": 3}',
+        '{"kind": "sql", "partitions": 3, "path": "pinned.db", "table": "events"}',
+        "ds-3f8993de24a4",
+    ),
+    ("source", "hvc"): (
+        '{"kind": "hvc", "directory": "data/flights.hvc"}',
+        '{"directory": "data/flights.hvc", "kind": "hvc"}',
+        "ds-23f286a2c739",
+    ),
+    ("predicate", "compare"): (
+        '{"type": "column", "column": "DepDelay", "op": ">", "value": 15}',
+        '{"column": "DepDelay", "op": ">", "type": "column", "value": 15}',
+        "ds-3e967ffbcec4",
+    ),
+    ("predicate", "is_missing"): (
+        '{"type": "column", "column": "ArrDelay", "op": "is_missing", "value": null}',
+        '{"column": "ArrDelay", "op": "is_missing", "type": "column", "value": null}',
+        "ds-af61b70c66ba",
+    ),
+    ("predicate", "in"): (
+        '{"type": "column", "column": "Origin", "op": "in", "value": ["SFO", "LAX"]}',
+        '{"column": "Origin", "op": "in", "type": "column", "value": ["SFO", "LAX"]}',
+        "ds-9e9263aa3f20",
+    ),
+    ("predicate", "date"): (
+        '{"type": "column", "column": "FlightDate", "op": ">=", '
+        '"value": {"$date": "2017-03-01T12:30:00"}}',
+        '{"column": "FlightDate", "op": ">=", "type": "column", '
+        '"value": {"$date": "2017-03-01T12:30:00"}}',
+        "ds-c7d4b78815ee",
+    ),
+    ("predicate", "between"): (
+        '{"type": "column", "column": "Distance", "op": "between", "value": [100, 2500.5]}',
+        '{"column": "Distance", "op": "between", "type": "column", "value": [100, 2500.5]}',
+        "ds-89079874175a",
+    ),
+    ("predicate", "match"): (
+        '{"type": "match", "column": "Dest", "pattern": "S.O", "mode": "regex", '
+        '"caseSensitive": false}',
+        '{"caseSensitive": false, "column": "Dest", "mode": "regex", "pattern": "S.O", '
+        '"type": "match"}',
+        "ds-ac5150142e76",
+    ),
+    ("predicate", "nested"): (
+        '{"type": "not", "inner": {"type": "and", "parts": [{"type": "column", '
+        '"column": "x", "op": "<", "value": 1.5}, {"type": "or", "parts": [{"type": '
+        '"column", "column": "y", "op": "==", "value": "a"}, {"type": "match", '
+        '"column": "s", "pattern": "b", "mode": "substring", "caseSensitive": true}]}]}}',
+        '{"inner": {"parts": [{"column": "x", "op": "<", "type": "column", "value": 1.5}, '
+        '{"parts": [{"column": "y", "op": "==", "type": "column", "value": "a"}, '
+        '{"caseSensitive": true, "column": "s", "mode": "substring", "pattern": "b", '
+        '"type": "match"}], "type": "or"}], "type": "and"}, "type": "not"}',
+        "ds-33e750fb0760",
+    ),
+    ("map", "filter"): (
+        '{"type": "filter", "predicate": {"type": "column", "column": "DepDelay", '
+        '"op": ">", "value": 15}}',
+        '{"predicate": {"column": "DepDelay", "op": ">", "type": "column", "value": 15}, '
+        '"type": "filter"}',
+        "ds-3e967ffbcec4",
+    ),
+    ("map", "project"): (
+        '{"type": "project", "columns": ["Origin", "Dest"]}',
+        '{"columns": ["Origin", "Dest"], "type": "project"}',
+        "ds-75c93381dfb3",
+    ),
+    ("map", "expression"): (
+        '{"type": "expression", "name": "gain", "expression": "DepDelay - ArrDelay"}',
+        '{"expression": "DepDelay - ArrDelay", "name": "gain", "type": "expression"}',
+        "ds-4a80fff204f5",
+    ),
+    ("buckets", "double"): (
+        '{"type": "double", "min": -2.5, "max": 10.0, "count": 8}',
+        '{"count": 8, "max": 10.0, "min": -2.5, "type": "double"}',
+        "0000000000000004c0000000000000244008",
+    ),
+    ("buckets", "string_ranges"): (
+        '{"type": "string_ranges", "boundaries": ["a", "f", "m"]}',
+        '{"boundaries": ["a", "f", "m"], "type": "string_ranges"}',
+        "010302610266026d",
+    ),
+    ("buckets", "strings"): (
+        '{"type": "strings", "values": ["x", "y", "z"]}',
+        '{"type": "strings", "values": ["x", "y", "z"]}',
+        "020302780279027a",
+    ),
+}
+
+#: A two-step lineage (the flights load, then the ``compare`` filter),
+#: plain and with sorted keys.
+PINNED_LINEAGE = (
+    '[{"op": "load", "dataset": "ds-c31cd326405f", "source": {"kind": "flights", '
+    '"rows": 5000, "partitions": 4, "seed": 7, "extraColumns": 2}}, {"op": "map", '
+    '"dataset": "ds-955273efc3cd", "parent": "ds-c31cd326405f", "map": {"type": '
+    '"filter", "predicate": {"type": "column", "column": "DepDelay", "op": ">", '
+    '"value": 15}}}]',
+    '[{"dataset": "ds-c31cd326405f", "op": "load", "source": {"extraColumns": 2, '
+    '"kind": "flights", "partitions": 4, "rows": 5000, "seed": 7}}, {"dataset": '
+    '"ds-955273efc3cd", "map": {"predicate": {"column": "DepDelay", "op": ">", '
+    '"type": "column", "value": 15}, "type": "filter"}, "op": "map", "parent": '
+    '"ds-c31cd326405f"}]',
+)
+
+#: Minimal specs a client may send, and the ``spec()`` of what they
+#: decode to: the defaults a wire field falls back to.
+PINNED_DEFAULTS = [
+    ("source", {"kind": "flights"}, "FlightsSource(rows=100000,parts=16,seed=0,extra=0)"),
+    (
+        "source",
+        {"kind": "sql", "path": "pinned.db", "table": "events"},
+        "SqlSource('pinned.db','events',partitions=1)",
+    ),
+    (
+        "predicate",
+        {"type": "match", "column": "s", "pattern": "p"},
+        "StringMatchPredicate('s','p','substring',cs=True)",
+    ),
+    (
+        "predicate",
+        {"type": "column", "column": "x", "op": "is_missing"},
+        "ColumnPredicate('x','is_missing',None)",
+    ),
+]
+
+
+class TestPinnedBytes:
+    @pytest.fixture(autouse=True)
+    def _sqlite_in_cwd(self, tmp_path, monkeypatch):
+        """The SQL source opens ``pinned.db`` relative to the cwd, so its
+        path (and every byte derived from it) is the same on any machine."""
+        import sqlite3
+
+        monkeypatch.chdir(tmp_path)
+        with sqlite3.connect("pinned.db") as con:
+            con.execute("create table events (a integer)")
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        cluster = Cluster(num_workers=1)
+        yield cluster
+        cluster.close()
+
+    @staticmethod
+    def _codec(union: str):
+        from repro.engine import rpc
+
+        return {
+            "source": (rpc.source_to_json, rpc.source_from_json),
+            "predicate": (predicate_to_json, predicate_from_json),
+            "map": (rpc.table_map_to_json, rpc.table_map_from_json),
+            "buckets": (buckets_to_json, buckets_from_json),
+        }[union]
+
+    @pytest.mark.parametrize("entry", sorted(PINNED), ids="/".join)
+    def test_json_is_frozen(self, entry, cluster):
+        union, name = entry
+        value = _pinned_values()[union][name]
+        plain, ordered, derived = PINNED[entry]
+        to_json, from_json = self._codec(union)
+        assert json.dumps(to_json(value)) == plain
+        assert json.dumps(to_json(value), sort_keys=True) == ordered
+        back = from_json(json.loads(plain))
+        assert back.spec() == value.spec()
+        assert json.dumps(to_json(back)) == plain
+        if union == "source":
+            assert cluster._load_dataset_id(value) == derived
+        elif union == "map":
+            assert cluster._map_dataset_id("ds-parent", value) == derived
+        elif union == "predicate":
+            from repro.engine.dataset import FilterMap
+
+            assert cluster._map_dataset_id("ds-parent", FilterMap(value)) == derived
+
+    @pytest.mark.parametrize("name", ["double", "string_ranges", "strings"])
+    def test_bucket_binary_is_frozen(self, name):
+        from repro.core.buckets import BUCKETS
+        from repro.core.serialization import Decoder, Encoder
+
+        value = _pinned_values()["buckets"][name]
+        enc = Encoder()
+        BUCKETS.write(enc, value)
+        assert enc.to_bytes().hex() == PINNED["buckets", name][2]
+        back = BUCKETS.read(Decoder(bytes.fromhex(PINNED["buckets", name][2])))
+        assert back.spec() == value.spec()
+
+    def test_lineage_is_frozen(self, cluster):
+        from repro.engine.redo_log import LoadOp, MapOp
+        from repro.engine.rpc import lineage_from_json, lineage_to_json
+
+        values = _pinned_values()
+        source, table_map = values["source"]["flights"], values["map"]["filter"]
+        load_id = cluster._load_dataset_id(source)
+        map_id = cluster._map_dataset_id(load_id, table_map)
+        chain = [LoadOp(load_id, source), MapOp(map_id, load_id, table_map)]
+        assert json.dumps(lineage_to_json(chain)) == PINNED_LINEAGE[0]
+        assert json.dumps(lineage_to_json(chain), sort_keys=True) == PINNED_LINEAGE[1]
+        back = lineage_from_json(json.loads(PINNED_LINEAGE[0]))
+        assert [op.describe() for op in back] == [op.describe() for op in chain]
+
+    @pytest.mark.parametrize(
+        "union, spec, described", PINNED_DEFAULTS, ids=lambda v: str(v)[:24]
+    )
+    def test_defaults_are_frozen(self, union, spec, described):
+        assert self._codec(union)[1](spec).spec() == described

@@ -594,6 +594,136 @@ class TestSummaryPayloadRoundTrips:
 
 
 # ---------------------------------------------------------------------------
+# Lineage unions: every registered tag has a strategy, and round-trips
+# ---------------------------------------------------------------------------
+_SQL_TABLES = ("events", "hosts")
+
+
+@pytest.fixture(scope="module")
+def sqlite_db(tmp_path_factory) -> str:
+    """A database with the tables the SQL source strategy names."""
+    import sqlite3
+
+    path = str(tmp_path_factory.mktemp("sources") / "fuzz.db")
+    with sqlite3.connect(path) as con:
+        for table in _SQL_TABLES:
+            con.execute(f"create table {table} (a integer)")
+    return path
+
+
+def _union_strategies(sqlite_db: str) -> dict:
+    """Per union, one strategy per tag: the values each tag's class
+    builds.  Predicates are composed from :data:`predicates`."""
+    from repro.core.buckets import BUCKET_TYPES
+    from repro.engine.dataset import (
+        TABLE_MAPS,
+        ExpressionMap,
+        FilterMap,
+        ProjectMap,
+    )
+    from repro.engine.redo_log import LINEAGE_OPS, LoadOp, MapOp
+    from repro.storage.loader import (
+        SOURCES,
+        ColumnarDatasetSource,
+        CsvSource,
+        FlightsSource,
+        JsonlSource,
+        SqlSource,
+        SyslogSource,
+    )
+    from repro.table.compute import PREDICATES
+
+    paths = st.text(min_size=1, max_size=16)
+    small = st.integers(0, 10**6)
+    part_lists = st.lists(predicates, min_size=1, max_size=3)
+    strategies = {
+        PREDICATES: {
+            "column": column_predicates.filter(
+                lambda p: isinstance(p, ColumnPredicate)
+            ),
+            "match": column_predicates.filter(
+                lambda p: isinstance(p, StringMatchPredicate)
+            ),
+            "and": st.builds(AndPredicate, part_lists),
+            "or": st.builds(OrPredicate, part_lists),
+            "not": st.builds(NotPredicate, predicates),
+        },
+        BUCKET_TYPES: {
+            "double": buckets.filter(lambda b: isinstance(b, DoubleBuckets)),
+            "string_ranges": buckets.filter(lambda b: isinstance(b, StringBuckets)),
+            "strings": buckets.filter(
+                lambda b: isinstance(b, ExplicitStringBuckets)
+            ),
+        },
+        SOURCES: {
+            "flights": st.builds(FlightsSource, small, st.integers(1, 64), small, small),
+            "csv": st.builds(CsvSource, paths),
+            "jsonl": st.builds(JsonlSource, paths),
+            "syslog": st.builds(SyslogSource, paths),
+            "sql": st.builds(
+                lambda table, parts: SqlSource(sqlite_db, table, parts),
+                st.sampled_from(_SQL_TABLES),
+                st.integers(1, 16),
+            ),
+            "hvc": st.builds(ColumnarDatasetSource, paths),
+        },
+    }
+    strategies[TABLE_MAPS] = {
+        "filter": st.builds(FilterMap, predicates),
+        "project": st.builds(
+            ProjectMap, st.lists(column_names, min_size=1, max_size=4, unique=True)
+        ),
+        "expression": st.builds(
+            ExpressionMap,
+            column_names,
+            st.sampled_from(["x + y", "DepDelay - ArrDelay", "sqrt(abs(x)) * 2"]),
+        ),
+    }
+    dataset_ids = st.text(min_size=1, max_size=12)
+    strategies[LINEAGE_OPS] = {
+        "load": st.builds(LoadOp, dataset_ids, st.one_of(*strategies[SOURCES].values())),
+        "map": st.builds(
+            MapOp, dataset_ids, dataset_ids, st.one_of(*strategies[TABLE_MAPS].values())
+        ),
+    }
+    return strategies
+
+
+def _described(value) -> str:
+    return value.describe() if hasattr(value, "describe") else value.spec()
+
+
+class TestUnionRoundTrips:
+    """A source, table map, lineage op, predicate or bucket type cannot
+    ship without a round-trip property: each union's registered tags must
+    be exactly the tags fuzzed here."""
+
+    def test_every_registered_tag_is_fuzzed(self, sqlite_db):
+        for union, strategies in _union_strategies(sqlite_db).items():
+            assert set(strategies) == set(union.classes), union.name
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_union_values(self, sqlite_db, data):
+        from repro.core.serialization import Decoder, Encoder
+
+        unions = _union_strategies(sqlite_db)
+        union = data.draw(st.sampled_from(list(unions)), label="union")
+        tag = data.draw(st.sampled_from(sorted(unions[union])), label="tag")
+        value = data.draw(unions[union][tag])
+        encoded = union.to_json(value)
+        assert encoded[union.key] == tag
+        back = union.from_json(json.loads(json.dumps(encoded)))
+        assert type(back) is type(value)
+        assert union.to_json(back) == encoded
+        assert _described(back) == _described(value)
+        if union.kind.write is not None:
+            enc = Encoder()
+            union.write(enc, value)
+            assert _described(union.read(Decoder(enc.to_bytes()))) == _described(value)
+
+
+# ---------------------------------------------------------------------------
 # Lineage: table maps and sources round-trip for worker-side replay
 # ---------------------------------------------------------------------------
 class TestLineageRoundTrips:

@@ -164,6 +164,16 @@ class TestExactCounters:
                 proxy.close()
 
 
+class TestIdleDaemon:
+    def test_an_idle_daemon_reports_nothing_in_flight(self, server):
+        """The probe that reads ``inflight`` is not itself in flight."""
+        proxy = connect(server)
+        try:
+            assert [proxy.metrics_snapshot()["inflight"] for _ in range(3)] == [0] * 3
+        finally:
+            proxy.close()
+
+
 def histogram(count: int):
     return sketch_from_json(
         {**HIST, "buckets": {**HIST["buckets"], "count": count}}
