@@ -447,7 +447,10 @@ class Worker(WorkerProtocol):
         self.name = name
         self.cores = cores
         # The data cache: dataset id -> this worker's micropartitions,
-        # accounted at their shards' footprint (no byte budget yet).
+        # accounted at their shards' heap bytes (no byte budget yet): a
+        # mapped hvc column counts 0, a filter's membership counts.  A
+        # derived dataset still counts the heap columns (and string
+        # dictionaries) it shares with its parent again.
         self.store: DataCache[list[Table]] = DataCache(
             max_entries=cache_entries,
             ttl_seconds=cache_ttl_seconds,
@@ -1262,6 +1265,9 @@ class Cluster:
         #: such qualifier: equal id means equal content by construction).
         self._root_nonce = uuid.uuid4().hex[:8]
         self._lock = threading.Lock()
+        #: dataset id -> how many handles hold it (guarded by ``_lock``);
+        #: the last :meth:`release` evicts the dataset fleet-wide.
+        self._holds: dict[str, int] = {}
         # Live gauges read the cluster; a later cluster in the same
         # process takes the callbacks over (one serving cluster per
         # daemon), mirroring the scheduler's depth gauges.
@@ -1973,6 +1979,23 @@ class Cluster:
         with self._stream_guard():
             self._with_placement_retries(evict_everywhere)
         self.computation_cache.invalidate_dataset(dataset_id)
+
+    def hold(self, dataset_id: str) -> None:
+        """Count one more handle holding ``dataset_id`` (see :meth:`release`)."""
+        with self._lock:
+            self._holds[dataset_id] = self._holds.get(dataset_id, 0) + 1
+
+    def release(self, dataset_id: str) -> None:
+        """Drop one hold; the last one evicts the dataset everywhere
+        (§5.7: soft state, rebuilt from the redo log by whoever uses it
+        next)."""
+        with self._lock:
+            left = self._holds.get(dataset_id, 0) - 1
+            if left > 0:
+                self._holds[dataset_id] = left
+                return
+            self._holds.pop(dataset_id, None)
+        self.evict_dataset(dataset_id)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -37,6 +37,7 @@ from repro.engine.rpc import (
     sketch_from_json,
 )
 from repro.errors import HillviewError
+from repro.obs.logs import log_event
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TraceContext, serve_span, trace_enabled
 from repro.storage.loader import DataSource
@@ -81,6 +82,7 @@ class WebServer:
         dataset = build()
         with self._lock:
             self._handles[handle] = dataset
+            self.cluster.hold(dataset.dataset_id)
         if self.on_lineage_change is not None:
             self.on_lineage_change()
         return handle
@@ -97,14 +99,35 @@ class WebServer:
     def _derive(self, parent: str, table_map: TableMap) -> str:
         return self._mint(lambda: self.dataset(parent).map(table_map))
 
+    def _unhold(self, handle: str) -> str | None:
+        """Swap ``handle``'s dataset for its redo-log chain; returns the
+        dataset id whose hold the caller must release, or None when the
+        handle was already evicted.  Under the lock, so two evicts of one
+        handle release once."""
+        with self._lock:
+            entry = self._handles.get(handle)
+            if entry is None:
+                raise UnknownHandleError(f"unknown remote object {handle!r}")
+            if not isinstance(entry, ClusterDataSet):
+                return None
+            self._handles[handle] = self.cluster.lineage(entry.dataset_id)
+            return entry.dataset_id
+
     def evict(self, handle: str) -> None:
         """Drop a handle's materialized dataset (soft state); it rebuilds
-        from the redo log on next use (§5.7)."""
-        entry = self._handles.get(handle)
-        if isinstance(entry, ClusterDataSet):
-            chain = self.cluster.lineage(entry.dataset_id)
-            with self._lock:
-                self._handles[handle] = chain
+        from the redo log on next use (§5.7).  The last handle holding a
+        dataset frees its shards on every worker."""
+        dataset_id = self._unhold(handle)
+        if dataset_id is not None:
+            self.cluster.release(dataset_id)
+
+    def close(self) -> None:
+        """Release every dataset this facade holds (session teardown);
+        the handles keep their chains."""
+        for handle in self.handles:
+            dataset_id = self._unhold(handle)
+            if dataset_id is not None:
+                self._release_quietly(dataset_id)
 
     @property
     def handles(self) -> list[str]:
@@ -124,7 +147,11 @@ class WebServer:
         for op in entry[1:]:
             dataset = dataset.map(op.table_map)
         with self._lock:
+            current = self._handles.get(handle)
+            if isinstance(current, ClusterDataSet):
+                return current  # a concurrent use rebuilt it first
             self._handles[handle] = dataset
+            self.cluster.hold(dataset.dataset_id)
         return dataset
 
     # ------------------------------------------------------------------
@@ -273,12 +300,34 @@ class WebServer:
             rows = self.dataset(request.target).total_rows
             yield RpcReply(request.request_id, "complete", payload={"rows": rows})
         elif method == "evict":
-            self.evict(request.target)
+            dataset_id = self._unhold(request.target)
             yield RpcReply(request.request_id, "ack", payload={"evicted": True})
+            # The client has its terminal; the worker round trips run on
+            # whoever drains this generator (the scheduler's query thread).
+            if dataset_id is not None:
+                self._release_quietly(dataset_id)
         elif method == "ping":
             yield RpcReply(request.request_id, "ack", payload={"pong": True})
         else:
             raise ProtocolError(f"unknown method {method!r}")
+
+    def _release_quietly(self, dataset_id: str) -> None:
+        """Release a hold where no reply can carry a failure (after an
+        ``evict`` ack, at session teardown): it is logged and counted."""
+        try:
+            self.cluster.release(dataset_id)
+        except (HillviewError, OSError) as exc:
+            REGISTRY.counter(
+                "web.release_errors",
+                "dataset releases that failed with no reply to carry it",
+            ).inc()
+            log_event(
+                "web.release_failed",
+                level="warning",
+                session=self.session_id,
+                dataset=dataset_id,
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     @staticmethod
     def _finalize(sketch, summary: object | None) -> None:

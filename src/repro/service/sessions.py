@@ -424,6 +424,8 @@ class SessionManager:
         explicit close is an instruction, not a timeout, and deletes
         unconditionally."""
         session.cancel_all()
+        # The last session holding a dataset frees its worker shards.
+        session.web.close()
         # However a session ends, its counters fold into the server's
         # lifetime totals — the work it did stays visible to stats and
         # metricsSnapshot after the session object is gone.

@@ -18,6 +18,7 @@ are read-only.
 
 from __future__ import annotations
 
+import mmap
 from abc import ABC, abstractmethod
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Sequence
@@ -28,6 +29,18 @@ from repro.errors import ColumnKindError, SchemaError
 from repro.table.dictionary import MISSING_CODE, StringDictionary
 from repro.table.membership import Selection
 from repro.table.schema import ColumnDescription, ContentsKind
+
+
+def heap_nbytes(array: np.ndarray) -> int:
+    """``array.nbytes``, or 0 when its storage is a memory-mapped file: a
+    mapped hvc column lives in the page cache, not on the heap, and the
+    kernel reclaims it once an eviction drops the last view."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return 0 if isinstance(base, mmap.mmap) else array.nbytes
 
 
 def _selector(rows: Selection | Sequence[int]) -> Selection:
@@ -117,7 +130,8 @@ class Column(ABC):
 
     @abstractmethod
     def memory_bytes(self) -> int:
-        """Approximate in-memory footprint, for the data cache (§5.4)."""
+        """Approximate heap footprint, for the data cache (§5.4); arrays
+        viewing a mapped file count 0 (see :func:`heap_nbytes`)."""
 
     def rename(self, name: str) -> "Column":
         """The same storage under a different name."""
@@ -201,9 +215,9 @@ class _NumericColumn(Column):
         return type(self)(self.description, self._data[rows].copy(), missing)
 
     def memory_bytes(self) -> int:
-        total = self._data.nbytes
+        total = heap_nbytes(self._data)
         if self._missing is not None:
-            total += self._missing.nbytes
+            total += heap_nbytes(self._missing)
         return total
 
 
@@ -369,7 +383,7 @@ class StringColumn(Column):
         return StringColumn.from_values(self.description, self.string_values(rows))
 
     def memory_bytes(self) -> int:
-        return self.codes.nbytes + self.dictionary.memory_bytes()
+        return heap_nbytes(self.codes) + self.dictionary.memory_bytes()
 
 
 def column_from_values(

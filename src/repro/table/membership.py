@@ -125,6 +125,10 @@ class MembershipSet(ABC):
         mask[self.selection()] = keep
         return membership_from_mask(mask)
 
+    def memory_bytes(self) -> int:
+        """Heap bytes of the arrays this set holds (the data cache, §5.4)."""
+        return 0
+
     def rows_at(self, positions: np.ndarray) -> np.ndarray:
         """Row numbers of the members at ``positions`` (in member order)."""
         selection = self.selection()
@@ -196,6 +200,10 @@ class DenseMembership(MembershipSet):
     def mask(self) -> np.ndarray:
         return self._bitmap
 
+    def memory_bytes(self) -> int:
+        cached = 0 if self._indices is None else self._indices.nbytes
+        return self._bitmap.nbytes + cached
+
     def selection(self) -> Selection:
         if self._run is not None:
             return self._run
@@ -236,6 +244,9 @@ class SparseMembership(MembershipSet):
 
     def indices(self) -> np.ndarray:
         return self._indices
+
+    def memory_bytes(self) -> int:
+        return self._indices.nbytes
 
     def mask(self) -> np.ndarray:
         out = np.zeros(self.universe_size, dtype=bool)

@@ -125,7 +125,11 @@ class Table:
             raise MissingColumnError(name, self.column_names) from None
 
     def memory_bytes(self) -> int:
-        return sum(column.memory_bytes() for column in self._columns.values())
+        """Heap bytes of the columns this table reads plus its membership.
+        A derived table counts the columns it shares with its parent
+        again: a table cannot tell which columns are its own."""
+        columns = sum(column.memory_bytes() for column in self._columns.values())
+        return columns + self.members.memory_bytes()
 
     # ------------------------------------------------------------------
     # Row access

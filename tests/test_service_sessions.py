@@ -105,16 +105,33 @@ class TestIdleSweep:
     def test_swept_root_handle_reattaches_to_pooled_dataset(
         self, manager, source
     ):
-        """Rebuilding an evicted root handle must land on the same
-        content-addressed cluster dataset, and each worker answers its one
-        ``ensure`` from its store instead of re-reading the source."""
+        """Rebuilding an evicted root handle lands on the same
+        content-addressed cluster dataset with one ``ensure`` per worker.
+        While another session's handle holds the dataset, each worker
+        answers it from its store; the sole holder's evict freed it, so
+        its rebuild reads the source again."""
+        keeper = manager.get_or_create("keeper")
+        kept = keeper.web.load(source)
         session = manager.get_or_create("pooled")
         handle = session.web.load(source)
         original_id = session.web.dataset(handle).dataset_id
         evict(session, handle)
-        calls = [count_verb_calls(w) for w in manager.cluster.workers]
+        workers = manager.cluster.workers
+        hits = [w.store.stats().hits for w in workers]
+        calls = [count_verb_calls(w) for w in workers]
         assert session.web.dataset(handle).dataset_id == original_id
         assert [c["ensure"] for c in calls] == [1, 1]
+        assert [w.store.stats().hits for w in workers] == [h + 1 for h in hits]
+        # The sole holder: both handles evicted, the shards are gone.
+        evict(session, handle)
+        evict(keeper, kept)
+        assert [original_id in w.inventory() for w in workers] == [False, False]
+        hits = [w.store.stats().hits for w in workers]
+        assert keeper.web.dataset(kept).dataset_id == original_id
+        assert [c["ensure"] for c in calls] == [2, 2]
+        assert [w.store.stats().hits for w in workers] == hits
+        assert [original_id in w.inventory() for w in workers] == [True, True]
+        assert row_count(keeper, kept) == 4_000
 
     def test_expired_sessions_are_dropped_entirely(self, manager, clock, source):
         session = manager.get_or_create("forgotten")
