@@ -31,20 +31,24 @@ how a dropped worker is let go of (``_release``).
 
 Sketch execution follows the paper's tree regardless of substrate:
 
-* the root broadcasts the query with the dataset's redo-log lineage; every
-  worker materializes its shards (replaying lineage if its soft state is
-  gone, §5.7);
-* each worker's thread pool runs ``summarize`` per micropartition and the
-  worker (acting as its aggregation node) merges locally, forwarding a
-  cumulative partial to the root at the aggregation cadence (0.1 s in the
-  paper);
+* the root broadcasts the query with the dataset's redo-log lineage, one
+  ``sketch`` request per worker; every worker materializes its shards
+  (replaying lineage if its soft state is gone, §5.7).  The root
+  broadcasts ``ensure`` first only after a placement change: the shard
+  counts its progress and steal policy need are kept on the dataset
+  from the ``ensure`` of its load or map;
+* each worker's resident leaf pool runs ``summarize`` per micropartition
+  and the worker (acting as its aggregation node) merges locally,
+  forwarding a cumulative partial to the root at the aggregation
+  cadence (0.1 s in the paper);
 * the root merges the latest partial from every worker and streams
   progressively better results to the client, counting received bytes.
   What the root decides while it does so — merge order, progress, the
   work-stealing policy and the query profile — is a clock-free state
   machine, :class:`~repro.engine.fanout.FanOut`; this module's
-  ``ClusterDataSet._sketch_attempt`` only drives it (the ensure
-  broadcast, the stream and claim threads, one event queue, the clock).
+  ``ClusterDataSet._sketch_attempt`` only drives it (the ensure refresh,
+  the stream and claim tasks on the root's resident pool, one event
+  queue, the clock).
 
 A worker that dies mid-sketch is revived (see ``Cluster.revive_worker``)
 and its stream re-run from scratch; because every partial is *cumulative*,
@@ -128,6 +132,12 @@ PLACEMENT_SYNC_SECONDS = 15.0
 #: a syncing root drives it there itself: the rebalance's own initiator
 #: may still be committing it.
 REPAIR_GRACE_SECONDS = 2.0
+
+#: How long a thread of a root's :class:`ResidentPool` waits for its
+#: next task before it exits: long enough to span the pause between one
+#: user's queries, short enough that a root nobody closed lets go.
+POOL_IDLE_SECONDS = 30.0
+
 
 def steal_after_seconds(aggregation_interval: float) -> float:
     """How long a fan-out must run before claims are considered.
@@ -426,7 +436,7 @@ class WorkerProtocol(ABC):
         return 0
 
     def close(self) -> None:
-        """Release resources (sockets, subprocesses); local workers no-op."""
+        """Release resources (sockets, subprocesses, leaf threads)."""
 
 
 class Worker(WorkerProtocol):
@@ -516,6 +526,10 @@ class Worker(WorkerProtocol):
         #: In-flight runs a root named, for :meth:`claim_slices`: run ->
         #: (leaf futures, shards) in shard order.  Guarded by ``_ops``.
         self._runs: dict[str, tuple[list, list[Table]]] = {}
+        #: The leaf pool, ``cores`` threads shared by every run and
+        #: steal; started on first use and again after :meth:`close`.
+        #: Guarded by ``_ops``.
+        self._leaf_pool: concurrent.futures.ThreadPoolExecutor | None = None
         #: How moved shards reach another member — the one thing a
         #: deployment supplies: in-process members *are* the target
         #: workers; a daemon dials the member's address instead.
@@ -1006,52 +1020,55 @@ class Worker(WorkerProtocol):
         unsent = 0
         last_emit = time.monotonic()
         failure: BaseException | None = None
-        with concurrent.futures.ThreadPoolExecutor(self.cores) as pool:
-            futures = [pool.submit(leaf, shard) for shard in shards]
+        with self._ops:
+            futures = self._submit_leaves(leaf, shards)
             if run is not None:
-                with self._ops:
-                    self._runs[run] = (futures, shards)
-            try:
-                # Merge in *shard* order, not completion order: Misra-Gries
-                # (and any non-commutative merge) must produce the same
-                # bytes no matter which leaf thread finishes first — the
-                # memo and the cross-root computation cache rely on it.
-                for future in futures:
-                    try:
-                        summary = future.result()
-                    except concurrent.futures.CancelledError:
-                        # This position (and, because claims take
-                        # contiguous suffixes, every later one) went to an
-                        # idle peer: the cumulative partial so far covers
-                        # exactly the prefix this worker kept.
-                        break
-                    except Exception as exc:  # repro: ignore[B001] — not swallowed: re-raised after the pool drains
-                        # A leaf failed (bad column, broken expression...):
-                        # drop this worker's remaining shards and surface
-                        # the failure at the root instead of dying silently.
-                        failure = exc
-                        for pending in futures:
-                            pending.cancel()
-                        break
-                    done += 1
-                    if summary is not None:
-                        accumulated = sketch.merge(accumulated, summary)
-                        unsent += 1
-                        # Counted here, in the folding thread and under
-                        # the lock: a bare ``+= 1`` on the leaf pool's
-                        # threads loses updates.
-                        with self._ops:
-                            self.shards_summarized += 1
-                    now = time.monotonic()
-                    # The last shard rides the final emission below.
-                    if unsent and done < len(shards) and now - last_emit >= interval:
-                        yield WorkerEmission(accumulated, done)
-                        unsent = 0
-                        last_emit = now
-            finally:
-                # Ended or closed: the run is no longer claimable.
-                with self._ops:
-                    self._runs.pop(run, None)
+                self._runs[run] = (futures, shards)
+        try:
+            # Merge in *shard* order, not completion order: Misra-Gries
+            # (and any non-commutative merge) must produce the same
+            # bytes no matter which leaf thread finishes first — the
+            # memo and the cross-root computation cache rely on it.
+            for future in futures:
+                try:
+                    summary = future.result()
+                except concurrent.futures.CancelledError:
+                    # This position (and, because claims take
+                    # contiguous suffixes, every later one) went to an
+                    # idle peer: the cumulative partial so far covers
+                    # exactly the prefix this worker kept.
+                    break
+                except Exception as exc:  # repro: ignore[B001] — not swallowed: re-raised once the run's leaves end
+                    # A leaf failed (bad column, broken expression...):
+                    # drop this worker's remaining shards (below) and
+                    # surface the failure at the root instead of dying
+                    # silently.
+                    failure = exc
+                    break
+                done += 1
+                if summary is not None:
+                    accumulated = sketch.merge(accumulated, summary)
+                    unsent += 1
+                    # Counted here, in the folding thread and under
+                    # the lock: a bare ``+= 1`` on the leaf pool's
+                    # threads loses updates.
+                    with self._ops:
+                        self.shards_summarized += 1
+                now = time.monotonic()
+                # The last shard rides the final emission below.
+                if unsent and done < len(shards) and now - last_emit >= interval:
+                    yield WorkerEmission(accumulated, done)
+                    unsent = 0
+                    last_emit = now
+        finally:
+            # Ended or closed: the run is no longer claimable, its
+            # unstarted leaves never start, and it waits for the ones
+            # that did.
+            with self._ops:
+                self._runs.pop(run, None)
+            for pending in futures:
+                pending.cancel()
+            concurrent.futures.wait(futures)
         if failure is not None:
             raise failure
         if (
@@ -1078,6 +1095,24 @@ class Worker(WorkerProtocol):
             # emission, after the memo insert: a repeat the root sends
             # once it has read this must hit the memo.
             yield WorkerEmission(accumulated, done, final=True)
+
+    def _submit_leaves(self, leaf, items) -> list[concurrent.futures.Future]:
+        """``leaf(item)`` per item on the leaf pool, started in item
+        order (a steal claim relies on it); the caller holds ``_ops``."""
+        if self._leaf_pool is None:
+            self._leaf_pool = concurrent.futures.ThreadPoolExecutor(
+                self.cores, thread_name_prefix=f"{self.name}-leaf"
+            )
+        return [self._leaf_pool.submit(leaf, item) for item in items]
+
+    def close(self) -> None:
+        """Stop the leaf pool's threads once their queued leaves ran; a
+        later sketch starts a new pool (several roots may share an
+        in-process worker, and one root closing must not break another)."""
+        with self._ops:
+            pool, self._leaf_pool = self._leaf_pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def claim_slices(self, run: str, budget: int) -> "list[StolenParcel]":
         """Act as the victim of a steal.
@@ -1130,8 +1165,10 @@ class Worker(WorkerProtocol):
             with use_context(ctx):
                 return sketch.summarize(parcel.resolve())
 
-        with concurrent.futures.ThreadPoolExecutor(self.cores) as pool:
-            summaries = list(pool.map(leaf, parcels))
+        with self._ops:
+            futures = self._submit_leaves(leaf, parcels)
+        concurrent.futures.wait(futures)
+        summaries = [future.result() for future in futures]
         with self._ops:
             self.shards_summarized += len(parcels)
             self.slices_stolen += len(parcels)
@@ -1214,6 +1251,107 @@ class Worker(WorkerProtocol):
         return f"<Worker {self.name} cores={self.cores}>"
 
 
+class ResidentPool:
+    """The root's threads for fan-out streams, steal claims and
+    ``ensure`` broadcasts, kept from one query to the next.
+
+    A task never waits for a thread: an idle one takes it, else a new
+    one starts, so the pool holds the peak number of tasks that ran at
+    once.  It has no bound on purpose: a stream holds its thread for a
+    whole query, so under a bound one query's streams would queue
+    behind another's, and a task that waited on a queued task would
+    deadlock.  A thread idle for :data:`POOL_IDLE_SECONDS` exits, so a
+    root nobody closes does not keep its threads.  Each task runs under
+    the trace context its submitter names.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        #: Guards ``_idle``, ``_threads`` and ``_closed``; every put of a
+        #: task happens under it.  Invariant: ``_idle`` = threads not
+        #: running a task minus queued tasks.
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._threads: set[threading.Thread] = set()
+        self._started = 0
+        self._closed = False
+
+    def submit(self, ctx, fn, *args) -> "concurrent.futures.Future":
+        """Run ``fn(*args)`` on a pool thread, under trace context ``ctx``."""
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        task = (future, fn, args, ctx)
+        with self._lock:
+            if self._closed:
+                raise EngineError(f"{self.name}: the pool is closed")
+            self._tasks.put(task)
+            if self._idle:
+                self._idle -= 1
+                return future
+            self._started += 1
+            thread = threading.Thread(
+                target=self._serve, name=f"{self.name}-{self._started}", daemon=True
+            )
+            self._threads.add(thread)
+            thread.start()
+        return future
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                task = self._tasks.get(timeout=POOL_IDLE_SECONDS)
+            except queue.Empty:
+                with self._lock:
+                    if not self._tasks.empty():
+                        continue  # a submit just counted on this thread
+                    self._idle -= 1
+                    self._threads.discard(threading.current_thread())
+                    return
+            if task is None:  # close()
+                return
+            future, fn, args, ctx = task
+            if not future.set_running_or_notify_cancel():
+                self._settle(stays=True)
+                continue
+            try:
+                with use_context(ctx):
+                    result = fn(*args)
+            except BaseException as exc:
+                # The task's owner gets every failure; one that is not
+                # an Exception (SystemExit, KeyboardInterrupt) also ends
+                # this thread.
+                stays = isinstance(exc, Exception)
+                self._settle(stays)
+                future.set_exception(exc)
+                if not stays:
+                    raise
+            else:
+                self._settle(stays=True)
+                future.set_result(result)
+
+    def _settle(self, stays: bool) -> None:
+        """Count this thread idle again — before its task's future
+        resolves, so a caller that saw the task end and submits again
+        reuses it — or gone."""
+        with self._lock:
+            if stays:
+                self._idle += 1
+            else:
+                self._threads.discard(threading.current_thread())
+
+    def close(self) -> None:
+        """Run what was submitted, then stop every thread and wait for
+        it; a later :meth:`submit` raises."""
+        with self._lock:
+            self._closed = True
+            threads = list(self._threads)
+        for _ in threads:
+            self._tasks.put(None)
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join()
+
+
 class Cluster:
     """A set of workers, the root's redo log, and the computation cache."""
 
@@ -1228,6 +1366,12 @@ class Cluster:
         them, ``num_workers`` are minted (see :meth:`_gather`)."""
         self.aggregation_interval = aggregation_interval
         self._resync_lock = threading.Lock()
+        #: Distinguishes this root's counter-minted ids from another
+        #: root's on a shared worker fleet (content-addressed ids need no
+        #: such qualifier: equal id means equal content by construction).
+        self._root_nonce = uuid.uuid4().hex[:8]
+        #: Threads for every fan-out stream, steal claim and broadcast.
+        self._pool = ResidentPool(f"root-{self._root_nonce}")
         self.workers: list[WorkerProtocol] = []
         made: list[WorkerProtocol] = []
         try:
@@ -1247,6 +1391,7 @@ class Cluster:
         except BaseException:
             for worker in made:  # a failed constructor leaks nothing
                 worker.close()
+            self._pool.close()
             raise
         #: The rebalance barrier: a grow/shrink waits for in-flight
         #: sketch streams to drain on the old placement, and blocks new
@@ -1260,10 +1405,6 @@ class Cluster:
         self.computation_cache = ComputationCache()
         self.total_bytes_to_root = 0
         self._ids = itertools.count()
-        #: Distinguishes this root's counter-minted ids from another
-        #: root's on a shared worker fleet (content-addressed ids need no
-        #: such qualifier: equal id means equal content by construction).
-        self._root_nonce = uuid.uuid4().hex[:8]
         self._lock = threading.Lock()
         #: dataset id -> how many handles hold it (guarded by ``_lock``);
         #: the last :meth:`release` evicts the dataset fleet-wide.
@@ -1910,30 +2051,34 @@ class Cluster:
         )
 
     def _materialize(self, dataset_id: str, lineage_for) -> "ClusterDataSet":
-        """Broadcast ``ensure`` (``lineage_for(worker)`` is the chain each
-        worker replays) and build the dataset from the extents the
-        workers answer."""
+        """Broadcast ``ensure`` and build the dataset from the extents the
+        workers answer, recorded with the placement version they hold at."""
         with self._stream_guard():
-            extents = self._with_placement_retries(
-                lambda version: self._for_all_workers(
-                    lambda i, w: w.ensure(dataset_id, lineage_for(w), version)
-                )
+            version, extents = self._with_placement_retries(
+                lambda version: (version, self._ensure(dataset_id, lineage_for, version))
             )
-        return ClusterDataSet(self, dataset_id, extents)
+        return ClusterDataSet(self, dataset_id, extents, version)
+
+    def _ensure(self, dataset_id: str, lineage_for, version: int) -> list[Extent]:
+        """Every worker materializes its shards of ``dataset_id`` at
+        placement ``version``, replaying ``lineage_for(worker)`` if its
+        soft state is gone (§5.7), and answers its :class:`Extent`."""
+        with span("cluster.ensure", dataset=dataset_id):
+            return self._for_all_workers(
+                lambda i, w: w.ensure(dataset_id, lineage_for(w), version)
+            )
 
     def _for_all_workers(self, fn) -> list:
-        """Run ``fn(index, worker)`` for every worker in parallel, reviving
-        and retrying a worker whose process died (§5.8)."""
-        ctx = current_context()
-
-        def call(index: int):
-            # Carry the caller's trace context onto the pool threads so
-            # worker RPCs parent under it.
-            with use_context(ctx):
-                return self._with_revival(index, fn)
-
-        with concurrent.futures.ThreadPoolExecutor(len(self.workers)) as pool:
-            return list(pool.map(call, range(len(self.workers))))
+        """Run ``fn(index, worker)`` for every worker in parallel on the
+        root's pool, reviving and retrying a worker whose process died
+        (§5.8); every call ends before this returns or raises."""
+        ctx = current_context()  # worker RPCs parent under the caller
+        futures = [
+            self._pool.submit(ctx, self._with_revival, index, fn)
+            for index in range(len(self.workers))
+        ]
+        concurrent.futures.wait(futures)
+        return [future.result() for future in futures]
 
     def _with_revival(self, index: int, fn):
         attempts = 0
@@ -2001,9 +2146,10 @@ class Cluster:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release worker resources (no-op for in-process workers)."""
+        """Release worker resources, then the root's pool threads."""
         for worker in self.workers:
             worker.close()
+        self._pool.close()
 
     def __enter__(self) -> "Cluster":
         return self
@@ -2021,15 +2167,26 @@ class Cluster:
 class ClusterDataSet(IDataSet):
     """A dataset resident (softly) on a cluster's workers.  Datasets are
     immutable, so the size and schema the workers answered when they
-    materialized it stay true across eviction, crash and replay."""
+    materialized it stay true across eviction, crash and replay — and
+    so does each worker's shard count, until the placement changes."""
 
-    def __init__(self, cluster: Cluster, dataset_id: str, extents: list[Extent]):
+    def __init__(
+        self,
+        cluster: Cluster,
+        dataset_id: str,
+        extents: list[Extent],
+        version: int,
+    ):
         self.cluster = cluster
         self.dataset_id = dataset_id
         self._rows = sum(extent.rows for extent in extents)
         self._schema = next(
             (e.schema for e in extents if e.schema is not None), None
         )
+        #: (placement version, each worker's shard count) as the last
+        #: ``ensure`` answered them; a fan-out at that version and fleet
+        #: size seeds its progress and steal policy from it.
+        self._placed = (version, [extent.shards for extent in extents])
 
     @property
     def total_rows(self) -> int:
@@ -2191,8 +2348,7 @@ class ClusterDataSet(IDataSet):
             stolen = None
             error = exc
             # The finally below posts the failure *before* this re-raise
-            # unwinds; the query fails loudly at the root and the
-            # thread's traceback marks the unexpected path.
+            # unwinds; the query fails loudly at the root.
             raise
         finally:
             post((fan.claimed, claim.victim, stolen, error))
@@ -2249,71 +2405,73 @@ class ClusterDataSet(IDataSet):
         StopIteration value) or raises :class:`StalePlacementError` if
         the fleet moved mid-flight.
 
+        One ``sketch`` request per worker: it carries the lineage, so a
+        worker that lost the dataset replays it itself (§5.7).  The root
+        broadcasts ``ensure`` first only when the placement changed
+        since the dataset's shard counts were recorded, and records the
+        fresh counts.
+
         The root's decisions live in a :class:`FanOut`; this driver owns
-        the ensure broadcast, the threads, one event queue and the clock.
-        Threads never touch the ``FanOut``: each posts the call the
-        driver then makes on it, and the driver carries out the actions
-        that call returns.
+        that refresh, the pool tasks, one event queue and the clock.
+        Tasks never touch the ``FanOut``: each posts the call the driver
+        then makes on it, and the driver carries out the actions that
+        call returns.
         """
         cluster = self.cluster
         clock = time.perf_counter
         cluster._enter_stream()
         try:
-            # Phase 1 (request broadcast + data materialization): every
-            # worker resolves its shards, replaying the redo log if its
-            # state was lost.
             lineage = cluster.lineage(self.dataset_id)
             started = clock()
-            with span("cluster.ensure", dataset=self.dataset_id):
-                extents = cluster._for_all_workers(
-                    lambda i, w: w.ensure(self.dataset_id, lineage, version)
-                )
-            # Phase 2: leaves summarize; aggregation nodes emit partials.
             snapshot = list(cluster.workers)
+            placed_at, shard_counts = self._placed
+            ensure_seconds = 0.0
+            if placed_at != version or len(shard_counts) != len(snapshot):
+                extents = cluster._ensure(self.dataset_id, lambda w: lineage, version)
+                shard_counts = [extent.shards for extent in extents]
+                self._placed = (version, shard_counts)
+                ensure_seconds = round(clock() - started, 6)
             fan = FanOut(
                 sketch,
                 [w.name for w in snapshot],
-                [extent.shards for extent in extents],
+                shard_counts,
                 clock=clock,
                 steal_after=steal_after_seconds(cluster.aggregation_interval),
                 token=token,
                 # Unique across roots that share a daemon fleet.
                 fanout=uuid.uuid4().hex[:12],
-                profile={"ensureSeconds": round(clock() - started, 6)},
+                profile={"ensureSeconds": ensure_seconds},
                 engine_started=started,
             )
             events: queue.Queue = queue.Queue()
-            threads: list[threading.Thread] = []
             with span(
                 "cluster.fanout",
                 dataset=self.dataset_id,
                 sketch=sketch.name,
                 workers=len(snapshot),
-            ) as fan_ctx:
-
-                def start(target, *args) -> None:
-                    def run() -> None:
-                        with use_context(fan_ctx):
-                            target(*args)
-
-                    threads.append(threading.Thread(target=run, daemon=True))
-                    threads[-1].start()
-
-                for slot in range(len(snapshot)):
-                    start(self._worker_stream, slot, sketch, lineage, token,
-                          snapshot, version, fan, events.put)
+            ):
+                fan_ctx = current_context()  # streams and claims parent here
+                tasks = [
+                    cluster._pool.submit(
+                        fan_ctx, self._worker_stream, slot, sketch, lineage,
+                        token, snapshot, version, fan, events.put,
+                    )
+                    for slot in range(len(snapshot))
+                ]
                 while not fan.finished:
                     event, *args = events.get()
                     for action in event(*args):
                         if isinstance(action, Claim):
-                            start(self._steal_claim, action, sketch, snapshot,
-                                  fan, events.put)
+                            tasks.append(cluster._pool.submit(
+                                fan_ctx, self._steal_claim, action, sketch,
+                                snapshot, fan, events.put,
+                            ))
                             continue
                         with cluster._lock:
                             cluster.total_bytes_to_root += action.received_bytes
                         yield action
-                for thread in threads:
-                    thread.join()
+                for task in tasks:  # all at their end once fan finished
+                    task.result()
                 return fan.result()
         finally:
             cluster._exit_stream()

@@ -331,10 +331,11 @@ class WorkerServer:
         try:
             self._serve(rfile, wfile)
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            for stream in (rfile, wfile, sock):
+                try:
+                    stream.close()
+                except OSError:
+                    pass
 
     # -- what the daemon adds to its worker's answers ---------------------
     def _info(self) -> dict:
@@ -718,11 +719,19 @@ class _WorkerChannel:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
         self._reader.join(timeout=5.0)
+        # The descriptor closes with the last file object made from the
+        # socket.  The reader's file closes only once the reader left it
+        # (a close would wait out its read).
+        streams = [self._wfile, self._sock]
+        if not self._reader.is_alive():
+            streams.insert(0, self._rfile)
+        with self._lock:  # no submit is mid-write
+            for stream in streams:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
 
 
 class RemoteWorkerProxy(WorkerProtocol):
@@ -879,10 +888,8 @@ def dial_worker(
     connect and the handshake."""
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
-        ack = call_once(
-            sock.makefile("rb"), sock.makefile("wb"), 0, "hello",
-            where=f"worker {host}:{port}",
-        )
+        with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
+            ack = call_once(rfile, wfile, 0, "hello", where=f"worker {host}:{port}")
     except BaseException:
         sock.close()
         raise

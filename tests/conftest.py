@@ -22,6 +22,7 @@ def pytest_configure(config):
         "(also run by the scheduled CI chaos job)",
     )
 
+from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource, generate_flights
 from repro.engine.cluster import Cluster, Worker
 from repro.engine.placement import parse_address
@@ -32,6 +33,7 @@ from repro.engine.remote import (
     spawn_worker,
 )
 from repro.engine.verbs import WIRE_VERBS
+from repro.sketches.histogram import HistogramSketch
 from repro.sketches.specs import CANONICAL_SCHEMA, DATE_HI, DATE_LO
 from repro.storage import columnar
 from repro.table.column import (
@@ -141,6 +143,46 @@ def count_verb_calls(worker) -> collections.Counter:
             method = getattr(worker, verb.method)
             setattr(worker, verb.method, counted(verb.wire, method))
     return calls
+
+
+def check_resident_threads(build, column: str, monkeypatch) -> None:
+    """``build()`` makes a ``(cluster, dataset)``; 50 uncached histograms
+    of ``column`` follow.  The last 45 must start no thread, the threads
+    started since this began must stay as many as after the first 5,
+    and after ``cluster.close()`` none of them may be alive.  Counting
+    only threads started here keeps pools that earlier tests left
+    idling out of the count."""
+    monkeypatch.setenv("REPRO_STEAL_AFTER", "inf")  # no claim tasks
+    before = set(threading.enumerate())
+    cluster, dataset = build()
+    counts = iter(range(10, 60))
+
+    def sketches(n: int) -> None:
+        for _ in range(n):
+            buckets = DoubleBuckets(0, 100, next(counts))
+            dataset.sketch(HistogramSketch(column, buckets))
+
+    def new_threads() -> list:
+        return [t for t in threading.enumerate() if t not in before]
+
+    try:
+        sketches(5)
+        after_five = len(new_threads())
+        started: list = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        sketches(45)
+        monkeypatch.undo()
+        assert started == []
+        assert len(new_threads()) == after_five
+    finally:
+        cluster.close()
+    assert [t.name for t in new_threads() if t.is_alive()] == []
 
 
 class InProcessDeployment:

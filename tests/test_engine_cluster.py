@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.buckets import DoubleBuckets
 from repro.engine.cache import ComputationCache, DataCache
 
-from repro.engine.cluster import Cluster
+from repro.engine.cluster import Cluster, ResidentPool
 from repro.engine.dataset import DeriveMap, FilterMap
 from repro.engine.faults import FaultInjector
+from repro.engine.local import LocalDataSet
 from repro.engine.progress import CancellationToken
 from repro.engine.redo_log import RedoLog
 from repro.errors import DatasetMissingError, EngineError
+from repro.obs.trace import TraceContext, current_context
 from repro.sketches.histogram import HistogramSketch
 from repro.sketches.moments import MomentsSketch
 from repro.storage.loader import TableSource
 from repro.table.compute import ColumnPredicate
 from repro.table.schema import ContentsKind
 
-from tests.conftest import count_verb_calls
+from tests.conftest import check_resident_threads, count_verb_calls
 
 BUCKETS = DoubleBuckets(0, 100, 20)
 
@@ -61,13 +66,18 @@ class TestExecution:
     def test_rows_and_schema_are_read_off_the_dataset(
         self, cluster, medium_numeric
     ):
-        """Load and map each ask every worker once (``ensure``); after
-        that, size and schema are the dataset's own — no worker call,
-        even once every worker has lost its shards."""
+        """Load and map each ask every worker once (``ensure``); a sketch
+        then costs each worker one ``sketch`` and no ``ensure``.  Size
+        and schema are the dataset's own — no worker call, even once
+        every worker has lost its shards."""
         calls = [count_verb_calls(worker) for worker in cluster.workers]
         dataset = cluster.load(TableSource([medium_numeric], shards_per_table=12))
         derived = dataset.map(FilterMap(ColumnPredicate("value", "<", 25)))
         assert all(count == {"ensure": 2} for count in calls)
+        for count in range(10, 13):  # uncached: a fresh bucket count each
+            dataset.sketch(HistogramSketch("value", DoubleBuckets(0, 100, count)))
+            derived.sketch(HistogramSketch("value", DoubleBuckets(0, 100, count)))
+        assert all(count == {"ensure": 2, "sketch": 6} for count in calls)
         for index in range(len(cluster.workers)):
             cluster.kill_worker(index)
         for count in calls:
@@ -95,6 +105,107 @@ class TestExecution:
         assert first.value.total_in_range > 0
         # The run ends early (queued micropartitions skipped).
         assert len(rest) <= 12
+
+
+def final_partial(dataset, sketch):
+    """The last partial of ``sketch``'s stream (uncached, so a fan-out)."""
+    *_, last = dataset.sketch_stream(sketch)
+    return last
+
+
+class TestShardCountRecord:
+    """A dataset keeps each worker's shard count from the ``ensure`` that
+    materialized it, and a sketch at that placement sends no ``ensure``.
+    What the record says must stay true whatever the fleet loses."""
+
+    def check(self, dataset, table, buckets: int, shards: int):
+        sketch = HistogramSketch("value", DoubleBuckets(0, 100, buckets))
+        last = final_partial(dataset, sketch)
+        assert last.value.to_bytes() == LocalDataSet(table).sketch(sketch).to_bytes()
+        assert last.progress == 1.0
+        assert last.profile["totalShards"] == shards
+
+    def test_a_fleet_that_lost_the_dataset_replays_it(self, cluster, medium_numeric):
+        dataset = cluster.load(TableSource([medium_numeric], shards_per_table=12))
+        for index in range(len(cluster.workers)):
+            cluster.kill_worker(index)
+        calls = [count_verb_calls(worker) for worker in cluster.workers]
+        self.check(dataset, medium_numeric, 21, 12)
+        cluster.evict_dataset(dataset.dataset_id)
+        self.check(dataset, medium_numeric, 22, 12)
+        assert all(count == {"sketch": 2, "evict": 1} for count in calls)
+
+    @pytest.mark.parametrize("resize", ["grow", "shrink"])
+    def test_a_placement_change_refreshes_the_record_once(
+        self, cluster, medium_numeric, resize
+    ):
+        dataset = cluster.load(TableSource([medium_numeric], shards_per_table=12))
+        if resize == "grow":
+            cluster.grow(1)
+        else:
+            cluster.shrink([0])
+        calls = [count_verb_calls(worker) for worker in cluster.workers]
+        self.check(dataset, medium_numeric, 23, 12)
+        self.check(dataset, medium_numeric, 24, 12)
+        assert all(count == {"ensure": 1, "sketch": 2} for count in calls)
+
+    def test_ensure_seconds_reads_zero_off_the_record(self, flights_cluster):
+        cluster, dataset = flights_cluster
+        sketch = HistogramSketch("Distance", DoubleBuckets(0, 5000, 25))
+        assert final_partial(dataset, sketch).profile["ensureSeconds"] == 0.0
+        cluster.grow(1)
+        sketch = HistogramSketch("Distance", DoubleBuckets(0, 5000, 26))
+        assert final_partial(dataset, sketch).profile["ensureSeconds"] > 0.0
+
+
+class TestResidentThreads:
+    def test_the_root_pool_counts_idle_threads_under_contention(self):
+        """Eight submitters race on one pool with a tiny switch interval:
+        every task runs once, with its submitter's trace context, and
+        once all ended every thread the pool kept is counted idle (a lost
+        update would start a thread per task or queue one forever)."""
+        pool = ResidentPool("stress")
+        results: list = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def submitter(n: int) -> None:
+                ctx = TraceContext.new_root()
+                futures = [
+                    pool.submit(ctx, lambda i: (i, current_context()), n * 100 + i)
+                    for i in range(100)
+                ]
+                results.extend((f.result(timeout=30), ctx) for f in futures)
+
+            threads = [
+                threading.Thread(target=submitter, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pool._idle == len(pool._threads)
+        finally:
+            sys.setswitchinterval(previous)
+            pool.close()
+        assert sorted(value for (value, _), _ in results) == list(range(800))
+        assert all(seen is ctx for (_, seen), ctx in results)
+        assert not any(thread.is_alive() for thread in pool._threads)
+
+    def test_sketches_reuse_the_pools(self, medium_numeric, monkeypatch):
+        """The root's pool and each worker's leaf pool are kept across
+        sketches, and ``close`` stops them."""
+
+        def build():
+            cluster = Cluster(
+                num_workers=2, cores_per_worker=2, aggregation_interval=0.01
+            )
+            source = TableSource([medium_numeric], shards_per_table=12)
+            return cluster, cluster.load(source)
+
+        check_resident_threads(build, "value", monkeypatch)
 
 
 class TestComputationCache:

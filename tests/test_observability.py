@@ -29,6 +29,7 @@ from repro.cli import RemoteSession, _worker_line
 from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster, Worker
+from repro.engine.dataset import FilterMap
 from repro.engine.rpc import NO_PAYLOAD, RpcReply, RpcRequest
 from repro.engine.placement import StalePlacementError
 from repro.errors import WorkerUnavailableError
@@ -49,6 +50,7 @@ from repro.obs.trace import (
 from repro.service import ServiceClient, ServiceServer
 from repro.sketches.histogram import HistogramSketch
 from repro.storage.loader import TableSource
+from repro.table.compute import ColumnPredicate
 
 from tests.conftest import WireDeployment
 
@@ -328,23 +330,30 @@ class TestTraceSurvivesFaults:
 
 class TestFanOutTracing:
     def test_worker_ensures_parent_under_the_ensure_broadcast(self):
-        # The ensure phase runs on _for_all_workers' pool threads, which
+        # Load and map broadcast ensure on the root pool's threads, which
         # carry the caller's context: inside span("cluster.ensure"),
-        # that span.
+        # that span.  A sketch at the same placement sends none.
         deployment = WireDeployment()
         try:
             cluster = deployment.root(
                 [deployment.make(f"worker-{i}") for i in range(2)]
             )
-            loaded = cluster.load(FlightsSource(2_000, partitions=4, seed=5))
-            ctx = TraceContext.new_root()
-            with use_context(ctx):
+            materialize, query = TraceContext.new_root(), TraceContext.new_root()
+            with use_context(materialize):
+                loaded = cluster.load(FlightsSource(2_000, partitions=4, seed=5))
+                loaded.map(FilterMap(ColumnPredicate("Distance", ">", 500.0)))
+            with use_context(query):
                 loaded.sketch(HistogramSketch("Distance", DoubleBuckets(0, 6000, 12)))
-            spans = RECORDER.spans(ctx.trace_id)
-            (ensure,) = [s for s in spans if s["name"] == "cluster.ensure"]
-            worker_ensures = [s for s in spans if s["name"] == "worker.ensure"]
-            assert len(worker_ensures) == 2
-            assert {s["parentId"] for s in worker_ensures} == {ensure["spanId"]}
+            # A daemon records its span after the reply; read once the
+            # sketch's round trips have passed.
+            spans = RECORDER.spans(materialize.trace_id)
+            ensures = [s["spanId"] for s in spans if s["name"] == "cluster.ensure"]
+            parents = [s["parentId"] for s in spans if s["name"] == "worker.ensure"]
+            assert len(ensures) == 2  # the load's and the map's
+            assert sorted(parents) == sorted(ensures * 2)  # both workers, each
+            names = [s["name"] for s in RECORDER.spans(query.trace_id)]
+            assert "cluster.fanout" in names
+            assert "cluster.ensure" not in names and "worker.ensure" not in names
         finally:
             deployment.close()
 
@@ -398,10 +407,12 @@ class TestServiceTracing:
         assert {
             "scheduler.queue",
             "query.sketch",
-            "cluster.ensure",
             "cluster.fanout",
             "worker.stream",
         } <= names
+        # The dataset is resident at the current placement: the sketch
+        # is the only request each worker gets.
+        assert "cluster.ensure" not in names
         assert all(s["traceId"] == ctx.trace_id for s in spans)
 
         # Parenting: the propagated request context is the one root span;

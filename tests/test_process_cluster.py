@@ -7,6 +7,7 @@ the multi-server topology of §5.2 on one machine.
 from __future__ import annotations
 
 import ctypes
+import gc
 import json
 import os
 import subprocess
@@ -30,7 +31,7 @@ from repro.storage.loader import ColumnarDatasetSource
 from repro.table.compute import ColumnPredicate
 from repro.table.table import Table
 
-from tests.conftest import count_verb_calls, daemon_fleet
+from tests.conftest import check_resident_threads, count_verb_calls, daemon_fleet
 
 pytestmark = pytest.mark.tier2
 
@@ -74,9 +75,11 @@ class TestRemoteDatasets:
         ]
 
     def test_rows_and_schema_are_read_off_the_dataset(self, reference):
-        """Load and map each send every proxy one ``ensure``; after that,
-        size and schema cost no round trip — even with every worker
-        process killed."""
+        """Load and map each send every proxy one ``ensure``; a sketch
+        then sends each one ``sketch`` and no ``ensure``.  Size and
+        schema cost no round trip — even with every worker process
+        killed, and a sketch after that replays the lineage on the
+        revived workers off the same shard counts."""
         cluster = ProcessCluster(
             num_workers=2, cores_per_worker=1, aggregation_interval=0.01
         )
@@ -85,6 +88,11 @@ class TestRemoteDatasets:
             dataset = cluster.load(SOURCE)
             derived = dataset.map(FilterMap(ColumnPredicate("Distance", ">", 500.0)))
             assert all(count == {"ensure": 2} for count in calls)
+            for count in range(10, 13):  # uncached: a fresh bucket count each
+                buckets = DoubleBuckets(0, 5000, count)
+                dataset.sketch(HistogramSketch("Distance", buckets))
+                derived.sketch(HistogramSketch("Distance", buckets))
+            assert all(count == {"ensure": 2, "sketch": 6} for count in calls)
             for index in range(len(cluster.workers)):
                 cluster.kill_worker_process(index)
             far = int((reference.column("Distance").data > 500.0).sum())
@@ -93,9 +101,49 @@ class TestRemoteDatasets:
                 assert dataset.schema == reference.schema
                 assert derived.total_rows == far
                 assert derived.schema == reference.schema
-            assert all(count == {"ensure": 2} for count in calls)
+            assert all(count == {"ensure": 2, "sketch": 6} for count in calls)
+            sketch = HistogramSketch("Distance", DoubleBuckets(0, 5000, 13))
+            *_, last = dataset.sketch_stream(sketch)
+            assert (
+                last.value.to_bytes()
+                == LocalDataSet(reference).sketch(sketch).to_bytes()
+            )
+            assert last.progress == 1.0
+            assert last.profile["totalShards"] == SOURCE.partitions
         finally:
             cluster.close()
+
+    def test_sketches_reuse_the_pools(self, monkeypatch):
+        """No thread starts per sketch at the root or in the workers'
+        stream handling, and ``close`` stops every thread it started."""
+
+        def build():
+            cluster = ProcessCluster(
+                num_workers=2, cores_per_worker=1, aggregation_interval=0.01
+            )
+            return cluster, cluster.load(SOURCE)
+
+        check_resident_threads(build, "Distance", monkeypatch)
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_close_leaves_no_socket_open(self):
+        """Every file object the dial and the channel open is closed, so
+        closing a cluster closes its sockets' descriptors at once — not
+        when a collection gets to them, warning of an unclosed socket."""
+        cluster = ProcessCluster(
+            num_workers=2, cores_per_worker=1, aggregation_interval=0.01
+        )
+        channels = [proxy.channel for proxy in cluster.workers]
+        try:
+            cluster.load(SOURCE).sketch(
+                HistogramSketch("Distance", DoubleBuckets(0, 5000, 14))
+            )
+        finally:
+            cluster.close()
+        assert [channel._sock.fileno() for channel in channels] == [-1, -1]
+        del cluster, channels
+        gc.collect()
 
     def test_maps_run_on_the_workers(self, dataset, reference):
         """filter -> derive-expression -> project, all over the wire, then
