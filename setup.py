@@ -1,12 +1,19 @@
-"""Legacy setup shim.
+"""Package metadata: ``python setup.py develop`` installs ``repro`` from
+``src`` as an editable package.
 
-The execution environment has no network access and an older setuptools
-without the ``wheel`` package, so PEP 660 editable installs
-(``pip install -e .``) cannot build.  ``python setup.py develop`` installs
-the same editable package without needing a wheel.  All real metadata lives
-in ``pyproject.toml``.
+PEP 660 editable installs (``pip install -e .``) need the ``wheel``
+package, which an offline machine with an older setuptools may lack;
+``setup.py develop`` needs neither.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="A reproduction of Hillview: a trillion-cell spreadsheet for big data",
+    python_requires=">=3.11",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "orjson"],
+)

@@ -18,7 +18,8 @@ From that table this module *derives* every codec the system speaks: the
 binary ``Summary.encode``/``decode`` pair, ``summary_to_json`` /
 ``summary_from_json`` / ``summary_to_bytes`` / ``summary_from_bytes``,
 ``sketch_from_json`` / ``sketch_to_json``, and the JSON text the reply
-encoders send (``summary_json`` + ``dumps``).  The lineage and spec
+encoders send (``summary_json`` + ``dumps``), which every reader of a
+reply frame parses with ``loads``.  The lineage and spec
 values are members of a :class:`TaggedUnion` per family (``SOURCES``,
 ``TABLE_MAPS``, ``LINEAGE_OPS``, ``PREDICATES``, ``BUCKET_TYPES``, each
 defined beside its base class); the union's ``to_json``/``from_json``
@@ -41,6 +42,7 @@ from operator import attrgetter
 from typing import Any, Callable, ClassVar
 
 import numpy as np
+import orjson
 
 from repro.core.serialization import (
     Decoder,
@@ -116,6 +118,32 @@ def dumps(fields: dict, sort_keys: bool = False) -> str:
     if plain:
         parts.append(encode(plain)[1:-1])
     return "{" + ", ".join(parts) + "}"
+
+
+#: Maps each digit byte to ``0`` and every other byte to a space, so a run
+#: of 19 digits in a document is ``_LONG_DIGIT_RUN`` in its translation.
+_DIGIT_BYTES = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
+_LONG_DIGIT_RUN = b"0" * 19
+
+
+def loads(data: bytes | str) -> Any:
+    """``json.loads(data)``, at native speed for a reply frame.
+
+    orjson parses it, except where the two parsers differ:
+    ``json.loads`` reads what orjson refuses (``NaN``/``Infinity`` from a
+    non-finite float, a lone surrogate in a string) and keeps an integer
+    outside [-2**63, 2**64) exact, where orjson returns a float.  Such an
+    integer has at least 19 digits, so a document holding a run of 19
+    digits goes to ``json.loads`` whole; the count grids of wide replies
+    hold short integers and take the fast path.
+    """
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    if _LONG_DIGIT_RUN not in raw.translate(_DIGIT_BYTES):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(data if isinstance(data, str) else str(data, "utf-8"))
 
 
 def _dumps_list(items: list, sort_keys: bool) -> list | JsonText:

@@ -1208,12 +1208,19 @@ class Worker(WorkerProtocol):
         for hits, _, recipe, size in ranked:
             if exported and spent + size > budget_bytes:
                 break
+            try:
+                sketch = sketch_to_json(recipe["sketch"])
+                lineage = LINEAGE.to_json(recipe["lineage"])
+            except ProtocolError:
+                # Not describable on a wire (an in-memory TableSource, an
+                # unregistered sketch): no joiner could replay it.
+                continue
             spent += size
             exported.append(
                 {
                     "dataset": recipe["dataset"],
-                    "sketch": sketch_to_json(recipe["sketch"]),
-                    "lineage": LINEAGE.to_json(recipe["lineage"]),
+                    "sketch": sketch,
+                    "lineage": lineage,
                     "hits": hits,
                     "bytes": size,
                 }

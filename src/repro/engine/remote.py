@@ -472,11 +472,19 @@ class WorkerServer:
             with self._inflight_lock:
                 self._inflight += 1
         try:
+            # The terminal reply waits for the span to close, so a trace
+            # read once the root holds it already has ``worker.<verb>``.
+            terminal = None
             with serve_span(
                 ctx, f"worker.{request.method}", worker=self.worker.name
             ):
                 for reply in self._dispatch(request, link):
-                    self._reply(link, reply)
+                    if reply.kind in TERMINAL_REPLY_KINDS:
+                        terminal = reply
+                    else:
+                        self._reply(link, reply)
+            if terminal is not None:
+                self._reply(link, terminal)
         except (ConnectionError, OSError, ValueError):
             # The root is gone mid-stream: stop producing for it.
             with link.tokens_lock:

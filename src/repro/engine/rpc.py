@@ -32,6 +32,7 @@ from repro.core.wire import (
     cell_from_json,
     cell_to_json,
     dumps,
+    loads,
     sketch_from_json,
     sketch_to_json,
     summary_attachment,
@@ -67,6 +68,20 @@ class UnknownHandleError(ProtocolError):
     code = "unknown_handle"
 
 
+#: A requestId is a signed 64-bit integer on both client wires, so the
+#: echo of it in every reply is one too (docs/PROTOCOL.md §2.1).
+REQUEST_ID_MIN, REQUEST_ID_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def check_request_id(request_id: int) -> int:
+    """``request_id`` if it lies in the int64 range, else ProtocolError."""
+    if not REQUEST_ID_MIN <= request_id <= REQUEST_ID_MAX:
+        raise ProtocolError(
+            f"requestId {request_id} is outside the signed 64-bit range"
+        )
+    return request_id
+
+
 # ---------------------------------------------------------------------------
 # Envelopes
 # ---------------------------------------------------------------------------
@@ -91,6 +106,11 @@ class RpcRequest:
     trace: dict | None = None
     attachment: bytes | None = None
 
+    def __post_init__(self) -> None:
+        # Both wires build their requests here, so both refuse an id out
+        # of range: TCP with a protocol error, the gateway a bad_request.
+        check_request_id(self.request_id)
+
     def to_json(self) -> str:
         data: dict = {
             "requestId": self.request_id,
@@ -108,16 +128,21 @@ class RpcRequest:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ProtocolError("a request must be a JSON object")
         for key in ("requestId", "target", "method"):
             if key not in data:
                 raise ProtocolError(f"request missing {key!r}")
-        return cls(
-            request_id=int(data["requestId"]),
-            target=str(data["target"]),
-            method=str(data["method"]),
-            args=dict(data.get("args") or {}),
-            trace=data.get("trace"),
-        )
+        try:
+            return cls(
+                request_id=int(data["requestId"]),
+                target=str(data["target"]),
+                method=str(data["method"]),
+                args=dict(data.get("args") or {}),
+                trace=data.get("trace"),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"malformed request: {exc}") from exc
 
     def to_frame(self) -> bytes:
         """This request as one wire frame (JSON, or binary if attached)."""
@@ -263,8 +288,8 @@ class RpcReply:
         return dumps({**self._fields(payload), **extra}, sort_keys)
 
     @classmethod
-    def from_json(cls, text: str) -> "RpcReply":
-        data = json.loads(text)
+    def from_json(cls, text: bytes | str) -> "RpcReply":
+        data = loads(text)
         return cls(
             request_id=int(data["requestId"]),
             kind=str(data["kind"]),

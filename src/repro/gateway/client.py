@@ -17,6 +17,7 @@ import socket
 from collections import deque
 from typing import Iterator
 
+from repro.core.wire import loads
 from repro.errors import HillviewError
 from repro.gateway import websocket as ws
 from repro.gateway.protocol import PROTOCOL_VERSION
@@ -64,7 +65,7 @@ class GatewayClient:
         raw = response.read()
         content_type = response.headers.get("Content-Type", "")
         if "application/json" in content_type:
-            decoded: object = json.loads(raw.decode("utf-8")) if raw else {}
+            decoded: object = loads(raw) if raw else {}
         else:
             decoded = raw.decode("utf-8", errors="replace")
         if raise_on_error and response.status >= 400:
@@ -279,7 +280,7 @@ class GatewayWebSocket:
                 continue
             if message.opcode == ws.OP_CLOSE:
                 raise ws.ConnectionClosed("server closed the WebSocket")
-            return json.loads(message.data.decode("utf-8"))
+            return loads(message.data)
 
     def _claim(self, request_id: int | None) -> dict | None:
         queue = self._inbox.get(request_id)

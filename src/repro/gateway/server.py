@@ -52,6 +52,7 @@ from repro.engine.rpc import (
     ProtocolError,
     RpcReply,
     RpcRequest,
+    check_request_id,
 )
 from repro.gateway import http as gw_http
 from repro.gateway import websocket as ws
@@ -610,9 +611,9 @@ class GatewayServer(ServerHost):
             resume = {}
         for raw_id, raw_seq in sorted(resume.items(), key=lambda kv: str(kv[0])):
             try:
-                request_id = int(raw_id)
+                request_id = check_request_id(int(raw_id))
                 last_seq = int(raw_seq)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError, ProtocolError):
                 continue
             stream = streams.get(request_id)
             if stream is None:
@@ -758,7 +759,13 @@ class GatewayServer(ServerHost):
             if kind == "ping":
                 await outbox.put(_text({"type": "pong"}))
             elif kind == "cancel":
-                request_id = int(data.get("requestId", -1))
+                try:
+                    request_id = check_request_id(int(data.get("requestId", -1)))
+                except (TypeError, ValueError, OverflowError, ProtocolError) as exc:
+                    await outbox.put(
+                        _error("bad_request", f"malformed cancel message: {exc}")
+                    )
+                    continue
                 cancelled = session.cancel_request(request_id)
                 # Not a "reply": the stream itself still terminates with
                 # its own cancelled/complete envelope, and a reply-kind
@@ -800,7 +807,9 @@ class GatewayServer(ServerHost):
                 if negotiated.enabled("trace_context")
                 else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (
+            KeyError, TypeError, ValueError, OverflowError, ProtocolError
+        ) as exc:
             await outbox.put(
                 _error("bad_request", f"malformed request message: {exc}")
             )

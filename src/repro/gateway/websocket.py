@@ -113,8 +113,7 @@ def encode_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
         return bytes(head) + payload
     key = os.urandom(4)
     head += key
-    masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(head) + masked
+    return bytes(head) + _unmask(payload, key)
 
 
 def close_frame(status: int = 1000, reason: str = "", mask: bool = False) -> bytes:
@@ -133,7 +132,13 @@ def _decode_head(b0: int, b1: int) -> tuple[bool, int, bool, int]:
 
 
 def _unmask(payload: bytes, key: bytes) -> bytes:
-    return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+    """``payload`` XOR the 4-byte ``key`` repeated (RFC 6455 §5.3); it is
+    its own inverse, so it also masks.  One big-integer XOR, not a
+    Python loop over the bytes."""
+    length = len(payload)
+    stream = (key * (length // 4 + 1))[:length]
+    masked = int.from_bytes(payload, "little") ^ int.from_bytes(stream, "little")
+    return masked.to_bytes(length, "little")
 
 
 async def _read_frame(

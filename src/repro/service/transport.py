@@ -531,7 +531,7 @@ class ServiceClient:
                 frame = read_frame_blocking(self._rfile)
                 if frame is None:
                     break
-                reply = RpcReply.from_json(frame.decode("utf-8"))
+                reply = RpcReply.from_json(frame)
                 with self._lock:
                     pending = self._pending.get(reply.request_id)
                     if pending is not None and reply.kind in TERMINAL_KINDS:

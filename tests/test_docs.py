@@ -30,6 +30,8 @@ from repro.core.wire import (
     Derived,
 )
 from repro.engine.rpc import (
+    REQUEST_ID_MAX,
+    REQUEST_ID_MIN,
     TERMINAL_REPLY_KINDS,
     WIRE_ERROR_CODES,
     RpcReply,
@@ -131,6 +133,10 @@ class TestWireExamples:
             conformance_block(PROTOCOL_MD, "binary-envelope-framed-hex")
         )
         assert encode_frame(raw) == framed
+
+    @pytest.mark.parametrize("doc", [PROTOCOL_MD, GATEWAY_MD], ids=["tcp", "ws"])
+    def test_documented_request_id_range(self, doc):
+        assert f"`{REQUEST_ID_MIN}` to `{REQUEST_ID_MAX}`" in doc
 
     def test_terminal_kinds(self):
         documented = set(conformance_block(PROTOCOL_MD, "terminal-kinds").split())

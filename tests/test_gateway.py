@@ -10,10 +10,14 @@ wrapper.
 
 from __future__ import annotations
 
+import io
 import json
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.service.slow  # noqa: F401 — registers the "slow" sketch type
 from repro.data.flights import FlightsSource
@@ -30,10 +34,15 @@ from repro.gateway import (
     protocol_payload,
 )
 from repro.engine.progress import CancellationToken
-from repro.engine.rpc import RpcReply, RpcRequest
+from repro.engine.rpc import REQUEST_ID_MAX, REQUEST_ID_MIN, RpcReply, RpcRequest
 from repro.gateway.client import GatewayError
 from repro.gateway.server import _Stream, reply_frame
-from repro.gateway.websocket import ConnectionClosed, OP_TEXT, encode_frame
+from repro.gateway.websocket import (
+    OP_TEXT,
+    ConnectionClosed,
+    encode_frame,
+    read_message_blocking,
+)
 from repro.service import (
     ConnectionDirector,
     ServiceClient,
@@ -354,6 +363,58 @@ class TestWsHandshake:
         assert welcome["session"] == session_id
         ws.close()
         api.close_session(session_id)
+
+
+def masked_per_byte(payload: bytes, key: bytes) -> bytes:
+    """RFC 6455 §5.3 as written: byte ``i`` XOR key byte ``i mod 4``."""
+    return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+
+
+class _Socket:
+    def __init__(self, data: bytes):
+        self.recv = io.BytesIO(data).read
+
+
+class TestMasking:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.sampled_from([0, 1, 3, 4, 5, 125, 126, 127, 65535, 65536])
+        | st.integers(0, 70_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_masked_frame_is_the_per_byte_mask(self, length, seed):
+        payload = random.Random(seed).randbytes(length)
+        frame = encode_frame(OP_TEXT, payload, mask=True)
+        head = 2 + (2 if 126 <= length < 65536 else 8 if length >= 65536 else 0)
+        key, body = frame[head : head + 4], frame[head + 4 :]
+        assert frame[1] & 0x80 and len(body) == length
+        assert body == masked_per_byte(payload, key)
+        assert read_message_blocking(_Socket(frame)).data == payload
+
+
+class TestRequestIdRange:
+    @pytest.mark.parametrize("request_id", [REQUEST_ID_MAX + 1, REQUEST_ID_MIN - 1])
+    def test_out_of_range_ids_are_bad_requests(self, gateway, request_id):
+        ws = open_ws(gateway)
+        ws.connect()
+        for message in (
+            {"type": "request", "requestId": request_id, "method": "ping"},
+            {"type": "cancel", "requestId": request_id},
+        ):
+            ws._send_json(message)
+            answer = ws.recv(None)
+            assert answer["type"] == "error" and answer["code"] == "bad_request"
+        # The connection stays usable, and both ends of the range are ids.
+        for edge in (REQUEST_ID_MIN, REQUEST_ID_MAX):
+            ws.submit(edge, "ping")
+            assert ws.result(edge)["requestId"] == edge
+        ws.close()
+
+    def test_an_out_of_range_resume_entry_is_skipped(self, gateway):
+        ws = open_ws(gateway)
+        welcome = ws.connect(resume={str(REQUEST_ID_MAX + 1): 0, "778": 0})
+        assert welcome["expired"] == [778]
+        ws.close()
 
 
 # ---------------------------------------------------------------------------

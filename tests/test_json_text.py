@@ -8,6 +8,11 @@ be what ``json.dumps`` wrote before — this file pins that identity for
 arrays of every shape, for every summary the goldens cover (keys in table
 order and sorted), and inside the reply frames of both client wires.
 
+Every reader of a reply frame parses it with :func:`repro.core.wire.loads`
+(orjson, and ``json.loads`` where the two parsers differ); the last
+section pins that it reads every frame the server can send, and any
+envelope, exactly as ``json.loads`` does.
+
 On the worker wire a count grid travels at the narrowest unsigned width
 that holds it and is widened back to int64 on read; the width edges are
 pinned here too.
@@ -15,9 +20,12 @@ pinned here too.
 
 from __future__ import annotations
 
+import io
 import json
+import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,11 +38,14 @@ from repro.core.wire import (
     JsonText,
     dumps,
     int_array_json,
+    loads,
     summary_json,
 )
 from repro.data.flights import FlightsSource
 from repro.engine.local import LocalDataSet
 from repro.engine.rpc import (
+    REQUEST_ID_MAX,
+    REQUEST_ID_MIN,
     RpcReply,
     sketch_from_json,
     summary_from_bytes,
@@ -45,6 +56,7 @@ from repro.gateway import websocket as ws
 from repro.gateway.server import reply_frame as gateway_frame
 from repro.service.transport import reply_frame as tcp_frame
 from repro.sketches.heatmap import HeatmapSummary
+from repro.sketches.moments import MomentsSketch
 from repro.sketches.specs import SKETCH_SPECS
 from repro.table.table import Table
 from test_wire_golden import EXTRA_SPECS, FLIGHTS_SPECS, canonical_shards
@@ -323,3 +335,117 @@ def test_the_wide_heat_map_travels_at_one_byte_a_cell():
     back = summary_from_bytes(blob)
     assert back.counts.dtype == np.int64
     assert summary_to_json(back) == summary_to_json(summary)
+
+
+# ---------------------------------------------------------------------------
+# Reading the frames back: loads is json.loads
+# ---------------------------------------------------------------------------
+def assert_same(got, expected) -> None:
+    """The same JSON value: the same type at every node, floats bit for
+    bit (``-0.0`` is not ``0.0``), object keys in the same order."""
+    assert type(got) is type(expected), (got, expected)
+    if type(expected) is float:
+        assert struct.pack("<d", got) == struct.pack("<d", expected), (got, expected)
+    elif type(expected) is dict:
+        assert list(got) == list(expected)
+        for key, value in expected.items():
+            assert_same(got[key], value)
+    elif type(expected) is list:
+        assert len(got) == len(expected)
+        for item, value in zip(got, expected):
+            assert_same(item, value)
+    else:
+        assert got == expected
+
+
+class _Socket:
+    """What a client reads a frame through: ``recv`` over ``data``."""
+
+    def __init__(self, data: bytes):
+        self.recv = io.BytesIO(data).read
+
+
+def assert_loads_reads_as_json(reply: RpcReply, seq: int = 1) -> bytes:
+    """Both wires' text of ``reply`` decodes alike with either parser;
+    returns the gateway message, as a client reads it off the frame."""
+    message = ws.read_message_blocking(_Socket(gateway_frame(reply, seq))).data
+    for data in (message, reply.to_json().encode("utf-8")):
+        assert_same(loads(data), json.loads(data.decode("utf-8")))
+    return message
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_loads_reads_every_reply_frame_as_json_loads(name):
+    for seq, reply in enumerate(_replies(SUMMARIES[name]), start=1):
+        assert_loads_reads_as_json(reply, seq)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf + -inf
+def test_a_non_finite_stat_takes_the_fallback():
+    inf = float("inf")
+    table = Table.from_pydict({"x": [1.5, inf, -inf, -0.0, None]})
+    stats = LocalDataSet(table).sketch(MomentsSketch("x"))
+    assert stats.min_value == -inf and stats.max_value == inf
+    message = assert_loads_reads_as_json(RpcReply.carrying(5, "complete", stats))
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(message)  # NaN and Infinity: only json.loads reads them
+
+
+@pytest.mark.parametrize(
+    "value",
+    [REQUEST_ID_MIN, REQUEST_ID_MAX, 2**64 - 1, REQUEST_ID_MIN - 1, 2**64, -(10**40)],
+)
+def test_integers_stay_exact_past_int64(value):
+    # orjson alone returns a float for the last three.
+    assert_loads_reads_as_json(RpcReply(7, "ack", payload={"n": [value, 1.5]}))
+
+
+def test_signed_zeros_keep_their_sign_on_either_path():
+    inf = float("inf")
+    for extra in ([], [float("nan"), inf, -inf]):  # orjson's path, the fallback
+        payload = {"zeros": [-0.0, 0.0, -5e-324], "extra": extra}
+        assert_loads_reads_as_json(RpcReply(7, "partial", 0.5, payload=payload))
+
+
+@pytest.mark.parametrize("text", ["café", "日本語", "😀"])
+def test_non_ascii_cells_read_as_json_loads(text):
+    table = Table.from_pydict({"s": ["plain", text, text]})
+    stats = LocalDataSet(table).sketch(MomentsSketch("s"))
+    assert text in (stats.min_value, stats.max_value)
+    assert_loads_reads_as_json(RpcReply.carrying(5, "complete", stats))
+
+
+@pytest.mark.parametrize("text", ["café", "😀", "a\ud800b", "\udfff", "\ud83d"])
+def test_an_echoed_string_reads_as_json_loads(text):
+    # A request's strings are json.loads output, lone surrogates and all,
+    # and an error message can echo one (a column the client named).
+    message = assert_loads_reads_as_json(
+        RpcReply(6, "error", error=f"column {text} not found", code="engine")
+    )
+    assert text in loads(message)["error"]
+
+
+_INT64 = st.integers(REQUEST_ID_MIN, REQUEST_ID_MAX)
+_STRINGS = st.text(st.characters(blacklist_categories=()), max_size=8)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | _INT64 | st.integers() | st.floats() | _STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    request_id=_INT64,
+    seq=_INT64,
+    kind=st.sampled_from(["partial", "complete", "cancelled", "error", "ack"]),
+    progress=st.floats(0, 1),
+    payload=_VALUES,
+    cache=st.none() | st.dictionaries(_STRINGS, _VALUES, max_size=3),
+)
+def test_loads_reads_any_envelope_as_json_loads(
+    request_id, seq, kind, progress, payload, cache
+):
+    reply = RpcReply(request_id, kind, progress=progress, payload=payload, cache=cache)
+    assert_loads_reads_as_json(reply, seq)

@@ -342,15 +342,15 @@ class TestFanOutTracing:
             with use_context(materialize):
                 loaded = cluster.load(FlightsSource(2_000, partitions=4, seed=5))
                 loaded.map(FilterMap(ColumnPredicate("Distance", ">", 500.0)))
-            with use_context(query):
-                loaded.sketch(HistogramSketch("Distance", DoubleBuckets(0, 6000, 12)))
-            # A daemon records its span after the reply; read once the
-            # sketch's round trips have passed.
+            # A daemon records its span before its terminal reply, so the
+            # spans are there as soon as the last ensure returned.
             spans = RECORDER.spans(materialize.trace_id)
             ensures = [s["spanId"] for s in spans if s["name"] == "cluster.ensure"]
             parents = [s["parentId"] for s in spans if s["name"] == "worker.ensure"]
             assert len(ensures) == 2  # the load's and the map's
             assert sorted(parents) == sorted(ensures * 2)  # both workers, each
+            with use_context(query):
+                loaded.sketch(HistogramSketch("Distance", DoubleBuckets(0, 6000, 12)))
             names = [s["name"] for s in RECORDER.spans(query.trace_id)]
             assert "cluster.fanout" in names
             assert "cluster.ensure" not in names and "worker.ensure" not in names

@@ -12,6 +12,7 @@ import asyncio
 import contextlib
 import io
 import itertools
+import json
 import socket
 import threading
 import time
@@ -20,6 +21,7 @@ import pytest
 
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster
+from repro.engine.rpc import REQUEST_ID_MAX, REQUEST_ID_MIN, RpcReply
 from repro.gateway import GatewayServer, GatewayWebSocket
 from repro.gateway.client import GatewayError
 from repro.service import (
@@ -112,6 +114,26 @@ class TestBasicRpc:
             stream = sock.makefile("rb")
             frame = read_frame_blocking(stream)
             assert b'"protocol"' in frame
+
+    def test_an_id_outside_int64_gets_protocol_error(self, server):
+        import socket as socket_mod
+
+        with socket_mod.create_connection(server.address, timeout=5) as sock:
+            stream = sock.makefile("rb")
+
+            def exchange(request_id) -> RpcReply:
+                request = {"requestId": request_id, "target": "", "method": "ping"}
+                sock.sendall(encode_frame(json.dumps(request).encode("utf-8")))
+                return RpcReply.from_json(read_frame_blocking(stream))
+
+            for outside in (REQUEST_ID_MAX + 1, REQUEST_ID_MIN - 1, "one"):
+                refused = exchange(outside)
+                assert (refused.request_id, refused.kind) == (-1, "error")
+                assert refused.code == "protocol"
+            # The connection stays usable, and both ends of the range are ids.
+            for edge in (REQUEST_ID_MIN, REQUEST_ID_MAX):
+                answered = exchange(edge)
+                assert (answered.request_id, answered.kind) == (edge, "ack")
 
     def test_explicit_cancel_rpc(self, client):
         handle = client.load()

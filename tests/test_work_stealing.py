@@ -37,6 +37,7 @@ from repro.engine.local import LocalDataSet
 from repro.engine.redo_log import LoadOp
 from repro.service.slow import SlowdownSketch
 from repro.sketches.histogram import HistogramSketch
+from repro.storage.loader import TableSource
 from repro.table.table import Table
 
 ROWS = 6_000
@@ -278,6 +279,22 @@ class TestPrewarming:
             "the fresh root's first query missed the prewarmed memo"
         )
         assert fresh_run.value.to_bytes() == reference_bytes(hist())
+
+    def test_a_recipe_no_wire_can_describe_is_skipped(self, monkeypatch):
+        """Prewarm is best-effort: a dataset loaded from in-memory tables
+        (a ``TableSource``) has no lineage a joiner could be sent, so
+        its recipe is left out, the grow still commits, and the other
+        recipes still prewarm."""
+        monkeypatch.delenv("REPRO_PREWARM_BYTES", raising=False)
+        cluster = Cluster(num_workers=3, aggregation_interval=0.02)
+        table = Table.concat(SOURCE.load())
+        in_memory = cluster.load(TableSource([table], shards_per_table=12))
+        in_memory.run(hist())
+        cluster.load(SOURCE).run(hist())
+        assert cluster.grow(1) == 4
+        assert cluster.workers[-1].entries_warmed == 1
+        wider = HistogramSketch("Distance", DoubleBuckets(0, 3000, 11))
+        assert in_memory.run(wider).value.to_bytes() == reference_bytes(wider)
 
     def test_prewarm_disabled_by_zero_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREWARM_BYTES", "0")
