@@ -1,6 +1,9 @@
-"""Formatting helpers shared by the benchmark reports."""
+"""Helpers shared by the benchmarks: report formatting, and a root
+behind its gateway with the client calls the service benchmarks time."""
 
 from __future__ import annotations
+
+import time
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
@@ -47,3 +50,40 @@ def human_seconds(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.1f}ms"
     return f"{seconds:.2f}s"
+
+
+class Root:
+    """One root for a benchmark: a ``ServiceServer`` over ``cluster``
+    behind its ``GatewayServer``; ``address`` is the gateway's."""
+
+    def __init__(self, cluster, **service_kwargs):
+        from repro.gateway import GatewayServer
+        from repro.service import ServiceServer
+
+        self.service = ServiceServer(cluster, **service_kwargs)
+        self.gateway = GatewayServer(self.service)
+        self.address = self.gateway.start_background()
+
+    def close(self) -> None:
+        self.gateway.close()
+        self.service.close()
+
+
+def load(client, source: dict | None = None) -> str:
+    """Load ``source`` ({} = the root's default) on a connected
+    ``GatewayWebSocket``; returns the handle."""
+    return client.call("load", args={"source": source or {}})["payload"]["handle"]
+
+
+def timed_sketch(client, handle: str, spec: dict) -> tuple[float, float, list[dict]]:
+    """One sketch over a ``GatewayWebSocket``: (first-reply latency,
+    total latency, every reply through the terminal)."""
+    start = time.perf_counter()
+    first = None
+    replies = []
+    for reply in client.stream(client.request("sketch", handle, {"sketch": spec})):
+        if first is None:
+            first = time.perf_counter() - start
+        replies.append(reply)
+    assert replies[-1]["kind"] == "complete", replies[-1]
+    return first, time.perf_counter() - start, replies

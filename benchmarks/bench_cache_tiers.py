@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import os
 import subprocess
-import time
 
-from _harness import format_table, human_seconds
+from _harness import Root, format_table, human_seconds, load, timed_sketch
 from conftest import add_report
 
 from repro.engine.remote import ProcessCluster, spawn_worker
-from repro.service import ServiceClient, ServiceServer
+from repro.service.director import dial
 
 #: Quick mode (REPRO_BENCH_QUICK=1): the nightly CI perf-smoke job wants
 #: the same shape in a fraction of the time — smaller dataset, fewer
@@ -66,32 +65,18 @@ def spawn_fleet(size: int):
     return daemons, addresses
 
 
-def timed_sketch(client: ServiceClient, handle: str, spec: dict):
-    start = time.perf_counter()
-    first = None
-    terminal = None
-    for reply in client.sketch(handle, spec).replies(timeout=300):
-        if first is None:
-            first = time.perf_counter() - start
-        terminal = reply
-    assert terminal.kind == "complete", terminal.error
-    return first, time.perf_counter() - start, terminal
-
-
 def collect() -> tuple[dict, dict]:
     """Measure the three cache tiers; returns (results, hits) where
     ``results`` maps mode -> [(first, total), ...].  Shared by the pytest
     benchmark below and the nightly CI perf-smoke runner."""
     daemons, addresses = spawn_fleet(FLEET_SIZE)
-    servers, clusters = [], []
+    roots, clusters = [], []
     try:
         for _ in range(2):
             cluster = ProcessCluster(addresses=addresses, aggregation_interval=0.02)
             clusters.append(cluster)
-            server = ServiceServer(cluster)
-            server.start_background()
-            servers.append(server)
-        (root_a, root_b) = servers
+            roots.append(Root(cluster))
+        (root_a, root_b) = roots
 
         results: dict[str, list[tuple[float, float]]] = {
             "cold": [],
@@ -99,29 +84,29 @@ def collect() -> tuple[dict, dict]:
             "cross-root warm": [],
         }
         hits = {"warm same-root": 0, "cross-root warm": 0}
-        with ServiceClient(*root_a.address) as client_a, ServiceClient(
-            *root_b.address
+        with dial(*root_a.address, timeout=300) as client_a, dial(
+            *root_b.address, timeout=300
         ) as client_b:
-            handle_a = client_a.load(FLIGHTS_SPEC)
-            handle_b = client_b.load(FLIGHTS_SPEC)
+            handle_a = load(client_a, FLIGHTS_SPEC)
+            handle_b = load(client_b, FLIGHTS_SPEC)
             for run in range(RUNS):
                 buckets = 10 + run  # distinct cache key per run
                 spec = sketch_spec(buckets)
                 results["cold"].append(
                     timed_sketch(client_a, handle_a, spec)[:2]
                 )
-                first, total, reply = timed_sketch(client_a, handle_a, spec)
+                first, total, replies = timed_sketch(client_a, handle_a, spec)
                 results["warm same-root"].append((first, total))
-                hits["warm same-root"] += bool(reply.cache and reply.cache["hit"])
-                first, total, reply = timed_sketch(client_b, handle_b, spec)
+                cache = replies[-1].get("cache")
+                hits["warm same-root"] += bool(cache and cache["hit"])
+                first, total, replies = timed_sketch(client_b, handle_b, spec)
                 results["cross-root warm"].append((first, total))
-                hits["cross-root warm"] += bool(
-                    reply.cache and reply.cache["workerHits"]
-                )
+                cache = replies[-1].get("cache")
+                hits["cross-root warm"] += bool(cache and cache["workerHits"])
         return results, hits
     finally:
-        for server in servers:
-            server.close()
+        for root in roots:
+            root.close()
         for cluster in clusters:
             cluster.close()
         for proc in daemons:

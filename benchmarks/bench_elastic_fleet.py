@@ -27,11 +27,11 @@ import subprocess
 import threading
 import time
 
-from _harness import format_table, human_seconds
+from _harness import Root, format_table, human_seconds, load, timed_sketch
 from conftest import add_report
 
 from repro.engine.remote import ProcessCluster, spawn_worker
-from repro.service import ServiceClient, ServiceServer
+from repro.service.director import dial
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 ROWS = 10_000 if QUICK else 30_000
@@ -70,21 +70,12 @@ def session_loop(address, samples: list, errors: list, stop: threading.Event):
     """One session issuing back-to-back sketches, recording
     (start, first-partial latency, total latency) per query."""
     try:
-        with ServiceClient(*address) as client:
-            handle = client.load(FLIGHTS_SPEC)
+        with dial(*address, timeout=300) as client:
+            handle = load(client, FLIGHTS_SPEC)
             while not stop.is_set():
                 start = time.perf_counter()
-                first = None
-                terminal = None
-                for reply in client.sketch(handle, SKETCH).replies(timeout=300):
-                    if first is None:
-                        first = time.perf_counter() - start
-                    terminal = reply
-                if terminal.kind != "complete":
-                    raise AssertionError(
-                        f"query ended {terminal.kind}: {terminal.error}"
-                    )
-                samples.append((start, first, time.perf_counter() - start))
+                first, total, _ = timed_sketch(client, handle, SKETCH)
+                samples.append((start, first, total))
     except Exception as exc:  # noqa: BLE001 — surfaced by the caller
         if not stop.is_set():
             errors.append(exc)
@@ -105,13 +96,13 @@ def bucket(samples, windows: dict[str, tuple[float, float]]):
 def collect() -> dict:
     daemons, addresses = spawn_fleet(4)
     serving = None
-    server = None
+    root = None
     admin = None
     stop = threading.Event()
     try:
         serving = ProcessCluster(addresses=addresses[:2], aggregation_interval=0.02)
-        server = ServiceServer(serving, max_concurrent=4)
-        root_address = server.start_background()
+        root = Root(serving, max_concurrent=4)
+        root_address = root.address
         admin = ProcessCluster(addresses=addresses[:2], aggregation_interval=0.02)
 
         samples: list = []
@@ -166,8 +157,8 @@ def collect() -> dict:
         }
     finally:
         stop.set()
-        if server is not None:
-            server.close()
+        if root is not None:
+            root.close()
         for cluster in (serving, admin):
             if cluster is not None:
                 cluster.close()

@@ -4,13 +4,13 @@ The horizontal service tier's pitch (§5.2: "the web server is stateless")
 is that front-end capacity scales by adding roots over one worker fleet.
 This benchmark spawns a fixed fleet of 4 ``repro worker --listen``
 daemons, then serves 8 concurrent sessions through 1, 2, and 4
-``ServiceServer`` roots (dealt round-robin by the connection director),
+roots (dealt round-robin by the connection director),
 reporting p50/p95 time-to-first-partial and time-to-complete per tier
 width.  Results land in ``benchmarks/results/`` for EXPERIMENTS.md.
 
 The per-shard throttle (5 ms) pins leaf cost, so the delta across tier
 widths isolates what the root tier itself contributes: scheduler slots,
-transport, and root-side merging — the worker fleet is identical in
+the gateway, and root-side merging — the worker fleet is identical in
 every row.
 """
 
@@ -21,11 +21,11 @@ import subprocess
 import threading
 import time
 
-from _harness import format_table, human_seconds
+from _harness import Root, format_table, human_seconds, load, timed_sketch
 from conftest import add_report
 
 from repro.engine.remote import ProcessCluster, spawn_worker
-from repro.service import ConnectionDirector, ServiceServer
+from repro.service import ConnectionDirector
 
 #: Quick mode (REPRO_BENCH_QUICK=1) for the nightly CI perf-smoke job:
 #: same topology, smaller dataset, fewer tier widths.
@@ -69,17 +69,9 @@ def spawn_fleet(size: int):
 
 def run_session(director: ConnectionDirector, results: list, errors: list) -> None:
     try:
-        with director.connect() as client:
-            handle = client.load(FLIGHTS_SPEC)
-            start = time.perf_counter()
-            first = None
-            terminal = None
-            for reply in client.sketch(handle, sketch_spec()).replies(timeout=300):
-                if first is None:
-                    first = time.perf_counter() - start
-                terminal = reply
-            assert terminal.kind == "complete", terminal.error
-            results.append((first, time.perf_counter() - start))
+        with director.connect(timeout=300) as client:
+            handle = load(client, FLIGHTS_SPEC)
+            results.append(timed_sketch(client, handle, sketch_spec())[:2])
     except Exception as exc:  # surfaced by the caller
         errors.append(exc)
 
@@ -93,14 +85,12 @@ def measure(fleet_addresses, roots: int) -> dict:
                 addresses=fleet_addresses, aggregation_interval=0.02
             )
             clusters.append(cluster)
-            server = ServiceServer(cluster, max_concurrent=MAX_CONCURRENT)
-            server.start_background()
-            servers.append(server)
+            servers.append(Root(cluster, max_concurrent=MAX_CONCURRENT))
         director = ConnectionDirector([s.address for s in servers])
         # Warm the fleet's shard stores once (content-addressed ids make
         # every root reuse the same worker-side shards afterwards).
         with director.connect() as warmup:
-            warmup.row_count(warmup.load(FLIGHTS_SPEC))
+            warmup.call("rowCount", load(warmup, FLIGHTS_SPEC))
         results: list = []
         errors: list = []
         threads = [

@@ -3,7 +3,7 @@
 Hillview's promise is *interactivity at any scale* — the first
 rendering-capable partial must arrive quickly even when many sessions
 query at once (§2, §5.3).  This benchmark drives the real service stack
-(TCP transport, session manager, fair-share scheduler) with 1/8/32
+(gateway WebSocket, session manager, fair-share scheduler) with 1/8/32
 concurrent sessions, each streaming a throttled histogram over the
 flights dataset, and reports p50/p95 time-to-first-partial and
 time-to-complete per concurrency level.
@@ -18,12 +18,12 @@ from __future__ import annotations
 import threading
 import time
 
-from _harness import format_table, human_seconds
+from _harness import Root, format_table, human_seconds, load, timed_sketch
 from conftest import add_report
 
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster
-from repro.service import ServiceClient, ServiceServer
+from repro.service.director import dial
 
 ROWS = 30_000
 PARTITIONS = 24
@@ -52,20 +52,9 @@ def percentile(values: list[float], q: float) -> float:
 
 def run_session(address, results: list, errors: list) -> None:
     try:
-        with ServiceClient(*address) as client:
-            handle = client.load()
-            start = time.perf_counter()
-            first = None
-            partials = 0
-            for reply in client.sketch(handle, sketch_spec()).replies(timeout=120):
-                now = time.perf_counter()
-                if first is None:
-                    first = now - start
-                if reply.kind == "partial":
-                    partials += 1
-                terminal = reply
-            assert terminal.kind == "complete", terminal.error
-            results.append((first, time.perf_counter() - start, partials))
+        with dial(*address, timeout=120) as client:
+            first, total, replies = timed_sketch(client, load(client), sketch_spec())
+            results.append((first, total, len(replies) - 1))
     except Exception as exc:  # surfaced by the caller
         errors.append(exc)
 
@@ -99,19 +88,18 @@ def measure(address, sessions: int) -> dict:
 
 
 def test_time_to_first_partial_under_concurrency():
-    server = ServiceServer(
+    root = Root(
         Cluster(num_workers=2, cores_per_worker=2, aggregation_interval=0.02),
         default_source=FlightsSource(ROWS, partitions=PARTITIONS, seed=17),
         max_concurrent=MAX_CONCURRENT,
     )
-    address = server.start_background()
     try:
         # Load the dataset once so measurements exclude generation.
-        with ServiceClient(*address) as warmup:
-            warmup.row_count(warmup.load())
-        measurements = [measure(address, n) for n in CONCURRENCY_LEVELS]
+        with dial(*root.address) as warmup:
+            warmup.call("rowCount", load(warmup))
+        measurements = [measure(root.address, n) for n in CONCURRENCY_LEVELS]
     finally:
-        server.close()
+        root.close()
 
     # Interactivity shape: even at 32 sessions over 4 query slots, the
     # p95 first partial stays within interactive bounds (well under the

@@ -139,13 +139,12 @@ def run_tracing_overhead() -> dict[str, float]:
     2x gate bounds pathological overhead — span recording drifting onto
     the hot path's critical section — while absorbing runner noise.
     """
-    import time
-
     import bench_cache_tiers as bench
+    from _harness import Root, load, timed_sketch
 
     from repro.data.flights import FlightsSource
     from repro.engine.cluster import Cluster
-    from repro.service import ServiceClient, ServiceServer
+    from repro.service.director import dial
 
     quick = os.environ.get("REPRO_BENCH_QUICK") == "1"
     rows = 20_000 if quick else 200_000
@@ -162,24 +161,17 @@ def run_tracing_overhead() -> dict[str, float]:
         }
 
     previous_trace = os.environ.get("REPRO_TRACE")
-    server = ServiceServer(
+    root = Root(
         Cluster(num_workers=2, cores_per_worker=2, aggregation_interval=0.02),
         default_source=FlightsSource(rows, partitions=8, seed=7),
     )
-    server.start_background()
     try:
         samples: dict[str, list[float]] = {"off": [], "on": []}
-        with ServiceClient(*server.address) as client:
-            handle = client.load()
+        with dial(*root.address) as client:
+            handle = load(client)
 
             def measure(upper: float) -> float:
-                start = time.perf_counter()
-                pending = client.submit("sketch", handle, {"sketch": spec(upper)})
-                first = None
-                for reply in pending.replies():
-                    if first is None:
-                        first = time.perf_counter() - start
-                return first
+                return timed_sketch(client, handle, spec(upper))[0]
 
             for warm in range(3):  # dataset materialization, pool spin-up
                 measure(5000 + warm)
@@ -196,7 +188,7 @@ def run_tracing_overhead() -> dict[str, float]:
             os.environ.pop("REPRO_TRACE", None)
         else:
             os.environ["REPRO_TRACE"] = previous_trace
-        server.close()
+        root.close()
 
     off_p50 = bench.percentile(samples["off"], 0.50)
     on_p50 = bench.percentile(samples["on"], 0.50)

@@ -14,7 +14,6 @@ the worker daemons of a process-level fleet::
 
     python -m repro.cli serve --demo-flights 500000 --port 8947
     python -m repro.cli serve --demo-flights 500000 --spawn --workers 8
-    python -m repro.cli gateway --demo-flights 500000 --port 8780
     python -m repro.cli worker --listen 0.0.0.0:9301 --cores 8
     python -m repro.cli serve --join host-a:9301,host-b:9301 \
         --session-store sessions.db --port 8948
@@ -334,10 +333,12 @@ def _serve_source(args: argparse.Namespace) -> DataSource | None:
 
 
 def serve_main(argv: list[str]) -> int:
-    """`repro serve`: run the concurrent multi-client service."""
+    """`repro serve`: run the concurrent multi-client service behind its
+    HTTP/WebSocket gateway (``docs/GATEWAY_API.md``)."""
     parser = argparse.ArgumentParser(
         prog="repro.cli serve",
-        description="Serve a dataset to concurrent sessions over TCP.",
+        description="Serve a dataset to concurrent sessions over "
+                    "HTTP/WebSocket.",
     )
     parser.add_argument("path", nargs="?", help="CSV/JSONL/log/SQLite/hvc path")
     parser.add_argument("--sql-table", help="table name for SQLite sources")
@@ -373,10 +374,21 @@ def serve_main(argv: list[str]) -> int:
         help="leaf thread pool size per worker",
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8947)
+    parser.add_argument(
+        "--port", type=int, default=8947,
+        help="HTTP/WebSocket listen port (0 picks a free one)",
+    )
     parser.add_argument(
         "--max-concurrent", type=int, default=4,
         help="query scheduler concurrency (fair-share across sessions)",
+    )
+    parser.add_argument(
+        "--heartbeat", type=float, default=15.0, metavar="SECONDS",
+        help="WebSocket heartbeat interval",
+    )
+    parser.add_argument(
+        "--resume-grace", type=float, default=60.0, metavar="SECONDS",
+        help="seconds a disconnected session's streams stay resumable",
     )
     parser.add_argument(
         "--log-json", action="store_true",
@@ -390,6 +402,9 @@ def serve_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
+    import threading
+
+    from repro.gateway import PROTOCOL_VERSION, GatewayServer
     from repro.obs.logs import configure_logging
     from repro.obs.trace import set_service_name
     from repro.service import ServiceServer, open_session_store
@@ -422,105 +437,12 @@ def serve_main(argv: list[str]) -> int:
         )
         topology = f"{args.workers} in-process workers"
 
-    server = ServiceServer(
+    service = ServiceServer(
         cluster,
-        host=args.host,
-        port=args.port,
         max_concurrent=args.max_concurrent,
         default_source=_serve_source(args),
         session_store=open_session_store(args.session_store),
         session_store_ttl_seconds=args.session_store_ttl,
-    )
-    print(f"hillview service on {args.host}:{args.port} "
-          f"({topology}, {args.max_concurrent} query slots)")
-    try:
-        server.run()
-    finally:
-        cluster.close()
-    return 0
-
-
-def gateway_main(argv: list[str], out: TextIO | None = None) -> int:
-    """`repro gateway`: the browser-facing HTTP/WebSocket front door.
-
-    Runs a full stack in one process: an in-process worker cluster, the
-    TCP service root (so ``repro client`` still works against the same
-    sessions), and the HTTP/WS gateway documented in
-    ``docs/GATEWAY_API.md`` on top.
-    """
-    stream = out if out is not None else sys.stdout
-    parser = argparse.ArgumentParser(
-        prog="repro.cli gateway",
-        description="Serve the HTTP/WebSocket gateway over a service tier.",
-    )
-    parser.add_argument("path", nargs="?", help="CSV/JSONL/log/SQLite/hvc path")
-    parser.add_argument("--sql-table", help="table name for SQLite sources")
-    parser.add_argument(
-        "--demo-flights", type=int, metavar="N",
-        help="serve N synthetic flight rows as the default dataset",
-    )
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--cores-per-worker", type=int, default=4,
-        help="leaf thread pool size per worker",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=8780,
-        help="HTTP/WebSocket listen port (0 picks a free one)",
-    )
-    parser.add_argument(
-        "--service-host", default="127.0.0.1",
-        help="bind address for the TCP service root underneath",
-    )
-    parser.add_argument(
-        "--service-port", type=int, default=8947,
-        help="TCP service root port (0 picks a free one)",
-    )
-    parser.add_argument(
-        "--max-concurrent", type=int, default=4,
-        help="query scheduler concurrency (fair-share across sessions)",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=15.0, metavar="SECONDS",
-        help="WebSocket heartbeat interval",
-    )
-    parser.add_argument(
-        "--resume-grace", type=float, default=60.0, metavar="SECONDS",
-        help="seconds a disconnected session's streams stay resumable",
-    )
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="emit one-line JSON log records instead of staying quiet",
-    )
-    parser.add_argument(
-        "--log-level", choices=["debug", "info", "warning", "error"],
-        help="enable structured logging at this level",
-    )
-    args = parser.parse_args(argv)
-
-    import threading
-
-    from repro.gateway import PROTOCOL_VERSION, GatewayServer
-    from repro.obs.logs import configure_logging
-    from repro.obs.trace import set_service_name
-    from repro.service import ServiceServer
-
-    if args.log_json or args.log_level:
-        configure_logging(
-            json_mode=args.log_json or None, level=args.log_level
-        )
-    set_service_name("gateway")
-
-    cluster = Cluster(
-        num_workers=args.workers, cores_per_worker=args.cores_per_worker
-    )
-    service = ServiceServer(
-        cluster,
-        host=args.service_host,
-        port=args.service_port,
-        max_concurrent=args.max_concurrent,
-        default_source=_serve_source(args),
     )
     gateway = GatewayServer(
         service,
@@ -530,16 +452,10 @@ def gateway_main(argv: list[str], out: TextIO | None = None) -> int:
         resume_grace_seconds=args.resume_grace,
     )
     try:
-        service_address = service.start_background()
-        address = gateway.start_background()
-        print(
-            f"hillview gateway on http://{address[0]}:{address[1]} "
-            f"(protocol v{PROTOCOL_VERSION}; TCP root on "
-            f"{service_address[0]}:{service_address[1]}, "
-            f"{args.workers} in-process workers)",
-            file=stream,
-            flush=True,
-        )
+        host, port = gateway.start_background()
+        print(f"hillview service on http://{host}:{port} "
+              f"(protocol v{PROTOCOL_VERSION}; {topology}, "
+              f"{args.max_concurrent} query slots)", flush=True)
         try:
             threading.Event().wait()  # serve until Ctrl-C
         except KeyboardInterrupt:
@@ -588,14 +504,18 @@ def _worker_line(snap: dict) -> str:
 
 
 class RemoteSession:
-    """`repro client`: a thin command loop over a :class:`ServiceClient`.
+    """`repro client`: a thin command loop over a gateway connection.
 
     Mirrors the local Session verbs that translate to single RPCs; every
-    command goes over the wire and through the fair-share scheduler.
+    query goes over the WebSocket (``ws``, a connected
+    :class:`~repro.gateway.GatewayWebSocket`) and through the fair-share
+    scheduler, and the operational reads (stats, metrics, traces) over
+    HTTP (``http``, a :class:`~repro.gateway.GatewayClient`).
     """
 
-    def __init__(self, client, out: TextIO | None = None):
-        self.client = client
+    def __init__(self, ws, http, out: TextIO | None = None):
+        self.ws = ws
+        self.http = http
         self.out = out if out is not None else sys.stdout
         self.handle: str | None = None
 
@@ -606,6 +526,20 @@ class RemoteSession:
         if self.handle is None:
             raise HillviewError("no dataset yet; use 'load' first")
         return self.handle
+
+    def _row_count(self, handle: str) -> int:
+        return self.ws.call("rowCount", handle)["payload"]["rows"]
+
+    def _run_sketch(self, spec: dict, trace: dict | None = None) -> tuple[dict, int]:
+        """One sketch to its terminal: (terminal reply, partials seen)."""
+        request_id = self.ws.request(
+            "sketch", self._require_handle(), {"sketch": spec}, trace
+        )
+        replies = list(self.ws.stream(request_id))
+        final = replies[-1]
+        if final["kind"] == "error":
+            raise HillviewError(f"[{final.get('code')}] {final.get('error')}")
+        return final, len(replies) - 1
 
     @staticmethod
     def _hist_spec(args: list[str]) -> dict:
@@ -635,41 +569,32 @@ class RemoteSession:
     def _dispatch(self, name: str, args: list[str]) -> None:
         if name == "load":
             spec = {"kind": "path", "path": args[0]} if args else {}
-            self.handle = self.client.load(spec)
+            reply = self.ws.call("load", args={"source": spec})
+            self.handle = reply["payload"]["handle"]
             self.print(f"loaded as {self.handle} "
-                       f"({self.client.row_count(self.handle):,} rows)")
+                       f"({self._row_count(self.handle):,} rows)")
         elif name == "cols":
-            for column in self.client.schema(self._require_handle()):
+            schema = self.ws.call("schema", self._require_handle())
+            for column in schema["payload"]["columns"]:
                 self.print(f"  {column['name']}: {column['kind']}")
         elif name == "rows":
-            self.print(f"{self.client.row_count(self._require_handle()):,} rows")
+            self.print(f"{self._row_count(self._require_handle()):,} rows")
         elif name == "hist":
-            spec = self._hist_spec(args)
-            partials = 0
-            final = None
-            for reply in self.client.sketch(self._require_handle(), spec).replies():
-                if reply.kind == "partial":
-                    partials += 1
-                final = reply
-            if final.kind == "error":
-                raise HillviewError(f"[{final.code}] {final.error}")
-            from repro.engine.rpc import NO_PAYLOAD
-
-            if final.kind != "complete" or final.payload in (None, NO_PAYLOAD):
-                raise HillviewError(f"query ended early ({final.kind})")
-            counts = final.payload["counts"]
+            final, partials = self._run_sketch(self._hist_spec(args))
+            if final["kind"] != "complete" or not final.get("payload"):
+                raise HillviewError(f"query ended early ({final['kind']})")
+            counts = final["payload"]["counts"]
             peak = max(counts) or 1
             for i, count in enumerate(counts):
                 bar = "#" * max(1 if count else 0, round(count / peak * 40))
                 self.print(f"  [{i:2d}] {count:>9,} {bar}")
             self.print(f"  ({partials} progressive partials, "
-                       f"{final.payload['missing']:,} missing)")
+                       f"{final['payload']['missing']:,} missing)")
         elif name == "distinct":
             if not args:
                 raise HillviewError("usage: distinct <col>")
-            spec = {"type": "distinct", "column": args[0]}
-            reply = self.client.sketch(self._require_handle(), spec).result()
-            self.print(f"~{reply.payload['estimate']:,.0f} distinct values")
+            reply, _ = self._run_sketch({"type": "distinct", "column": args[0]})
+            self.print(f"~{reply['payload']['estimate']:,.0f} distinct values")
         elif name == "filter":
             if len(args) < 3:
                 raise HillviewError("usage: filter <col> <op> <value>")
@@ -679,12 +604,12 @@ class RemoteSession:
             except ValueError:
                 pass
             spec = PREDICATES.to_json(ColumnPredicate(args[0], args[1], raw))
-            reply = self.client.call("filter", self._require_handle(), {"predicate": spec})
-            self.handle = reply.payload["handle"]
-            self.print(f"filtered: {self.client.row_count(self.handle):,} "
+            reply = self.ws.call("filter", self._require_handle(), {"predicate": spec})
+            self.handle = reply["payload"]["handle"]
+            self.print(f"filtered: {self._row_count(self.handle):,} "
                        f"rows remain (handle {self.handle})")
         elif name == "stats":
-            stats = self.client.stats()
+            stats = self.http.stats()
             scheduler = stats["scheduler"]
             self.print(
                 f"  sessions: {len(stats['sessions']['sessions'])} live, "
@@ -722,15 +647,8 @@ class RemoteSession:
                     "'trace distinct'"
                 )
             ctx = TraceContext.new_root()
-            pending = self.client.submit(
-                "sketch", self._require_handle(), {"sketch": spec}, trace=ctx
-            )
-            final = None
-            for reply in pending.replies():
-                final = reply
-            if final is not None and final.kind == "error":
-                raise HillviewError(f"[{final.code}] {final.error}")
-            spans = self.client.trace_dump(ctx.trace_id)
+            self._run_sketch(spec, trace=ctx.to_json())
+            spans = self.http.traces(ctx.trace_id)["spans"]
             path = f"trace-{ctx.trace_id}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 json_mod.dump(chrome_trace(spans), fh)
@@ -754,7 +672,7 @@ class RemoteSession:
                 self.print(f"  {service}: {by_service[service]} spans")
             self.print(f"wrote {path} (open in Perfetto / chrome://tracing)")
         elif name == "metrics":
-            snap = self.client.metrics_snapshot()
+            snap = self.http.metrics()
             scheduler = snap["scheduler"]
             self.print(
                 f"  scheduler: {scheduler['admitted']} admitted, "
@@ -778,7 +696,7 @@ class RemoteSession:
                         self.print(f"    {_tier_line(tier, worker[tier])}")
             mine = next(
                 (s["metrics"] for s in snap["sessions"]["sessions"]
-                 if s["session"] == self.client.session_id),
+                 if s["session"] == self.ws.session),
                 {},
             )
             self.print(
@@ -796,7 +714,7 @@ class RemoteSession:
     def run(self, lines: Iterable[str], prompt: bool = False) -> None:
         for line in lines:
             if prompt:
-                self.print(f"hillview[{self.client.session_id}]> {line.strip()}")
+                self.print(f"hillview[{self.ws.session}]> {line.strip()}")
             if not self.execute(line):
                 break
 
@@ -934,7 +852,7 @@ def fleet_main(argv: list[str], out: TextIO | None = None) -> int:
     )
     parser.add_argument(
         "--root", metavar="HOST:PORT",
-        help="service root to drain/undrain",
+        help="the gateway address of the root to drain/undrain",
     )
     parser.add_argument(
         "--pool", metavar="SPEC", default=None,
@@ -1008,12 +926,10 @@ def fleet_main(argv: list[str], out: TextIO | None = None) -> int:
     if args.action in ("drain", "undrain"):
         if not args.root:
             raise HillviewError(f"{args.action} needs --root host:port")
-        from repro.service.director import admin_call
+        from repro.gateway import GatewayClient
 
-        reply = admin_call(parse_address(args.root), args.action)
-        if reply.kind == "error":
-            raise HillviewError(f"[{reply.code}] {reply.error}")
-        payload = reply.payload or {}
+        with GatewayClient(*parse_address(args.root)) as root:
+            payload = root.post(f"/api/v1/{args.action}")
         if args.action == "drain":
             print(
                 f"root {args.root} draining: {payload.get('persisted', 0)} "
@@ -1095,11 +1011,12 @@ def client_main(argv: list[str], out: TextIO | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.service import ServiceClient, ServiceError
+    from repro.gateway import GatewayClient
+    from repro.service.director import dial
 
     try:
-        client = ServiceClient(args.host, args.port, session=args.session)
-    except (OSError, ServiceError) as exc:
+        ws = dial(args.host, args.port, session=args.session)
+    except (OSError, HillviewError) as exc:
         # Unreachable, or the root refused the handshake (e.g. it is
         # draining for maintenance): one friendly line, exit 1.
         print(
@@ -1107,9 +1024,9 @@ def client_main(argv: list[str], out: TextIO | None = None) -> int:
             file=out if out is not None else sys.stderr,
         )
         return 1
-    with client:
-        session = RemoteSession(client, out=out)
-        session.print(f"session {client.session_id} on {args.host}:{args.port}")
+    with ws, GatewayClient(args.host, args.port) as http:
+        session = RemoteSession(ws, http, out=out)
+        session.print(f"session {ws.session} on {args.host}:{args.port}")
         if args.commands:
             session.run(args.commands.split(";"), prompt=True)
         else:
@@ -1121,8 +1038,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
-    if argv and argv[0] == "gateway":
-        return gateway_main(argv[1:])
     if argv and argv[0] == "client":
         return client_main(argv[1:])
     if argv and argv[0] == "worker":

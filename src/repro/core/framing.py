@@ -1,19 +1,15 @@
-"""Uvarint-framed message framing, shared by every socket in the system.
+"""Uvarint-framed message framing for the root <-> worker wire.
 
 One frame is a uvarint length prefix (the :mod:`repro.core.serialization`
-idiom) followed by that many payload bytes.  The same format runs on two
-wires: browser/client <-> web server (:mod:`repro.service.transport`) and
-root <-> worker processes (:mod:`repro.engine.remote`), so a captured byte
-stream from either can be decoded with one tool.
-
-Both an asyncio reader and a blocking file-object reader are provided; the
-caller chooses the exception type raised on a malformed or truncated frame
-so each layer reports errors in its own vocabulary.
+idiom) followed by that many payload bytes; root and worker processes
+(:mod:`repro.engine.remote`) exchange them over TCP.  The reader is a
+blocking file-object reader; the caller chooses the exception type raised
+on a malformed or truncated frame so each layer reports errors in its own
+vocabulary.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import BinaryIO
 
 from repro.core.serialization import Encoder
@@ -37,37 +33,10 @@ def encode_frame(payload: bytes) -> bytes:
     return enc.to_bytes()
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, error: type[Exception] = FrameError
-) -> bytes | None:
-    """Read one frame; None on clean EOF at a frame boundary."""
-    length = 0
-    shift = 0
-    while True:
-        try:
-            byte = (await reader.readexactly(1))[0]
-        except asyncio.IncompleteReadError:
-            if shift == 0:
-                return None  # clean close between frames
-            raise error("connection closed inside a frame header")
-        length |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            break
-        shift += 7
-        if shift > 70:
-            raise error("frame header uvarint too long")
-    if length > MAX_FRAME_BYTES:
-        raise error(f"frame of {length} bytes exceeds the maximum")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise error("connection closed inside a frame body")
-
-
 def read_frame_blocking(
     stream: BinaryIO, error: type[Exception] = FrameError
 ) -> bytes | None:
-    """Blocking twin of :func:`read_frame` for synchronous endpoints."""
+    """Read one frame; None on clean EOF at a frame boundary."""
     length = 0
     shift = 0
     while True:

@@ -68,8 +68,8 @@ class UnknownHandleError(ProtocolError):
     code = "unknown_handle"
 
 
-#: A requestId is a signed 64-bit integer on both client wires, so the
-#: echo of it in every reply is one too (docs/PROTOCOL.md §2.1).
+#: A requestId is a signed 64-bit integer on both wires, so the echo of
+#: it in every reply is one too (docs/PROTOCOL.md §2.1).
 REQUEST_ID_MIN, REQUEST_ID_MAX = -(1 << 63), (1 << 63) - 1
 
 
@@ -108,7 +108,8 @@ class RpcRequest:
 
     def __post_init__(self) -> None:
         # Both wires build their requests here, so both refuse an id out
-        # of range: TCP with a protocol error, the gateway a bad_request.
+        # of range: the worker wire with a protocol error, the gateway a
+        # bad_request.
         check_request_id(self.request_id)
 
     def to_json(self) -> str:
@@ -323,7 +324,7 @@ RpcReply.payload = property(RpcReply._get_payload, RpcReply._set_payload)
 TERMINAL_REPLY_KINDS = frozenset({"ack", "complete", "cancelled", "error"})
 
 #: Every machine-readable ``code`` an error or cancellation envelope can
-#: carry on the TCP wires (client<->root and root<->worker), with the
+#: carry (gateway replies and the root<->worker wire), with the
 #: condition it names.  This registry is the single source of truth the
 #: protocol documentation is checked against (``tests/test_docs.py``
 #: fails if ``docs/PROTOCOL.md`` documents a code that is not here, or
@@ -417,9 +418,9 @@ def call_once(
     """One framed request over an already-open connection, blocking for
     its terminal reply (non-terminal frames are drained and discarded).
 
-    The shared primitive behind every *one-shot* exchange on either wire
-    — health probes, drain commands, worker-to-worker shard pushes,
-    fleet status sweeps — so framing and terminal-kind handling live in
+    The shared primitive behind every *one-shot* exchange on the worker
+    wire — worker-to-worker shard pushes, fleet status sweeps — so
+    framing and terminal-kind handling live in
     exactly one place.  ``attachment`` rides the request frame as a
     binary envelope (see :func:`encode_envelope`).  Raises
     ``ConnectionError`` if the peer closes mid-call; error *replies* are

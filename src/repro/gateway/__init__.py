@@ -1,9 +1,9 @@
 """Browser-grade HTTP/WebSocket gateway over the service tier.
 
-The package is the reproduction's front door for everything that is not
-the uvarint TCP wire: browsers, spreadsheet connectors, curl, and
-health-probing directors.  See ``docs/GATEWAY_API.md`` for the versioned
-protocol surface and ``docs/PROTOCOL.md`` for the underlying wire spec.
+The package is the root's one front door: browsers, spreadsheet
+connectors, the terminal client, curl, and health-probing directors all
+come in here.  See ``docs/GATEWAY_API.md`` for the versioned protocol
+surface and ``docs/PROTOCOL.md`` for the envelopes it carries.
 
 * :mod:`repro.gateway.protocol` — versions, feature flags, negotiation;
 * :mod:`repro.gateway.http` / :mod:`repro.gateway.websocket` — stdlib

@@ -1,23 +1,24 @@
-"""Blocking gateway clients for tests, scripts, and the documented
-walkthrough in ``docs/GATEWAY_API.md``.
+"""Blocking gateway clients for the CLI, the director, tests, scripts,
+and the documented walkthrough in ``docs/GATEWAY_API.md``.
 
 :class:`GatewayClient` speaks the HTTP surface over stdlib
 ``http.client``; :class:`GatewayWebSocket` speaks the WebSocket wire over
 a plain socket with the shared RFC 6455 helpers
 (:mod:`repro.gateway.websocket`) — the blocking twin of the server's
-asyncio side, mirroring how :class:`~repro.service.transport.ServiceClient`
-twins the TCP server.
+asyncio side.
 """
 
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import socket
 from collections import deque
 from typing import Iterator
 
 from repro.core.wire import loads
+from repro.engine.rpc import TERMINAL_REPLY_KINDS
 from repro.errors import HillviewError
 from repro.gateway import websocket as ws
 from repro.gateway.protocol import PROTOCOL_VERSION
@@ -197,11 +198,10 @@ class _RecvBuffer:
 class GatewayWebSocket:
     """Blocking WebSocket client with the versioned gateway handshake.
 
-    ``connect()`` performs the HTTP upgrade, reads the server hello,
-    sends the client hello (version, optional session/features/resume
-    map), and returns the welcome — after which :meth:`submit` /
-    :meth:`stream` drive queries exactly like the TCP
-    :class:`~repro.service.transport.ServiceClient`, minus the reader
+    ``connect()`` reads the server hello, sends the client hello
+    (version, optional session/features/resume map), and returns the
+    welcome — after which :meth:`submit` / :meth:`stream` drive queries
+    and :meth:`call` runs one to its terminal.  There is no reader
     thread: replies are demultiplexed by requestId on demand.
     """
 
@@ -225,6 +225,7 @@ class GatewayWebSocket:
         self.welcome: dict | None = None
         self.session: str | None = None
         self.last_seq: dict[int, int] = {}
+        self._ids = itertools.count(1)
 
     def _upgrade(self, headers: dict) -> bytes:
         key = ws.client_handshake_key()
@@ -361,13 +362,46 @@ class GatewayWebSocket:
         self._send_json({"type": "cancel", "requestId": request_id})
 
     def ping(self) -> dict:
+        """Round-trip a ``ping``; returns the pong.  Everything the server
+        sent before the pong has been read by then; unaddressed messages
+        met on the way (heartbeats, say) stay queued for ``recv(None)``."""
         self._send_json({"type": "ping"})
-        return self.recv(None)
+        passed: list[dict] = []
+        while (message := self.recv(None)).get("type") != "pong":
+            passed.append(message)
+        self._inbox.setdefault(None, deque()).extendleft(reversed(passed))
+        return message
+
+    def request(
+        self,
+        method: str,
+        target: str = "",
+        args: dict | None = None,
+        trace: dict | None = None,
+    ) -> int:
+        """:meth:`submit` under the next id of this client's own sequence
+        (callers that pick their own ids should not mix the two)."""
+        return self.submit(next(self._ids), method, target, args, trace)
+
+    def call(
+        self,
+        method: str,
+        target: str = "",
+        args: dict | None = None,
+        trace: dict | None = None,
+    ) -> dict:
+        """Run one :meth:`request` and return its terminal reply; an
+        ``error`` terminal raises :class:`GatewayError` with its code."""
+        reply = self.result(self.request(method, target, args, trace))
+        if reply.get("kind") == "error":
+            raise GatewayError(
+                f"[{reply.get('code')}] {reply.get('error')}",
+                code=str(reply.get("code") or "error"),
+            )
+        return reply
 
     def stream(self, request_id: int) -> Iterator[dict]:
         """Replies for one request until (and including) its terminal."""
-        from repro.engine.rpc import TERMINAL_REPLY_KINDS
-
         while True:
             message = self.recv(request_id)
             yield message

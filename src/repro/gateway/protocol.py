@@ -53,8 +53,8 @@ FEATURES: dict[str, int] = {
     "ws_heartbeat": 2,
 }
 
-#: Gateway-surface error codes (beyond the wire codes shared with the
-#: TCP protocol — see ``WIRE_ERROR_CODES`` in :mod:`repro.engine.rpc`).
+#: Gateway-surface error codes (beyond the reply-envelope codes — see
+#: ``WIRE_ERROR_CODES`` in :mod:`repro.engine.rpc`).
 GATEWAY_ERROR_CODES: dict[str, str] = {
     "unsupported_protocol": (
         "the client's protocolVersion is below the server's minSupported; "

@@ -1,16 +1,15 @@
-"""The browser-facing front door: HTTP + WebSocket over the service tier.
+"""The root's front door: HTTP + WebSocket over the service tier.
 
 :class:`GatewayServer` wraps one :class:`~repro.service.transport.ServiceServer`
 and exposes its sessions, scheduler and cluster through two surfaces:
 
 * **HTTP** (``/api/v1/...``) — session create/resume, the operational
-  plane (health, stats, metrics, traces, drain) dispatched through the
-  same :meth:`~repro.service.transport.ServiceServer.admin_reply` the TCP
-  wire uses, and the OData-style dataset connector
-  (:mod:`repro.gateway.connector`);
-* **WebSocket** (``/api/v1/ws``) — the streamed query wire: the same
-  ``RpcRequest``/``RpcReply`` envelopes as the TCP wire, wrapped in typed
-  JSON messages, with an explicit protocol-version handshake
+  plane (health, stats, metrics, traces, drain) dispatched through
+  :meth:`~repro.service.transport.ServiceServer.admin_reply`, and the
+  OData-style dataset connector (:mod:`repro.gateway.connector`);
+* **WebSocket** (``/api/v1/ws``) — the streamed query wire:
+  ``RpcRequest``/``RpcReply`` envelopes wrapped in typed JSON messages,
+  with an explicit protocol-version handshake
   (:mod:`repro.gateway.protocol`), application heartbeats, and resumable
   reply streams.
 
@@ -23,25 +22,21 @@ request) streams its grace timer already cancelled.  The client-side
 rule is one line: ignore replies whose seq is not greater than the last
 seen.
 
-**Admission, backpressure and teardown** are the TCP wire's, not copies
-of them: sessions are admitted by
-:meth:`~repro.service.transport.ServiceServer.admit`, the listener is a
-:class:`~repro.service.frontdoor.ServerHost`, and every connection
-writes through an :class:`~repro.service.frontdoor.Outbox` — replies
-are encoded to WebSocket frames once, on the scheduler thread that
-produced them, and when a client stops draining, the blocked sink
-stalls (then cancels) the producing query, so slow consumers never
-balloon the root's memory.
+**Admission, backpressure and teardown**: sessions are admitted by
+:meth:`~repro.service.transport.ServiceServer.admit`, and every
+connection writes through an :class:`Outbox` — replies are encoded to
+WebSocket frames once, on the scheduler thread that produced them, and
+when a client stops draining, the blocked sink stalls (then cancels)
+the producing query, so slow consumers never balloon the root's memory.
 
 The gateway runs on its own event loop (and thread, via
-:meth:`start_background`), so a deployment can serve the TCP wire and
-the browser wire side by side from one process, or run the gateway
-alone.
+:meth:`GatewayServer.start_background`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
 import json
 import threading
@@ -64,10 +59,10 @@ from repro.gateway.protocol import (
     negotiate,
     protocol_payload,
 )
+from repro.errors import EngineError
 from repro.obs.logs import log_event
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counter
 from repro.obs.trace import TraceContext, from_traceparent, to_traceparent
-from repro.service.frontdoor import Outbox, ServerHost
 from repro.service.scheduler import QueryTask
 from repro.service.sessions import Session
 from repro.service.transport import DrainingError, ServiceServer
@@ -86,6 +81,13 @@ _STATUS_BY_CODE = {
 #: Per-session ledger bound: older streams are evicted (done ones first).
 MAX_STREAMS_PER_SESSION = 64
 
+#: Frames one connection may have queued before its producers block.
+OUTBOX_FRAMES = 64
+
+#: How long a producer waits on a full outbox before it gives the client
+#: up for stalled; the scheduler then cancels the query.
+SINK_TIMEOUT_SECONDS = 30.0
+
 
 def _status_for(code: str | None) -> int:
     return _STATUS_BY_CODE.get(code or "", 500)
@@ -102,14 +104,78 @@ def _error(code: str, error: str, **extra) -> bytes:
     return _text({"type": "error", "code": code, "error": error, **extra})
 
 
-def reply_frame(reply: RpcReply, seq: int | None = None) -> bytes:
-    """An :class:`RpcReply` as the bytes the WebSocket wire carries.
+class Outbox:
+    """One connection's write side.  Create it on the connection's loop.
 
-    The envelope fields (requestId, kind, progress, payload, error, code,
-    cache, profile) are exactly the TCP wire's — same
-    :meth:`~repro.engine.rpc.RpcReply.to_json`, keys sorted, so a sketch
-    payload received over the gateway is identical to one received over
-    a :class:`~repro.service.transport.ServiceClient`.
+    Frames are bytes, encoded by whoever produced them.  ``send`` is for
+    any thread and *blocks* while the queue is full — that block is the
+    backpressure path from a slow client, through the scheduler worker
+    producing its partials, into sketch execution.  ``put`` is its
+    awaitable twin for the connection's own reader.  ``close`` writes out
+    what is already queued, then closes the socket.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter, sent: Counter):
+        self.loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
+        self.closed = threading.Event()
+        self._queue: "asyncio.Queue[bytes | None]" = asyncio.Queue(OUTBOX_FRAMES)
+        self._pump = asyncio.create_task(self._run(writer, sent))
+
+    async def put(self, frame: bytes) -> None:
+        await self._queue.put(frame)
+
+    def send(self, frame: bytes) -> None:
+        if self.closed.is_set():
+            raise ConnectionError("client connection closed")
+        if threading.get_ident() == self._loop_thread:
+            # The scheduler sinks an ``overloaded`` rejection from inside
+            # ``submit``, on this loop; waiting here for the pump, which
+            # runs on this loop too, would stall every connection.
+            try:
+                self._queue.put_nowait(frame)
+            except asyncio.QueueFull:
+                raise ConnectionError("client stopped draining replies")
+            return
+        future = asyncio.run_coroutine_threadsafe(self._queue.put(frame), self.loop)
+        try:
+            future.result(timeout=SINK_TIMEOUT_SECONDS)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            raise ConnectionError("client stopped draining replies")
+
+    async def _run(self, writer: asyncio.StreamWriter, sent: Counter) -> None:
+        try:
+            while (frame := await self._queue.get()) is not None:
+                sent.inc(len(frame))
+                writer.write(frame)
+                await writer.drain()  # OS-level backpressure
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass
+        finally:
+            try:
+                writer.close()
+            except (ConnectionError, OSError):
+                pass
+
+    async def close(self) -> None:
+        self.closed.set()
+        try:
+            self._queue.put_nowait(None)
+        except asyncio.QueueFull:
+            # The client stopped draining long ago; nothing to flush to.
+            self._pump.cancel()
+        try:
+            await self._pump
+        except (asyncio.CancelledError, ConnectionError, OSError):
+            pass
+
+
+def reply_frame(reply: RpcReply, seq: int | None = None) -> bytes:
+    """An :class:`RpcReply` as the bytes the WebSocket wire carries: the
+    envelope fields (requestId, kind, progress, payload, error, code,
+    cache, profile) from :meth:`~repro.engine.rpc.RpcReply.to_json`,
+    keys sorted, plus the message ``type`` and the stream's ``seq``.
     """
     extra = {"type": "reply"} if seq is None else {"type": "reply", "seq": seq}
     text = reply.to_json(sort_keys=True, **extra)
@@ -155,8 +221,9 @@ class _Stream:
         ]
 
 
-class GatewayServer(ServerHost):
-    """HTTP + WebSocket front door over one :class:`ServiceServer`."""
+class GatewayServer:
+    """HTTP + WebSocket front door over one :class:`ServiceServer`: an
+    asyncio listener that serves on a background thread."""
 
     def __init__(
         self,
@@ -168,7 +235,12 @@ class GatewayServer(ServerHost):
         handshake_timeout_seconds: float = 10.0,
     ):
         self.service = service if service is not None else ServiceServer()
-        super().__init__(self.service, "gateway-server", host, port)
+        self.host = host
+        self.port = port
+        self.address: tuple[str, int] | None = None
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._thread: threading.Thread | None = None
         self.heartbeat_interval_seconds = heartbeat_interval_seconds
         self.resume_grace_seconds = resume_grace_seconds
         self.handshake_timeout_seconds = handshake_timeout_seconds
@@ -186,19 +258,55 @@ class GatewayServer(ServerHost):
         self._ledger_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        address = await super().start()
+    async def _serve(self, started: threading.Event) -> None:
+        """Bind, serve until :meth:`close`, then stop accepting."""
+        self.loop = asyncio.get_running_loop()
+        server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
+        self.address = server.sockets[0].getsockname()[:2]
+        self.service.start_background()
         # Session teardown (close, idle expiry) must also drop the
         # gateway's ledger for that session.
         self.service.sessions.close_listeners.append(self._forget_session)
-        log_event("gateway.start", host=address[0], port=address[1])
-        return address
+        log_event("gateway.start", host=self.address[0], port=self.address[1])
+        self._stop = asyncio.Event()
+        started.set()
+        try:
+            await self._stop.wait()
+        finally:
+            self.service.sessions.close_listeners.remove(self._forget_session)
+            for handle in self._grace.values():
+                handle.cancel()
+            server.close()
+            await server.wait_closed()
 
-    async def _shutdown(self) -> None:
-        self.service.sessions.close_listeners.remove(self._forget_session)
-        for handle in self._grace.values():
-            handle.cancel()
-        await super()._shutdown()
+    def start_background(self, timeout: float = 10.0) -> tuple[str, int]:
+        """Serve from a daemon thread; returns the bound (host, port)
+        once listening."""
+        started = threading.Event()
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._serve(started)),
+            name="gateway-server",
+            daemon=True,
+        )
+        self._thread.start()
+        if not started.wait(timeout):
+            raise EngineError("gateway-server failed to start")
+        assert self.address is not None
+        return self.address
+
+    def close(self) -> None:
+        """Stop serving and join the background thread.  The
+        :class:`ServiceServer` underneath keeps running."""
+        if self.loop is not None and self._stop is not None:
+            try:
+                self.loop.call_soon_threadsafe(self._stop.set)
+            except RuntimeError:
+                pass  # loop already gone
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
+            self._thread = None
 
     # -- HTTP ------------------------------------------------------------
     async def _handle_connection(
@@ -342,8 +450,8 @@ class GatewayServer(ServerHost):
     async def _admin_route(
         self, tail: list[str], method: str, request: gw_http.HttpRequest
     ) -> bytes | None:
-        """The operational plane, shared with the TCP wire via
-        ``admin_reply``.  Returns ``None`` for non-admin paths."""
+        """The operational plane, through ``admin_reply``.  Returns
+        ``None`` for non-admin paths."""
         mapping = {
             ("GET", "stats"): ("stats", {}),
             ("GET", "metrics"): (
@@ -498,9 +606,8 @@ class GatewayServer(ServerHost):
         finally:
             if heartbeat_task is not None:
                 heartbeat_task.cancel()
-            # Direct (non-resumable) streams die with the connection,
-            # exactly like the TCP wire; resumable streams get a grace
-            # window instead.
+            # Direct (non-resumable) streams die with the connection;
+            # resumable streams get a grace window instead.
             for task in direct_tasks:
                 task.token.cancel()
             if session is not None:
@@ -676,10 +783,18 @@ class GatewayServer(ServerHost):
                     stream.task.token.cancel()
 
     def _forget_session(self, session_id: str) -> None:
-        """Session closed or expired: the ledger goes with it."""
+        """Session closed or expired: the ledger goes with it.  Called on
+        any thread (the root's sweep expires sessions); the grace timer
+        belongs to the loop."""
         with self._ledger_lock:
             self._streams.pop(session_id, None)
             self._attached.pop(session_id, None)
+        try:
+            self.loop.call_soon_threadsafe(self._cancel_grace, session_id)
+        except RuntimeError:
+            pass  # loop already gone, and its timers with it
+
+    def _cancel_grace(self, session_id: str) -> None:
         handle = self._grace.pop(session_id, None)
         if handle is not None:
             handle.cancel()
@@ -701,7 +816,7 @@ class GatewayServer(ServerHost):
                 outbox = self._attached.get(session_id)
             if outbox is not None:
                 # May raise ConnectionError (stalled client) — the
-                # scheduler then cancels the query, like the TCP wire.
+                # scheduler then cancels the query.
                 outbox.send(frame)
 
         stream.task = self.service.scheduler.submit(
@@ -712,8 +827,8 @@ class GatewayServer(ServerHost):
         stream = _Stream(request)
         with self._ledger_lock:
             streams = self._streams.setdefault(session.session_id, {})
-            # Re-using a request id replaces its ledger slot (the TCP
-            # wire trusts client-unique ids; the ledger must not let a
+            # Re-using a request id replaces its ledger slot (the wire
+            # trusts client-unique ids; the ledger must not let a
             # duplicate make two streams fight over one slot).
             streams[request.request_id] = stream
             while len(streams) > MAX_STREAMS_PER_SESSION:
@@ -827,5 +942,5 @@ class GatewayServer(ServerHost):
                 session, request, lambda reply: outbox.send(reply_frame(reply))
             )
         )
-        # Compact the bookkeeping list as the TCP transport does.
+        # Compact the bookkeeping list.
         direct_tasks[:] = [t for t in direct_tasks if not t.done.is_set()]

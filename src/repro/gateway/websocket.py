@@ -12,12 +12,11 @@ subset implemented is exactly what the gateway protocol uses:
 
 No extensions (``permessage-deflate`` etc.) are negotiated; the sketch
 payloads on this wire are JSON envelopes the size of a rendering, not
-bulk data, and the TCP wire already owns the bulk path.
+bulk data.
 
 Two readers share the decode logic: an asyncio one for the server and a
-blocking one for :class:`repro.gateway.client.GatewayClient` (tests and
-scripted walkthroughs), mirroring ``read_frame`` /
-``read_frame_blocking`` in :mod:`repro.core.framing`.
+blocking one for :class:`repro.gateway.client.GatewayWebSocket` (tests,
+the CLI and scripted walkthroughs).
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from repro.errors import HillviewError
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 #: A single message (after reassembly) may not exceed this; matches the
-#: TCP wire's frame ceiling so a gateway hop never truncates a payload
-#: the inner wire produced.
+#: worker wire's frame ceiling (:mod:`repro.core.framing`), so the
+#: gateway never truncates a payload the fleet produced.
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
 
 OP_CONT = 0x0
@@ -122,13 +121,19 @@ def close_frame(status: int = 1000, reason: str = "", mask: bool = False) -> byt
 
 
 def _decode_head(b0: int, b1: int) -> tuple[bool, int, bool, int]:
-    """(fin, opcode, masked, base_length) from the first two bytes."""
+    """(fin, opcode, masked, base_length) from the first two bytes.
+
+    A control frame's payload is at most 125 bytes (RFC 6455 §5.5), so
+    a longer one is refused here, before any of its payload is read."""
     fin = bool(b0 & 0x80)
     if b0 & 0x70:
         raise WebSocketError("reserved frame bits set (no extensions negotiated)")
     opcode = b0 & 0x0F
     masked = bool(b1 & 0x80)
-    return fin, opcode, masked, b1 & 0x7F
+    length = b1 & 0x7F
+    if opcode in _CONTROL_OPS and length > 125:
+        raise WebSocketError("control frame payload exceeds 125 bytes")
+    return fin, opcode, masked, length
 
 
 def _unmask(payload: bytes, key: bytes) -> bytes:
@@ -204,7 +209,7 @@ async def read_message(
 
 
 # ---------------------------------------------------------------------------
-# Blocking reader (sync GatewayClient; mirrors read_frame_blocking)
+# Blocking reader (GatewayWebSocket)
 # ---------------------------------------------------------------------------
 def _recv_exactly(sock, length: int) -> bytes:
     chunks = bytearray()

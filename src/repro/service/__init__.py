@@ -1,8 +1,8 @@
 """The concurrent multi-client service layer (§2, §5.2–5.3).
 
-Turns the in-process engine into a real service: an asyncio TCP transport
-streaming progressive results with backpressure (:mod:`transport`), a
-session manager holding per-client soft state with idle expiry
+Turns the in-process engine into a real service behind the gateway
+(:mod:`repro.gateway`): the root core (:mod:`transport`), a session
+manager holding per-client soft state with idle expiry
 (:mod:`sessions`), an admission-controlled fair-share query scheduler
 with newest-query-wins cancellation (:mod:`scheduler`), and — for the
 horizontal tier — sticky, versioned shard placement so many roots share
@@ -24,12 +24,7 @@ from repro.service.autoscaler import (
     fleet_pressure,
     worker_pressure,
 )
-from repro.service.director import (
-    ConnectionDirector,
-    admin_call,
-    probe_gateway,
-    probe_root,
-)
+from repro.service.director import ConnectionDirector, probe_gateway
 from repro.service.scheduler import (
     FairShareScheduler,
     QueryTask,
@@ -50,14 +45,7 @@ from repro.service.sessions import (
     source_from_json,
 )
 from repro.service.slow import SlowdownSketch
-from repro.service.transport import (
-    PendingQuery,
-    ServiceClient,
-    ServiceError,
-    ServiceServer,
-    encode_frame,
-    read_frame_blocking,
-)
+from repro.service.transport import ServiceServer
 
 __all__ = [
     "Autoscaler",
@@ -66,12 +54,9 @@ __all__ = [
     "Decision",
     "FairShareScheduler",
     "InMemorySessionStore",
-    "PendingQuery",
     "PlacementError",
     "QueryTask",
     "SchedulerMetrics",
-    "ServiceClient",
-    "ServiceError",
     "ServiceServer",
     "Session",
     "SessionManager",
@@ -82,15 +67,11 @@ __all__ = [
     "SlowdownSketch",
     "SqliteSessionStore",
     "StalePlacementError",
-    "admin_call",
-    "encode_frame",
     "fleet_pressure",
     "open_session_store",
     "parse_fleet_spec",
     "plan_moves",
     "probe_gateway",
-    "probe_root",
-    "read_frame_blocking",
     "source_from_json",
     "worker_pressure",
 ]

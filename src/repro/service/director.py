@@ -1,9 +1,9 @@
 """A thin connection director over a multi-root service tier (§5.2).
 
-Production deployments put a TCP load balancer in front of the root
-fleet; tests and benchmarks need the same behavior without one.  The
-director holds the root addresses and deals connections round-robin,
-with three twists a plain balancer also needs:
+Production deployments put a load balancer in front of the root fleet;
+tests and benchmarks need the same behavior without one.  The director
+holds the roots' gateway addresses and deals WebSocket connections
+round-robin, with three twists a plain balancer also needs:
 
 * **session affinity** — a session's soft state lives on whichever root
   served it last; the director remembers the root each session was dealt
@@ -11,11 +11,12 @@ with three twists a plain balancer also needs:
   optimization, not a correctness requirement: with a shared session
   store, a session resumed on the *wrong* root is rebuilt from its
   stored recipe book (exactly what the multi-root tests exercise).
-* **health checks** — each root is pinged periodically (a transport-level
-  ping that creates no session); after ``max_ping_failures`` consecutive
-  failures the root is ejected from rotation, and a later successful
-  ping restores it.  Sessions pinned to an ejected root fall through to
-  round-robin and resume elsewhere via the store.
+* **health checks** — each root's gateway is probed periodically over
+  HTTP (``GET /api/v1/health``, which creates no session); after
+  ``max_ping_failures`` consecutive failures the root is ejected from
+  rotation, and a later successful probe restores it.  Sessions pinned
+  to an ejected root fall through to round-robin and resume elsewhere
+  via the store.
 * **draining** — ``drain(root)`` takes a root out of rotation for
   maintenance *without* dropping its users: the root is told to persist
   every live session to the shared store (so recipe books are fresh),
@@ -26,110 +27,75 @@ with three twists a plain balancer also needs:
 
 from __future__ import annotations
 
-import json
+import http.client
 import random
-import socket
 import threading
 from typing import Callable
 
-from repro.core.framing import FrameError
-from repro.engine.rpc import RpcReply, call_once
+from repro.errors import HillviewError
+from repro.gateway.client import GatewayClient, GatewayWebSocket
 from repro.obs.logs import log_event
-from repro.service.transport import ServiceClient
-
-
-def admin_call(
-    address: "tuple[str, int]",
-    method: str,
-    args: dict | None = None,
-    timeout: float = 10.0,
-) -> RpcReply:
-    """One sessionless request to a root: dial, ask, disconnect.
-
-    Deliberately *not* a :class:`ServiceClient` — the client's handshake
-    creates (or resumes) a session on the server, and health probes /
-    drain commands must work without minting sessions (a draining root
-    refuses new ones).  The transport answers these administrative
-    methods (``ping``, ``drain``, ``undrain``) before any session
-    exists.
-    """
-    sock = socket.create_connection(address, timeout=timeout)
-    try:
-        sock.settimeout(timeout)
-        return call_once(
-            sock.makefile("rb"),
-            sock.makefile("wb"),
-            1,
-            method,
-            args,
-            where=f"root {address}",
-        )
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-
-def probe_root(
-    address: "tuple[str, int]", timeout: float = 2.0
-) -> bool:
-    """One health probe: dial, transport-level ping, disconnect."""
-    try:
-        reply = admin_call(address, "ping", timeout=timeout)
-    except (FrameError, OSError, ValueError):
-        return False
-    return reply.kind == "ack" and bool(
-        isinstance(reply.payload, dict) and reply.payload.get("pong")
-    )
 
 
 def probe_gateway(
     address: "tuple[str, int]", timeout: float = 2.0
 ) -> bool:
-    """One gateway health probe: ``GET /api/v1/health`` over HTTP.
+    """One health probe: ``GET /api/v1/health`` over HTTP.
 
     Healthy means the gateway answered 200 with its liveness document
-    (``"gateway": true``).  A *draining* gateway is still healthy — like
-    the transport-level ping, draining is rotation state, not liveness,
-    and ejecting a draining root would prevent its sessions from
-    finishing their migration.
+    (``"gateway": true``).  A *draining* gateway is still healthy:
+    draining is rotation state, not liveness, and ejecting a draining
+    root would prevent its sessions from finishing their migration.
     """
-    import http.client
-
-    connection = http.client.HTTPConnection(*address, timeout=timeout)
     try:
-        connection.request("GET", "/api/v1/health")
-        response = connection.getresponse()
-        body = response.read()
-        if response.status != 200:
-            return False
-        payload = json.loads(body.decode("utf-8"))
-        return bool(isinstance(payload, dict) and payload.get("gateway"))
-    except (OSError, ValueError):
+        with GatewayClient(*address, timeout=timeout) as client:
+            status, payload = client.request(
+                "GET", "/api/v1/health", raise_on_error=False
+            )
+    except (OSError, ValueError, http.client.HTTPException):
         return False
-    finally:
-        connection.close()
+    return status == 200 and isinstance(payload, dict) and bool(payload.get("gateway"))
+
+
+def dial(
+    host: str, port: int, session: str | None = None, **kwargs
+) -> GatewayWebSocket:
+    """A handshaken WebSocket to one gateway, on ``session`` if named."""
+    client = GatewayWebSocket(host, port, **kwargs)
+    try:
+        client.connect(session=session)
+    except BaseException:
+        # A refused handshake (e.g. a draining root) must not leak the
+        # socket of a never-born client.
+        client.close()
+        raise
+    return client
+
+
+def _admin(address: "tuple[str, int]", action: str) -> dict:
+    """``POST /api/v1/{action}`` to one gateway (drain, undrain)."""
+    with GatewayClient(*address, timeout=10.0) as client:
+        return client.post(f"/api/v1/{action}")
 
 
 class ConnectionDirector:
-    """Round-robin connections across the roots of one service tier."""
+    """Round-robin connections across the roots of one service tier;
+    each root is named by its gateway's address."""
 
     def __init__(
         self,
         addresses: "list[tuple[str, int]]",
-        client_factory: "Callable[..., ServiceClient] | None" = None,
+        client_factory: "Callable[..., GatewayWebSocket] | None" = None,
         max_ping_failures: int = 3,
         probe: "Callable[[tuple[str, int]], bool] | None" = None,
     ):
         if not addresses:
             raise ValueError("a director needs at least one root address")
         self.addresses = list(addresses)
-        self._factory = client_factory if client_factory is not None else ServiceClient
-        self._probe = probe if probe is not None else probe_root
+        self._factory = client_factory if client_factory is not None else dial
+        self._probe = probe if probe is not None else probe_gateway
         self.max_ping_failures = max_ping_failures
         self._next = 0
-        self._gateways: "dict[tuple[str, int], tuple[str, int]]" = {}
         self._affinity: dict[str, tuple[str, int]] = {}
         self._drained: set[tuple[str, int]] = set()
         self._ejected: set[tuple[str, int]] = set()
@@ -177,47 +143,9 @@ class ConnectionDirector:
             self._next += 1
             return address
 
-    def register_gateway(
-        self,
-        root_address: "tuple[str, int]",
-        gateway_address: "tuple[str, int]",
-    ) -> None:
-        """Record that ``root_address`` fronts an HTTP/WS gateway.
-
-        A registered gateway changes two things: :meth:`gateway_for`
-        can deal browser clients a gateway with the same affinity rules
-        TCP clients get, and :meth:`check_health` holds the root to a
-        stricter bar — its transport ping *and* its gateway's health
-        endpoint must both answer, because a root whose gateway is dead
-        is useless to every browser session pinned to it.
-        """
-        if root_address not in self.addresses:
-            raise ValueError(f"unknown root {root_address!r}")
-        with self._lock:
-            self._gateways[root_address] = tuple(gateway_address)
-
-    def gateway_for(self, session: str | None = None) -> "tuple[str, int]":
-        """The gateway address a browser client should dial.
-
-        Routing is root-first: the session's pin (or round-robin) picks
-        a root exactly as :meth:`connect` would, and the answer is that
-        root's registered gateway — so a browser session and its TCP
-        resurrections land on the same soft state.  Roots without a
-        registered gateway are skipped.
-        """
-        with self._lock:
-            if not self._gateways:
-                raise ConnectionError("no gateway registered on any root")
-        for _ in range(len(self.addresses)):
-            root = self._pick(session)
-            with self._lock:
-                gateway = self._gateways.get(root)
-            if gateway is not None:
-                return gateway
-        raise ConnectionError("no routable root has a registered gateway")
-
-    def connect(self, session: str | None = None, **kwargs) -> ServiceClient:
-        """A client on the session's pinned root, or the next one."""
+    def connect(self, session: str | None = None, **kwargs) -> GatewayWebSocket:
+        """A connected WebSocket on the session's pinned root, or the
+        next one."""
         address = self._pick(session)
         try:
             client = self._factory(*address, session=session, **kwargs)
@@ -230,10 +158,10 @@ class ConnectionDirector:
                     if self._affinity.get(session) == address:
                         del self._affinity[session]
             raise
-        # Pin only after the dial succeeded, under the id the connection
-        # actually carries (the server mints one when session is None).
+        # Pin only after the dial succeeded, under the id the welcome
+        # names (the server mints one when session is None).
         with self._lock:
-            self._affinity[client.session_id] = address
+            self._affinity[client.session] = address
         return client
 
     def forget(self, session: str) -> None:
@@ -246,20 +174,10 @@ class ConnectionDirector:
         """One probe pass over every root (ejected ones included, so a
         recovered root rejoins the rotation).  A root failing
         ``max_ping_failures`` *consecutive* probes is ejected; one
-        success restores it and resets its failure count.
-
-        A root with a registered gateway must pass *both* probes — the
-        transport-level ping and the gateway's HTTP health endpoint —
-        to count as healthy; browser sessions routed through a dead
-        gateway are just as stranded as TCP sessions on a dead root."""
+        success restores it and resets its failure count."""
         results: "dict[tuple[str, int], bool]" = {}
         for address in list(self.addresses):
             healthy = bool(self._probe(address))
-            if healthy:
-                with self._lock:
-                    gateway = self._gateways.get(address)
-                if gateway is not None:
-                    healthy = probe_gateway(gateway)
             results[address] = healthy
             recovered = ejected = False
             with self._lock:
@@ -359,10 +277,8 @@ class ConnectionDirector:
         )
         if flush_sessions:
             try:
-                reply = admin_call(address, "drain")
-                if isinstance(reply.payload, dict):
-                    result.update(reply.payload)
-            except (FrameError, OSError, ValueError):
+                result.update(_admin(address, "drain"))
+            except (HillviewError, OSError, ValueError):
                 result["flushError"] = True  # the root may already be down
         return result
 
@@ -371,8 +287,8 @@ class ConnectionDirector:
         with self._lock:
             self._drained.discard(address)
         try:
-            admin_call(address, "undrain")
-        except (FrameError, OSError, ValueError):
+            _admin(address, "undrain")
+        except (HillviewError, OSError, ValueError):
             pass
 
     def drained(self) -> "list[tuple[str, int]]":

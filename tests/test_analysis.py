@@ -33,7 +33,7 @@ SRC = REPO / "src"
 #: Waivers currently shipped in src/ — burn this down, never up.  Every
 #: new suppression is a reviewed decision, not a reflex; if this number
 #: must rise, the PR review owns the justification.
-SUPPRESSION_CEILING = 27
+SUPPRESSION_CEILING = 26
 
 FIRE_RULES = [
     "D001",

@@ -38,14 +38,15 @@ from repro.engine.rpc import (
     summary_to_json,
 )
 from repro.errors import HillviewError, WorkerUnavailableError
+from repro.gateway import GatewayClient, GatewayServer
+from repro.gateway.client import GatewayError
 from repro.service import (
     ConnectionDirector,
-    ServiceClient,
-    ServiceError,
     ServiceServer,
     SqliteSessionStore,
-    probe_root,
+    probe_gateway,
 )
+from repro.service.director import dial
 from repro.table.table import Table
 
 from tests.conftest import WireDeployment, canonical, daemon_fleet, spawn_daemon
@@ -481,8 +482,8 @@ class TestElasticityContract:
 # Director: health checks and draining
 # ---------------------------------------------------------------------------
 class _StubClient:
-    def __init__(self, host, port, session=None, registry=None):
-        self.session_id = session or f"minted-{id(self)}"
+    def __init__(self, host, port, session=None):
+        self.session = session or f"minted-{id(self)}"
 
 
 class TestDirectorHealth:
@@ -535,7 +536,7 @@ class TestDirectorHealth:
         health = {("root-a", 1): True, ("root-b", 2): True}
         director = self._director(health, max_failures=1)
         sticky = director.connect(session="sticky")
-        assert sticky.session_id == "sticky"
+        assert sticky.session == "sticky"
         pinned = director._affinity["sticky"]
         health[pinned] = False
         director.check_health()
@@ -582,77 +583,82 @@ class TestDirectorDrain:
             director.drain(("root-x", 9), flush_sessions=False)
 
 
+def _root(tmp_path) -> tuple[ServiceServer, GatewayServer]:
+    """An in-process-cluster root on the shared store, behind a gateway."""
+    server = ServiceServer(
+        Cluster(num_workers=2, aggregation_interval=0.01),
+        default_source=SOURCE,
+        session_store=SqliteSessionStore(str(tmp_path / "tier.db")),
+        sweep_interval_seconds=30.0,
+    )
+    gateway = GatewayServer(server)
+    gateway.start_background()
+    return server, gateway
+
+
+def _sketch(client, handle: str) -> dict:
+    return client.call("sketch", handle, {"sketch": HIST})
+
+
 class TestServiceDrainRpc:
-    """Draining against a real (in-process-cluster) ServiceServer."""
+    """Draining against a real (in-process-cluster) root."""
 
     @pytest.fixture()
-    def server(self, tmp_path):
-        cluster = Cluster(num_workers=2, aggregation_interval=0.01)
-        server = ServiceServer(
-            cluster,
-            port=0,
-            default_source=SOURCE,
-            session_store=SqliteSessionStore(str(tmp_path / "tier.db")),
-            sweep_interval_seconds=30.0,
-        )
-        server.start_background()
-        yield server
+    def root(self, tmp_path):
+        server, gateway = _root(tmp_path)
+        yield server, gateway
+        gateway.close()
         server.close()
 
-    def test_drain_refuses_new_sessions_while_existing_ones_work(self, server):
-        host, port = server.address
-        with ServiceClient(host, port, session="settled") as resident:
-            handle = resident.load({})
+    def test_drain_refuses_new_sessions_while_existing_ones_work(self, root):
+        server, gateway = root
+        host, port = gateway.address
+        with dial(host, port, session="settled") as resident, GatewayClient(
+            host, port
+        ) as api:
+            handle = resident.call("load", args={"source": {}})["payload"]["handle"]
             sessions_before = server.sessions.sessions_created
-            assert probe_root((host, port))  # health probe mints no session
+            assert probe_gateway((host, port))  # health probe mints no session
             assert server.sessions.sessions_created == sessions_before
 
-            reply = resident.call("drain")  # any connection may ask
-            assert reply.payload["draining"] is True
-            assert reply.payload["persisted"] >= 1  # recipe books flushed
+            drained = api.drain()
+            assert drained["draining"] is True
+            assert drained["persisted"] >= 1  # recipe books flushed
 
             # New sessions are refused with a structured error...
-            with pytest.raises(ServiceError) as info:
-                ServiceClient(host, port)
+            with pytest.raises(GatewayError) as info:
+                dial(host, port)
             assert "draining" in str(info.value)
-            with pytest.raises(ServiceError):
-                ServiceClient(host, port, session="brand-new")
+            with pytest.raises(GatewayError):
+                dial(host, port, session="brand-new")
 
             # ...while the resident session keeps streaming.
-            result = resident.sketch(handle, HIST).result(timeout=60)
-            assert result.kind == "complete"
+            assert _sketch(resident, handle)["kind"] == "complete"
             # And its *reconnects* still work (it lives on this root).
-            with ServiceClient(host, port, session="settled") as again:
-                assert again.session_id == "settled"
+            with dial(host, port, session="settled") as again:
+                assert again.session == "settled"
 
-            assert probe_root((host, port))  # drained != unhealthy
-            resident.call("undrain")
-        with ServiceClient(host, port) as fresh:  # back in rotation
-            assert fresh.session_id
+            assert probe_gateway((host, port))  # drained != unhealthy
+            api.undrain()
+        with dial(host, port) as fresh:  # back in rotation
+            assert fresh.session
 
-    def test_drained_session_roams_via_the_store(self, server, tmp_path):
-        host, port = server.address
-        with ServiceClient(host, port, session="roamer") as client:
-            handle = client.load({})
-            reference = client.sketch(handle, HIST).result(timeout=60)
-            client.call("drain")
+    def test_drained_session_roams_via_the_store(self, root, tmp_path):
+        _, gateway = root
+        with dial(*gateway.address, session="roamer") as client:
+            handle = client.call("load", args={"source": {}})["payload"]["handle"]
+            reference = _sketch(client, handle)
+        ConnectionDirector([gateway.address]).drain(gateway.address)
         # A sibling root sharing the store resumes the session.
-        sibling_cluster = Cluster(num_workers=2, aggregation_interval=0.01)
-        sibling = ServiceServer(
-            sibling_cluster,
-            port=0,
-            default_source=SOURCE,
-            session_store=SqliteSessionStore(str(tmp_path / "tier.db")),
-            sweep_interval_seconds=30.0,
-        )
-        address = sibling.start_background()
+        sibling, sibling_gateway = _root(tmp_path)
         try:
-            with ServiceClient(*address, session="roamer") as moved:
-                assert moved.session_id == "roamer"
-                resumed = moved.sketch(handle, HIST).result(timeout=60)
-                assert canonical(resumed.payload) == canonical(reference.payload)
+            with dial(*sibling_gateway.address, session="roamer") as moved:
+                assert moved.session == "roamer"
+                resumed = _sketch(moved, handle)
+                assert canonical(resumed["payload"]) == canonical(reference["payload"])
             assert sibling.sessions.sessions_resumed >= 1
         finally:
+            sibling_gateway.close()
             sibling.close()
 
 

@@ -1,11 +1,9 @@
 """Gateway tests: negotiation, HTTP surface, connector reads, WS streams,
 and the reply-frame oracle.
 
-That a WebSocket client sees exactly what a TCP :class:`ServiceClient`
-sees, for every kernel spec, is the ``ws`` and ``tcp`` columns of
-``tests/test_invariant.py`` — the gateway adds transport, never semantics;
-here the two are compared directly for a histogram and its ``slow``
-wrapper.
+That a WebSocket client sees exactly what a plain cluster returns, for
+every kernel spec, is the ``ws`` column of ``tests/test_invariant.py`` —
+the gateway adds transport, never semantics.
 """
 
 from __future__ import annotations
@@ -13,6 +11,8 @@ from __future__ import annotations
 import io
 import json
 import random
+import socket
+import struct
 import time
 
 import pytest
@@ -38,23 +38,16 @@ from repro.engine.rpc import REQUEST_ID_MAX, REQUEST_ID_MIN, RpcReply, RpcReques
 from repro.gateway.client import GatewayError
 from repro.gateway.server import _Stream, reply_frame
 from repro.gateway.websocket import (
+    OP_PING,
     OP_TEXT,
     ConnectionClosed,
     encode_frame,
     read_message_blocking,
 )
-from repro.service import (
-    ConnectionDirector,
-    ServiceClient,
-    ServiceServer,
-    probe_gateway,
-)
-from repro.service import encode_frame as tcp_encode_frame
-from repro.service.transport import reply_frame as tcp_reply_frame
+from repro.service import ConnectionDirector, ServiceServer, probe_gateway
 
 from tests.conftest import canonical
 from tests.test_invariant import SPEC_PER_TYPE
-from tests.test_wire_golden import FLIGHTS_SPECS
 
 ROWS = 2_000
 SOURCE = FlightsSource(ROWS, partitions=8, seed=5)
@@ -268,25 +261,6 @@ class TestConnector:
 
 
 # ---------------------------------------------------------------------------
-# WebSocket transport equivalence on the service's default flights source
-# ---------------------------------------------------------------------------
-class TestTransportEquivalence:
-    @pytest.mark.parametrize("kind", ["histogram", "slow"])
-    def test_ws_payload_is_byte_identical_to_tcp(self, kind, service, gateway):
-        spec = FLIGHTS_SPECS[kind]
-        with ServiceClient(*service.address) as tcp:
-            tcp_payload = tcp.sketch(tcp.load({}), spec).result().payload
-        ws = open_ws(gateway)
-        ws.connect()
-        ws.submit(0, "load", args={"source": {}})
-        handle = ws.result(0)["payload"]["handle"]
-        ws.submit(1, "sketch", handle, {"sketch": spec})
-        ws_payload = ws.result(1)["payload"]
-        ws.close()
-        assert canonical(ws_payload) == canonical(tcp_payload)
-
-
-# ---------------------------------------------------------------------------
 # WebSocket handshake end to end
 # ---------------------------------------------------------------------------
 class TestWsHandshake:
@@ -354,6 +328,28 @@ class TestWsHandshake:
         )
         with pytest.raises((ConnectionClosed, ConnectionError, OSError)):
             ws.recv(None)
+        ws.close()
+
+    def test_an_oversized_control_frame_header_closes_the_connection(
+        self, gateway
+    ):
+        """RFC 6455 §5.5: a control frame carries at most 125 bytes.  A
+        ping header declaring 200 is refused on its first two bytes —
+        the server never waits for (or buffers) the payload."""
+        ws = open_ws(gateway)
+        ws.connect()
+        ws._sock.sendall(
+            bytes([0x80 | OP_PING, 0x80 | 126]) + struct.pack("!H", 200)
+            + b"\x01\x02\x03\x04"
+        )
+        ws._sock.settimeout(5.0)
+        try:
+            while ws._sock.recv(4096):
+                pass  # whatever the server sent before it hung up
+        except socket.timeout:
+            pytest.fail("the server kept the connection open")
+        except ConnectionError:
+            pass
         ws.close()
 
     def test_ws_session_roams_from_http(self, gateway, api):
@@ -592,6 +588,21 @@ class TestWsStreams:
         assert ws.ping() == {"type": "pong"}
         ws.close()
 
+    def test_ping_returns_the_pong_past_heartbeats(self, service):
+        gw = GatewayServer(service, heartbeat_interval_seconds=0.05)
+        gw.start_background()
+        try:
+            ws = GatewayWebSocket(*gw.address)
+            ws.connect()
+            time.sleep(0.3)  # heartbeats are queued ahead of the pong
+            assert ws.ping() == {"type": "pong"}
+            # What the ping read past is still there, in order.
+            beats = [ws.recv(None)["n"] for _ in range(3)]
+            assert beats == sorted(beats) and beats[0] == 1
+            ws.close()
+        finally:
+            gw.close()
+
     def test_unknown_message_type_is_bad_request(self, gateway):
         ws = open_ws(gateway)
         ws.connect()
@@ -632,10 +643,6 @@ class TestReplyFrameOracle:
         for seq, reply in enumerate(replies, start=1):
             assert reply_frame(reply, seq) == three_pass_frame(reply, seq)
             assert reply_frame(reply) == three_pass_frame(reply, None)
-            # The TCP wire carries the same envelope, in insertion order.
-            assert tcp_reply_frame(reply) == tcp_encode_frame(
-                json.dumps(reply.envelope()).encode("utf-8")
-            )
 
     @pytest.mark.parametrize("kind", sorted(SPEC_PER_TYPE))
     def test_every_summary(self, kind, session, canonical_dataset):
@@ -696,7 +703,7 @@ class TestTracing:
 
 
 # ---------------------------------------------------------------------------
-# Director integration: gateway-aware routing and health
+# Director integration: gateway routing and health
 # ---------------------------------------------------------------------------
 class TestDirector:
     def test_probe_gateway_sees_a_live_gateway(self, gateway):
@@ -705,64 +712,44 @@ class TestDirector:
     def test_probe_gateway_rejects_a_dead_port(self):
         assert probe_gateway(("127.0.0.1", 1), timeout=0.5) is False
 
-    def test_register_gateway_requires_a_known_root(self, service):
-        director = ConnectionDirector([service.address])
-        with pytest.raises(ValueError):
-            director.register_gateway(("10.0.0.1", 9999), ("10.0.0.1", 80))
+    def test_connect_pins_the_welcomed_session(self, gateway):
+        director = ConnectionDirector([gateway.address])
+        with director.connect() as first:
+            session = first.session
+        assert director._affinity[session] == gateway.address
+        with director.connect(session) as again:
+            assert again.session == session
 
-    def test_gateway_for_without_registration_raises(self, service):
-        director = ConnectionDirector([service.address])
-        with pytest.raises(ConnectionError):
-            director.gateway_for()
-
-    def test_gateway_for_routes_through_root_affinity(
-        self, service, gateway
-    ):
-        director = ConnectionDirector([service.address])
-        director.register_gateway(service.address, gateway.address)
-        assert director.gateway_for() == tuple(gateway.address)
-        # A pinned session keeps landing on the same root's gateway.
-        client = director.connect()
-        try:
-            session = client.session_id
-        finally:
-            client.close()
-        assert director.gateway_for(session) == tuple(gateway.address)
-
-    def test_healthy_root_with_live_gateway_stays_in_rotation(
-        self, service, gateway
-    ):
-        director = ConnectionDirector([service.address], max_ping_failures=1)
-        director.register_gateway(service.address, gateway.address)
+    def test_healthy_root_with_live_gateway_stays_in_rotation(self, gateway):
+        director = ConnectionDirector([gateway.address], max_ping_failures=1)
         results = director.check_health()
-        assert results[service.address] is True
+        assert results[gateway.address] is True
         assert director.ejected() == []
 
     def test_dead_gateway_ejects_its_root(self, service):
-        # The root's TCP transport is alive, but its registered gateway
-        # is a closed port: the stricter dual probe must eject the root.
-        director = ConnectionDirector([service.address], max_ping_failures=2)
-        director.register_gateway(service.address, ("127.0.0.1", 1))
-        assert director.check_health()[service.address] is False
-        assert director.ejected() == []  # one strike is not enough
-        assert director.check_health()[service.address] is False
-        assert director.ejected() == [service.address]
-        # Re-registering a live gateway heals the root on the next pass.
         gw = GatewayServer(service)
+        address = gw.start_background()
+        gw.close()  # the root's front door is gone
+        director = ConnectionDirector([address], max_ping_failures=2)
+        assert director.check_health()[address] is False
+        assert director.ejected() == []  # one strike is not enough
+        assert director.check_health()[address] is False
+        assert director.ejected() == [address]
+        # A gateway back on the same port heals the root on the next pass.
+        gw = GatewayServer(service, port=address[1])
         gw.start_background()
         try:
-            director.register_gateway(service.address, gw.address)
-            assert director.check_health()[service.address] is True
+            assert director.check_health()[address] is True
             assert director.ejected() == []
         finally:
             gw.close()
 
 
 # ---------------------------------------------------------------------------
-# `repro gateway`: the CLI front door end to end
+# `repro serve`: the CLI front door end to end
 # ---------------------------------------------------------------------------
 class TestGatewayCli:
-    def test_gateway_subcommand_serves_http(self):
+    def test_serve_subcommand_serves_http(self):
         import os
         import re
         import subprocess
@@ -774,9 +761,8 @@ class TestGatewayCli:
         env["PYTHONPATH"] = os.path.join(repo, "src")
         process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "gateway",
-                "--demo-flights", "300", "--workers", "1",
-                "--port", "0", "--service-port", "0",
+                sys.executable, "-m", "repro.cli", "serve",
+                "--demo-flights", "300", "--workers", "1", "--port", "0",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

@@ -36,7 +36,7 @@ from repro.engine.rpc import (
     sketch_from_json, sketch_to_json, summary_from_json, summary_to_bytes, summary_to_json,
 )
 from repro.gateway import GatewayServer, GatewayWebSocket
-from repro.service import ServiceClient, ServiceServer
+from repro.service import ServiceServer
 from repro.sketches.specs import SKETCH_SPECS
 from repro.storage import columnar
 from repro.storage.loader import ColumnarDatasetSource, TableSource
@@ -259,24 +259,6 @@ def heap(directory):
     shards = columnar.read_dataset(directory, use_mmap=False)
     assert all(shard.column("i").data.flags.writeable for shard in shards)
     yield plain(in_process().load(TableSource(shards)))
-
-
-@execution_mode("a `complete` reply reached a `ServiceClient` over TCP")
-def tcp(directory):
-    server = ServiceServer(in_process())
-    server.start_background()
-    try:
-        with ServiceClient(*server.address) as client:
-            handle = client.load({"kind": "hvc", "directory": directory})
-
-            def over_tcp(spec):
-                reply = client.sketch(handle, spec).result(timeout=60)
-                assert reply.kind == "complete"
-                return seen_over_a_wire(reply.payload)
-
-            yield Mode(2, over_tcp)
-    finally:
-        server.close()
 
 
 @execution_mode("a `complete` reply reached a `GatewayWebSocket`")

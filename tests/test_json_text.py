@@ -6,7 +6,7 @@ instead of ``json.dumps(summary_to_json(summary))``; integer grids are
 written from the ndarray through a value-to-text table.  Every byte must
 be what ``json.dumps`` wrote before — this file pins that identity for
 arrays of every shape, for every summary the goldens cover (keys in table
-order and sorted), and inside the reply frames of both client wires.
+order and sorted), and inside the gateway's reply frames.
 
 Every reader of a reply frame parses it with :func:`repro.core.wire.loads`
 (orjson, and ``json.loads`` where the two parsers differ); the last
@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.framing import encode_frame
 from repro.core.serialization import Decoder, Encoder
 from repro.core.wire import (
     COUNTS,
@@ -54,7 +53,6 @@ from repro.engine.rpc import (
 )
 from repro.gateway import websocket as ws
 from repro.gateway.server import reply_frame as gateway_frame
-from repro.service.transport import reply_frame as tcp_frame
 from repro.sketches.heatmap import HeatmapSummary
 from repro.sketches.moments import MomentsSketch
 from repro.sketches.specs import SKETCH_SPECS
@@ -261,7 +259,6 @@ def test_reply_frames_are_byte_identical(name):
     summary = SUMMARIES[name]
     for seq, reply in enumerate(_replies(summary), start=1):
         envelope = _reference(reply)
-        assert tcp_frame(reply) == encode_frame(json.dumps(envelope).encode("utf-8"))
         message = {**envelope, "type": "reply", "seq": seq}
         assert gateway_frame(reply, seq) == ws.encode_frame(
             ws.OP_TEXT, json.dumps(message, sort_keys=True).encode("utf-8")

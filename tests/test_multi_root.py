@@ -1,6 +1,7 @@
 """The horizontal service tier: N roots over one shared worker fleet.
 
-Two real ``ServiceServer`` front-ends attach to the same pre-started
+Two real roots (``ServiceServer`` behind a ``GatewayServer``) attach to
+the same pre-started
 ``repro worker --listen`` daemons (the paper's stateless-web-server
 deployment, §5.2–5.3) and must be indistinguishable to clients: identical
 shard placement, identical answers to concurrent sessions, and sessions
@@ -24,12 +25,9 @@ from repro.engine.rpc import (
     summary_from_json,
     summary_to_json,
 )
-from repro.service import (
-    ConnectionDirector,
-    ServiceClient,
-    ServiceServer,
-    SqliteSessionStore,
-)
+from repro.gateway import GatewayClient, GatewayServer, GatewayWebSocket
+from repro.service import ConnectionDirector, ServiceServer, SqliteSessionStore
+from repro.service.director import dial
 from repro.table.table import Table
 
 from tests.conftest import canonical, daemon_fleet
@@ -64,9 +62,10 @@ def fleet():
 
 @pytest.fixture(scope="module")
 def tier(fleet, tmp_path_factory):
-    """Two ServiceServer roots over the shared fleet + shared store."""
+    """Two roots over the shared fleet + shared store, each as
+    (service, cluster, gateway address)."""
     store_path = str(tmp_path_factory.mktemp("tier") / "sessions.db")
-    roots = []
+    roots, gateways = [], []
     try:
         for _ in range(2):
             cluster = ProcessCluster(
@@ -74,17 +73,29 @@ def tier(fleet, tmp_path_factory):
             )
             server = ServiceServer(
                 cluster,
-                port=0,
                 session_store=SqliteSessionStore(store_path),
                 sweep_interval_seconds=30.0,
             )
-            address = server.start_background()
-            roots.append((server, cluster, address))
+            gateways.append(GatewayServer(server))
+            roots.append((server, cluster, gateways[-1].start_background()))
         yield roots
     finally:
+        for gateway in gateways:
+            gateway.close()
         for server, cluster, _ in roots:
             server.close()
             cluster.close()
+
+
+def load(client: GatewayWebSocket) -> str:
+    return client.call("load", args={"source": FLIGHTS_SPEC})["payload"]["handle"]
+
+
+def run(client: GatewayWebSocket, handle: str, spec: dict) -> dict:
+    """One sketch's terminal reply."""
+    reply = client.call("sketch", handle, {"sketch": spec})
+    assert reply["kind"] == "complete", reply
+    return reply
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +154,11 @@ class TestByteIdenticalSummaries:
         )
         payloads = []
         for _, _, (host, port) in tier:
-            with ServiceClient(host, port) as client:
-                handle = client.load(FLIGHTS_SPEC)
-                reply = client.sketch(handle, spec).result(timeout=120)
-                assert reply.kind == "complete", reply.error
-                payloads.append(canonical(reply.payload))
+            with dial(host, port) as client:
+                payload = run(client, load(client), spec)["payload"]
+                payloads.append(canonical(payload))
                 assert (
-                    summary_from_json(reply.payload).to_bytes() == local_bytes
+                    summary_from_json(payload).to_bytes() == local_bytes
                 ), f"{kind} differs from the local reference on {host}:{port}"
         assert payloads[0] == payloads[1], (
             f"{kind}: the two roots returned different wire payloads"
@@ -169,9 +178,8 @@ class TestByteIdenticalSummaries:
         def one_session() -> None:
             try:
                 with director.connect() as client:
-                    handle = client.load(FLIGHTS_SPEC)
-                    reply = client.sketch(handle, HIST).result(timeout=120)
-                    results.append(canonical(reply.payload))
+                    reply = run(client, load(client), HIST)
+                    results.append(canonical(reply["payload"]))
             except Exception as exc:  # noqa: BLE001 — collected for assert
                 errors.append(exc)
 
@@ -185,14 +193,20 @@ class TestByteIdenticalSummaries:
         assert all(result == local for result in results)
         # Both roots actually served traffic.
         for server, _, _ in tier:
-            assert server.connections_accepted >= 4
+            assert server.sessions.sessions_created >= 4
 
 
-def session_metrics(client: ServiceClient) -> dict:
+def metrics(client: GatewayWebSocket) -> dict:
+    """The root's metricsSnapshot, read from the client's gateway."""
+    with GatewayClient(client.host, client.port) as api:
+        return api.metrics()
+
+
+def session_metrics(client: GatewayWebSocket) -> dict:
     """The calling session's counters, as the root's metricsSnapshot
     reports them."""
-    sessions = client.metrics_snapshot()["sessions"]["sessions"]
-    (mine,) = [s for s in sessions if s["session"] == client.session_id]
+    sessions = metrics(client)["sessions"]["sessions"]
+    (mine,) = [s for s in sessions if s["session"] == client.session]
     return mine["metrics"]
 
 
@@ -209,34 +223,29 @@ class TestCrossRootWarmCache:
         "buckets": {"type": "double", "min": 0, "max": 3000, "count": 13},
     }
 
-    def worker_scans(self, client: ServiceClient) -> list[int]:
-        workers = client.metrics_snapshot()["cluster"]["workers"]
+    def worker_scans(self, client: GatewayWebSocket) -> list[int]:
+        workers = metrics(client)["cluster"]["workers"]
         assert all("error" not in w for w in workers), workers
         return [w["shardsSummarized"] for w in workers]
 
     def test_sketch_warmed_via_root_a_hits_via_root_b(self, tier):
         (_, _, address_a), (_, _, address_b) = tier
-        with ServiceClient(*address_a) as client_a:
-            handle = client_a.load(FLIGHTS_SPEC)
-            cold = client_a.sketch(handle, self.WARM_SPEC).result(timeout=120)
-            assert cold.kind == "complete", cold.error
-            assert cold.cache == {"hit": False, "workerHits": 0}
+        with dial(*address_a) as client_a:
+            cold = run(client_a, load(client_a), self.WARM_SPEC)
+            assert cold["cache"] == {"hit": False, "workerHits": 0}
 
-        with ServiceClient(*address_b) as client_b:
+        with dial(*address_b) as client_b:
             scans_before = self.worker_scans(client_b)
-            handle = client_b.load(FLIGHTS_SPEC)
-            warm = client_b.sketch(handle, self.WARM_SPEC).result(timeout=120)
-            assert warm.kind == "complete", warm.error
+            warm = run(client_b, load(client_b), self.WARM_SPEC)
             scans_after = self.worker_scans(client_b)
             # Zero worker-side shard scans: every daemon answered root B
             # from the memo entry root A's run left behind.
             assert scans_after == scans_before, (
                 f"warm run scanned shards: {scans_before} -> {scans_after}"
             )
-            assert warm.cache is not None
-            assert warm.cache["workerHits"] == len(scans_after)
-            assert not warm.cache["hit"]  # root B's own root tier was cold
-            assert canonical(warm.payload) == canonical(cold.payload)
+            assert warm["cache"]["workerHits"] == len(scans_after)
+            assert not warm["cache"]["hit"]  # root B's own root tier was cold
+            assert canonical(warm["payload"]) == canonical(cold["payload"])
             # The per-session telemetry shows up in the metricsSnapshot RPC.
             assert (
                 session_metrics(client_b)["workerCacheHits"]
@@ -250,14 +259,12 @@ class TestCrossRootWarmCache:
             "column": "Distance",
             "buckets": {"type": "double", "min": 0, "max": 3000, "count": 17},
         }
-        with ServiceClient(*address_a) as client:
-            handle = client.load(FLIGHTS_SPEC)
-            first = client.sketch(handle, spec).result(timeout=120)
-            assert first.kind == "complete", first.error
-            again = client.sketch(handle, spec).result(timeout=120)
-            assert again.kind == "complete", again.error
-            assert again.cache is not None and again.cache["hit"]
-            assert canonical(again.payload) == canonical(first.payload)
+        with dial(*address_a) as client:
+            handle = load(client)
+            first = run(client, handle, spec)
+            again = run(client, handle, spec)
+            assert again["cache"]["hit"]
+            assert canonical(again["payload"]) == canonical(first["payload"])
             assert session_metrics(client)["cacheHits"] >= 1
 
 
@@ -267,8 +274,8 @@ class TestSessionMobility:
         root B by session id, and query the *derived* handle — root B
         rebuilds it from the stored recipe book via lineage replay."""
         (server_a, _, address_a), (server_b, _, address_b) = tier
-        with ServiceClient(*address_a, session="roaming") as client_a:
-            root_handle = client_a.load(FLIGHTS_SPEC)
+        with dial(*address_a, session="roaming") as client_a:
+            root_handle = load(client_a)
             derived = client_a.call(
                 "filter",
                 root_handle,
@@ -280,15 +287,15 @@ class TestSessionMobility:
                         "value": 500.0,
                     }
                 },
-            ).payload["handle"]
-            reference = client_a.sketch(derived, HIST).result(timeout=120)
-            reference_rows = client_a.row_count(derived)
+            )["payload"]["handle"]
+            reference = run(client_a, derived, HIST)
+            reference_rows = client_a.call("rowCount", derived)["payload"]
 
-        with ServiceClient(*address_b, session="roaming") as client_b:
-            assert client_b.session_id == "roaming"
-            assert client_b.row_count(derived) == reference_rows
-            resumed = client_b.sketch(derived, HIST).result(timeout=120)
-            assert canonical(resumed.payload) == canonical(reference.payload)
+        with dial(*address_b, session="roaming") as client_b:
+            assert client_b.session == "roaming"
+            assert client_b.call("rowCount", derived)["payload"] == reference_rows
+            resumed = run(client_b, derived, HIST)
+            assert canonical(resumed["payload"]) == canonical(reference["payload"])
         assert server_b.sessions.sessions_resumed >= 1
 
     def test_director_pins_sessions_and_rotates_fresh_connections(self):
@@ -303,37 +310,37 @@ class TestSessionMobility:
                 if host == "root-b" and down["b"]:
                     raise ConnectionRefusedError("root-b is down")
                 dialed.append((host, port))
-                self.session_id = session or f"minted-{len(dialed)}"
+                self.session = session or f"minted-{len(dialed)}"
 
         down = {"b": False}
         director = ConnectionDirector(addresses, client_factory=StubClient)
         first = director.connect(session="sticky")
         assert dialed[-1] == ("root-a", 1)
         for _ in range(3):  # reconnects stay pinned
-            assert director.connect(session="sticky").session_id == "sticky"
+            assert director.connect(session="sticky").session == "sticky"
             assert dialed[-1] == ("root-a", 1)
         # Fresh connections keep rotating across the remaining slots.
         fresh = director.connect()
         assert dialed[-1] == ("root-b", 2)
-        assert director.connect(session=fresh.session_id).session_id == fresh.session_id
+        assert director.connect(session=fresh.session).session == fresh.session
         assert dialed[-1] == ("root-b", 2), "minted ids pin too"
         # A failed dial must not pin: the session retries onto a live root.
         director.connect()  # consume the root-a rotation slot
         down["b"] = True
         with pytest.raises(ConnectionRefusedError):
             director.connect(session="roamer")  # round-robin lands on b
-        assert director.connect(session="roamer").session_id == "roamer"
+        assert director.connect(session="roamer").session == "roamer"
         assert dialed[-1] == ("root-a", 1)
-        assert first.session_id == "sticky"
+        assert first.session == "sticky"
         # A dead *pinned* root must not capture its session either: the
         # failed dial drops the pin, and the retry (with the shared
         # store behind it) resumes the session on a healthy root.
         with pytest.raises(ConnectionRefusedError):
-            director.connect(session=fresh.session_id)  # pinned to dead b
+            director.connect(session=fresh.session)  # pinned to dead b
         with pytest.raises(ConnectionRefusedError):
-            director.connect(session=fresh.session_id)  # rotation hits b too
+            director.connect(session=fresh.session)  # rotation hits b too
         assert (
-            director.connect(session=fresh.session_id).session_id
-            == fresh.session_id
+            director.connect(session=fresh.session).session
+            == fresh.session
         )
         assert dialed[-1] == ("root-a", 1)

@@ -47,7 +47,9 @@ from repro.obs.trace import (
     trace_enabled,
     use_context,
 )
-from repro.service import ServiceClient, ServiceServer
+from repro.gateway import GatewayClient, GatewayServer
+from repro.service import ServiceServer
+from repro.service.director import dial
 from repro.sketches.histogram import HistogramSketch
 from repro.storage.loader import TableSource
 from repro.table.compute import ColumnPredicate
@@ -359,7 +361,7 @@ class TestFanOutTracing:
 
 
 # ---------------------------------------------------------------------------
-# Service-level: the client->root wire, profiles, and the obs RPCs
+# Service-level: the gateway, profiles, and the obs endpoints
 # ---------------------------------------------------------------------------
 HIST_SPEC = {
     "type": "histogram",
@@ -369,40 +371,54 @@ HIST_SPEC = {
 
 
 @pytest.fixture(scope="module")
-def obs_server():
+def obs_gateway():
     server = ServiceServer(
         Cluster(num_workers=2, cores_per_worker=2, aggregation_interval=0.02),
         default_source=FlightsSource(8_000, partitions=8, seed=3),
         max_concurrent=4,
     )
-    server.start_background()
-    yield server
+    gateway = GatewayServer(server)
+    gateway.start_background()
+    yield gateway
+    gateway.close()
     server.close()
 
 
 @pytest.fixture
-def obs_client(obs_server):
-    with ServiceClient(*obs_server.address) as client:
+def obs_client(obs_gateway):
+    with dial(*obs_gateway.address) as client:
         yield client
 
 
-def drain(pending):
-    final = None
-    for reply in pending.replies():
-        final = reply
-    return final
+@pytest.fixture
+def obs_api(obs_gateway):
+    with GatewayClient(*obs_gateway.address) as api:
+        yield api
+
+
+def load(client) -> str:
+    return client.call("load", args={"source": {}})["payload"]["handle"]
+
+
+def sketch(client, handle: str, args: dict, trace: TraceContext | None = None):
+    """Every reply of one sketch request, through its terminal."""
+    context = trace.to_json() if trace is not None else None
+    return list(client.stream(client.request("sketch", handle, args, context)))
+
+
+def drain(client, handle: str, trace: TraceContext | None = None) -> dict:
+    return sketch(client, handle, {"sketch": HIST_SPEC}, trace)[-1]
 
 
 class TestServiceTracing:
-    def test_spans_cover_every_stage_and_parent_to_the_root(self, obs_client):
-        handle = obs_client.load()
+    def test_spans_cover_every_stage_and_parent_to_the_root(
+        self, obs_client, obs_api
+    ):
+        handle = load(obs_client)
         ctx = TraceContext.new_root()
-        final = drain(
-            obs_client.submit("sketch", handle, {"sketch": HIST_SPEC}, trace=ctx)
-        )
-        assert final.kind == "complete"
+        assert drain(obs_client, handle, ctx)["kind"] == "complete"
 
-        spans = obs_client.trace_dump(ctx.trace_id)
+        spans = obs_api.traces(ctx.trace_id)["spans"]
         names = {s["name"] for s in spans}
         assert {
             "scheduler.queue",
@@ -424,12 +440,12 @@ class TestServiceTracing:
             if s["parentId"] is not None:
                 assert s["parentId"] in ids
 
-    def test_trace_dump_filters_by_trace_id(self, obs_client):
-        handle = obs_client.load()
+    def test_trace_dump_filters_by_trace_id(self, obs_client, obs_api):
+        handle = load(obs_client)
         first, second = TraceContext.new_root(), TraceContext.new_root()
-        drain(obs_client.submit("sketch", handle, {"sketch": HIST_SPEC}, trace=first))
-        drain(obs_client.submit("sketch", handle, {"sketch": HIST_SPEC}, trace=second))
-        spans = obs_client.trace_dump(first.trace_id)
+        drain(obs_client, handle, first)
+        drain(obs_client, handle, second)
+        spans = obs_api.traces(first.trace_id)["spans"]
         assert spans
         assert all(s["traceId"] == first.trace_id for s in spans)
 
@@ -438,10 +454,9 @@ class TestServiceTracing:
     ):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         RECORDER.clear()
-        handle = obs_client.load()
-        final = drain(obs_client.submit("sketch", handle, {"sketch": HIST_SPEC}))
-        assert final.kind == "complete"
-        assert final.profile is None
+        final = drain(obs_client, load(obs_client))
+        assert final["kind"] == "complete"
+        assert "profile" not in final
         assert len(RECORDER) == 0
 
     def test_env_switch_originates_traces_server_side(
@@ -451,28 +466,21 @@ class TestServiceTracing:
         # though the client sent a bare envelope.
         monkeypatch.setenv("REPRO_TRACE", "1")
         RECORDER.clear()
-        handle = obs_client.load()
-        final = drain(obs_client.submit("sketch", handle, {"sketch": HIST_SPEC}))
-        assert final.kind == "complete"
+        assert drain(obs_client, load(obs_client))["kind"] == "complete"
         assert any(
             s["name"] == "query.sketch" for s in RECORDER.spans()
         )
 
     def test_profile_rides_only_the_terminal_reply(self, obs_client):
-        handle = obs_client.load()
+        handle = load(obs_client)
         # A bucket count no other test uses: a computation-cache hit
         # would legitimately skip the fan-out (and its profile stages).
         cold_spec = dict(HIST_SPEC, buckets=dict(HIST_SPEC["buckets"], count=17))
-        replies = list(
-            obs_client.submit(
-                "sketch", handle, {"sketch": cold_spec, "profile": True}
-            ).replies()
-        )
+        replies = sketch(obs_client, handle, {"sketch": cold_spec, "profile": True})
         final = replies[-1]
-        assert final.kind == "complete"
-        assert all(r.profile is None for r in replies[:-1])
-        profile = final.profile
-        assert profile is not None
+        assert final["kind"] == "complete"
+        assert all("profile" not in r for r in replies[:-1])
+        profile = final["profile"]
         for key in (
             "queueWaitSeconds",
             "firstPartialSeconds",
@@ -491,10 +499,9 @@ class TestServiceTracing:
             # last partial.
             assert stat["endSeconds"] >= stat["lastEmitSeconds"]
 
-    def test_metrics_snapshot_reports_fleet_state(self, obs_client):
-        handle = obs_client.load()
-        drain(obs_client.submit("sketch", handle, {"sketch": HIST_SPEC}))
-        snap = obs_client.metrics_snapshot()
+    def test_metrics_snapshot_reports_fleet_state(self, obs_client, obs_api):
+        drain(obs_client, load(obs_client))
+        snap = obs_api.metrics()
         assert snap["type"] == "metricsSnapshot"
         assert snap["scheduler"]["completed"] >= 1
         workers = snap["cluster"]["workers"]
@@ -507,8 +514,8 @@ class TestServiceTracing:
         assert registry["web.first_partial_seconds"]["count"] >= 1
         assert "scheduler.queued" in registry
 
-    def test_prometheus_exposition(self, obs_client):
-        text = obs_client.metrics_snapshot(fmt="prometheus")["text"]
+    def test_prometheus_exposition(self, obs_api):
+        text = obs_api.metrics(fmt="prometheus")
         assert "# TYPE" in text
         assert "scheduler_queued" in text
 
@@ -517,11 +524,12 @@ class TestOneReportPerProcess:
     """``metricsSnapshot`` is the fleet's one report: every number the
     retired ``cacheStats`` RPC carried is readable from it."""
 
-    #: ``CacheStats.to_json`` — one cache tier's counters.
-    CACHE_KEYS = [
+    #: ``CacheStats.to_json`` — one cache tier's counters, in the sorted
+    #: key order the gateway's JSON carries.
+    CACHE_KEYS = sorted([
         "name", "entries", "bytes", "hits", "misses", "hitRate",
         "evictions", "invalidations", "maxEntries", "maxBytes", "disabled",
-    ]
+    ])
 
     def test_every_cache_stats_field_is_in_the_snapshot(self):
         deployment = WireDeployment()
@@ -531,21 +539,25 @@ class TestOneReportPerProcess:
         server = ServiceServer(
             cluster, default_source=FlightsSource(4_000, partitions=4, seed=5)
         )
-        server.start_background()
+        gateway = GatewayServer(server)
+        gateway.start_background()
         try:
-            with ServiceClient(*server.address) as client:
-                handle = client.load()
+            with dial(*gateway.address) as client, GatewayClient(
+                *gateway.address
+            ) as api:
+                handle = load(client)
                 # Cold, then a root hit, then (root tier cleared) one
                 # memo hit per worker.
                 for _ in range(2):
-                    drain(client.submit("sketch", handle, {"sketch": HIST_SPEC}))
+                    drain(client, handle)
                 cluster.computation_cache.clear()
-                drain(client.submit("sketch", handle, {"sketch": HIST_SPEC}))
-                snap = client.metrics_snapshot()
-                session_id = client.session_id
+                drain(client, handle)
+                snap = api.metrics()
+                session_id = client.session
                 out = io.StringIO()
-                RemoteSession(client, out).execute("metrics")
+                RemoteSession(client, api, out).execute("metrics")
         finally:
+            gateway.close()
             server.close()
             deployment.close()
 

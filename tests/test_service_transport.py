@@ -1,37 +1,28 @@
-"""Service transport tests: framing, concurrent sessions, wire acceptance.
-
-The front-door contract at the end runs each case over both client
-wires — the TCP :class:`ServiceClient` and the gateway's
-:class:`GatewayWebSocket` — because admission, backpressure and
-teardown are one implementation behind both.
+"""The root behind its one front door: framing, sessions, concurrent
+streams, and the front-door contract (admission, backpressure,
+teardown), all through the gateway's WebSocket and HTTP surfaces.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import io
-import itertools
-import json
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.core.framing import FrameError, encode_frame, read_frame_blocking
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster
-from repro.engine.rpc import REQUEST_ID_MAX, REQUEST_ID_MIN, RpcReply
-from repro.gateway import GatewayServer, GatewayWebSocket
+from repro.engine.rpc import REQUEST_ID_MAX, REQUEST_ID_MIN
+from repro.gateway import GatewayClient, GatewayServer, GatewayWebSocket
+from repro.gateway import server as gateway_server
 from repro.gateway.client import GatewayError
-from repro.service import (
-    ServiceClient,
-    ServiceError,
-    ServiceServer,
-    encode_frame,
-    frontdoor,
-    read_frame_blocking,
-)
+from repro.gateway.websocket import OP_TEXT
+from repro.gateway.websocket import encode_frame as ws_frame
+from repro.service import ServiceServer
+from repro.service.director import dial
 
 ROWS = 20_000
 
@@ -43,14 +34,21 @@ def server():
         default_source=FlightsSource(ROWS, partitions=16, seed=3),
         max_concurrent=4,
     )
-    server.start_background()
     yield server
     server.close()
 
 
+@pytest.fixture(scope="module")
+def gateway(server):
+    gateway = GatewayServer(server)
+    gateway.start_background()
+    yield gateway
+    gateway.close()
+
+
 @pytest.fixture
-def client(server):
-    with ServiceClient(*server.address) as client:
+def client(gateway):
+    with dial(*gateway.address, timeout=60) as client:
         yield client
 
 
@@ -65,7 +63,26 @@ def hist_spec(per_shard_seconds: float = 0.0) -> dict:
     return spec
 
 
+def load(client: GatewayWebSocket) -> str:
+    return client.call("load", args={"source": {}})["payload"]["handle"]
+
+
+def row_count(client: GatewayWebSocket, handle: str) -> int:
+    return client.call("rowCount", handle)["payload"]["rows"]
+
+
+def sketch(client: GatewayWebSocket, handle: str, spec: dict) -> int:
+    return client.request("sketch", handle, {"sketch": spec})
+
+
+def replies(client: GatewayWebSocket, request_id: int) -> list[dict]:
+    """One stream's replies through its terminal (cancel acks dropped)."""
+    return [m for m in client.stream(request_id) if m.get("type") == "reply"]
+
+
 class TestFraming:
+    """The uvarint framing of the root<->worker wire."""
+
     def test_frame_round_trip(self):
         payload = b'{"hello": "world"}' * 50
         stream = io.BytesIO(encode_frame(payload) + encode_frame(b"x"))
@@ -75,109 +92,98 @@ class TestFraming:
 
     def test_truncated_frame_detected(self):
         stream = io.BytesIO(encode_frame(b"abcdef")[:-2])
-        with pytest.raises(ServiceError, match="inside a frame body"):
+        with pytest.raises(FrameError, match="inside a frame body"):
             read_frame_blocking(stream)
 
 
 class TestBasicRpc:
     def test_hello_assigns_session(self, client):
-        assert client.session_id.startswith("sess-")
-        assert client.ping()
+        assert client.session.startswith("sess-")
+        assert client.ping() == {"type": "pong"}
 
     def test_load_schema_rows(self, client):
-        handle = client.load()
-        names = [c["name"] for c in client.schema(handle)]
+        handle = load(client)
+        columns = client.call("schema", handle)["payload"]["columns"]
+        names = [c["name"] for c in columns]
         assert "Distance" in names and "Airline" in names
-        assert client.row_count(handle) == ROWS
+        assert row_count(client, handle) == ROWS
 
     def test_sketch_streams_monotonic_progress(self, client):
-        handle = client.load()
-        replies = list(client.sketch(handle, hist_spec(0.01)).replies(timeout=60))
-        assert replies[-1].kind == "complete"
-        assert replies[-1].progress == 1.0
-        progresses = [r.progress for r in replies]
+        handle = load(client)
+        stream = replies(client, sketch(client, handle, hist_spec(0.01)))
+        assert stream[-1]["kind"] == "complete"
+        assert stream[-1]["progress"] == 1.0
+        progresses = [r["progress"] for r in stream]
         assert progresses == sorted(progresses)
-        assert len(replies) > 1  # progressive, not one-shot
-        total = sum(replies[-1].payload["counts"])
+        assert len(stream) > 1  # progressive, not one-shot
+        total = sum(stream[-1]["payload"]["counts"])
         assert 0 < total <= ROWS
 
     def test_unknown_handle_error_envelope_keeps_session_alive(self, client):
-        with pytest.raises(ServiceError, match="unknown remote object"):
-            client.row_count("obj-404")
+        with pytest.raises(GatewayError, match="unknown remote object"):
+            row_count(client, "obj-404")
         assert client.ping()  # the connection survived the bad request
 
-    def test_malformed_frame_gets_protocol_error(self, server):
-        import socket as socket_mod
+    def test_malformed_frame_gets_protocol_error(self, client):
+        client._sock.sendall(ws_frame(OP_TEXT, b"this is not json", mask=True))
+        answer = client.recv(None)
+        assert (answer["type"], answer["code"]) == ("error", "bad_request")
 
-        with socket_mod.create_connection(server.address, timeout=5) as sock:
-            sock.sendall(encode_frame(b"this is not json"))
-            stream = sock.makefile("rb")
-            frame = read_frame_blocking(stream)
-            assert b'"protocol"' in frame
-
-    def test_an_id_outside_int64_gets_protocol_error(self, server):
-        import socket as socket_mod
-
-        with socket_mod.create_connection(server.address, timeout=5) as sock:
-            stream = sock.makefile("rb")
-
-            def exchange(request_id) -> RpcReply:
-                request = {"requestId": request_id, "target": "", "method": "ping"}
-                sock.sendall(encode_frame(json.dumps(request).encode("utf-8")))
-                return RpcReply.from_json(read_frame_blocking(stream))
-
-            for outside in (REQUEST_ID_MAX + 1, REQUEST_ID_MIN - 1, "one"):
-                refused = exchange(outside)
-                assert (refused.request_id, refused.kind) == (-1, "error")
-                assert refused.code == "protocol"
-            # The connection stays usable, and both ends of the range are ids.
-            for edge in (REQUEST_ID_MIN, REQUEST_ID_MAX):
-                answered = exchange(edge)
-                assert (answered.request_id, answered.kind) == (edge, "ack")
+    def test_an_id_outside_int64_gets_protocol_error(self, client):
+        for outside in (REQUEST_ID_MAX + 1, REQUEST_ID_MIN - 1, "one"):
+            client.submit(outside, "ping")
+            refused = client.recv(None)
+            assert (refused["type"], refused["code"]) == ("error", "bad_request")
+        # The connection stays usable, and both ends of the range are ids.
+        for edge in (REQUEST_ID_MIN, REQUEST_ID_MAX):
+            client.submit(edge, "ping")
+            answered = client.result(edge)
+            assert (answered["requestId"], answered["kind"]) == (edge, "ack")
 
     def test_explicit_cancel_rpc(self, client):
-        handle = client.load()
-        pending = client.sketch(handle, hist_spec(0.05))
-        next(pending.replies(timeout=60))  # the query is visibly running
-        assert client.cancel(pending.request_id) is True
-        terminal = pending.result(raise_on_error=False)
-        assert terminal.kind in ("cancelled", "complete")
+        handle = load(client)
+        request_id = sketch(client, handle, hist_spec(0.05))
+        client.recv(request_id)  # the query is visibly running
+        client.cancel(request_id)
+        stream = list(client.stream(request_id))
+        (ack,) = [m for m in stream if m["type"] == "cancel_ack"]
+        assert ack["cancelled"] is True
+        assert stream[-1]["kind"] in ("cancelled", "complete")
 
-    def test_stats_rpc(self, client):
-        handle = client.load()
-        client.row_count(handle)
-        stats = client.stats()
+    def test_stats_rpc(self, client, gateway):
+        handle = load(client)
+        row_count(client, handle)
+        with GatewayClient(*gateway.address) as api:
+            stats = api.stats()
         assert stats["type"] == "serviceStats"
         assert stats["scheduler"]["admitted"] >= 1
         assert stats["cluster"]["workers"] == 2
 
 
 class TestSessions:
-    def test_session_resumes_across_connections(self, server):
-        with ServiceClient(*server.address) as first:
-            session_id = first.session_id
-            handle = first.load()
-            assert first.row_count(handle) == ROWS
+    def test_session_resumes_across_connections(self, gateway):
+        with dial(*gateway.address) as first:
+            session_id = first.session
+            handle = load(first)
+            assert row_count(first, handle) == ROWS
         # Reconnect with the same session id: the handle namespace is
         # still there (soft state lives on the server, not the socket).
-        with ServiceClient(*server.address, session=session_id) as second:
-            assert second.session_id == session_id
-            assert second.row_count(handle) == ROWS
+        with dial(*gateway.address, session=session_id) as second:
+            assert second.session == session_id
+            assert row_count(second, handle) == ROWS
 
-    def test_sessions_share_the_default_dataset(self, server):
-        with ServiceClient(*server.address) as a, ServiceClient(
-            *server.address
-        ) as b:
-            ha = a.load()
-            hb = b.load()
+    def test_sessions_share_the_default_dataset(self, server, gateway):
+        with dial(*gateway.address) as a, dial(*gateway.address) as b:
+            ha = load(a)
+            hb = load(b)
             sessions = server.sessions
-            da = sessions.get(a.session_id).web.dataset(ha)
-            db = sessions.get(b.session_id).web.dataset(hb)
+            da = sessions.get(a.session).web.dataset(ha)
+            db = sessions.get(b.session).web.dataset(hb)
             assert da.dataset_id == db.dataset_id
 
 
 class TestConcurrentSessions:
-    def test_two_sessions_stream_concurrently(self, server):
+    def test_two_sessions_stream_concurrently(self, gateway):
         """The acceptance scenario: two sessions, overlapping streaming
         sketches, each seeing monotonically-progressing partials."""
         results: dict[str, list] = {}
@@ -185,12 +191,11 @@ class TestConcurrentSessions:
 
         def explore(name: str) -> None:
             try:
-                with ServiceClient(*server.address) as client:
-                    handle = client.load()
-                    replies = list(
-                        client.sketch(handle, hist_spec(0.01)).replies(timeout=60)
+                with dial(*gateway.address) as client:
+                    handle = load(client)
+                    results[name] = replies(
+                        client, sketch(client, handle, hist_spec(0.01))
                     )
-                    results[name] = replies
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
@@ -203,190 +208,70 @@ class TestConcurrentSessions:
             thread.join(timeout=120)
         assert not errors
         assert set(results) == {"user-0", "user-1"}
-        for replies in results.values():
-            assert replies[-1].kind == "complete"
-            progresses = [r.progress for r in replies]
+        for stream in results.values():
+            assert stream[-1]["kind"] == "complete"
+            progresses = [r["progress"] for r in stream]
             assert progresses == sorted(progresses)
-            assert sum(replies[-1].payload["counts"]) > 0
+            assert sum(stream[-1]["payload"]["counts"]) > 0
 
-    def test_newest_query_wins_isolated_per_session(self, server):
+    def test_newest_query_wins_isolated_per_session(self, server, gateway):
         """Second half of the acceptance criteria: a superseding sketch on
         one session cancels its predecessor (visible in scheduler metrics)
         without affecting the other session."""
         preempted_before = server.scheduler.metrics.preempted
-        with ServiceClient(*server.address) as alice, ServiceClient(
-            *server.address
-        ) as bob:
-            ha, hb = alice.load(), bob.load()
-            bob_query = bob.sketch(hb, hist_spec(0.01))
-            stale = alice.sketch(ha, hist_spec(0.05))
-            next(stale.replies(timeout=60))  # streaming has visibly begun
-            fresh = alice.sketch(ha, hist_spec(0.0))
-            stale_terminal = stale.result(timeout=60, raise_on_error=False)
-            fresh_terminal = fresh.result(timeout=60)
-            bob_terminal = bob_query.result(timeout=60)
-            assert stale_terminal.kind == "cancelled"
-            assert stale_terminal.code == "superseded"
-            assert fresh_terminal.kind == "complete"
+        with dial(*gateway.address) as alice, dial(*gateway.address) as bob:
+            ha, hb = load(alice), load(bob)
+            bob_query = sketch(bob, hb, hist_spec(0.01))
+            stale = sketch(alice, ha, hist_spec(0.05))
+            alice.recv(stale)  # streaming has visibly begun
+            fresh = sketch(alice, ha, hist_spec(0.0))
+            stale_terminal = alice.result(stale)
+            fresh_terminal = alice.result(fresh)
+            bob_terminal = bob.result(bob_query)
+            assert stale_terminal["kind"] == "cancelled"
+            assert stale_terminal["code"] == "superseded"
+            assert fresh_terminal["kind"] == "complete"
             # Bob's overlapping query is untouched by Alice's preemption.
-            assert bob_terminal.kind == "complete"
-            assert sum(bob_terminal.payload["counts"]) > 0
+            assert bob_terminal["kind"] == "complete"
+            assert sum(bob_terminal["payload"]["counts"]) > 0
             assert server.scheduler.metrics.preempted == preempted_before + 1
-            stats = alice.stats()
             alice_stats = next(
                 s
-                for s in stats["sessions"]["sessions"]
-                if s["session"] == alice.session_id
+                for s in server.stats()["sessions"]["sessions"]
+                if s["session"] == alice.session
             )
             assert alice_stats["metrics"]["preempted"] == 1
 
 
 class TestWorkerFailure:
-    def test_worker_crash_mid_query_over_the_wire(self, server):
-        with ServiceClient(*server.address) as client:
-            handle = client.load()
-            pending = client.sketch(handle, hist_spec(0.02))
-            next(pending.replies(timeout=60))
+    def test_worker_crash_mid_query_over_the_wire(self, server, gateway):
+        with dial(*gateway.address) as client:
+            handle = load(client)
+            request_id = sketch(client, handle, hist_spec(0.02))
+            client.recv(request_id)
             server.cluster.kill_worker(1)
-            terminal = pending.result(timeout=60)
-            assert terminal.kind == "complete"
+            terminal = client.result(request_id)
+            assert terminal["kind"] == "complete"
             # The next query replays the lost shards from lineage (§5.7).
-            again = client.sketch(handle, hist_spec()).result(timeout=60)
-            assert again.payload["counts"] == terminal.payload["counts"]
+            again = client.call("sketch", handle, {"sketch": hist_spec()})
+            assert again["payload"]["counts"] == terminal["payload"]["counts"]
 
 
 # ---------------------------------------------------------------------------
-# The front-door contract: one behaviour, two wires
+# The front-door contract: admission, backpressure, teardown
 # ---------------------------------------------------------------------------
-class TcpPeer:
-    """A :class:`ServiceClient` behind the verbs the contract cases use."""
-
-    refused = ServiceError
-
-    def __init__(self, service, gateway, session=None):
-        self.client = ServiceClient(*service.address, session=session)
-        self.session = self.client.session_id
-        self.sock = self.client._sock
-
-    def submit(self, method, target="", args=None):
-        return self.client.submit(method, target, args)
-
-    def next_reply(self, pending) -> dict:
-        return next(pending.replies(timeout=30)).envelope()
-
-    def replies(self, pending) -> list[dict]:
-        return [reply.envelope() for reply in pending.replies(timeout=30)]
-
-    def cancel(self, pending) -> None:
-        self.client.cancel(pending.request_id)
-
-    def ping(self) -> bool:
-        return self.client.ping()
-
-    def stray_replies(self, pending) -> list[dict]:
-        """What arrived for ``pending`` after its terminal (needs
-        ``keep_pending``: the client forgets a stream at its terminal)."""
-        self.ping()  # everything sent before the pong has been read
-        strays = []
-        while not pending._replies.empty():
-            strays.append(pending._replies.get_nowait().envelope())
-        return strays
-
-    def keep_pending(self) -> None:
-        class Keep(dict):
-            def __delitem__(self, key):
-                pass
-
-        self.client._pending = Keep(self.client._pending)
-
-    def stop_reading(self):
-        # The reader thread takes this lock after every frame it reads.
-        return self.client._lock
-
-    def close(self) -> None:
-        self.client.close()
-
-
-class WsPeer:
-    """A :class:`GatewayWebSocket` behind the same verbs."""
-
-    refused = GatewayError
-
-    def __init__(self, service, gateway, session=None):
-        self.ws = GatewayWebSocket(*gateway.address, timeout=30)
-        try:
-            self.ws.connect(session=session)
-        except BaseException:
-            self.ws.close()
-            raise
-        self.session = self.ws.session
-        self.sock = self.ws._sock
-        self._ids = itertools.count(1)
-
-    def submit(self, method, target="", args=None):
-        return self.ws.submit(next(self._ids), method, target, args)
-
-    def next_reply(self, request_id) -> dict:
-        return self.ws.recv(request_id)
-
-    def replies(self, request_id) -> list[dict]:
-        return [m for m in self.ws.stream(request_id) if m.get("type") == "reply"]
-
-    def cancel(self, request_id) -> None:
-        self.ws.cancel(request_id)
-
-    def ping(self) -> bool:
-        return self.ws.ping() == {"type": "pong"}
-
-    def stray_replies(self, request_id) -> list[dict]:
-        self.ping()  # everything sent before the pong has been read
-        inbox = self.ws._inbox.get(request_id, ())
-        return [m for m in inbox if m.get("type") == "reply"]
-
-    def keep_pending(self) -> None:
-        pass  # the WebSocket client keeps everything it reads
-
-    def stop_reading(self):
-        return contextlib.nullcontext()  # it only reads when asked
-
-    def close(self) -> None:
-        self.ws.close()
-
-
-def sweep_tasks(*listeners) -> list[asyncio.Task]:
-    return [
-        task
-        for listener in listeners
-        for task in asyncio.all_tasks(listener.loop)
-        if task.get_coro().__name__ == "_sweep_loop"
-    ]
-
-
-@pytest.mark.parametrize("peer_type", [TcpPeer, WsPeer], ids=["tcp", "ws"])
 class TestFrontDoorContract:
-    @pytest.fixture(scope="class")
-    def gateway(self, server):
-        gateway = GatewayServer(server)
-        gateway.start_background()
-        yield gateway
-        gateway.close()
-
     @pytest.fixture
-    def connect(self, peer_type, server, gateway):
+    def connect(self, gateway):
         peers = []
 
-        def connect(session=None, service=server, gateway=gateway):
-            peers.append(peer_type(service, gateway, session))
+        def connect(session=None, gateway=gateway):
+            peers.append(dial(*gateway.address, session=session, timeout=30))
             return peers[-1]
 
         yield connect
         for peer in peers:
             peer.close()
-
-    def load(self, peer) -> str:
-        return peer.replies(peer.submit("load", args={"source": {}}))[-1][
-            "payload"
-        ]["handle"]
 
     def test_overloaded_rejections_do_not_stall_the_root(self, connect):
         """The scheduler sinks an ``overloaded`` rejection from inside
@@ -398,43 +283,40 @@ class TestFrontDoorContract:
             max_concurrent=1,
             max_queue_per_session=1,
         )
-        service.start_background()
         gateway = GatewayServer(service)
         gateway.start_background()
         try:
-            peer = connect(service=service, gateway=gateway)
-            bystander = connect(service=service, gateway=gateway)
-            handle = self.load(peer)
-            slow = peer.submit("sketch", handle, {"sketch": hist_spec(0.2)})
-            assert peer.next_reply(slow)["kind"] == "partial"  # it has the slot
+            peer = connect(gateway=gateway)
+            bystander = connect(gateway=gateway)
+            handle = load(peer)
+            slow = sketch(peer, handle, hist_spec(0.2))
+            assert peer.recv(slow)["kind"] == "partial"  # it has the slot
             # One request waits behind the slow sketch for the only slot;
             # the session's backlog is now full.
-            queued = peer.submit("rowCount", handle)
+            queued = peer.request("rowCount", handle)
             started = time.monotonic()
-            rejected = [peer.submit("rowCount", handle) for _ in range(3)]
+            rejected = [peer.request("rowCount", handle) for _ in range(3)]
             for stream in rejected:
-                (reply,) = peer.replies(stream)
+                (reply,) = replies(peer, stream)
                 assert (reply["kind"], reply["code"]) == ("error", "overloaded")
             assert time.monotonic() - started < 1.0
             started = time.monotonic()
             assert bystander.ping()
             assert time.monotonic() - started < 0.5
             assert service.scheduler.running_count == 1  # still the slow one
-            assert peer.replies(slow)[-1]["kind"] == "complete"
-            assert peer.replies(queued)[-1]["payload"] == {"rows": ROWS}
+            assert replies(peer, slow)[-1]["kind"] == "complete"
+            assert replies(peer, queued)[-1]["payload"] == {"rows": ROWS}
         finally:
             gateway.close()
             service.close()
 
-    def test_draining_root_admits_only_resident_sessions(
-        self, peer_type, connect, server
-    ):
+    def test_draining_root_admits_only_resident_sessions(self, connect, server):
         resident = connect().session
         refused_before = server.hellos_refused
         server.draining = True
         try:
             for session in (None, "sess-never-seen"):
-                with pytest.raises(peer_type.refused) as caught:
+                with pytest.raises(GatewayError) as caught:
                     connect(session)
                 assert caught.value.code == "draining"
                 assert "reconnect through the director" in str(caught.value)
@@ -445,15 +327,15 @@ class TestFrontDoorContract:
 
     def test_cancel_ends_the_stream_with_exactly_one_terminal(self, connect):
         peer = connect()
-        peer.keep_pending()
-        handle = self.load(peer)
-        stream = peer.submit("sketch", handle, {"sketch": hist_spec(0.05)})
+        handle = load(peer)
+        stream = sketch(peer, handle, hist_spec(0.05))
         peer.cancel(stream)
-        replies = peer.replies(stream)
-        kinds = [reply["kind"] for reply in replies]
+        kinds = [reply["kind"] for reply in replies(peer, stream)]
         assert kinds[-1] in ("cancelled", "complete")
         assert all(kind == "partial" for kind in kinds[:-1])
-        assert peer.stray_replies(stream) == []
+        peer.ping()  # everything sent before the pong has been read
+        strays = peer._inbox.get(stream, ())
+        assert [m for m in strays if m.get("type") == "reply"] == []
 
     @pytest.fixture
     def small_window(self, monkeypatch):
@@ -482,17 +364,17 @@ class TestFrontDoorContract:
         """Backpressure end to end: the socket fills, the outbox fills,
         the sink blocks, gives up after the sink timeout, and the
         scheduler cancels the query rather than buffer for the client."""
-        monkeypatch.setattr(frontdoor, "OUTBOX_FRAMES", 1)
-        monkeypatch.setattr(frontdoor, "SINK_TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(gateway_server, "OUTBOX_FRAMES", 1)
+        monkeypatch.setattr(gateway_server, "SINK_TIMEOUT_SECONDS", 0.2)
         peer = connect()
-        handle = self.load(peer)
+        handle = load(peer)
         cancelled_before = server.scheduler.metrics.cancelled
-        peer.submit("sketch", handle, self.wide_sketch())
-        with peer.stop_reading():
-            deadline = time.monotonic() + 10.0
-            while server.scheduler.metrics.cancelled == cancelled_before:
-                assert time.monotonic() < deadline, "the query was never cancelled"
-                time.sleep(0.02)
+        peer.request("sketch", handle, self.wide_sketch())
+        # The client reads only when asked: from here on, nothing is read.
+        deadline = time.monotonic() + 10.0
+        while server.scheduler.metrics.cancelled == cancelled_before:
+            assert time.monotonic() < deadline, "the query was never cancelled"
+            time.sleep(0.02)
         assert server.scheduler.metrics.cancelled == cancelled_before + 1
 
     def test_queued_replies_are_flushed_when_the_peer_half_closes(
@@ -503,56 +385,55 @@ class TestFrontDoorContract:
         sending side and reads.  Ending the connection must write out
         what is queued, not drop it with the writer."""
         peer = connect()
-        handle = self.load(peer)
+        handle = load(peer)
         while server.scheduler.running_count:  # the load has been counted
             time.sleep(0.005)
         completed_before = server.scheduler.metrics.completed
-        stream = peer.submit("sketch", handle, self.wide_sketch())
-        with peer.stop_reading():
-            deadline = time.monotonic() + 10.0
-            while server.scheduler.metrics.completed == completed_before:
-                assert time.monotonic() < deadline, "the query never completed"
-                time.sleep(0.02)
-            peer.sock.shutdown(socket.SHUT_WR)
-        assert peer.replies(stream)[-1]["kind"] == "complete"
+        stream = peer.request("sketch", handle, self.wide_sketch())
+        deadline = time.monotonic() + 10.0
+        while server.scheduler.metrics.completed == completed_before:
+            assert time.monotonic() < deadline, "the query never completed"
+            time.sleep(0.02)
+        peer._sock.shutdown(socket.SHUT_WR)
+        assert replies(peer, stream)[-1]["kind"] == "complete"
 
 
 class TestOneSweepTask:
     @pytest.mark.parametrize("gateway_first", [False, True])
     def test_exactly_one_sweep_task_in_either_start_order(self, gateway_first):
+        def sweeps() -> set[threading.Thread]:
+            return {t for t in threading.enumerate() if t.name == "service-sweep"}
+
+        before = sweeps()  # other roots' sweeps, not this one's
         service = ServiceServer(
             Cluster(num_workers=1, cores_per_worker=1), sweep_interval_seconds=0.02
         )
         gateway = GatewayServer(service)
-        first, second = (gateway, service) if gateway_first else (service, gateway)
+        starts = [service.start_background, gateway.start_background]
         try:
-            first.start_background()
-            second.start_background()
-            (task,) = sweep_tasks(service, gateway)
-            assert task.get_loop() is first.loop
-            # The sweep outlives the listener it started on.
-            first.close()
-            deadline = time.monotonic() + 5.0
-            while not sweep_tasks(second):
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            (task,) = sweep_tasks(second)
+            for start in reversed(starts) if gateway_first else starts:
+                start()
+            (sweep,) = sweeps() - before
+            # The sweep is the root's, not the gateway's: it outlives it.
+            gateway.close()
             swept = []
             service.sessions.sweep = lambda: swept.append(1)
+            deadline = time.monotonic() + 5.0
             while not swept:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
         finally:
             gateway.close()
             service.close()
+        assert not sweep.is_alive()
 
 
 class TestCliService:
-    def test_client_command_loop(self, server):
+    def test_client_command_loop(self, gateway):
         from repro.cli import client_main
 
         out = io.StringIO()
-        host, port = server.address
+        host, port = gateway.address
         client_main(
             [
                 "--host", host, "--port", str(port),
