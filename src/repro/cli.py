@@ -10,14 +10,17 @@ data source::
     python -m repro.cli --demo-flights 200000
 
 The same binary also runs the concurrent multi-client service layer and
-the worker daemons of a process-level fleet::
+the worker daemons of a process-level fleet, and ``client`` runs this
+same command loop over a served dataset (a
+:class:`~repro.gateway.RemoteDataSet`)::
 
     python -m repro.cli serve --demo-flights 500000 --port 8947
     python -m repro.cli serve --demo-flights 500000 --spawn --workers 8
     python -m repro.cli worker --listen 0.0.0.0:9301 --cores 8
     python -m repro.cli serve --join host-a:9301,host-b:9301 \
         --session-store sessions.db --port 8948
-    python -m repro.cli client --port 8947 --commands "load; rows; hist Distance 0 3000"
+    python -m repro.cli client --port 8947 --commands "rows; hist Distance"
+    python -m repro.cli client flights.csv --port 8947
     python -m repro.cli fleet status --join @fleet.txt
     python -m repro.cli fleet top --join @fleet.txt
     python -m repro.cli fleet grow --join @fleet.txt --add host-c:9301
@@ -43,6 +46,9 @@ Commands (also shown by ``help``)::
     reset                        drop all filters/derivations
     rows                         total row count
     log                          what ran, with bytes and latencies
+    stats                        the root's sessions and queries (client)
+    metrics                      the root's caches and workers (client)
+    trace <command>              run a command traced; write its spans (client)
     quit
 
 The command loop is a thin translation layer onto
@@ -55,14 +61,14 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from collections import Counter
 from typing import Callable, Iterable, TextIO
 
-from repro.core.buckets import BUCKETS, DoubleBuckets
 from repro.engine.cluster import Cluster
 from repro.errors import HillviewError
 from repro.spreadsheet import Spreadsheet
 from repro.storage.loader import DataSource, TableSource, source_for_path
-from repro.table.compute import PREDICATES, ColumnPredicate
+from repro.table.compute import ColumnPredicate
 from repro.table.sort import RecordOrder
 
 
@@ -503,220 +509,97 @@ def _worker_line(snap: dict) -> str:
     return line
 
 
-class RemoteSession:
-    """`repro client`: a thin command loop over a gateway connection.
+def remote_session(dataset, http, out: TextIO | None = None) -> Session:
+    """`repro client`'s REPL: a :class:`Session` over ``dataset`` (a
+    :class:`~repro.gateway.RemoteDataSet`), plus three operational
+    commands that read the root's own state over HTTP (``http``, a
+    :class:`~repro.gateway.GatewayClient`)."""
+    session = Session(Spreadsheet(dataset), out=out)
+    ws = dataset.socket
 
-    Mirrors the local Session verbs that translate to single RPCs; every
-    query goes over the WebSocket (``ws``, a connected
-    :class:`~repro.gateway.GatewayWebSocket`) and through the fair-share
-    scheduler, and the operational reads (stats, metrics, traces) over
-    HTTP (``http``, a :class:`~repro.gateway.GatewayClient`).
-    """
-
-    def __init__(self, ws, http, out: TextIO | None = None):
-        self.ws = ws
-        self.http = http
-        self.out = out if out is not None else sys.stdout
-        self.handle: str | None = None
-
-    def print(self, text: str = "") -> None:
-        print(text, file=self.out)
-
-    def _require_handle(self) -> str:
-        if self.handle is None:
-            raise HillviewError("no dataset yet; use 'load' first")
-        return self.handle
-
-    def _row_count(self, handle: str) -> int:
-        return self.ws.call("rowCount", handle)["payload"]["rows"]
-
-    def _run_sketch(self, spec: dict, trace: dict | None = None) -> tuple[dict, int]:
-        """One sketch to its terminal: (terminal reply, partials seen)."""
-        request_id = self.ws.request(
-            "sketch", self._require_handle(), {"sketch": spec}, trace
+    def stats(args: list[str]) -> None:
+        snap = http.stats()
+        scheduler = snap["scheduler"]
+        session.print(
+            f"  sessions: {len(snap['sessions']['sessions'])} live, "
+            f"{snap['sessions']['sessionsCreated']} created"
         )
-        replies = list(self.ws.stream(request_id))
-        final = replies[-1]
-        if final["kind"] == "error":
-            raise HillviewError(f"[{final.get('code')}] {final.get('error')}")
-        return final, len(replies) - 1
+        session.print(
+            f"  queries: {scheduler['admitted']} admitted, "
+            f"{scheduler['completed']} completed, "
+            f"{scheduler['preempted']} preempted, "
+            f"{scheduler['rejected']} rejected"
+        )
 
-    @staticmethod
-    def _hist_spec(args: list[str]) -> dict:
-        if len(args) < 3:
-            raise HillviewError("usage: hist <col> <min> <max> [buckets]")
-        count = int(args[3]) if len(args) > 3 else 10
-        buckets = DoubleBuckets(float(args[1]), float(args[2]), count)
-        return {
-            "type": "histogram", "column": args[0], "buckets": BUCKETS.to_json(buckets)
-        }
+    def metrics(args: list[str]) -> None:
+        snap = http.metrics()
+        scheduler = snap["scheduler"]
+        session.print(
+            f"  scheduler: {scheduler['admitted']} admitted, "
+            f"{scheduler['completed']} completed, "
+            f"{scheduler['peakRunning']} peak running"
+        )
+        cluster = snap["cluster"]
+        computation = cluster["computation"]
+        if computation["disabled"]:
+            session.print("  caches DISABLED (REPRO_DISABLE_CACHES)")
+        session.print(
+            f"  cluster: placement v{cluster['placementVersion']}, "
+            f"{cluster['rebalances']} rebalances, "
+            f"{cluster['bytesToRoot']:,}B to root"
+        )
+        session.print(f"  {_tier_line('root/computation', computation)}")
+        for worker in cluster["workers"]:
+            session.print(f"  {_worker_line(worker)}")
+            if "error" not in worker:
+                for tier in ("store", "memo"):
+                    session.print(f"    {_tier_line(tier, worker[tier])}")
+        mine = next(
+            (s["metrics"] for s in snap["sessions"]["sessions"]
+             if s["session"] == ws.session),
+            {},
+        )
+        session.print(
+            f"  this session: {mine.get('cacheHits', 0)} root hits, "
+            f"{mine.get('workerCacheHits', 0)} worker partial hits"
+        )
 
-    def execute(self, line: str) -> bool:
-        words = shlex.split(line.strip())
-        if not words:
-            return True
-        name, args = words[0].lower(), words[1:]
-        if name in ("quit", "exit", "q"):
-            return False
-        try:
-            self._dispatch(name, args)
-        except HillviewError as exc:
-            self.print(f"error: {exc}")
-        except (ValueError, KeyError, IndexError) as exc:
-            self.print(f"error: {exc}")
-        return True
+    def trace(args: list[str]) -> None:
+        # `trace hist Distance`: run the command under a fresh trace
+        # context, then fetch the merged root+worker span timeline and
+        # write it as Chrome trace-event JSON.
+        if not args:
+            raise HillviewError("usage: trace <command>")
+        import json
 
-    def _dispatch(self, name: str, args: list[str]) -> None:
-        if name == "load":
-            spec = {"kind": "path", "path": args[0]} if args else {}
-            reply = self.ws.call("load", args={"source": spec})
-            self.handle = reply["payload"]["handle"]
-            self.print(f"loaded as {self.handle} "
-                       f"({self._row_count(self.handle):,} rows)")
-        elif name == "cols":
-            schema = self.ws.call("schema", self._require_handle())
-            for column in schema["payload"]["columns"]:
-                self.print(f"  {column['name']}: {column['kind']}")
-        elif name == "rows":
-            self.print(f"{self._row_count(self._require_handle()):,} rows")
-        elif name == "hist":
-            final, partials = self._run_sketch(self._hist_spec(args))
-            if final["kind"] != "complete" or not final.get("payload"):
-                raise HillviewError(f"query ended early ({final['kind']})")
-            counts = final["payload"]["counts"]
-            peak = max(counts) or 1
-            for i, count in enumerate(counts):
-                bar = "#" * max(1 if count else 0, round(count / peak * 40))
-                self.print(f"  [{i:2d}] {count:>9,} {bar}")
-            self.print(f"  ({partials} progressive partials, "
-                       f"{final['payload']['missing']:,} missing)")
-        elif name == "distinct":
-            if not args:
-                raise HillviewError("usage: distinct <col>")
-            reply, _ = self._run_sketch({"type": "distinct", "column": args[0]})
-            self.print(f"~{reply['payload']['estimate']:,.0f} distinct values")
-        elif name == "filter":
-            if len(args) < 3:
-                raise HillviewError("usage: filter <col> <op> <value>")
-            raw: object = args[2]
-            try:
-                raw = float(args[2])
-            except ValueError:
-                pass
-            spec = PREDICATES.to_json(ColumnPredicate(args[0], args[1], raw))
-            reply = self.ws.call("filter", self._require_handle(), {"predicate": spec})
-            self.handle = reply["payload"]["handle"]
-            self.print(f"filtered: {self._row_count(self.handle):,} "
-                       f"rows remain (handle {self.handle})")
-        elif name == "stats":
-            stats = self.http.stats()
-            scheduler = stats["scheduler"]
-            self.print(
-                f"  sessions: {len(stats['sessions']['sessions'])} live, "
-                f"{stats['sessions']['sessionsCreated']} created"
-            )
-            self.print(
-                f"  queries: {scheduler['admitted']} admitted, "
-                f"{scheduler['completed']} completed, "
-                f"{scheduler['preempted']} preempted, "
-                f"{scheduler['rejected']} rejected"
-            )
-        elif name == "trace":
-            # `trace hist Distance 0 3000`: run the query with a fresh
-            # trace context, then fetch the merged root+worker span
-            # timeline and write it as Chrome trace-event JSON.
-            if not args:
-                raise HillviewError(
-                    "usage: trace hist <col> <min> <max> [buckets] "
-                    "| trace distinct <col>"
-                )
-            import json as json_mod
+        from repro.obs.trace import TraceContext, chrome_trace, use_context
 
-            from repro.obs.trace import TraceContext, chrome_trace
-
-            sub, sub_args = args[0].lower(), args[1:]
-            if sub == "hist":
-                spec = self._hist_spec(sub_args)
-            elif sub == "distinct":
-                if not sub_args:
-                    raise HillviewError("usage: trace distinct <col>")
-                spec = {"type": "distinct", "column": sub_args[0]}
-            else:
-                raise HillviewError(
-                    f"cannot trace {sub!r}; try 'trace hist' or "
-                    "'trace distinct'"
-                )
-            ctx = TraceContext.new_root()
-            self._run_sketch(spec, trace=ctx.to_json())
-            spans = self.http.traces(ctx.trace_id)["spans"]
-            path = f"trace-{ctx.trace_id}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json_mod.dump(chrome_trace(spans), fh)
-            by_service: dict[str, int] = {}
-            for s in spans:
-                service = str(s.get("service", "?"))
-                by_service[service] = by_service.get(service, 0) + 1
-            if spans:
-                first = min(float(s.get("start", 0.0)) for s in spans)
-                last = max(
-                    float(s.get("start", 0.0)) + float(s.get("duration", 0.0))
-                    for s in spans
-                )
-                self.print(
-                    f"trace {ctx.trace_id}: {len(spans)} spans over "
-                    f"{last - first:.3f}s"
-                )
-            else:
-                self.print(f"trace {ctx.trace_id}: no spans recorded")
-            for service in sorted(by_service):
-                self.print(f"  {service}: {by_service[service]} spans")
-            self.print(f"wrote {path} (open in Perfetto / chrome://tracing)")
-        elif name == "metrics":
-            snap = self.http.metrics()
-            scheduler = snap["scheduler"]
-            self.print(
-                f"  scheduler: {scheduler['admitted']} admitted, "
-                f"{scheduler['completed']} completed, "
-                f"{scheduler['peakRunning']} peak running"
+        ctx = TraceContext.new_root()
+        with use_context(ctx):
+            session.execute(shlex.join(args))
+        spans = http.traces(ctx.trace_id)["spans"]
+        path = f"trace-{ctx.trace_id}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(chrome_trace(spans), fh)
+        by_service = Counter(str(s.get("service", "?")) for s in spans)
+        if spans:
+            first = min(float(s.get("start", 0.0)) for s in spans)
+            last = max(
+                float(s.get("start", 0.0)) + float(s.get("duration", 0.0))
+                for s in spans
             )
-            cluster = snap["cluster"]
-            computation = cluster["computation"]
-            if computation["disabled"]:
-                self.print("  caches DISABLED (REPRO_DISABLE_CACHES)")
-            self.print(
-                f"  cluster: placement v{cluster['placementVersion']}, "
-                f"{cluster['rebalances']} rebalances, "
-                f"{cluster['bytesToRoot']:,}B to root"
+            session.print(
+                f"trace {ctx.trace_id}: {len(spans)} spans over "
+                f"{last - first:.3f}s"
             )
-            self.print(f"  {_tier_line('root/computation', computation)}")
-            for worker in cluster["workers"]:
-                self.print(f"  {_worker_line(worker)}")
-                if "error" not in worker:
-                    for tier in ("store", "memo"):
-                        self.print(f"    {_tier_line(tier, worker[tier])}")
-            mine = next(
-                (s["metrics"] for s in snap["sessions"]["sessions"]
-                 if s["session"] == self.ws.session),
-                {},
-            )
-            self.print(
-                f"  this session: {mine.get('cacheHits', 0)} root hits, "
-                f"{mine.get('workerCacheHits', 0)} worker partial hits"
-            )
-        elif name == "help":
-            self.print("  load [path] | cols | rows | hist <col> <min> <max>"
-                       " [buckets] | distinct <col> | filter <col> <op> <v>"
-                       " | trace <query> | metrics | stats"
-                       " | quit")
         else:
-            self.print(f"unknown command {name!r}; try 'help'")
+            session.print(f"trace {ctx.trace_id}: no spans recorded")
+        for service in sorted(by_service):
+            session.print(f"  {service}: {by_service[service]} spans")
+        session.print(f"wrote {path} (open in Perfetto / chrome://tracing)")
 
-    def run(self, lines: Iterable[str], prompt: bool = False) -> None:
-        for line in lines:
-            if prompt:
-                self.print(f"hillview[{self.ws.session}]> {line.strip()}")
-            if not self.execute(line):
-                break
+    session._commands.update(stats=stats, metrics=metrics, trace=trace)
+    return session
 
 
 def _fleet_autoscale(args, addresses, stream: TextIO) -> int:
@@ -998,10 +881,14 @@ def fleet_main(argv: list[str], out: TextIO | None = None) -> int:
 
 
 def client_main(argv: list[str], out: TextIO | None = None) -> int:
-    """`repro client`: connect a terminal session to a running service."""
+    """`repro client`: the terminal spreadsheet over a running service."""
     parser = argparse.ArgumentParser(
         prog="repro.cli client",
-        description="Connect to a hillview service.",
+        description="Browse a dataset served by a hillview service.",
+    )
+    parser.add_argument(
+        "path", nargs="?",
+        help="a data path on the server (default: the server's dataset)",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8947)
@@ -1011,9 +898,10 @@ def client_main(argv: list[str], out: TextIO | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.gateway import GatewayClient
+    from repro.gateway import GatewayClient, RemoteDataSet
     from repro.service.director import dial
 
+    source = {"kind": "path", "path": args.path} if args.path else {}
     try:
         ws = dial(args.host, args.port, session=args.session)
     except (OSError, HillviewError) as exc:
@@ -1025,7 +913,12 @@ def client_main(argv: list[str], out: TextIO | None = None) -> int:
         )
         return 1
     with ws, GatewayClient(args.host, args.port) as http:
-        session = RemoteSession(ws, http, out=out)
+        try:
+            dataset = RemoteDataSet.load(ws, source)
+        except HillviewError as exc:
+            print(f"error: {exc}", file=out if out is not None else sys.stderr)
+            return 1
+        session = remote_session(dataset, http, out=out)
         session.print(f"session {ws.session} on {args.host}:{args.port}")
         if args.commands:
             session.run(args.commands.split(";"), prompt=True)

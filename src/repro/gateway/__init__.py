@@ -11,10 +11,11 @@ surface and ``docs/PROTOCOL.md`` for the envelopes it carries.
 * :mod:`repro.gateway.server` — :class:`GatewayServer`, the asyncio
   front door (routing, resumable WS streams, backpressure);
 * :mod:`repro.gateway.connector` — OData-style REST dataset reads;
-* :mod:`repro.gateway.client` — blocking clients for tests and scripts.
+* :mod:`repro.gateway.client` — blocking clients for tests and scripts,
+  and :class:`RemoteDataSet`, a dataset handle over the WebSocket.
 """
 
-from repro.gateway.client import GatewayClient, GatewayWebSocket
+from repro.gateway.client import GatewayClient, GatewayWebSocket, RemoteDataSet
 from repro.gateway.connector import DatasetConnector
 from repro.gateway.protocol import (
     FEATURES,
@@ -37,6 +38,7 @@ __all__ = [
     "GatewayServer",
     "GatewayWebSocket",
     "NegotiationError",
+    "RemoteDataSet",
     "negotiate",
     "protocol_payload",
 ]

@@ -5,7 +5,9 @@ and the documented walkthrough in ``docs/GATEWAY_API.md``.
 ``http.client``; :class:`GatewayWebSocket` speaks the WebSocket wire over
 a plain socket with the shared RFC 6455 helpers
 (:mod:`repro.gateway.websocket`) — the blocking twin of the server's
-asyncio side.
+asyncio side.  :class:`RemoteDataSet` is a dataset handle on that
+socket: the :class:`~repro.engine.dataset.IDataSet` a spreadsheet runs
+over, wherever the data lives (§5.2).
 """
 
 from __future__ import annotations
@@ -15,13 +17,19 @@ import itertools
 import json
 import socket
 from collections import deque
+from functools import cached_property
 from typing import Iterator
 
-from repro.core.wire import loads
+from repro.core.sketch import Sketch
+from repro.core.wire import loads, sketch_to_json, summary_from_json
+from repro.engine.dataset import TABLE_MAPS, IDataSet, TableMap
+from repro.engine.progress import CancellationToken, PartialResult
 from repro.engine.rpc import TERMINAL_REPLY_KINDS
 from repro.errors import HillviewError
 from repro.gateway import websocket as ws
 from repro.gateway.protocol import PROTOCOL_VERSION
+from repro.obs.trace import current_context
+from repro.table.schema import ColumnDescription, Schema
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -35,6 +43,12 @@ class GatewayError(HillviewError):
         super().__init__(message)
         self.code = code
         self.status = status
+
+    @classmethod
+    def from_reply(cls, reply: dict) -> "GatewayError":
+        """The failure an ``error`` reply envelope carries."""
+        code = str(reply.get("code") or "error")
+        return cls(f"[{code}] {reply.get('error')}", code=code)
 
 
 class GatewayClient:
@@ -394,10 +408,7 @@ class GatewayWebSocket:
         ``error`` terminal raises :class:`GatewayError` with its code."""
         reply = self.result(self.request(method, target, args, trace))
         if reply.get("kind") == "error":
-            raise GatewayError(
-                f"[{reply.get('code')}] {reply.get('error')}",
-                code=str(reply.get("code") or "error"),
-            )
+            raise GatewayError.from_reply(reply)
         return reply
 
     def stream(self, request_id: int) -> Iterator[dict]:
@@ -432,3 +443,81 @@ class GatewayWebSocket:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class RemoteDataSet(IDataSet):
+    """A dataset handle on a root, reached over a connected
+    :class:`GatewayWebSocket`: the same dataset interface as an
+    in-process one, so a :class:`~repro.spreadsheet.Spreadsheet` (and the
+    terminal REPL on top of it) runs unchanged over the wire (§5.2).
+
+    A map travels as its own ``TABLE_MAPS`` description through the
+    ``filter``/``project``/``derive`` verbs and comes back as a new
+    handle; a :class:`~repro.engine.dataset.DeriveMap`, which holds a
+    Python callable, has no description and is refused.  A sketch
+    travels as its JSON spec, and each reply's payload is rebuilt into
+    the summary an in-process run would have yielded.  Requests are
+    sequential on the socket: one sketch's stream is drained before
+    the next starts.
+    """
+
+    def __init__(self, socket: GatewayWebSocket, handle: str):
+        self.socket = socket
+        self.handle = handle
+
+    @classmethod
+    def load(cls, socket: GatewayWebSocket, source: dict | None = None) -> "RemoteDataSet":
+        """Load ``source`` (a wire source spec; ``{}`` is the server's
+        default dataset) on the socket's session."""
+        reply = socket.call("load", args={"source": source or {}})
+        return cls(socket, reply["payload"]["handle"])
+
+    def map(self, table_map: TableMap) -> "RemoteDataSet":
+        spec = TABLE_MAPS.to_json(table_map)
+        kind = spec.pop("type")
+        method = "derive" if kind == "expression" else kind
+        reply = self.socket.call(method, self.handle, spec)
+        return RemoteDataSet(self.socket, reply["payload"]["handle"])
+
+    def sketch_stream(
+        self, sketch: Sketch, token: CancellationToken | None = None
+    ) -> Iterator[PartialResult]:
+        """One partial per reply.  A cancelled ``token`` (checked after
+        each reply) sends ``cancel``; the stream ends at the server's
+        ``cancelled`` terminal."""
+        ctx = current_context()
+        request_id = self.socket.request(
+            "sketch",
+            self.handle,
+            {"sketch": sketch_to_json(sketch)},
+            None if ctx is None else ctx.child().to_json(),
+        )
+        cancel_sent = False
+        for reply in self.socket.stream(request_id):
+            # Anything else on the stream is the cancel's ``cancel_ack``.
+            if reply.get("type") == "reply":
+                kind = reply["kind"]
+                if kind == "error":
+                    raise GatewayError.from_reply(reply)
+                if kind == "cancelled":
+                    return
+                cache = reply.get("cache") or {}
+                yield PartialResult(
+                    reply["progress"],
+                    summary_from_json(reply["payload"]),
+                    cache_hit=bool(cache.get("hit")),
+                    worker_cache_hits=int(cache.get("workerHits", 0)),
+                )
+            live = reply.get("kind") not in TERMINAL_REPLY_KINDS
+            if live and token is not None and token.cancelled and not cancel_sent:
+                self.socket.cancel(request_id)
+                cancel_sent = True
+
+    @cached_property
+    def schema(self) -> Schema:
+        columns = self.socket.call("schema", self.handle)["payload"]["columns"]
+        return Schema(ColumnDescription.from_json(c) for c in columns)
+
+    @cached_property
+    def total_rows(self) -> int:
+        return self.socket.call("rowCount", self.handle)["payload"]["rows"]

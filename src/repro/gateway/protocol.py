@@ -39,10 +39,6 @@ MIN_SUPPORTED = 1
 #: available on a connection iff its introducing version is <= the
 #: negotiated version *and* the client did not switch it off.
 FEATURES: dict[str, int] = {
-    #: Terminal sketch replies carry the ``cache`` telemetry field.
-    "cache_telemetry": 1,
-    #: ``args: {"profile": true}`` returns per-stage query profiles.
-    "profile": 1,
     #: Envelopes may carry a ``trace`` context (and HTTP requests a
     #: ``traceparent`` header) that the fleet propagates end to end.
     "trace_context": 1,

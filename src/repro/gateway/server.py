@@ -4,8 +4,8 @@
 and exposes its sessions, scheduler and cluster through two surfaces:
 
 * **HTTP** (``/api/v1/...``) — session create/resume, the operational
-  plane (health, stats, metrics, traces, drain) dispatched through
-  :meth:`~repro.service.transport.ServiceServer.admin_reply`, and the
+  plane (health, stats, metrics, traces, drain), each route one call on
+  the :class:`~repro.service.transport.ServiceServer`, and the
   OData-style dataset connector (:mod:`repro.gateway.connector`);
 * **WebSocket** (``/api/v1/ws``) — the streamed query wire:
   ``RpcRequest``/``RpcReply`` envelopes wrapped in typed JSON messages,
@@ -43,7 +43,6 @@ import threading
 import time
 
 from repro.engine.rpc import (
-    NO_PAYLOAD,
     ProtocolError,
     RpcReply,
     RpcRequest,
@@ -450,42 +449,36 @@ class GatewayServer:
     async def _admin_route(
         self, tail: list[str], method: str, request: gw_http.HttpRequest
     ) -> bytes | None:
-        """The operational plane, through ``admin_reply``.  Returns
-        ``None`` for non-admin paths."""
-        mapping = {
-            ("GET", "stats"): ("stats", {}),
-            ("GET", "metrics"): (
-                "metricsSnapshot",
-                {"format": request.query.get("format")}
-                if request.query.get("format")
-                else {},
-            ),
-            ("GET", "traces"): (
-                "traceDump",
-                {"traceId": request.query.get("traceId")}
-                if request.query.get("traceId")
-                else {},
-            ),
-            ("POST", "drain"): ("drain", {}),
-            ("POST", "undrain"): ("undrain", {}),
-        }
-        if len(tail) != 1 or (method, tail[0]) not in mapping:
-            return None
-        rpc_method, args = mapping[(method, tail[0])]
-        reply = await self.service.admin_reply(RpcRequest(0, "", rpc_method, args))
-        assert reply is not None
-        payload = reply.payload if reply.payload is not NO_PAYLOAD else {}
-        if (
-            rpc_method == "metricsSnapshot"
-            and isinstance(payload, dict)
-            and payload.get("format") == "prometheus"
-        ):
-            return gw_http.response_bytes(
-                200,
-                str(payload.get("text", "")).encode("utf-8"),
-                content_type="text/plain; version=0.0.4",
-                keep_alive=request.keep_alive,
+        """The operational plane: one call on the root per route.
+        Returns ``None`` for non-admin paths.  The routes that dial
+        worker daemons run off the event loop: a slow worker must not
+        stall every connection of the gateway."""
+        route = (method, tail[0]) if len(tail) == 1 else None
+        query = request.query
+        if route == ("GET", "stats"):
+            payload = self.service.stats()
+        elif route == ("GET", "metrics"):
+            payload = await self._in_executor(
+                self.service.metrics_snapshot, query.get("format") or None
             )
+            if payload.get("format") == "prometheus":
+                return gw_http.response_bytes(
+                    200,
+                    str(payload.get("text", "")).encode("utf-8"),
+                    content_type="text/plain; version=0.0.4",
+                    keep_alive=request.keep_alive,
+                )
+        elif route == ("GET", "traces"):
+            payload = await self._in_executor(
+                self.service.trace_dump, query.get("traceId") or None
+            )
+        elif route == ("POST", "drain"):
+            payload = await self._in_executor(self.service.drain)
+        elif route == ("POST", "undrain"):
+            self.service.draining = False
+            payload = {"draining": False}
+        else:
+            return None
         return gw_http.json_response(200, payload, keep_alive=request.keep_alive)
 
     def _http_create_session(self, request: gw_http.HttpRequest) -> bytes:
@@ -594,8 +587,15 @@ class GatewayServer:
             await self._ws_message_loop(
                 outbox, session, negotiated, reader, conn_trace, direct_tasks
             )
+        except ws.WebSocketError as exc:
+            # A protocol violation: close with 1002 and the reason
+            # (RFC 6455 §7.4.1), not a bare hang-up the browser sees as
+            # 1006.  A client that stopped draining gets no close frame.
+            try:
+                outbox.send(ws.close_frame(1002, str(exc)))
+            except ConnectionError:
+                pass
         except (
-            ws.WebSocketError,
             ws.ConnectionClosed,
             ConnectionError,
             OSError,

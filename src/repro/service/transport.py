@@ -12,11 +12,9 @@ stats, metrics, traces).  It opens no socket of its own.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 from repro.engine.cluster import Cluster
-from repro.engine.rpc import RpcReply, RpcRequest
 from repro.errors import HillviewError
 from repro.obs.logs import log_event
 from repro.obs.metrics import REGISTRY
@@ -124,47 +122,6 @@ class ServiceServer:
             )
         return self.sessions.get_or_create(session_id)
 
-    # -- administrative methods ----------------------------------------
-    async def admin_reply(self, request: RpcRequest) -> RpcReply | None:
-        """Answer a sessionless administrative request, or ``None`` when
-        ``request`` is not administrative.
-
-        The gateway's operational plane (drain, stats, metrics, traces)
-        dispatches through this one method.  Methods that dial worker
-        daemons run off the event loop: a slow worker must not stall
-        every connection of the gateway.
-        """
-        loop = asyncio.get_running_loop()
-        method = request.method
-        if method == "drain":
-            payload = await loop.run_in_executor(None, self.drain)
-            return RpcReply(request.request_id, "ack", payload=payload)
-        if method == "undrain":
-            self.draining = False
-            return RpcReply(
-                request.request_id, "ack", payload={"draining": False}
-            )
-        if method == "stats":
-            return RpcReply(
-                request.request_id, "complete", payload=self.stats()
-            )
-        if method == "metricsSnapshot":
-            fmt = request.args.get("format")
-            payload = await loop.run_in_executor(
-                None, lambda: self.metrics_snapshot(fmt)
-            )
-            return RpcReply(request.request_id, "complete", payload=payload)
-        if method == "traceDump":
-            trace_id = request.args.get("traceId")
-            payload = await loop.run_in_executor(
-                None,
-                lambda: self.trace_dump(
-                    None if trace_id is None else str(trace_id)
-                ),
-            )
-            return RpcReply(request.request_id, "complete", payload=payload)
-        return None
-
     # -- tier operations -------------------------------------------------
     def drain(self) -> dict:
         """Enter maintenance drain: refuse new sessions, persist every
@@ -199,8 +156,8 @@ class ServiceServer:
         }
 
     def metrics_snapshot(self, fmt: str | None = None) -> dict:
-        """The unified metrics plane — the ``metricsSnapshot`` RPC
-        payload: :meth:`stats` with its cluster entry widened to the
+        """The unified metrics plane — the ``GET /api/v1/metrics``
+        body: :meth:`stats` with its cluster entry widened to the
         fleet (the root's computation cache and every worker's live
         snapshot), plus this root's registry.  ``fmt="prometheus"``
         returns ``{"text": ...}`` in Prometheus exposition format
@@ -221,7 +178,7 @@ class ServiceServer:
 
     def trace_dump(self, trace_id: str | None = None) -> dict:
         """The merged span timeline: this root's recorder plus every
-        worker daemon's ring buffer — the ``traceDump`` RPC payload.
+        worker daemon's ring buffer — the ``GET /api/v1/traces`` body.
         In-process workers share the root's recorder, so the cluster
         contributes only remote daemons' spans (no duplicates)."""
         spans = RECORDER.spans(trace_id)

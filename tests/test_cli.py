@@ -1,7 +1,9 @@
-"""Terminal spreadsheet (repro.cli) tests: every command, end to end."""
+"""Terminal spreadsheet (repro.cli) tests: every command, end to end,
+in-process and over the gateway (`repro client`)."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 
 import pytest
@@ -9,26 +11,84 @@ import pytest
 from repro.cli import Session, source_for_path
 from repro.engine.cluster import Cluster
 from repro.errors import HillviewError
+from repro.gateway import GatewayServer, RemoteDataSet
+from repro.service import ServiceServer
+from repro.service.director import dial
 from repro.spreadsheet import Spreadsheet
+from repro.storage import columnar
 from repro.storage.loader import CsvSource, JsonlSource, SqlSource, SyslogSource
 from repro.storage.sql_io import write_sql
 from repro.table.table import Table
 
+WORKERS = 2
+
+
+@pytest.fixture(scope="module")
+def flights_path(flights, tmp_path_factory) -> str:
+    """The flights table as 8 hvc shards, which both sides load."""
+    directory = str(tmp_path_factory.mktemp("cli-flights"))
+    columnar.write_dataset(flights.split(8), directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def gateway():
+    service = ServiceServer(Cluster(num_workers=WORKERS))
+    gateway = GatewayServer(service)
+    gateway.start_background()
+    yield gateway
+    gateway.close()
+    service.close()
+
+
+@contextlib.contextmanager
+def open_session(side: str, path: str, gateway):
+    """A session on ``path``: an in-process cluster, or a root behind
+    ``gateway`` with the same worker count (so the same fold tree)."""
+    out = io.StringIO()
+    if side == "local":
+        dataset = Cluster(num_workers=WORKERS).load(source_for_path(path))
+        yield Session(Spreadsheet(dataset, seed=7), out=out), out
+        return
+    with dial(*gateway.address, timeout=60) as ws:
+        dataset = RemoteDataSet.load(ws, {"kind": "path", "path": path})
+        yield Session(Spreadsheet(dataset, seed=7), out=out), out
+
 
 @pytest.fixture
-def session(flights):
-    cluster = Cluster(num_workers=2)
-    from repro.storage.loader import TableSource
-
-    dataset = cluster.load(TableSource([flights], shards_per_table=8))
-    out = io.StringIO()
-    return Session(Spreadsheet(dataset, seed=7), out=out), out
+def session(flights_path):
+    with open_session("local", flights_path, None) as pair:
+        yield pair
 
 
 def run(session_pair, *lines: str) -> str:
     session, out = session_pair
     session.run(lines)
     return out.getvalue()
+
+
+#: Every command, a failing one of each kind, and a filtered sheet.
+SCRIPT = [
+    "cols", "rows", "view Distance", "next", "prev", "view DepDelay Origin",
+    "scroll 0.5", "next", "find Origin SFO", "find Origin ZZZZ",
+    "hist Distance", "hist Airline", "stack DepDelay Airline",
+    "heat DepDelay ArrDelay", "trellis Airline DepDelay", "top Origin 5",
+    "distinct Origin", "summary DepDelay", "filter DepDelay > 60", "rows",
+    "hist Distance", "top Airline 3", "reset", "rows",
+    "derive gain 'DepDelay - ArrDelay'", "summary gain", "hist gain",
+    "filter Origin == SFO", "view gain", "help", "teleport",
+    "hist Nonexistent", "derive evil 'exec(1)'", "filter Distance",
+]
+
+
+def test_local_and_remote_sessions_print_the_same(flights_path, gateway):
+    outputs = []
+    for side in ("local", "remote"):
+        with open_session(side, flights_path, gateway) as pair:
+            outputs.append(run(pair, *SCRIPT).splitlines())
+    local, remote = outputs
+    assert len(local) > 3 * len(SCRIPT)
+    assert local == remote
 
 
 class TestCommands:
@@ -117,6 +177,16 @@ class TestCommands:
     def test_empty_lines_ignored(self, session):
         output = run(session, "", "   ", "rows")
         assert "60,000 rows" in output
+
+
+class TestRemoteCommands(TestCommands):
+    """Every command again, in `repro client`'s session: the same
+    spreadsheet over a :class:`RemoteDataSet` on the gateway."""
+
+    @pytest.fixture
+    def session(self, flights_path, gateway):
+        with open_session("remote", flights_path, gateway) as pair:
+            yield pair
 
 
 class TestSourceSelection:

@@ -30,14 +30,20 @@ from repro.gateway import (
     GatewayServer,
     GatewayWebSocket,
     NegotiationError,
+    RemoteDataSet,
     negotiate,
     protocol_payload,
 )
+from repro.core.wire import sketch_from_json, summary_to_bytes
+from repro.engine.dataset import DeriveMap, ExpressionMap, FilterMap, ProjectMap
 from repro.engine.progress import CancellationToken
+from repro.errors import ProtocolError
+from repro.obs.trace import TraceContext, use_context
 from repro.engine.rpc import REQUEST_ID_MAX, REQUEST_ID_MIN, RpcReply, RpcRequest
 from repro.gateway.client import GatewayError
 from repro.gateway.server import _Stream, reply_frame
 from repro.gateway.websocket import (
+    OP_CLOSE,
     OP_PING,
     OP_TEXT,
     ConnectionClosed,
@@ -45,6 +51,10 @@ from repro.gateway.websocket import (
     read_message_blocking,
 )
 from repro.service import ConnectionDirector, ServiceServer, probe_gateway
+from repro.service.slow import SlowdownSketch
+from repro.storage.loader import SOURCES
+from repro.table.compute import ColumnPredicate
+from repro.table.schema import ContentsKind
 
 from tests.conftest import canonical
 from tests.test_invariant import SPEC_PER_TYPE
@@ -101,7 +111,7 @@ class TestNegotiation:
     def test_old_client_downgrades_new_features(self):
         pinned = negotiate(1)
         assert pinned.version == 1
-        assert pinned.enabled("cache_telemetry")
+        assert pinned.enabled("trace_context")
         assert not pinned.enabled("ws_resume")
         assert not pinned.enabled("ws_heartbeat")
 
@@ -278,7 +288,7 @@ class TestWsHandshake:
         ws = open_ws(gateway)
         welcome = ws.connect(protocol_version=1)
         assert welcome["protocolVersion"] == 1
-        assert welcome["features"]["cache_telemetry"] is True
+        assert welcome["features"]["trace_context"] is True
         assert welcome["features"]["ws_resume"] is False
         assert welcome["features"]["ws_heartbeat"] is False
         # v1 welcomes carry no resume bookkeeping.
@@ -350,6 +360,24 @@ class TestWsHandshake:
             pytest.fail("the server kept the connection open")
         except ConnectionError:
             pass
+        ws.close()
+
+    def test_a_protocol_violation_is_closed_with_1002(self, gateway):
+        """The same oversized ping header is answered with a close frame
+        carrying status 1002 (protocol error) and a reason, then EOF."""
+        ws = open_ws(gateway)
+        ws.connect()
+        ws._sock.sendall(
+            bytes([0x80 | OP_PING, 0x80 | 126]) + struct.pack("!H", 200)
+            + b"\x01\x02\x03\x04"
+        )
+        ws._sock.settimeout(5.0)
+        while (message := read_message_blocking(ws._reader)).opcode != OP_CLOSE:
+            pass  # a heartbeat sent before the violation
+        (status,) = struct.unpack("!H", message.data[:2])
+        assert status == 1002
+        assert b"control frame" in message.data[2:]
+        assert ws._sock.recv(4096) == b""
         ws.close()
 
     def test_ws_session_roams_from_http(self, gateway, api):
@@ -432,7 +460,7 @@ class TestWsStreams:
         assert seqs == sorted(seqs) and seqs[0] == 1
         progress = [r["progress"] for r in replies]
         assert progress == sorted(progress) and progress[-1] == 1.0
-        assert replies[-1]["cache"] is not None  # cache_telemetry feature
+        assert replies[-1]["cache"] is not None
         ws.close()
 
     def test_cancel_terminates_with_cancelled(self, gateway):
@@ -700,6 +728,68 @@ class TestTracing:
             assert all(s["traceId"] == trace_id for s in spans)
         finally:
             api.unpublish("traced")
+
+
+# ---------------------------------------------------------------------------
+# RemoteDataSet: the dataset interface over the WebSocket
+# ---------------------------------------------------------------------------
+class TestRemoteDataSet:
+    @pytest.fixture
+    def remote(self, gateway):
+        ws = open_ws(gateway, timeout=60)
+        ws.connect()
+        yield RemoteDataSet.load(ws, SOURCES.to_json(SOURCE))
+        ws.close()
+
+    def test_maps_return_new_handles_the_server_derived(self, remote):
+        local = Cluster(num_workers=2).load(SOURCE)
+        maps = [
+            FilterMap(ColumnPredicate("Distance", ">", 1000.0)),
+            ProjectMap(["Distance", "Airline"]),
+            ExpressionMap("gain", "DepDelay - ArrDelay"),
+        ]
+        for table_map in maps:
+            derived = remote.map(table_map)
+            assert derived.handle != remote.handle
+            expected = local.map(table_map)
+            assert derived.schema.names == expected.schema.names
+            assert derived.total_rows == expected.total_rows
+            spec = sketch_from_json(HIST)
+            assert summary_to_bytes(derived.sketch(spec)) == summary_to_bytes(
+                expected.sketch(spec)
+            )
+
+    def test_a_derive_map_is_refused_before_anything_is_sent(self, remote):
+        with pytest.raises(ProtocolError, match="Python callable"):
+            remote.map(DeriveMap("twice", ContentsKind.DOUBLE, lambda row: 2.0))
+        assert next(remote.socket._ids) == 2  # the load's, and no other
+
+    def test_an_error_reply_raises_with_its_code(self, remote):
+        with pytest.raises(GatewayError) as caught:
+            remote.sketch(sketch_from_json({**HIST, "column": "Nope"}))
+        assert caught.value.code == "engine"
+        assert remote.total_rows == ROWS  # the socket is still in step
+
+    def test_a_cancelled_token_cancels_the_stream(self, remote):
+        token = CancellationToken()
+        slow = SlowdownSketch(sketch_from_json(HIST), per_shard_seconds=0.1)
+        partials = []
+        for partial in remote.sketch_stream(slow, token):
+            partials.append(partial)
+            token.cancel()
+        assert partials and partials[-1].progress < 1.0
+        assert remote.total_rows == ROWS  # the cancelled terminal was read
+
+    def test_each_request_carries_a_child_of_the_current_trace(
+        self, remote, api
+    ):
+        ctx = TraceContext.new_root()
+        with use_context(ctx):
+            remote.sketch(sketch_from_json({**HIST, "buckets": {
+                **HIST["buckets"], "count": 7}}))
+        spans = api.traces(ctx.trace_id)["spans"]
+        (served,) = [s for s in spans if s["name"] == "query.sketch"]
+        assert served["parentId"] == ctx.span_id
 
 
 # ---------------------------------------------------------------------------

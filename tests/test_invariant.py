@@ -19,7 +19,6 @@ crash and a replay, a resize) before returning what the client saw.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -33,9 +32,9 @@ from repro.engine.cluster import Cluster, Worker
 from repro.engine.local import LocalDataSet, ParallelDataSet
 from repro.engine.remote import ProcessCluster
 from repro.engine.rpc import (
-    sketch_from_json, sketch_to_json, summary_from_json, summary_to_bytes, summary_to_json,
+    sketch_from_json, sketch_to_json, summary_to_bytes, summary_to_json,
 )
-from repro.gateway import GatewayServer, GatewayWebSocket
+from repro.gateway import GatewayServer, GatewayWebSocket, RemoteDataSet
 from repro.service import ServiceServer
 from repro.sketches.specs import SKETCH_SPECS
 from repro.storage import columnar
@@ -68,10 +67,6 @@ Seen = tuple[bytes, str]
 def seen(summary) -> Seen:
     """What a client sees: the binary summary and its sorted-key JSON."""
     return summary_to_bytes(summary), canonical(summary_to_json(summary))
-
-
-def seen_over_a_wire(payload: dict) -> Seen:
-    return summary_to_bytes(summary_from_json(payload)), canonical(payload)
 
 
 def cacheable(spec: dict) -> bool:
@@ -261,7 +256,7 @@ def heap(directory):
     yield plain(in_process().load(TableSource(shards)))
 
 
-@execution_mode("a `complete` reply reached a `GatewayWebSocket`")
+@execution_mode("the summaries crossed the gateway to a `RemoteDataSet`")
 def ws(directory):
     server = ServiceServer(in_process())
     server.start_background()
@@ -270,18 +265,7 @@ def ws(directory):
     socket = GatewayWebSocket(*gateway.address, timeout=60)
     try:
         socket.connect()
-        socket.submit(0, "load", args={"source": {"kind": "hvc", "directory": directory}})
-        handle = socket.result(0)["payload"]["handle"]
-        requests = itertools.count(1)
-
-        def over_ws(spec):
-            request = next(requests)
-            socket.submit(request, "sketch", handle, {"sketch": spec})
-            reply = socket.result(request)
-            assert reply["kind"] == "complete", reply
-            return seen_over_a_wire(reply["payload"])
-
-        yield Mode(2, over_ws)
+        yield plain(RemoteDataSet.load(socket, {"kind": "hvc", "directory": directory}))
     finally:
         socket.close()
         gateway.close()

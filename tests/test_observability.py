@@ -25,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import RemoteSession, _worker_line
+from repro.cli import _worker_line, remote_session
 from repro.core.buckets import DoubleBuckets
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import Cluster, Worker
@@ -47,7 +47,7 @@ from repro.obs.trace import (
     trace_enabled,
     use_context,
 )
-from repro.gateway import GatewayClient, GatewayServer
+from repro.gateway import GatewayClient, GatewayServer, RemoteDataSet
 from repro.service import ServiceServer
 from repro.service.director import dial
 from repro.sketches.histogram import HistogramSketch
@@ -555,7 +555,9 @@ class TestOneReportPerProcess:
                 snap = api.metrics()
                 session_id = client.session
                 out = io.StringIO()
-                RemoteSession(client, api, out).execute("metrics")
+                remote_session(RemoteDataSet(client, handle), api, out).execute(
+                    "metrics"
+                )
         finally:
             gateway.close()
             server.close()

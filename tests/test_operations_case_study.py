@@ -1,23 +1,59 @@
-"""Figure 4 operations and Figure 10/11 case study, end to end."""
+"""Figure 4 operations and Figure 10/11 case study, end to end, on an
+in-process cluster and over the gateway (a :class:`RemoteDataSet`)."""
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from repro.core.resolution import Resolution
+from repro.engine.cluster import Cluster
+from repro.gateway import GatewayServer, RemoteDataSet
+from repro.service import ServiceServer
+from repro.service.director import dial
 from repro.spreadsheet import OPERATIONS, Spreadsheet, run_operation
 from repro.spreadsheet.case_study import QUESTIONS, run_case_study
+from repro.storage.loader import SOURCES, FlightsSource
+
+SOURCE = FlightsSource(60_000, partitions=8, seed=42)
+WORKERS = 2
 
 
 @pytest.fixture(scope="module")
-def sheet(flights):
-    from repro.engine.local import parallel_dataset
+def open_sheet():
+    """A fresh sheet over ``SOURCE`` on either side: an in-process
+    cluster, or a root with the same worker count behind a gateway."""
+    service = ServiceServer(Cluster(num_workers=WORKERS))
+    gateway = GatewayServer(service)
+    gateway.start_background()
+    try:
+        with dial(*gateway.address, timeout=60) as ws:
 
-    dataset = parallel_dataset(flights, shards=8)
-    return Spreadsheet(dataset, resolution=Resolution(300, 100), seed=7)
+            def open_sheet(side: str) -> Spreadsheet:
+                if side == "local":
+                    dataset = Cluster(num_workers=WORKERS).load(SOURCE)
+                else:
+                    dataset = RemoteDataSet.load(ws, SOURCES.to_json(SOURCE))
+                return Spreadsheet(dataset, resolution=Resolution(300, 100), seed=7)
+
+            yield open_sheet
+    finally:
+        gateway.close()
+        service.close()
+
+
+@pytest.fixture(scope="module")
+def studies(open_sheet):
+    """The case study on a fresh sheet of each side, run once."""
+    return functools.cache(lambda side: run_case_study(open_sheet(side)))
 
 
 class TestOperations:
+    @pytest.fixture(scope="class")
+    def sheet(self, open_sheet):
+        return open_sheet("local")
+
     def test_catalogue_matches_figure4(self):
         assert [op.op_id for op in OPERATIONS] == [f"O{i}" for i in range(1, 12)]
         # O4 and O6 never run on cold data (Figure 6 omits them).
@@ -39,9 +75,9 @@ class TestOperations:
 
 
 class TestCaseStudy:
-    @pytest.fixture(scope="class")
-    def results(self, sheet):
-        return run_case_study(sheet)
+    @pytest.fixture
+    def results(self, studies):
+        return studies("local")
 
     def test_all_twenty_questions_run(self, results):
         assert len(results) == 20
@@ -88,3 +124,21 @@ class TestCaseStudy:
         # The paper: "most of the time is the operator thinking"; machine
         # time per question is seconds at most even in this reproduction.
         assert max(r.seconds for r in results) < 30
+
+
+class TestRemoteOperations(TestOperations):
+    @pytest.fixture(scope="class")
+    def sheet(self, open_sheet):
+        return open_sheet("remote")
+
+
+class TestRemoteCaseStudy(TestCaseStudy):
+    @pytest.fixture
+    def results(self, studies):
+        return studies("remote")
+
+    def test_answers_and_action_counts_equal_in_process(self, studies):
+        def outcome(side):
+            return [(r.q_id, r.answer, r.actions) for r in studies(side)]
+
+        assert outcome("remote") == outcome("local")

@@ -6,6 +6,7 @@ teardown), all through the gateway's WebSocket and HTTP surfaces.
 from __future__ import annotations
 
 import io
+import re
 import socket
 import threading
 import time
@@ -429,23 +430,59 @@ class TestOneSweepTask:
 
 
 class TestCliService:
-    def test_client_command_loop(self, gateway):
+    def test_client_command_loop(self, gateway, tmp_path, monkeypatch):
+        """`repro client` is the terminal spreadsheet over the gateway,
+        with the root's operational reads beside it."""
+        from repro.cli import client_main
+
+        monkeypatch.chdir(tmp_path)  # where `trace` writes its file
+        out = io.StringIO()
+        host, port = gateway.address
+        code = client_main(
+            [
+                "--host", host, "--port", str(port),
+                "--commands",
+                "rows; hist Distance; view Distance; distinct Airline; "
+                "stats; metrics; trace top Airline 3",
+            ],
+            out=out,
+        )
+        assert code == 0
+        text = out.getvalue()
+        assert f"{ROWS:,} rows" in text
+        assert "(100 buckets)" in text and "Distance | count" in text
+        assert "distinct values" in text
+        assert "admitted" in text
+        assert "this session: " in text
+        (written,) = tmp_path.glob("trace-*.json")
+        assert f"wrote {written.name}" in text
+        assert re.search(r"trace \w+: [1-9]\d* spans over", text)
+
+    def test_client_loads_a_path(self, gateway, tmp_path):
+        from repro.cli import client_main
+
+        path = tmp_path / "small.csv"
+        path.write_text("n,name\n1,a\n2,b\n3,c\n")
+        out = io.StringIO()
+        host, port = gateway.address
+        code = client_main(
+            ["--host", host, "--port", str(port), str(path),
+             "--commands", "cols; rows"],
+            out=out,
+        )
+        assert code == 0
+        assert "  name: " in out.getvalue()
+        assert "3 rows" in out.getvalue()
+
+    def test_client_reports_a_failed_load(self, gateway, tmp_path):
         from repro.cli import client_main
 
         out = io.StringIO()
         host, port = gateway.address
-        client_main(
-            [
-                "--host", host, "--port", str(port),
-                "--commands",
-                "load; rows; hist Distance 0 6000 6; distinct Airline; stats",
-            ],
-            out=out,
-        )
-        text = out.getvalue()
-        assert f"{ROWS:,} rows" in text
-        assert "distinct values" in text
-        assert "admitted" in text
+        missing = str(tmp_path / "missing.csv")
+        code = client_main(["--host", host, "--port", str(port), missing], out=out)
+        assert code == 1
+        assert out.getvalue().startswith("error: ")
 
     def test_serve_parser_defaults(self):
         """`repro serve --help`-level sanity: the subcommand dispatches."""
