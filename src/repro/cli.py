@@ -282,7 +282,7 @@ class Session:
                 value = float(raw)
             else:
                 value = raw
-        self.sheet = self.sheet.filter_rows(ColumnPredicate(column, op, value))
+        self._replace_sheet(self.sheet.filter_rows(ColumnPredicate(column, op, value)))
         self.view = None
         self.print(f"filtered: {self.sheet.total_rows:,} rows remain")
 
@@ -290,7 +290,7 @@ class Session:
         if len(args) < 2:
             raise HillviewError("usage: derive <name> <expression>")
         name, expression = args[0], " ".join(args[1:])
-        self.sheet = self.sheet.derive_expression(name, expression)
+        self._replace_sheet(self.sheet.derive_expression(name, expression))
         stats = self.sheet.column_summary(name)
         self.print(
             f"derived {name!r}: mean {stats.mean:.3f}, "
@@ -298,9 +298,16 @@ class Session:
         )
 
     def cmd_reset(self, args: list[str]) -> None:
-        self.sheet = self.root_sheet
+        self._replace_sheet(self.root_sheet)
         self.view = None
         self.print("back to the full dataset")
+
+    def _replace_sheet(self, sheet: Spreadsheet) -> None:
+        """Move to ``sheet``; the sheet left behind releases its dataset
+        (a server handle over the wire) unless it is the root sheet's."""
+        left, self.sheet = self.sheet, sheet
+        if left.dataset is not self.root_sheet.dataset:
+            left.dataset.release()
 
     def cmd_log(self, args: list[str]) -> None:
         for line in self.sheet.log.describe()[-15:]:

@@ -706,36 +706,18 @@ def decode_summary(cls: type, dec: Decoder) -> object:
 
 def summary_to_bytes(summary: object) -> bytes:
     """Encode any summary as a tagged binary attachment."""
-    return summary_attachment(summary)[0]
-
-
-def summary_attachment(summary: object) -> tuple[bytes, int]:
-    """:func:`summary_to_bytes`, and the size of its body (the summary's
-    wire size, the tag excluded) from the same encode."""
     enc = Encoder()
     enc.write_str(summary_tag(summary))
-    tag_size = enc.size
     encode_summary(summary, enc)
-    return enc.to_bytes(), enc.size - tag_size
+    return enc.to_bytes()
 
 
-def summary_nbytes(value: object) -> int:
-    """Approximate memory held by a summary: its arrays' ``nbytes`` in
-    full, 8 bytes per other scalar or list slot, strings by length.
-
-    Caches budget summaries by this, not by wire size: a count grid
-    travels at as little as one byte a cell but is held at eight.
-    """
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, (list, tuple)):
-        return sum(8 + summary_nbytes(item) for item in value)
-    if isinstance(value, str):
-        return len(value)
-    plan = _PLANS.get(type(value))
-    if plan is None:
-        return 8
-    return sum(summary_nbytes(get(value)) for get, _ in plan.binary_out)
+def summary_body_size(blob: bytes) -> int:
+    """The body size of a :func:`summary_to_bytes` blob (the summary's
+    wire size, the tag excluded), read off the blob without decoding it."""
+    dec = Decoder(blob)
+    dec.read_str()
+    return dec.remaining
 
 
 def summary_from_bytes(payload: bytes) -> object:

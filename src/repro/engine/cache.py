@@ -24,12 +24,14 @@ reproduction:
   It is *not* disableable: it holds the data itself, not a memoized
   derivation of it.
 * :class:`ComputationCache` — deterministic vizketch results at the root,
-  keyed by (dataset id, sketch cache key), with byte-size accounting.
+  keyed by (dataset id, sketch cache key).
 
 Workers additionally keep a memo cache of *partial* sketch results keyed by
 ``(dataset id, sketch cache key, shard slice)`` — see
 :class:`~repro.engine.cluster.Worker` — so on a shared fleet a sketch
 computed for one root is served from the worker cache to every other root.
+Both tiers hold a summary as its binary wire form (``summary_to_bytes``)
+and count it at that length against their byte budgets.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Generic, TypeVar
 
-from repro.core.sketch import Summary
-from repro.core.wire import summary_nbytes
+from repro.core.wire import summary_from_bytes, summary_to_bytes
 
 V = TypeVar("V")
 
@@ -362,33 +363,13 @@ class DataCache(MemoCache[V]):
         )
 
 
-def summary_size(value: object) -> int:
-    """Accounted byte size of a cached sketch result.
-
-    A summary is accounted at the memory it holds
-    (:func:`~repro.core.wire.summary_nbytes`), not at its wire size: a
-    count grid travels at as little as a byte a cell but is cached at
-    eight, and sizing it encodes nothing.  Any other value is accounted
-    at its own ``serialized_size()`` if it has one, else at zero, bounded
-    by the cache's entry budget instead.
-    """
-    if isinstance(value, Summary):
-        return summary_nbytes(value)
-    size = getattr(value, "serialized_size", None)
-    if callable(size):
-        try:
-            return int(size())
-        except Exception:  # repro: ignore[B001] — sizing must never fail a put
-            return 0
-    return 0
-
-
 class ComputationCache:
     """Cache of deterministic vizketch results, keyed by (dataset, sketch).
 
     Results are small by construction (§4.2), so the default capacity is
     generous; the byte budget is real nonetheless (eviction is LRU).
-    Statistics feed the cache ablation benchmark and the root's
+    :meth:`put` encodes a result, and every :meth:`get` decodes a fresh
+    one.  Statistics feed the cache ablation benchmark and the root's
     ``metricsSnapshot`` RPC.  Honors ``REPRO_DISABLE_CACHES``.
     """
 
@@ -398,11 +379,11 @@ class ComputationCache:
         max_bytes: int | None = 64 * 1024 * 1024,
         name: str = "computation",
     ):
-        self._cache: MemoCache[object] = MemoCache(
+        self._cache: MemoCache[bytes] = MemoCache(
             max_entries=max_entries,
             max_bytes=max_bytes,
             ttl_seconds=inf,
-            sizer=summary_size,
+            sizer=len,
             name=name,
             disableable=True,
         )
@@ -412,10 +393,11 @@ class ComputationCache:
         return f"{dataset_id}{KEY_SEP}{sketch_key}"
 
     def get(self, dataset_id: str, sketch_key: str) -> object | None:
-        return self._cache.get(self.key(dataset_id, sketch_key))
+        blob = self._cache.get(self.key(dataset_id, sketch_key))
+        return None if blob is None else summary_from_bytes(blob)
 
-    def put(self, dataset_id: str, sketch_key: str, value: object) -> None:
-        self._cache.put(self.key(dataset_id, sketch_key), value)
+    def put(self, dataset_id: str, sketch_key: str, summary: object) -> None:
+        self._cache.put(self.key(dataset_id, sketch_key), summary_to_bytes(summary))
 
     def invalidate_dataset(self, dataset_id: str) -> int:
         """Drop every cached result computed over ``dataset_id``."""

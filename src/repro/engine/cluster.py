@@ -80,13 +80,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, TypeVar
 
 from repro.core.sketch import Sketch
-from repro.engine.cache import (
-    KEY_SEP,
-    ComputationCache,
-    DataCache,
-    MemoCache,
-    summary_size,
-)
+from repro.core.wire import summary_body_size, summary_from_bytes, summary_to_bytes
+from repro.engine.cache import KEY_SEP, ComputationCache, DataCache, MemoCache
 from repro.engine.dataset import TABLE_MAPS, IDataSet, TableMap
 from repro.engine.fanout import Claim, FanOut
 from repro.engine.placement import (
@@ -188,22 +183,36 @@ class WorkerEmission:
     ``cache_hit`` marks a partial served whole from the worker's memo
     cache — no shard was scanned to produce it (§5.4 at the worker tier).
     ``final`` marks the stream's last one (on the wire, its terminal).
-    ``encoded_size`` is the summary's wire size when the encode that
-    sent it measured it (a remote worker's reply says it); otherwise
-    :attr:`bytes` encodes once, on first read.
+    ``blob`` is the summary's tagged binary form, which a daemon ships as
+    is: a memoized final carries its memo entry's bytes, and a memo hit
+    those bytes alone (:attr:`summary` decodes them on first read).
+    ``encoded_size`` is the summary's wire size when a remote worker's
+    reply says it; otherwise :attr:`bytes` reads it off the blob, or
+    encodes once, on first read.
     """
 
-    summary: object
+    _summary: object
     shards_done: int
     encoded_size: int | None = None
     cache_hit: bool = False
     final: bool = False
+    blob: bytes | None = None
+
+    @property
+    def summary(self) -> object:
+        if self._summary is None:
+            self._summary = summary_from_bytes(self.blob)
+        return self._summary
 
     @property
     def bytes(self) -> int:
         """The summary's size on the wire (Figure 5's bytes to the root)."""
         if self.encoded_size is None:
-            self.encoded_size = self.summary.serialized_size()
+            self.encoded_size = (
+                self.summary.serialized_size()
+                if self.blob is None
+                else summary_body_size(self.blob)
+            )
         return self.encoded_size
 
 
@@ -472,13 +481,15 @@ class Worker(WorkerProtocol):
         #: *partial* sketch results keyed by (content-addressed dataset id,
         #: sketch cache key, this worker's shard slice).  On a shared
         #: fleet, a deterministic sketch computed for one root is served
-        #: from here to every other root — zero shard scans.
-        self.memo: MemoCache[tuple[object, int]] = MemoCache(
+        #: from here to every other root — zero shard scans.  An entry is
+        #: ``(summary_to_bytes blob, shard count)``, counted at the blob's
+        #: length: the bytes a daemon ships for it.
+        self.memo: MemoCache[tuple[bytes, int]] = MemoCache(
             max_entries=memo_entries,
             max_bytes=memo_bytes,
             ttl_seconds=cache_ttl_seconds,
             clock=clock,
-            sizer=lambda entry: summary_size(entry[0]),
+            sizer=lambda entry: len(entry[0]),
             name=f"{name}-memo",
             disableable=True,
         )
@@ -997,9 +1008,9 @@ class Worker(WorkerProtocol):
                     recipe = self._recipes.get(memo_key)
                     if recipe is not None:
                         recipe["hits"] += 1
-                summary, shard_count = memoized
+                blob, shard_count = memoized
                 yield WorkerEmission(
-                    summary, shard_count, cache_hit=True, final=True
+                    None, shard_count, cache_hit=True, final=True, blob=blob
                 )
                 return
         shards = self.shards(dataset_id, lineage)
@@ -1071,6 +1082,7 @@ class Worker(WorkerProtocol):
             concurrent.futures.wait(futures)
         if failure is not None:
             raise failure
+        blob = None
         if (
             memo_key is not None
             and shards
@@ -1079,8 +1091,10 @@ class Worker(WorkerProtocol):
         ):
             # Every shard was summarized into the cumulative partial:
             # memoize it for the next root (or session) asking for the
-            # same deterministic sketch over the same dataset slice.
-            self.memo.put(memo_key, (accumulated, len(shards)))
+            # same deterministic sketch over the same dataset slice.  One
+            # encode: the final emission below carries the same bytes.
+            blob = summary_to_bytes(accumulated)
+            self.memo.put(memo_key, (blob, len(shards)))
             if memo_key in self.memo:  # dropped when caches are disabled
                 with self._recipes_lock:
                     hits = self._recipes.get(memo_key, {}).get("hits", 0)
@@ -1094,7 +1108,7 @@ class Worker(WorkerProtocol):
             # Finished, ceded or cancelled, the run ends with one final
             # emission, after the memo insert: a repeat the root sends
             # once it has read this must hit the memo.
-            yield WorkerEmission(accumulated, done, final=True)
+            yield WorkerEmission(accumulated, done, final=True, blob=blob)
 
     def _submit_leaves(self, leaf, items) -> list[concurrent.futures.Future]:
         """``leaf(item)`` per item on the leaf pool, started in item
@@ -1198,10 +1212,7 @@ class Worker(WorkerProtocol):
                 with self._recipes_lock:
                     self._recipes.pop(memo_key, None)
                 continue
-            summary, _ = entry
-            ranked.append(
-                (recipe["hits"], memo_key, recipe, summary_size(summary))
-            )
+            ranked.append((recipe["hits"], memo_key, recipe, len(entry[0])))
         ranked.sort(key=lambda item: (-item[0], item[1]))
         exported: list[dict] = []
         spent = 0

@@ -172,6 +172,9 @@ class IDataSet(ABC):
     def schema(self) -> "Schema":
         """The shared schema of every leaf table."""
 
+    def release(self) -> None:
+        """Let a server drop what it holds for this dataset (§5.7 soft state)."""
+
     def sketch(self, sketch: Sketch[R], token: CancellationToken | None = None) -> R:
         """Execute ``sketch`` to completion and return the final summary."""
         return self.run(sketch, token).value

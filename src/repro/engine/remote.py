@@ -75,8 +75,8 @@ from repro.engine.rpc import (
     RpcReply,
     RpcRequest,
     call_once,
-    summary_attachment,
     summary_from_bytes,
+    summary_to_bytes,
 )
 from repro.engine.verbs import VERBS, WIRE_VERBS, Verb
 from repro.errors import (
@@ -548,20 +548,22 @@ class WorkerServer:
                 dataset, sketch, lineage, token, run, version
             ):
                 # The summary travels as its own Encoder format in the
-                # attachment; the final one on the terminal reply.
+                # attachment; the final one on the terminal reply.  A
+                # memoized final or a memo hit already holds its bytes.
                 final = emission.final
-                attachment, size = summary_attachment(emission.summary)
+                if emission.blob is None:
+                    emission.blob = summary_to_bytes(emission.summary)
                 reply = RpcReply(
                     request.request_id,
                     "complete" if final else "partial",
                     progress=1.0 if final else 0.0,
                     payload={
                         "shardsDone": emission.shards_done,
-                        "bytes": size,
+                        "bytes": emission.bytes,
                         "cacheHit": emission.cache_hit,
                     },
                 )
-                reply.attachment = attachment
+                reply.attachment = emission.blob
                 yield reply
             if not final:  # nothing was folded: a bare terminal
                 yield RpcReply(request.request_id, "complete")

@@ -35,7 +35,6 @@ from repro.core.wire import (
     loads,
     sketch_from_json,
     sketch_to_json,
-    summary_attachment,
     summary_from_bytes,
     summary_from_json,
     summary_json,

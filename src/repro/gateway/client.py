@@ -239,6 +239,9 @@ class GatewayWebSocket:
         self.welcome: dict | None = None
         self.session: str | None = None
         self.last_seq: dict[int, int] = {}
+        #: ``n`` of the latest heartbeat read past while waiting for a
+        #: request's replies (such beats are not queued).
+        self.last_heartbeat: int | None = None
         self._ids = itertools.count(1)
 
     def _upgrade(self, headers: dict) -> bytes:
@@ -304,7 +307,8 @@ class GatewayWebSocket:
         return None
 
     def recv(self, request_id: int | None = None) -> dict:
-        """The next message for ``request_id`` (``None`` = unaddressed)."""
+        """The next message for ``request_id`` (``None`` = unaddressed); a
+        heartbeat read on the way is kept as :attr:`last_heartbeat`."""
         claimed = self._claim(request_id)
         if claimed is not None:
             return claimed
@@ -316,6 +320,9 @@ class GatewayWebSocket:
                 self.last_seq[rid] = max(self.last_seq.get(rid, 0), seq)
             if rid == request_id:
                 return message
+            if rid is None and message.get("type") == "heartbeat":
+                self.last_heartbeat = message.get("n")
+                continue
             self._inbox.setdefault(rid, deque()).append(message)
 
     # -- handshake ------------------------------------------------------
@@ -512,6 +519,11 @@ class RemoteDataSet(IDataSet):
             if live and token is not None and token.cancelled and not cancel_sent:
                 self.socket.cancel(request_id)
                 cancel_sent = True
+
+    def release(self) -> None:
+        """``evict`` this handle: the root releases its dataset, and the
+        last hold frees the shards on every worker."""
+        self.socket.call("evict", self.handle)
 
     @cached_property
     def schema(self) -> Schema:

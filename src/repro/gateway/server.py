@@ -208,6 +208,8 @@ class _Stream:
             # earlier one, so the ledger holds exactly one.
             self.last_partial = (seq, frame)
         else:
+            # The terminal subsumes every cumulative partial too.
+            self.last_partial = None
             self.terminal = (seq, frame)
             self.done = True
         return frame

@@ -42,10 +42,10 @@ class DistinctSetSummary(Summary):
     def sorted_values(self) -> list:
         return _sorted_values(self.values)
 
-    # Untagged: no sketch spec reaches this summary, so the table only
-    # derives encode/decode (the set travels sorted, hence canonical).
+    # Tagged although no sketch spec reaches it: a cached result is held
+    # in its tagged binary form (the set travels sorted, hence canonical).
     wire = Wire(
-        None,
+        "distinctSet",
         Field("values", "values", via(list_of(CELL), "cells", _sorted_values, set)),
         Field("missing", "missing", UVARINT),
         Field("truncated", "truncated", BOOL),

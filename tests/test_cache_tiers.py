@@ -27,8 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.core.buckets import DoubleBuckets
-from repro.core.serialization import Encoder
+from repro.core.serialization import Decoder, Encoder
 from repro.data.flights import FlightsSource
 from repro.engine.cache import (
     KEY_SEP,
@@ -37,10 +39,13 @@ from repro.engine.cache import (
     MemoCache,
 )
 from repro.engine.cluster import Cluster, Worker
-from repro.core.wire import SKETCH_TYPES
+from repro.core.sketch import Summary
+from repro.core.wire import SKETCH_TYPES, SUMMARY_TYPES, summary_to_bytes
+from repro.engine.redo_log import LoadOp
 from repro.engine.rpc import sketch_from_json, sketch_to_json
+from repro.sketches.distinct import DistinctSetSummary, ExactDistinctSketch
 from repro.sketches.heatmap import HeatmapSketch
-from repro.sketches.histogram import HistogramSketch
+from repro.sketches.histogram import HistogramSketch, HistogramSummary
 from repro.storage.loader import TableSource
 
 import repro.service.slow  # noqa: F401 — registers the "slow" sketch type
@@ -198,21 +203,32 @@ class TestWorkerStoreIsSized:
             cluster.close()
 
 
+def _histogram(buckets: int) -> HistogramSummary:
+    """A summary whose wire form grows by a byte a bucket."""
+    return HistogramSummary(np.ones(buckets, dtype=np.int64))
+
+
 class TestComputationCacheInterface:
     def test_byte_accounting_and_dataset_invalidation(self):
+        """Entries are held, and counted, at their wire size; a hit
+        decodes a fresh summary with the same bytes."""
         cache = ComputationCache(max_entries=100)
-        cache.put("ds-1", "hist", _Sized(100))
-        cache.put("ds-1", "cdf", _Sized(50))
-        cache.put("ds-2", "hist", _Sized(25))
-        assert cache.current_bytes == 175
+        wide, mid, narrow = (_histogram(n) for n in (100, 50, 25))
+        cache.put("ds-1", "hist", wide)
+        cache.put("ds-1", "cdf", mid)
+        cache.put("ds-2", "hist", narrow)
+        sizes = [len(summary_to_bytes(s)) for s in (wide, mid, narrow)]
+        assert cache.current_bytes == sum(sizes)
         assert cache.invalidate_dataset("ds-1") == 2
-        assert cache.current_bytes == 25
-        assert cache.get("ds-2", "hist") is not None
+        assert cache.current_bytes == sizes[2]
+        hit = cache.get("ds-2", "hist")
+        assert hit is not narrow and hit is not cache.get("ds-2", "hist")
+        assert summary_to_bytes(hit) == summary_to_bytes(narrow)
 
     def test_real_eviction_under_byte_budget(self):
         cache = ComputationCache(max_entries=100, max_bytes=120)
         for i in range(5):
-            cache.put("ds", f"k{i}", _Sized(50))
+            cache.put("ds", f"k{i}", _histogram(40))
         assert len(cache) <= 3
         assert cache.current_bytes <= 120
 
@@ -252,27 +268,38 @@ class TestWorkerMemoTier:
         assert key_sliced not in worker.memo
 
     def test_memo_budget_holds_wide_heat_maps_by_their_memory(self):
-        """A 400x300 heat map travels at a byte a cell but is cached at
-        eight: the memo budget must count what it holds."""
-        budget = 2_500_000
-        worker = Worker("w", cores=2, memo_bytes=budget)
-        dataset = Cluster(workers=[worker], aggregation_interval=0.01).load(SOURCE)
-        for top in (1000, 2000, 3000, 4000):
-            dataset.run(
-                HeatmapSketch(
-                    "Distance", DoubleBuckets(0, top, 400),
-                    "DepDelay", DoubleBuckets(-30, 180, 300),
+        """A 400x300 heat map is held as it travels, at a byte a cell,
+        not at the eight its unpacked grid takes: a budget that held two
+        such grids unpacked holds all four, and one below their sum
+        still evicts."""
+
+        def memo_after_four_heat_maps(budget: int) -> MemoCache:
+            worker = Worker("w", cores=2, memo_bytes=budget)
+            root = Cluster(workers=[worker], aggregation_interval=0.01)
+            dataset = root.load(SOURCE)
+            for top in (1000, 2000, 3000, 4000):
+                dataset.run(
+                    HeatmapSketch(
+                        "Distance", DoubleBuckets(0, top, 400),
+                        "DepDelay", DoubleBuckets(-30, 180, 300),
+                    )
                 )
-            )
-        held = [worker.memo.peek(key) for key in worker.memo.keys()]
-        grids = sum(summary.counts.nbytes for summary, _ in held)
-        assert 0 < len(held) < 4
-        assert grids <= worker.memo.current_bytes <= budget
+            return worker.memo
+
+        memo = memo_after_four_heat_maps(2_500_000)
+        blobs = [memo.peek(key)[0] for key in memo.keys()]
+        assert len(blobs) == 4
+        assert memo.current_bytes == sum(map(len, blobs))
+        grid = 400 * 300
+        assert 4 * grid <= memo.current_bytes < 8 * grid  # < one unpacked
+        tight = memo_after_four_heat_maps(memo.current_bytes - 1)
+        assert 0 < len(tight) < 4
+        assert tight.current_bytes < memo.current_bytes
 
     def test_a_run_encodes_its_summary_once(self, monkeypatch):
-        """Neither the worker, its memo nor the root's computation cache
-        encodes a summary to size it: one encode per emission, where the
-        root reads the emission's wire size."""
+        """One encode per worker emission — the memo keeps the bytes the
+        final emission carries, and the root reads its wire size off
+        them — plus one for the root's computation-cache entry."""
         worker = Worker("w", cores=2)
         root = Cluster(workers=[worker], aggregation_interval=60.0)
         dataset = root.load(SOURCE)
@@ -291,7 +318,48 @@ class TestWorkerMemoTier:
         run = dataset.run(sketch)
         assert run.partials == 1
         assert len(worker.memo) == 1 and len(root.computation_cache) == 1
-        assert writes == [(40, 30)]
+        assert writes == [(40, 30), (40, 30)]
+
+    def test_a_memo_hit_on_a_daemon_ships_the_stored_bytes(self, monkeypatch):
+        """A memo hit served by a :class:`WorkerServer` neither encodes
+        nor decodes: the reply carries the bytes the memo holds, and the
+        root's read of it is the run's one decode."""
+        from repro.engine.remote import WorkerServer
+        from tests.conftest import connect
+
+        server = WorkerServer(name="memo", cores=2, cache_sweep_interval_seconds=0)
+        proxy = connect(server)
+        try:
+            proxy.configure(0, 1, 60.0)
+            proxy.ensure("ds", [LoadOp("ds", SOURCE)])
+            sketch = HeatmapSketch(
+                "Distance", DoubleBuckets(0, 3000, 40),
+                "DepDelay", DoubleBuckets(-30, 180, 30),
+            )
+            (cold,) = proxy.sketch_partials("ds", sketch, [])
+            (key,) = server.worker.memo.keys()
+            blob, _ = server.worker.memo.peek(key)
+            writes, reads = [], []
+            write_array, read_array = Encoder.write_array, Decoder.read_array
+
+            def counted_write(enc, array):
+                writes.append(array.shape)
+                write_array(enc, array)
+
+            def counted_read(dec, *args, **kwargs):
+                reads.append(args)
+                return read_array(dec, *args, **kwargs)
+
+            monkeypatch.setattr(Encoder, "write_array", counted_write)
+            monkeypatch.setattr(Decoder, "read_array", counted_read)
+            (hit,) = proxy.sketch_partials("ds", sketch, [])
+            assert hit.cache_hit and not cold.cache_hit
+            assert len(reads) == 1 and writes == []
+            assert (hit.shards_done, hit.bytes) == (cold.shards_done, cold.bytes)
+            monkeypatch.undo()
+            assert summary_to_bytes(hit.summary) == summary_to_bytes(cold.summary) == blob
+        finally:
+            proxy.close()
 
     def test_cancelled_runs_are_not_memoized(self, two_roots):
         from repro.engine.progress import CancellationToken
@@ -379,6 +447,37 @@ class TestCacheKeyHygiene:
             sketch = sketch_from_json(spec)
             assert not sketch.deterministic
             assert sketch.cache_key() is None
+
+    def test_every_summary_has_a_binary_form(self):
+        """Both cache tiers hold a result as ``summary_to_bytes``, which
+        needs the summary class's tag: every registered one has it."""
+
+        def subclasses(cls: type):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        registered = [
+            cls
+            for cls in subclasses(Summary)
+            if "wire" in cls.__dict__ and cls.__module__.startswith("repro.")
+        ]
+        assert DistinctSetSummary in registered
+        for cls in registered:
+            assert SUMMARY_TYPES.get(cls.wire.tag) is cls, cls.__name__
+
+    def test_exact_distinct_values_hit_the_root_cache(self):
+        cluster = Cluster(num_workers=2, cores_per_worker=1)
+        try:
+            dataset = cluster.load(SOURCE)
+            sketch = ExactDistinctSketch("Airline")
+            cold = dataset.run(sketch)
+            warm = dataset.run(sketch)
+            assert not cold.cache_hit and warm.cache_hit
+            assert len(cold.value.values) > 1
+            assert summary_to_bytes(warm.value) == summary_to_bytes(cold.value)
+        finally:
+            cluster.close()
 
     @pytest.mark.parametrize("kind", sorted(ALL_SPECS))
     def test_wire_round_trip_preserves_cache_key(self, kind):

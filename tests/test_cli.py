@@ -9,7 +9,7 @@ import io
 import pytest
 
 from repro.cli import Session, source_for_path
-from repro.engine.cluster import Cluster
+from repro.engine.cluster import Cluster, ClusterDataSet
 from repro.errors import HillviewError
 from repro.gateway import GatewayServer, RemoteDataSet
 from repro.service import ServiceServer
@@ -89,6 +89,35 @@ def test_local_and_remote_sessions_print_the_same(flights_path, gateway):
     local, remote = outputs
     assert len(local) > 3 * len(SCRIPT)
     assert local == remote
+
+
+def test_replaced_sheets_release_their_server_handles(flights_path):
+    """``filter`` and ``reset`` evict the sheet they leave (never the
+    root sheet's): twenty pairs leave the root's dataset resident, not
+    twenty-one."""
+    service = ServiceServer(Cluster(num_workers=WORKERS))
+    gateway = GatewayServer(service)
+    gateway.start_background()
+    try:
+        with open_session("remote", flights_path, gateway) as (session, out):
+            session.run(
+                line
+                for n in range(20)
+                for line in (f"filter Distance > {100 * n}", "reset")
+            )
+            served = service.sessions.get(session.sheet.dataset.socket.session)
+            resident = [
+                handle
+                for handle in served.web.handles
+                if isinstance(served.web._handles[handle], ClusterDataSet)
+            ]
+            assert len(served.web.handles) == 21
+            assert len(resident) <= 2
+            assert all(len(w.store) <= 2 for w in service.cluster.workers)
+            assert out.getvalue().count("rows remain") == 20
+    finally:
+        gateway.close()
+        service.close()
 
 
 class TestCommands:

@@ -19,7 +19,7 @@ from repro.engine.progress import CancellationToken
 from repro.engine.redo_log import RedoLog
 from repro.errors import DatasetMissingError, EngineError
 from repro.obs.trace import TraceContext, current_context
-from repro.sketches.histogram import HistogramSketch
+from repro.sketches.histogram import HistogramSketch, HistogramSummary
 from repro.sketches.moments import MomentsSketch
 from repro.storage.loader import TableSource
 from repro.table.compute import ColumnPredicate
@@ -333,8 +333,9 @@ class TestCaches:
     def test_computation_cache_stats(self):
         cache = ComputationCache()
         assert cache.get("ds", "k") is None
-        cache.put("ds", "k", 42)
-        assert cache.get("ds", "k") == 42
+        summary = HistogramSummary(np.array([4, 2]), missing=1)
+        cache.put("ds", "k", summary)
+        assert cache.get("ds", "k").to_bytes() == summary.to_bytes()
         assert cache.hits == 1
         assert cache.misses == 1
         # Keys must not collide across datasets/sketches.

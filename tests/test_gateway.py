@@ -52,6 +52,7 @@ from repro.gateway.websocket import (
 )
 from repro.service import ConnectionDirector, ServiceServer, probe_gateway
 from repro.service.slow import SlowdownSketch
+from repro.spreadsheet import Spreadsheet
 from repro.storage.loader import SOURCES
 from repro.table.compute import ColumnPredicate
 from repro.table.schema import ContentsKind
@@ -704,10 +705,25 @@ class TestReplyFrameOracle:
             three_pass_frame(reply, seq) for seq, reply in enumerate(replies, 1)
         ]
         last = len(frames)
+        # A finished stream keeps its terminal alone: it subsumes every
+        # cumulative partial.
         replayed = stream.replay_after(0)
-        assert [id(f) for f in replayed] == [id(frames[-2]), id(frames[-1])]
+        assert [id(f) for f in replayed] == [id(frames[-1])]
+        assert stream.last_partial is None
         assert stream.replay_after(last - 1) == [frames[-1]]
         assert stream.replay_after(last) == []
+
+    def test_resume_mid_stream_replays_the_latest_partial(self, session):
+        slow = {"type": "slow", "perShardSeconds": 0.01, "inner": HIST}
+        replies = self.replies(session, {"sketch": slow})
+        partials = [reply for reply in replies if reply.kind == "partial"]
+        assert len(partials) >= 2
+        stream = _Stream(RpcRequest(7, "ds", "sketch", {"sketch": slow}))
+        frames = [stream.record(reply) for reply in partials]
+        assert not stream.done
+        assert stream.replay_after(0) == [frames[-1]]
+        assert stream.replay_after(len(frames) - 1) == [frames[-1]]
+        assert stream.replay_after(len(frames)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +756,24 @@ class TestRemoteDataSet:
         ws.connect()
         yield RemoteDataSet.load(ws, SOURCES.to_json(SOURCE))
         ws.close()
+
+    def test_heartbeats_read_past_are_not_queued(self, service):
+        """A spreadsheet drains each request's stream and never reads
+        unaddressed messages: the beats it reads past leave only their
+        count behind."""
+        gw = GatewayServer(service, heartbeat_interval_seconds=0.01)
+        gw.start_background()
+        try:
+            with open_ws(gw, timeout=60) as ws:
+                ws.connect()
+                sheet = Spreadsheet(RemoteDataSet.load(ws, SOURCES.to_json(SOURCE)))
+                for _ in range(5):
+                    time.sleep(0.2)
+                    sheet.histogram("Distance")
+                assert not ws._inbox.get(None)
+                assert ws.last_heartbeat is not None and ws.last_heartbeat > 1
+        finally:
+            gw.close()
 
     def test_maps_return_new_handles_the_server_derived(self, remote):
         local = Cluster(num_workers=2).load(SOURCE)

@@ -472,6 +472,21 @@ def _hll_summaries(draw):
 
 
 @st.composite
+def _distinct_sets(draw):
+    from repro.sketches.distinct import DistinctSetSummary
+
+    values = draw(
+        st.one_of(
+            st.sets(finite_floats, max_size=6),
+            st.sets(st.text(max_size=8), max_size=6),
+        )
+    )
+    return DistinctSetSummary(
+        values=values, missing=draw(small_ints), truncated=draw(st.booleans())
+    )
+
+
+@st.composite
 def _quantile_summaries(draw):
     from repro.sketches.quantile import QuantileSummary
 
@@ -562,6 +577,7 @@ def _summary_strategies():
         "nextK": _next_k_lists(),
         "frequencies": _frequency_summaries(),
         "distinct": _hll_summaries(),
+        "distinctSet": _distinct_sets(),
         "quantile": _quantile_summaries(),
         "find": _find_results(),
         "bottomK": _bottom_k_summaries(),

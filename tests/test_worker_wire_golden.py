@@ -31,8 +31,10 @@ When count grids came to travel at the narrowest width that holds them,
 the attachments (and ``bytes``) of ``a1.7.sketch``, ``a1.8.sketch`` and
 ``b1.1.stolenPartial`` were re-recorded; so was the ``bytes`` of the one
 hot entry in the ``a1.10.exportHotEntries`` reply and the
-``a1.11.importEntries`` request that sends it back, now the memory the
-memo holds for it rather than its wire size.
+``a1.11.importEntries`` request that sends it back, then the memory the
+memo held for it (55 → 72).  When the memo came to hold each entry as
+its tagged binary summary, those two ``bytes`` were re-recorded again
+(72 → 23): still what the memo holds, which is now the wire form.
 When ``ensure`` became the one verb that materializes a dataset, the
 ``load``, ``rows`` and ``schema`` exchanges became ``ensure`` exchanges
 at the same request ids — ``a1.3.ensure`` (a load: it reads the
